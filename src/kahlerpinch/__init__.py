@@ -16,14 +16,12 @@ _EXPORTS = {
     "random_orthonormal_pair": ".space",
     "seeded_rng": ".space",
     # forms
-    "AlternatingForm": ".forms",
-    "ComplexFormPair": ".forms",
-    "ComplexMatrixOfForms": ".forms",
     "wedge": ".forms",
     "power": ".forms",
     "top_coefficient": ".forms",
     "kahler_form": ".forms",
     "basis_form": ".forms",
+    "two_form": ".forms",
     # curvature
     "CurvatureTensor": ".curvature",
     "TwoPlane": ".curvature",
@@ -64,8 +62,10 @@ _EXPORTS = {
     "curvature_matrix": ".chern",
     "chern_form": ".chern",
     "chern_forms": ".chern",
+    "chern_densities": ".chern",
     "chern_product": ".chern",
     "chern_ratio": ".chern",
+    "density_ratio": ".chern",
     "enumerate_indices": ".chern",
     "reference_constants": ".chern",
     "space_form_ratio": ".chern",

@@ -12,6 +12,11 @@ computed through Newton's identities on wedge-traces; 2-form entries commute,
 so the classical recursion applies verbatim. Densities are coefficients
 relative to omega^n; only ratios of densities are consumed downstream, so the
 normalization convention cancels.
+
+`chern_densities` builds the forms once per tensor and evaluates every
+product c_1^{a_1} ^ ... ^ c_n^{a_n}; `chern_product`, `chern_ratio` and
+`reference_constants` are read off its table, and `density_ratio` divides two
+entries of it.
 """
 
 from __future__ import annotations
@@ -29,14 +34,7 @@ from .errors import (
     IdentityInconsistencyError,
     PreconditionError,
 )
-from .forms import (
-    AlternatingForm,
-    ComplexFormPair,
-    ComplexMatrixOfForms,
-    index_combinations,
-    top_coefficient,
-    wedge,
-)
+from .forms import basis_form, top_coefficient, two_form, wedge
 from .space import HermitianSpace, make_space
 
 __all__ = [
@@ -46,8 +44,10 @@ __all__ = [
     "curvature_matrix",
     "chern_form",
     "chern_forms",
+    "chern_densities",
     "chern_product",
     "chern_ratio",
+    "density_ratio",
     "enumerate_indices",
     "reference_constants",
     "space_form_ratio",
@@ -127,97 +127,81 @@ def _require_unitary_frame(space: HermitianSpace, frame, tol: float = 1e-10):
         raise PreconditionError("frame is not unitary: {f_a, Jf_a} fails orthonormality")
 
 
-def curvature_matrix(tensor: CurvatureTensor, frame=None) -> ComplexMatrixOfForms:
-    """Curvature matrix of complex 2-forms in a unitary frame."""
+def curvature_matrix(tensor: CurvatureTensor, frame=None) -> np.ndarray:
+    """Curvature matrix of complex 2-forms in a unitary frame, shape (n, n, 2^{2n})."""
     require_certified(tensor)
     space = tensor.space
     if frame is None:
         frame = canonical_frame(space)
     _require_unitary_frame(space, frame)
-    pairs = index_combinations(space.dim, 2)
-    rows_i = np.array([p[0] for p in pairs])
-    rows_j = np.array([p[1] for p in pairs])
+    f = np.array(frame, dtype=float)
+    jf = f @ space.j_matrix.T
 
-    def two_form(x, y) -> np.ndarray:
-        # coefficients of the 2-form (a, b) -> R(a, b, x, y) over sorted pairs
-        matrix = np.einsum("ijkl,k,l->ij", tensor.entries, x, y)
-        return matrix[rows_i, rows_j]
+    def block(u, v) -> np.ndarray:
+        # block[a, b, i, j] = R(e_i, e_j, u_a, v_b)
+        return np.einsum("ijkl,ak,bl->abij", tensor.entries, u, v)
 
-    n = space.n
-    entries: list[list[ComplexFormPair]] = []
-    jf = [space.j(f) for f in frame]
-    for a in range(n):
-        row = []
-        for b in range(n):
-            re = AlternatingForm(space, 2, two_form(frame[a], frame[b]))
-            im = AlternatingForm(
-                space, 2, 0.5 * (two_form(frame[a], jf[b]) - two_form(jf[a], frame[b]))
-            )
-            row.append(ComplexFormPair(re, im))
-        entries.append(row)
-    return ComplexMatrixOfForms(space, entries)
+    return two_form(block(f, f) + 0.5j * (block(f, jf) - block(jf, f)))
 
 
-def chern_forms(tensor: CurvatureTensor, frame=None) -> list[AlternatingForm]:
-    """All Chern forms c_0, ..., c_n as real alternating forms (degree 2k).
+def chern_forms(tensor: CurvatureTensor, frame=None) -> np.ndarray:
+    """All Chern forms c_0, ..., c_n as the rows of a real (n + 1, 2^{2n}) array.
 
     Imaginary parts must cancel (skew-Hermitian input); they are checked
     against a small threshold and discarded.
     """
     space = tensor.space
     n = space.n
-    omega_matrix = curvature_matrix(tensor, frame)
-    normalized = omega_matrix.scale_complex(1j / (2.0 * np.pi))
-    # wedge-powers and their traces
-    traces: list[ComplexFormPair] = []
+    normalized = curvature_matrix(tensor, frame) * (1j / (2.0 * np.pi))
+    # traces of the wedge powers; entry c of a row wedges with entry c of a column
+    traces = [np.trace(normalized)]
     current = normalized
-    traces.append(current.trace())
     for _ in range(1, n):
-        current = current.matmul_wedge(normalized)
-        traces.append(current.trace())
+        current = wedge(current[:, :, None], normalized[None]).sum(axis=1)
+        traces.append(np.trace(current))
     # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-    sigmas: list[ComplexFormPair] = [
-        ComplexFormPair.from_real(AlternatingForm.constant_one(space))
-    ]
+    sigmas = [basis_form(space, ()).astype(complex)]
     for k in range(1, n + 1):
-        acc = ComplexFormPair.zero(space, 2 * k)
-        for j in range(1, k + 1):
-            term = sigmas[k - j].wedge(traces[j - 1])
-            if j % 2 == 0:
-                term = term.times_complex(-1.0)
-            acc = acc + term
-        sigmas.append(acc / k)
-    out = []
-    for k, sigma in enumerate(sigmas):
-        residue = sigma.im.max_abs()
-        scale = max(1.0, sigma.re.max_abs())
-        if residue > REALITY_TOL * scale:
-            raise PreconditionError(
-                f"Chern form c_{k} has imaginary residue {residue:.3e}; "
-                "input tensor is not Kahler enough"
-            )
-        out.append(sigma.re)
-    return out
+        terms = [(-1) ** (j - 1) * wedge(sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
+        sigmas.append(sum(terms) / k)
+    sigmas = np.array(sigmas)
+    residues = np.max(np.abs(sigmas.imag), axis=1)
+    scales = np.maximum(1.0, np.max(np.abs(sigmas.real), axis=1))
+    bad = np.flatnonzero(residues > REALITY_TOL * scales)
+    if bad.size:
+        k = bad[0]
+        raise PreconditionError(
+            f"Chern form c_{k} has imaginary residue {residues[k]:.3e}; "
+            "input tensor is not Kahler enough"
+        )
+    return sigmas.real
 
 
-def chern_form(tensor: CurvatureTensor, k: int, frame=None) -> AlternatingForm:
-    """Single Chern form c_k (real, degree 2k)."""
+def chern_form(tensor: CurvatureTensor, k: int, frame=None) -> np.ndarray:
+    """Single Chern form c_k (real, degree 2k), an array of length 2^{2n}."""
     if k < 0 or k > tensor.space.n:
         raise DegreeError(f"k must be in [0, {tensor.space.n}], got {k}")
     return chern_forms(tensor, frame)[k]
 
 
+def chern_densities(tensor: CurvatureTensor, frame=None) -> dict[ChernIndex, float]:
+    """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
+    forms = chern_forms(tensor, frame)
+    densities: dict[ChernIndex, float] = {}
+    for index in enumerate_indices(tensor.space.n):
+        product = forms[0]
+        for k, a in enumerate(index.multi_index, start=1):
+            for _ in range(a):
+                product = wedge(product, forms[k])
+        densities[index] = top_coefficient(product)
+    return densities
+
+
 def chern_product(tensor: CurvatureTensor, index: ChernIndex, frame=None) -> ChernDensity:
     """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n."""
-    space = tensor.space
-    if index.n != space.n:
-        raise DegreeError(f"index has n={index.n}, tensor has n={space.n}")
-    forms = chern_forms(tensor, frame)
-    product = AlternatingForm.constant_one(space)
-    for k, a in enumerate(index.multi_index, start=1):
-        for _ in range(a):
-            product = wedge(product, forms[k])
-    return ChernDensity(index=index, gamma=top_coefficient(product))
+    if index.n != tensor.space.n:
+        raise DegreeError(f"index has n={index.n}, tensor has n={tensor.space.n}")
+    return ChernDensity(index=index, gamma=chern_densities(tensor, frame)[index])
 
 
 def space_form_ratio(index_i: ChernIndex, index_j: ChernIndex) -> float:
@@ -236,19 +220,9 @@ def reference_constants(n: int) -> dict[ChernIndex, float]:
     Cross-checked internally: every pairwise ratio must match the space-form
     binomial formula.
     """
-    space = make_space(n)
-    model = complex_hyperbolic_tensor(space)
-    forms = chern_forms(model)
-    table: dict[ChernIndex, float] = {}
-    for index in enumerate_indices(n):
-        product = AlternatingForm.constant_one(space)
-        for k, a in enumerate(index.multi_index, start=1):
-            for _ in range(a):
-                product = wedge(product, forms[k])
-        table[index] = top_coefficient(product)
-    indices = list(table)
-    for a in indices:
-        for b in indices:
+    table = chern_densities(complex_hyperbolic_tensor(make_space(n)))
+    for a in table:
+        for b in table:
             expected = space_form_ratio(a, b)
             got = table[a] / table[b]
             if abs(got - expected) > 1e-8 * max(1.0, abs(expected)):
@@ -259,26 +233,27 @@ def reference_constants(n: int) -> dict[ChernIndex, float]:
     return table
 
 
-def chern_ratio(
-    tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex, frame=None
+def density_ratio(
+    densities: dict[ChernIndex, float], index_i: ChernIndex, index_j: ChernIndex
 ) -> float:
-    """gamma_I / gamma_J; scale- and frame-independent."""
-    space = tensor.space
-    if index_i.n != space.n or index_j.n != space.n:
-        raise DegreeError("index dimensions disagree with the tensor")
-    forms = chern_forms(tensor, frame)
+    """gamma_I / gamma_J from a chern_densities table.
 
-    def gamma(index: ChernIndex) -> float:
-        product = AlternatingForm.constant_one(space)
-        for k, a in enumerate(index.multi_index, start=1):
-            for _ in range(a):
-                product = wedge(product, forms[k])
-        return top_coefficient(product)
-
-    denominator = gamma(index_j)
-    reference = abs(reference_constants(space.n)[index_j])
+    Raises DegenerateDenominatorError when gamma_J vanished relative to the
+    model tensor's value.
+    """
+    denominator = densities[index_j]
+    reference = abs(reference_constants(index_j.n)[index_j])
     if abs(denominator) < 1e-12 * reference:
         raise DegenerateDenominatorError(
             f"density gamma_{index_j} = {denominator!r} vanished relative to reference"
         )
-    return gamma(index_i) / denominator
+    return densities[index_i] / denominator
+
+
+def chern_ratio(
+    tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex, frame=None
+) -> float:
+    """gamma_I / gamma_J; scale- and frame-independent."""
+    if index_i.n != tensor.space.n or index_j.n != tensor.space.n:
+        raise DegreeError("index dimensions disagree with the tensor")
+    return density_ratio(chern_densities(tensor, frame), index_i, index_j)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -47,6 +48,21 @@ def _check_n(n: int) -> int | None:
     if n > DIMENSION_CAP:
         return EXIT_RESOURCE
     return None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_float(value) -> float | None:
+    """value as a finite float; None for non-numbers (bools included) and overflows."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 def _load_tensor(path: str):
@@ -173,7 +189,7 @@ def _parse_index(text: str, n: int):
 
 
 def cmd_chern(args) -> int:
-    from .chern import chern_product, chern_ratio, enumerate_indices
+    from .chern import chern_densities, chern_ratio, density_ratio
     from .errors import DegreeError
     from .space import random_unitary_frame
 
@@ -189,14 +205,12 @@ def cmd_chern(args) -> int:
     payload = {"command": "chern", "path": args.path, "n": n, "frame_seed": args.frame_seed}
     try:
         if args.all:
-            indices = enumerate_indices(n)
-            payload["densities"] = {
-                str(i): chern_product(tensor, i, frame).gamma for i in indices
-            }
+            densities = chern_densities(tensor, frame)
+            payload["densities"] = {str(i): gamma for i, gamma in densities.items()}
             payload["ratios"] = {
-                f"{a}:{b}": chern_ratio(tensor, a, b, frame)
-                for a in indices
-                for b in indices
+                f"{a}:{b}": density_ratio(densities, a, b)
+                for a in densities
+                for b in densities
                 if a != b
             }
         else:
@@ -221,6 +235,8 @@ def cmd_identities(args) -> int:
     if code == EXIT_RESOURCE:
         sys.stderr.write(f"error: --n capped at {DIMENSION_CAP}\n")
         return EXIT_RESOURCE
+    if args.samples < 1:
+        return _fail_usage(f"--samples must be >= 1, got {args.samples}")
     from .experiments import identity_suite
 
     results = identity_suite(args.n, args.samples, args.seed)
@@ -257,11 +273,23 @@ def cmd_sweep(args) -> int:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         return _fail_usage(f"cannot read sweep config: {exc}")
+    if not isinstance(config, dict):
+        return _fail_usage("sweep config must be a JSON object")
     for field in ("n", "t_values", "samples_per_t", "seed"):
         if field not in config:
             return _fail_usage(f"sweep config missing field {field!r}")
+    for field in ("n", "samples_per_t", "seed", "restarts"):
+        value = config.get(field)
+        if (field != "restarts" or value is not None) and not _is_int(value):
+            return _fail_usage(f"sweep config field {field!r} must be an integer, got {value!r}")
+    raw_t = config["t_values"]
+    t_values = [_finite_float(t) for t in raw_t] if isinstance(raw_t, list) else []
+    if not t_values or None in t_values:
+        return _fail_usage(
+            f"sweep config field 't_values' must be a non-empty list of finite numbers, got {raw_t!r}"
+        )
     n = config["n"]
-    code = _check_n(int(n))
+    code = _check_n(n)
     if code == EXIT_USAGE:
         return _fail_usage(f"config n must be >= 1, got {n}")
     if code == EXIT_RESOURCE:
@@ -272,10 +300,10 @@ def cmd_sweep(args) -> int:
 
     try:
         records = sweep(
-            int(n),
-            config["t_values"],
-            int(config["samples_per_t"]),
-            int(config["seed"]),
+            n,
+            t_values,
+            config["samples_per_t"],
+            config["seed"],
             restarts=config.get("restarts"),
         )
     except PreconditionError as exc:
@@ -299,8 +327,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.epsilon <= 0:
-        return _fail_usage(f"--epsilon must be positive, got {args.epsilon}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+        return _fail_usage(f"--epsilon must be a positive finite number, got {args.epsilon}")
     if args.n < 2:
         return _fail_usage(f"--n must be >= 2, got {args.n}")
     if args.n > DIMENSION_CAP:

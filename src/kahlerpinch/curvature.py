@@ -623,7 +623,7 @@ def tensor_from_text(text: str) -> tuple[CurvatureTensor, float]:
     if obj["format_version"] != _FORMAT_VERSION:
         raise TensorFormatError(f"unsupported format_version {obj['format_version']!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise TensorFormatError(f"n must be a positive integer, got {n!r}")
     entries = obj["entries"]
     d = 2 * n
@@ -632,10 +632,12 @@ def tensor_from_text(text: str) -> tuple[CurvatureTensor, float]:
             f"entries must be a flat list of {d**4} numbers, got length "
             f"{len(entries) if isinstance(entries, list) else 'non-list'}"
         )
+    if not all(isinstance(e, (int, float)) and not isinstance(e, bool) for e in entries):
+        raise TensorFormatError("entries must be real numbers (not lists, strings or booleans)")
     try:
         array = np.asarray(entries, dtype=float).reshape((d, d, d, d))
-    except (TypeError, ValueError) as exc:
-        raise TensorFormatError(f"entries are not numeric: {exc}") from exc
+    except OverflowError as exc:
+        raise TensorFormatError(f"entries are not representable as floats: {exc}") from exc
     if not np.all(np.isfinite(array)):
         raise TensorFormatError("entries must be finite")
     tol = obj["symmetry_tolerance"]

@@ -16,7 +16,7 @@ from math import sqrt
 
 import numpy as np
 
-from .chern import chern_ratio, enumerate_indices, reference_constants
+from .chern import chern_densities, density_ratio, reference_constants
 from .curvature import (
     CurvatureTensor,
     complex_hyperbolic_tensor,
@@ -106,11 +106,21 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     return project_kahler(model.entries + t * direction.entries, space)
 
 
+def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
+    """|gamma_I / gamma_J - model value| for every ordered pair of distinct indices."""
+    model = reference_constants(tensor.space.n)
+    densities = chern_densities(tensor)
+    return {
+        f"{a}:{b}": abs(density_ratio(densities, a, b) - density_ratio(model, a, b))
+        for a in model
+        for b in model
+        if a != b
+    }
+
+
 def _record_for_sample(
     space: HermitianSpace,
     model: CurvatureTensor,
-    pairs,
-    model_ratios,
     t: float,
     sample_seed: int,
     restarts: int,
@@ -121,10 +131,7 @@ def _record_for_sample(
     normalized = normalization.tensor
     hol = hol_extremes(normalized, restarts=restarts, seed=sample_seed)
     h_dev = max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0))
-    ratio_devs = {}
-    for (index_i, index_j), model_value in zip(pairs, model_ratios):
-        value = chern_ratio(normalized, index_i, index_j)
-        ratio_devs[f"{index_i}:{index_j}"] = abs(value - model_value)
+    ratio_devs = _ratio_deviations(normalized)
     return SweepRecord(
         n=space.n,
         t=float(t),
@@ -159,16 +166,11 @@ def sweep(
     if restarts is None:
         restarts = default_restarts(n)
     model = complex_hyperbolic_tensor(space)
-    indices = enumerate_indices(n)
-    pairs = [(a, b) for a in indices for b in indices if a != b]
-    model_ratios = [chern_ratio(model, a, b) for a, b in pairs]
     records = []
     for t_index, t in enumerate(sorted(t_values)):
         for sample in range(samples_per_t):
             sample_seed = _sample_seed(seed, t_index, sample)
-            records.append(
-                _record_for_sample(space, model, pairs, model_ratios, t, sample_seed, restarts)
-            )
+            records.append(_record_for_sample(space, model, t, sample_seed, restarts))
     excluded = sum(1 for r in records if not r.converged)
     if excluded > MAX_EXCLUDED_FRACTION * len(records):
         raise RuntimeError(
@@ -317,10 +319,6 @@ def certify_constants(
     space = make_space(chain.n)
     if restarts is None:
         restarts = default_restarts(chain.n)
-    model = complex_hyperbolic_tensor(space)
-    indices = enumerate_indices(chain.n)
-    pairs = [(a, b) for a in indices for b in indices if a != b]
-    model_ratios = [chern_ratio(model, a, b) for a, b in pairs]
     violations = 0
     max_ratio_dev = 0.0
     max_defect = -float("inf")
@@ -339,8 +337,7 @@ def certify_constants(
         else:
             raise RuntimeError(f"sample {sample} never certified below delta={chain.delta:g}")
         max_defect = max(max_defect, normalization.delta)
-        for (index_i, index_j), model_value in zip(pairs, model_ratios):
-            dev = abs(chern_ratio(normalization.tensor, index_i, index_j) - model_value)
+        for dev in _ratio_deviations(normalization.tensor).values():
             max_ratio_dev = max(max_ratio_dev, dev)
             if dev >= chain.epsilon:
                 violations += 1

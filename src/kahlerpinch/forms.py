@@ -1,304 +1,115 @@
-"""Alternating multilinear forms stored over sorted index combinations.
+"""Alternating forms on R^{2n} as arrays indexed by basis bitmask.
 
-Degree-k forms on R^{2n} keep one coefficient per strictly increasing k-tuple
-of basis indices; the wedge product is the combinatorial shuffle-sign product,
-so (e^1 ^ e^2)(e_1, e_2) = 1. Everything is dense: C(8, 4) = 70 coefficients
-is the worst case this toolkit meets.
+A form is a real or complex array of length 2^{2n}. Entry m is the
+coefficient of e^{i_1} ^ ... ^ e^{i_k}, where i_1 < ... < i_k are the set bits
+of m, so (e^1 ^ e^2)(e_1, e_2) = 1 and the degree-k part of a form lives on
+the masks with k bits set. Leading axes are batch axes: a matrix of forms is
+an array of shape (n, n, 2^{2n}). This is the bitmap representation of basis
+blades (Dorst, Fontijne & Mann, *Geometric Algebra for Computer Science*,
+2007).
+
+The wedge product gathers the coefficients of the 3^{2n} disjoint mask pairs
+(6561 at n = 4, over 256 coefficients), multiplies them by the pairs' shuffle
+signs and sums them into the union masks. A product whose degree exceeds 2n
+has no disjoint pairs and is the zero form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from .errors import DegreeError, SpaceMismatchError
-from .space import HermitianSpace
+from .space import HermitianSpace, make_space
 
 __all__ = [
-    "AlternatingForm",
-    "ComplexFormPair",
-    "ComplexMatrixOfForms",
     "wedge",
     "power",
     "top_coefficient",
     "kahler_form",
     "basis_form",
+    "two_form",
 ]
 
 
-@lru_cache(maxsize=None)
-def index_combinations(dim: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(dim), k))
+def _dimension(size: int) -> int:
+    """Real dimension 2n of the space whose forms have `size` coefficients."""
+    dim = size.bit_length() - 1
+    if size < 4 or size != 1 << dim or dim % 2:
+        raise SpaceMismatchError(f"{size} coefficients is not 2^(2n) for any n >= 1")
+    return dim
 
 
 @lru_cache(maxsize=None)
-def _combination_positions(dim: int, k: int) -> dict[tuple[int, ...], int]:
-    return {c: i for i, c in enumerate(index_combinations(dim, k))}
+def _wedge_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Disjoint mask pairs (left, right) sorted by union, their shuffle signs, and
+    the offset of each union mask's run of pairs."""
+    masks = np.arange(1 << dim)
+    popcount = np.array([int(m).bit_count() for m in masks])
+    left, right = np.nonzero((masks[:, None] & masks[None, :]) == 0)
+    # sorting e_left ^ e_right takes one transposition per (x in left, y in right) with x > y
+    inversions = sum(((right >> y) & 1) * popcount[left >> (y + 1)] for y in range(dim))
+    sign = 1.0 - 2.0 * (inversions % 2)
+    order = np.argsort(left | right, kind="stable")
+    starts = np.searchsorted((left | right)[order], masks)
+    return left[order], right[order], sign[order], starts
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    # number of transpositions to sort the concatenation a + b (both sorted, disjoint)
-    inversions = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def wedge(f, g) -> np.ndarray:
+    """Wedge product, shuffle-sign convention; broadcasts over leading axes."""
+    f, g = np.asarray(f), np.asarray(g)
+    if f.shape[-1] != g.shape[-1]:
+        raise SpaceMismatchError(
+            f"forms live over different spaces: {f.shape[-1]} vs {g.shape[-1]} coefficients"
+        )
+    left, right, sign, starts = _wedge_table(_dimension(f.shape[-1]))
+    # every union mask m has at least the pair (0, m), so no run is empty
+    return np.add.reduceat(sign * f[..., left] * g[..., right], starts, axis=-1)
 
 
-class AlternatingForm:
-    """Degree-k alternating form; coefficients indexed by sorted k-tuples."""
-
-    __slots__ = ("space", "degree", "coeffs")
-
-    def __init__(self, space: HermitianSpace, degree: int, coeffs=None):
-        if degree < 0 or degree > space.dim:
-            raise DegreeError(f"degree {degree} out of range [0, {space.dim}]")
-        self.space = space
-        self.degree = int(degree)
-        size = comb(space.dim, degree)
-        if coeffs is None:
-            self.coeffs = np.zeros(size)
-        else:
-            c = np.asarray(coeffs, dtype=float)
-            if c.shape != (size,):
-                raise ValueError(f"expected {size} coefficients, got shape {c.shape}")
-            self.coeffs = c.copy()
-
-    @classmethod
-    def zero(cls, space: HermitianSpace, degree: int) -> "AlternatingForm":
-        return cls(space, degree)
-
-    @classmethod
-    def constant_one(cls, space: HermitianSpace) -> "AlternatingForm":
-        f = cls(space, 0)
-        f.coeffs[0] = 1.0
-        return f
-
-    def coefficient(self, combo: tuple[int, ...]) -> float:
-        return float(self.coeffs[_combination_positions(self.space.dim, self.degree)[tuple(combo)]])
-
-    def _check_compatible(self, other: "AlternatingForm"):
-        if self.space != other.space:
-            raise SpaceMismatchError("forms live over different spaces")
-        if self.degree != other.degree:
-            raise DegreeError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "AlternatingForm") -> "AlternatingForm":
-        self._check_compatible(other)
-        return AlternatingForm(self.space, self.degree, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlternatingForm") -> "AlternatingForm":
-        self._check_compatible(other)
-        return AlternatingForm(self.space, self.degree, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "AlternatingForm":
-        return AlternatingForm(self.space, self.degree, -self.coeffs)
-
-    def __mul__(self, scalar: float) -> "AlternatingForm":
-        return AlternatingForm(self.space, self.degree, self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: float) -> "AlternatingForm":
-        return AlternatingForm(self.space, self.degree, self.coeffs / float(scalar))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def evaluate(self, vectors) -> float:
-        """Direct evaluation on a list of self.degree vectors (minor-determinant sum)."""
-        if len(vectors) != self.degree:
-            raise DegreeError(f"need {self.degree} vectors, got {len(vectors)}")
-        if self.degree == 0:
-            return float(self.coeffs[0])
-        v = np.column_stack([np.asarray(x, dtype=float) for x in vectors])
-        combos = index_combinations(self.space.dim, self.degree)
-        total = 0.0
-        for pos in np.nonzero(self.coeffs)[0]:
-            rows = combos[pos]
-            total += self.coeffs[pos] * np.linalg.det(v[list(rows), :])
-        return float(total)
-
-    def __repr__(self) -> str:
-        return f"AlternatingForm(degree={self.degree}, dim={self.space.dim})"
-
-
-def wedge(f: AlternatingForm, g: AlternatingForm) -> AlternatingForm:
-    """Wedge product, shuffle-sign convention."""
-    if f.space != g.space:
-        raise SpaceMismatchError("forms live over different spaces")
-    dim = f.space.dim
-    degree = f.degree + g.degree
-    if degree > dim:
-        raise DegreeError(f"wedge degree {degree} exceeds ambient dimension {dim}")
-    out = AlternatingForm(f.space, degree)
-    combos_f = index_combinations(dim, f.degree)
-    combos_g = index_combinations(dim, g.degree)
-    positions = _combination_positions(dim, degree)
-    nz_f = np.nonzero(f.coeffs)[0]
-    nz_g = np.nonzero(g.coeffs)[0]
-    for pf in nz_f:
-        a = combos_f[pf]
-        set_a = set(a)
-        ca = f.coeffs[pf]
-        for pg in nz_g:
-            b = combos_g[pg]
-            if set_a.intersection(b):
-                continue
-            merged = tuple(sorted(a + b))
-            out.coeffs[positions[merged]] += _merge_sign(a, b) * ca * g.coeffs[pg]
-    return out
-
-
-def power(f: AlternatingForm, m: int) -> AlternatingForm:
+def power(f, m: int) -> np.ndarray:
     """Iterated wedge f^m; m = 0 gives the constant-one 0-form."""
     if m < 0:
         raise DegreeError("negative wedge power")
-    if m * f.degree > f.space.dim:
-        raise DegreeError(f"degree {m * f.degree} exceeds ambient dimension {f.space.dim}")
-    result = AlternatingForm.constant_one(f.space)
+    result = np.zeros_like(f)
+    result[..., 0] = 1.0
     for _ in range(m):
         result = wedge(result, f)
     return result
 
 
-def kahler_form(space: HermitianSpace) -> AlternatingForm:
-    """omega as a degree-2 form; the J convention makes omega(e_{2a-1}, e_{2a}) = -1."""
-    f = AlternatingForm(space, 2)
-    combos = index_combinations(space.dim, 2)
-    jm = space.j_matrix
-    for pos, (i, j) in enumerate(combos):
-        f.coeffs[pos] = jm[i, j]
-    return f
+def two_form(matrix) -> np.ndarray:
+    """The 2-form with coefficient matrix[..., i, j] on e^i ^ e^j for i < j."""
+    matrix = np.asarray(matrix)
+    dim = matrix.shape[-1]
+    i, j = np.triu_indices(dim, 1)
+    out = np.zeros(matrix.shape[:-2] + (1 << dim,), dtype=matrix.dtype)
+    out[..., (1 << i) | (1 << j)] = matrix[..., i, j]
+    return out
+
+
+def kahler_form(space: HermitianSpace) -> np.ndarray:
+    """omega as a 2-form; the J convention makes omega(e_{2a-1}, e_{2a}) = -1."""
+    return two_form(space.j_matrix)
 
 
 @lru_cache(maxsize=None)
 def _omega_top_coefficient(n: int) -> float:
-    from .space import make_space
-
-    space = make_space(n)
-    top = power(kahler_form(space), n)
-    return float(top.coeffs[0])
+    return float(power(kahler_form(make_space(n)), n)[-1])
 
 
-def top_coefficient(f: AlternatingForm) -> float:
-    """Coefficient gamma with f = gamma * omega^n (exact: the top space is 1-dimensional)."""
-    if f.degree != f.space.dim:
-        raise DegreeError(f"top coefficient needs degree {f.space.dim}, got {f.degree}")
-    return float(f.coeffs[0]) / _omega_top_coefficient(f.space.n)
+def top_coefficient(f) -> float:
+    """Coefficient gamma with top-degree part of f = gamma * omega^n (the top space is 1-dimensional)."""
+    f = np.asarray(f)
+    return float(f[-1]) / _omega_top_coefficient(_dimension(f.shape[-1]) // 2)
 
 
-def basis_form(space: HermitianSpace, combo: tuple[int, ...]) -> AlternatingForm:
+def basis_form(space: HermitianSpace, combo: tuple[int, ...]) -> np.ndarray:
     """Dual basis form e^{i_1} ^ ... ^ e^{i_k} for a strictly increasing tuple."""
     combo = tuple(combo)
-    if list(combo) != sorted(set(combo)):
-        raise ValueError("combo must be strictly increasing")
-    f = AlternatingForm(space, len(combo))
-    f.coeffs[_combination_positions(space.dim, len(combo))[combo]] = 1.0
+    if list(combo) != sorted(set(combo)) or any(i < 0 or i >= space.dim for i in combo):
+        raise ValueError(f"combo must be strictly increasing in [0, {space.dim}), got {combo}")
+    f = np.zeros(1 << space.dim)
+    f[sum(1 << i for i in combo)] = 1.0
     return f
-
-
-class ComplexFormPair:
-    """Complex-coefficient alternating form stored as (real, imaginary) parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: AlternatingForm, im: AlternatingForm):
-        if re.space != im.space or re.degree != im.degree:
-            raise SpaceMismatchError("real and imaginary parts disagree")
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def zero(cls, space: HermitianSpace, degree: int) -> "ComplexFormPair":
-        return cls(AlternatingForm.zero(space, degree), AlternatingForm.zero(space, degree))
-
-    @classmethod
-    def from_real(cls, re: AlternatingForm) -> "ComplexFormPair":
-        return cls(re, AlternatingForm.zero(re.space, re.degree))
-
-    @property
-    def degree(self) -> int:
-        return self.re.degree
-
-    def __add__(self, other: "ComplexFormPair") -> "ComplexFormPair":
-        return ComplexFormPair(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexFormPair") -> "ComplexFormPair":
-        return ComplexFormPair(self.re - other.re, self.im - other.im)
-
-    def wedge(self, other: "ComplexFormPair") -> "ComplexFormPair":
-        # (a + ib) ^ (c + id) = (a^c - b^d) + i (a^d + b^c)
-        return ComplexFormPair(
-            wedge(self.re, other.re) - wedge(self.im, other.im),
-            wedge(self.re, other.im) + wedge(self.im, other.re),
-        )
-
-    def times_complex(self, c: complex) -> "ComplexFormPair":
-        x, y = c.real, c.imag
-        return ComplexFormPair(x * self.re - y * self.im, x * self.im + y * self.re)
-
-    def conjugate(self) -> "ComplexFormPair":
-        return ComplexFormPair(self.re, -self.im)
-
-    def __truediv__(self, scalar: float) -> "ComplexFormPair":
-        return ComplexFormPair(self.re / scalar, self.im / scalar)
-
-    def max_abs(self) -> float:
-        return max(self.re.max_abs(), self.im.max_abs())
-
-
-class ComplexMatrixOfForms:
-    """Square matrix whose entries are complex-coefficient 2-forms.
-
-    Carrier for the curvature matrix in the Chern computation; when built from
-    a Kahler curvature tensor in a unitary frame it is skew-Hermitian as a
-    matrix of forms.
-    """
-
-    __slots__ = ("space", "size", "entries")
-
-    def __init__(self, space: HermitianSpace, entries: list[list[ComplexFormPair]]):
-        self.space = space
-        self.size = len(entries)
-        for row in entries:
-            if len(row) != self.size:
-                raise ValueError("entries must form a square matrix")
-        self.entries = entries
-
-    def trace(self) -> ComplexFormPair:
-        total = ComplexFormPair.zero(self.space, self.entries[0][0].degree)
-        for a in range(self.size):
-            total = total + self.entries[a][a]
-        return total
-
-    def matmul_wedge(self, other: "ComplexMatrixOfForms") -> "ComplexMatrixOfForms":
-        """Matrix product with wedge multiplication of entries."""
-        n = self.size
-        degree = self.entries[0][0].degree + other.entries[0][0].degree
-        out = [[ComplexFormPair.zero(self.space, degree) for _ in range(n)] for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                acc = out[a][b]
-                for c in range(n):
-                    acc = acc + self.entries[a][c].wedge(other.entries[c][b])
-                out[a][b] = acc
-        return ComplexMatrixOfForms(self.space, out)
-
-    def scale_complex(self, z: complex) -> "ComplexMatrixOfForms":
-        return ComplexMatrixOfForms(
-            self.space,
-            [[entry.times_complex(z) for entry in row] for row in self.entries],
-        )
-
-    def skew_hermitian_residual(self) -> float:
-        worst = 0.0
-        for a in range(self.size):
-            for b in range(self.size):
-                diff = self.entries[a][b] + self.entries[b][a].conjugate()
-                worst = max(worst, diff.max_abs())
-        return worst

@@ -6,6 +6,7 @@ import pytest
 from kahlerpinch import (
     ChernIndex,
     CurvatureTensor,
+    chern_densities,
     chern_form,
     chern_forms,
     chern_product,
@@ -20,7 +21,6 @@ from kahlerpinch import (
     random_unitary_frame,
     reference_constants,
     space_form_ratio,
-    top_coefficient,
 )
 from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError
 
@@ -49,28 +49,39 @@ def test_chern_index_validation():
 # ---------------------------------------------------------------------------
 
 
+def _max_abs(form):
+    return float(np.max(np.abs(form)))
+
+
+def _skew_hermitian_residual(matrix):
+    # Omega_ab + conj(Omega_ba), entrywise over every form coefficient
+    return _max_abs(matrix + np.conj(matrix.transpose(1, 0, 2)))
+
+
 def test_curvature_matrix_skew_hermitian(r0_n2, space2):
     omega = curvature_matrix(r0_n2)
-    assert omega.skew_hermitian_residual() < 1e-12
+    assert omega.shape == (2, 2, 1 << space2.dim)
+    assert _skew_hermitian_residual(omega) < 1e-12
     tensor = random_kahler(space2, seed=101)
-    assert curvature_matrix(tensor).skew_hermitian_residual() < 1e-12
+    assert _skew_hermitian_residual(curvature_matrix(tensor)) < 1e-12
 
 
 def test_curvature_matrix_n1_proportional_to_kahler_form(r0_n1, space1):
     omega = curvature_matrix(r0_n1)
-    entry = omega.entries[0][0]
+    entry = omega[0, 0]
     # Lambda^2 of a 2-dim space is 1-dim: both parts are multiples of omega
     kf = kahler_form(space1)
-    for part in (entry.re, entry.im):
-        if part.max_abs() > 0:
-            ratio = part.coeffs[0] / kf.coeffs[0]
-            assert (part - ratio * kf).max_abs() < 1e-12
+    top = 0b11  # the mask of e^1 ^ e^2
+    for part in (entry.real, entry.imag):
+        if _max_abs(part) > 0:
+            ratio = part[top] / kf[top]
+            assert _max_abs(part - ratio * kf) < 1e-12
 
 
 def test_curvature_matrix_zero_tensor(space2):
     zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
     omega = curvature_matrix(zero)
-    assert all(omega.entries[a][b].max_abs() == 0.0 for a in range(2) for b in range(2))
+    assert np.all(omega == 0.0)
 
 
 def test_curvature_matrix_rejects_non_unitary_frame(r0_n2, space2):
@@ -86,7 +97,7 @@ def test_curvature_matrix_rejects_non_unitary_frame(r0_n2, space2):
 
 def test_c0_is_one(r0_n2):
     c0 = chern_form(r0_n2, 0)
-    assert c0.degree == 0 and c0.coeffs[0] == 1.0
+    assert c0[0] == 1.0 and np.all(c0[1:] == 0.0)
 
 
 def test_chern_form_degree_bounds(r0_n2):
@@ -103,9 +114,9 @@ def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
     for k in (1, 2, 3):
         omega_k = power(omega, k)
         # match coefficients on the first nonzero slot of omega^k
-        idx = int(np.argmax(np.abs(omega_k.coeffs)))
-        gamma = forms[k].coeffs[idx] / omega_k.coeffs[idx]
-        assert (forms[k] - gamma * omega_k).max_abs() < 1e-12
+        idx = int(np.argmax(np.abs(omega_k)))
+        gamma = forms[k][idx] / omega_k[idx]
+        assert _max_abs(forms[k] - gamma * omega_k) < 1e-12
 
 
 def test_chern_form_homogeneity(space2):
@@ -114,17 +125,18 @@ def test_chern_form_homogeneity(space2):
     for lam in (0.5, 2.0):
         scaled = chern_forms(tensor.scaled(lam))
         for k in (1, 2):
-            assert (scaled[k] - lam**k * base[k]).max_abs() < 1e-10
+            assert _max_abs(scaled[k] - lam**k * base[k]) < 1e-10
 
 
-def test_frame_independence(space2):
-    tensor = random_kahler(space2, seed=104)
-    base = chern_forms(tensor)
-    for s in range(20):
-        frame = random_unitary_frame(space2, seed=200 + s)
-        resampled = chern_forms(tensor, frame)
-        worst = max((resampled[k] - base[k]).max_abs() for k in range(space2.n + 1))
-        assert worst < 1e-10
+def test_frame_independence():
+    for n in (2, 4):
+        space = make_space(n)
+        tensor = random_kahler(space, seed=104)
+        base = chern_forms(tensor)
+        assert base.shape == (n + 1, 1 << space.dim)
+        for s in range(20):
+            frame = random_unitary_frame(space, seed=200 + s)
+            assert _max_abs(chern_forms(tensor, frame) - base) < 1e-10
 
 
 def test_reality_of_chern_forms(space3):
@@ -158,7 +170,7 @@ def test_space_form_formula_is_binomial_products():
 
 
 def test_reference_constants_cross_check():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         table = reference_constants(n)
         assert len(table) == len(enumerate_indices(n))
         assert all(abs(v) > 0 for v in table.values())
@@ -167,6 +179,44 @@ def test_reference_constants_cross_check():
                 assert table[a] / table[b] == pytest.approx(
                     space_form_ratio(a, b), rel=1e-8
                 )
+
+
+# Densities of random_kahler(make_space(n), seed) from the earlier implementation
+# (sorted-combination form classes), recorded at 17 significant digits.
+RECORDED_DENSITIES = {
+    (3, 11): {
+        (3, 0, 0): 8.949883807458337e-06,
+        (1, 1, 0): 2.7703879579527274e-07,
+        (0, 0, 1): -2.7531513084923541e-06,
+    },
+    (3, 12): {
+        (3, 0, 0): 1.0056330016499596e-06,
+        (1, 1, 0): 2.1365685322287545e-07,
+        (0, 0, 1): 4.886128031231113e-07,
+    },
+    (4, 11): {
+        (4, 0, 0, 0): 5.637500887012418e-08,
+        (2, 1, 0, 0): 1.9508037870292615e-09,
+        (1, 0, 1, 0): -2.8529072833296167e-09,
+        (0, 2, 0, 0): 2.9986549157575294e-08,
+        (0, 0, 0, 1): 3.2388110443670657e-09,
+    },
+    (4, 12): {
+        (4, 0, 0, 0): 9.5326786843604444e-08,
+        (2, 1, 0, 0): 2.8317973532332223e-08,
+        (1, 0, 1, 0): 6.3638499591369495e-09,
+        (0, 2, 0, 0): 4.4166513724932805e-08,
+        (0, 0, 0, 1): 7.9020922235002556e-09,
+    },
+}
+
+
+def test_chern_densities_match_recorded_values():
+    for (n, seed), recorded in RECORDED_DENSITIES.items():
+        densities = chern_densities(random_kahler(make_space(n), seed=seed))
+        assert {i.multi_index for i in densities} == set(recorded)
+        for index, gamma in densities.items():
+            assert gamma == pytest.approx(recorded[index.multi_index], rel=1e-12, abs=0.0)
 
 
 def test_reference_constants_n2_single_nontrivial_ratio():

@@ -65,6 +65,17 @@ def test_validate_malformed_file(tmp_path):
     assert run_cli("validate", str(path)).returncode == 2
 
 
+def test_validate_rejects_nested_entries(model_file, tmp_path):
+    obj = json.loads(model_file.read_text())
+    obj["entries"] = [[e] for e in obj["entries"]]
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(obj))
+    result = run_cli("validate", str(path))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_pinch_model(model_file):
     result = run_cli("pinch", str(model_file), "--seed", "3", "--restarts", "32")
     assert result.returncode == 0
@@ -123,6 +134,12 @@ def test_chern_degenerate_denominator_is_check_failure(tmp_path):
     assert result.returncode == 1
 
 
+def test_identities_rejects_bad_samples():
+    result = run_cli("identities", "--n", "2", "--samples", "0", "--seed", "5")
+    assert result.returncode == 2
+    assert result.stdout == b""
+
+
 def test_identities_default_passes(tmp_path):
     result = run_cli("identities", "--n", "2", "--samples", "20", "--seed", "5")
     assert result.returncode == 0
@@ -157,6 +174,37 @@ def test_sweep_missing_config_field(tmp_path):
     assert run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")).returncode == 2
 
 
+BAD_SWEEP_CONFIGS = [
+    {"n": "abc"},
+    {"n": True},
+    {"n": 2.0},
+    {"samples_per_t": "x"},
+    {"samples_per_t": 1.5},
+    {"seed": None},
+    {"seed": False},
+    {"restarts": "many"},
+    {"restarts": True},
+    {"t_values": 5},
+    {"t_values": []},
+    {"t_values": ["0.1"]},
+    {"t_values": [0.0, True]},
+    {"t_values": [float("nan")]},
+    {"t_values": [10**400]},
+]
+
+
+@pytest.mark.parametrize("override", BAD_SWEEP_CONFIGS, ids=lambda o: repr(o)[:32])
+def test_sweep_rejects_mistyped_config(tmp_path, override):
+    config = {"n": 2, "t_values": [0.0], "samples_per_t": 1, "seed": 4, "restarts": 4}
+    config.update(override)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    result = run_cli("sweep", "--config", str(path), "--out", str(tmp_path / "o.csv"))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_constants_chain(tmp_path):
     result = run_cli("constants", "--epsilon", "0.1", "--n", "2")
     assert result.returncode == 0
@@ -169,6 +217,11 @@ def test_constants_chain(tmp_path):
 def test_constants_rejects_bad_epsilon():
     assert run_cli("constants", "--epsilon", "0", "--n", "2").returncode == 2
     assert run_cli("constants", "--epsilon", "-0.5", "--n", "2").returncode == 2
+    for value in ("nan", "inf", "-inf"):
+        result = run_cli("constants", f"--epsilon={value}", "--n", "2")
+        assert result.returncode == 2, value
+        assert result.stdout == b""
+        assert len(result.stderr.decode().strip().splitlines()) == 1
 
 
 def test_reproducibility_byte_identical(model_file, tmp_path):

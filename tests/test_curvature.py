@@ -362,3 +362,17 @@ def test_tensor_file_malformed_cases(space2, r0_n2):
     obj["n"] = 0
     with pytest.raises(TensorFormatError):
         tensor_from_text(json.dumps(obj))
+    obj = json.loads(text)
+    obj["n"] = True
+    with pytest.raises(TensorFormatError):
+        tensor_from_text(json.dumps(obj))
+    # right length, but entries that reshape would have flattened or coerced
+    for bad in ([e] for e in obj["entries"]), (True for _ in obj["entries"]), ["1"] * 256:
+        obj = json.loads(text)
+        obj["entries"] = list(bad)
+        with pytest.raises(TensorFormatError):
+            tensor_from_text(json.dumps(obj))
+    obj = json.loads(text)
+    obj["entries"][0] = 10**400  # an integer no float can hold
+    with pytest.raises(TensorFormatError):
+        tensor_from_text(json.dumps(obj))
