@@ -29,8 +29,6 @@ _EXPORTS = {
     "complex_hyperbolic_tensor": ".curvature",
     "symmetry_residuals": ".curvature",
     "check_kahler": ".curvature",
-    "constraint_matrix": ".curvature",
-    "kahler_projector": ".curvature",
     "project_kahler": ".curvature",
     "random_kahler": ".curvature",
     "sectional": ".curvature",

@@ -42,11 +42,21 @@ def _fail_usage(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_n(n: int) -> int | None:
-    if n < 1:
-        return EXIT_USAGE
+def _check_n(n: int, name: str, low: int = 1) -> int | None:
+    """EXIT_USAGE (after a one-line message) for n below low; raises above DIMENSION_CAP."""
+    from .errors import ResourceLimitError
+
+    if n < low:
+        return _fail_usage(f"{name} must be in [{low}, {DIMENSION_CAP}], got {n}")
     if n > DIMENSION_CAP:
-        return EXIT_RESOURCE
+        raise ResourceLimitError(f"{name} = {n} exceeds the dimension cap {DIMENSION_CAP}")
+    return None
+
+
+def _check_positive(name: str, value: float | None) -> int | None:
+    """EXIT_USAGE (after a one-line message) unless value is None or positive and finite."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        return _fail_usage(f"{name} must be a positive finite number, got {value}")
     return None
 
 
@@ -68,16 +78,14 @@ def _finite_float(value) -> float | None:
 def _load_tensor(path: str):
     from .curvature import read_tensor
 
-    return read_tensor(path)
+    tensor, tol = read_tensor(path)
+    _check_n(tensor.space.n, "tensor n")  # the file format already requires n >= 1
+    return tensor, tol
 
 
 def cmd_r0(args) -> int:
-    code = _check_n(args.n)
-    if code == EXIT_USAGE:
-        return _fail_usage(f"--n must be >= 1, got {args.n}")
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: --n capped at {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
+    if code := _check_n(args.n, "--n") or _check_positive("--tol", args.tol):
+        return code
     from .curvature import complex_hyperbolic_tensor, symmetry_residuals, write_tensor
     from .space import make_space
 
@@ -98,11 +106,9 @@ def cmd_r0(args) -> int:
 def cmd_validate(args) -> int:
     from .curvature import check_kahler
 
+    if code := _check_positive("--tol", args.tol):
+        return code
     tensor, file_tol = _load_tensor(args.path)
-    code = _check_n(tensor.space.n)
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: tensor dimension exceeds cap {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
     tol = args.tol if args.tol is not None else file_tol
     certificate = check_kahler(tensor, tol)
     _emit(
@@ -129,10 +135,6 @@ def cmd_pinch(args) -> int:
     from .pinching import pinch
 
     tensor, file_tol = _load_tensor(args.path)
-    code = _check_n(tensor.space.n)
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: tensor dimension exceeds cap {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
     certificate = check_kahler(tensor, file_tol)
     if not certificate.passed:
         _emit(
@@ -195,10 +197,6 @@ def cmd_chern(args) -> int:
 
     tensor, _ = _load_tensor(args.path)
     n = tensor.space.n
-    code = _check_n(n)
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: tensor dimension exceeds cap {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
     frame = None
     if args.frame_seed is not None:
         frame = random_unitary_frame(tensor.space, args.frame_seed)
@@ -229,12 +227,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    code = _check_n(args.n)
-    if code == EXIT_USAGE or args.n < 2:
-        return _fail_usage(f"--n must be in [2, {DIMENSION_CAP}], got {args.n}")
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: --n capped at {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
+    if code := _check_n(args.n, "--n", low=2) or _check_positive("--tol", args.tol):
+        return code
     if args.samples < 1:
         return _fail_usage(f"--samples must be >= 1, got {args.samples}")
     from .experiments import identity_suite
@@ -289,12 +283,8 @@ def cmd_sweep(args) -> int:
             f"sweep config field 't_values' must be a non-empty list of finite numbers, got {raw_t!r}"
         )
     n = config["n"]
-    code = _check_n(n)
-    if code == EXIT_USAGE:
-        return _fail_usage(f"config n must be >= 1, got {n}")
-    if code == EXIT_RESOURCE:
-        sys.stderr.write(f"error: config n capped at {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
+    if code := _check_n(n, "config n"):
+        return code
     from .errors import PreconditionError
     from .experiments import aggregate_by_t, emit_csv, sweep
 
@@ -327,13 +317,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-        return _fail_usage(f"--epsilon must be a positive finite number, got {args.epsilon}")
-    if args.n < 2:
-        return _fail_usage(f"--n must be >= 2, got {args.n}")
-    if args.n > DIMENSION_CAP:
-        sys.stderr.write(f"error: --n capped at {DIMENSION_CAP}\n")
-        return EXIT_RESOURCE
+    if code := _check_positive("--epsilon", args.epsilon) or _check_n(args.n, "--n", low=2):
+        return code
     if args.certify and args.seed is None:
         return _fail_usage("--certify requires --seed")
     from .experiments import certify_constants, proof_constants

@@ -19,19 +19,18 @@ from __future__ import annotations
 
 import json
 import math
-import threading
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DegeneratePlaneError,
     DegenerateSampleError,
     IdentityInconsistencyError,
     PreconditionError,
-    ResourceLimitError,
     SpaceMismatchError,
     TensorFormatError,
 )
@@ -39,15 +38,12 @@ from .space import HermitianSpace, make_space, seeded_rng
 
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
-    "PROJECTOR_DIM_CAP",
     "SymmetryCertificate",
     "CurvatureTensor",
     "TwoPlane",
     "complex_hyperbolic_tensor",
     "symmetry_residuals",
     "check_kahler",
-    "constraint_matrix",
-    "kahler_projector",
     "project_kahler",
     "random_kahler",
     "sectional",
@@ -66,10 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_SYMMETRY_TOL = 1e-9
-
-# The projector needs an eigendecomposition of a (2n)^4 x (2n)^4 Gram matrix;
-# n = 4 means 4096 x 4096, which is the largest we allow by default.
-PROJECTOR_DIM_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -251,102 +243,50 @@ def require_certified(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL
 # ---------------------------------------------------------------------------
 
 
-def constraint_matrix(space: HermitianSpace) -> sp.coo_matrix:
-    """Sparse linear system whose null space is the Kahler curvature subspace.
+# _PAIR_UNITARY has columns eps_a = (e_{2a} - i J e_{2a}) / sqrt(2) and conj eps_a
+# on the pair (e_{2a}, e_{2a+1}). Of the 16 slot types of its fourfold Kronecker
+# power (bit set = conj eps), a Kahler tensor lives on the four (1,1)x(1,1) blocks
+# 0b0101 = (eps, conj eps, eps, conj eps), 0b1001, 0b0110 and 0b1010. Block k holds
+# _BLOCK_SIGNS[k] * S.transpose(_BLOCK_AXES[k]), where
+# S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d).
+_PAIR_UNITARY = np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0)
+_BLOCK_BASIS = reduce(np.kron, [_PAIR_UNITARY] * 4)[:, [0b0101, 0b1001, 0b0110, 0b1010]]
+_BLOCK_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
+_BLOCK_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
-    One row per basis tuple per symmetry condition; heavily redundant, which
-    is harmless for the null space.
+
+def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTensor:
+    """Orthogonal projection of an arbitrary rank-4 table onto the Kahler subspace.
+
+    Closed form (Besse, Einstein Manifolds, ch. 2): in the unitary basis
+    (eps, conj eps) a Kahler tensor vanishes off four (1,1)x(1,1) blocks, which
+    hold +-S for one S symmetric in (a, c) and in (b, d). Averaging the signed
+    blocks, symmetrizing and re-embedding are orthogonal projections in that
+    basis, so their composite with the unitary basis change is one too.
     """
-    d = space.dim
-    n_entries = d**4
-    idx = np.arange(n_entries)
-    i, rem = np.divmod(idx, d**3)
-    j, rem = np.divmod(rem, d**2)
-    k, l = np.divmod(rem, d)
-    perm, sign = _j_index_sign(d)
-
-    def flat(a, b, c, e):
-        return ((a * d + b) * d + c) * d + e
-
-    rows, cols, data = [], [], []
-    row_offset = 0
-
-    def add_family(col_lists, data_lists):
-        nonlocal row_offset
-        for c, v in zip(col_lists, data_lists):
-            rows.append(idx + row_offset)
-            cols.append(c)
-            data.append(v if isinstance(v, np.ndarray) else np.full(n_entries, float(v)))
-        row_offset += n_entries
-
-    ones = np.ones(n_entries)
-    # (1a) R_ijkl + R_jikl = 0
-    add_family([idx, flat(j, i, k, l)], [ones, ones])
-    # (1b) R_ijkl + R_ijlk = 0
-    add_family([idx, flat(i, j, l, k)], [ones, ones])
-    # (2)  R_ijkl - R_klij = 0
-    add_family([idx, flat(k, l, i, j)], [ones, -ones])
-    # (3)  R_ijkl + R_iljk + R_iklj = 0
-    add_family([idx, flat(i, l, j, k), flat(i, k, l, j)], [ones, ones, ones])
-    # (4a) s_i s_j R_{Ji,Jj,k,l} - R_ijkl = 0
-    add_family([flat(perm[i], perm[j], k, l), idx], [sign[i] * sign[j], -ones])
-    # (4b) s_k s_l R_{i,j,Jk,Jl} - R_ijkl = 0
-    add_family([flat(i, j, perm[k], perm[l]), idx], [sign[k] * sign[l], -ones])
-
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row_offset, n_entries),
-    )
-
-
-@dataclass(frozen=True)
-class _Projector:
-    matrix: np.ndarray
-    nullity: int
-
-
-_PROJECTOR_CACHE: dict[int, _Projector] = {}
-_PROJECTOR_LOCK = threading.Lock()
-
-
-def kahler_projector(space: HermitianSpace, cap: int = PROJECTOR_DIM_CAP) -> _Projector:
-    """Orthogonal projector onto the Kahler curvature subspace; built once per n.
-
-    Constructed from the null space of the constraint system via the
-    eigendecomposition of A^T A (dense SVD of A would not fit in memory at
-    the n = 4 cap).
-    """
-    if space.n > cap:
-        raise ResourceLimitError(f"projector capped at complex dimension {cap}, got n={space.n}")
-    with _PROJECTOR_LOCK:
-        cached = _PROJECTOR_CACHE.get(space.n)
-        if cached is not None:
-            return cached
-        a = constraint_matrix(space)
-        gram = np.asarray((a.T @ a).todense())
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        null_mask = eigvals < 1e-9 * max(eigvals[-1], 1.0)
-        basis = eigvecs[:, null_mask]
-        matrix = basis @ basis.T
-        matrix.flags.writeable = False
-        projector = _Projector(matrix=matrix, nullity=int(null_mask.sum()))
-        _PROJECTOR_CACHE[space.n] = projector
-        return projector
-
-
-def project_kahler(
-    tensor, space: HermitianSpace | None = None, cap: int = PROJECTOR_DIM_CAP
-) -> CurvatureTensor:
-    """Orthogonal projection of an arbitrary rank-4 table onto the Kahler subspace."""
     if isinstance(tensor, CurvatureTensor):
         space = tensor.space
         raw = tensor.entries
     else:
         if space is None:
             raise ValueError("space required when projecting a raw array")
-        raw = np.asarray(tensor, dtype=float)
-    proj = kahler_projector(space, cap)
-    out = CurvatureTensor(space, (proj.matrix @ raw.ravel()).reshape(raw.shape))
+        raw = CurvatureTensor(space, tensor).entries  # checks shape and finiteness
+    n, d = space.n, space.dim
+    # rows: index tuples a, b, c, d; columns: the pair bits of the four slots
+    pairs = raw.reshape((n, 2) * 4).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(n**4, 16)
+    blocks = (pairs @ _BLOCK_BASIS).reshape((n,) * 4 + (4,))
+    s = sum(
+        sign * blocks[..., k].transpose(axes)
+        for k, (axes, sign) in enumerate(zip(_BLOCK_AXES, _BLOCK_SIGNS))
+    )
+    s = (s + s.transpose(2, 1, 0, 3)) / 8.0  # the mean of four blocks, symmetrized in (a, c)
+    s = (s + s.transpose(0, 3, 2, 1)) / 2.0
+    blocks = np.stack(
+        [sign * s.transpose(axes) for axes, sign in zip(_BLOCK_AXES, _BLOCK_SIGNS)], axis=-1
+    )
+    pairs = (blocks.reshape(n**4, 4) @ _BLOCK_BASIS.conj().T).real
+    entries = pairs.reshape((n,) * 4 + (2,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((d,) * 4)
+    out = CurvatureTensor(space, entries)
     check_kahler(out)
     return out
 
@@ -641,8 +581,9 @@ def tensor_from_text(text: str) -> tuple[CurvatureTensor, float]:
     if not np.all(np.isfinite(array)):
         raise TensorFormatError("entries must be finite")
     tol = obj["symmetry_tolerance"]
-    if not isinstance(tol, (int, float)) or tol <= 0:
-        raise TensorFormatError(f"symmetry_tolerance must be positive, got {tol!r}")
+    is_number = isinstance(tol, (int, float)) and not isinstance(tol, bool)
+    if not is_number or not 0 < tol <= sys.float_info.max:
+        raise TensorFormatError(f"symmetry_tolerance must be a positive finite number, got {tol!r}")
     return CurvatureTensor(make_space(n), array), float(tol)
 
 

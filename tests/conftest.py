@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kahlerpinch import complex_hyperbolic_tensor, make_space
+from kahlerpinch import complex_hyperbolic_tensor, make_space, project_kahler
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +32,23 @@ def r0_n2(space2):
 @pytest.fixture(scope="session")
 def r0_n3(space3):
     return complex_hyperbolic_tensor(space3)
+
+
+@pytest.fixture(scope="session")
+def kahler_operator():
+    """n -> matrix of project_kahler on R^{(2n)^4}, one column per standard basis tensor."""
+    built = {}
+
+    def build(n):
+        if n not in built:
+            space = make_space(n)
+            shape = (space.dim,) * 4
+            basis = np.eye(space.dim**4)
+            columns = [project_kahler(e.reshape(shape), space).entries for e in basis]
+            built[n] = np.column_stack([c.ravel() for c in columns])
+        return built[n]
+
+    return build
 
 
 @pytest.fixture(autouse=True)

@@ -34,6 +34,58 @@ def test_r0_rejects_bad_dimension(tmp_path):
     assert run_cli("r0", "--n", "5", "--out", str(tmp_path / "x.json")).returncode == 3
 
 
+ABOVE_CAP_INVOCATIONS = [
+    ("r0", "--n", "5", "--out", "{dir}/x.json"),
+    ("validate", "{file}"),
+    ("pinch", "{file}", "--seed", "1"),
+    ("chern", "{file}", "--all"),
+    ("identities", "--n", "5", "--seed", "1"),
+    ("sweep", "--config", "{config}", "--out", "{dir}/o.csv"),
+    ("constants", "--epsilon", "0.1", "--n", "5"),
+]
+
+
+@pytest.fixture(scope="module")
+def above_cap_dir(tmp_path_factory):
+    from kahlerpinch import CurvatureTensor, make_space, write_tensor
+
+    import numpy as np
+
+    path = tmp_path_factory.mktemp("above_cap")
+    write_tensor(path / "zero_n5.json", CurvatureTensor(make_space(5), np.zeros((10,) * 4)))
+    config = {"n": 5, "t_values": [0.0], "samples_per_t": 1, "seed": 4}
+    (path / "sweep_n5.json").write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("args", ABOVE_CAP_INVOCATIONS, ids=lambda a: a[0])
+def test_commands_reject_n_above_cap(above_cap_dir, args):
+    fields = {
+        "dir": above_cap_dir,
+        "file": above_cap_dir / "zero_n5.json",
+        "config": above_cap_dir / "sweep_n5.json",
+    }
+    result = run_cli(*(a.format(**fields) for a in args))
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["r0", "validate", "identities"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_rejects_bad_tol(model_file, tmp_path, command, value):
+    args = {
+        "r0": ("r0", "--n", "2", "--out", str(tmp_path / "x.json")),
+        "validate": ("validate", str(model_file)),
+        "identities": ("identities", "--n", "2", "--samples", "5", "--seed", "1"),
+    }[command]
+    result = run_cli(*args, f"--tol={value}")
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_r0_roundtrip_exact(model_file, tmp_path):
     from kahlerpinch import complex_hyperbolic_tensor, make_space, read_tensor
 

@@ -1,19 +1,21 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerpinch import (
     CurvatureTensor,
     TwoPlane,
     check_kahler,
     complex_hyperbolic_tensor,
-    constraint_matrix,
     distance,
     fit_second_polarization_coefficient,
     holomorphic_sectional,
     identity_one_residual,
-    kahler_projector,
     make_space,
     polarization_residuals,
     project_kahler,
@@ -30,7 +32,6 @@ from kahlerpinch import (
 from kahlerpinch.errors import (
     DegeneratePlaneError,
     PreconditionError,
-    ResourceLimitError,
     SpaceMismatchError,
     TensorFormatError,
 )
@@ -104,53 +105,115 @@ def test_random_dense_tensor_fails(space2):
 # ---------------------------------------------------------------------------
 
 
-def test_projector_rank_matches_independent_nullity_oracle(space2):
-    # rank-revealing SVD of the assembled constraint system, built before the
-    # projector is consulted
-    a = np.asarray(constraint_matrix(space2).todense())
-    nullity = a.shape[1] - np.linalg.matrix_rank(a)
-    proj = kahler_projector(space2)
-    assert proj.nullity == nullity == 9
-    assert np.trace(proj.matrix) == pytest.approx(nullity, abs=1e-8)
+def _constraint_matrix(space):
+    """Dense linear system whose null space is the Kahler curvature subspace.
+
+    One row per basis tuple per symmetry condition (1a), (1b), (2), (3), (4a),
+    (4b); heavily redundant, which is harmless for the null space. Built from
+    flat index arithmetic, independently of project_kahler.
+    """
+    d = space.dim
+    n_entries = d**4
+    idx = np.arange(n_entries)
+    i, rem = np.divmod(idx, d**3)
+    j, rem = np.divmod(rem, d**2)
+    k, l = np.divmod(rem, d)
+    perm = np.arange(d) ^ 1  # J swaps e_{2a} and e_{2a+1} ...
+    sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)  # ... with R_{Ji,..} = s_i R_{perm i,..}
+
+    def flat(a, b, c, e):
+        return ((a * d + b) * d + c) * d + e
+
+    ones = np.ones(n_entries)
+    families = [
+        [(idx, ones), (flat(j, i, k, l), ones)],
+        [(idx, ones), (flat(i, j, l, k), ones)],
+        [(idx, ones), (flat(k, l, i, j), -ones)],
+        [(idx, ones), (flat(i, l, j, k), ones), (flat(i, k, l, j), ones)],
+        [(flat(perm[i], perm[j], k, l), sign[i] * sign[j]), (idx, -ones)],
+        [(flat(i, j, perm[k], perm[l]), sign[k] * sign[l]), (idx, -ones)],
+    ]
+    a = np.zeros((len(families) * n_entries, n_entries))
+    for f, terms in enumerate(families):
+        for cols, values in terms:
+            np.add.at(a, (idx + f * n_entries, cols), values)
+    return a
 
 
-def test_projector_dimension_small_n(space1, space3):
-    assert kahler_projector(space1).nullity == 1
-    assert kahler_projector(space3).nullity == 36
+def test_projector_rank_matches_independent_nullity_oracle(kahler_operator):
+    # rank-revealing SVD of the assembled constraint system against the
+    # operator matrix of project_kahler on the standard basis
+    for n in (1, 2, 3):
+        space = make_space(n)
+        a = _constraint_matrix(space)
+        nullity = a.shape[1] - np.linalg.matrix_rank(a)
+        proj = kahler_operator(n)
+        assert nullity == np.linalg.matrix_rank(proj) == (n * (n + 1) // 2) ** 2
+        assert np.trace(proj) == pytest.approx(nullity, abs=1e-8)
+        assert np.max(np.abs(a @ proj)) < 1e-10
 
 
-def test_projection_fixes_model_tensor(r0_n2):
-    assert distance(project_kahler(r0_n2), r0_n2) < 1e-12
+def test_projector_dimension_small_n(kahler_operator):
+    assert np.linalg.matrix_rank(kahler_operator(1)) == 1
+    assert np.linalg.matrix_rank(kahler_operator(3)) == 36
 
 
-def test_projection_idempotent_and_self_adjoint(space2):
+def test_projection_fixes_model_tensor():
+    for n in (1, 2, 3, 4):
+        model = complex_hyperbolic_tensor(make_space(n))
+        assert distance(project_kahler(model), model) < 1e-12
+
+
+def test_projection_idempotent_and_self_adjoint(space2, kahler_operator):
+    for n in (1, 2, 3):
+        proj = kahler_operator(n)
+        assert np.max(np.abs(proj - proj.T)) < 1e-10
+        assert np.max(np.abs(proj @ proj - proj)) < 1e-10
     rng = seeded_rng(9)
-    proj = kahler_projector(space2).matrix
-    assert np.max(np.abs(proj - proj.T)) < 1e-10
-    assert np.max(np.abs(proj @ proj - proj)) < 1e-10
     raw = rng.standard_normal((4, 4, 4, 4))
     once = project_kahler(raw, space2)
     twice = project_kahler(once)
     assert distance(once, twice) < 1e-10
 
 
-def test_projection_respects_cap(space2):
-    with pytest.raises(ResourceLimitError):
-        kahler_projector(space2, cap=1)
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_projection_is_idempotent_orthogonal_and_certified(n, seed, scale):
+    space = make_space(n)
+    rng = seeded_rng(seed)
+    raw, other = scale * rng.standard_normal((2,) + (space.dim,) * 4)
+    once = project_kahler(raw, space)
+    assert once.certificate is not None and once.certificate.passed
+    assert distance(project_kahler(once), once) <= 1e-12 * scale
+    # the residual is orthogonal to every projected tensor
+    residual = raw - once.entries
+    assert abs(np.vdot(residual, project_kahler(other, space).entries)) <= 1e-10 * scale**2
 
 
 def test_symmetry_closure_over_many_seeds():
     # certified output for every seed; split across dimensions
     for n, count in ((1, 334), (2, 333), (3, 333)):
         space = make_space(n)
-        proj = kahler_projector(space).matrix
         d = space.dim
-        rng_seeds = range(count)
-        for s in rng_seeds:
+        for s in range(count):
             raw = seeded_rng(n, s).standard_normal((d, d, d, d))
-            tensor = CurvatureTensor(space, (proj @ raw.ravel()).reshape(raw.shape))
+            tensor = CurvatureTensor(space, project_kahler(raw, space).entries)
             cert = check_kahler(tensor, 1e-10)
             assert cert.passed, f"n={n} seed={s} residual {cert.max_residual}"
+
+
+def test_random_kahler_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from kahlerpinch import make_space, random_kahler\n"
+        "assert random_kahler(make_space(2), seed=3).certificate.passed\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
 
 
 def test_random_kahler_contract(space2):
@@ -376,3 +439,8 @@ def test_tensor_file_malformed_cases(space2, r0_n2):
     obj["entries"][0] = 10**400  # an integer no float can hold
     with pytest.raises(TensorFormatError):
         tensor_from_text(json.dumps(obj))
+    for bad_tol in (True, float("nan"), float("inf"), 0, -1e-9, "1e-9", 10**400):
+        obj = json.loads(text)
+        obj["symmetry_tolerance"] = bad_tol
+        with pytest.raises(TensorFormatError):
+            tensor_from_text(json.dumps(obj))
