@@ -319,6 +319,8 @@ def cmd_sweep(args) -> int:
 def cmd_constants(args) -> int:
     if code := _check_positive("--epsilon", args.epsilon) or _check_n(args.n, "--n", low=2):
         return code
+    if args.certify < 0:
+        return _fail_usage(f"--certify must be >= 0, got {args.certify}")
     if args.certify and args.seed is None:
         return _fail_usage("--certify requires --seed")
     from .experiments import certify_constants, proof_constants

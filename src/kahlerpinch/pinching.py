@@ -1,7 +1,11 @@
 """Certified sectional-curvature extremes over 2-planes and the unit sphere.
 
-The optimizer is a multistart projected-gradient ascent/descent on spanning
-pairs with re-orthonormalization after every step; restarts use derived seeds
+One multistart projected-gradient optimizer serves both problems. It runs
+the descending (minimum) and ascending (maximum) restarts as rows of one
+batch, with a sign per row and a retraction after every step. Planes are
+re-orthonormalized rows [u | v]; the holomorphic curvature H(u) = K(u, Ju)
+is the same pair objective pulled back along the linear lift u -> (u, Ju),
+on rows retracted to the unit sphere. Restarts use derived seeds
 (seed, restart index) so results are independent of how many restarts run.
 A rigorous eigenvalue envelope from the curvature operator on bivectors
 sandwiches the optimized extremes.
@@ -106,7 +110,10 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _orthonormalize_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt on each row [u | v]: u normalized, v made orthonormal to it."""
+    d = x.shape[1] // 2
+    u, v = x[:, :d], x[:, d:]
     nu = np.linalg.norm(u, axis=1, keepdims=True)
     nu[nu < 1e-300] = 1.0
     u = u / nu
@@ -117,109 +124,112 @@ def _orthonormalize_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.
         # deterministic fallback: least-aligned basis vector, re-projected
         for row in np.nonzero(bad)[0]:
             m = int(np.argmin(np.abs(u[row])))
-            w = np.zeros(u.shape[1])
+            w = np.zeros(d)
             w[m] = 1.0
             w -= np.dot(w, u[row]) * u[row]
             v[row] = w
         nv = np.linalg.norm(v, axis=1)
-    return u, v / nv[:, None]
+    return np.hstack([u, v / nv[:, None]])
 
 
-def _plane_state(m2: np.ndarray, d: int, u: np.ndarray, v: np.ndarray):
-    """Biquadratic values and the contracted matrices B_m[i,j] = R(e_i, e_j, u_m, v_m).
+def _pair_state(m2: np.ndarray, x: np.ndarray):
+    """Biquadratic values of rows [u | v] and the matrices B_m[i,j] = R(e_i, e_j, u_m, v_m).
 
     m2 is the tensor reshaped to (d^2, d^2); pair-exchange symmetry makes it
     symmetric, so one GEMM against the outer products u (x) v yields B.
     """
-    w = (u[:, :, None] * v[:, None, :]).reshape(len(u), d * d)
+    d = x.shape[1] // 2
+    w = (x[:, :d, None] * x[:, None, d:]).reshape(len(x), d * d)
     bflat = w @ m2
     vals = np.einsum("mk,mk->m", bflat, w)
     return vals, bflat
 
 
-def _plane_gradients(bflat, d, u, v, vals):
+def _pair_gradient(x: np.ndarray, vals: np.ndarray, bflat: np.ndarray) -> np.ndarray:
+    """Gradient of R(u,v,u,v)/(|u|^2|v|^2 - <u,v>^2) at orthonormal rows [u | v]."""
+    d = x.shape[1] // 2
     b = bflat.reshape(-1, d, d)
-    bv = np.matmul(b, v[:, :, None])[:, :, 0]
-    btu = np.matmul(u[:, None, :], b)[:, 0, :]
-    gu = 2.0 * (bv - vals[:, None] * u)
-    gv = 2.0 * (btu - vals[:, None] * v)
-    return gu, gv
+    bv = np.matmul(b, x[:, d:, None])[:, :, 0]
+    btu = np.matmul(x[:, None, :d], b)[:, 0, :]
+    return 2.0 * (np.hstack([bv, btu]) - vals[:, None] * x)
 
 
-def _pair_inits(dim: int, seed: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.empty((restarts, dim))
-    v = np.empty((restarts, dim))
-    for r in range(restarts):
-        rng = seeded_rng(seed, r)
-        u[r] = rng.standard_normal(dim)
-        v[r] = rng.standard_normal(dim)
-    return _orthonormalize_pairs(u, v)
+def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
+    """One standard normal row per restart, drawn from the generator (seed, r, *stream)."""
+    return np.array([seeded_rng(seed, r, *stream).standard_normal(width) for r in range(restarts)])
 
 
-def _optimize_planes(entries, dim, seed, restarts, maximize, grad_tol, max_iter):
-    """Best-per-restart values and witnesses; ties resolved to the lowest restart.
+def _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter):
+    """Best value and point of each row; rows with sign +1 ascend, rows with -1 descend.
 
     Projected-gradient iteration with Barzilai-Borwein steps (halved on steps
-    that regress badly); each restart row evolves independently, so results do
-    not depend on how many other restarts run alongside.
+    that regress badly) and retraction onto the constraint set after every
+    step. objective(x) returns the row values and a per-row state that
+    gradient(x, vals, state) reuses. Each row evolves independently, so
+    results do not depend on how many other rows run alongside. x is updated
+    in place.
     """
-    sign = 1.0 if maximize else -1.0
-    m2 = entries.reshape(dim * dim, dim * dim)
-    u, v = _pair_inits(dim, seed, restarts)
-    vals, bflat = _plane_state(m2, dim, u, v)
-    best_vals = vals.copy()
-    best_u, best_v = u.copy(), v.copy()
-    step = np.full(restarts, 0.05)
-    have_prev = np.zeros(restarts, dtype=bool)
-    prev_u, prev_v = u.copy(), v.copy()
-    prev_gu, prev_gv = np.zeros_like(u), np.zeros_like(v)
-    active = np.ones(restarts, dtype=bool)
-    stagnant = np.zeros(restarts, dtype=int)
+    rows = len(x)
+    vals, state = objective(x)
+    best_vals, best_x = vals.copy(), x.copy()
+    step = np.full(rows, 0.05)
+    have_prev = np.zeros(rows, dtype=bool)
+    prev_x, prev_g = x.copy(), np.zeros_like(x)
+    active = np.ones(rows, dtype=bool)
+    stagnant = np.zeros(rows, dtype=int)
     for _ in range(max_iter):
-        gu, gv = _plane_gradients(bflat, dim, u, v, vals)
-        gsq = np.einsum("mi,mi->m", gu, gu) + np.einsum("mi,mi->m", gv, gv)
+        g = gradient(x, vals, state)
+        gsq = np.einsum("mi,mi->m", g, g)
         active &= (gsq >= grad_tol * grad_tol) & (step >= 1e-14)
         active &= stagnant <= STAGNATION_LIMIT
         if not active.any():
             break
-        su, sv = u - prev_u, v - prev_v
-        ss = np.einsum("mi,mi->m", su, su) + np.einsum("mi,mi->m", sv, sv)
-        sy = sign * (
-            np.einsum("mi,mi->m", su, prev_gu - gu) + np.einsum("mi,mi->m", sv, prev_gv - gv)
-        )
+        s = x - prev_x
+        ss = np.einsum("mi,mi->m", s, s)
+        sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
         bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300)
         # invalid curvature along the last step means a saddle escape: grow instead
         fallback = np.where(have_prev, step * 2.0, step)
         step = np.where(bb_ok, np.maximum(ss / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
         # cap the displacement, not the step: flat valleys need huge steps
         step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
-        uc = u + (sign * step)[:, None] * gu
-        vc = v + (sign * step)[:, None] * gv
-        uc, vc = _orthonormalize_pairs(uc, vc)
-        cand_vals, cand_bflat = _plane_state(m2, dim, uc, vc)
-        accept = active & (sign * (cand_vals - vals) > -0.1 * (1.0 + np.abs(vals)))
-        meaningful = accept & (sign * (cand_vals - vals) > 1e-14 * (1.0 + np.abs(vals)))
+        xc = retract(x + (signs * step)[:, None] * g)
+        cand_vals, cand_state = objective(xc)
+        gain = signs * (cand_vals - vals)
+        accept = active & (gain > -0.1 * (1.0 + np.abs(vals)))
+        meaningful = accept & (gain > 1e-14 * (1.0 + np.abs(vals)))
         stagnant = np.where(meaningful, 0, stagnant + 1)
         reject = active & ~accept
         step[reject] *= 0.5
         have_prev[reject] = False
-        prev_u[accept], prev_v[accept] = u[accept], v[accept]
-        prev_gu[accept], prev_gv[accept] = gu[accept], gv[accept]
+        prev_x[accept], prev_g[accept] = x[accept], g[accept]
         have_prev[accept] = True
-        u[accept], v[accept] = uc[accept], vc[accept]
+        x[accept] = xc[accept]
         vals[accept] = cand_vals[accept]
-        bflat[accept] = cand_bflat[accept]
-        record = accept & (sign * (cand_vals - best_vals) > 0)
+        state[accept] = cand_state[accept]
+        record = accept & (signs * (cand_vals - best_vals) > 0)
         best_vals[record] = cand_vals[record]
-        best_u[record], best_v[record] = uc[record], vc[record]
+        best_x[record] = xc[record]
     # prefer each row's final (converged) iterate; fall back to the best point
     # visited only when it is genuinely better, not better by float noise
-    stale = sign * (best_vals - vals) > 1e-9
-    keep = ~stale
+    keep = ~(signs * (best_vals - vals) > 1e-9)
     best_vals[keep] = vals[keep]
-    best_u[keep], best_v[keep] = u[keep], v[keep]
-    best = int(np.argmax(sign * best_vals))
-    return best_vals, best_u[best].copy(), best_v[best].copy()
+    best_x[keep] = x[keep]
+    return best_vals, best_x
+
+
+def _min_max(x0, objective, gradient, retract, grad_tol, max_iter):
+    """Descend and ascend from every retracted row of x0 in one batch.
+
+    Returns the per-restart minima and maxima and the minimizing and
+    maximizing points; ties go to the lowest restart.
+    """
+    rows = len(x0)
+    signs = np.repeat([-1.0, 1.0], rows)
+    x = retract(np.vstack([x0, x0]))
+    vals, x = _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter)
+    min_vals, max_vals = vals[:rows], vals[rows:]
+    return min_vals, max_vals, x[np.argmin(min_vals)].copy(), x[rows + np.argmax(max_vals)].copy()
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:
@@ -238,6 +248,15 @@ def _refined_plane_value(entries: np.ndarray, u: np.ndarray, v: np.ndarray) -> f
     return float(num / gram)
 
 
+def _checked_restarts(tensor: CurvatureTensor, restarts: int | None) -> int:
+    require_certified(tensor)
+    if restarts is None:
+        return default_restarts(tensor.space.n)
+    if restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
+    return restarts
+
+
 def pinch(
     tensor: CurvatureTensor,
     restarts: int | None = None,
@@ -246,19 +265,20 @@ def pinch(
     max_iter: int = MAX_ITER,
 ) -> PinchReport:
     """Multistart extremes of the sectional curvature over 2-planes."""
-    require_certified(tensor)
-    if restarts is None:
-        restarts = default_restarts(tensor.space.n)
-    if restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
+    restarts = _checked_restarts(tensor, restarts)
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
-    min_vals, u_min, v_min = _optimize_planes(
-        tensor.entries, dim, seed, restarts, False, grad_tol, max_iter
+    m2 = tensor.entries.reshape(dim * dim, dim * dim)
+    min_vals, max_vals, x_min, x_max = _min_max(
+        _inits(2 * dim, seed, restarts),
+        lambda x: _pair_state(m2, x),
+        _pair_gradient,
+        _orthonormalize_pairs,
+        grad_tol,
+        max_iter,
     )
-    max_vals, u_max, v_max = _optimize_planes(
-        tensor.entries, dim, seed, restarts, True, grad_tol, max_iter
-    )
+    u_min, v_min = x_min[:dim], x_min[dim:]
+    u_max, v_max = x_max[:dim], x_max[dim:]
     k_min = _refined_plane_value(tensor.entries, u_min, v_min)
     k_max = _refined_plane_value(tensor.entries, u_max, v_max)
     sandwich = (lo - 1e-9 <= k_min) and (k_max <= hi + 1e-9)
@@ -275,91 +295,6 @@ def pinch(
     )
 
 
-def _sphere_state(m2, jmat, d, u):
-    ju = u @ jmat.T
-    w = (u[:, :, None] * ju[:, None, :]).reshape(len(u), d * d)
-    bflat = w @ m2
-    vals = np.einsum("mk,mk->m", bflat, w)
-    return vals, ju, bflat
-
-
-def _sphere_inits(dim, seed, restarts):
-    u = np.empty((restarts, dim))
-    for r in range(restarts):
-        rng = seeded_rng(seed, r, 7)
-        u[r] = rng.standard_normal(dim)
-    return u / np.linalg.norm(u, axis=1, keepdims=True)
-
-
-def _sphere_gradient(bflat, jmat, dim, u, ju, vals):
-    b = bflat.reshape(-1, dim, dim)
-    bju = np.matmul(b, ju[:, :, None])[:, :, 0]
-    btu = np.matmul(u[:, None, :], b)[:, 0, :]
-    return 2.0 * (bju - btu @ jmat.T) - 4.0 * vals[:, None] * u
-
-
-def _optimize_sphere(entries, jmat, dim, seed, restarts, maximize, grad_tol, max_iter):
-    sign = 1.0 if maximize else -1.0
-    m2 = entries.reshape(dim * dim, dim * dim)
-    u = _sphere_inits(dim, seed, restarts)
-    vals, ju, bflat = _sphere_state(m2, jmat, dim, u)
-    best_vals = vals.copy()
-    best_u = u.copy()
-    step = np.full(restarts, 0.05)
-    have_prev = np.zeros(restarts, dtype=bool)
-    prev_u = u.copy()
-    prev_g = np.zeros_like(u)
-    active = np.ones(restarts, dtype=bool)
-    stagnant = np.zeros(restarts, dtype=int)
-    for _ in range(max_iter):
-        grad = _sphere_gradient(bflat, jmat, dim, u, ju, vals)
-        gsq = np.einsum("mi,mi->m", grad, grad)
-        active &= (gsq >= grad_tol * grad_tol) & (step >= 1e-14)
-        active &= stagnant <= STAGNATION_LIMIT
-        if not active.any():
-            break
-        s = u - prev_u
-        ss = np.einsum("mi,mi->m", s, s)
-        sy = sign * np.einsum("mi,mi->m", s, prev_g - grad)
-        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300)
-        fallback = np.where(have_prev, step * 2.0, step)
-        step = np.where(bb_ok, np.maximum(ss / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
-        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
-        uc = u + (sign * step)[:, None] * grad
-        uc = uc / np.linalg.norm(uc, axis=1, keepdims=True)
-        cand_vals, juc, cand_bflat = _sphere_state(m2, jmat, dim, uc)
-        accept = active & (sign * (cand_vals - vals) > -0.1 * (1.0 + np.abs(vals)))
-        meaningful = accept & (sign * (cand_vals - vals) > 1e-14 * (1.0 + np.abs(vals)))
-        stagnant = np.where(meaningful, 0, stagnant + 1)
-        reject = active & ~accept
-        step[reject] *= 0.5
-        have_prev[reject] = False
-        prev_u[accept] = u[accept]
-        prev_g[accept] = grad[accept]
-        have_prev[accept] = True
-        u[accept] = uc[accept]
-        ju[accept] = juc[accept]
-        vals[accept] = cand_vals[accept]
-        bflat[accept] = cand_bflat[accept]
-        record = accept & (sign * (cand_vals - best_vals) > 0)
-        best_vals[record] = cand_vals[record]
-        best_u[record] = uc[record]
-    stale = sign * (best_vals - vals) > 1e-9
-    keep = ~stale
-    best_vals[keep] = vals[keep]
-    best_u[keep] = u[keep]
-    best = int(np.argmax(sign * best_vals))
-    return best_vals, best_u[best].copy()
-
-
-def _refined_sphere_value(entries, jmat, u) -> float:
-    e = entries.astype(np.longdouble)
-    ul = u.astype(np.longdouble)
-    jul = jmat.astype(np.longdouble) @ ul
-    num = np.einsum("ijkl,i,j,k,l", e, ul, jul, ul, jul)
-    return float(num / (ul @ ul) ** 2)
-
-
 def hol_extremes(
     tensor: CurvatureTensor,
     restarts: int | None = None,
@@ -368,23 +303,25 @@ def hol_extremes(
     max_iter: int = MAX_ITER,
 ) -> HolReport:
     """Multistart extremes of the holomorphic sectional curvature over the unit sphere."""
-    require_certified(tensor)
-    if restarts is None:
-        restarts = default_restarts(tensor.space.n)
-    if restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
+    restarts = _checked_restarts(tensor, restarts)
     dim = tensor.space.dim
     jmat = tensor.space.j_matrix
-    min_vals, u_min = _optimize_sphere(
-        tensor.entries, jmat, dim, seed, restarts, False, grad_tol, max_iter
-    )
-    max_vals, u_max = _optimize_sphere(
-        tensor.entries, jmat, dim, seed, restarts, True, grad_tol, max_iter
+    m2 = tensor.entries.reshape(dim * dim, dim * dim)
+    # H(u) = K(u, Ju) at unit u is the pair objective pulled back along the
+    # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T
+    lift = np.hstack([np.eye(dim), jmat.T])
+    min_vals, max_vals, u_min, u_max = _min_max(
+        _inits(dim, seed, restarts, 7),
+        lambda u: _pair_state(m2, u @ lift),
+        lambda u, vals, bflat: _pair_gradient(u @ lift, vals, bflat) @ lift.T,
+        lambda u: u / np.linalg.norm(u, axis=1, keepdims=True),
+        grad_tol,
+        max_iter,
     )
     converged = _stable(min_vals, False) and _stable(max_vals, True)
     return HolReport(
-        h_min=_refined_sphere_value(tensor.entries, jmat, u_min),
-        h_max=_refined_sphere_value(tensor.entries, jmat, u_max),
+        h_min=_refined_plane_value(tensor.entries, u_min, jmat @ u_min),
+        h_max=_refined_plane_value(tensor.entries, u_max, jmat @ u_max),
         argmin_u=u_min,
         argmax_u=u_max,
         restarts=restarts,

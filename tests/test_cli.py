@@ -276,6 +276,21 @@ def test_constants_rejects_bad_epsilon():
         assert len(result.stderr.decode().strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("identities", "--n", "2", "--samples", "-3", "--seed", "5"),
+        ("constants", "--epsilon", "0.1", "--n", "2", "--certify", "-3", "--seed", "1"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_rejects_negative_sample_count(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_reproducibility_byte_identical(model_file, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(

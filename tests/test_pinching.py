@@ -126,6 +126,54 @@ def test_pinch_scale_equivariance_of_witness_planes(space2):
 def test_pinch_requires_restart(r0_n2):
     with pytest.raises(PreconditionError):
         pinch(r0_n2, restarts=0, seed=1)
+    with pytest.raises(PreconditionError):
+        hol_extremes(r0_n2, restarts=0, seed=1)
+
+
+# values recorded from the earlier two-loop optimizer (separate min and max runs) of
+# pinch(tensor, seed=3) and hol_extremes(tensor, seed=3) at the default
+# restarts for tensor = perturb(make_space(n), t, seed=17):
+# ((k_min, k_max, h_min, h_max), (pinch converged, hol converged))
+RECORDED_EXTREMES = {
+    (2, 0.0): (
+        (-1.0, -0.25, -1.0, -1.0),
+        (True, True),
+    ),
+    (2, 0.01): (
+        (-1.0015795138456713, -0.24819598819005892, -1.0015795138456713, -0.99679062483258873),
+        (True, True),
+    ),
+    (2, 0.1): (
+        (-1.0157951384567223, -0.23193507515263187, -1.0157951384567223, -0.967906248325894),
+        (True, True),
+    ),
+    (3, 0.0): (
+        (-1.0, -0.25, -1.0, -1.0),
+        (True, True),
+    ),
+    (3, 0.01): (
+        (-1.002826181249509, -0.24907953318729009, -1.002826181249509, -0.99807651140112852),
+        (True, True),
+    ),
+    (3, 0.1): (
+        (-1.0282618124950955, -0.24077110126298157, -1.0282618124950955, -0.98076511401129096),
+        (True, True),
+    ),
+}
+
+
+def test_pinch_and_hol_match_recorded_values():
+    from kahlerpinch.experiments import perturb
+
+    for (n, t), recorded in RECORDED_EXTREMES.items():
+        tensor = perturb(make_space(n), t, seed=17)
+        planes = pinch(tensor, seed=3)
+        hol = hol_extremes(tensor, seed=3)
+        values = (planes.k_min, planes.k_max, hol.h_min, hol.h_max)
+        assert values == pytest.approx(recorded[0], rel=0.0, abs=1e-12)
+        assert (planes.converged, hol.converged) == recorded[1]
+        if t == 0:
+            assert values == (-1.0, -0.25, -1.0, -1.0)
 
 
 def test_pinch_determinism(space2):
@@ -137,8 +185,15 @@ def test_pinch_determinism(space2):
 
 
 def test_plane_gradient_matches_finite_differences(space2):
-    # central differences at step 1e-6 on the Gram-normalized objective
+    # central differences at step 1e-6 on the Gram-normalized pair objective
+    # and on H(u) = K(u, Ju)/|u|^4, which the optimizer reaches through the
+    # lift u -> (u, Ju)
+    from kahlerpinch.pinching import _pair_gradient, _pair_state
+
     tensor = random_kahler(space2, seed=88)
+    m2 = tensor.entries.reshape(16, 16)
+    jmat = space2.j_matrix
+    lift = np.hstack([np.eye(4), jmat.T])
     rng = seeded_rng(88)
     u = rng.standard_normal(4)
     v = rng.standard_normal(4)
@@ -146,25 +201,36 @@ def test_plane_gradient_matches_finite_differences(space2):
     v -= np.dot(u, v) * u
     v /= np.linalg.norm(v)
 
-    def objective(uu, vv):
+    def pair_objective(x):
+        uu, vv = x[:4], x[4:]
         return tensor.biquadratic(uu, vv) / (
             np.dot(uu, uu) * np.dot(vv, vv) - np.dot(uu, vv) ** 2
         )
 
-    vals = tensor.biquadratic(u, v)
-    from kahlerpinch.pinching import _plane_gradients, _plane_state
+    def hol_objective(x):
+        return tensor.biquadratic(x, jmat @ x) / np.dot(x, x) ** 2
 
-    m2 = tensor.entries.reshape(16, 16)
-    val_arr, bflat = _plane_state(m2, 4, u[None, :], v[None, :])
-    gu, gv = _plane_gradients(bflat, 4, u[None, :], v[None, :], val_arr)
+    def pair_gradient(x):
+        vals, bflat = _pair_state(m2, x)
+        return _pair_gradient(x, vals, bflat)
+
+    def hol_gradient(x):
+        vals, bflat = _pair_state(m2, x @ lift)
+        return _pair_gradient(x @ lift, vals, bflat) @ lift.T
+
+    inputs = (
+        (np.concatenate([u, v]), pair_objective, pair_gradient),
+        (u, hol_objective, hol_gradient),
+    )
     h = 1e-6
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h
-        fd_u = (objective(u + e, v) - objective(u - e, v)) / (2 * h)
-        fd_v = (objective(u, v + e) - objective(u, v - e)) / (2 * h)
-        assert gu[0, i] == pytest.approx(fd_u, abs=1e-5)
-        assert gv[0, i] == pytest.approx(fd_v, abs=1e-5)
+    for x, objective, gradient in inputs:
+        grad = gradient(x[None, :])[0]
+        assert grad.shape == x.shape
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = h
+            fd = (objective(x + e) - objective(x - e)) / (2 * h)
+            assert grad[i] == pytest.approx(fd, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
