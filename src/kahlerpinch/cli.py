@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -265,7 +266,7 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.config, "r", encoding="ascii") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         return _fail_usage(f"cannot read sweep config: {exc}")
     if not isinstance(config, dict):
         return _fail_usage("sweep config must be a JSON object")
@@ -326,26 +327,11 @@ def cmd_constants(args) -> int:
     from .experiments import certify_constants, proof_constants
 
     chain = proof_constants(args.epsilon, args.n)
-    payload = {
-        "command": "constants",
-        "epsilon": chain.epsilon,
-        "n": chain.n,
-        "eta": chain.eta,
-        "delta_1": chain.delta_1,
-        "delta": chain.delta,
-        "epsilon_1": chain.epsilon_1,
-    }
+    payload = {"command": "constants", **asdict(chain)}
     exit_code = EXIT_OK
     if args.certify:
         report = certify_constants(chain, args.certify, args.seed)
-        payload["certification"] = {
-            "samples": report.samples,
-            "violations": report.violations,
-            "max_ratio_dev": report.max_ratio_dev,
-            "max_defect": report.max_defect,
-            "retries": report.retries,
-            "seed": args.seed,
-        }
+        payload["certification"] = {**asdict(report), "seed": args.seed}
         if report.violations:
             exit_code = EXIT_CHECK_FAILED
     _emit(payload)
@@ -420,8 +406,8 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        return _fail_usage(f"file not found: {exc.filename}")
+    except OSError as exc:
+        return _fail_usage(f"cannot access file: {exc}")
     except TensorFormatError as exc:
         return _fail_usage(f"malformed tensor file: {exc}")
     except ResourceLimitError as exc:

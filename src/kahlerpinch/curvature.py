@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -335,43 +335,50 @@ def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
         raise PreconditionError("{u, Ju, v, Jv} must be orthonormal")
 
 
+def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple[float, float, float]:
+    """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction."""
+    ju, jv = tensor.space.j(u), tensor.space.j(v)
+    return tensor.biquadratic(u, v), tensor.biquadratic(u, jv), tensor.evaluate(u, ju, v, jv)
+
+
 def identity_one_residual(tensor: CurvatureTensor, u, v) -> float:
     """Residual of K(u,v) + K(u,Jv) - R(u,Ju,v,Jv); zero for Kahler tensors."""
-    space = tensor.space
-    _require_unitary_quadruple(space, u, v)
-    ju, jv = space.j(u), space.j(v)
-    return (
-        tensor.biquadratic(u, v)
-        + tensor.biquadratic(u, jv)
-        - tensor.evaluate(u, ju, v, jv)
-    )
+    _require_unitary_quadruple(tensor.space, u, v)
+    k_uv, k_ujv, r = _direct_triple(tensor, u, v)
+    return k_uv + k_ujv - r
 
 
 def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTensor:
     """Rebuild a tensor with symmetries (1)-(3) from its raw biquadratic K(a,b) = R(a,b,a,b).
 
-    24 R(x,y,z,t) = K(x+z,y+t) + K(x-z,y-t) - K(x+z,y-t) - K(x-z,y+t)
-                  - K(x+t,y+z) - K(x-t,y-z) + K(x+t,y-z) + K(x-t,y+z)
+    24 R(x,y,z,t) = P(x,z;y,t) - P(x,t;y,z),
+    P(x,z;y,t) = K(x+z,y+t) + K(x-z,y-t) - K(x+z,y-t) - K(x-z,y+t).
 
-    The oracle consumes unnormalized biquadratic values; the combined
-    arguments are not unit vectors.
+    On basis vectors every argument is 0 or, up to sign, one of the d^2
+    vectors e_i + e_k (i <= k) and e_i - e_k (i < k). The oracle must satisfy
+    K(a,b) = K(b,a) = K(-a,b), as R(a,b,a,b) does under (1); it is called
+    once per unordered pair of those vectors, in a fixed order, and
+    K(0, .) = 0 is a padding row of the table. The oracle consumes
+    unnormalized biquadratic values; the arguments are not unit vectors.
     """
     d = space.dim
     eye = np.eye(d)
-    entries = np.empty((d, d, d, d))
-    for i, j, k, l in product(range(d), repeat=4):
-        x, y, z, t = eye[i], eye[j], eye[k], eye[l]
-        entries[i, j, k, l] = (
-            k_oracle(x + z, y + t)
-            + k_oracle(x - z, y - t)
-            - k_oracle(x + z, y - t)
-            - k_oracle(x - z, y + t)
-            - k_oracle(x + t, y + z)
-            - k_oracle(x - t, y - z)
-            + k_oracle(x + t, y - z)
-            + k_oracle(x - t, y + z)
-        ) / 24.0
-    return CurvatureTensor(space, entries)
+    i, k = np.divmod(np.arange(d * d), d)
+    low, high = np.minimum(i, k), np.maximum(i, k)
+    # vector i*d + k is e_i + e_k for i <= k and e_k - e_i for i > k
+    vectors = eye[low] + np.where(i <= k, 1.0, -1.0)[:, None] * eye[high]
+    plus = low * d + high  # e_i + e_k
+    minus = np.where(i == k, d * d, high * d + low)  # +-(e_i - e_k), or the padding row
+    table = np.zeros((d * d + 1, d * d + 1))
+    for p, q in combinations_with_replacement(range(d * d), 2):
+        table[p, q] = table[q, p] = k_oracle(vectors[p], vectors[q])
+    pair = (
+        table[np.ix_(plus, plus)]
+        + table[np.ix_(minus, minus)]
+        - table[np.ix_(plus, minus)]
+        - table[np.ix_(minus, plus)]
+    ).reshape(d, d, d, d)  # P(e_i, e_k; e_j, e_l) at [i, k, j, l]
+    return CurvatureTensor(space, (pair.transpose(0, 2, 1, 3) - pair.transpose(0, 2, 3, 1)) / 24.0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,36 +414,37 @@ def _polarization_system(a: float, b: float) -> np.ndarray:
     )
 
 
+def _holomorphic_sides(tensor: CurvatureTensor, u, v, a: float, b: float) -> tuple[float, float]:
+    """H(au+bv) + H(au-bv) and H(au+bJv) + H(au-bJv), each less 2a^4 H(u) + 2b^4 H(v).
+
+    H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one product.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    space = tensor.space
+    d = space.dim
+    jv = space.j(v)
+    w = np.stack([u, v, a * u + b * v, a * u - b * v, a * u + b * jv, a * u - b * jv])
+    lifted = np.einsum("mi,mj->mij", w, w @ space.j_matrix.T).reshape(6, d * d)  # w (x) Jw
+    h = np.einsum("mp,mp->m", lifted @ tensor.entries.reshape(d * d, d * d), lifted)
+    base = 2 * a**4 * h[0] + 2 * b**4 * h[1]
+    return float(h[2] + h[3] - base), float(h[4] + h[5] - base)
+
+
 def solve_sectional_from_H(
     tensor: CurvatureTensor, u, v
 ) -> tuple[float, float, float]:
     """Recover (K(u,v), K(u,Jv), R(u,Ju,v,Jv)) from six holomorphic sectional values.
 
     Requires {u, Ju, v, Jv} orthonormal so that the combined vectors at
-    a = b = 1/sqrt(2) are unit and the H-values can be read through
-    holomorphic_sectional.
+    a = b = 1/sqrt(2) are unit and the H-values are holomorphic sectional
+    curvatures.
     """
-    space = tensor.space
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    _require_unitary_quadruple(space, u, v)
+    _require_unitary_quadruple(tensor.space, u, v)
     a = b = 1.0 / math.sqrt(2.0)
-    jv = space.j(v)
-
-    def H(w):
-        return holomorphic_sectional(tensor, w)
-
-    h_u, h_v = H(u), H(v)
-    rhs = np.array(
-        [
-            H(a * u + b * v) + H(a * u - b * v) - 2 * a**4 * h_u - 2 * b**4 * h_v,
-            H(a * u + b * jv) + H(a * u - b * jv) - 2 * a**4 * h_u - 2 * b**4 * h_v,
-            0.0,
-        ]
-    )
-    matrix = _polarization_system(a, b)
+    rhs = np.array([*_holomorphic_sides(tensor, u, v, a, b), 0.0])
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        solution = np.linalg.solve(_polarization_system(a, b), rhs)
     except np.linalg.LinAlgError as exc:
         raise IdentityInconsistencyError("polarization system is singular") from exc
     if not np.all(np.isfinite(solution)):
@@ -449,31 +457,15 @@ def polarization_residuals(
 ) -> dict[str, float]:
     """Residuals of both polarization identities at (a, b), plus the printed
     variant of the second identity's last coefficient (informational)."""
-    space = tensor.space
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    jv = space.j(v)
-    biq = tensor.biquadratic
-
-    def H(w):
-        return biq(w, space.j(w))
-
+    first, second = _holomorphic_sides(tensor, u, v, a, b)
+    k_uv, k_ujv, r = _direct_triple(tensor, u, v)
     ab2 = a * a * b * b
-    base = (
-        2 * a**4 * H(u)
-        + 2 * b**4 * H(v)
-        + 12 * ab2 * tensor.evaluate(u, space.j(u), v, jv)
-    )
-    lhs_first = H(a * u + b * v) + H(a * u - b * v)
-    lhs_second = H(a * u + b * jv) + H(a * u - b * jv)
-    k_uv = biq(u, v)
-    k_ujv = biq(u, jv)
+    first -= 12 * ab2 * r
+    second -= 12 * ab2 * r
     return {
-        "first": abs(lhs_first - (base + SECOND_IDENTITY_COEFF * ab2 * k_uv)),
-        "second": abs(lhs_second - (base + SECOND_IDENTITY_COEFF * ab2 * k_ujv)),
-        "second_printed": abs(
-            lhs_second - (base + SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv)
-        ),
+        "first": abs(first - SECOND_IDENTITY_COEFF * ab2 * k_uv),
+        "second": abs(second - SECOND_IDENTITY_COEFF * ab2 * k_ujv),
+        "second_printed": abs(second - SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv),
     }
 
 
@@ -495,20 +487,10 @@ def fit_second_polarization_coefficient(
         u, v = random_orthonormal_pair(space, seed * 1000 + s, constraint="v_perp_ju")
         theta = rng.uniform(0.1, math.pi / 2 - 0.1)
         a, b = math.cos(theta), math.sin(theta)
-        jv = space.j(v)
-        biq = tensor.biquadratic
-
-        def H(w):
-            return biq(w, space.j(w))
-
         ab2 = a * a * b * b
-        base = (
-            2 * a**4 * H(u)
-            + 2 * b**4 * H(v)
-            + 12 * ab2 * tensor.evaluate(u, space.j(u), v, jv)
-        )
-        target = H(a * u + b * jv) + H(a * u - b * jv) - base
-        x = ab2 * biq(u, jv)
+        _, k_ujv, r = _direct_triple(tensor, u, v)
+        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
+        x = ab2 * k_ujv
         num += target * x
         den += x * x
     if den == 0.0:
@@ -594,4 +576,8 @@ def write_tensor(path, tensor: CurvatureTensor, symmetry_tolerance: float = DEFA
 
 def read_tensor(path) -> tuple[CurvatureTensor, float]:
     with open(path, "r", encoding="ascii") as fh:
-        return tensor_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TensorFormatError(f"not ASCII text: {exc}") from exc
+    return tensor_from_text(text)

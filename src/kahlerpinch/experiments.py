@@ -28,6 +28,8 @@ from .curvature import (
     random_kahler,
     reconstruct_from_sectional,
     solve_sectional_from_H,
+    _direct_triple,
+    _float17,
     _polarization_system,
 )
 from .errors import PreconditionError
@@ -181,7 +183,10 @@ def sweep(
 
 
 def aggregate_by_t(records: list[SweepRecord]) -> list[dict]:
-    """Per-t worst-case aggregates over converged records (non-converged counted)."""
+    """Per-t worst-case aggregates over converged records (non-converged counted).
+
+    The max_* fields are None for a t with no converged record.
+    """
     out = []
     for t in sorted({r.t for r in records}):
         bucket = [r for r in records if r.t == t]
@@ -191,19 +196,13 @@ def aggregate_by_t(records: list[SweepRecord]) -> list[dict]:
                 "t": t,
                 "samples": len(bucket),
                 "excluded": len(bucket) - len(converged),
-                "max_delta": max((r.delta for r in converged), default=float("nan")),
-                "max_frobenius_dist": max(
-                    (r.frobenius_dist for r in converged), default=float("nan")
-                ),
-                "max_h_dev": max((r.h_dev for r in converged), default=float("nan")),
-                "max_ratio_dev": max((r.ratio_dev_max for r in converged), default=float("nan")),
+                "max_delta": max((r.delta for r in converged), default=None),
+                "max_frobenius_dist": max((r.frobenius_dist for r in converged), default=None),
+                "max_h_dev": max((r.h_dev for r in converged), default=None),
+                "max_ratio_dev": max((r.ratio_dev_max for r in converged), default=None),
             }
         )
     return out
-
-
-def _float17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def emit_csv(records: list[SweepRecord]) -> str:
@@ -384,12 +383,7 @@ def identity_suite(n: int, samples: int, seed: int, restarts: int = 32) -> dict:
         u, v = random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
         res_one = max(res_one, abs(identity_one_residual(tensor, u, v)))
         solved = solve_sectional_from_H(tensor, u, v)
-        ju, jv = space.j(u), space.j(v)
-        direct = (
-            tensor.biquadratic(u, v),
-            tensor.biquadratic(u, jv),
-            tensor.evaluate(u, ju, v, jv),
-        )
+        direct = _direct_triple(tensor, u, v)
         res_solve = max(res_solve, max(abs(a - b) for a, b in zip(solved, direct)))
         theta = rng.uniform(0.1, np.pi / 2 - 0.1)
         for a, b in ((1.0 / sqrt(2.0), 1.0 / sqrt(2.0)), (np.cos(theta), np.sin(theta))):

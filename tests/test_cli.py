@@ -86,6 +86,33 @@ def test_rejects_bad_tol(model_file, tmp_path, command, value):
     assert not (tmp_path / "x.json").exists()
 
 
+UNREADABLE_INVOCATIONS = {
+    "validate-dir": ("validate", "{dir}"),
+    "pinch-dir": ("pinch", "{dir}", "--seed", "1"),
+    "chern-dir": ("chern", "{dir}", "--all"),
+    "r0-out-dir": ("r0", "--n", "2", "--out", "{dir}"),
+    "validate-non-ascii": ("validate", "{non_ascii_tensor}"),
+    "pinch-non-ascii": ("pinch", "{non_ascii_tensor}", "--seed", "1"),
+    "sweep-non-ascii-config": ("sweep", "--config", "{non_ascii_config}", "--out", "{dir}/o.csv"),
+}
+
+
+@pytest.mark.parametrize(
+    "args", UNREADABLE_INVOCATIONS.values(), ids=UNREADABLE_INVOCATIONS.keys()
+)
+def test_unreadable_paths_are_usage_errors(model_file, tmp_path, args):
+    # a directory where a file is expected, or a file with one non-ASCII byte
+    tensor = tmp_path / "non_ascii.json"
+    tensor.write_bytes(model_file.read_bytes().replace(b"row-major", b"row-major\xe9", 1))
+    config = tmp_path / "non_ascii_config.json"
+    config.write_bytes(b'{"n": 2, "t_values": [0.0], "samples_per_t": 1, "seed": 4, "note": "\xe9"}')
+    fields = {"dir": tmp_path, "non_ascii_tensor": tensor, "non_ascii_config": config}
+    result = run_cli(*(a.format(**fields) for a in args))
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_r0_roundtrip_exact(model_file, tmp_path):
     from kahlerpinch import complex_hyperbolic_tensor, make_space, read_tensor
 
@@ -218,6 +245,31 @@ def test_sweep_roundtrip(tmp_path):
     for row in zero_rows:
         fields = row.split(",")
         assert fields[2:] == ["0", "0", "0", "0", "true"]
+
+
+def test_sweep_stdout_has_no_nan(tmp_path, monkeypatch, capsys):
+    # a t whose only record failed to converge has no aggregate maxima
+    import kahlerpinch.experiments
+    from kahlerpinch import cli
+    from kahlerpinch.experiments import SweepRecord
+
+    record = SweepRecord(
+        n=2, t=0.0, seed=4, delta=0.5, frobenius_dist=0.25, h_dev=0.125,
+        ratio_devs={}, ratio_dev_max=0.0625, converged=False, anomaly=False,
+    )
+    monkeypatch.setattr(kahlerpinch.experiments, "sweep", lambda *args, **kwargs: [record])
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n": 2, "t_values": [0.0], "samples_per_t": 1, "seed": 4}))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["excluded"] == 1
+    aggregate = payload["aggregates"][0]
+    for field in ("max_delta", "max_frobenius_dist", "max_h_dev", "max_ratio_dev"):
+        assert aggregate[field] is None, field
 
 
 def test_sweep_missing_config_field(tmp_path):

@@ -305,11 +305,34 @@ def test_reconstruction_roundtrip_model(r0_n2, space2):
     assert distance(rebuilt, r0_n2) < 1e-12
 
 
-def test_reconstruction_roundtrip_random(space2):
-    for s in (3, 4):
-        tensor = random_kahler(space2, seed=s)
-        rebuilt = reconstruct_from_sectional(tensor.biquadratic, space2)
-        assert distance(rebuilt, tensor) < 1e-10
+def test_reconstruction_roundtrip_random():
+    for n in (1, 2, 3, 4):
+        space = make_space(n)
+        for s in (3, 4):
+            tensor = random_kahler(space, seed=s)
+            rebuilt = reconstruct_from_sectional(tensor.biquadratic, space)
+            assert distance(rebuilt, tensor) < 1e-10
+
+
+def test_reconstruction_calls_oracle_once_per_pair():
+    # d^2 vectors e_i + e_k (i <= k), e_i - e_k (i < k): one call per unordered pair
+    for n, expected_calls in ((1, 10), (2, 136), (3, 666), (4, 2080)):
+        space = make_space(n)
+        tensor = random_kahler(space, seed=5)
+        runs = []
+        for _ in range(2):
+            calls = []
+
+            def oracle(a, b):
+                calls.append((tuple(a), tuple(b)))
+                return tensor.biquadratic(a, b)
+
+            rebuilt = reconstruct_from_sectional(oracle, space)
+            assert distance(rebuilt, tensor) < 1e-10
+            runs.append(calls)
+        d2 = space.dim**2
+        assert len(runs[0]) <= d2 * (d2 + 1) // 2 == expected_calls
+        assert runs[0] == runs[1]
 
 
 def test_reconstruction_zero_oracle(space2):

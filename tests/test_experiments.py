@@ -76,6 +76,21 @@ def test_sweep_aggregates_nondecreasing(small_sweep):
     assert all(x <= y + 1e-15 for x, y in zip(dist, dist[1:]))
 
 
+def _record(t, converged):
+    return SweepRecord(
+        n=2, t=t, seed=1, delta=0.5, frobenius_dist=0.25, h_dev=0.125,
+        ratio_devs={}, ratio_dev_max=0.0625, converged=converged, anomaly=False,
+    )
+
+
+def test_aggregates_are_none_without_converged_records():
+    aggregates = aggregate_by_t([_record(0.0, True), _record(0.1, False)])
+    assert aggregates[0]["max_delta"] == 0.5
+    assert aggregates[1]["samples"] == 1 and aggregates[1]["excluded"] == 1
+    for field in ("max_delta", "max_frobenius_dist", "max_h_dev", "max_ratio_dev"):
+        assert aggregates[1][field] is None, field
+
+
 def test_sweep_defect_to_distance_direction(small_sweep):
     # small holomorphic deviation never pairs with a large distance
     for r in small_sweep:
@@ -201,6 +216,36 @@ def test_certification_run_small():
 # ---------------------------------------------------------------------------
 
 
+# identity_suite(n, samples=50, seed=1) at 17 digits, as computed by the
+# per-entry 24-term reconstruction and per-value H evaluations
+RECORDED_IDENTITY_SUITE = {
+    2: {
+        "identity_one": 2.8102520310824275e-16,
+        "solve_vs_direct": 2.9663771439203401e-16,
+        "polarization_first": 8.8817841970012523e-16,
+        "polarization_second": 7.7715611723760958e-16,
+        "polarization_second_printed": 0.31211979925865702,
+        "reconstruction_roundtrip": 1.3673394676605277e-16,
+        "berger_max_violation": -0.015894880552516866,
+        "berger_attainment_gap": 1.6653345369377348e-16,
+        "suspected_typo": True,
+        "fitted_second_coefficient": -7.9999999999999947,
+    },
+    3: {
+        "identity_one": 2.0816681711721685e-16,
+        "solve_vs_direct": 2.7061686225238191e-16,
+        "polarization_first": 1.2212453270876722e-15,
+        "polarization_second": 8.0491169285323849e-16,
+        "polarization_second_printed": 0.14750185457129905,
+        "reconstruction_roundtrip": 1.3937018504479046e-16,
+        "berger_max_violation": -0.13777375892039118,
+        "berger_attainment_gap": 3.3306690738754696e-16,
+        "suspected_typo": True,
+        "fitted_second_coefficient": -8.0000000000000071,
+    },
+}
+
+
 def test_identity_suite_passes_and_flags_typo():
     results = identity_suite(2, samples=30, seed=21)
     for key in (
@@ -222,3 +267,14 @@ def test_identity_suite_preconditions():
         identity_suite(1, samples=10, seed=1)
     with pytest.raises(PreconditionError):
         identity_suite(2, samples=0, seed=1)
+
+
+def test_identity_suite_matches_recorded_values():
+    for n, recorded in RECORDED_IDENTITY_SUITE.items():
+        results = identity_suite(n, samples=50, seed=1)
+        assert results.keys() == recorded.keys()
+        for key, value in recorded.items():
+            if isinstance(value, bool):
+                assert results[key] is value, key
+            else:
+                assert results[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
