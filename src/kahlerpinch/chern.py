@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .curvature import CurvatureTensor, complex_hyperbolic_tensor, require_certified
+from .curvature import CurvatureTensor, _pair_outer, complex_hyperbolic_tensor, require_certified
 from .errors import (
     DegenerateDenominatorError,
     DegreeError,
@@ -136,10 +136,11 @@ def curvature_matrix(tensor: CurvatureTensor, frame=None) -> np.ndarray:
     _require_unitary_frame(space, frame)
     f = np.array(frame, dtype=float)
     jf = f @ space.j_matrix.T
+    d = space.dim
 
     def block(u, v) -> np.ndarray:
-        # block[a, b, i, j] = R(e_i, e_j, u_a, v_b)
-        return np.einsum("ijkl,ak,bl->abij", tensor.entries, u, v)
+        # block[a, b, i, j] = R(e_i, e_j, u_a, v_b), row (i, j) of M times u_a (x) v_b
+        return (_pair_outer(u[:, None], v[None]) @ tensor.matrix.T).reshape(len(u), len(v), d, d)
 
     return two_form(block(f, f) + 0.5j * (block(f, jf) - block(jf, f)))
 

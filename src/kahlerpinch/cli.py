@@ -289,20 +289,22 @@ def cmd_sweep(args) -> int:
     from .errors import PreconditionError
     from .experiments import aggregate_by_t, emit_csv, sweep
 
-    try:
-        records = sweep(
-            n,
-            t_values,
-            config["samples_per_t"],
-            config["seed"],
-            restarts=config.get("restarts"),
-        )
-    except PreconditionError as exc:
-        return _fail_usage(f"bad sweep config: {exc}")
-    except RuntimeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
+    # opened before the sweep, as shell redirection would, so an unwritable
+    # path fails before any record is computed
     with open(args.out, "w", encoding="ascii") as fh:
+        try:
+            records = sweep(
+                n,
+                t_values,
+                config["samples_per_t"],
+                config["seed"],
+                restarts=config.get("restarts"),
+            )
+        except PreconditionError as exc:
+            return _fail_usage(f"bad sweep config: {exc}")
+        except RuntimeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_CHECK_FAILED
         fh.write(emit_csv(records))
     _emit(
         {

@@ -79,21 +79,22 @@ class SymmetryCertificate:
     def max_residual(self) -> float:
         return max(self.antisymmetry, self.pair_exchange, self.bianchi, self.j_invariance)
 
-    def as_dict(self) -> dict:
-        return {
-            "antisymmetry": self.antisymmetry,
-            "pair_exchange": self.pair_exchange,
-            "bianchi": self.bianchi,
-            "j_invariance": self.j_invariance,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+
+def _pair_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Flattened outer products x (x) y over the last axis; leading axes broadcast."""
+    xy = np.einsum("...i,...j->...ij", x, y)  # faster than a broadcast multiply on small rows
+    return xy.reshape(xy.shape[:-2] + (xy.shape[-2] * xy.shape[-1],))
 
 
 class CurvatureTensor:
-    """Dense rank-4 coefficient table over the standard basis."""
+    """Dense rank-4 coefficient table over the standard basis.
 
-    __slots__ = ("space", "entries", "certificate")
+    `matrix` is the same table read as M[(i,j),(k,l)] = R_ijkl on index pairs,
+    a read-only (d^2, d^2) view; every contraction of R with vectors goes
+    through it.
+    """
+
+    __slots__ = ("space", "entries", "matrix", "certificate")
 
     def __init__(self, space: HermitianSpace, entries: np.ndarray):
         d = space.dim
@@ -106,13 +107,20 @@ class CurvatureTensor:
         entries.flags.writeable = False
         self.space = space
         self.entries = entries
+        self.matrix = entries.reshape(d * d, d * d)
         self.certificate: SymmetryCertificate | None = None
 
-    def evaluate(self, x, y, z, w) -> float:
-        return float(np.einsum("ijkl,i,j,k,l", self.entries, x, y, z, w))
+    def evaluate(self, x, y, z, w) -> float | np.ndarray:
+        """R(x, y, z, w) = (x (x) y) . M . (z (x) w); leading axes are batch axes.
 
-    def biquadratic(self, a, b) -> float:
-        """Unnormalized K(a, b) = R(a, b, a, b)."""
+        Returns a float for 1-D arguments and an array of the batch shape otherwise.
+        """
+        x, y, z, w = (np.asarray(a, dtype=float) for a in (x, y, z, w))
+        value = np.einsum("...p,...p->...", _pair_outer(x, y) @ self.matrix, _pair_outer(z, w))
+        return float(value) if value.ndim == 0 else value
+
+    def biquadratic(self, a, b) -> float | np.ndarray:
+        """Unnormalized K(a, b) = R(a, b, a, b), batched like evaluate."""
         return self.evaluate(a, b, a, b)
 
     def frobenius_norm(self) -> float:
@@ -179,28 +187,21 @@ def complex_hyperbolic_tensor(space: HermitianSpace) -> CurvatureTensor:
     return tensor
 
 
-def _j_index_sign(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    perm = np.empty(dim, dtype=int)
-    sign = np.empty(dim)
-    perm[0::2] = np.arange(1, dim, 2)
-    perm[1::2] = np.arange(0, dim, 2)
-    sign[0::2] = 1.0
-    sign[1::2] = -1.0
-    return perm, sign
-
-
 def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
-    """Max-abs residual of each symmetry condition by exhaustive basis enumeration."""
-    e = tensor.entries
-    perm, sign = _j_index_sign(tensor.space.dim)
+    """Max-abs residual of each symmetry condition by exhaustive basis enumeration.
+
+    (2) and (4) are read off the pair matrix M: pair exchange is M = M^T, and
+    J-invariance is (J (x) J)^T M = M = M (J (x) J). J (x) J is a signed
+    permutation, so these products are exact.
+    """
+    e, m = tensor.entries, tensor.matrix
+    jj = np.kron(tensor.space.j_matrix, tensor.space.j_matrix)
     r1a = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
     r1b = np.max(np.abs(e + e.transpose(0, 1, 3, 2)))
-    r2 = np.max(np.abs(e - e.transpose(2, 3, 0, 1)))
+    r2 = np.max(np.abs(m - m.T))
     r3 = np.max(np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)))
-    front = sign[:, None, None, None] * sign[None, :, None, None] * e[perm][:, perm]
-    back = sign[None, None, :, None] * sign[None, None, None, :] * e[:, :, perm][:, :, :, perm]
-    r4a = np.max(np.abs(front - e))
-    r4b = np.max(np.abs(back - e))
+    r4a = np.max(np.abs(jj.T @ m - m))
+    r4b = np.max(np.abs(m @ jj - m))
     return {
         "antisymmetry": float(max(r1a, r1b)),
         "pair_exchange": float(r2),
@@ -336,9 +337,10 @@ def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
 
 
 def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple[float, float, float]:
-    """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction."""
+    """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction, one batched evaluate."""
     ju, jv = tensor.space.j(u), tensor.space.j(v)
-    return tensor.biquadratic(u, v), tensor.biquadratic(u, jv), tensor.evaluate(u, ju, v, jv)
+    k_uv, k_ujv, r = tensor.evaluate([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
+    return float(k_uv), float(k_ujv), float(r)
 
 
 def identity_one_residual(tensor: CurvatureTensor, u, v) -> float:
@@ -417,16 +419,14 @@ def _polarization_system(a: float, b: float) -> np.ndarray:
 def _holomorphic_sides(tensor: CurvatureTensor, u, v, a: float, b: float) -> tuple[float, float]:
     """H(au+bv) + H(au-bv) and H(au+bJv) + H(au-bJv), each less 2a^4 H(u) + 2b^4 H(v).
 
-    H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one product.
+    H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one batched call.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    space = tensor.space
-    d = space.dim
-    jv = space.j(v)
+    jmat = tensor.space.j_matrix
+    jv = jmat @ v
     w = np.stack([u, v, a * u + b * v, a * u - b * v, a * u + b * jv, a * u - b * jv])
-    lifted = np.einsum("mi,mj->mij", w, w @ space.j_matrix.T).reshape(6, d * d)  # w (x) Jw
-    h = np.einsum("mp,mp->m", lifted @ tensor.entries.reshape(d * d, d * d), lifted)
+    h = tensor.biquadratic(w, w @ jmat.T)
     base = 2 * a**4 * h[0] + 2 * b**4 * h[1]
     return float(h[2] + h[3] - base), float(h[4] + h[5] - base)
 
@@ -517,6 +517,11 @@ def _float17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_int(text: str) -> int | float:
+    # _float17 writes -0.0 as "-0"; read it back as the float it was
+    return -0.0 if text == "-0" else int(text)
+
+
 def tensor_to_text(tensor: CurvatureTensor, symmetry_tolerance: float = DEFAULT_SYMMETRY_TOL) -> str:
     """Serialize to the JSON tensor file format (17 significant digits, exact round-trip)."""
     entries = ", ".join(_float17(x) for x in tensor.entries.ravel())
@@ -534,7 +539,7 @@ def tensor_to_text(tensor: CurvatureTensor, symmetry_tolerance: float = DEFAULT_
 def tensor_from_text(text: str) -> tuple[CurvatureTensor, float]:
     """Parse the tensor file format; returns (tensor, symmetry_tolerance)."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise TensorFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

@@ -19,11 +19,10 @@ from the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .curvature import CurvatureTensor, TwoPlane, require_certified
+from .curvature import CurvatureTensor, TwoPlane, _pair_outer, require_certified
 from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError
 from .space import seeded_rng
 
@@ -42,9 +41,10 @@ __all__ = [
 GRAD_TOL = 1e-10
 MAX_ITER = 10000
 STABILITY_TOL = 1e-8
-# a restart also stops after this many consecutive iterations without a value
-# improvement representable in double precision (ill-conditioned valleys can
-# saturate the value long before the gradient threshold is reachable)
+# a restart also stops after this many consecutive iterations that do not beat
+# its best value by more than double-precision noise (ill-conditioned valleys
+# can saturate the value long before the gradient threshold is reachable, and
+# accepted uphill steps can cycle without ever improving on the best)
 STAGNATION_LIMIT = 50
 
 
@@ -94,14 +94,14 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     With bivector coordinates b_{ij} = u_i v_j - u_j v_i over sorted pairs,
     <Rb, b> = R(u,v,u,v) and |b|^2 equals the plane's Gram determinant, so the
     Rayleigh quotient on decomposable bivectors is exactly the sectional
-    curvature and the eigenvalue range encloses all of them.
+    curvature and the eigenvalue range encloses all of them. The operator is
+    the pair matrix restricted to the index pairs (i, j) with i < j.
     """
     require_certified(tensor)
     d = tensor.space.dim
-    pairs = np.array(list(combinations(range(d), 2)))
-    i, j = pairs[:, 0], pairs[:, 1]
-    matrix = tensor.entries[i[:, None], j[:, None], i[None, :], j[None, :]]
-    eigvals = np.linalg.eigvalsh(matrix)
+    i, j = np.triu_indices(d, 1)
+    pairs = i * d + j
+    eigvals = np.linalg.eigvalsh(tensor.matrix[np.ix_(pairs, pairs)])
     return float(eigvals[0]), float(eigvals[-1])
 
 
@@ -135,11 +135,11 @@ def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
 def _pair_state(m2: np.ndarray, x: np.ndarray):
     """Biquadratic values of rows [u | v] and the matrices B_m[i,j] = R(e_i, e_j, u_m, v_m).
 
-    m2 is the tensor reshaped to (d^2, d^2); pair-exchange symmetry makes it
+    m2 is the tensor's pair matrix; pair-exchange symmetry makes it
     symmetric, so one GEMM against the outer products u (x) v yields B.
     """
     d = x.shape[1] // 2
-    w = (x[:, :d, None] * x[:, None, d:]).reshape(len(x), d * d)
+    w = _pair_outer(x[:, :d], x[:, d:])
     bflat = w @ m2
     vals = np.einsum("mk,mk->m", bflat, w)
     return vals, bflat
@@ -197,8 +197,8 @@ def _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter):
         cand_vals, cand_state = objective(xc)
         gain = signs * (cand_vals - vals)
         accept = active & (gain > -0.1 * (1.0 + np.abs(vals)))
-        meaningful = accept & (gain > 1e-14 * (1.0 + np.abs(vals)))
-        stagnant = np.where(meaningful, 0, stagnant + 1)
+        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
+        stagnant = np.where(improved, 0, stagnant + 1)
         reject = active & ~accept
         step[reject] *= 0.5
         have_prev[reject] = False
@@ -268,7 +268,7 @@ def pinch(
     restarts = _checked_restarts(tensor, restarts)
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
-    m2 = tensor.entries.reshape(dim * dim, dim * dim)
+    m2 = tensor.matrix
     min_vals, max_vals, x_min, x_max = _min_max(
         _inits(2 * dim, seed, restarts),
         lambda x: _pair_state(m2, x),
@@ -306,7 +306,7 @@ def hol_extremes(
     restarts = _checked_restarts(tensor, restarts)
     dim = tensor.space.dim
     jmat = tensor.space.j_matrix
-    m2 = tensor.entries.reshape(dim * dim, dim * dim)
+    m2 = tensor.matrix
     # H(u) = K(u, Ju) at unit u is the pair objective pulled back along the
     # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T
     lift = np.hstack([np.eye(dim), jmat.T])
@@ -337,22 +337,18 @@ def berger_bound_check(
     For a tensor normalized to -alpha <= K <= -1/4, orthonormal quadruples
     satisfy |R(X,Y,Z,W)| <= (2/3)(alpha - 1/4). Returns the max over sampled
     quadruples of |R(X,Y,Z,W)| - bound; positive values are reported, not
-    raised (they flag a violated pinching precondition).
+    raised (they flag a violated pinching precondition). No samples give -inf.
     """
     if tensor.space.n < 2:
         raise InvalidDimensionError("orthonormal quadruples need complex dimension >= 2")
     alpha = -pinch_report.k_min
     bound = (2.0 / 3.0) * (alpha - 0.25)
     rng = seeded_rng(seed, 11)
-    d = tensor.space.dim
-    worst = -np.inf
-    for _ in range(samples):
-        g = rng.standard_normal((d, 4))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diagonal(r))
-        value = abs(tensor.evaluate(q[:, 0], q[:, 1], q[:, 2], q[:, 3]))
-        worst = max(worst, value - bound)
-    return float(worst)
+    # one (d, 4) Gaussian block per sample, QR'd with positive diagonal of R
+    q, r = np.linalg.qr(rng.standard_normal((max(samples, 0), tensor.space.dim, 4)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    values = np.abs(tensor.evaluate(q[..., 0], q[..., 1], q[..., 2], q[..., 3]))
+    return float(np.max(values - bound, initial=-np.inf))
 
 
 def normalize_quarter(tensor: CurvatureTensor, pinch_report: PinchReport) -> QuarterNormalization:

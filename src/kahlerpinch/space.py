@@ -63,11 +63,6 @@ class HermitianSpace:
         """Kahler 2-form omega(u, v) = <u, J v>."""
         return float(u @ self.j_matrix @ v)
 
-    @property
-    def omega_matrix(self) -> np.ndarray:
-        """Matrix of omega on basis pairs; equals j_matrix since the metric is the identity."""
-        return self.j_matrix
-
     def basis_vector(self, i: int) -> np.ndarray:
         e = np.zeros(self.dim)
         e[i] = 1.0

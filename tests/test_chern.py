@@ -6,6 +6,7 @@ import pytest
 from kahlerpinch import (
     ChernIndex,
     CurvatureTensor,
+    canonical_frame,
     chern_densities,
     chern_form,
     chern_forms,
@@ -21,6 +22,7 @@ from kahlerpinch import (
     random_unitary_frame,
     reference_constants,
     space_form_ratio,
+    two_form,
 )
 from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError
 
@@ -64,6 +66,21 @@ def test_curvature_matrix_skew_hermitian(r0_n2, space2):
     assert _skew_hermitian_residual(omega) < 1e-12
     tensor = random_kahler(space2, seed=101)
     assert _skew_hermitian_residual(curvature_matrix(tensor)) < 1e-12
+
+
+def test_curvature_matrix_matches_einsum_contraction():
+    for n in (1, 2, 3, 4):
+        space = make_space(n)
+        tensor = random_kahler(space, seed=40 + n)
+        for frame in (canonical_frame(space), random_unitary_frame(space, 7)):
+            f = np.array(frame)
+            jf = f @ space.j_matrix.T
+
+            def block(u, v):
+                return np.einsum("ijkl,ak,bl->abij", tensor.entries, u, v)
+
+            expected = two_form(block(f, f) + 0.5j * (block(f, jf) - block(jf, f)))
+            assert np.max(np.abs(curvature_matrix(tensor, frame) - expected)) <= 1e-15
 
 
 def test_curvature_matrix_n1_proportional_to_kahler_form(r0_n1, space1):

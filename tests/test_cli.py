@@ -272,6 +272,24 @@ def test_sweep_stdout_has_no_nan(tmp_path, monkeypatch, capsys):
         assert aggregate[field] is None, field
 
 
+@pytest.mark.parametrize("out", ["directory", "missing/o.csv"])
+def test_sweep_rejects_unwritable_out_before_running(tmp_path, monkeypatch, capsys, out):
+    import kahlerpinch.experiments
+    from kahlerpinch import cli
+
+    def sweep(*args, **kwargs):
+        pytest.fail("the sweep ran before --out was opened")
+
+    monkeypatch.setattr(kahlerpinch.experiments, "sweep", sweep)
+    (tmp_path / "directory").mkdir()
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n": 2, "t_values": [0.0], "samples_per_t": 1, "seed": 4}))
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_sweep_missing_config_field(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n": 2}))

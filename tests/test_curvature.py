@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kahlerpinch import (
@@ -98,6 +98,39 @@ def test_random_dense_tensor_fails(space2):
         for i, j, k, l in ranges
     )
     assert cert.antisymmetry == pytest.approx(direct, abs=1e-15)
+
+
+def _index_residuals(tensor):
+    """The four residuals with J applied as a permutation and sign of basis indices."""
+    e = tensor.entries
+    d = tensor.space.dim
+    perm = np.arange(d) ^ 1  # J e_{2a} = e_{2a+1}, J e_{2a+1} = -e_{2a}
+    sign = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    front = sign[:, None, None, None] * sign[None, :, None, None] * e[perm][:, perm]
+    back = sign[None, None, :, None] * sign[None, None, None, :] * e[:, :, perm][:, :, :, perm]
+    return {
+        "antisymmetry": float(
+            max(np.max(np.abs(e + e.transpose(1, 0, 2, 3))), np.max(np.abs(e + e.transpose(0, 1, 3, 2))))
+        ),
+        "pair_exchange": float(np.max(np.abs(e - e.transpose(2, 3, 0, 1)))),
+        "bianchi": float(np.max(np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)))),
+        "j_invariance": float(max(np.max(np.abs(front - e)), np.max(np.abs(back - e)))),
+    }
+
+
+def test_symmetry_residuals_match_index_formula():
+    # J (x) J is a signed permutation, so the pair-matrix residuals are exact
+    for n in (1, 2, 3):
+        space = make_space(n)
+        d = space.dim
+        for seed in range(4):
+            rng = seeded_rng(91, n, seed)
+            raw = CurvatureTensor(space, rng.standard_normal((d,) * 4))
+            nearly = CurvatureTensor(
+                space, random_kahler(space, seed).entries + 1e-6 * rng.standard_normal((d,) * 4)
+            )
+            for tensor in (raw, nearly):
+                assert symmetry_residuals(tensor) == _index_residuals(tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +261,31 @@ def test_random_kahler_contract(space2):
 # ---------------------------------------------------------------------------
 # curvature evaluation
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_evaluate_matches_einsum_oracle(n):
+    space = make_space(n)
+    d = space.dim
+    rng = seeded_rng(71, n)
+    raw = CurvatureTensor(space, rng.standard_normal((d,) * 4))  # no pair exchange
+    for tensor in (random_kahler(space, seed=71), raw):
+        tol = 1e-13 * np.max(np.abs(tensor.entries))
+        x, y, z, w = (np.array([[_unit(rng, d) for _ in range(3)] for _ in range(2)]) for _ in range(4))
+        values = tensor.evaluate(x, y, z, w)
+        biquadratics = tensor.biquadratic(x, y)
+        assert values.shape == biquadratics.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            oracle = np.einsum("ijkl,i,j,k,l", tensor.entries, x[idx], y[idx], z[idx], w[idx])
+            assert abs(values[idx] - oracle) <= tol
+            oracle = np.einsum("ijkl,i,j,k,l", tensor.entries, x[idx], y[idx], x[idx], y[idx])
+            assert abs(biquadratics[idx] - oracle) <= tol
+        single = tensor.evaluate(x[1, 2], y[1, 2], z[1, 2], w[1, 2])
+        assert type(single) is float
+        assert abs(single - values[1, 2]) <= tol
+        assert type(tensor.biquadratic(x[1, 2], y[1, 2])) is float
+        # a 1-D argument broadcasts against batched ones
+        assert np.array_equal(tensor.evaluate(x[0, 0], y, z, w)[0, 0], values[0, 0])
 
 
 def test_sectional_is_plane_invariant(r0_n2, space2):
@@ -426,6 +484,31 @@ def test_tensor_file_roundtrip_is_exact(space2):
     assert np.array_equal(back.entries, tensor.entries)
     # serialization is deterministic
     assert tensor_to_text(back, 1e-9) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16),
+    tol=st.floats(min_value=5e-324, max_value=sys.float_info.max),
+)
+@example(
+    entries=[-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308, 1.0] * 2,
+    tol=1e-9,
+)
+def test_tensor_file_roundtrip_is_bit_exact(entries, tol):
+    tensor = CurvatureTensor(make_space(1), np.reshape(entries, (2, 2, 2, 2)))
+    back, back_tol = tensor_from_text(tensor_to_text(tensor, tol))
+    assert np.array_equal(back.entries.view(np.uint64), tensor.entries.view(np.uint64))
+    assert back_tol == tol
+
+
+def test_model_tensor_file_rewrites_identically(r0_n2):
+    # the model has entries -0.0, which the file writes as "-0"
+    text = tensor_to_text(r0_n2)
+    assert '"n": 2,' in text and '"format_version": 1,' in text
+    back, _ = tensor_from_text(text)
+    assert np.array_equal(back.entries.view(np.uint64), r0_n2.entries.view(np.uint64))
+    assert tensor_to_text(back) == text
 
 
 def test_tensor_file_malformed_cases(space2, r0_n2):

@@ -176,6 +176,43 @@ def test_pinch_and_hol_match_recorded_values():
             assert values == (-1.0, -0.25, -1.0, -1.0)
 
 
+def test_optimizer_rows_stop_when_they_cycle_without_improving(monkeypatch):
+    # accepted uphill steps let a row cycle without ever beating its best value;
+    # stagnation counted against the current value let such rows run to MAX_ITER
+    # (10001 objective evaluations). The tensor is the t = 0.1 record of
+    # sweep(2, [0, 0.0125, 0.025, 0.05, 0.1], 2, seed=2); the values are those
+    # of the uncapped run.
+    from kahlerpinch import pinching
+    from kahlerpinch.experiments import certify_constants, perturb, proof_constants
+
+    evaluations = []
+    optimize = pinching._optimize
+
+    def counting(x, signs, objective, *rest):
+        def counted(y):
+            evaluations.append(len(y))
+            return objective(y)
+
+        return optimize(x, signs, counted, *rest)
+
+    monkeypatch.setattr(pinching, "_optimize", counting)
+    seed = 3614301080
+    tensor = perturb(make_space(2), 0.1, seed)
+    normalized = normalize_quarter(tensor, pinch(tensor, seed=seed)).tensor
+    evaluations.clear()
+    hol = hol_extremes(normalized, seed=seed)
+    assert len(evaluations) < 1000
+    assert hol.h_min == pytest.approx(-1.0912099663707007, rel=0.0, abs=1e-12)
+    assert hol.h_max == pytest.approx(-1.0388622808526178, rel=0.0, abs=1e-12)
+    assert hol.converged
+    # two certification samples that cycled the same way
+    for sample_seed in (3, 10):
+        evaluations.clear()
+        report = certify_constants(proof_constants(0.1, 2), 1, sample_seed)
+        assert report.violations == 0
+        assert len(evaluations) < 1000
+
+
 def test_pinch_determinism(space2):
     tensor = random_kahler(space2, seed=87)
     a = pinch(tensor, restarts=16, seed=3)
@@ -301,6 +338,30 @@ def test_berger_bound_reports_violation_without_raising(r0_n2, space2):
     )
     violation = berger_bound_check(r0_n2, fake, samples=100, seed=3)
     assert violation > 0
+
+
+def test_berger_bound_check_matches_per_sample_loop():
+    from kahlerpinch.experiments import perturb
+
+    def per_sample(tensor, report, samples, seed):
+        # one QR and one five-operand contraction per sample
+        bound = (2.0 / 3.0) * (-report.k_min - 0.25)
+        rng = seeded_rng(seed, 11)
+        worst = -np.inf
+        for _ in range(samples):
+            q, r = np.linalg.qr(rng.standard_normal((tensor.space.dim, 4)))
+            q = q * np.sign(np.diagonal(r))
+            value = abs(np.einsum("ijkl,i,j,k,l", tensor.entries, *q.T))
+            worst = max(worst, value - bound)
+        return worst
+
+    for n in (2, 3):
+        tensor = perturb(make_space(n), 0.05, seed=21)
+        report = pinch(tensor, restarts=8, seed=1)
+        for samples, seed in ((1, 0), (60, 4), (200, 9)):
+            batched = berger_bound_check(tensor, report, samples=samples, seed=seed)
+            assert batched == pytest.approx(per_sample(tensor, report, samples, seed), rel=0.0, abs=1e-15)
+        assert berger_bound_check(tensor, report, samples=0, seed=1) == -np.inf
 
 
 def test_berger_needs_dimension_two(r0_n1):
