@@ -46,6 +46,7 @@ _EXPORTS = {
     # pinching
     "PinchReport": ".pinching",
     "HolReport": ".pinching",
+    "OptimizerDiagnostics": ".pinching",
     "QuarterNormalization": ".pinching",
     "default_restarts": ".pinching",
     "curvature_operator_envelope": ".pinching",

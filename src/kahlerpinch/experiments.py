@@ -1,6 +1,6 @@
 """Theorem-level experiments: perturbation sweeps and the explicit constant chain.
 
-A sweep perturbs the complex hyperbolic model tensor, certifies pinching,
+A sweep perturbs the complex hyperbolic model tensor, finds its pinching,
 renormalizes to curvature maximum -1/4, and records the pinching defect, the
 distance to the model tensor, the holomorphic-curvature deviation, and the
 deviation of every Chern-density ratio from its model value. Aggregation uses
@@ -83,7 +83,7 @@ class ConstantChain:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of sampling tensors with certified defect below the chain's delta."""
+    """Outcome of sampling tensors whose multistart pinching defect is below the chain's delta."""
 
     samples: int
     violations: int
@@ -307,11 +307,13 @@ def certify_constants(
     seed: int,
     restarts: int | None = None,
 ) -> CertificationReport:
-    """Sample tensors with certified defect below chain.delta; count ratio violations.
+    """Sample tensors with pinching defect below chain.delta; count ratio violations.
 
     Absence of counterexamples, not a proof: every sampled tensor whose
-    certified pinching defect is below delta must keep every Chern-density
-    ratio within epsilon of the model value.
+    pinching defect is below delta must keep every Chern-density ratio within
+    epsilon of the model value. The defect comes from the multistart extremes
+    of pinch (inside its rigorous bivector envelope), so it is the optimizer's
+    estimate, not a certified bound.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")

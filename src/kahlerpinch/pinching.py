@@ -1,14 +1,16 @@
-"""Certified sectional-curvature extremes over 2-planes and the unit sphere.
+"""Multistart sectional-curvature extremes over 2-planes and the unit sphere.
 
 One multistart projected-gradient optimizer serves both problems. It runs
 the descending (minimum) and ascending (maximum) restarts as rows of one
-batch, with a sign per row and a retraction after every step. Planes are
-re-orthonormalized rows [u | v]; the holomorphic curvature H(u) = K(u, Ju)
-is the same pair objective pulled back along the linear lift u -> (u, Ju),
-on rows retracted to the unit sphere. Restarts use derived seeds
-(seed, restart index) so results are independent of how many restarts run.
-A rigorous eigenvalue envelope from the curvature operator on bivectors
-sandwiches the optimized extremes.
+batch, with a sign per row and a retraction after every step; a restart
+that stops leaves the batch, so later iterations cost only the restarts
+still running. Planes are re-orthonormalized rows [u | v]; the holomorphic
+curvature H(u) = K(u, Ju) is the same pair objective pulled back along the
+linear lift u -> (u, Ju), on rows retracted to the unit sphere. Restarts use
+derived seeds (seed, restart index) so results are independent of how many
+restarts run. The extremes are the best values the restarts reach, not
+proven optima; a rigorous eigenvalue envelope from the curvature operator on
+bivectors sandwiches them.
 
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
@@ -29,6 +31,7 @@ from .space import seeded_rng
 __all__ = [
     "PinchReport",
     "HolReport",
+    "OptimizerDiagnostics",
     "QuarterNormalization",
     "default_restarts",
     "curvature_operator_envelope",
@@ -46,6 +49,9 @@ STABILITY_TOL = 1e-8
 # can saturate the value long before the gradient threshold is reachable, and
 # accepted uphill steps can cycle without ever improving on the best)
 STAGNATION_LIMIT = 50
+# why a restart stopped, in the order _optimize tests them; rows still live
+# after max_iter iterations exit by the cap
+EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
 
 
 def default_restarts(n: int) -> int:
@@ -53,8 +59,34 @@ def default_restarts(n: int) -> int:
 
 
 @dataclass(frozen=True)
+class OptimizerDiagnostics:
+    """How the restarts of one optimizer batch stopped, min and max rows together.
+
+    One count per exit reason (they sum to twice the restarts), the
+    iterations summed over all rows, and the longest row's iterations.
+    """
+
+    gradient_tol: int
+    step_underflow: int
+    stagnation: int
+    iteration_cap: int
+    row_iterations: int
+    max_row_iterations: int
+
+    @classmethod
+    def of(cls, iterations: np.ndarray, reasons: np.ndarray) -> OptimizerDiagnostics:
+        counts = np.bincount(reasons, minlength=len(EXIT_REASONS))
+        return cls(
+            **{reason: int(c) for reason, c in zip(EXIT_REASONS, counts)},
+            row_iterations=int(iterations.sum()),
+            max_row_iterations=int(iterations.max()),
+        )
+
+
+@dataclass(frozen=True)
 class PinchReport:
-    """Certified sectional-curvature extremes with witnesses and envelope."""
+    """Multistart sectional-curvature extremes, their witness planes and the
+    rigorous bivector envelope that sandwiches them."""
 
     k_min: float
     k_max: float
@@ -64,6 +96,7 @@ class PinchReport:
     envelope_hi: float
     restarts: int
     converged: bool
+    diagnostics: OptimizerDiagnostics | None = None
 
 
 @dataclass(frozen=True)
@@ -76,6 +109,7 @@ class HolReport:
     argmax_u: np.ndarray
     restarts: int
     converged: bool
+    diagnostics: OptimizerDiagnostics | None = None
 
 
 @dataclass(frozen=True)
@@ -137,10 +171,13 @@ def _pair_state(m2: np.ndarray, x: np.ndarray):
 
     m2 is the tensor's pair matrix; pair-exchange symmetry makes it
     symmetric, so one GEMM against the outer products u (x) v yields B.
+    numpy hands a one-row product to GEMV, which rounds differently from
+    GEMM, so a single row is evaluated as two: a row's values then do not
+    depend on how many rows share the call.
     """
     d = x.shape[1] // 2
     w = _pair_outer(x[:, :d], x[:, d:])
-    bflat = w @ m2
+    bflat = w @ m2 if len(w) != 1 else (np.repeat(w, 2, axis=0) @ m2)[:1]
     vals = np.einsum("mk,mk->m", bflat, w)
     return vals, bflat
 
@@ -154,36 +191,71 @@ def _pair_gradient(x: np.ndarray, vals: np.ndarray, bflat: np.ndarray) -> np.nda
     return 2.0 * (np.hstack([bv, btu]) - vals[:, None] * x)
 
 
+def _pair_objective(m2: np.ndarray, x: np.ndarray):
+    """Values and gradients of the pair objective at orthonormal rows [u | v]."""
+    vals, bflat = _pair_state(m2, x)
+    return vals, _pair_gradient(x, vals, bflat)
+
+
 def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     """One standard normal row per restart, drawn from the generator (seed, r, *stream)."""
     return np.array([seeded_rng(seed, r, *stream).standard_normal(width) for r in range(restarts)])
 
 
-def _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter):
-    """Best value and point of each row; rows with sign +1 ascend, rows with -1 descend.
+def _optimize(x, signs, objective, retract, grad_tol, max_iter):
+    """Best value and point of each row, its iteration count and its exit reason.
 
-    Projected-gradient iteration with Barzilai-Borwein steps (halved on steps
-    that regress badly) and retraction onto the constraint set after every
-    step. objective(x) returns the row values and a per-row state that
-    gradient(x, vals, state) reuses. Each row evolves independently, so
-    results do not depend on how many other rows run alongside. x is updated
-    in place.
+    Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
+    iteration with Barzilai-Borwein steps (halved on steps that regress
+    badly) and retraction onto the constraint set after every step.
+    objective(x) returns the row values and gradients. Each row evolves
+    independently, so results do not depend on how many other rows run
+    alongside. A row leaves the batch for good at the first EXIT_REASONS
+    test it fails, so an iteration steps, retracts and evaluates only the
+    rows still live. A row's gradient is evaluated once per accepted point:
+    a rejected step leaves the row where it was. The rows of x serve as
+    work space; reasons index EXIT_REASONS.
     """
     rows = len(x)
-    vals, state = objective(x)
+    out_vals, out_x = np.empty(rows), np.empty_like(x)
+    iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
+    live = np.arange(rows)
+    vals, g = objective(x)
     best_vals, best_x = vals.copy(), x.copy()
     step = np.full(rows, 0.05)
     have_prev = np.zeros(rows, dtype=bool)
     prev_x, prev_g = x.copy(), np.zeros_like(x)
-    active = np.ones(rows, dtype=bool)
     stagnant = np.zeros(rows, dtype=int)
-    for _ in range(max_iter):
-        g = gradient(x, vals, state)
+    for it in range(max_iter + 1):
         gsq = np.einsum("mi,mi->m", g, g)
-        active &= (gsq >= grad_tol * grad_tol) & (step >= 1e-14)
-        active &= stagnant <= STAGNATION_LIMIT
-        if not active.any():
-            break
+        # one row per entry of EXIT_REASONS
+        passed = np.array(
+            [
+                gsq >= grad_tol * grad_tol,
+                step >= 1e-14,
+                stagnant <= STAGNATION_LIMIT,
+                np.full(len(live), it < max_iter),
+            ]
+        )
+        go = passed.all(axis=0)
+        if not go.all():
+            done = ~go
+            gone = live[done]
+            reasons[gone] = np.argmin(passed[:, done], axis=0)
+            iterations[gone] = it
+            # prefer each row's final (converged) iterate; fall back to the best
+            # point visited only when it is genuinely better, not better by float noise
+            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9
+            out_vals[gone] = np.where(better, best_vals[done], vals[done])
+            out_x[gone] = np.where(better[:, None], best_x[done], x[done])
+            if not go.any():
+                break
+            live, signs, x, g, gsq, vals, best_vals, best_x = (
+                a[go] for a in (live, signs, x, g, gsq, vals, best_vals, best_x)
+            )
+            step, have_prev, prev_x, prev_g, stagnant = (
+                a[go] for a in (step, have_prev, prev_x, prev_g, stagnant)
+            )
         s = x - prev_x
         ss = np.einsum("mi,mi->m", s, s)
         sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
@@ -194,42 +266,36 @@ def _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter):
         # cap the displacement, not the step: flat valleys need huge steps
         step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
         xc = retract(x + (signs * step)[:, None] * g)
-        cand_vals, cand_state = objective(xc)
+        cand_vals, cand_g = objective(xc)
         gain = signs * (cand_vals - vals)
-        accept = active & (gain > -0.1 * (1.0 + np.abs(vals)))
+        accept = gain > -0.1 * (1.0 + np.abs(vals))
         improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
         stagnant = np.where(improved, 0, stagnant + 1)
-        reject = active & ~accept
-        step[reject] *= 0.5
-        have_prev[reject] = False
+        step[~accept] *= 0.5
+        have_prev = accept
         prev_x[accept], prev_g[accept] = x[accept], g[accept]
-        have_prev[accept] = True
         x[accept] = xc[accept]
         vals[accept] = cand_vals[accept]
-        state[accept] = cand_state[accept]
+        g[accept] = cand_g[accept]
         record = accept & (signs * (cand_vals - best_vals) > 0)
         best_vals[record] = cand_vals[record]
         best_x[record] = xc[record]
-    # prefer each row's final (converged) iterate; fall back to the best point
-    # visited only when it is genuinely better, not better by float noise
-    keep = ~(signs * (best_vals - vals) > 1e-9)
-    best_vals[keep] = vals[keep]
-    best_x[keep] = x[keep]
-    return best_vals, best_x
+    return out_vals, out_x, iterations, reasons
 
 
-def _min_max(x0, objective, gradient, retract, grad_tol, max_iter):
+def _min_max(x0, objective, retract, grad_tol, max_iter):
     """Descend and ascend from every retracted row of x0 in one batch.
 
-    Returns the per-restart minima and maxima and the minimizing and
-    maximizing points; ties go to the lowest restart.
+    Returns the per-restart minima and maxima, the minimizing and maximizing
+    points (ties go to the lowest restart) and the batch's diagnostics.
     """
     rows = len(x0)
     signs = np.repeat([-1.0, 1.0], rows)
     x = retract(np.vstack([x0, x0]))
-    vals, x = _optimize(x, signs, objective, gradient, retract, grad_tol, max_iter)
+    vals, x, iterations, reasons = _optimize(x, signs, objective, retract, grad_tol, max_iter)
     min_vals, max_vals = vals[:rows], vals[rows:]
-    return min_vals, max_vals, x[np.argmin(min_vals)].copy(), x[rows + np.argmax(max_vals)].copy()
+    x_min, x_max = x[np.argmin(min_vals)].copy(), x[rows + np.argmax(max_vals)].copy()
+    return min_vals, max_vals, x_min, x_max, OptimizerDiagnostics.of(iterations, reasons)
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:
@@ -269,10 +335,9 @@ def pinch(
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
     m2 = tensor.matrix
-    min_vals, max_vals, x_min, x_max = _min_max(
+    min_vals, max_vals, x_min, x_max, diagnostics = _min_max(
         _inits(2 * dim, seed, restarts),
-        lambda x: _pair_state(m2, x),
-        _pair_gradient,
+        lambda x: _pair_objective(m2, x),
         _orthonormalize_pairs,
         grad_tol,
         max_iter,
@@ -292,7 +357,14 @@ def pinch(
         envelope_hi=hi,
         restarts=restarts,
         converged=converged,
+        diagnostics=diagnostics,
     )
+
+
+def _hol_objective(m2: np.ndarray, lift: np.ndarray, u: np.ndarray):
+    """Values and gradients of H at unit rows u, through the pair objective at u @ lift."""
+    vals, grad = _pair_objective(m2, u @ lift)
+    return vals, grad @ lift.T
 
 
 def hol_extremes(
@@ -310,10 +382,9 @@ def hol_extremes(
     # H(u) = K(u, Ju) at unit u is the pair objective pulled back along the
     # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T
     lift = np.hstack([np.eye(dim), jmat.T])
-    min_vals, max_vals, u_min, u_max = _min_max(
+    min_vals, max_vals, u_min, u_max, diagnostics = _min_max(
         _inits(dim, seed, restarts, 7),
-        lambda u: _pair_state(m2, u @ lift),
-        lambda u, vals, bflat: _pair_gradient(u @ lift, vals, bflat) @ lift.T,
+        lambda u: _hol_objective(m2, lift, u),
         lambda u: u / np.linalg.norm(u, axis=1, keepdims=True),
         grad_tol,
         max_iter,
@@ -326,6 +397,7 @@ def hol_extremes(
         argmax_u=u_max,
         restarts=restarts,
         converged=converged,
+        diagnostics=diagnostics,
     )
 
 

@@ -2,6 +2,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerpinch import (
     ChernIndex,
@@ -252,6 +254,32 @@ def test_ratio_scale_invariance(space2):
     base = chern_ratio(tensor, i1, i2)
     for lam in (0.5, 2.0, 10.0):
         assert abs(chern_ratio(tensor.scaled(lam), i1, i2) - base) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    seed=st.integers(0, 2**32),
+    scale=st.floats(1e-3, 1e3),
+    frame_seed=st.integers(0, 2**32),
+)
+def test_density_ratios_invariant_under_scale_and_frame(n, seed, scale, frame_seed):
+    # gamma_I / gamma_J from the densities themselves, not through
+    # density_ratio, whose degeneracy test compares gamma_J with the model's
+    # density and is therefore not scale-invariant
+    space = make_space(n)
+    tensor = random_kahler(space, seed=seed)
+
+    def ratios(densities):
+        return {(i, j): densities[i] / densities[j] for i in densities for j in densities if i != j}
+
+    base = ratios(chern_densities(tensor))
+    for changed in (
+        chern_densities(tensor.scaled(scale)),
+        chern_densities(tensor, random_unitary_frame(space, seed=frame_seed)),
+    ):
+        for key, value in ratios(changed).items():
+            assert value == pytest.approx(base[key], rel=1e-10, abs=0.0)
 
 
 def test_ratio_of_index_with_itself(space2):

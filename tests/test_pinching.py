@@ -271,6 +271,223 @@ def test_plane_gradient_matches_finite_differences(space2):
 
 
 # ---------------------------------------------------------------------------
+# live-row optimizer
+# ---------------------------------------------------------------------------
+
+
+def _dense_optimize(x, signs, objective, gradient, retract, grad_tol, max_iter, rejected):
+    """The dense loop, which stepped, retracted and evaluated every row each iteration.
+
+    objective(x) returns the row values and a state that gradient(x, vals,
+    state) reuses; rejected[0] counts rejected steps. Kept verbatim as the
+    oracle of the live-row loop, apart from that counter.
+    """
+    from kahlerpinch.pinching import STAGNATION_LIMIT
+
+    rows = len(x)
+    vals, state = objective(x)
+    best_vals, best_x = vals.copy(), x.copy()
+    step = np.full(rows, 0.05)
+    have_prev = np.zeros(rows, dtype=bool)
+    prev_x, prev_g = x.copy(), np.zeros_like(x)
+    active = np.ones(rows, dtype=bool)
+    stagnant = np.zeros(rows, dtype=int)
+    for _ in range(max_iter):
+        g = gradient(x, vals, state)
+        gsq = np.einsum("mi,mi->m", g, g)
+        active &= (gsq >= grad_tol * grad_tol) & (step >= 1e-14)
+        active &= stagnant <= STAGNATION_LIMIT
+        if not active.any():
+            break
+        s = x - prev_x
+        ss = np.einsum("mi,mi->m", s, s)
+        sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
+        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300)
+        fallback = np.where(have_prev, step * 2.0, step)
+        step = np.where(bb_ok, np.maximum(ss / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
+        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
+        xc = retract(x + (signs * step)[:, None] * g)
+        cand_vals, cand_state = objective(xc)
+        gain = signs * (cand_vals - vals)
+        accept = active & (gain > -0.1 * (1.0 + np.abs(vals)))
+        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
+        stagnant = np.where(improved, 0, stagnant + 1)
+        reject = active & ~accept
+        rejected[0] += int(reject.sum())
+        step[reject] *= 0.5
+        have_prev[reject] = False
+        prev_x[accept], prev_g[accept] = x[accept], g[accept]
+        have_prev[accept] = True
+        x[accept] = xc[accept]
+        vals[accept] = cand_vals[accept]
+        state[accept] = cand_state[accept]
+        record = accept & (signs * (cand_vals - best_vals) > 0)
+        best_vals[record] = cand_vals[record]
+        best_x[record] = xc[record]
+    keep = ~(signs * (best_vals - vals) > 1e-9)
+    best_vals[keep] = vals[keep]
+    best_x[keep] = x[keep]
+    return best_vals, best_x
+
+
+def _optimizer_problem(kind, tensor, seed, restarts):
+    """Start rows, signs, retraction and both objective forms, as pinch and hol_extremes build them.
+
+    Returns (x, signs, retract, fused, split, gradient): fused is the
+    live-row loop's objective, split and gradient the dense loop's.
+    """
+    from kahlerpinch import pinching
+
+    m2 = tensor.matrix
+    dim = tensor.space.dim
+    if kind == "pair":
+        x0 = pinching._inits(2 * dim, seed, restarts)
+        retract = pinching._orthonormalize_pairs
+
+        def fused(x):
+            return pinching._pair_objective(m2, x)
+
+        def split(x):
+            return pinching._pair_state(m2, x)
+
+        gradient = pinching._pair_gradient
+    else:
+        lift = np.hstack([np.eye(dim), tensor.space.j_matrix.T])
+        x0 = pinching._inits(dim, seed, restarts, 7)
+
+        def retract(u):
+            return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+        def fused(u):
+            return pinching._hol_objective(m2, lift, u)
+
+        def split(u):
+            return pinching._pair_state(m2, u @ lift)
+
+        def gradient(u, vals, bflat):
+            return pinching._pair_gradient(u @ lift, vals, bflat) @ lift.T
+
+    signs = np.repeat([-1.0, 1.0], restarts)
+    return retract(np.vstack([x0, x0])), signs, retract, fused, split, gradient
+
+
+def _run_both_loops(kind, tensor, seed, restarts, max_iter):
+    """Live-row result (vals, points, iterations, reasons), dense (vals, points) and its rejections."""
+    from kahlerpinch.pinching import GRAD_TOL, _optimize
+
+    x, signs, retract, fused, split, gradient = _optimizer_problem(kind, tensor, seed, restarts)
+    rejected = [0]
+    dense = _dense_optimize(x.copy(), signs, split, gradient, retract, GRAD_TOL, max_iter, rejected)
+    live = _optimize(x.copy(), signs, fused, retract, GRAD_TOL, max_iter)
+    return live, dense, rejected[0]
+
+
+@pytest.mark.parametrize("kind", ["pair", "sphere"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_live_row_optimizer_equals_dense_loop(kind, n):
+    # stepping only the live rows must not change any row's arithmetic: values
+    # and points equal the dense loop's bit for bit
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import MAX_ITER
+
+    for tensor, seed in ((perturb(make_space(n), 0.1, seed=n), 5), (random_kahler(make_space(n), seed=n), 6)):
+        (vals, points, _, _), (dense_vals, dense_points), _ = _run_both_loops(
+            kind, tensor, seed, 8, MAX_ITER
+        )
+        assert vals.tolist() == dense_vals.tolist()
+        assert np.array_equal(points, dense_points)
+
+
+def test_live_row_optimizer_equals_dense_loop_with_rejections_and_stagnation():
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import EXIT_REASONS, MAX_ITER
+
+    tensor = perturb(make_space(4), 0.1, seed=5)
+    (vals, points, _, reasons), (dense_vals, dense_points), rejected = _run_both_loops(
+        "pair", tensor, 5, 8, MAX_ITER
+    )
+    assert rejected > 0
+    assert np.count_nonzero(reasons == EXIT_REASONS.index("stagnation")) > 0
+    assert vals.tolist() == dense_vals.tolist()
+    assert np.array_equal(points, dense_points)
+
+
+def test_live_row_optimizer_equals_dense_loop_at_iteration_cap():
+    from kahlerpinch.pinching import EXIT_REASONS
+
+    tensor = random_kahler(make_space(3), seed=7)
+    for kind, max_iter in (("pair", 9), ("sphere", 4), ("pair", 0)):
+        (vals, points, iterations, reasons), (dense_vals, dense_points), _ = _run_both_loops(
+            kind, tensor, 2, 8, max_iter
+        )
+        assert vals.tolist() == dense_vals.tolist()
+        assert np.array_equal(points, dense_points)
+        assert np.all(reasons == EXIT_REASONS.index("iteration_cap"))
+        assert np.all(iterations == max_iter)
+
+
+def test_optimizer_evaluates_only_live_rows(monkeypatch):
+    # every objective call after the first sees the rows still running: the
+    # counts never grow (a stopped row never rejoins) and end below the start
+    from kahlerpinch import pinching
+    from kahlerpinch.experiments import perturb
+
+    batches = []
+    optimize = pinching._optimize
+
+    def recording(x, signs, objective, *rest):
+        counts = []
+        batches.append(counts)
+
+        def counted(y):
+            counts.append(len(y))
+            return objective(y)
+
+        return optimize(x, signs, counted, *rest)
+
+    monkeypatch.setattr(pinching, "_optimize", recording)
+    reports = []
+    for n in (2, 3):
+        tensor = perturb(make_space(n), 0.05, seed=30 + n)
+        reports += [pinch(tensor, restarts=16, seed=n), hol_extremes(tensor, restarts=16, seed=n)]
+    assert len(batches) == len(reports)
+    for counts, report in zip(batches, reports):
+        assert counts[0] == 32
+        assert all(later <= earlier for earlier, later in zip(counts, counts[1:]))
+        assert counts[-1] < counts[0]
+        # one candidate evaluation per live row and iteration
+        assert report.diagnostics.row_iterations == sum(counts[1:])
+        assert report.diagnostics.max_row_iterations == len(counts) - 1
+
+
+def test_reports_count_optimizer_exit_reasons(space2):
+    from kahlerpinch.experiments import perturb
+
+    def reasons(diagnostics):
+        return (
+            diagnostics.gradient_tol,
+            diagnostics.step_underflow,
+            diagnostics.stagnation,
+            diagnostics.iteration_cap,
+        )
+
+    # n = 4, t = 0.1: most restarts meet the gradient tolerance, two stagnate
+    report = pinch(perturb(make_space(4), 0.1, seed=5), restarts=8, seed=5)
+    assert reasons(report.diagnostics) == (14, 0, 2, 0)
+    # a flat objective stops every row on its first gradient
+    zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
+    for flat in (pinch(zero, restarts=4, seed=1), hol_extremes(zero, restarts=4, seed=1)):
+        assert reasons(flat.diagnostics) == (8, 0, 0, 0)
+        assert flat.diagnostics.row_iterations == 0
+    # a small budget stops every row at the cap
+    tensor = random_kahler(space2, seed=94)
+    for capped in (pinch(tensor, restarts=6, seed=2, max_iter=3), hol_extremes(tensor, restarts=6, seed=2, max_iter=3)):
+        assert reasons(capped.diagnostics) == (0, 0, 0, 12)
+        assert capped.diagnostics.row_iterations == 36
+        assert capped.diagnostics.max_row_iterations == 3
+
+
+# ---------------------------------------------------------------------------
 # holomorphic extremes
 # ---------------------------------------------------------------------------
 
