@@ -37,7 +37,6 @@ _EXPORTS = {
     "reconstruct_from_sectional": ".curvature",
     "solve_sectional_from_H": ".curvature",
     "polarization_residuals": ".curvature",
-    "fit_second_polarization_coefficient": ".curvature",
     "distance": ".curvature",
     "tensor_to_text": ".curvature",
     "tensor_from_text": ".curvature",

@@ -240,13 +240,14 @@ def density_ratio(
     """gamma_I / gamma_J from a chern_densities table.
 
     Raises DegenerateDenominatorError when gamma_J vanished relative to the
-    model tensor's value.
+    largest |gamma| of the same table, a test that rescaling the tensor keeps.
     """
     denominator = densities[index_j]
-    reference = abs(reference_constants(index_j.n)[index_j])
-    if abs(denominator) < 1e-12 * reference:
+    largest = max(abs(gamma) for gamma in densities.values())
+    if abs(denominator) <= 1e-12 * largest:
         raise DegenerateDenominatorError(
-            f"density gamma_{index_j} = {denominator!r} vanished relative to reference"
+            f"density gamma_{index_j} = {denominator!r} vanished relative to "
+            f"the largest density {largest!r}"
         )
     return densities[index_i] / denominator
 

@@ -76,12 +76,14 @@ def _finite_float(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _load_tensor(path: str):
-    from .curvature import read_tensor
+def _load_tensor(path: str, tol: float | None = None):
+    """The file's tensor, its certificate at tol (default: the file's tolerance) and tol."""
+    from .curvature import check_kahler, read_tensor
 
-    tensor, tol = read_tensor(path)
+    tensor, file_tol = read_tensor(path)
     _check_n(tensor.space.n, "tensor n")  # the file format already requires n >= 1
-    return tensor, tol
+    tol = file_tol if tol is None else tol
+    return tensor, check_kahler(tensor, tol), tol
 
 
 def cmd_r0(args) -> int:
@@ -105,13 +107,9 @@ def cmd_r0(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .curvature import check_kahler
-
     if code := _check_positive("--tol", args.tol):
         return code
-    tensor, file_tol = _load_tensor(args.path)
-    tol = args.tol if args.tol is not None else file_tol
-    certificate = check_kahler(tensor, tol)
+    tensor, certificate, tol = _load_tensor(args.path, args.tol)
     _emit(
         {
             "command": "validate",
@@ -131,12 +129,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pinch(args) -> int:
-    from .curvature import check_kahler
     from .errors import PreconditionError
     from .pinching import pinch
 
-    tensor, file_tol = _load_tensor(args.path)
-    certificate = check_kahler(tensor, file_tol)
+    tensor, certificate, _ = _load_tensor(args.path)
     if not certificate.passed:
         _emit(
             {
@@ -193,10 +189,15 @@ def _parse_index(text: str, n: int):
 
 def cmd_chern(args) -> int:
     from .chern import chern_densities, chern_ratio, density_ratio
-    from .errors import DegreeError
+    from .errors import DegreeError, PreconditionError
     from .space import random_unitary_frame
 
-    tensor, _ = _load_tensor(args.path)
+    tensor, certificate, tol = _load_tensor(args.path)
+    if not certificate.passed:
+        raise PreconditionError(
+            f"tensor is not Kahler at its file's tolerance {tol:g} "
+            f"(max residual {certificate.max_residual:.3e})"
+        )
     n = tensor.space.n
     frame = None
     if args.frame_seed is not None:

@@ -22,7 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -52,7 +51,6 @@ __all__ = [
     "reconstruct_from_sectional",
     "solve_sectional_from_H",
     "polarization_residuals",
-    "fit_second_polarization_coefficient",
     "distance",
     "tensor_to_text",
     "tensor_from_text",
@@ -86,6 +84,12 @@ def _pair_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return xy.reshape(xy.shape[:-2] + (xy.shape[-2] * xy.shape[-1],))
 
 
+def _unbatched(value):
+    """A Python float for a 0-d result (1-D arguments), the array otherwise."""
+    value = np.asarray(value)
+    return float(value) if value.ndim == 0 else value
+
+
 class CurvatureTensor:
     """Dense rank-4 coefficient table over the standard basis.
 
@@ -117,7 +121,7 @@ class CurvatureTensor:
         """
         x, y, z, w = (np.asarray(a, dtype=float) for a in (x, y, z, w))
         value = np.einsum("...p,...p->...", _pair_outer(x, y) @ self.matrix, _pair_outer(z, w))
-        return float(value) if value.ndim == 0 else value
+        return _unbatched(value)
 
     def biquadratic(self, a, b) -> float | np.ndarray:
         """Unnormalized K(a, b) = R(a, b, a, b), batched like evaluate."""
@@ -227,13 +231,13 @@ def check_kahler(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> 
     return cert
 
 
-def require_certified(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> CurvatureTensor:
-    """Certify on demand; raise if the tensor is not Kahler at the tolerance."""
+def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
+    """Certify on demand at DEFAULT_SYMMETRY_TOL; raise if the tensor is not Kahler."""
     if tensor.certificate is None or not tensor.certificate.passed:
-        cert = check_kahler(tensor, tol)
+        cert = check_kahler(tensor)
         if not cert.passed:
             raise PreconditionError(
-                f"tensor is not Kahler at tolerance {tol:g} "
+                f"tensor is not Kahler at tolerance {cert.tolerance:g} "
                 f"(max residual {cert.max_residual:.3e})"
             )
     return tensor
@@ -295,7 +299,7 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
 def random_kahler(
     space: HermitianSpace, seed: int, frobenius_norm: float = 1.0
 ) -> CurvatureTensor:
-    """Seeded random certified Kahler tensor of prescribed Frobenius norm."""
+    """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate."""
     if frobenius_norm <= 0:
         raise PreconditionError("frobenius_norm must be positive")
     d = space.dim
@@ -305,9 +309,7 @@ def random_kahler(
     norm = projected.frobenius_norm()
     if norm < 1e-12:
         raise DegenerateSampleError(f"seed {seed} projected to zero; retry with another seed")
-    out = projected.scaled(frobenius_norm / norm)
-    check_kahler(out)
-    return out
+    return projected.scaled(frobenius_norm / norm)
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +332,29 @@ def holomorphic_sectional(tensor: CurvatureTensor, u) -> float:
 
 
 def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
-    vectors = np.column_stack([u, space.j(u), v, space.j(v)])
-    gram = vectors.T @ vectors
+    jt = space.j_matrix.T
+    vectors = np.stack([u, u @ jt, v, v @ jt], axis=-1)
+    gram = np.swapaxes(vectors, -1, -2) @ vectors
     if np.max(np.abs(gram - np.eye(4))) > tol:
         raise PreconditionError("{u, Ju, v, Jv} must be orthonormal")
 
 
-def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple[float, float, float]:
+def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple:
     """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction, one batched evaluate."""
-    ju, jv = tensor.space.j(u), tensor.space.j(v)
-    k_uv, k_ujv, r = tensor.evaluate([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
-    return float(k_uv), float(k_ujv), float(r)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    jt = tensor.space.j_matrix.T
+    ju, jv = u @ jt, v @ jt
+    slots = ([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
+    values = tensor.evaluate(*(np.stack(slot, axis=-2) for slot in slots))
+    return tuple(_unbatched(values[..., k]) for k in range(3))
 
 
-def identity_one_residual(tensor: CurvatureTensor, u, v) -> float:
-    """Residual of K(u,v) + K(u,Jv) - R(u,Ju,v,Jv); zero for Kahler tensors."""
+def identity_one_residual(tensor: CurvatureTensor, u, v):
+    """Residual of K(u,v) + K(u,Jv) - R(u,Ju,v,Jv); zero for Kahler tensors.
+
+    u and v of one shape (..., d): leading axes are batch axes, as in the
+    polarization identities below, and 1-D arguments give a float.
+    """
     _require_unitary_quadruple(tensor.space, u, v)
     k_uv, k_ujv, r = _direct_triple(tensor, u, v)
     return k_uv + k_ujv - r
@@ -358,9 +368,10 @@ def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTens
 
     On basis vectors every argument is 0 or, up to sign, one of the d^2
     vectors e_i + e_k (i <= k) and e_i - e_k (i < k). The oracle must satisfy
-    K(a,b) = K(b,a) = K(-a,b), as R(a,b,a,b) does under (1); it is called
-    once per unordered pair of those vectors, in a fixed order, and
-    K(0, .) = 0 is a padding row of the table. The oracle consumes
+    K(a,b) = K(b,a) = K(-a,b), as R(a,b,a,b) does under (1), and take leading
+    batch axes as CurvatureTensor.biquadratic does: one call gets every
+    unordered pair of those vectors as the rows of two arrays, in a fixed
+    order. K(0, .) = 0 is a padding row of the table. The oracle consumes
     unnormalized biquadratic values; the arguments are not unit vectors.
     """
     d = space.dim
@@ -372,8 +383,8 @@ def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTens
     plus = low * d + high  # e_i + e_k
     minus = np.where(i == k, d * d, high * d + low)  # +-(e_i - e_k), or the padding row
     table = np.zeros((d * d + 1, d * d + 1))
-    for p, q in combinations_with_replacement(range(d * d), 2):
-        table[p, q] = table[q, p] = k_oracle(vectors[p], vectors[q])
+    p, q = np.triu_indices(d * d)
+    table[p, q] = table[q, p] = k_oracle(vectors[p], vectors[q])
     pair = (
         table[np.ix_(plus, plus)]
         + table[np.ix_(minus, minus)]
@@ -397,9 +408,12 @@ def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTens
 # where H and K are unnormalized biquadratics. The second line is the image
 # of the first under v -> Jv together with J-invariance; a circulating
 # variant prints its last coefficient as -a^2b^2 instead of -8a^2b^2, which
-# is falsified by the model tensor (see fit_second_polarization_coefficient).
+# is falsified by the model tensor (experiments.identity_suite fits the
+# coefficient by least squares on its samples and lands on -8).
 # Together with K(u,v) + K(u,Jv) - R(u,Ju,v,Jv) = 0 these give a 3x3 system
 # for (K(u,v), K(u,Jv), R(u,Ju,v,Jv)) in terms of six H-values.
+# Every function here takes leading batch axes on u, v (one shape), a and b,
+# and gives floats for 1-D u and v with scalar a and b.
 
 SECOND_IDENTITY_COEFF = -8.0
 SECOND_IDENTITY_COEFF_PRINTED = -1.0
@@ -416,24 +430,22 @@ def _polarization_system(a: float, b: float) -> np.ndarray:
     )
 
 
-def _holomorphic_sides(tensor: CurvatureTensor, u, v, a: float, b: float) -> tuple[float, float]:
+def _holomorphic_sides(tensor: CurvatureTensor, u, v, a, b) -> tuple:
     """H(au+bv) + H(au-bv) and H(au+bJv) + H(au-bJv), each less 2a^4 H(u) + 2b^4 H(v).
 
     H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one batched call.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     jmat = tensor.space.j_matrix
-    jv = jmat @ v
-    w = np.stack([u, v, a * u + b * v, a * u - b * v, a * u + b * jv, a * u - b * jv])
+    au, bv, bjv = a[..., None] * u, b[..., None] * v, b[..., None] * (v @ jmat.T)
+    w = np.stack(np.broadcast_arrays(u, v, au + bv, au - bv, au + bjv, au - bjv), axis=-2)
     h = tensor.biquadratic(w, w @ jmat.T)
-    base = 2 * a**4 * h[0] + 2 * b**4 * h[1]
-    return float(h[2] + h[3] - base), float(h[4] + h[5] - base)
+    base = 2 * a**4 * h[..., 0] + 2 * b**4 * h[..., 1]
+    return _unbatched(h[..., 2] + h[..., 3] - base), _unbatched(h[..., 4] + h[..., 5] - base)
 
 
-def solve_sectional_from_H(
-    tensor: CurvatureTensor, u, v
-) -> tuple[float, float, float]:
+def solve_sectional_from_H(tensor: CurvatureTensor, u, v) -> tuple:
     """Recover (K(u,v), K(u,Jv), R(u,Ju,v,Jv)) from six holomorphic sectional values.
 
     Requires {u, Ju, v, Jv} orthonormal so that the combined vectors at
@@ -442,60 +454,27 @@ def solve_sectional_from_H(
     """
     _require_unitary_quadruple(tensor.space, u, v)
     a = b = 1.0 / math.sqrt(2.0)
-    rhs = np.array([*_holomorphic_sides(tensor, u, v, a, b), 0.0])
-    try:
-        solution = np.linalg.solve(_polarization_system(a, b), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise IdentityInconsistencyError("polarization system is singular") from exc
+    first, second = _holomorphic_sides(tensor, u, v, a, b)
+    rhs = np.stack([first, second, np.zeros_like(first)], axis=-1)
+    # the system at a = b has determinant 8
+    solution = np.linalg.solve(_polarization_system(a, b), rhs[..., None])[..., 0]
     if not np.all(np.isfinite(solution)):
         raise IdentityInconsistencyError("polarization system produced non-finite values")
-    return float(solution[0]), float(solution[1]), float(solution[2])
+    return tuple(_unbatched(solution[..., k]) for k in range(3))
 
 
-def polarization_residuals(
-    tensor: CurvatureTensor, u, v, a: float, b: float
-) -> dict[str, float]:
+def polarization_residuals(tensor: CurvatureTensor, u, v, a, b) -> dict:
     """Residuals of both polarization identities at (a, b), plus the printed
     variant of the second identity's last coefficient (informational)."""
-    first, second = _holomorphic_sides(tensor, u, v, a, b)
     k_uv, k_ujv, r = _direct_triple(tensor, u, v)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     ab2 = a * a * b * b
-    first -= 12 * ab2 * r
-    second -= 12 * ab2 * r
+    first, second = (side - 12 * ab2 * r for side in _holomorphic_sides(tensor, u, v, a, b))
     return {
-        "first": abs(first - SECOND_IDENTITY_COEFF * ab2 * k_uv),
-        "second": abs(second - SECOND_IDENTITY_COEFF * ab2 * k_ujv),
-        "second_printed": abs(second - SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv),
+        "first": _unbatched(abs(first - SECOND_IDENTITY_COEFF * ab2 * k_uv)),
+        "second": _unbatched(abs(second - SECOND_IDENTITY_COEFF * ab2 * k_ujv)),
+        "second_printed": _unbatched(abs(second - SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv)),
     }
-
-
-def fit_second_polarization_coefficient(
-    space: HermitianSpace, seed: int, samples: int = 200
-) -> float:
-    """Least-squares fit of c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv).
-
-    Fitted over random Kahler tensors, random orthonormal quadruples, and
-    random (a, b) with a^2 + b^2 = 1; returns approximately -8.
-    """
-    from .space import random_orthonormal_pair
-
-    rng = seeded_rng(seed, 1)
-    num = 0.0
-    den = 0.0
-    for s in range(samples):
-        tensor = random_kahler(space, seed * 1000 + s)
-        u, v = random_orthonormal_pair(space, seed * 1000 + s, constraint="v_perp_ju")
-        theta = rng.uniform(0.1, math.pi / 2 - 0.1)
-        a, b = math.cos(theta), math.sin(theta)
-        ab2 = a * a * b * b
-        _, k_ujv, r = _direct_triple(tensor, u, v)
-        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
-        x = ab2 * k_ujv
-        num += target * x
-        den += x * x
-    if den == 0.0:
-        raise IdentityInconsistencyError("degenerate fit: all regressors vanished")
-    return num / den
 
 
 def distance(first: CurvatureTensor, second: CurvatureTensor) -> float:

@@ -21,7 +21,6 @@ from .curvature import (
     CurvatureTensor,
     complex_hyperbolic_tensor,
     distance,
-    fit_second_polarization_coefficient,
     identity_one_residual,
     polarization_residuals,
     project_kahler,
@@ -30,9 +29,10 @@ from .curvature import (
     solve_sectional_from_H,
     _direct_triple,
     _float17,
+    _holomorphic_sides,
     _polarization_system,
 )
-from .errors import PreconditionError
+from .errors import IdentityInconsistencyError, PreconditionError
 from .pinching import berger_bound_check, default_restarts, hol_extremes, normalize_quarter, pinch
 from .space import HermitianSpace, make_space, random_orthonormal_pair, seeded_rng
 
@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 MAX_EXCLUDED_FRACTION = 0.05
+# restarts of the identity suite's pinch of the model tensor
+IDENTITY_SUITE_RESTARTS = 32
 
 
 @dataclass(frozen=True)
@@ -356,64 +358,75 @@ def certify_constants(
 # ---------------------------------------------------------------------------
 
 
-def identity_suite(n: int, samples: int, seed: int, restarts: int = 32) -> dict:
+def identity_suite(n: int, samples: int, seed: int) -> dict:
     """Max residuals of every verified identity over seeded random Kahler tensors.
 
     Covers the Bianchi consequence, the two polarization identities (with the
     miscoefficiented printed variant of the second reported informationally,
-    plus a least-squares fit of the true coefficient), the six-value linear
-    solve against direct contraction, the 24-term reconstruction roundtrip,
-    and the mixed-component bound on the model tensor.
+    plus a least-squares fit of the true coefficient over the same samples),
+    the six-value linear solve against direct contraction, the 24-term
+    reconstruction roundtrip, and the mixed-component bound on the model
+    tensor. Sample s goes with tensor s % n_tensors; each identity is one
+    batched call per tensor.
     """
     if n < 2:
         raise PreconditionError("identity suite needs complex dimension >= 2")
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     space = make_space(n)
-    rng = seeded_rng(seed, 23)
     n_tensors = max(1, min(10, samples // 10))
     tensors = [random_kahler(space, _sample_seed(seed, 1, i)) for i in range(n_tensors)]
     model = complex_hyperbolic_tensor(space)
+    pairs = [
+        random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
+        for s in range(samples)
+    ]
+    us, vs = (np.array(vectors) for vectors in zip(*pairs))
+    thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
 
-    res_one = 0.0
-    res_solve = 0.0
-    res_first = 0.0
-    res_second = 0.0
-    res_second_printed = 0.0
-    for s in range(samples):
-        tensor = tensors[s % n_tensors]
-        u, v = random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
-        res_one = max(res_one, abs(identity_one_residual(tensor, u, v)))
-        solved = solve_sectional_from_H(tensor, u, v)
-        direct = _direct_triple(tensor, u, v)
-        res_solve = max(res_solve, max(abs(a - b) for a, b in zip(solved, direct)))
-        theta = rng.uniform(0.1, np.pi / 2 - 0.1)
-        for a, b in ((1.0 / sqrt(2.0), 1.0 / sqrt(2.0)), (np.cos(theta), np.sin(theta))):
-            pol = polarization_residuals(tensor, u, v, a, b)
-            res_first = max(res_first, pol["first"])
-            res_second = max(res_second, pol["second"])
-            res_second_printed = max(res_second_printed, pol["second_printed"])
+    res_one = res_solve = res_first = res_second = res_second_printed = 0.0
+    fit_num = fit_den = 0.0
+    for i, tensor in enumerate(tensors):
+        u, v, theta = us[i::n_tensors], vs[i::n_tensors], thetas[i::n_tensors]
+        res_one = max(res_one, np.max(np.abs(identity_one_residual(tensor, u, v))))
+        direct = np.array(_direct_triple(tensor, u, v))
+        solved = np.array(solve_sectional_from_H(tensor, u, v))
+        res_solve = max(res_solve, np.max(np.abs(solved - direct)))
+        a, b = np.cos(theta), np.sin(theta)
+        for pa, pb in ((1.0 / sqrt(2.0), 1.0 / sqrt(2.0)), (a, b)):
+            pol = polarization_residuals(tensor, u, v, pa, pb)
+            res_first = max(res_first, np.max(pol["first"]))
+            res_second = max(res_second, np.max(pol["second"]))
+            res_second_printed = max(res_second_printed, np.max(pol["second_printed"]))
+        # least squares for c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv)
+        _, k_ujv, r = direct
+        ab2 = a * a * b * b
+        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
+        regressor = ab2 * k_ujv
+        fit_num += float(target @ regressor)
+        fit_den += float(regressor @ regressor)
+    if fit_den == 0.0:
+        raise IdentityInconsistencyError("degenerate fit: all regressors vanished")
 
     res_reconstruction = 0.0
     for tensor in [model] + tensors[: min(3, n_tensors)]:
         rebuilt = reconstruct_from_sectional(tensor.biquadratic, space)
         res_reconstruction = max(res_reconstruction, distance(rebuilt, tensor))
 
-    model_report = pinch(model, restarts=restarts, seed=seed)
+    model_report = pinch(model, restarts=IDENTITY_SUITE_RESTARTS, seed=seed)
     berger_violation = berger_bound_check(model, model_report, samples=samples, seed=seed)
     u, v = random_orthonormal_pair(space, seed, constraint="v_perp_ju")
     attainment_gap = abs(abs(model.evaluate(u, space.j(u), v, space.j(v))) - 0.5)
 
-    fitted = fit_second_polarization_coefficient(space, seed, samples=max(50, samples))
     return {
-        "identity_one": res_one,
-        "solve_vs_direct": res_solve,
-        "polarization_first": res_first,
-        "polarization_second": res_second,
-        "polarization_second_printed": res_second_printed,
+        "identity_one": float(res_one),
+        "solve_vs_direct": float(res_solve),
+        "polarization_first": float(res_first),
+        "polarization_second": float(res_second),
+        "polarization_second_printed": float(res_second_printed),
         "reconstruction_roundtrip": res_reconstruction,
         "berger_max_violation": berger_violation,
         "berger_attainment_gap": attainment_gap,
         "suspected_typo": bool(res_second_printed > 1e-6),
-        "fitted_second_coefficient": fitted,
+        "fitted_second_coefficient": fit_num / fit_den,
     }

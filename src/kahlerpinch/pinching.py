@@ -7,10 +7,11 @@ that stops leaves the batch, so later iterations cost only the restarts
 still running. Planes are re-orthonormalized rows [u | v]; the holomorphic
 curvature H(u) = K(u, Ju) is the same pair objective pulled back along the
 linear lift u -> (u, Ju), on rows retracted to the unit sphere. Restarts use
-derived seeds (seed, restart index) so results are independent of how many
-restarts run. The extremes are the best values the restarts reach, not
-proven optima; a rigorous eigenvalue envelope from the curvature operator on
-bivectors sandwiches them.
+derived seeds (seed, restart index), so results are independent of how many
+restarts run up to last-bit rounding (BLAS switches GEMM kernels with the
+batch size: at n = 3 from 1024 rows, at n = 5 from 512). The extremes are
+the best values the restarts reach, not proven optima; a rigorous eigenvalue
+envelope from the curvature operator on bivectors sandwiches them.
 
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
@@ -209,8 +210,8 @@ def _optimize(x, signs, objective, retract, grad_tol, max_iter):
     iteration with Barzilai-Borwein steps (halved on steps that regress
     badly) and retraction onto the constraint set after every step.
     objective(x) returns the row values and gradients. Each row evolves
-    independently, so results do not depend on how many other rows run
-    alongside. A row leaves the batch for good at the first EXIT_REASONS
+    independently (up to the rounding of the objective's GEMM, see the module
+    docstring). A row leaves the batch for good at the first EXIT_REASONS
     test it fails, so an iteration steps, retracts and evaluates only the
     rows still live. A row's gradient is evaluated once per accepted point:
     a rejected step leaves the row where it was. The rows of x serve as
@@ -283,7 +284,7 @@ def _optimize(x, signs, objective, retract, grad_tol, max_iter):
     return out_vals, out_x, iterations, reasons
 
 
-def _min_max(x0, objective, retract, grad_tol, max_iter):
+def _min_max(x0, objective, retract, max_iter):
     """Descend and ascend from every retracted row of x0 in one batch.
 
     Returns the per-restart minima and maxima, the minimizing and maximizing
@@ -292,7 +293,7 @@ def _min_max(x0, objective, retract, grad_tol, max_iter):
     rows = len(x0)
     signs = np.repeat([-1.0, 1.0], rows)
     x = retract(np.vstack([x0, x0]))
-    vals, x, iterations, reasons = _optimize(x, signs, objective, retract, grad_tol, max_iter)
+    vals, x, iterations, reasons = _optimize(x, signs, objective, retract, GRAD_TOL, max_iter)
     min_vals, max_vals = vals[:rows], vals[rows:]
     x_min, x_max = x[np.argmin(min_vals)].copy(), x[rows + np.argmax(max_vals)].copy()
     return min_vals, max_vals, x_min, x_max, OptimizerDiagnostics.of(iterations, reasons)
@@ -327,7 +328,6 @@ def pinch(
     tensor: CurvatureTensor,
     restarts: int | None = None,
     seed: int = 0,
-    grad_tol: float = GRAD_TOL,
     max_iter: int = MAX_ITER,
 ) -> PinchReport:
     """Multistart extremes of the sectional curvature over 2-planes."""
@@ -339,7 +339,6 @@ def pinch(
         _inits(2 * dim, seed, restarts),
         lambda x: _pair_objective(m2, x),
         _orthonormalize_pairs,
-        grad_tol,
         max_iter,
     )
     u_min, v_min = x_min[:dim], x_min[dim:]
@@ -371,7 +370,6 @@ def hol_extremes(
     tensor: CurvatureTensor,
     restarts: int | None = None,
     seed: int = 0,
-    grad_tol: float = GRAD_TOL,
     max_iter: int = MAX_ITER,
 ) -> HolReport:
     """Multistart extremes of the holomorphic sectional curvature over the unit sphere."""
@@ -386,7 +384,6 @@ def hol_extremes(
         _inits(dim, seed, restarts, 7),
         lambda u: _hol_objective(m2, lift, u),
         lambda u: u / np.linalg.norm(u, axis=1, keepdims=True),
-        grad_tol,
         max_iter,
     )
     converged = _stable(min_vals, False) and _stable(max_vals, True)

@@ -15,6 +15,7 @@ from kahlerpinch import (
     chern_product,
     chern_ratio,
     curvature_matrix,
+    density_ratio,
     distance,
     enumerate_indices,
     kahler_form,
@@ -264,14 +265,13 @@ def test_ratio_scale_invariance(space2):
     frame_seed=st.integers(0, 2**32),
 )
 def test_density_ratios_invariant_under_scale_and_frame(n, seed, scale, frame_seed):
-    # gamma_I / gamma_J from the densities themselves, not through
-    # density_ratio, whose degeneracy test compares gamma_J with the model's
-    # density and is therefore not scale-invariant
     space = make_space(n)
     tensor = random_kahler(space, seed=seed)
 
     def ratios(densities):
-        return {(i, j): densities[i] / densities[j] for i in densities for j in densities if i != j}
+        return {
+            (i, j): density_ratio(densities, i, j) for i in densities for j in densities if i != j
+        }
 
     base = ratios(chern_densities(tensor))
     for changed in (
@@ -286,6 +286,30 @@ def test_ratio_of_index_with_itself(space2):
     tensor = random_kahler(space2, seed=106)
     idx = ChernIndex((2, 0))
     assert chern_ratio(tensor, idx, idx) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_degeneracy_test_is_scale_invariant():
+    # gamma_{1,1,0} of this tensor is far below the model's at scale 1e-3; the
+    # ratio is not degenerate at any scale
+    tensor = random_kahler(make_space(3), seed=11)
+    i, j = ChernIndex((3, 0, 0)), ChernIndex((1, 1, 0))
+    base = chern_ratio(tensor, i, j)
+    assert base == pytest.approx(32.3055, rel=1e-5)
+    for scale in (1e-3, 1e-6):
+        assert chern_ratio(tensor.scaled(scale), i, j) == pytest.approx(base, rel=1e-12, abs=0.0)
+        densities = chern_densities(tensor.scaled(scale))
+        assert density_ratio(densities, i, j) == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_degenerate_denominator_is_relative_to_the_table():
+    table = {ChernIndex((2, 0)): 1.0, ChernIndex((0, 1)): 1e-13}
+    with pytest.raises(DegenerateDenominatorError):
+        density_ratio(table, ChernIndex((2, 0)), ChernIndex((0, 1)))
+    tiny = {index: gamma * 1e-200 for index, gamma in table.items()}
+    with pytest.raises(DegenerateDenominatorError):
+        density_ratio(tiny, ChernIndex((2, 0)), ChernIndex((0, 1)))
+    table[ChernIndex((0, 1))] = 1e-11
+    assert density_ratio(table, ChernIndex((2, 0)), ChernIndex((0, 1))) == pytest.approx(1e11)
 
 
 def test_degenerate_denominator_raises(space2):

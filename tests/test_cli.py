@@ -213,6 +213,45 @@ def test_chern_degenerate_denominator_is_check_failure(tmp_path):
     assert result.returncode == 1
 
 
+def _bianchi_defect_file(path, tol):
+    # the model tensor plus 1e-7 omega (x) omega: a Bianchi residual of 1e-7,
+    # every other symmetry exact, and real Chern forms
+    from kahlerpinch import CurvatureTensor, complex_hyperbolic_tensor, make_space, write_tensor
+
+    import numpy as np
+
+    space = make_space(2)
+    j = space.j_matrix
+    entries = complex_hyperbolic_tensor(space).entries + 1e-7 * np.einsum("ij,kl->ijkl", j, j)
+    write_tensor(path, CurvatureTensor(space, entries), tol)
+    return path
+
+
+def _strict_json(data: bytes):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(data, parse_constant=reject)
+
+
+def test_tensor_commands_certify_at_the_file_tolerance(tmp_path):
+    loose = _bianchi_defect_file(tmp_path / "loose.json", 1e-6)
+    assert run_cli("validate", str(loose)).returncode == 0
+    assert run_cli("pinch", str(loose), "--seed", "1", "--restarts", "8").returncode == 0
+    for args in (["--all"], ["--ratio", "2,0:0,1"]):
+        result = run_cli("chern", str(loose), *args)
+        assert result.returncode == 0, result.stderr.decode()
+        payload = _strict_json(result.stdout)
+        assert payload["ratios"]["2,0:0,1"] == pytest.approx(3.0, rel=1e-5)
+    strict = _bianchi_defect_file(tmp_path / "strict.json", 1e-9)
+    assert run_cli("validate", str(strict)).returncode == 1
+    for args in (["--all"], ["--ratio", "2,0:0,1"]):
+        result = run_cli("chern", str(strict), *args)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_identities_rejects_bad_samples():
     result = run_cli("identities", "--n", "2", "--samples", "0", "--seed", "5")
     assert result.returncode == 2

@@ -13,8 +13,8 @@ from kahlerpinch import (
     check_kahler,
     complex_hyperbolic_tensor,
     distance,
-    fit_second_polarization_coefficient,
     holomorphic_sectional,
+    identity_suite,
     identity_one_residual,
     make_space,
     polarization_residuals,
@@ -29,6 +29,7 @@ from kahlerpinch import (
     tensor_from_text,
     tensor_to_text,
 )
+from kahlerpinch.curvature import _direct_triple, _holomorphic_sides, _polarization_system
 from kahlerpinch.errors import (
     DegeneratePlaneError,
     PreconditionError,
@@ -373,8 +374,9 @@ def test_reconstruction_roundtrip_random():
 
 
 def test_reconstruction_calls_oracle_once_per_pair():
-    # d^2 vectors e_i + e_k (i <= k), e_i - e_k (i < k): one call per unordered pair
-    for n, expected_calls in ((1, 10), (2, 136), (3, 666), (4, 2080)):
+    # d^2 vectors e_i + e_k (i <= k), e_i - e_k (i < k): one batched call, one
+    # row per unordered pair
+    for n, expected_pairs in ((1, 10), (2, 136), (3, 666), (4, 2080)):
         space = make_space(n)
         tensor = random_kahler(space, seed=5)
         runs = []
@@ -382,15 +384,18 @@ def test_reconstruction_calls_oracle_once_per_pair():
             calls = []
 
             def oracle(a, b):
-                calls.append((tuple(a), tuple(b)))
+                calls.append((np.array(a), np.array(b)))
                 return tensor.biquadratic(a, b)
 
             rebuilt = reconstruct_from_sectional(oracle, space)
             assert distance(rebuilt, tensor) < 1e-10
-            runs.append(calls)
+            assert len(calls) == 1
+            runs.append(calls[0])
+        (a, b), (a_again, b_again) = runs
         d2 = space.dim**2
-        assert len(runs[0]) <= d2 * (d2 + 1) // 2 == expected_calls
-        assert runs[0] == runs[1]
+        assert a.shape == b.shape == (len(a), space.dim)
+        assert len(a) <= d2 * (d2 + 1) // 2 == expected_pairs
+        assert np.array_equal(a, a_again) and np.array_equal(b, b_again)
 
 
 def test_reconstruction_zero_oracle(space2):
@@ -450,9 +455,94 @@ def test_printed_variant_residual_on_model(r0_n2, space2):
     assert res["second"] < 1e-12
 
 
-def test_fitted_second_coefficient_is_minus_eight(space2):
-    fitted = fit_second_polarization_coefficient(space2, seed=41, samples=100)
+def test_fitted_second_coefficient_is_minus_eight():
+    fitted = identity_suite(2, 100, 41)["fitted_second_coefficient"]
     assert fitted == pytest.approx(-8.0, abs=1e-6)
+
+
+# the per-sample identity functions before they took batch axes, kept as the
+# oracle of the batched ones
+
+
+def _loop_direct_triple(tensor, u, v):
+    ju, jv = tensor.space.j(u), tensor.space.j(v)
+    k_uv, k_ujv, r = tensor.evaluate([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
+    return float(k_uv), float(k_ujv), float(r)
+
+
+def _loop_holomorphic_sides(tensor, u, v, a, b):
+    jmat = tensor.space.j_matrix
+    jv = jmat @ v
+    w = np.stack([u, v, a * u + b * v, a * u - b * v, a * u + b * jv, a * u - b * jv])
+    h = tensor.biquadratic(w, w @ jmat.T)
+    base = 2 * a**4 * h[0] + 2 * b**4 * h[1]
+    return float(h[2] + h[3] - base), float(h[4] + h[5] - base)
+
+
+def _loop_solve(tensor, u, v):
+    a = b = 1.0 / math.sqrt(2.0)
+    rhs = np.array([*_loop_holomorphic_sides(tensor, u, v, a, b), 0.0])
+    return tuple(float(x) for x in np.linalg.solve(_polarization_system(a, b), rhs))
+
+
+def _loop_polarization(tensor, u, v, a, b):
+    first, second = _loop_holomorphic_sides(tensor, u, v, a, b)
+    k_uv, k_ujv, r = _loop_direct_triple(tensor, u, v)
+    ab2 = a * a * b * b
+    first -= 12 * ab2 * r
+    second -= 12 * ab2 * r
+    return {
+        "first": abs(first + 8.0 * ab2 * k_uv),
+        "second": abs(second + 8.0 * ab2 * k_ujv),
+        "second_printed": abs(second + 1.0 * ab2 * k_ujv),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_identities_match_per_sample_loop(n):
+    space = make_space(n)
+    samples = 12
+    pairs = [random_orthonormal_pair(space, 300 + s, constraint="v_perp_ju") for s in range(samples)]
+    u, v = (np.array(x) for x in zip(*pairs))
+    theta = seeded_rng(n, 5).uniform(0.1, math.pi / 2 - 0.1, samples)
+    a, b = np.cos(theta), np.sin(theta)
+    tol = 1e-14
+    for tensor in (complex_hyperbolic_tensor(space), random_kahler(space, seed=8), random_kahler(space, seed=9)):
+        batched = {
+            "identity_one": np.array([identity_one_residual(tensor, u, v)]),
+            "direct": np.array(_direct_triple(tensor, u, v)),
+            "sides": np.array(_holomorphic_sides(tensor, u, v, a, b)),
+            "solve": np.array(solve_sectional_from_H(tensor, u, v)),
+        }
+        for key, value in polarization_residuals(tensor, u, v, a, b).items():
+            batched[key] = np.array([value])
+        for key, value in polarization_residuals(tensor, u, v, 1 / math.sqrt(2), 1 / math.sqrt(2)).items():
+            batched[key + "_diagonal"] = np.array([value])
+        for s in range(samples):
+            direct = _loop_direct_triple(tensor, u[s], v[s])
+            looped = {
+                "identity_one": [direct[0] + direct[1] - direct[2]],
+                "direct": direct,
+                "sides": _loop_holomorphic_sides(tensor, u[s], v[s], a[s], b[s]),
+                "solve": _loop_solve(tensor, u[s], v[s]),
+            }
+            for key, value in _loop_polarization(tensor, u[s], v[s], a[s], b[s]).items():
+                looped[key] = [value]
+            diagonal = _loop_polarization(tensor, u[s], v[s], 1 / math.sqrt(2), 1 / math.sqrt(2))
+            for key, value in diagonal.items():
+                looped[key + "_diagonal"] = [value]
+            assert looped.keys() == batched.keys()
+            for key, value in looped.items():
+                assert np.max(np.abs(batched[key][:, s] - value)) <= tol, (key, s)
+            # 1-D arguments still give floats, one per value
+            scalar = [
+                identity_one_residual(tensor, u[s], v[s]),
+                *_direct_triple(tensor, u[s], v[s]),
+                *_holomorphic_sides(tensor, u[s], v[s], float(a[s]), float(b[s])),
+                *solve_sectional_from_H(tensor, u[s], v[s]),
+                *polarization_residuals(tensor, u[s], v[s], float(a[s]), float(b[s])).values(),
+            ]
+            assert all(type(x) is float for x in scalar)
 
 
 # ---------------------------------------------------------------------------

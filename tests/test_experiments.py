@@ -278,3 +278,103 @@ def test_identity_suite_matches_recorded_values():
                 assert results[key] is value, key
             else:
                 assert results[key] == pytest.approx(value, rel=0.0, abs=1e-12), key
+
+
+def _per_sample_suite(n, samples, seed):
+    # the suite's sample loop before it was batched: one call per identity and
+    # sample, theta drawn one sample at a time, the fit over the same samples
+    import math
+
+    from kahlerpinch import (
+        identity_one_residual,
+        make_space,
+        polarization_residuals,
+        random_kahler,
+        random_orthonormal_pair,
+        seeded_rng,
+        solve_sectional_from_H,
+    )
+    from kahlerpinch.curvature import _direct_triple, _holomorphic_sides
+    from kahlerpinch.experiments import _sample_seed
+
+    space = make_space(n)
+    rng = seeded_rng(seed, 23)
+    n_tensors = max(1, min(10, samples // 10))
+    tensors = [random_kahler(space, _sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    out = dict.fromkeys(
+        ["identity_one", "solve_vs_direct", "polarization_first", "polarization_second",
+         "polarization_second_printed"],
+        0.0,
+    )
+    num = den = 0.0
+    for s in range(samples):
+        tensor = tensors[s % n_tensors]
+        u, v = random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
+        out["identity_one"] = max(out["identity_one"], abs(identity_one_residual(tensor, u, v)))
+        solved = solve_sectional_from_H(tensor, u, v)
+        direct = _direct_triple(tensor, u, v)
+        out["solve_vs_direct"] = max(
+            out["solve_vs_direct"], max(abs(x - y) for x, y in zip(solved, direct))
+        )
+        theta = rng.uniform(0.1, np.pi / 2 - 0.1)
+        for a, b in ((1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)), (np.cos(theta), np.sin(theta))):
+            pol = polarization_residuals(tensor, u, v, a, b)
+            out["polarization_first"] = max(out["polarization_first"], pol["first"])
+            out["polarization_second"] = max(out["polarization_second"], pol["second"])
+            out["polarization_second_printed"] = max(
+                out["polarization_second_printed"], pol["second_printed"]
+            )
+        ab2 = a * a * b * b
+        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * direct[2]
+        num += target * ab2 * direct[1]
+        den += (ab2 * direct[1]) ** 2
+    out["fitted_second_coefficient"] = num / den
+    return out
+
+
+@pytest.mark.parametrize("n, samples, seed", [(2, 50, 1), (3, 35, 4), (2, 7, 9)])
+def test_identity_suite_matches_per_sample_loop(n, samples, seed):
+    results = identity_suite(n, samples, seed)
+    for key, value in _per_sample_suite(n, samples, seed).items():
+        tol = 1e-12 if key == "fitted_second_coefficient" else 1e-14
+        assert results[key] == pytest.approx(value, rel=0.0, abs=tol), key
+
+
+def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch):
+    # sample s goes with tensor s % n_tensors and with the s-th theta drawn
+    import math
+
+    from kahlerpinch import experiments, make_space, random_orthonormal_pair, seeded_rng
+
+    calls = []
+    polarization = experiments.polarization_residuals
+
+    def recording(tensor, u, v, a, b):
+        rows = len(u)
+        calls.append((tensor, np.array(u), np.array(v), np.broadcast_to(a, rows), np.broadcast_to(b, rows)))
+        return polarization(tensor, u, v, a, b)
+
+    monkeypatch.setattr(experiments, "polarization_residuals", recording)
+    n, samples, seed = 2, 40, 7
+    experiments.identity_suite(n, samples, seed)
+    seen = {}
+    for tensor, u, v, a, b in calls:
+        for row in range(len(u)):
+            seen.setdefault((tuple(u[row]), tuple(v[row])), []).append((tensor, a[row], b[row]))
+    space = make_space(n)
+    rng = seeded_rng(seed, 23)
+    n_tensors = 4
+    tensors = [experiments.random_kahler(space, experiments._sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    assert len(seen) == samples
+    for s in range(samples):
+        u, v = random_orthonormal_pair(space, experiments._sample_seed(seed, 2, s), constraint="v_perp_ju")
+        theta = rng.uniform(0.1, math.pi / 2 - 0.1)
+        uses = seen[(tuple(u), tuple(v))]
+        assert len(uses) == 2
+        for tensor, _, _ in uses:
+            assert np.array_equal(tensor.entries, tensors[s % n_tensors].entries)
+        # once at a = b = 1/sqrt(2), once at (cos theta, sin theta)
+        (diagonal,) = [(a, b) for _, a, b in uses if a == b]
+        (rotated,) = [(a, b) for _, a, b in uses if a != b]
+        assert diagonal == (1 / math.sqrt(2), 1 / math.sqrt(2))
+        assert rotated == pytest.approx((math.cos(theta), math.sin(theta)), rel=1e-15)
