@@ -154,6 +154,8 @@ class TwoPlane:
     def __init__(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise DegeneratePlaneError("spanning vectors must be finite")
         gram = float(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2)
         scale = max(1.0, float(np.dot(u, u) * np.dot(v, v)))
         if gram <= 1e-12 * scale:
@@ -331,7 +333,14 @@ def holomorphic_sectional(tensor: CurvatureTensor, u) -> float:
     return tensor.biquadratic(u, tensor.space.j(u)) / nu2**2
 
 
+def _require_finite_pair(u, v) -> None:
+    # NaN fails every comparison, so the later tolerance tests cannot catch it
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+        raise PreconditionError("u and v must be finite")
+
+
 def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
+    _require_finite_pair(u, v)
     jt = space.j_matrix.T
     vectors = np.stack([u, u @ jt, v, v @ jt], axis=-1)
     gram = np.swapaxes(vectors, -1, -2) @ vectors
@@ -466,6 +475,7 @@ def solve_sectional_from_H(tensor: CurvatureTensor, u, v) -> tuple:
 def polarization_residuals(tensor: CurvatureTensor, u, v, a, b) -> dict:
     """Residuals of both polarization identities at (a, b), plus the printed
     variant of the second identity's last coefficient (informational)."""
+    _require_finite_pair(u, v)
     k_uv, k_ujv, r = _direct_triple(tensor, u, v)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     ab2 = a * a * b * b

@@ -10,7 +10,7 @@ class DegreeError(ValueError):
 
 
 class DegeneratePlaneError(ValueError):
-    """Spanning vectors are (numerically) linearly dependent, or a vector is zero."""
+    """Spanning vectors are (numerically) linearly dependent, zero, or not finite."""
 
 
 class SpaceMismatchError(ValueError):

@@ -33,7 +33,14 @@ from .curvature import (
     _polarization_system,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
-from .pinching import berger_bound_check, default_restarts, hol_extremes, normalize_quarter, pinch
+from .pinching import (
+    _hol_batch,
+    _pinch_batch,
+    berger_bound_check,
+    default_restarts,
+    normalize_quarter,
+    pinch,
+)
 from .space import HermitianSpace, make_space, random_orthonormal_pair, seeded_rng
 
 __all__ = [
@@ -51,6 +58,9 @@ __all__ = [
 ]
 
 MAX_EXCLUDED_FRACTION = 0.05
+# sweeps and certification runs take their samples this many at a time: the
+# optimizer runs of a chunk share batches, and memory holds one chunk's tensors
+SAMPLES_PER_CHUNK = 64
 # restarts of the identity suite's pinch of the model tensor
 IDENTITY_SUITE_RESTARTS = 32
 
@@ -122,32 +132,39 @@ def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
     }
 
 
-def _record_for_sample(
+def _sweep_records(
     space: HermitianSpace,
     model: CurvatureTensor,
-    t: float,
-    sample_seed: int,
+    grid: list[tuple[float, int]],
     restarts: int,
-) -> SweepRecord:
-    tensor = perturb(space, t, sample_seed)
-    report = pinch(tensor, restarts=restarts, seed=sample_seed)
-    normalization = normalize_quarter(tensor, report)
-    normalized = normalization.tensor
-    hol = hol_extremes(normalized, restarts=restarts, seed=sample_seed)
-    h_dev = max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0))
-    ratio_devs = _ratio_deviations(normalized)
-    return SweepRecord(
-        n=space.n,
-        t=float(t),
-        seed=sample_seed,
-        delta=normalization.delta,
-        frobenius_dist=distance(normalized, model),
-        h_dev=h_dev,
-        ratio_devs=ratio_devs,
-        ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
-        converged=report.converged and hol.converged,
-        anomaly=normalization.anomaly,
-    )
+) -> list[SweepRecord]:
+    """The records of (t, sample seed) pairs: pinch every perturbed tensor, then
+    find the holomorphic extremes of every normalized one, each phase in shared
+    optimizer batches."""
+    seeds = [sample_seed for _, sample_seed in grid]
+    tensors = [perturb(space, t, sample_seed) for t, sample_seed in grid]
+    reports = _pinch_batch(tensors, restarts, seeds)
+    normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
+    hols = _hol_batch([q.tensor for q in normalizations], restarts, seeds)
+    records = []
+    for (t, sample_seed), report, normalization, hol in zip(grid, reports, normalizations, hols):
+        normalized = normalization.tensor
+        ratio_devs = _ratio_deviations(normalized)
+        records.append(
+            SweepRecord(
+                n=space.n,
+                t=t,
+                seed=sample_seed,
+                delta=normalization.delta,
+                frobenius_dist=distance(normalized, model),
+                h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
+                ratio_devs=ratio_devs,
+                ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
+                converged=report.converged and hol.converged,
+                anomaly=normalization.anomaly,
+            )
+        )
+    return records
 
 
 def sweep(
@@ -159,7 +176,9 @@ def sweep(
 ) -> list[SweepRecord]:
     """Run the perturbation experiment; flags (and keeps) non-converged records.
 
-    Raises if more than MAX_EXCLUDED_FRACTION of records failed to converge.
+    Records are computed SAMPLES_PER_CHUNK at a time, their optimizer runs
+    sharing batches. Raises if more than MAX_EXCLUDED_FRACTION of records
+    failed to converge.
     """
     if samples_per_t < 1:
         raise PreconditionError("samples_per_t must be >= 1")
@@ -170,11 +189,14 @@ def sweep(
     if restarts is None:
         restarts = default_restarts(n)
     model = complex_hyperbolic_tensor(space)
+    grid = [
+        (t, _sample_seed(seed, t_index, sample))
+        for t_index, t in enumerate(sorted(t_values))
+        for sample in range(samples_per_t)
+    ]
     records = []
-    for t_index, t in enumerate(sorted(t_values)):
-        for sample in range(samples_per_t):
-            sample_seed = _sample_seed(seed, t_index, sample)
-            records.append(_record_for_sample(space, model, t, sample_seed, restarts))
+    for start in range(0, len(grid), SAMPLES_PER_CHUNK):
+        records += _sweep_records(space, model, grid[start : start + SAMPLES_PER_CHUNK], restarts)
     excluded = sum(1 for r in records if not r.converged)
     if excluded > MAX_EXCLUDED_FRACTION * len(records):
         raise RuntimeError(
@@ -303,6 +325,35 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
     )
 
 
+def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts: int):
+    """Each sample's normalization once its defect is below delta, and the retries.
+
+    A sample starts at t = delta / 8 and halves t after each defect at or
+    above delta, for at most 8 rounds (None if it never gets below). Each
+    round pinches every sample still pending in shared optimizer batches.
+    """
+    normalizations = [None] * len(seeds)
+    pending = list(range(len(seeds)))
+    retries = 0
+    t = delta / 8.0
+    for _ in range(8):
+        tensors = [perturb(space, t, seeds[i]) for i in pending]
+        reports = _pinch_batch(tensors, restarts, [seeds[i] for i in pending])
+        retry = []
+        for i, tensor, report in zip(pending, tensors, reports):
+            normalization = normalize_quarter(tensor, report)
+            if normalization.delta < delta:
+                normalizations[i] = normalization
+            else:
+                retries += 1
+                retry.append(i)
+        pending = retry
+        if not pending:
+            break
+        t *= 0.5
+    return normalizations, retries
+
+
 def certify_constants(
     chain: ConstantChain,
     samples: int,
@@ -326,24 +377,19 @@ def certify_constants(
     max_ratio_dev = 0.0
     max_defect = -float("inf")
     retries = 0
-    for sample in range(samples):
-        sample_seed = _sample_seed(seed, 0, sample)
-        t = chain.delta / 8.0
-        for _ in range(8):
-            tensor = perturb(space, t, sample_seed)
-            report = pinch(tensor, restarts=restarts, seed=sample_seed)
-            normalization = normalize_quarter(tensor, report)
-            if normalization.delta < chain.delta:
-                break
-            retries += 1
-            t *= 0.5
-        else:
-            raise RuntimeError(f"sample {sample} never certified below delta={chain.delta:g}")
-        max_defect = max(max_defect, normalization.delta)
-        for dev in _ratio_deviations(normalization.tensor).values():
-            max_ratio_dev = max(max_ratio_dev, dev)
-            if dev >= chain.epsilon:
-                violations += 1
+    for start in range(0, samples, SAMPLES_PER_CHUNK):
+        chunk = range(start, min(start + SAMPLES_PER_CHUNK, samples))
+        seeds = [_sample_seed(seed, 0, sample) for sample in chunk]
+        normalizations, chunk_retries = _below_delta(space, chain.delta, seeds, restarts)
+        retries += chunk_retries
+        for sample, normalization in zip(chunk, normalizations):
+            if normalization is None:
+                raise RuntimeError(f"sample {sample} never certified below delta={chain.delta:g}")
+            max_defect = max(max_defect, normalization.delta)
+            for dev in _ratio_deviations(normalization.tensor).values():
+                max_ratio_dev = max(max_ratio_dev, dev)
+                if dev >= chain.epsilon:
+                    violations += 1
     return CertificationReport(
         samples=samples,
         violations=violations,

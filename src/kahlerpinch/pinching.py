@@ -9,7 +9,11 @@ curvature H(u) = K(u, Ju) is the same pair objective pulled back along the
 linear lift u -> (u, Ju), on rows retracted to the unit sphere. Restarts use
 derived seeds (seed, restart index), so results are independent of how many
 restarts run up to last-bit rounding (BLAS switches GEMM kernels with the
-batch size: at n = 3 from 1024 rows, at n = 5 from 512). The extremes are
+batch size: at n = 3 from 1024 rows, at n = 5 from 512). The restarts of
+several tensors can share one batch, up to BATCH_ROWS rows, so that their
+iteration tails overlap; each tensor's rows form one block with its own GEMM,
+so the rounding stays per tensor block and every tensor's report is
+bit-identical to a one-tensor run. The extremes are
 the best values the restarts reach, not proven optima; a rigorous eigenvalue
 envelope from the curvature operator on bivectors sandwiches them.
 
@@ -50,6 +54,10 @@ STABILITY_TOL = 1e-8
 # can saturate the value long before the gradient threshold is reachable, and
 # accepted uphill steps can cycle without ever improving on the best)
 STAGNATION_LIMIT = 50
+# rows of one optimizer batch: the restarts of consecutive tensors share a
+# batch while their rows fit (4 tensors at n = 2, 3; an n = 4 tensor's 512 rows
+# run alone), so their iteration tails overlap; the bound keeps peak memory flat
+BATCH_ROWS = 512
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after max_iter iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
@@ -167,18 +175,26 @@ def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
     return np.hstack([u, v / nv[:, None]])
 
 
-def _pair_state(m2: np.ndarray, x: np.ndarray):
+def _pair_state(mats, sizes, x: np.ndarray):
     """Biquadratic values of rows [u | v] and the matrices B_m[i,j] = R(e_i, e_j, u_m, v_m).
 
-    m2 is the tensor's pair matrix; pair-exchange symmetry makes it
-    symmetric, so one GEMM against the outer products u (x) v yields B.
-    numpy hands a one-row product to GEMV, which rounds differently from
-    GEMM, so a single row is evaluated as two: a row's values then do not
-    depend on how many rows share the call.
+    The rows come in consecutive blocks, one per tensor: block k holds
+    sizes[k] rows and mats[k] is its tensor's pair matrix. Pair-exchange
+    symmetry makes each pair matrix symmetric, so one GEMM per block against
+    the outer products u (x) v yields B. numpy hands a one-row product to
+    GEMV, which rounds differently from GEMM, so a lone row is evaluated as
+    two: a row's values then depend only on how many rows share its block.
     """
     d = x.shape[1] // 2
     w = _pair_outer(x[:, :d], x[:, d:])
-    bflat = w @ m2 if len(w) != 1 else (np.repeat(w, 2, axis=0) @ m2)[:1]
+    bflat = np.empty_like(w)
+    stop = 0
+    for m2, size in zip(mats, sizes):
+        start, stop = stop, stop + size
+        if size > 1:
+            np.matmul(w[start:stop], m2, out=bflat[start:stop])
+        elif size == 1:
+            bflat[start] = (np.repeat(w[start:stop], 2, axis=0) @ m2)[0]
     vals = np.einsum("mk,mk->m", bflat, w)
     return vals, bflat
 
@@ -192,9 +208,9 @@ def _pair_gradient(x: np.ndarray, vals: np.ndarray, bflat: np.ndarray) -> np.nda
     return 2.0 * (np.hstack([bv, btu]) - vals[:, None] * x)
 
 
-def _pair_objective(m2: np.ndarray, x: np.ndarray):
-    """Values and gradients of the pair objective at orthonormal rows [u | v]."""
-    vals, bflat = _pair_state(m2, x)
+def _pair_objective(mats, sizes, x: np.ndarray):
+    """Values and gradients of the pair objective at orthonormal rows [u | v], by tensor block."""
+    vals, bflat = _pair_state(mats, sizes, x)
     return vals, _pair_gradient(x, vals, bflat)
 
 
@@ -203,25 +219,30 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return np.array([seeded_rng(seed, r, *stream).standard_normal(width) for r in range(restarts)])
 
 
-def _optimize(x, signs, objective, retract, grad_tol, max_iter):
+def _optimize(x, signs, owners, objective, retract, grad_tol, max_iter):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
     iteration with Barzilai-Borwein steps (halved on steps that regress
     badly) and retraction onto the constraint set after every step.
-    objective(x) returns the row values and gradients. Each row evolves
-    independently (up to the rounding of the objective's GEMM, see the module
-    docstring). A row leaves the batch for good at the first EXIT_REASONS
-    test it fails, so an iteration steps, retracts and evaluates only the
-    rows still live. A row's gradient is evaluated once per accepted point:
-    a rejected step leaves the row where it was. The rows of x serve as
-    work space; reasons index EXIT_REASONS.
+    owners[m] is the block (tensor) of row m, non-decreasing, so each block's
+    rows are consecutive; objective(x, sizes) returns the row values and
+    gradients, sizes[k] being the number of rows of block k in x. Each row
+    evolves independently (up to the rounding of the objective's per-block
+    GEMM, see the module docstring). A row leaves the batch for good at the
+    first EXIT_REASONS test it fails, so an iteration steps, retracts and
+    evaluates only the rows still live; compaction keeps the row order, and
+    with it the blocks. A row's gradient is evaluated once per accepted
+    point: a rejected step leaves the row where it was. The rows of x serve
+    as work space; reasons index EXIT_REASONS.
     """
     rows = len(x)
+    blocks = int(owners[-1]) + 1
     out_vals, out_x = np.empty(rows), np.empty_like(x)
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
     live = np.arange(rows)
-    vals, g = objective(x)
+    sizes = np.bincount(owners, minlength=blocks).tolist()
+    vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()
     step = np.full(rows, 0.05)
     have_prev = np.zeros(rows, dtype=bool)
@@ -251,12 +272,13 @@ def _optimize(x, signs, objective, retract, grad_tol, max_iter):
             out_x[gone] = np.where(better[:, None], best_x[done], x[done])
             if not go.any():
                 break
-            live, signs, x, g, gsq, vals, best_vals, best_x = (
-                a[go] for a in (live, signs, x, g, gsq, vals, best_vals, best_x)
+            live, signs, owners, x, g, gsq, vals, best_vals, best_x = (
+                a[go] for a in (live, signs, owners, x, g, gsq, vals, best_vals, best_x)
             )
             step, have_prev, prev_x, prev_g, stagnant = (
                 a[go] for a in (step, have_prev, prev_x, prev_g, stagnant)
             )
+            sizes = np.bincount(owners, minlength=blocks).tolist()
         s = x - prev_x
         ss = np.einsum("mi,mi->m", s, s)
         sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
@@ -267,7 +289,7 @@ def _optimize(x, signs, objective, retract, grad_tol, max_iter):
         # cap the displacement, not the step: flat valleys need huge steps
         step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
         xc = retract(x + (signs * step)[:, None] * g)
-        cand_vals, cand_g = objective(xc)
+        cand_vals, cand_g = objective(xc, sizes)
         gain = signs * (cand_vals - vals)
         accept = gain > -0.1 * (1.0 + np.abs(vals))
         improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
@@ -284,19 +306,49 @@ def _optimize(x, signs, objective, retract, grad_tol, max_iter):
     return out_vals, out_x, iterations, reasons
 
 
-def _min_max(x0, objective, retract, max_iter):
-    """Descend and ascend from every retracted row of x0 in one batch.
+def _min_max(x0s, objective, retract, max_iter):
+    """Descend and ascend from every retracted row of each x0 in x0s, all in one batch.
 
-    Returns the per-restart minima and maxima, the minimizing and maximizing
-    points (ties go to the lowest restart) and the batch's diagnostics.
+    Block k holds the rows of x0s[k] twice, descending then ascending; the
+    blocks are the tensors of objective(x, sizes). Returns, per block, the
+    per-restart minima and maxima, the minimizing and maximizing points (ties
+    go to the lowest restart) and the block's diagnostics.
     """
-    rows = len(x0)
-    signs = np.repeat([-1.0, 1.0], rows)
-    x = retract(np.vstack([x0, x0]))
-    vals, x, iterations, reasons = _optimize(x, signs, objective, retract, GRAD_TOL, max_iter)
-    min_vals, max_vals = vals[:rows], vals[rows:]
-    x_min, x_max = x[np.argmin(min_vals)].copy(), x[rows + np.argmax(max_vals)].copy()
-    return min_vals, max_vals, x_min, x_max, OptimizerDiagnostics.of(iterations, reasons)
+    rows = len(x0s[0])
+    signs = np.tile(np.repeat([-1.0, 1.0], rows), len(x0s))
+    owners = np.repeat(np.arange(len(x0s)), 2 * rows)
+    x = retract(np.vstack([x0 for x0 in x0s for _ in range(2)]))
+    vals, x, iterations, reasons = _optimize(
+        x, signs, owners, objective, retract, GRAD_TOL, max_iter
+    )
+    out = []
+    for start in range(0, len(x), 2 * rows):
+        mid, stop = start + rows, start + 2 * rows
+        min_vals, max_vals = vals[start:mid], vals[mid:stop]
+        x_min, x_max = x[start + np.argmin(min_vals)].copy(), x[mid + np.argmax(max_vals)].copy()
+        diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
+        out.append((min_vals, max_vals, x_min, x_max, diagnostics))
+    return out
+
+
+def _batched_min_max(tensors, seeds, restarts, inits, objective, retract, max_iter):
+    """_min_max of every tensor, run over consecutive batches of at most BATCH_ROWS rows.
+
+    inits(seed) gives a tensor's restarts start rows; objective(mats, sizes, x)
+    evaluates rows by tensor block. A batch holds at least one tensor,
+    however many rows it needs. Returns one _min_max result per tensor.
+    """
+    per_batch = max(1, BATCH_ROWS // (2 * restarts))
+    results = []
+    for start in range(0, len(tensors), per_batch):
+        mats = [tensor.matrix for tensor in tensors[start : start + per_batch]]
+        results += _min_max(
+            [inits(seed) for seed in seeds[start : start + per_batch]],
+            lambda x, sizes: objective(mats, sizes, x),
+            retract,
+            max_iter,
+        )
+    return results
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:
@@ -315,10 +367,11 @@ def _refined_plane_value(entries: np.ndarray, u: np.ndarray, v: np.ndarray) -> f
     return float(num / gram)
 
 
-def _checked_restarts(tensor: CurvatureTensor, restarts: int | None) -> int:
-    require_certified(tensor)
+def _checked_restarts(tensors, restarts: int | None) -> int:
+    for tensor in tensors:
+        require_certified(tensor)
     if restarts is None:
-        return default_restarts(tensor.space.n)
+        return default_restarts(tensors[0].space.n)
     if restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     return restarts
@@ -331,16 +384,30 @@ def pinch(
     max_iter: int = MAX_ITER,
 ) -> PinchReport:
     """Multistart extremes of the sectional curvature over 2-planes."""
-    restarts = _checked_restarts(tensor, restarts)
-    dim = tensor.space.dim
-    lo, hi = curvature_operator_envelope(tensor)
-    m2 = tensor.matrix
-    min_vals, max_vals, x_min, x_max, diagnostics = _min_max(
-        _inits(2 * dim, seed, restarts),
-        lambda x: _pair_objective(m2, x),
+    return _pinch_batch([tensor], restarts, [seed], max_iter)[0]
+
+
+def _pinch_batch(tensors, restarts, seeds, max_iter=MAX_ITER) -> list[PinchReport]:
+    """pinch of each tensor (all over one space) with its own seed, in shared batches."""
+    if not tensors:
+        return []
+    restarts = _checked_restarts(tensors, restarts)
+    dim = tensors[0].space.dim
+    results = _batched_min_max(
+        tensors,
+        seeds,
+        restarts,
+        lambda seed: _inits(2 * dim, seed, restarts),
+        _pair_objective,
         _orthonormalize_pairs,
         max_iter,
     )
+    return [_pinch_report(tensor, restarts, *result) for tensor, result in zip(tensors, results)]
+
+
+def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics):
+    dim = tensor.space.dim
+    lo, hi = curvature_operator_envelope(tensor)
     u_min, v_min = x_min[:dim], x_min[dim:]
     u_max, v_max = x_max[:dim], x_max[dim:]
     k_min = _refined_plane_value(tensor.entries, u_min, v_min)
@@ -360,9 +427,9 @@ def pinch(
     )
 
 
-def _hol_objective(m2: np.ndarray, lift: np.ndarray, u: np.ndarray):
+def _hol_objective(mats, sizes, lift: np.ndarray, u: np.ndarray):
     """Values and gradients of H at unit rows u, through the pair objective at u @ lift."""
-    vals, grad = _pair_objective(m2, u @ lift)
+    vals, grad = _pair_objective(mats, sizes, u @ lift)
     return vals, grad @ lift.T
 
 
@@ -373,27 +440,40 @@ def hol_extremes(
     max_iter: int = MAX_ITER,
 ) -> HolReport:
     """Multistart extremes of the holomorphic sectional curvature over the unit sphere."""
-    restarts = _checked_restarts(tensor, restarts)
-    dim = tensor.space.dim
-    jmat = tensor.space.j_matrix
-    m2 = tensor.matrix
+    return _hol_batch([tensor], restarts, [seed], max_iter)[0]
+
+
+def _hol_batch(tensors, restarts, seeds, max_iter=MAX_ITER) -> list[HolReport]:
+    """hol_extremes of each tensor (all over one space) with its own seed, in shared batches."""
+    if not tensors:
+        return []
+    restarts = _checked_restarts(tensors, restarts)
+    dim = tensors[0].space.dim
     # H(u) = K(u, Ju) at unit u is the pair objective pulled back along the
-    # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T
-    lift = np.hstack([np.eye(dim), jmat.T])
-    min_vals, max_vals, u_min, u_max, diagnostics = _min_max(
-        _inits(dim, seed, restarts, 7),
-        lambda u: _hol_objective(m2, lift, u),
+    # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T;
+    # L's entries are 0 and +-1, so both products are exact at any row count
+    lift = np.hstack([np.eye(dim), tensors[0].space.j_matrix.T])
+    results = _batched_min_max(
+        tensors,
+        seeds,
+        restarts,
+        lambda seed: _inits(dim, seed, restarts, 7),
+        lambda mats, sizes, u: _hol_objective(mats, sizes, lift, u),
         lambda u: u / np.linalg.norm(u, axis=1, keepdims=True),
         max_iter,
     )
-    converged = _stable(min_vals, False) and _stable(max_vals, True)
+    return [_hol_report(tensor, restarts, *result) for tensor, result in zip(tensors, results)]
+
+
+def _hol_report(tensor, restarts, min_vals, max_vals, u_min, u_max, diagnostics):
+    jmat = tensor.space.j_matrix
     return HolReport(
         h_min=_refined_plane_value(tensor.entries, u_min, jmat @ u_min),
         h_max=_refined_plane_value(tensor.entries, u_max, jmat @ u_max),
         argmin_u=u_min,
         argmax_u=u_max,
         restarts=restarts,
-        converged=converged,
+        converged=_stable(min_vals, False) and _stable(max_vals, True),
         diagnostics=diagnostics,
     )
 

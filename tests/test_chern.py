@@ -14,6 +14,7 @@ from kahlerpinch import (
     chern_forms,
     chern_product,
     chern_ratio,
+    complex_hyperbolic_tensor,
     curvature_matrix,
     density_ratio,
     distance,
@@ -21,6 +22,7 @@ from kahlerpinch import (
     kahler_form,
     make_space,
     power,
+    project_kahler,
     random_kahler,
     random_unitary_frame,
     reference_constants,
@@ -280,6 +282,33 @@ def test_density_ratios_invariant_under_scale_and_frame(n, seed, scale, frame_se
     ):
         for key, value in ratios(changed).items():
             assert value == pytest.approx(base[key], rel=1e-10, abs=0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 3), seed=st.integers(0, 2**32))
+def test_ratios_are_stationary_at_the_model(n, seed):
+    # the first variation of every ratio vanishes at R0 (its only U(n)-invariant
+    # linear form is the scalar-curvature trace, along which ratios are constant):
+    # halving t shrinks the centred difference 8x (odd part, t^3) and the
+    # one-sided deviation 4x (t^2)
+    space = make_space(n)
+    model = complex_hyperbolic_tensor(space)
+    direction = random_kahler(space, seed=seed)
+    reference = reference_constants(n)
+    keys = [(i, j) for i in reference for j in reference if i != j]
+
+    def ratios(t):
+        densities = chern_densities(project_kahler(model.entries + t * direction.entries, space))
+        return np.array([density_ratio(densities, i, j) for i, j in keys])
+
+    at_model = np.array([density_ratio(reference, i, j) for i, j in keys])
+    centred, one_sided = [], []
+    for t in (0.02, 0.01):
+        plus, minus = ratios(t), ratios(-t)
+        centred.append(np.max(np.abs(plus - minus)))
+        one_sided.append(np.max(np.abs(plus - at_model)))
+    assert np.log2(centred[0] / centred[1]) == pytest.approx(3.0, abs=0.1)
+    assert np.log2(one_sided[0] / one_sided[1]) == pytest.approx(2.0, abs=0.1)
 
 
 def test_ratio_of_index_with_itself(space2):

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, cwd=None):
@@ -422,3 +424,130 @@ def test_reproducibility_byte_identical(model_file, tmp_path):
     second = run_cli("sweep", "--config", str(config), "--out", str(out))
     assert first.stdout == second.stdout
     assert out.read_bytes() == csv_first
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: malformed inputs end with a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+DOCUMENTED_EXIT_CODES = {0, 1, 2, 3}
+
+# no positive integers: as a sample or restart count they are valid, and a
+# large one is a long run, not a malformed input
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+# a valid base config, small enough to run in well under a second, with up to
+# two fields corrupted (bad type, out-of-range value, or missing)
+_valid_sweep_fields = {
+    "n": st.sampled_from([1, 2, 3]),
+    "t_values": st.lists(st.floats(0.0, 0.2), min_size=1, max_size=3),
+    "samples_per_t": st.sampled_from([1, 2]),
+    "seed": st.integers(-(2**70), 2**70),
+    "restarts": st.sampled_from([1, 3, 8]),
+}
+_bad_sweep_fields = {
+    "n": st.one_of(st.sampled_from([-1, 0, 5, 9]), st.integers(5, 2**70)),
+    "t_values": st.lists(
+        st.one_of(st.sampled_from([-1e-3, 1e3, 1e300, 1e308, 2**70]), _junk), min_size=1, max_size=3
+    ),
+    "samples_per_t": st.sampled_from([-1, 0]),
+    "seed": _junk,
+    "restarts": st.sampled_from([-2, 0]),
+}
+
+
+@st.composite
+def _sweep_config_text(draw):
+    kind = draw(st.sampled_from(["config", "config", "config", "other json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "other json":
+        return json.dumps(draw(_junk))
+    config = {field: draw(strategy) for field, strategy in _valid_sweep_fields.items()}
+    for field in draw(st.lists(st.sampled_from(sorted(config)), max_size=2, unique=True)):
+        how = draw(st.sampled_from(["junk", "out of range", "missing"]))
+        if how == "missing":
+            del config[field]
+        else:
+            config[field] = draw(_junk if how == "junk" else _bad_sweep_fields[field])
+    return json.dumps(config)
+
+
+def _model_text(n: int) -> str:
+    from kahlerpinch import complex_hyperbolic_tensor, make_space, tensor_to_text
+
+    return tensor_to_text(complex_hyperbolic_tensor(make_space(n)))
+
+
+@st.composite
+def _tensor_file_text(draw):
+    obj = json.loads(_model_text(draw(st.sampled_from([1, 2]))))
+    kind = draw(st.sampled_from(["field", "entry", "drop", "truncate"]))
+    if kind == "field":
+        field = draw(st.sampled_from(sorted(obj)))
+        obj[field] = draw(st.one_of(_junk, st.sampled_from([1, 2, 5, 1e-300, 1e300])))
+    elif kind == "entry":
+        index = draw(st.integers(0, len(obj["entries"]) - 1))
+        obj["entries"][index] = draw(st.one_of(_junk, st.floats(-1e300, 1e300)))
+    elif kind == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    text = json.dumps(obj)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _run_in_process(argv):
+    """cli.main's exit code, stdout and stderr under numpy's default error handling."""
+    import contextlib
+    import io
+
+    import numpy as np
+
+    from kahlerpinch import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_outcome(code, out, err):
+    event(f"exit code {code}")
+    assert code in DOCUMENTED_EXIT_CODES
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+    if out:
+        json.loads(out, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_sweep_config_text())
+def test_fuzzed_sweep_configs_exit_cleanly(fuzz_dir, text):
+    config = fuzz_dir / "config.json"
+    config.write_text(text, encoding="utf-8")
+    _check_outcome(*_run_in_process(["sweep", "--config", str(config), "--out", str(fuzz_dir / "o.csv")]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_tensor_file_text(), command=st.sampled_from(["validate", "pinch", "chern"]))
+def test_fuzzed_tensor_files_exit_cleanly(fuzz_dir, text, command):
+    path = fuzz_dir / "tensor.json"
+    path.write_text(text, encoding="utf-8")
+    extra = {"validate": [], "pinch": ["--seed", "1", "--restarts", "4"], "chern": ["--all"]}
+    _check_outcome(*_run_in_process([command, str(path), *extra[command]]))

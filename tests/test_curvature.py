@@ -340,6 +340,43 @@ def test_identity_one_requires_orthonormal_quadruple(r0_n2, space2):
         identity_one_residual(r0_n2, u, v)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_plane_rejected(space2, bad):
+    # NaN fails every comparison, so the Gram test alone would let it through
+    tensor = random_kahler(space2, seed=6)
+    u, v = random_orthonormal_pair(space2, 3)
+    u[0] = bad
+    with pytest.raises(DegeneratePlaneError):
+        sectional(tensor, TwoPlane(u, v))
+    with pytest.raises(DegeneratePlaneError):
+        TwoPlane(v, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tensor, u, v: identity_one_residual(tensor, u, v),
+        lambda tensor, u, v: polarization_residuals(tensor, u, v, 0.6, 0.8),
+        lambda tensor, u, v: solve_sectional_from_H(tensor, u, v),
+    ],
+    ids=["identity_one_residual", "polarization_residuals", "solve_sectional_from_H"],
+)
+def test_identities_reject_non_finite_vectors(space2, entry, bad):
+    tensor = random_kahler(space2, seed=6)
+    u, v = random_orthonormal_pair(space2, 1, constraint="v_perp_ju")
+    for vectors in ((u, v), (v, u)):
+        x, y = vectors[0].copy(), vectors[1]
+        x[0] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            entry(tensor, x, y)
+    # one bad row fails a batched call
+    us, vs = np.stack([u, u]), np.stack([v, v])
+    us[1, 2] = bad
+    with pytest.raises(PreconditionError, match="finite"):
+        entry(tensor, us, vs)
+
+
 def test_identity_one_on_random_kahler_tensors():
     worst = 0.0
     for n in (2, 3):

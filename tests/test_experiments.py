@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+
+import kahlerpinch.experiments
 
 from kahlerpinch import distance
 from kahlerpinch.errors import PreconditionError
@@ -209,6 +214,151 @@ def test_certification_run_small():
     assert report.violations == 0
     assert report.max_defect < chain.delta
     assert report.max_ratio_dev < chain.epsilon
+
+
+# ---------------------------------------------------------------------------
+# shared optimizer batches
+# ---------------------------------------------------------------------------
+
+
+def _canonical(value) -> str:
+    """JSON of a record list or a report; floats print exactly (shortest round-trip repr)."""
+    data = [dataclasses.asdict(v) for v in value] if isinstance(value, list) else dataclasses.asdict(value)
+    return json.dumps(data, sort_keys=True)
+
+
+def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
+    """sweep's records composed from the public one-tensor calls, record by record."""
+    from kahlerpinch import complex_hyperbolic_tensor, hol_extremes, make_space, normalize_quarter, pinch
+    from kahlerpinch.experiments import _ratio_deviations, _sample_seed
+
+    space = make_space(n)
+    model = complex_hyperbolic_tensor(space)
+    records = []
+    for t_index, t in enumerate(sorted(float(t) for t in t_values)):
+        for sample in range(samples_per_t):
+            sample_seed = _sample_seed(seed, t_index, sample)
+            tensor = perturb(space, t, sample_seed)
+            report = pinch(tensor, restarts=restarts, seed=sample_seed)
+            normalization = normalize_quarter(tensor, report)
+            normalized = normalization.tensor
+            hol = hol_extremes(normalized, restarts=restarts, seed=sample_seed)
+            ratio_devs = _ratio_deviations(normalized)
+            records.append(
+                SweepRecord(
+                    n=n,
+                    t=t,
+                    seed=sample_seed,
+                    delta=normalization.delta,
+                    frobenius_dist=distance(normalized, model),
+                    h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
+                    ratio_devs=ratio_devs,
+                    ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
+                    converged=report.converged and hol.converged,
+                    anomaly=normalization.anomaly,
+                )
+            )
+    return records
+
+
+@pytest.mark.parametrize(
+    "n, t_values, samples_per_t, seed, restarts",
+    [
+        (2, [0.1, 0.0, 0.0125, 0.025, 0.05], 3, 5, 64),
+        (3, [0.0, 0.05], 3, 6, 16),
+    ],
+)
+def test_sweep_equals_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts, monkeypatch):
+    expected = _canonical(_sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts))
+    assert _canonical(sweep(n, t_values, samples_per_t, seed, restarts=restarts)) == expected
+    # records in chunks of four samples
+    monkeypatch.setattr(kahlerpinch.experiments, "SAMPLES_PER_CHUNK", 4)
+    assert _canonical(sweep(n, t_values, samples_per_t, seed, restarts=restarts)) == expected
+
+
+def _certify_one_tensor_at_a_time(chain, samples, seed, restarts=None):
+    """certify_constants composed sample by sample, each retrying until its defect is below delta."""
+    from kahlerpinch import make_space, normalize_quarter, pinch
+    from kahlerpinch.experiments import _ratio_deviations, _sample_seed
+
+    space = make_space(chain.n)
+    violations, max_ratio_dev, max_defect, retries = 0, 0.0, -float("inf"), 0
+    for sample in range(samples):
+        sample_seed = _sample_seed(seed, 0, sample)
+        t = chain.delta / 8.0
+        for _ in range(8):
+            tensor = kahlerpinch.experiments.perturb(space, t, sample_seed)
+            report = pinch(tensor, restarts=restarts, seed=sample_seed)
+            normalization = normalize_quarter(tensor, report)
+            if normalization.delta < chain.delta:
+                break
+            retries += 1
+            t *= 0.5
+        max_defect = max(max_defect, normalization.delta)
+        for dev in _ratio_deviations(normalization.tensor).values():
+            max_ratio_dev = max(max_ratio_dev, dev)
+            violations += dev >= chain.epsilon
+    return CertificationReport(samples, violations, max_ratio_dev, max_defect, retries)
+
+
+def test_certify_constants_equals_one_tensor_at_a_time(monkeypatch):
+    # near-model samples always certify on the first round, so two samples get
+    # a 40x larger perturbation: they retry (five times between them) after
+    # the others are done, and each round's batch holds only the pending ones
+    chain = proof_constants(0.1, 2)
+    grown = {_sample_seed_of(5, 1), _sample_seed_of(5, 3)}
+    original = kahlerpinch.experiments.perturb
+
+    def perturb_some_more(space, t, seed):
+        return original(space, 40.0 * t if seed in grown else t, seed)
+
+    monkeypatch.setattr(kahlerpinch.experiments, "perturb", perturb_some_more)
+    expected = _canonical(_certify_one_tensor_at_a_time(chain, 5, 5))
+    report = certify_constants(chain, samples=5, seed=5)
+    assert report.retries == 5
+    assert _canonical(report) == expected
+    # chunks of two samples: three chunks, one of them with both retrying samples
+    monkeypatch.setattr(kahlerpinch.experiments, "SAMPLES_PER_CHUNK", 2)
+    assert _canonical(certify_constants(chain, samples=5, seed=5)) == expected
+
+
+def _sample_seed_of(seed, sample):
+    from kahlerpinch.experiments import _sample_seed
+
+    return _sample_seed(seed, 0, sample)
+
+
+def _record_optimizer_batches(monkeypatch):
+    """Patch _optimize; returns a list that collects (rows, blocks) per call."""
+    from kahlerpinch import pinching
+
+    batches = []
+    optimize = pinching._optimize
+
+    def recording(x, signs, owners, *rest):
+        batches.append((len(x), int(owners[-1]) + 1))
+        return optimize(x, signs, owners, *rest)
+
+    monkeypatch.setattr(pinching, "_optimize", recording)
+    return batches
+
+
+def test_sweep_batches_stay_within_the_row_budget(monkeypatch):
+    from kahlerpinch.pinching import BATCH_ROWS
+
+    batches = _record_optimizer_batches(monkeypatch)
+    # criterion 6's grid and default restarts, 4 samples per t: 20 records
+    sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], samples_per_t=4, seed=20090)
+    per_batch = BATCH_ROWS // 128
+    assert per_batch >= 2
+    assert all(rows <= BATCH_ROWS for rows, _ in batches)
+    # pinch phase, then hol_extremes phase: full batches of 128 rows per tensor
+    assert [blocks for _, blocks in batches] == 2 * ([per_batch] * (20 // per_batch) + [20 % per_batch] * (20 % per_batch > 0))
+    assert all(rows == 128 * blocks for rows, blocks in batches)
+    # an n = 4 tensor's 512 rows fill the budget: one tensor per batch
+    batches.clear()
+    sweep(4, [0.0], samples_per_t=2, seed=1)
+    assert batches == [(512, 1)] * 4
 
 
 # ---------------------------------------------------------------------------

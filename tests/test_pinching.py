@@ -188,12 +188,12 @@ def test_optimizer_rows_stop_when_they_cycle_without_improving(monkeypatch):
     evaluations = []
     optimize = pinching._optimize
 
-    def counting(x, signs, objective, *rest):
-        def counted(y):
+    def counting(x, signs, owners, objective, *rest):
+        def counted(y, sizes):
             evaluations.append(len(y))
-            return objective(y)
+            return objective(y, sizes)
 
-        return optimize(x, signs, counted, *rest)
+        return optimize(x, signs, owners, counted, *rest)
 
     monkeypatch.setattr(pinching, "_optimize", counting)
     seed = 3614301080
@@ -248,11 +248,11 @@ def test_plane_gradient_matches_finite_differences(space2):
         return tensor.biquadratic(x, jmat @ x) / np.dot(x, x) ** 2
 
     def pair_gradient(x):
-        vals, bflat = _pair_state(m2, x)
+        vals, bflat = _pair_state([m2], [len(x)], x)
         return _pair_gradient(x, vals, bflat)
 
     def hol_gradient(x):
-        vals, bflat = _pair_state(m2, x @ lift)
+        vals, bflat = _pair_state([m2], [len(x)], x @ lift)
         return _pair_gradient(x @ lift, vals, bflat) @ lift.T
 
     inputs = (
@@ -344,11 +344,11 @@ def _optimizer_problem(kind, tensor, seed, restarts):
         x0 = pinching._inits(2 * dim, seed, restarts)
         retract = pinching._orthonormalize_pairs
 
-        def fused(x):
-            return pinching._pair_objective(m2, x)
+        def fused(x, sizes):
+            return pinching._pair_objective([m2], sizes, x)
 
         def split(x):
-            return pinching._pair_state(m2, x)
+            return pinching._pair_state([m2], [len(x)], x)
 
         gradient = pinching._pair_gradient
     else:
@@ -358,11 +358,11 @@ def _optimizer_problem(kind, tensor, seed, restarts):
         def retract(u):
             return u / np.linalg.norm(u, axis=1, keepdims=True)
 
-        def fused(u):
-            return pinching._hol_objective(m2, lift, u)
+        def fused(u, sizes):
+            return pinching._hol_objective([m2], sizes, lift, u)
 
         def split(u):
-            return pinching._pair_state(m2, u @ lift)
+            return pinching._pair_state([m2], [len(u)], u @ lift)
 
         def gradient(u, vals, bflat):
             return pinching._pair_gradient(u @ lift, vals, bflat) @ lift.T
@@ -378,7 +378,8 @@ def _run_both_loops(kind, tensor, seed, restarts, max_iter):
     x, signs, retract, fused, split, gradient = _optimizer_problem(kind, tensor, seed, restarts)
     rejected = [0]
     dense = _dense_optimize(x.copy(), signs, split, gradient, retract, GRAD_TOL, max_iter, rejected)
-    live = _optimize(x.copy(), signs, fused, retract, GRAD_TOL, max_iter)
+    owners = np.zeros(len(x), dtype=int)
+    live = _optimize(x.copy(), signs, owners, fused, retract, GRAD_TOL, max_iter)
     return live, dense, rejected[0]
 
 
@@ -435,15 +436,15 @@ def test_optimizer_evaluates_only_live_rows(monkeypatch):
     batches = []
     optimize = pinching._optimize
 
-    def recording(x, signs, objective, *rest):
+    def recording(x, signs, owners, objective, *rest):
         counts = []
         batches.append(counts)
 
-        def counted(y):
+        def counted(y, sizes):
             counts.append(len(y))
-            return objective(y)
+            return objective(y, sizes)
 
-        return optimize(x, signs, counted, *rest)
+        return optimize(x, signs, owners, counted, *rest)
 
     monkeypatch.setattr(pinching, "_optimize", recording)
     reports = []
@@ -485,6 +486,123 @@ def test_reports_count_optimizer_exit_reasons(space2):
         assert reasons(capped.diagnostics) == (0, 0, 0, 12)
         assert capped.diagnostics.row_iterations == 36
         assert capped.diagnostics.max_row_iterations == 3
+
+
+# ---------------------------------------------------------------------------
+# batches of tensors
+# ---------------------------------------------------------------------------
+
+
+def _bits(value):
+    """A report (or any field of one) with every float and array as exact bytes."""
+    import dataclasses
+
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, TwoPlane):
+        return (_bits(value.u), _bits(value.v), _bits(value.gram_determinant))
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return value
+
+
+def _mixed_batch(n):
+    """The model tensor, two perturbed ones and two random Kahler tensors, with their seeds."""
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(n)
+    tensors = [
+        complex_hyperbolic_tensor(space),
+        perturb(space, 0.05, seed=40 + n),
+        random_kahler(space, seed=50 + n),
+        perturb(space, 0.1, seed=60 + n),
+        random_kahler(space, seed=70 + n),
+    ]
+    return tensors, [3, 41, 0, 7, 2**40 + n]
+
+
+def _record_blocks(monkeypatch):
+    """Patch _optimize; returns a list that collects, per call, each objective call's block sizes."""
+    from kahlerpinch import pinching
+
+    calls = []
+    optimize = pinching._optimize
+
+    def recording(x, signs, owners, objective, *rest):
+        sizes_seen = []
+        calls.append(sizes_seen)
+
+        def recorded(y, sizes):
+            sizes_seen.append(list(sizes))
+            return objective(y, sizes)
+
+        return optimize(x, signs, owners, recorded, *rest)
+
+    monkeypatch.setattr(pinching, "_optimize", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_reports_equal_one_tensor_calls_bit_for_bit(n, monkeypatch):
+    # every row keeps its own tensor's GEMM block, so sharing a batch changes
+    # no value, witness, converged flag or diagnostic
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
+
+    tensors, seeds = _mixed_batch(n)
+    restarts = 8 if n == 4 else 16
+    single = [
+        [_bits(pinch(t, restarts=restarts, seed=s)) for t, s in zip(tensors, seeds)],
+        [_bits(hol_extremes(t, restarts=restarts, seed=s)) for t, s in zip(tensors, seeds)],
+    ]
+    calls = _record_blocks(monkeypatch)
+    batched = [
+        [_bits(r) for r in _pinch_batch(tensors, restarts, seeds)],
+        [_bits(r) for r in _hol_batch(tensors, restarts, seeds)],
+    ]
+    assert batched == single
+    # both phases ran as one batch of five blocks
+    assert [len(sizes[0]) for sizes in calls] == [5, 5]
+    if n >= 2:
+        # some block went down to one live row while others still ran: the
+        # lone-row path ran inside a shared batch
+        assert any(1 in sizes and sum(map(bool, sizes)) > 1 for call in calls for sizes in call)
+
+
+def test_batched_reports_equal_one_tensor_calls_at_iteration_cap():
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
+
+    tensors, seeds = _mixed_batch(3)
+    for batch, single in ((_pinch_batch, pinch), (_hol_batch, hol_extremes)):
+        for max_iter in (0, 5):
+            reports = batch(tensors, 6, seeds, max_iter)
+            expected = [single(t, restarts=6, seed=s, max_iter=max_iter) for t, s in zip(tensors, seeds)]
+            assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+            assert any(report.diagnostics.iteration_cap for report in reports)
+            assert all(r.diagnostics.max_row_iterations <= max_iter for r in reports)
+
+
+def test_batch_entry_points_accept_no_tensors():
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
+
+    assert _pinch_batch([], 4, []) == _hol_batch([], 4, []) == []
+
+
+def test_batches_respect_the_row_budget(monkeypatch):
+    # consecutive tensors fill a batch up to BATCH_ROWS rows; a tensor whose
+    # rows alone exceed it runs by itself
+    from kahlerpinch.pinching import BATCH_ROWS, _pinch_batch
+
+    tensors = [random_kahler(make_space(2), seed=s) for s in range(11)]
+    calls = _record_blocks(monkeypatch)
+    for restarts in (1, 8, 64, BATCH_ROWS // 2, BATCH_ROWS):
+        calls.clear()
+        _pinch_batch(tensors, restarts, list(range(11)), max_iter=1)
+        per_batch = max(1, BATCH_ROWS // (2 * restarts))
+        blocks = [sizes[0] for sizes in calls]
+        assert [len(b) for b in blocks] == [min(per_batch, 11 - i) for i in range(0, 11, per_batch)]
+        assert all(size == 2 * restarts for b in blocks for size in b)
 
 
 # ---------------------------------------------------------------------------
