@@ -23,6 +23,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 DIMENSION_CAP = 4
+# count caps, far above every documented run: a sweep's records, the samples
+# of constants --certify and identities --samples, and a multistart's restarts
+SAMPLE_CAP = 10_000
+RESTART_CAP = 4096
 THREADS_ENV_VAR = "KAHLERPINCH_THREADS"
 
 
@@ -35,7 +39,14 @@ def _apply_thread_override():
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    """Write payload as strict JSON; a non-finite value raises ResourceLimitError instead."""
+    from .errors import ResourceLimitError
+
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ResourceLimitError("a result is not finite: the input exceeds double precision") from exc
+    sys.stdout.write(text + "\n")
 
 
 def _fail_usage(message: str) -> int:
@@ -52,6 +63,14 @@ def _check_n(n: int, name: str, low: int = 1) -> int | None:
     if n > DIMENSION_CAP:
         raise ResourceLimitError(f"{name} = {n} exceeds the dimension cap {DIMENSION_CAP}")
     return None
+
+
+def _check_count(name: str, value: int | None, cap: int) -> None:
+    """Raises ResourceLimitError for a count above its cap; None stands for the default."""
+    from .errors import ResourceLimitError
+
+    if value is not None and value > cap:
+        raise ResourceLimitError(f"{name} = {value} exceeds the cap {cap}")
 
 
 def _check_positive(name: str, value: float | None) -> int | None:
@@ -132,6 +151,7 @@ def cmd_pinch(args) -> int:
     from .errors import PreconditionError
     from .pinching import pinch
 
+    _check_count("--restarts", args.restarts, RESTART_CAP)
     tensor, certificate, _ = _load_tensor(args.path)
     if not certificate.passed:
         _emit(
@@ -233,6 +253,7 @@ def cmd_identities(args) -> int:
         return code
     if args.samples < 1:
         return _fail_usage(f"--samples must be >= 1, got {args.samples}")
+    _check_count("--samples", args.samples, SAMPLE_CAP)
     from .experiments import identity_suite
 
     results = identity_suite(args.n, args.samples, args.seed)
@@ -287,6 +308,10 @@ def cmd_sweep(args) -> int:
     n = config["n"]
     if code := _check_n(n, "config n"):
         return code
+    _check_count(
+        "sweep records (samples_per_t x t_values)", config["samples_per_t"] * len(t_values), SAMPLE_CAP
+    )
+    _check_count("config restarts", config.get("restarts"), RESTART_CAP)
     from .errors import PreconditionError
     from .experiments import aggregate_by_t, emit_csv, sweep
 
@@ -325,6 +350,7 @@ def cmd_constants(args) -> int:
         return code
     if args.certify < 0:
         return _fail_usage(f"--certify must be >= 0, got {args.certify}")
+    _check_count("--certify", args.certify, SAMPLE_CAP)
     if args.certify and args.seed is None:
         return _fail_usage("--certify requires --seed")
     from .experiments import certify_constants, proof_constants

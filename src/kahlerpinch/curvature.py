@@ -202,12 +202,14 @@ def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
     """
     e, m = tensor.entries, tensor.matrix
     jj = np.kron(tensor.space.j_matrix, tensor.space.j_matrix)
-    r1a = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
-    r1b = np.max(np.abs(e + e.transpose(0, 1, 3, 2)))
-    r2 = np.max(np.abs(m - m.T))
-    r3 = np.max(np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)))
-    r4a = np.max(np.abs(jj.T @ m - m))
-    r4b = np.max(np.abs(m @ jj - m))
+    # entries near the double range overflow a sum to inf: a residual above every tolerance
+    with np.errstate(over="ignore"):
+        r1a = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
+        r1b = np.max(np.abs(e + e.transpose(0, 1, 3, 2)))
+        r2 = np.max(np.abs(m - m.T))
+        r3 = np.max(np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)))
+        r4a = np.max(np.abs(jj.T @ m - m))
+        r4b = np.max(np.abs(m @ jj - m))
     return {
         "antisymmetry": float(max(r1a, r1b)),
         "pair_exchange": float(r2),

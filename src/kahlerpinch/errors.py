@@ -22,7 +22,7 @@ class PreconditionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Request exceeds the configured dimension cap."""
+    """Request exceeds a configured cap (dimension or count) or double-precision range."""
 
 
 class DegenerateSampleError(RuntimeError):

@@ -37,7 +37,6 @@ from .pinching import (
     _hol_batch,
     _pinch_batch,
     berger_bound_check,
-    default_restarts,
     normalize_quarter,
     pinch,
 )
@@ -136,7 +135,7 @@ def _sweep_records(
     space: HermitianSpace,
     model: CurvatureTensor,
     grid: list[tuple[float, int]],
-    restarts: int,
+    restarts: int | None,
 ) -> list[SweepRecord]:
     """The records of (t, sample seed) pairs: pinch every perturbed tensor, then
     find the holomorphic extremes of every normalized one, each phase in shared
@@ -186,8 +185,6 @@ def sweep(
     if any(t < 0 for t in t_values):
         raise PreconditionError("all perturbation sizes must be >= 0")
     space = make_space(n)
-    if restarts is None:
-        restarts = default_restarts(n)
     model = complex_hyperbolic_tensor(space)
     grid = [
         (t, _sample_seed(seed, t_index, sample))
@@ -325,7 +322,7 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
     )
 
 
-def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts: int):
+def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts: int | None):
     """Each sample's normalization once its defect is below delta, and the retries.
 
     A sample starts at t = delta / 8 and halves t after each defect at or
@@ -371,8 +368,6 @@ def certify_constants(
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     space = make_space(chain.n)
-    if restarts is None:
-        restarts = default_restarts(chain.n)
     violations = 0
     max_ratio_dev = 0.0
     max_defect = -float("inf")

@@ -1,21 +1,23 @@
 """Multistart sectional-curvature extremes over 2-planes and the unit sphere.
 
-One multistart projected-gradient optimizer serves both problems. It runs
-the descending (minimum) and ascending (maximum) restarts as rows of one
-batch, with a sign per row and a retraction after every step; a restart
-that stops leaves the batch, so later iterations cost only the restarts
-still running. Planes are re-orthonormalized rows [u | v]; the holomorphic
-curvature H(u) = K(u, Ju) is the same pair objective pulled back along the
-linear lift u -> (u, Ju), on rows retracted to the unit sphere. Restarts use
-derived seeds (seed, restart index), so results are independent of how many
-restarts run up to last-bit rounding (BLAS switches GEMM kernels with the
-batch size: at n = 3 from 1024 rows, at n = 5 from 512). The restarts of
-several tensors can share one batch, up to BATCH_ROWS rows, so that their
-iteration tails overlap; each tensor's rows form one block with its own GEMM,
-so the rounding stays per tensor block and every tensor's report is
-bit-identical to a one-tensor run. The extremes are
-the best values the restarts reach, not proven optima; a rigorous eigenvalue
-envelope from the curvature operator on bivectors sandwiches them.
+One multistart projected-gradient optimizer on one objective serves both
+problems. It runs the descending (minimum) and ascending (maximum) restarts
+as rows of one batch, with a sign per row and a retraction after every step;
+a restart that stops leaves the batch, so later iterations cost only the
+restarts still running. Every row is a pair [u | v] and every objective is
+the pair objective K(u, v). Planes are re-orthonormalized rows; the
+holomorphic curvature H(u) = K(u, Ju) runs on the rows [u | Ju] with |u| = 1,
+where the pair gradient already has the form [g | Jg]. A multistart's
+restarts are consecutive rows of one normal stream per (seed) for planes and
+(seed, 7) for H, so results are independent of how many restarts run up to
+last-bit rounding (BLAS switches GEMM kernels with the batch size: at n = 3
+from 1024 rows, at n = 5 from 512). The restarts of several tensors can
+share one batch, up to BATCH_ROWS rows, so that their iteration tails
+overlap; each tensor's rows form one block with its own GEMM, so the
+rounding stays per tensor block and every tensor's report is bit-identical
+to a one-tensor run. The extremes are the best values the restarts reach,
+not proven optima; a rigorous eigenvalue envelope from the curvature
+operator on bivectors sandwiches them.
 
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
@@ -59,7 +61,7 @@ STAGNATION_LIMIT = 50
 # run alone), so their iteration tails overlap; the bound keeps peak memory flat
 BATCH_ROWS = 512
 # why a restart stopped, in the order _optimize tests them; rows still live
-# after max_iter iterations exit by the cap
+# after MAX_ITER iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
 
 
@@ -215,11 +217,15 @@ def _pair_objective(mats, sizes, x: np.ndarray):
 
 
 def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
-    """One standard normal row per restart, drawn from the generator (seed, r, *stream)."""
-    return np.array([seeded_rng(seed, r, *stream).standard_normal(width) for r in range(restarts)])
+    """One standard normal row per restart, consecutive rows of the generator (seed, *stream).
+
+    The rows come out in order, so restart r starts from the same row
+    whatever the restart count.
+    """
+    return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
-def _optimize(x, signs, owners, objective, retract, grad_tol, max_iter):
+def _optimize(x, signs, owners, objective, retract):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
@@ -248,15 +254,15 @@ def _optimize(x, signs, owners, objective, retract, grad_tol, max_iter):
     have_prev = np.zeros(rows, dtype=bool)
     prev_x, prev_g = x.copy(), np.zeros_like(x)
     stagnant = np.zeros(rows, dtype=int)
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         gsq = np.einsum("mi,mi->m", g, g)
         # one row per entry of EXIT_REASONS
         passed = np.array(
             [
-                gsq >= grad_tol * grad_tol,
+                gsq >= GRAD_TOL * GRAD_TOL,
                 step >= 1e-14,
                 stagnant <= STAGNATION_LIMIT,
-                np.full(len(live), it < max_iter),
+                np.full(len(live), it < MAX_ITER),
             ]
         )
         go = passed.all(axis=0)
@@ -306,48 +312,42 @@ def _optimize(x, signs, owners, objective, retract, grad_tol, max_iter):
     return out_vals, out_x, iterations, reasons
 
 
-def _min_max(x0s, objective, retract, max_iter):
-    """Descend and ascend from every retracted row of each x0 in x0s, all in one batch.
+def _extremes(tensors, restarts, seeds, start_rows, retract):
+    """Descend and ascend the pair objective from every start row of each tensor.
 
-    Block k holds the rows of x0s[k] twice, descending then ascending; the
-    blocks are the tensors of objective(x, sizes). Returns, per block, the
-    per-restart minima and maxima, the minimizing and maximizing points (ties
-    go to the lowest restart) and the block's diagnostics.
+    Certifies the tensors and resolves the restart count (default_restarts
+    when None). start_rows(seed, restarts) gives a tensor's start rows and
+    retract(x) maps rows onto the constraint set. Consecutive tensors share
+    one _optimize batch while their rows fit in BATCH_ROWS (a batch holds at
+    least one tensor); a tensor's block holds its start rows twice,
+    descending then ascending. Returns, per tensor, the restart count, the
+    per-restart minima and maxima, the minimizing and maximizing rows (ties
+    go to the lowest restart) and the diagnostics.
     """
-    rows = len(x0s[0])
-    signs = np.tile(np.repeat([-1.0, 1.0], rows), len(x0s))
-    owners = np.repeat(np.arange(len(x0s)), 2 * rows)
-    x = retract(np.vstack([x0 for x0 in x0s for _ in range(2)]))
-    vals, x, iterations, reasons = _optimize(
-        x, signs, owners, objective, retract, GRAD_TOL, max_iter
-    )
-    out = []
-    for start in range(0, len(x), 2 * rows):
-        mid, stop = start + rows, start + 2 * rows
-        min_vals, max_vals = vals[start:mid], vals[mid:stop]
-        x_min, x_max = x[start + np.argmin(min_vals)].copy(), x[mid + np.argmax(max_vals)].copy()
-        diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
-        out.append((min_vals, max_vals, x_min, x_max, diagnostics))
-    return out
-
-
-def _batched_min_max(tensors, seeds, restarts, inits, objective, retract, max_iter):
-    """_min_max of every tensor, run over consecutive batches of at most BATCH_ROWS rows.
-
-    inits(seed) gives a tensor's restarts start rows; objective(mats, sizes, x)
-    evaluates rows by tensor block. A batch holds at least one tensor,
-    however many rows it needs. Returns one _min_max result per tensor.
-    """
+    for tensor in tensors:
+        require_certified(tensor)
+    if restarts is None:
+        restarts = default_restarts(tensors[0].space.n)
+    elif restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
     per_batch = max(1, BATCH_ROWS // (2 * restarts))
     results = []
-    for start in range(0, len(tensors), per_batch):
-        mats = [tensor.matrix for tensor in tensors[start : start + per_batch]]
-        results += _min_max(
-            [inits(seed) for seed in seeds[start : start + per_batch]],
-            lambda x, sizes: objective(mats, sizes, x),
+    for first in range(0, len(tensors), per_batch):
+        mats = [tensor.matrix for tensor in tensors[first : first + per_batch]]
+        x0 = [np.tile(start_rows(seed, restarts), (2, 1)) for seed in seeds[first : first + per_batch]]
+        vals, x, iterations, reasons = _optimize(
+            retract(np.vstack(x0)),
+            np.tile(np.repeat([-1.0, 1.0], restarts), len(mats)),
+            np.repeat(np.arange(len(mats)), 2 * restarts),
+            lambda y, sizes: _pair_objective(mats, sizes, y),
             retract,
-            max_iter,
         )
+        for start in range(0, len(x), 2 * restarts):
+            mid, stop = start + restarts, start + 2 * restarts
+            min_vals, max_vals = vals[start:mid], vals[mid:stop]
+            x_min, x_max = x[start + np.argmin(min_vals)].copy(), x[mid + np.argmax(max_vals)].copy()
+            diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
+            results.append((restarts, min_vals, max_vals, x_min, x_max, diagnostics))
     return results
 
 
@@ -358,67 +358,43 @@ def _stable(vals: np.ndarray, maximize: bool) -> bool:
     return bool(abs(ordered[0] - ordered[top - 1]) < STABILITY_TOL)
 
 
-def _refined_plane_value(entries: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+def _refined_plane_value(entries: np.ndarray, x: np.ndarray) -> float:
+    """K(u, v) at the row x = [u | v], in extended precision."""
     e = entries.astype(np.longdouble)
-    ul = u.astype(np.longdouble)
-    vl = v.astype(np.longdouble)
+    ul, vl = np.split(x.astype(np.longdouble), 2)
     num = np.einsum("ijkl,i,j,k,l", e, ul, vl, ul, vl)
     gram = (ul @ ul) * (vl @ vl) - (ul @ vl) ** 2
     return float(num / gram)
 
 
-def _checked_restarts(tensors, restarts: int | None) -> int:
-    for tensor in tensors:
-        require_certified(tensor)
-    if restarts is None:
-        return default_restarts(tensors[0].space.n)
-    if restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
-    return restarts
-
-
-def pinch(
-    tensor: CurvatureTensor,
-    restarts: int | None = None,
-    seed: int = 0,
-    max_iter: int = MAX_ITER,
-) -> PinchReport:
+def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> PinchReport:
     """Multistart extremes of the sectional curvature over 2-planes."""
-    return _pinch_batch([tensor], restarts, [seed], max_iter)[0]
+    return _pinch_batch([tensor], restarts, [seed])[0]
 
 
-def _pinch_batch(tensors, restarts, seeds, max_iter=MAX_ITER) -> list[PinchReport]:
+def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
     """pinch of each tensor (all over one space) with its own seed, in shared batches."""
     if not tensors:
         return []
-    restarts = _checked_restarts(tensors, restarts)
-    dim = tensors[0].space.dim
-    results = _batched_min_max(
-        tensors,
-        seeds,
-        restarts,
-        lambda seed: _inits(2 * dim, seed, restarts),
-        _pair_objective,
-        _orthonormalize_pairs,
-        max_iter,
+    width = 2 * tensors[0].space.dim
+    results = _extremes(
+        tensors, restarts, seeds, lambda seed, r: _inits(width, seed, r), _orthonormalize_pairs
     )
-    return [_pinch_report(tensor, restarts, *result) for tensor, result in zip(tensors, results)]
+    return [_pinch_report(tensor, *result) for tensor, result in zip(tensors, results)]
 
 
 def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics):
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
-    u_min, v_min = x_min[:dim], x_min[dim:]
-    u_max, v_max = x_max[:dim], x_max[dim:]
-    k_min = _refined_plane_value(tensor.entries, u_min, v_min)
-    k_max = _refined_plane_value(tensor.entries, u_max, v_max)
+    k_min = _refined_plane_value(tensor.entries, x_min)
+    k_max = _refined_plane_value(tensor.entries, x_max)
     sandwich = (lo - 1e-9 <= k_min) and (k_max <= hi + 1e-9)
     converged = _stable(min_vals, False) and _stable(max_vals, True) and sandwich
     return PinchReport(
         k_min=k_min,
         k_max=k_max,
-        argmin_plane=TwoPlane(u_min, v_min),
-        argmax_plane=TwoPlane(u_max, v_max),
+        argmin_plane=TwoPlane(x_min[:dim], x_min[dim:]),
+        argmax_plane=TwoPlane(x_max[:dim], x_max[dim:]),
         envelope_lo=lo,
         envelope_hi=hi,
         restarts=restarts,
@@ -427,51 +403,44 @@ def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostic
     )
 
 
-def _hol_objective(mats, sizes, lift: np.ndarray, u: np.ndarray):
-    """Values and gradients of H at unit rows u, through the pair objective at u @ lift."""
-    vals, grad = _pair_objective(mats, sizes, u @ lift)
-    return vals, grad @ lift.T
-
-
-def hol_extremes(
-    tensor: CurvatureTensor,
-    restarts: int | None = None,
-    seed: int = 0,
-    max_iter: int = MAX_ITER,
-) -> HolReport:
+def hol_extremes(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> HolReport:
     """Multistart extremes of the holomorphic sectional curvature over the unit sphere."""
-    return _hol_batch([tensor], restarts, [seed], max_iter)[0]
+    return _hol_batch([tensor], restarts, [seed])[0]
 
 
-def _hol_batch(tensors, restarts, seeds, max_iter=MAX_ITER) -> list[HolReport]:
-    """hol_extremes of each tensor (all over one space) with its own seed, in shared batches."""
+def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
+    """hol_extremes of each tensor (all over one space) with its own seed, in shared batches.
+
+    H(u) = K(u, Ju) is the pair objective on the rows [u | Ju] with |u| = 1.
+    At such a row the pair gradient [g_u | g_v] has g_v = J g_u, so it runs
+    along these rows; a stepped row [a | b] retracts to u = (a + J^T b)
+    normalized. J is a signed permutation, so both products with it are
+    exact at any row count.
+    """
     if not tensors:
         return []
-    restarts = _checked_restarts(tensors, restarts)
-    dim = tensors[0].space.dim
-    # H(u) = K(u, Ju) at unit u is the pair objective pulled back along the
-    # linear lift L: u -> [u | Ju], so its gradient is the pair gradient times L^T;
-    # L's entries are 0 and +-1, so both products are exact at any row count
-    lift = np.hstack([np.eye(dim), tensors[0].space.j_matrix.T])
-    results = _batched_min_max(
-        tensors,
-        seeds,
-        restarts,
-        lambda seed: _inits(dim, seed, restarts, 7),
-        lambda mats, sizes, u: _hol_objective(mats, sizes, lift, u),
-        lambda u: u / np.linalg.norm(u, axis=1, keepdims=True),
-        max_iter,
+    dim, jmat = tensors[0].space.dim, tensors[0].space.j_matrix
+
+    def j_line(u):
+        return np.hstack([u, u @ jmat.T])
+
+    def retract(x):
+        u = x[:, :dim] + x[:, dim:] @ jmat
+        return j_line(u / np.linalg.norm(u, axis=1, keepdims=True))
+
+    results = _extremes(
+        tensors, restarts, seeds, lambda seed, r: j_line(_inits(dim, seed, r, 7)), retract
     )
-    return [_hol_report(tensor, restarts, *result) for tensor, result in zip(tensors, results)]
+    return [_hol_report(tensor, *result) for tensor, result in zip(tensors, results)]
 
 
-def _hol_report(tensor, restarts, min_vals, max_vals, u_min, u_max, diagnostics):
-    jmat = tensor.space.j_matrix
+def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics):
+    dim = tensor.space.dim
     return HolReport(
-        h_min=_refined_plane_value(tensor.entries, u_min, jmat @ u_min),
-        h_max=_refined_plane_value(tensor.entries, u_max, jmat @ u_max),
-        argmin_u=u_min,
-        argmax_u=u_max,
+        h_min=_refined_plane_value(tensor.entries, x_min),
+        h_max=_refined_plane_value(tensor.entries, x_max),
+        argmin_u=x_min[:dim],
+        argmax_u=x_max[:dim],
         restarts=restarts,
         converged=_stable(min_vals, False) and _stable(max_vals, True),
         diagnostics=diagnostics,

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from kahlerpinch.cli import RESTART_CAP, SAMPLE_CAP
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -71,6 +73,43 @@ def test_commands_reject_n_above_cap(above_cap_dir, args):
     assert result.returncode == 3
     assert result.stdout == b""
     assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
+ABOVE_COUNT_CAP_INVOCATIONS = {
+    "sweep-records": ("sweep", "--config", "{dir}/records.json", "--out", "{dir}/o.csv"),
+    "sweep-restarts": ("sweep", "--config", "{dir}/restarts.json", "--out", "{dir}/o.csv"),
+    "constants-certify": (
+        "constants", "--epsilon", "0.1", "--n", "2", "--certify", f"{SAMPLE_CAP + 1}", "--seed", "1"
+    ),
+    "pinch-restarts": ("pinch", "{file}", "--seed", "1", "--restarts", f"{RESTART_CAP + 1}"),
+    "identities-samples": ("identities", "--n", "2", "--samples", f"{SAMPLE_CAP + 1}", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABOVE_COUNT_CAP_INVOCATIONS))
+def test_commands_reject_counts_above_cap(model_file, tmp_path, monkeypatch, capsys, name):
+    # a count above its cap exits 3 with one line on stderr before any work
+    import kahlerpinch.experiments
+    import kahlerpinch.pinching
+    from kahlerpinch import cli
+
+    def never(*args, **kwargs):
+        pytest.fail("work started before the count was checked")
+
+    for function in ("sweep", "certify_constants", "identity_suite"):
+        monkeypatch.setattr(kahlerpinch.experiments, function, never)
+    monkeypatch.setattr(kahlerpinch.pinching, "pinch", never)
+    base = {"n": 2, "t_values": [0.0, 0.1], "samples_per_t": 1, "seed": 4}
+    # each count alone is within the cap; their product, the record count, is not
+    records = {**base, "samples_per_t": SAMPLE_CAP // 2 + 1}
+    (tmp_path / "records.json").write_text(json.dumps(records))
+    (tmp_path / "restarts.json").write_text(json.dumps({**base, "restarts": RESTART_CAP + 1}))
+    args = [a.format(dir=tmp_path, file=model_file) for a in ABOVE_COUNT_CAP_INVOCATIONS[name]]
+    assert cli.main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["r0", "validate", "identities"])
@@ -331,6 +370,21 @@ def test_sweep_rejects_unwritable_out_before_running(tmp_path, monkeypatch, caps
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "pinch"])
+def test_overflowing_results_exit_3_without_stdout(tmp_path, command):
+    # a symmetry residual of entries near the double range overflows to inf,
+    # which strict JSON cannot carry
+    obj = json.loads(_model_text(1))
+    obj["entries"][0] = 6e307
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    extra = ["--seed", "1"] if command == "pinch" else []
+    result = run_cli(command, str(path), *extra)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert len(result.stderr.decode().strip().splitlines()) == 1
+
+
 def test_sweep_missing_config_field(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n": 2}))
@@ -433,7 +487,7 @@ def test_reproducibility_byte_identical(model_file, tmp_path):
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3}
 
 # no positive integers: as a sample or restart count they are valid, and a
-# large one is a long run, not a malformed input
+# large one within its cap is a long run, not a malformed input
 _junk = st.one_of(
     st.none(),
     st.booleans(),
@@ -457,9 +511,9 @@ _bad_sweep_fields = {
     "t_values": st.lists(
         st.one_of(st.sampled_from([-1e-3, 1e3, 1e300, 1e308, 2**70]), _junk), min_size=1, max_size=3
     ),
-    "samples_per_t": st.sampled_from([-1, 0]),
+    "samples_per_t": st.sampled_from([-1, 0, SAMPLE_CAP + 1]),
     "seed": _junk,
-    "restarts": st.sampled_from([-2, 0]),
+    "restarts": st.sampled_from([-2, 0, RESTART_CAP + 1]),
 }
 
 
