@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -421,10 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     _apply_thread_override()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     from .errors import (
         DegenerateDenominatorError,
         NotNegativelyCurvedError,

@@ -116,7 +116,11 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     if t == 0:
         return model
     direction = random_kahler(space, seed, 1.0)
-    return project_kahler(model.entries + t * direction.entries, space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return project_kahler(model.entries + t * direction.entries, space)
+        except ValueError as exc:  # the entries overflowed
+            raise PreconditionError(f"perturbation size {t:g} overflows the tensor entries") from exc
 
 
 def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:

@@ -19,6 +19,23 @@ to a one-tensor run. The extremes are the best values the restarts reach,
 not proven optima; a rigorous eigenvalue envelope from the curvature
 operator on bivectors sandwiches them.
 
+Plane rows step along a preconditioned gradient (preconditioned
+Barzilai-Borwein; Molina & Raydan, Numer. Algorithms 1996). The tensors of
+interest lie near the complex hyperbolic model: R = s0 R0 + E with
+s0 = <R, R0>/|R0|^2 and E orthogonal to R0, of relative size
+mu = |E|/|R0|. The model's K = s0 (-1/4 - 3/4 c^2), c = <u, Jv>, is flat
+along complex lines and totally real planes, so a remainder of size t
+leaves the plane problem with curvature ratios of about 1/t, and plain BB
+steps crawl (hundreds of iterations near t = 1e-6). A plane row therefore
+moves along p = M^{-1} g with M = |Hess K of s0 R0| + mu I on the
+horizontal space; M^{-1} has a closed form row by row (_plane_direction),
+and since M p_prev = g_prev the BB secant s^T M s costs no second solve.
+Two kinds of rows keep the plain step: the J-line rows of H, where M
+reduces to mu I, and the rows of an exact space form (mu = 0), where M is
+singular. The gradient, stagnation, acceptance and stability tests are
+relative to the tensor's curvature scale |R|/|R0| = hypot(s0, mu), which is
+1 for R0, so the extremes of f R are f times those of R.
+
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
 then round to the exact representable value instead of carrying float noise
@@ -28,12 +45,19 @@ from the iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .curvature import CurvatureTensor, TwoPlane, _pair_outer, require_certified
+from .curvature import (
+    CurvatureTensor,
+    TwoPlane,
+    _pair_outer,
+    complex_hyperbolic_tensor,
+    require_certified,
+)
 from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError
-from .space import seeded_rng
+from .space import make_space, seeded_rng
 
 __all__ = [
     "PinchReport",
@@ -48,6 +72,7 @@ __all__ = [
     "normalize_quarter",
 ]
 
+# gradient and restart-spread tolerances, in units of the curvature scale |R|/|R0|
 GRAD_TOL = 1e-10
 MAX_ITER = 10000
 STABILITY_TOL = 1e-8
@@ -216,6 +241,121 @@ def _pair_objective(mats, sizes, x: np.ndarray):
     return vals, _pair_gradient(x, vals, bflat)
 
 
+@lru_cache(maxsize=None)
+def _model(n: int):
+    """R0 of complex dimension n flattened, |R0|^2, and the constant maps of
+    _plane_direction on rows: [u | v] -> [Ju | Jv | Jv | Ju] and
+    [a | b] -> [Jb | -Ja] (signed permutations, so exact at any row count),
+    and the sums over the four d-blocks of a 4d-row."""
+    space = make_space(n)
+    r0 = complex_hyperbolic_tensor(space).entries.ravel()
+    jt, zero = space.j_matrix.T, np.zeros((space.dim, space.dim))
+    j_rows = np.block([[jt, zero, zero, jt], [zero, jt, jt, zero]])
+    t_rows = np.block([[zero, -jt], [jt, zero]])
+    block_sums = np.kron(np.eye(4), np.ones((space.dim, 1)))
+    return r0, float(r0 @ r0), j_rows, t_rows, block_sums
+
+
+def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
+    """(s0, mu) with R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
+
+    s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
+    the tensor's curvature scale.
+    """
+    r0, r0_sq = _model(tensor.space.n)[:2]
+    r = tensor.entries.ravel()
+    s0 = float(r @ r0) / r0_sq
+    return s0, float(np.linalg.norm(r - s0 * r0)) / np.sqrt(r0_sq)
+
+
+@lru_cache(maxsize=None)
+def _direction_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant matrices (eig, bias, K) of _plane_direction.
+
+    Per row let c = <u, Jv>, q = 1/(1 - c^2) (0 at c = +-1), the dots
+    (A1, B2, A2, B1) = (<a, Ju>, <b, Jv>, <a, Jv>, <b, Ju>), and r the inverse
+    eigenvalues 1/(|s0| lam + mu) of M on V+, V-, (e1, e2), (e2, -e1) and the
+    null pair, lam = |[|c|, |c| c, c^2] @ eig + bias|. With
+    rho, tau = (r+ +- r-)/2, s1 = (r1 + r0)/2 - rho, s2 = (r2 + r0)/2 - rho,
+    d1 = (r1 - r0)/2 and d2 = (r0 - r2)/2, M^{-1} g is rho g + tau Tg
+    corrected on W x W, W = span(u, v, Ju, Jv), by the block's solve. In the
+    basis u, v, Ju, Jv of each half of [a | b] the correction is
+      [Ju_a, Jv_b] = q [[s1, d1 + c tau], [d1 + c tau, s1]] [A1, B2],
+      [Jv_a, Ju_b] = q [[s2, d2 - c tau], [d2 - c tau, s2]] [A2, B1],
+      u_a = -c Jv_a + tau B1, v_a = c Ju_a + tau B2,
+      u_b = -c Jv_b - tau A1, v_b = c Ju_b - tau A2,
+    where q c^2 = q - 1 turns the u, v terms into q and q c terms only. K
+    holds these bilinear forms: the coefficients of (u, v, Ju, Jv, a, b, Jb,
+    -Ja), half a then half b, are [q (dots (x) r), q c (dots (x) r), r] @ K.
+    """
+    eig = np.array([[1.5, 1.5, 0.0, 0.0, 0.0], [-1.5, 1.5, 0.0, 0.0, 0.0], [0.0, 0.0, 3.0, 6.0, 0.0]])
+    bias = np.array([0.0, 0.0, 0.0, -3.0, 0.0])
+    rho, tau = np.array([1, 1, 0, 0, 0]) / 2, np.array([1, -1, 0, 0, 0]) / 2
+    s1, s2 = np.array([-1, -1, 1, 0, 1]) / 2, np.array([-1, -1, 0, 1, 1]) / 2
+    d1, d2 = np.array([0, 0, 1, 0, -1]) / 2, np.array([0, 0, 0, -1, 1]) / 2
+    a1, b2, a2, b1 = np.eye(4)
+
+    def f(r, dot):  # the features dots[k] * r[i], at 5k + i
+        return np.outer(dot, r).ravel()
+
+    # (q part, q c part) of the coefficients on u, v, Ju, Jv: half a, then half b
+    terms = [
+        (f(tau, b1), -f(s2, a2) - f(d2, b1)),
+        (f(tau, b2), f(s1, a1) + f(d1, b2)),
+        (f(s1, a1) + f(d1, b2), f(tau, b2)),
+        (f(s2, a2) + f(d2, b1), -f(tau, b1)),
+        (-f(tau, a1), -f(s1, b2) - f(d1, a1)),
+        (-f(tau, a2), f(s2, b1) + f(d2, a2)),
+        (f(s2, b1) + f(d2, a2), -f(tau, a2)),
+        (f(s1, b2) + f(d1, a1), f(tau, a1)),
+    ]
+    table = np.zeros((45, 2, 8))
+    for k, (q_part, qc_part) in enumerate(terms):
+        table[:40, k // 4, k % 4] = np.concatenate([q_part, qc_part])
+    # rho g + tau Tg: rho a + tau Jb in half a, rho b - tau Ja in half b
+    table[40:, 0, 4], table[40:, 0, 6], table[40:, 1, 5], table[40:, 1, 7] = rho, tau, rho, tau
+    return eig, bias, table.reshape(45, 16)
+
+
+def _plane_direction(x, g, abs_s0, mu):
+    """M^{-1} g at orthonormal rows x = [u | v], for gradients g = [a | b] with a, b ⟂ u, v.
+
+    M = |Hess K of s0 R0| + mu I on the horizontal space, row by row (abs_s0
+    and mu > 0 are (rows, 1) columns). With c = <u, Jv>, e1 = (Ju + cv)/w,
+    e2 = (Jv - cu)/w, w = sqrt(1 - c^2), V the orthogonal complement of
+    span(u, v, Ju, Jv) and T(a, b) = (Jb, -Ja), the Hessian is
+    -(3/2) s0 (l l^T + c T - c^2) for l = w (e2, -e1), and |Hess| / |s0| is
+      (3/2)|c||1 - c| and (3/2)|c||1 + c| on the +1 and -1 eigenspaces of T on V x V,
+      3c^2 along (e1, e2), |6c^2 - 3| along (e2, -e1), 0 along (e2, e1) and (-e1, e2).
+    So M^{-1} = rho + tau T on V x V, and the 4-dimensional block is solved
+    in the basis e1, e2 (see _direction_table). At c = +-1 the block folds
+    into V (q = 0 drops its terms); as c nears +-1 its eigenvalues meet V's,
+    so the ill-defined e1, e2 there carry no weight. Every product is a GEMM
+    with the same result per row at any row count (a lone row is evaluated as
+    two, since numpy hands one-row products to GEMV), so a row's direction
+    does not depend on which rows share its batch.
+    """
+    m, width = x.shape
+    if m == 1:
+        return _plane_direction(*(np.repeat(a, 2, axis=0) for a in (x, g, abs_s0, mu)))[:1]
+    d = width // 2
+    _, _, j_rows, t_rows, block_sums = _model(width // 4)
+    eig_map, eig_bias, table = _direction_table()
+    y = x @ j_rows  # [Ju | Jv | Jv | Ju]
+    tg = g @ t_rows  # [Jb | -Ja]
+    dots = (np.concatenate([g, g], axis=1) * y) @ block_sums
+    c = np.einsum("mi,mi->m", x[:, :d], y[:, d:width])
+    ac, c2 = np.abs(c), c * c
+    eig = np.abs(np.stack([ac, ac * c, c2], axis=1) @ eig_map + eig_bias)
+    r = 1.0 / (abs_s0 * eig + mu)
+    w2 = 1.0 - c2
+    q = 1.0 / np.where(w2 > 0.0, w2, np.inf)
+    features = (dots[:, :, None] * r[:, None, :]).reshape(m, 20) * q[:, None]
+    coefficients = np.concatenate([features, features * c[:, None], r], axis=1) @ table
+    basis = np.concatenate([x, y[:, :width], g, tg], axis=1).reshape(m, 8, d)
+    return np.matmul(coefficients.reshape(m, 2, 8), basis).reshape(m, width)
+
+
 def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     """One standard normal row per restart, consecutive rows of the generator (seed, *stream).
 
@@ -225,7 +365,7 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
-def _optimize(x, signs, owners, objective, retract):
+def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
@@ -233,14 +373,21 @@ def _optimize(x, signs, owners, objective, retract):
     badly) and retraction onto the constraint set after every step.
     owners[m] is the block (tensor) of row m, non-decreasing, so each block's
     rows are consecutive; objective(x, sizes) returns the row values and
-    gradients, sizes[k] being the number of rows of block k in x. Each row
-    evolves independently (up to the rounding of the objective's per-block
-    GEMM, see the module docstring). A row leaves the batch for good at the
-    first EXIT_REASONS test it fails, so an iteration steps, retracts and
-    evaluates only the rows still live; compaction keeps the row order, and
-    with it the blocks. A row's gradient is evaluated once per accepted
-    point: a rejected step leaves the row where it was. The rows of x serve
-    as work space; reasons index EXIT_REASONS.
+    gradients, sizes[k] being the number of rows of block k in x. scales[k]
+    is block k's curvature scale (1 when None): the gradient, stagnation and
+    acceptance tests are relative to it. models = (|s0|, mu) holds the
+    blocks' model coordinates (see _model_coordinates): the rows of a block
+    with mu > 0 step along p = M^{-1} g (_plane_direction), with the BB step
+    s^T M s / s^T y and s^T M s = sign * step * <s, g_prev>, since
+    M p_prev = g_prev: one solve per iteration and no product with M. Rows of
+    a block with mu = 0, and all rows when models is None, step along g.
+    Each row evolves independently (up to the rounding of the objective's
+    per-block GEMM, see the module docstring). A row leaves the batch for
+    good at the first EXIT_REASONS test it fails, so an iteration steps,
+    retracts and evaluates only the rows still live; compaction keeps the
+    row order, and with it the blocks. A row's gradient is evaluated once
+    per accepted point: a rejected step leaves the row where it was. The
+    rows of x serve as work space; reasons index EXIT_REASONS.
     """
     rows = len(x)
     blocks = int(owners[-1]) + 1
@@ -248,6 +395,14 @@ def _optimize(x, signs, owners, objective, retract):
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
     live = np.arange(rows)
     sizes = np.bincount(owners, minlength=blocks).tolist()
+    scale = np.ones(rows) if scales is None else np.asarray(scales, dtype=float)[owners]
+    # the rows' |s0| and mu columns; plain marks the rows that keep the plain
+    # step (None: all of them), whose placeholder mu = 1 only avoids 1/0
+    abs_s0 = mu = plain = None
+    if models is not None:
+        abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models)
+        plain = mu[:, 0] == 0.0
+        mu[plain] = 1.0
     vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()
     step = np.full(rows, 0.05)
@@ -259,7 +414,7 @@ def _optimize(x, signs, owners, objective, retract):
         # one row per entry of EXIT_REASONS
         passed = np.array(
             [
-                gsq >= GRAD_TOL * GRAD_TOL,
+                gsq > (GRAD_TOL * scale) ** 2,
                 step >= 1e-14,
                 stagnant <= STAGNATION_LIMIT,
                 np.full(len(live), it < MAX_ITER),
@@ -273,32 +428,43 @@ def _optimize(x, signs, owners, objective, retract):
             iterations[gone] = it
             # prefer each row's final (converged) iterate; fall back to the best
             # point visited only when it is genuinely better, not better by float noise
-            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9
+            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9 * scale[done]
             out_vals[gone] = np.where(better, best_vals[done], vals[done])
             out_x[gone] = np.where(better[:, None], best_x[done], x[done])
             if not go.any():
                 break
-            live, signs, owners, x, g, gsq, vals, best_vals, best_x = (
-                a[go] for a in (live, signs, owners, x, g, gsq, vals, best_vals, best_x)
+            live, signs, owners, scale, x, g, gsq, vals, best_vals, best_x = (
+                a[go] for a in (live, signs, owners, scale, x, g, gsq, vals, best_vals, best_x)
             )
             step, have_prev, prev_x, prev_g, stagnant = (
                 a[go] for a in (step, have_prev, prev_x, prev_g, stagnant)
             )
+            if plain is not None:
+                abs_s0, mu, plain = abs_s0[go], mu[go], plain[go]
             sizes = np.bincount(owners, minlength=blocks).tolist()
         s = x - prev_x
-        ss = np.einsum("mi,mi->m", s, s)
+        if plain is None or plain.all():
+            p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
+        else:
+            p = _plane_direction(x, g, abs_s0, mu)
+            psq = np.einsum("mi,mi->m", p, p)
+            sms = signs * step * np.einsum("mi,mi->m", s, prev_g)
+            if plain.any():
+                p = np.where(plain[:, None], g, p)
+                psq = np.where(plain, gsq, psq)
+                sms = np.where(plain, np.einsum("mi,mi->m", s, s), sms)
         sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
-        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300)
+        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
         # invalid curvature along the last step means a saddle escape: grow instead
         fallback = np.where(have_prev, step * 2.0, step)
-        step = np.where(bb_ok, np.maximum(ss / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
+        step = np.where(bb_ok, np.maximum(sms / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
         # cap the displacement, not the step: flat valleys need huge steps
-        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(gsq, 1e-300)))
-        xc = retract(x + (signs * step)[:, None] * g)
+        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(psq, 1e-300)))
+        xc = retract(x + (signs * step)[:, None] * p)
         cand_vals, cand_g = objective(xc, sizes)
         gain = signs * (cand_vals - vals)
-        accept = gain > -0.1 * (1.0 + np.abs(vals))
-        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
+        accept = gain > -0.1 * (scale + np.abs(vals))
+        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (scale + np.abs(best_vals)))
         stagnant = np.where(improved, 0, stagnant + 1)
         step[~accept] *= 0.5
         have_prev = accept
@@ -312,28 +478,34 @@ def _optimize(x, signs, owners, objective, retract):
     return out_vals, out_x, iterations, reasons
 
 
-def _extremes(tensors, restarts, seeds, start_rows, retract):
+def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
     """Descend and ascend the pair objective from every start row of each tensor.
 
     Certifies the tensors and resolves the restart count (default_restarts
     when None). start_rows(seed, restarts) gives a tensor's start rows and
-    retract(x) maps rows onto the constraint set. Consecutive tensors share
-    one _optimize batch while their rows fit in BATCH_ROWS (a batch holds at
-    least one tensor); a tensor's block holds its start rows twice,
-    descending then ascending. Returns, per tensor, the restart count, the
-    per-restart minima and maxima, the minimizing and maximizing rows (ties
-    go to the lowest restart) and the diagnostics.
+    retract(x) maps rows onto the constraint set; plane rows (planes true)
+    step along the model Hessian's preconditioned gradient, J-line rows along
+    the gradient. Consecutive tensors share one _optimize batch while their
+    rows fit in BATCH_ROWS (a batch holds at least one tensor); a tensor's
+    block holds its start rows twice, descending then ascending. Returns,
+    per tensor, the restart count, the per-restart minima and maxima, the
+    minimizing and maximizing rows (ties go to the lowest restart), the
+    diagnostics and the curvature scale |R| / |R0|.
     """
     for tensor in tensors:
         require_certified(tensor)
+    n = tensors[0].space.n
     if restarts is None:
-        restarts = default_restarts(tensors[0].space.n)
+        restarts = default_restarts(n)
     elif restarts < 1:
         raise PreconditionError("restarts must be >= 1")
     per_batch = max(1, BATCH_ROWS // (2 * restarts))
     results = []
     for first in range(0, len(tensors), per_batch):
-        mats = [tensor.matrix for tensor in tensors[first : first + per_batch]]
+        batch = tensors[first : first + per_batch]
+        mats = [tensor.matrix for tensor in batch]
+        s0, mu = np.array([_model_coordinates(tensor) for tensor in batch]).T
+        scales = np.hypot(s0, mu)
         x0 = [np.tile(start_rows(seed, restarts), (2, 1)) for seed in seeds[first : first + per_batch]]
         vals, x, iterations, reasons = _optimize(
             retract(np.vstack(x0)),
@@ -341,21 +513,23 @@ def _extremes(tensors, restarts, seeds, start_rows, retract):
             np.repeat(np.arange(len(mats)), 2 * restarts),
             lambda y, sizes: _pair_objective(mats, sizes, y),
             retract,
+            scales,
+            (np.abs(s0), mu) if planes else None,
         )
-        for start in range(0, len(x), 2 * restarts):
+        for k, start in enumerate(range(0, len(x), 2 * restarts)):
             mid, stop = start + restarts, start + 2 * restarts
             min_vals, max_vals = vals[start:mid], vals[mid:stop]
             x_min, x_max = x[start + np.argmin(min_vals)].copy(), x[mid + np.argmax(max_vals)].copy()
             diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
-            results.append((restarts, min_vals, max_vals, x_min, x_max, diagnostics))
+            results.append((restarts, min_vals, max_vals, x_min, x_max, diagnostics, float(scales[k])))
     return results
 
 
-def _stable(vals: np.ndarray, maximize: bool) -> bool:
-    """Best value reproduced across the top 10% of restarts within tolerance."""
+def _stable(vals: np.ndarray, maximize: bool, scale: float) -> bool:
+    """Best value reproduced across the top 10% of restarts within tolerance (relative to scale)."""
     ordered = np.sort(vals)[::-1] if maximize else np.sort(vals)
     top = max(1, int(np.ceil(0.1 * len(vals))))
-    return bool(abs(ordered[0] - ordered[top - 1]) < STABILITY_TOL)
+    return bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL * scale)
 
 
 def _refined_plane_value(entries: np.ndarray, x: np.ndarray) -> float:
@@ -378,18 +552,18 @@ def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
         return []
     width = 2 * tensors[0].space.dim
     results = _extremes(
-        tensors, restarts, seeds, lambda seed, r: _inits(width, seed, r), _orthonormalize_pairs
+        tensors, restarts, seeds, lambda seed, r: _inits(width, seed, r), _orthonormalize_pairs, True
     )
     return [_pinch_report(tensor, *result) for tensor, result in zip(tensors, results)]
 
 
-def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics):
+def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
     k_min = _refined_plane_value(tensor.entries, x_min)
     k_max = _refined_plane_value(tensor.entries, x_max)
     sandwich = (lo - 1e-9 <= k_min) and (k_max <= hi + 1e-9)
-    converged = _stable(min_vals, False) and _stable(max_vals, True) and sandwich
+    converged = _stable(min_vals, False, scale) and _stable(max_vals, True, scale) and sandwich
     return PinchReport(
         k_min=k_min,
         k_max=k_max,
@@ -429,12 +603,12 @@ def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
         return j_line(u / np.linalg.norm(u, axis=1, keepdims=True))
 
     results = _extremes(
-        tensors, restarts, seeds, lambda seed, r: j_line(_inits(dim, seed, r, 7)), retract
+        tensors, restarts, seeds, lambda seed, r: j_line(_inits(dim, seed, r, 7)), retract, False
     )
     return [_hol_report(tensor, *result) for tensor, result in zip(tensors, results)]
 
 
-def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics):
+def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):
     dim = tensor.space.dim
     return HolReport(
         h_min=_refined_plane_value(tensor.entries, x_min),
@@ -442,7 +616,7 @@ def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics)
         argmin_u=x_min[:dim],
         argmax_u=x_max[:dim],
         restarts=restarts,
-        converged=_stable(min_vals, False) and _stable(max_vals, True),
+        converged=_stable(min_vals, False, scale) and _stable(max_vals, True, scale),
         diagnostics=diagnostics,
     )
 

@@ -385,6 +385,25 @@ def test_overflowing_results_exit_3_without_stdout(tmp_path, command):
     assert len(result.stderr.decode().strip().splitlines()) == 1
 
 
+def test_sweep_with_overflowing_perturbation_is_usage_error(tmp_path):
+    # t * direction overflows the Kahler projection at n = 1: one line, exit 2
+    config = tmp_path / "huge_t.json"
+    config.write_text(json.dumps({"n": 1, "t_values": [1e308], "samples_per_t": 1, "seed": 0, "restarts": 1}))
+    code, out, err = _run_in_process(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert out == ""
+    assert "overflows" in err and len(err.strip().splitlines()) == 1
+
+
+def test_main_builds_its_parser_once(model_file, capsys):
+    from kahlerpinch import cli
+
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.main(["validate", str(model_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 def test_sweep_missing_config_field(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"n": 2}))

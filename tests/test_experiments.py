@@ -56,6 +56,11 @@ def test_perturb_rejects_negative(space2):
         perturb(space2, -0.1, seed=1)
 
 
+def test_perturb_rejects_overflowing_size(space1):
+    with pytest.raises(PreconditionError, match="overflows"):
+        perturb(space1, 1e308, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
