@@ -13,10 +13,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from functools import lru_cache
+
+# the work functions of experiments and pinching are looked up on their modules
+# at each call, so that a test can replace them
+from . import experiments, pinching
+from .chern import ChernIndex, chern_densities, chern_ratio, density_ratio
+from .curvature import check_kahler, complex_hyperbolic_tensor, read_tensor, symmetry_residuals, write_tensor
+from .errors import (
+    DegenerateDenominatorError,
+    DegreeError,
+    NotNegativelyCurvedError,
+    PreconditionError,
+    ResourceLimitError,
+    TensorFormatError,
+)
+from .space import make_space, random_unitary_frame
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -28,21 +42,10 @@ DIMENSION_CAP = 4
 # of constants --certify and identities --samples, and a multistart's restarts
 SAMPLE_CAP = 10_000
 RESTART_CAP = 4096
-THREADS_ENV_VAR = "KAHLERPINCH_THREADS"
-
-
-def _apply_thread_override():
-    """Propagate the thread-count override to BLAS before numpy loads."""
-    value = os.environ.get(THREADS_ENV_VAR)
-    if value:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, value)
 
 
 def _emit(payload: dict) -> None:
     """Write payload as strict JSON; a non-finite value raises ResourceLimitError instead."""
-    from .errors import ResourceLimitError
-
     try:
         text = json.dumps(payload, indent=2, allow_nan=False)
     except ValueError as exc:
@@ -57,8 +60,6 @@ def _fail_usage(message: str) -> int:
 
 def _check_n(n: int, name: str, low: int = 1) -> int | None:
     """EXIT_USAGE (after a one-line message) for n below low; raises above DIMENSION_CAP."""
-    from .errors import ResourceLimitError
-
     if n < low:
         return _fail_usage(f"{name} must be in [{low}, {DIMENSION_CAP}], got {n}")
     if n > DIMENSION_CAP:
@@ -68,8 +69,6 @@ def _check_n(n: int, name: str, low: int = 1) -> int | None:
 
 def _check_count(name: str, value: int | None, cap: int) -> None:
     """Raises ResourceLimitError for a count above its cap; None stands for the default."""
-    from .errors import ResourceLimitError
-
     if value is not None and value > cap:
         raise ResourceLimitError(f"{name} = {value} exceeds the cap {cap}")
 
@@ -98,8 +97,6 @@ def _finite_float(value) -> float | None:
 
 def _load_tensor(path: str, tol: float | None = None):
     """The file's tensor, its certificate at tol (default: the file's tolerance) and tol."""
-    from .curvature import check_kahler, read_tensor
-
     tensor, file_tol = read_tensor(path)
     _check_n(tensor.space.n, "tensor n")  # the file format already requires n >= 1
     tol = file_tol if tol is None else tol
@@ -109,8 +106,6 @@ def _load_tensor(path: str, tol: float | None = None):
 def cmd_r0(args) -> int:
     if code := _check_n(args.n, "--n") or _check_positive("--tol", args.tol):
         return code
-    from .curvature import complex_hyperbolic_tensor, symmetry_residuals, write_tensor
-    from .space import make_space
 
     tensor = complex_hyperbolic_tensor(make_space(args.n))
     write_tensor(args.out, tensor, args.tol)
@@ -149,9 +144,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pinch(args) -> int:
-    from .errors import PreconditionError
-    from .pinching import pinch
-
     _check_count("--restarts", args.restarts, RESTART_CAP)
     tensor, certificate, _ = _load_tensor(args.path)
     if not certificate.passed:
@@ -166,7 +158,7 @@ def cmd_pinch(args) -> int:
         )
         return EXIT_CHECK_FAILED
     try:
-        report = pinch(tensor, restarts=args.restarts, seed=args.seed)
+        report = pinching.pinch(tensor, restarts=args.restarts, seed=args.seed)
     except PreconditionError as exc:
         return _fail_usage(str(exc))
     _emit(
@@ -195,9 +187,6 @@ def cmd_pinch(args) -> int:
 
 
 def _parse_index(text: str, n: int):
-    from .chern import ChernIndex
-    from .errors import DegreeError
-
     parts = text.split(",")
     if len(parts) != n:
         raise DegreeError(f"index {text!r} must have {n} comma-separated entries")
@@ -209,10 +198,6 @@ def _parse_index(text: str, n: int):
 
 
 def cmd_chern(args) -> int:
-    from .chern import chern_densities, chern_ratio, density_ratio
-    from .errors import DegreeError, PreconditionError
-    from .space import random_unitary_frame
-
     tensor, certificate, tol = _load_tensor(args.path)
     if not certificate.passed:
         raise PreconditionError(
@@ -255,9 +240,8 @@ def cmd_identities(args) -> int:
     if args.samples < 1:
         return _fail_usage(f"--samples must be >= 1, got {args.samples}")
     _check_count("--samples", args.samples, SAMPLE_CAP)
-    from .experiments import identity_suite
 
-    results = identity_suite(args.n, args.samples, args.seed)
+    results = experiments.identity_suite(args.n, args.samples, args.seed)
     core_keys = (
         "identity_one",
         "solve_vs_direct",
@@ -313,14 +297,12 @@ def cmd_sweep(args) -> int:
         "sweep records (samples_per_t x t_values)", config["samples_per_t"] * len(t_values), SAMPLE_CAP
     )
     _check_count("config restarts", config.get("restarts"), RESTART_CAP)
-    from .errors import PreconditionError
-    from .experiments import aggregate_by_t, emit_csv, sweep
 
     # opened before the sweep, as shell redirection would, so an unwritable
     # path fails before any record is computed
     with open(args.out, "w", encoding="ascii") as fh:
         try:
-            records = sweep(
+            records = experiments.sweep(
                 n,
                 t_values,
                 config["samples_per_t"],
@@ -332,7 +314,7 @@ def cmd_sweep(args) -> int:
         except RuntimeError as exc:
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_CHECK_FAILED
-        fh.write(emit_csv(records))
+        fh.write(experiments.emit_csv(records))
     _emit(
         {
             "command": "sweep",
@@ -340,7 +322,7 @@ def cmd_sweep(args) -> int:
             "out": args.out,
             "records": len(records),
             "excluded": sum(1 for r in records if not r.converged),
-            "aggregates": aggregate_by_t(records),
+            "aggregates": experiments.aggregate_by_t(records),
         }
     )
     return EXIT_OK
@@ -354,13 +336,16 @@ def cmd_constants(args) -> int:
     _check_count("--certify", args.certify, SAMPLE_CAP)
     if args.certify and args.seed is None:
         return _fail_usage("--certify requires --seed")
-    from .experiments import certify_constants, proof_constants
 
-    chain = proof_constants(args.epsilon, args.n)
+    chain = experiments.proof_constants(args.epsilon, args.n)
     payload = {"command": "constants", **asdict(chain)}
     exit_code = EXIT_OK
     if args.certify:
-        report = certify_constants(chain, args.certify, args.seed)
+        try:
+            report = experiments.certify_constants(chain, args.certify, args.seed)
+        except RuntimeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_CHECK_FAILED
         payload["certification"] = {**asdict(report), "seed": args.seed}
         if report.violations:
             exit_code = EXIT_CHECK_FAILED
@@ -429,15 +414,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_override()
     args = _parser().parse_args(argv)
-    from .errors import (
-        DegenerateDenominatorError,
-        NotNegativelyCurvedError,
-        PreconditionError,
-        ResourceLimitError,
-        TensorFormatError,
-    )
 
     try:
         return args.func(args)

@@ -327,13 +327,13 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
 
 
 def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts: int | None):
-    """Each sample's normalization once its defect is below delta, and the retries.
+    """Each sample's pinch report and normalization once its defect is below delta, and the retries.
 
     A sample starts at t = delta / 8 and halves t after each defect at or
     above delta, for at most 8 rounds (None if it never gets below). Each
     round pinches every sample still pending in shared optimizer batches.
     """
-    normalizations = [None] * len(seeds)
+    accepted = [None] * len(seeds)
     pending = list(range(len(seeds)))
     retries = 0
     t = delta / 8.0
@@ -344,7 +344,7 @@ def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts
         for i, tensor, report in zip(pending, tensors, reports):
             normalization = normalize_quarter(tensor, report)
             if normalization.delta < delta:
-                normalizations[i] = normalization
+                accepted[i] = (report, normalization)
             else:
                 retries += 1
                 retry.append(i)
@@ -352,7 +352,7 @@ def _below_delta(space: HermitianSpace, delta: float, seeds: list[int], restarts
         if not pending:
             break
         t *= 0.5
-    return normalizations, retries
+    return accepted, retries
 
 
 def certify_constants(
@@ -367,7 +367,11 @@ def certify_constants(
     pinching defect is below delta must keep every Chern-density ratio within
     epsilon of the model value. The defect comes from the multistart extremes
     of pinch (inside its rigorous bivector envelope), so it is the optimizer's
-    estimate, not a certified bound.
+    estimate, not a certified bound. A sample is only counted when its pinch
+    converged and its defect is not anomalous: for n >= 2 a Kahler tensor is
+    at best quarter-pinched, so a defect meaningfully below zero means the
+    optimizer missed an extreme. Such a sample, or one that never gets below
+    delta, raises RuntimeError.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
@@ -379,11 +383,18 @@ def certify_constants(
     for start in range(0, samples, SAMPLES_PER_CHUNK):
         chunk = range(start, min(start + SAMPLES_PER_CHUNK, samples))
         seeds = [_sample_seed(seed, 0, sample) for sample in chunk]
-        normalizations, chunk_retries = _below_delta(space, chain.delta, seeds, restarts)
+        accepted, chunk_retries = _below_delta(space, chain.delta, seeds, restarts)
         retries += chunk_retries
-        for sample, normalization in zip(chunk, normalizations):
-            if normalization is None:
+        for sample, pinched in zip(chunk, accepted):
+            if pinched is None:
                 raise RuntimeError(f"sample {sample} never certified below delta={chain.delta:g}")
+            report, normalization = pinched
+            if not report.converged:
+                raise RuntimeError(f"sample {sample}: the pinch did not converge")
+            if normalization.anomaly:
+                raise RuntimeError(
+                    f"sample {sample}: defect {normalization.delta:.3e} is below the quarter-pinching bound"
+                )
             max_defect = max(max_defect, normalization.delta)
             for dev in _ratio_deviations(normalization.tensor).values():
                 max_ratio_dev = max(max_ratio_dev, dev)

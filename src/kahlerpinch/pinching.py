@@ -31,10 +31,12 @@ moves along p = M^{-1} g with M = |Hess K of s0 R0| + mu I on the
 horizontal space; M^{-1} has a closed form row by row (_plane_direction),
 and since M p_prev = g_prev the BB secant s^T M s costs no second solve.
 Two kinds of rows keep the plain step: the J-line rows of H, where M
-reduces to mu I, and the rows of an exact space form (mu = 0), where M is
-singular. The gradient, stagnation, acceptance and stability tests are
-relative to the tensor's curvature scale |R|/|R0| = hypot(s0, mu), which is
-1 for R0, so the extremes of f R are f times those of R.
+reduces to mu I, and the rows of a space form up to rounding
+(mu <= SPACE_FORM_ROUNDING eps |s0|), where M is singular or amplifies the
+gradient's rounding error past the step. The gradient, stagnation,
+acceptance and stability tests are relative to the tensor's curvature scale
+|R|/|R0| = hypot(s0, mu), which is 1 for R0, so the extremes of f R are
+f times those of R.
 
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
@@ -85,6 +87,14 @@ STAGNATION_LIMIT = 50
 # batch while their rows fit (4 tensors at n = 2, 3; an n = 4 tensor's 512 rows
 # run alone), so their iteration tails overlap; the bound keeps peak memory flat
 BATCH_ROWS = 512
+# plane rows of a block with mu <= SPACE_FORM_ROUNDING * eps * |s0| keep the plain
+# step, as an exact space form's do. The pair objective's GEMM sums d^2 products
+# per entry, so the gradient carries a rounding error of up to about
+# d^2 eps |s0|. Along the model's flat directions the true gradient is of order
+# mu, and M^{-1} divides both by mu: at mu <= d^2 eps |s0| the step there is
+# rounding noise. The constant is d^2 = 64 at n = 4, the largest dimension the
+# CLI accepts.
+SPACE_FORM_ROUNDING = 64
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after MAX_ITER iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
@@ -376,11 +386,12 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     gradients, sizes[k] being the number of rows of block k in x. scales[k]
     is block k's curvature scale (1 when None): the gradient, stagnation and
     acceptance tests are relative to it. models = (|s0|, mu) holds the
-    blocks' model coordinates (see _model_coordinates): the rows of a block
-    with mu > 0 step along p = M^{-1} g (_plane_direction), with the BB step
-    s^T M s / s^T y and s^T M s = sign * step * <s, g_prev>, since
-    M p_prev = g_prev: one solve per iteration and no product with M. Rows of
-    a block with mu = 0, and all rows when models is None, step along g.
+    blocks' model coordinates (see _model_coordinates). Rows of a block with
+    mu <= SPACE_FORM_ROUNDING eps |s0| (a space form up to rounding), and all
+    rows when models is None, step along g. The other rows step along
+    p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
+    s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
+    per iteration and no product with M.
     Each row evolves independently (up to the rounding of the objective's
     per-block GEMM, see the module docstring). A row leaves the batch for
     good at the first EXIT_REASONS test it fails, so an iteration steps,
@@ -401,7 +412,7 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     abs_s0 = mu = plain = None
     if models is not None:
         abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models)
-        plain = mu[:, 0] == 0.0
+        plain = mu[:, 0] <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0[:, 0]
         mu[plain] = 1.0
     vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()

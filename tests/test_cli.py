@@ -450,6 +450,23 @@ def test_constants_chain(tmp_path):
     assert payload["delta"] == min(payload["eta"] / 3.0, payload["delta_1"])
 
 
+@pytest.mark.parametrize("failure", ["unconverged", "never below delta"])
+def test_constants_certification_failure_exits_1(monkeypatch, failure):
+    import kahlerpinch.experiments
+    import kahlerpinch.pinching
+
+    if failure == "unconverged":
+        monkeypatch.setattr(kahlerpinch.pinching, "MAX_ITER", 3)
+    else:
+        perturb = kahlerpinch.experiments.perturb
+        monkeypatch.setattr(kahlerpinch.experiments, "perturb", lambda space, t, seed: perturb(space, 0.5, seed))
+    code, out, err = _run_in_process(["constants", "--epsilon", "0.1", "--n", "2", "--certify", "1", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_constants_rejects_bad_epsilon():
     assert run_cli("constants", "--epsilon", "0", "--n", "2").returncode == 2
     assert run_cli("constants", "--epsilon", "-0.5", "--n", "2").returncode == 2

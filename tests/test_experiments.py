@@ -221,6 +221,34 @@ def test_certification_run_small():
     assert report.max_ratio_dev < chain.epsilon
 
 
+@pytest.mark.parametrize("epsilon, samples", [(1e-12, 3), (1e-300, 1)])
+def test_certification_of_space_forms_up_to_rounding(epsilon, samples):
+    # delta / 8 leaves these samples within rounding of the model: their
+    # defect is 0, never meaningfully below it
+    chain = proof_constants(epsilon, 2)
+    report = certify_constants(chain, samples, 1)
+    assert report.violations == 0
+    assert 0.0 <= report.max_defect < chain.delta
+
+
+def test_certification_rejects_unconverged_and_anomalous_samples(monkeypatch):
+    chain = proof_constants(0.1, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(kahlerpinch.pinching, "MAX_ITER", 3)
+        with pytest.raises(RuntimeError, match="sample 0: the pinch did not converge"):
+            certify_constants(chain, 1, 1)
+    # for n >= 2 a Kahler tensor is at best quarter-pinched: a defect below the
+    # anomaly flag means the optimizer missed an extreme
+    original = kahlerpinch.experiments.normalize_quarter
+
+    def anomalous(tensor, report):
+        return dataclasses.replace(original(tensor, report), delta=-1e-3, anomaly=True)
+
+    monkeypatch.setattr(kahlerpinch.experiments, "normalize_quarter", anomalous)
+    with pytest.raises(RuntimeError, match="sample 0: defect -1.000e-03 is below the quarter-pinching bound"):
+        certify_constants(chain, 1, 1)
+
+
 # ---------------------------------------------------------------------------
 # shared optimizer batches
 # ---------------------------------------------------------------------------

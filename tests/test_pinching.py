@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -176,16 +178,55 @@ def test_pinch_and_hol_match_recorded_values():
             assert values == (-1.0, -0.25, -1.0, -1.0)
 
 
-def test_optimizer_rows_stop_when_they_cycle_without_improving(monkeypatch):
+def _cycling_objective(v0=-1.0, h=0.01):
+    """A pair objective whose rows cycle between their start value and a worse one.
+
+    Every tensor block holds its descending rows, then as many ascending
+    ones, as _extremes builds it. Every second evaluation moves the value h
+    the wrong way for the row's sign (an uphill step the acceptance test
+    still takes); the others return v0 again. The gradient is constant and
+    far from the tolerance, so accepted steps never beat the best value v0
+    and no other exit test can stop a row. Called as (mats, sizes, y).
+    """
+    calls = itertools.count()
+
+    def objective(mats, sizes, y):
+        assert all(size % 2 == 0 for size in sizes)
+        signs = np.concatenate([np.repeat([-1.0, 1.0], size // 2) for size in sizes])
+        worse = h if next(calls) % 2 else 0.0
+        return v0 - signs * worse, np.full_like(y, 0.5)
+
+    return objective
+
+
+def test_optimizer_rows_stop_when_they_cycle_without_improving():
     # accepted uphill steps let a row cycle without ever beating its best value;
-    # stagnation counted against the current value let such rows run to MAX_ITER
-    # (10001 objective evaluations): it does for the holomorphic run below and
-    # for both certification samples. The values are those of the uncapped run.
+    # stagnation counted against the current value would reset on every return
+    # to v0 and let such rows run to MAX_ITER. Counted against the best value,
+    # every row stops after STAGNATION_LIMIT + 1 iterations and reports v0.
+    from kahlerpinch import pinching
+    from kahlerpinch.pinching import EXIT_REASONS, STAGNATION_LIMIT
+
+    objective = _cycling_objective()
+    x = pinching._orthonormalize_pairs(seeded_rng(4).standard_normal((8, 8)))
+    signs = np.repeat([-1.0, 1.0], 4)
+    vals, points, iterations, reasons = pinching._optimize(
+        x.copy(), signs, np.zeros(8, dtype=int), lambda y, sizes: objective(None, sizes, y),
+        pinching._orthonormalize_pairs,
+    )
+    assert reasons.tolist() == [EXIT_REASONS.index("stagnation")] * 8
+    assert iterations.tolist() == [STAGNATION_LIMIT + 1] * 8
+    assert vals.tolist() == [-1.0] * 8
+    assert np.array_equal(points, x)
+
+
+def test_optimizer_rows_stop_on_real_tensors_that_once_cycled(monkeypatch):
+    # tensors whose rows once cycled to MAX_ITER (10001 objective evaluations):
+    # the holomorphic run below, and both certification samples
     from kahlerpinch import pinching
     from kahlerpinch.experiments import certify_constants, perturb, proof_constants
-    from kahlerpinch.pinching import EXIT_REASONS
 
-    evaluations, stagnated = [], []
+    evaluations = []
     optimize = pinching._optimize
 
     def counting(x, signs, owners, objective, *rest):
@@ -193,9 +234,7 @@ def test_optimizer_rows_stop_when_they_cycle_without_improving(monkeypatch):
             evaluations.append(len(y))
             return objective(y, sizes)
 
-        result = optimize(x, signs, owners, counted, *rest)
-        stagnated.append(np.count_nonzero(result[3] == EXIT_REASONS.index("stagnation")))
-        return result
+        return optimize(x, signs, owners, counted, *rest)
 
     monkeypatch.setattr(pinching, "_optimize", counting)
     seed = 306298193
@@ -203,20 +242,14 @@ def test_optimizer_rows_stop_when_they_cycle_without_improving(monkeypatch):
     normalized = normalize_quarter(tensor, pinch(tensor, seed=seed)).tensor
     evaluations.clear()
     hol = hol_extremes(normalized, seed=seed)
-    assert hol.diagnostics.stagnation > 0
     assert len(evaluations) < 1000
     assert hol.h_min == pytest.approx(-1.0222205595255283, rel=0.0, abs=1e-12)
     assert hol.h_max == pytest.approx(-1.011771485313103, rel=0.0, abs=1e-12)
     assert hol.converged
-    # certification samples whose plane rows end by stagnation; the samples that
-    # cycled before plane rows took the preconditioned step (10 and 34) now stop
-    # by the gradient test, and none of seeds 0..2999 cycles under the old rule
     for sample_seed in (721, 909):
         evaluations.clear()
-        stagnated.clear()
         report = certify_constants(proof_constants(0.1, 2), 1, sample_seed)
         assert report.violations == 0
-        assert sum(stagnated) > 0
         assert len(evaluations) < 1000
 
 
@@ -453,6 +486,32 @@ def test_exact_model_keeps_the_plain_step(r0_n2, r0_n3):
     assert dataclasses.astuple(hol.diagnostics) == MODEL_HOL_N2[1]
     assert dataclasses.astuple(pinch(r0_n3, restarts=8, seed=3).diagnostics) == (16, 0, 0, 0, 115, 11)
     assert dataclasses.astuple(hol_extremes(r0_n3, restarts=8, seed=3).diagnostics) == (16, 0, 0, 0, 0, 0)
+
+
+def _near_space_forms(n):
+    """Space forms up to rounding, with the seed to pinch them at: mu is tiny but not 0."""
+    from kahlerpinch import project_kahler
+    from kahlerpinch.experiments import perturb
+
+    model = complex_hyperbolic_tensor(make_space(n))
+    return [(project_kahler(model), 1), (model.scaled(0.1), 1), (perturb(make_space(n), 1e-16, 5), 5)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_space_forms_up_to_rounding_keep_the_plain_step(n):
+    # with mu of the order eps |s0|, M^{-1} amplifies the gradient's rounding by
+    # 1/mu: the preconditioned step stopped such rows by step underflow after one
+    # iteration (k_min = -0.964 at n = 2) or ran them to the iteration cap
+    from kahlerpinch.pinching import _model_coordinates
+
+    for tensor, seed in _near_space_forms(n):
+        s0, mu = _model_coordinates(tensor)
+        assert mu < 1e-15 * abs(s0)
+        report = pinch(tensor, seed=seed)
+        assert report.converged
+        assert report.diagnostics.step_underflow == report.diagnostics.iteration_cap == 0
+        assert report.k_min / s0 == pytest.approx(-1.0, rel=0.0, abs=1e-12)
+        assert report.k_max / s0 == pytest.approx(-0.25, rel=0.0, abs=1e-12)
 
 
 def test_near_model_planes_converge_in_few_iterations():
@@ -692,7 +751,6 @@ def test_optimizer_evaluates_only_live_rows(monkeypatch):
 
 def test_reports_count_optimizer_exit_reasons(space2, monkeypatch):
     from kahlerpinch import pinching
-    from kahlerpinch.experiments import _sample_seed, perturb, proof_constants
 
     def reasons(diagnostics):
         return (
@@ -702,12 +760,16 @@ def test_reports_count_optimizer_exit_reasons(space2, monkeypatch):
             diagnostics.iteration_cap,
         )
 
-    # the first tensor certification sample 721 pinches: most restarts meet the
-    # gradient tolerance, one stagnates
-    sample_seed = _sample_seed(721, 0, 0)
-    tensor = perturb(make_space(2), proof_constants(0.1, 2).delta / 8, sample_seed)
-    report = pinch(tensor, seed=sample_seed)
-    assert reasons(report.diagnostics) == (127, 0, 1, 0)
+    # rows that cycle without beating their best value all stop by stagnation,
+    # after STAGNATION_LIMIT + 1 iterations each
+    limit = pinching.STAGNATION_LIMIT + 1
+    model = complex_hyperbolic_tensor(space2)
+    with monkeypatch.context() as patch:
+        patch.setattr(pinching, "_pair_objective", _cycling_objective())
+        for cycled in (pinch(model, restarts=4, seed=1), hol_extremes(model, restarts=4, seed=1)):
+            assert reasons(cycled.diagnostics) == (0, 0, 8, 0)
+            assert cycled.diagnostics.row_iterations == 8 * limit
+            assert cycled.diagnostics.max_row_iterations == limit
     # a flat objective stops every row on its first gradient
     zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
     for flat in (pinch(zero, restarts=4, seed=1), hol_extremes(zero, restarts=4, seed=1)):
