@@ -14,7 +14,7 @@ relative to omega^n; only ratios of densities are consumed downstream, so the
 normalization convention cancels.
 
 `chern_densities` builds the forms once per tensor and evaluates every
-product c_1^{a_1} ^ ... ^ c_n^{a_n}; `chern_product`, `chern_ratio` and
+product c_1^{a_1} ^ ... ^ c_n^{a_n}; `chern_ratio` and
 `reference_constants` are read off its table, and `density_ratio` divides two
 entries of it.
 """
@@ -39,13 +39,10 @@ from .space import HermitianSpace, make_space
 
 __all__ = [
     "ChernIndex",
-    "ChernDensity",
     "canonical_frame",
     "curvature_matrix",
-    "chern_form",
     "chern_forms",
     "chern_densities",
-    "chern_product",
     "chern_ratio",
     "density_ratio",
     "enumerate_indices",
@@ -81,14 +78,6 @@ class ChernIndex:
 
     def __str__(self) -> str:
         return self.label()
-
-
-@dataclass(frozen=True)
-class ChernDensity:
-    """Coefficient gamma with c_I(R) = gamma * omega^n."""
-
-    index: ChernIndex
-    gamma: float
 
 
 def enumerate_indices(n: int) -> list[ChernIndex]:
@@ -178,13 +167,6 @@ def chern_forms(tensor: CurvatureTensor, frame=None) -> np.ndarray:
     return sigmas.real
 
 
-def chern_form(tensor: CurvatureTensor, k: int, frame=None) -> np.ndarray:
-    """Single Chern form c_k (real, degree 2k), an array of length 2^{2n}."""
-    if k < 0 or k > tensor.space.n:
-        raise DegreeError(f"k must be in [0, {tensor.space.n}], got {k}")
-    return chern_forms(tensor, frame)[k]
-
-
 def chern_densities(tensor: CurvatureTensor, frame=None) -> dict[ChernIndex, float]:
     """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
     forms = chern_forms(tensor, frame)
@@ -196,13 +178,6 @@ def chern_densities(tensor: CurvatureTensor, frame=None) -> dict[ChernIndex, flo
                 product = wedge(product, forms[k])
         densities[index] = top_coefficient(product)
     return densities
-
-
-def chern_product(tensor: CurvatureTensor, index: ChernIndex, frame=None) -> ChernDensity:
-    """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n."""
-    if index.n != tensor.space.n:
-        raise DegreeError(f"index has n={index.n}, tensor has n={tensor.space.n}")
-    return ChernDensity(index=index, gamma=chern_densities(tensor, frame)[index])
 
 
 def space_form_ratio(index_i: ChernIndex, index_j: ChernIndex) -> float:

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the file's tolerance")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pinch", help="certified sectional-curvature extremes")
+    p = sub.add_parser("pinch", help="multistart estimates of the sectional-curvature extremes")
     p.add_argument("path", help="tensor file")
     p.add_argument("--restarts", type=int, default=None, help="multistart count")
     p.add_argument("--seed", type=int, required=True, help="seed for restart initialization")

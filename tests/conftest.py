@@ -1,8 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from kahlerpinch import complex_hyperbolic_tensor, make_space, project_kahler
+
+# pytest's `pythonpath` setting reaches only its own process; the tests that run
+# `python -m kahlerpinch` or `python -c` in a child find the package through this
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Property tests draw the same examples on every run, so a clean checkout passes
 # or fails the same way each time; a test's own @settings keep its max_examples.

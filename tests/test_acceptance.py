@@ -151,7 +151,7 @@ def test_criterion_5_berger_bound():
         report = pinch(tensor, restarts=64, seed=s)
         norm = normalize_quarter(tensor, report)
         normalized_report = pinch(norm.tensor, restarts=64, seed=s)
-        violation = berger_bound_check(norm.tensor, normalized_report, samples=100, seed=s)
+        violation = berger_bound_check(norm.tensor, normalized_report.k_min, samples=100, seed=s)
         worst_violation = max(worst_violation, violation)
     u, v = random_orthonormal_pair(space, 77, constraint="v_perp_ju")
     attained = abs(model.evaluate(u, space.j(u), v, space.j(v)))

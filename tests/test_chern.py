@@ -10,9 +10,7 @@ from kahlerpinch import (
     CurvatureTensor,
     canonical_frame,
     chern_densities,
-    chern_form,
     chern_forms,
-    chern_product,
     chern_ratio,
     complex_hyperbolic_tensor,
     curvature_matrix,
@@ -118,15 +116,8 @@ def test_curvature_matrix_rejects_non_unitary_frame(r0_n2, space2):
 
 
 def test_c0_is_one(r0_n2):
-    c0 = chern_form(r0_n2, 0)
+    c0 = chern_forms(r0_n2)[0]
     assert c0[0] == 1.0 and np.all(c0[1:] == 0.0)
-
-
-def test_chern_form_degree_bounds(r0_n2):
-    with pytest.raises(DegreeError):
-        chern_form(r0_n2, 3)
-    with pytest.raises(DegreeError):
-        chern_form(r0_n2, -1)
 
 
 def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
@@ -347,16 +338,10 @@ def test_degenerate_denominator_raises(space2):
         chern_ratio(zero, ChernIndex((2, 0)), ChernIndex((0, 1)))
 
 
-def test_chern_product_matches_ratio(r0_n2):
+def test_chern_densities_match_ratio(r0_n2):
     i1, i2 = ChernIndex((2, 0)), ChernIndex((0, 1))
-    g1 = chern_product(r0_n2, i1).gamma
-    g2 = chern_product(r0_n2, i2).gamma
-    assert g1 / g2 == pytest.approx(chern_ratio(r0_n2, i1, i2), rel=1e-12)
-
-
-def test_chern_product_rejects_wrong_dimension(r0_n2):
-    with pytest.raises(DegreeError):
-        chern_product(r0_n2, ChernIndex((3, 0, 0)))
+    densities = chern_densities(r0_n2)
+    assert densities[i1] / densities[i2] == pytest.approx(chern_ratio(r0_n2, i1, i2), rel=1e-12)
 
 
 def test_continuity_near_model(space2, r0_n2):
@@ -368,8 +353,9 @@ def test_continuity_near_model(space2, r0_n2):
     for s in range(12):
         tensor = perturb(space2, 0.008, seed=400 + s)
         dist = distance(tensor, r0_n2)
+        densities = chern_densities(tensor)
         for index in enumerate_indices(2):
-            dev = abs(chern_product(tensor, index).gamma - table[index])
+            dev = abs(densities[index] - table[index])
             samples.append((dist, dev, str(index)))
     fit = max(dev / dist for dist, dev, _ in samples[: len(samples) // 2])
     print(f"fitted continuity constant near the model tensor: C = {fit:.4f}")

@@ -214,7 +214,7 @@ def test_proof_constants_preconditions():
 
 def test_certification_run_small():
     chain = proof_constants(0.1, 2)
-    report = certify_constants(chain, samples=4, seed=15, restarts=32)
+    report = certify_constants(chain, samples=4, seed=15)
     assert isinstance(report, CertificationReport)
     assert report.violations == 0
     assert report.max_defect < chain.delta
@@ -533,8 +533,11 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
     polarization = experiments.polarization_residuals
 
     def recording(tensor, u, v, a, b):
-        rows = len(u)
-        calls.append((tensor, np.array(u), np.array(v), np.broadcast_to(a, rows), np.broadcast_to(b, rows)))
+        # one row per (u, v, a, b) the call's batch axes broadcast to
+        u, v = np.asarray(u), np.asarray(v)
+        shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], np.shape(a), np.shape(b))
+        rows = [np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1]) for x in (u, v)]
+        calls.append((tensor, *rows, *(np.broadcast_to(x, shape).ravel() for x in (a, b))))
         return polarization(tensor, u, v, a, b)
 
     monkeypatch.setattr(experiments, "polarization_residuals", recording)
@@ -561,3 +564,16 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
         (rotated,) = [(a, b) for _, a, b in uses if a != b]
         assert diagonal == (1 / math.sqrt(2), 1 / math.sqrt(2))
         assert rotated == pytest.approx((math.cos(theta), math.sin(theta)), rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_identity_suite_runs_no_optimizer(monkeypatch, n):
+    # the Berger check reads the model's exact curvature minimum, not a pinch
+    from kahlerpinch import pinching
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("identity_suite ran the optimizer")
+
+    monkeypatch.setattr(pinching, "_optimize", forbidden)
+    results = identity_suite(n, 20, 5)
+    assert results["berger_max_violation"] <= 1e-9
