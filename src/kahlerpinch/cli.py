@@ -373,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pinch", help="multistart estimates of the sectional-curvature extremes")
     p.add_argument("path", help="tensor file")
-    p.add_argument("--restarts", type=int, default=None, help="multistart count")
+    p.add_argument(
+        "--restarts",
+        type=int,
+        default=None,
+        help="multistart count, run as given (default: 64, rerun once at 256 if not converged)",
+    )
     p.add_argument("--seed", type=int, required=True, help="seed for restart initialization")
     p.set_defaults(func=cmd_pinch)
 

@@ -19,6 +19,12 @@ to a one-tensor run. The extremes are the best values the restarts reach,
 not proven optima; a rigorous eigenvalue envelope from the curvature
 operator on bivectors sandwiches them.
 
+A multistart with the default budget (restarts=None) runs 64 restarts at
+every n, and reruns once at 4 x 64 = 256 restarts each tensor whose report
+is not converged; the rerun's report is final. Start rows are prefix-stable,
+so that rerun is exactly the explicit 256-restart multistart. An explicit
+restart count runs as given and is never escalated.
+
 Plane rows step along a preconditioned gradient (preconditioned
 Barzilai-Borwein; Molina & Raydan, Numer. Algorithms 1996). The tensors of
 interest lie near the complex hyperbolic model: R = s0 R0 + E with
@@ -30,13 +36,14 @@ steps crawl (hundreds of iterations near t = 1e-6). A plane row therefore
 moves along p = M^{-1} g with M = |Hess K of s0 R0| + mu I on the
 horizontal space; M^{-1} has a closed form row by row (_plane_direction),
 and since M p_prev = g_prev the BB secant s^T M s costs no second solve.
-Two kinds of rows keep the plain step: the J-line rows of H, where M
-reduces to mu I, and the rows of a space form up to rounding
+Three kinds of rows keep the plain step: the J-line rows of H, where M
+reduces to mu I; the rows of a space form up to rounding
 (mu <= SPACE_FORM_ROUNDING eps |s0|), where M is singular or amplifies the
-gradient's rounding error past the step. The gradient, stagnation,
-acceptance and stability tests are relative to the tensor's curvature scale
-|R|/|R0| = hypot(s0, mu), which is 1 for R0, so the extremes of f R are
-f times those of R.
+gradient's rounding error past the step; and the rows of a tensor far from
+the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing.
+The gradient, stagnation, acceptance and stability tests are relative to
+the tensor's curvature scale |R|/|R0| = hypot(s0, mu), which is 1 for R0, so
+the extremes of f R are f times those of R.
 
 Reported extreme values are re-evaluated at the witness in extended precision
 before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
@@ -84,24 +91,40 @@ STABILITY_TOL = 1e-8
 # accepted uphill steps can cycle without ever improving on the best)
 STAGNATION_LIMIT = 50
 # rows of one optimizer batch: the restarts of consecutive tensors share a
-# batch while their rows fit (4 tensors at n = 2, 3; an n = 4 tensor's 512 rows
-# run alone), so their iteration tails overlap; the bound keeps peak memory flat
+# batch while their rows fit (4 tensors at the default 64 restarts; a tensor
+# rerun at 256 restarts fills a batch alone), so their iteration tails overlap;
+# the bound keeps peak memory flat
 BATCH_ROWS = 512
-# plane rows of a block with mu <= SPACE_FORM_ROUNDING * eps * |s0| keep the plain
-# step, as an exact space form's do. The pair objective's GEMM sums d^2 products
-# per entry, so the gradient carries a rounding error of up to about
-# d^2 eps |s0|. Along the model's flat directions the true gradient is of order
-# mu, and M^{-1} divides both by mu: at mu <= d^2 eps |s0| the step there is
-# rounding noise. The constant is d^2 = 64 at n = 4, the largest dimension the
-# CLI accepts.
+# plane rows of a block keep the plain step at either end of mu / |s0|. Far
+# from the model, at 3 |s0| <= mu: |Hess K of s0 R0| has its spectrum in
+# [0, 3 |s0|] (see _plane_direction), so cond(M) <= 1 + 3 |s0| / mu <= 2 and
+# M^{-1} is within a factor 2 of the scalar 1/mu, which the BB step absorbs;
+# the solve would only add its cost. Near a space form, at
+# mu <= SPACE_FORM_ROUNDING * eps * |s0|, M^{-1} amplifies rounding: the pair
+# objective's GEMM sums d^2 products per entry, so the gradient carries a
+# rounding error of up to about d^2 eps |s0|. Along the model's flat
+# directions the true gradient is of order mu, and M^{-1} divides both by mu:
+# at mu <= d^2 eps |s0| the step there is rounding noise. The constant is
+# d^2 = 64 at n = 4, the largest dimension the CLI accepts.
 SPACE_FORM_ROUNDING = 64
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after MAX_ITER iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
+# a default multistart whose report is not converged reruns once at this
+# multiple of default_restarts
+ESCALATION = 4
 
 
 def default_restarts(n: int) -> int:
-    return 256 if n >= 4 else 64
+    """First-run restarts of a default multistart at complex dimension n: 64 at every n.
+
+    A tensor whose report at this budget is not converged reruns once at
+    ESCALATION times as many (256), and that report is final. At n = 4, on
+    100 tensors perturbed from the model by t = 0.02, at least 17% of the
+    restarts reached each extreme, so 64 restarts miss the best with
+    probability about (1 - 0.17)^64 = 7e-6.
+    """
+    return 64
 
 
 @dataclass(frozen=True)
@@ -387,8 +410,9 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     is block k's curvature scale (1 when None): the gradient, stagnation and
     acceptance tests are relative to it. models = (|s0|, mu) holds the
     blocks' model coordinates (see _model_coordinates). Rows of a block with
-    mu <= SPACE_FORM_ROUNDING eps |s0| (a space form up to rounding), and all
-    rows when models is None, step along g. The other rows step along
+    mu <= SPACE_FORM_ROUNDING eps |s0| (a space form up to rounding) or
+    3 |s0| <= mu (cond(M) <= 2), and all rows when models is None, step
+    along g. The other rows step along
     p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
     s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
     per iteration and no product with M.
@@ -412,7 +436,9 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     abs_s0 = mu = plain = None
     if models is not None:
         abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models)
-        plain = mu[:, 0] <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0[:, 0]
+        plain = (mu[:, 0] <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0[:, 0]) | (
+            3.0 * abs_s0[:, 0] <= mu[:, 0]
+        )
         mu[plain] = 1.0
     vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()
@@ -492,24 +518,16 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
 def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
     """Descend and ascend the pair objective from every start row of each tensor.
 
-    Certifies the tensors and resolves the restart count (default_restarts
-    when None). start_rows(seed, restarts) gives a tensor's start rows and
-    retract(x) maps rows onto the constraint set; plane rows (planes true)
-    step along the model Hessian's preconditioned gradient, J-line rows along
-    the gradient. Consecutive tensors share one _optimize batch while their
-    rows fit in BATCH_ROWS (a batch holds at least one tensor); a tensor's
-    block holds its start rows twice, descending then ascending. Returns,
-    per tensor, the restart count, the per-restart minima and maxima, the
+    start_rows(seed, restarts) gives a tensor's start rows and retract(x)
+    maps rows onto the constraint set; plane rows (planes true) step along
+    the model Hessian's preconditioned gradient, J-line rows along the
+    gradient. Consecutive tensors share one _optimize batch while their rows
+    fit in BATCH_ROWS (a batch holds at least one tensor); a tensor's block
+    holds its start rows twice, descending then ascending. Returns, per
+    tensor, the restart count, the per-restart minima and maxima, the
     minimizing and maximizing rows (ties go to the lowest restart), the
     diagnostics and the curvature scale |R| / |R0|.
     """
-    for tensor in tensors:
-        require_certified(tensor)
-    n = tensors[0].space.n
-    if restarts is None:
-        restarts = default_restarts(n)
-    elif restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
     per_batch = max(1, BATCH_ROWS // (2 * restarts))
     results = []
     for first in range(0, len(tensors), per_batch):
@@ -534,6 +552,35 @@ def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
             diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
             results.append((restarts, min_vals, max_vals, x_min, x_max, diagnostics, float(scales[k])))
     return results
+
+
+def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
+    """report(tensor, *result) of each tensor's _extremes result, under the restart budget.
+
+    Certifies the tensors. An explicit restart count runs as given.
+    restarts=None runs default_restarts(n), then reruns every tensor whose
+    report is not converged once at ESCALATION times that count, in shared
+    batches as usual; the rerun's report replaces the first.
+    """
+    for tensor in tensors:
+        require_certified(tensor)
+    if restarts is not None and restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
+
+    def reports(indices, count):
+        results = _extremes(
+            [tensors[k] for k in indices], count, [seeds[k] for k in indices], start_rows, retract, planes
+        )
+        return [report(tensors[k], *result) for k, result in zip(indices, results)]
+
+    if restarts is not None:
+        return reports(range(len(tensors)), restarts)
+    count = default_restarts(tensors[0].space.n)
+    final = reports(range(len(tensors)), count)
+    rerun = [k for k, first in enumerate(final) if not first.converged]
+    for k, second in zip(rerun, reports(rerun, ESCALATION * count)):
+        final[k] = second
+    return final
 
 
 def _stable(vals: np.ndarray, maximize: bool, scale: float) -> bool:
@@ -562,10 +609,11 @@ def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
     if not tensors:
         return []
     width = 2 * tensors[0].space.dim
-    results = _extremes(
-        tensors, restarts, seeds, lambda seed, r: _inits(width, seed, r), _orthonormalize_pairs, True
-    )
-    return [_pinch_report(tensor, *result) for tensor, result in zip(tensors, results)]
+
+    def start_rows(seed, r):
+        return _inits(width, seed, r)
+
+    return _multistart(tensors, restarts, seeds, start_rows, _orthonormalize_pairs, True, _pinch_report)
 
 
 def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):
@@ -613,10 +661,10 @@ def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
         u = x[:, :dim] + x[:, dim:] @ jmat
         return j_line(u / np.linalg.norm(u, axis=1, keepdims=True))
 
-    results = _extremes(
-        tensors, restarts, seeds, lambda seed, r: j_line(_inits(dim, seed, r, 7)), retract, False
-    )
-    return [_hol_report(tensor, *result) for tensor, result in zip(tensors, results)]
+    def start_rows(seed, r):
+        return j_line(_inits(dim, seed, r, 7))
+
+    return _multistart(tensors, restarts, seeds, start_rows, retract, False, _hol_report)
 
 
 def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):

@@ -388,10 +388,12 @@ def test_sweep_batches_stay_within_the_row_budget(monkeypatch):
     # pinch phase, then hol_extremes phase: full batches of 128 rows per tensor
     assert [blocks for _, blocks in batches] == 2 * ([per_batch] * (20 // per_batch) + [20 % per_batch] * (20 % per_batch > 0))
     assert all(rows == 128 * blocks for rows, blocks in batches)
-    # an n = 4 tensor's 512 rows fill the budget: one tensor per batch
+    # the default budget is 64 restarts at n = 4 too: 128 rows per tensor, so
+    # both tensors share one batch per phase (t = 0 converges, so no rerun)
     batches.clear()
     sweep(4, [0.0], samples_per_t=2, seed=1)
-    assert batches == [(512, 1)] * 4
+    assert batches == [(256, 2)] * 2
+    assert all(rows <= BATCH_ROWS and rows == 128 * blocks for rows, blocks in batches)
 
 
 # ---------------------------------------------------------------------------

@@ -905,6 +905,100 @@ def test_batches_respect_the_row_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# restart budget
+# ---------------------------------------------------------------------------
+
+# pinch of this n = 4 tensor at 64 restarts fails the stability test
+ESCALATING_SEED = 116000349
+
+
+def _escalating_tensor():
+    from kahlerpinch.experiments import perturb
+
+    return perturb(make_space(4), 0.02, ESCALATING_SEED)
+
+
+def test_default_budget_reruns_an_unconverged_tensor_at_256_restarts(monkeypatch):
+    # the rerun is the explicit 256-restart multistart: values, witnesses,
+    # diagnostics and the restart count agree bit for bit
+    from kahlerpinch import pinching
+
+    tensor, seed = _escalating_tensor(), ESCALATING_SEED
+    assert not pinch(tensor, restarts=64, seed=seed).converged
+    report = pinch(tensor, seed=seed)
+    assert report.restarts == 256 and report.converged
+    assert _bits(report) == _bits(pinch(tensor, restarts=256, seed=seed))
+    # hol_extremes reruns the same way once its first run fails the stability test
+    expected = hol_extremes(tensor, restarts=256, seed=seed)
+    stable, calls = pinching._stable, itertools.count()
+    monkeypatch.setattr(pinching, "_stable", lambda *args: next(calls) > 0 and stable(*args))
+    hol = hol_extremes(tensor, seed=seed)
+    assert hol.restarts == 256 and hol.converged
+    assert _bits(hol) == _bits(expected)
+
+
+def test_explicit_restarts_are_never_escalated(monkeypatch):
+    from kahlerpinch import pinching
+
+    tensor, seed = _escalating_tensor(), ESCALATING_SEED
+    calls = _record_blocks(monkeypatch)
+    report = pinch(tensor, restarts=64, seed=seed)
+    assert report.restarts == 64 and not report.converged
+    monkeypatch.setattr(pinching, "_stable", lambda *args: False)
+    for report in (pinch(tensor, restarts=16, seed=seed), hol_extremes(tensor, restarts=16, seed=seed)):
+        assert report.restarts == 16 and not report.converged
+    # one optimizer batch per call, of the requested restarts
+    assert [sizes[0] for sizes in calls] == [[128], [32], [32]]
+
+
+def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkeypatch):
+    # an escalating tensor amid converged ones: the first run shares batches of
+    # four, the rerun runs alone, and every report equals its one-tensor call
+    from kahlerpinch import pinching
+    from kahlerpinch.pinching import _hol_batch, _model_coordinates, _pinch_batch
+
+    tensors, seeds = _mixed_batch(4)
+    tensors.insert(2, _escalating_tensor())
+    seeds.insert(2, ESCALATING_SEED)
+    single = [_bits(pinch(t, seed=s)) for t, s in zip(tensors, seeds)]
+    calls = _record_blocks(monkeypatch)
+    reports = _pinch_batch(tensors, None, seeds)
+    assert [_bits(r) for r in reports] == single
+    assert [r.restarts for r in reports] == [64, 64, 256, 64, 64, 64]
+    assert [len(sizes[0]) for sizes in calls] == [4, 2, 1]
+    # hol_extremes, with the escalating tensor's 64-restart runs made unstable
+    target = float(np.hypot(*_model_coordinates(tensors[2])))
+    stable = pinching._stable
+    monkeypatch.setattr(
+        pinching,
+        "_stable",
+        lambda vals, maximize, scale: not (len(vals) == 64 and scale == target) and stable(vals, maximize, scale),
+    )
+    single = [_bits(hol_extremes(t, seed=s)) for t, s in zip(tensors, seeds)]
+    calls.clear()
+    reports = _hol_batch(tensors, None, seeds)
+    assert [_bits(r) for r in reports] == single
+    assert [r.restarts for r in reports] == [64, 64, 256, 64, 64, 64]
+    assert [len(sizes[0]) for sizes in calls] == [4, 2, 1]
+
+
+def test_default_budget_finds_the_256_restart_extremes_at_n4():
+    # the guard for cutting n = 4 from 256 restarts to 64: near-model tensors
+    # converge at 64 restarts and reach the 256-restart extremes
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import STABILITY_TOL, _hol_batch, _model_coordinates, _pinch_batch
+
+    seeds = [1 + 1000003 * j for j in range(12)]
+    tensors = [perturb(make_space(4), 0.02, s) for s in seeds]
+    for batch, fields in ((_pinch_batch, ("k_min", "k_max")), (_hol_batch, ("h_min", "h_max"))):
+        for tensor, cut, full in zip(tensors, batch(tensors, None, seeds), batch(tensors, 256, seeds)):
+            scale = np.hypot(*_model_coordinates(tensor))
+            assert cut.converged and cut.restarts == 64
+            for field in fields:
+                assert abs(getattr(cut, field) - getattr(full, field)) <= STABILITY_TOL * scale
+
+
+# ---------------------------------------------------------------------------
 # holomorphic extremes
 # ---------------------------------------------------------------------------
 
