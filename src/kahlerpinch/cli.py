@@ -377,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts",
         type=int,
         default=None,
-        help="multistart count, run as given (default: 64, rerun once at 256 if not converged)",
+        help=f"multistart count, run as given (default: {pinching.DEFAULT_RESTARTS}, rerun once at "
+        f"{pinching.ESCALATION * pinching.DEFAULT_RESTARTS} if not converged)",
     )
     p.add_argument("--seed", type=int, required=True, help="seed for restart initialization")
     p.set_defaults(func=cmd_pinch)

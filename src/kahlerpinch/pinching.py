@@ -19,11 +19,11 @@ to a one-tensor run. The extremes are the best values the restarts reach,
 not proven optima; a rigorous eigenvalue envelope from the curvature
 operator on bivectors sandwiches them.
 
-A multistart with the default budget (restarts=None) runs 64 restarts at
-every n, and reruns once at 4 x 64 = 256 restarts each tensor whose report
-is not converged; the rerun's report is final. Start rows are prefix-stable,
-so that rerun is exactly the explicit 256-restart multistart. An explicit
-restart count runs as given and is never escalated.
+A multistart with the default budget (restarts=None) runs DEFAULT_RESTARTS
+= 64 restarts, and reruns once at ESCALATION x 64 = 256 restarts each tensor
+whose report is not converged; the rerun's report is final. Start rows are
+prefix-stable, so that rerun is exactly the explicit 256-restart multistart.
+An explicit restart count runs as given and is never escalated.
 
 Plane rows step along a preconditioned gradient (preconditioned
 Barzilai-Borwein; Molina & Raydan, Numer. Algorithms 1996). The tensors of
@@ -41,14 +41,13 @@ reduces to mu I; the rows of a space form up to rounding
 (mu <= SPACE_FORM_ROUNDING eps |s0|), where M is singular or amplifies the
 gradient's rounding error past the step; and the rows of a tensor far from
 the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing.
-The gradient, stagnation, acceptance and stability tests are relative to
-the tensor's curvature scale |R|/|R0| = hypot(s0, mu), which is 1 for R0, so
-the extremes of f R are f times those of R.
 
-Reported extreme values are re-evaluated at the witness in extended precision
-before rounding to double: near-exact optima (the model tensor's -1 and -1/4)
-then round to the exact representable value instead of carrying float noise
-from the iteration.
+Each tensor is optimized at unit curvature scale |R|/|R0| = hypot(s0, mu)
+(1 for R0), so every threshold is a fixed number, and the best values are
+multiplied back: the extremes of 2^k R are exactly 2^k times those of R.
+A reported extreme is the optimizer's value at its witness, except that a
+space form up to rounding reports the closed form: K from -s0 to -s0/4
+(-s0 at n = 1) and H = -s0, so the model's -1 and -1/4 are exact.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ __all__ = [
     "HolReport",
     "OptimizerDiagnostics",
     "QuarterNormalization",
-    "default_restarts",
+    "DEFAULT_RESTARTS",
     "curvature_operator_envelope",
     "pinch",
     "hol_extremes",
@@ -81,7 +80,7 @@ __all__ = [
     "normalize_quarter",
 ]
 
-# gradient and restart-spread tolerances, in units of the curvature scale |R|/|R0|
+# gradient and restart-spread tolerances at unit curvature scale |R|/|R0| = 1
 GRAD_TOL = 1e-10
 MAX_ITER = 10000
 STABILITY_TOL = 1e-8
@@ -105,26 +104,20 @@ BATCH_ROWS = 512
 # rounding error of up to about d^2 eps |s0|. Along the model's flat
 # directions the true gradient is of order mu, and M^{-1} divides both by mu:
 # at mu <= d^2 eps |s0| the step there is rounding noise. The constant is
-# d^2 = 64 at n = 4, the largest dimension the CLI accepts.
+# d^2 = 64 at n = 4, the largest dimension the CLI accepts. Such a tensor
+# also reports the closed-form extremes of s0 R0 (see _extremes).
 SPACE_FORM_ROUNDING = 64
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after MAX_ITER iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
+# first-run restarts of a default multistart, at every n. At n = 4, on 100
+# tensors perturbed from the model by t = 0.02, at least 17% of the restarts
+# reached each extreme, so 64 restarts miss the best with probability about
+# (1 - 0.17)^64 = 7e-6
+DEFAULT_RESTARTS = 64
 # a default multistart whose report is not converged reruns once at this
-# multiple of default_restarts
+# multiple of DEFAULT_RESTARTS, and that report is final
 ESCALATION = 4
-
-
-def default_restarts(n: int) -> int:
-    """First-run restarts of a default multistart at complex dimension n: 64 at every n.
-
-    A tensor whose report at this budget is not converged reruns once at
-    ESCALATION times as many (256), and that report is final. At n = 4, on
-    100 tensors perturbed from the model by t = 0.02, at least 17% of the
-    restarts reached each extreme, so 64 restarts miss the best with
-    probability about (1 - 0.17)^64 = 7e-6.
-    """
-    return 64
 
 
 @dataclass(frozen=True)
@@ -293,12 +286,21 @@ def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
     """(s0, mu) with R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
 
     s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
-    the tensor's curvature scale.
+    the tensor's curvature scale. The entries are first scaled by the power of
+    two that puts the largest in [1/2, 1), which is exact, so that mu neither
+    overflows nor underflows and (s0, mu) of 2^k R are 2^k times those of R.
     """
     r0, r0_sq = _model(tensor.space.n)[:2]
-    r = tensor.entries.ravel()
+    exponent = int(np.frexp(np.max(np.abs(tensor.entries)))[1])
+    r = np.ldexp(tensor.entries.ravel(), -exponent)
     s0 = float(r @ r0) / r0_sq
-    return s0, float(np.linalg.norm(r - s0 * r0)) / np.sqrt(r0_sq)
+    mu = float(np.linalg.norm(r - s0 * r0)) / np.sqrt(r0_sq)
+    return float(np.ldexp(s0, exponent)), float(np.ldexp(mu, exponent))
+
+
+def _space_form(abs_s0, mu):
+    """Whether model coordinates (|s0|, mu) are a space form up to rounding (see SPACE_FORM_ROUNDING)."""
+    return mu <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0
 
 
 @lru_cache(maxsize=None)
@@ -398,7 +400,7 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
-def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
+def _optimize(x, signs, owners, objective, retract, models=None):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
@@ -406,13 +408,12 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     badly) and retraction onto the constraint set after every step.
     owners[m] is the block (tensor) of row m, non-decreasing, so each block's
     rows are consecutive; objective(x, sizes) returns the row values and
-    gradients, sizes[k] being the number of rows of block k in x. scales[k]
-    is block k's curvature scale (1 when None): the gradient, stagnation and
-    acceptance tests are relative to it. models = (|s0|, mu) holds the
-    blocks' model coordinates (see _model_coordinates). Rows of a block with
-    mu <= SPACE_FORM_ROUNDING eps |s0| (a space form up to rounding) or
-    3 |s0| <= mu (cond(M) <= 2), and all rows when models is None, step
-    along g. The other rows step along
+    gradients, sizes[k] being the number of rows of block k in x. The
+    thresholds are fixed: the objective is at unit curvature scale (see
+    _extremes), and models = (|s0|, mu) holds the blocks' model coordinates
+    at that scale. Rows of a block that is a space form up to rounding
+    (_space_form) or has 3 |s0| <= mu (cond(M) <= 2), and all rows when
+    models is None, step along g. The other rows step along
     p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
     s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
     per iteration and no product with M.
@@ -430,15 +431,12 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
     live = np.arange(rows)
     sizes = np.bincount(owners, minlength=blocks).tolist()
-    scale = np.ones(rows) if scales is None else np.asarray(scales, dtype=float)[owners]
     # the rows' |s0| and mu columns; plain marks the rows that keep the plain
     # step (None: all of them), whose placeholder mu = 1 only avoids 1/0
     abs_s0 = mu = plain = None
     if models is not None:
         abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models)
-        plain = (mu[:, 0] <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0[:, 0]) | (
-            3.0 * abs_s0[:, 0] <= mu[:, 0]
-        )
+        plain = _space_form(abs_s0[:, 0], mu[:, 0]) | (3.0 * abs_s0[:, 0] <= mu[:, 0])
         mu[plain] = 1.0
     vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()
@@ -451,7 +449,7 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
         # one row per entry of EXIT_REASONS
         passed = np.array(
             [
-                gsq > (GRAD_TOL * scale) ** 2,
+                gsq > GRAD_TOL * GRAD_TOL,
                 step >= 1e-14,
                 stagnant <= STAGNATION_LIMIT,
                 np.full(len(live), it < MAX_ITER),
@@ -465,13 +463,13 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
             iterations[gone] = it
             # prefer each row's final (converged) iterate; fall back to the best
             # point visited only when it is genuinely better, not better by float noise
-            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9 * scale[done]
+            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9
             out_vals[gone] = np.where(better, best_vals[done], vals[done])
             out_x[gone] = np.where(better[:, None], best_x[done], x[done])
             if not go.any():
                 break
-            live, signs, owners, scale, x, g, gsq, vals, best_vals, best_x = (
-                a[go] for a in (live, signs, owners, scale, x, g, gsq, vals, best_vals, best_x)
+            live, signs, owners, x, g, gsq, vals, best_vals, best_x = (
+                a[go] for a in (live, signs, owners, x, g, gsq, vals, best_vals, best_x)
             )
             step, have_prev, prev_x, prev_g, stagnant = (
                 a[go] for a in (step, have_prev, prev_x, prev_g, stagnant)
@@ -500,8 +498,8 @@ def _optimize(x, signs, owners, objective, retract, scales=None, models=None):
         xc = retract(x + (signs * step)[:, None] * p)
         cand_vals, cand_g = objective(xc, sizes)
         gain = signs * (cand_vals - vals)
-        accept = gain > -0.1 * (scale + np.abs(vals))
-        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (scale + np.abs(best_vals)))
+        accept = gain > -0.1 * (1.0 + np.abs(vals))
+        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
         stagnant = np.where(improved, 0, stagnant + 1)
         step[~accept] *= 0.5
         have_prev = accept
@@ -523,18 +521,25 @@ def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
     the model Hessian's preconditioned gradient, J-line rows along the
     gradient. Consecutive tensors share one _optimize batch while their rows
     fit in BATCH_ROWS (a batch holds at least one tensor); a tensor's block
-    holds its start rows twice, descending then ascending. Returns, per
-    tensor, the restart count, the per-restart minima and maxima, the
-    minimizing and maximizing rows (ties go to the lowest restart), the
-    diagnostics and the curvature scale |R| / |R0|.
+    holds its start rows twice, descending then ascending. _optimize and
+    _stable run on each tensor divided by its curvature scale hypot(s0, mu)
+    (1 for the zero tensor); the best values are multiplied back, or a space
+    form up to rounding takes s0 times R0's extremes. Returns, per tensor,
+    the restart count, the minimum and maximum, the minimizing and maximizing
+    rows (ties go to the lowest restart), the diagnostics and whether both
+    extremes are stable across restarts.
     """
     per_batch = max(1, BATCH_ROWS // (2 * restarts))
     results = []
     for first in range(0, len(tensors), per_batch):
         batch = tensors[first : first + per_batch]
-        mats = [tensor.matrix for tensor in batch]
+        # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines
+        model_extremes = np.array([-1.0, -0.25 if planes and batch[0].space.n > 1 else -1.0])
         s0, mu = np.array([_model_coordinates(tensor) for tensor in batch]).T
         scales = np.hypot(s0, mu)
+        scales[scales == 0.0] = 1.0
+        mats = [tensor.matrix / scale for tensor, scale in zip(batch, scales)]
+        abs_s0, mu = np.abs(s0) / scales, mu / scales
         x0 = [np.tile(start_rows(seed, restarts), (2, 1)) for seed in seeds[first : first + per_batch]]
         vals, x, iterations, reasons = _optimize(
             retract(np.vstack(x0)),
@@ -542,15 +547,21 @@ def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
             np.repeat(np.arange(len(mats)), 2 * restarts),
             lambda y, sizes: _pair_objective(mats, sizes, y),
             retract,
-            scales,
-            (np.abs(s0), mu) if planes else None,
+            (abs_s0, mu) if planes else None,
         )
         for k, start in enumerate(range(0, len(x), 2 * restarts)):
             mid, stop = start + restarts, start + 2 * restarts
             min_vals, max_vals = vals[start:mid], vals[mid:stop]
-            x_min, x_max = x[start + np.argmin(min_vals)].copy(), x[mid + np.argmax(max_vals)].copy()
+            i_min, i_max = int(np.argmin(min_vals)), int(np.argmax(max_vals))
+            if _space_form(abs_s0[k], mu[k]):
+                # + 0.0 turns the zero tensor's -0.0 into 0.0
+                lo, hi = np.sort(s0[k] * model_extremes) + 0.0
+            else:
+                lo, hi = scales[k] * min_vals[i_min], scales[k] * max_vals[i_max]
+            x_min, x_max = x[start + i_min].copy(), x[mid + i_max].copy()
             diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
-            results.append((restarts, min_vals, max_vals, x_min, x_max, diagnostics, float(scales[k])))
+            stable = _stable(min_vals, False) and _stable(max_vals, True)
+            results.append((restarts, float(lo), float(hi), x_min, x_max, diagnostics, stable))
     return results
 
 
@@ -558,7 +569,7 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
     """report(tensor, *result) of each tensor's _extremes result, under the restart budget.
 
     Certifies the tensors. An explicit restart count runs as given.
-    restarts=None runs default_restarts(n), then reruns every tensor whose
+    restarts=None runs DEFAULT_RESTARTS, then reruns every tensor whose
     report is not converged once at ESCALATION times that count, in shared
     batches as usual; the rerun's report replaces the first.
     """
@@ -575,28 +586,18 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
 
     if restarts is not None:
         return reports(range(len(tensors)), restarts)
-    count = default_restarts(tensors[0].space.n)
-    final = reports(range(len(tensors)), count)
+    final = reports(range(len(tensors)), DEFAULT_RESTARTS)
     rerun = [k for k, first in enumerate(final) if not first.converged]
-    for k, second in zip(rerun, reports(rerun, ESCALATION * count)):
+    for k, second in zip(rerun, reports(rerun, ESCALATION * DEFAULT_RESTARTS)):
         final[k] = second
     return final
 
 
-def _stable(vals: np.ndarray, maximize: bool, scale: float) -> bool:
-    """Best value reproduced across the top 10% of restarts within tolerance (relative to scale)."""
+def _stable(vals: np.ndarray, maximize: bool) -> bool:
+    """Best value reproduced across the top 10% of restarts within STABILITY_TOL (at unit scale)."""
     ordered = np.sort(vals)[::-1] if maximize else np.sort(vals)
     top = max(1, int(np.ceil(0.1 * len(vals))))
-    return bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL * scale)
-
-
-def _refined_plane_value(entries: np.ndarray, x: np.ndarray) -> float:
-    """K(u, v) at the row x = [u | v], in extended precision."""
-    e = entries.astype(np.longdouble)
-    ul, vl = np.split(x.astype(np.longdouble), 2)
-    num = np.einsum("ijkl,i,j,k,l", e, ul, vl, ul, vl)
-    gram = (ul @ ul) * (vl @ vl) - (ul @ vl) ** 2
-    return float(num / gram)
+    return bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL)
 
 
 def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> PinchReport:
@@ -616,13 +617,10 @@ def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
     return _multistart(tensors, restarts, seeds, start_rows, _orthonormalize_pairs, True, _pinch_report)
 
 
-def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):
+def _pinch_report(tensor, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
-    k_min = _refined_plane_value(tensor.entries, x_min)
-    k_max = _refined_plane_value(tensor.entries, x_max)
     sandwich = (lo - 1e-9 <= k_min) and (k_max <= hi + 1e-9)
-    converged = _stable(min_vals, False, scale) and _stable(max_vals, True, scale) and sandwich
     return PinchReport(
         k_min=k_min,
         k_max=k_max,
@@ -631,7 +629,7 @@ def _pinch_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostic
         envelope_lo=lo,
         envelope_hi=hi,
         restarts=restarts,
-        converged=converged,
+        converged=stable and sandwich,
         diagnostics=diagnostics,
     )
 
@@ -667,15 +665,15 @@ def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
     return _multistart(tensors, restarts, seeds, start_rows, retract, False, _hol_report)
 
 
-def _hol_report(tensor, restarts, min_vals, max_vals, x_min, x_max, diagnostics, scale):
+def _hol_report(tensor, restarts, h_min, h_max, x_min, x_max, diagnostics, stable):
     dim = tensor.space.dim
     return HolReport(
-        h_min=_refined_plane_value(tensor.entries, x_min),
-        h_max=_refined_plane_value(tensor.entries, x_max),
+        h_min=h_min,
+        h_max=h_max,
         argmin_u=x_min[:dim],
         argmax_u=x_max[:dim],
         restarts=restarts,
-        converged=_stable(min_vals, False, scale) and _stable(max_vals, True, scale),
+        converged=stable,
         diagnostics=diagnostics,
     )
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -10,11 +11,14 @@ from kahlerpinch.cli import RESTART_CAP, SAMPLE_CAP
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run(
+    """Run the CLI; a Python warning on its stderr fails the test (errors are one-line messages)."""
+    result = subprocess.run(
         [sys.executable, "-m", "kahlerpinch", *args],
         capture_output=True,
         cwd=cwd,
     )
+    assert not re.search(rb":\d+: \w*Warning: ", result.stderr), result.stderr.decode(errors="replace")
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +224,21 @@ def test_pinch_zero_tensor(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert payload["k_min"] == 0.0 and payload["k_max"] == 0.0
+
+
+def test_pinch_huge_scale_model(tmp_path):
+    # 2^1000 R0: the model coordinates neither overflow nor leave the unit-scale
+    # thresholds, so the extremes are 2^1000 times R0's
+    from kahlerpinch import complex_hyperbolic_tensor, make_space, write_tensor
+
+    path = tmp_path / "huge.json"
+    write_tensor(path, complex_hyperbolic_tensor(make_space(2)).scaled(2.0**1000))
+    result = run_cli("pinch", str(path), "--seed", "1")
+    assert result.returncode == 0
+    assert result.stderr == b""
+    payload = json.loads(result.stdout)
+    assert payload["k_min"] == -(2.0**1000) and payload["k_max"] == -(2.0**998)
+    assert payload["converged"] is True
 
 
 def test_chern_ratio_model(model_file):

@@ -77,6 +77,15 @@ def test_sweep_zero_rows_are_exactly_zero(small_sweep):
         assert r.converged
 
 
+def test_sweep_zero_rows_are_exactly_zero_without_extended_precision(monkeypatch):
+    # the exact zeros must not rest on np.longdouble being x87 80-bit: here it
+    # is plain double, as on aarch64 or with MSVC
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    for r in sweep(2, [0.0], 4, 20250810):
+        assert (r.delta, r.frobenius_dist, r.h_dev, r.ratio_dev_max) == (0.0, 0.0, 0.0, 0.0)
+        assert r.converged
+
+
 def test_sweep_aggregates_nondecreasing(small_sweep):
     aggregates = aggregate_by_t(small_sweep)
     ratio = [a["max_ratio_dev"] for a in aggregates]

@@ -557,6 +557,31 @@ def test_extremes_scale_with_the_tensor(factor):
     assert scaled_planes.converged and scaled_hol.converged
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_extremes_scale_by_powers_of_two_bit_for_bit(n):
+    # the optimizer runs at unit curvature scale, and 2^k R has exactly 2^k
+    # times the scale of R, so the unit-scale problem is the same one
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(n), 0.05, seed=3)
+    for extremes, fields in ((pinch, ("k_min", "k_max")), (hol_extremes, ("h_min", "h_max"))):
+        base = extremes(tensor, seed=1)
+        for k in (-1000, -540, 40, 45, 600, 1000):
+            report = extremes(tensor.scaled(2.0**k), seed=1)
+            assert [getattr(report, f) for f in fields] == [2.0**k * getattr(base, f) for f in fields]
+            assert report.converged == base.converged
+
+
+def test_model_extremes_are_exact_without_extended_precision(monkeypatch):
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    for n in (1, 2, 3, 4):
+        model = complex_hyperbolic_tensor(make_space(n))
+        planes, hol = pinch(model, seed=1), hol_extremes(model, seed=1)
+        assert (planes.k_min, planes.k_max) == ((-1.0, -1.0) if n == 1 else (-1.0, -0.25))
+        assert (hol.h_min, hol.h_max) == (-1.0, -1.0)
+        assert planes.converged and hol.converged
+
+
 # ---------------------------------------------------------------------------
 # live-row optimizer
 # ---------------------------------------------------------------------------
@@ -955,7 +980,7 @@ def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkey
     # an escalating tensor amid converged ones: the first run shares batches of
     # four, the rerun runs alone, and every report equals its one-tensor call
     from kahlerpinch import pinching
-    from kahlerpinch.pinching import _hol_batch, _model_coordinates, _pinch_batch
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
 
     tensors, seeds = _mixed_batch(4)
     tensors.insert(2, _escalating_tensor())
@@ -966,13 +991,15 @@ def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkey
     assert [_bits(r) for r in reports] == single
     assert [r.restarts for r in reports] == [64, 64, 256, 64, 64, 64]
     assert [len(sizes[0]) for sizes in calls] == [4, 2, 1]
-    # hol_extremes, with the escalating tensor's 64-restart runs made unstable
-    target = float(np.hypot(*_model_coordinates(tensors[2])))
-    stable = pinching._stable
+    # hol_extremes, with the escalating tensor's 64-restart runs made unstable:
+    # a batched block's values equal its one-tensor run's bit for bit, so that
+    # run's per-restart extremes single the tensor out
+    stable, targets = pinching._stable, set()
+    monkeypatch.setattr(pinching, "_stable", lambda vals, maximize: targets.add(vals.tobytes()) or True)
+    hol_extremes(tensors[2], restarts=64, seed=seeds[2])
+    assert len(targets) == 2
     monkeypatch.setattr(
-        pinching,
-        "_stable",
-        lambda vals, maximize, scale: not (len(vals) == 64 and scale == target) and stable(vals, maximize, scale),
+        pinching, "_stable", lambda vals, maximize: vals.tobytes() not in targets and stable(vals, maximize)
     )
     single = [_bits(hol_extremes(t, seed=s)) for t, s in zip(tensors, seeds)]
     calls.clear()
