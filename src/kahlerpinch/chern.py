@@ -1,16 +1,17 @@
 """Pointwise Chern-Weil theory for Kahler curvature tensors.
 
-Given a certified tensor R and a unitary frame {f_a}, the curvature matrix of
-2-forms is
+Given a certified tensor R, the curvature matrix of 2-forms is
 
-    Omega_ab(x, y) = R(x, y, f_a, f_b) + (i/2) [R(x, y, f_a, Jf_b) - R(x, y, Jf_a, f_b)]
+    Omega_ab(x, y) = R(x, y, eps_a, conj eps_b),  eps_a = (e_{2a} - i J e_{2a}) / sqrt(2),
 
-(the complex-bilinear extension of R evaluated on type-(1,0)/(0,1) frame
-vectors), which is skew-Hermitian as a matrix of forms. Chern forms are the
-elementary symmetric polynomials of (i/2pi) Omega under wedge multiplication,
-computed through Newton's identities on wedge-traces; 2-form entries commute,
-so the classical recursion applies verbatim. Densities are coefficients
-relative to omega^n; only ratios of densities are consumed downstream, so the
+in the unitary basis of the Kahler projection (`curvature._PAIR_UNITARY`); it
+is skew-Hermitian as a matrix of forms. Chern forms are the elementary
+symmetric polynomials of (i/2pi) Omega under wedge multiplication, computed
+through Newton's identities on wedge-traces; 2-form entries commute, so the
+classical recursion applies verbatim. Being invariant polynomials, they do
+not depend on the unitary frame (Kobayashi-Nomizu, Foundations of
+Differential Geometry II, ch. XII). Densities are coefficients relative to
+omega^n; only ratios of densities are consumed downstream, so the
 normalization convention cancels.
 
 `chern_densities` builds the forms once per tensor and evaluates every
@@ -21,25 +22,25 @@ entries of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 
-from .curvature import CurvatureTensor, _pair_outer, complex_hyperbolic_tensor, require_certified
+from .curvature import _PAIR_UNITARY, CurvatureTensor, complex_hyperbolic_tensor, require_certified
 from .errors import (
     DegenerateDenominatorError,
     DegreeError,
     IdentityInconsistencyError,
     PreconditionError,
 )
-from .forms import basis_form, top_coefficient, two_form, wedge
-from .space import HermitianSpace, make_space
+from .forms import top_coefficient, two_form, wedge
+from .space import make_space
 
 __all__ = [
     "ChernIndex",
-    "canonical_frame",
     "curvature_matrix",
     "chern_forms",
     "chern_densities",
@@ -84,65 +85,31 @@ def enumerate_indices(n: int) -> list[ChernIndex]:
     """All multi-indices with sum i * a_i = n, largest leading entries first."""
     if n < 1:
         raise DegreeError("n must be >= 1")
-    found: list[tuple[int, ...]] = []
-
-    def recurse(prefix: list[int], position: int, remaining: int):
-        if position == n:
-            if remaining == 0:
-                found.append(tuple(prefix))
-            return
-        weight = position + 1
-        for a in range(remaining // weight, -1, -1):
-            recurse(prefix + [a], position + 1, remaining - weight * a)
-
-    recurse([], 0, n)
-    found.sort(reverse=True)
-    return [ChernIndex(t) for t in found]
+    # descending ranges make the product lexicographically descending
+    candidates = itertools.product(*(range(n // k, -1, -1) for k in range(1, n + 1)))
+    return [ChernIndex(t) for t in candidates if sum(k * a for k, a in enumerate(t, 1)) == n]
 
 
-def canonical_frame(space: HermitianSpace) -> list[np.ndarray]:
-    return [space.basis_vector(2 * a) for a in range(space.n)]
-
-
-def _require_unitary_frame(space: HermitianSpace, frame, tol: float = 1e-10):
-    if len(frame) != space.n:
-        raise PreconditionError(f"frame must have {space.n} vectors, got {len(frame)}")
-    cols = []
-    for f in frame:
-        cols.append(np.asarray(f, dtype=float))
-        cols.append(space.j(cols[-1]))
-    gram = np.column_stack(cols).T @ np.column_stack(cols)
-    if np.max(np.abs(gram - np.eye(space.dim))) > tol:
-        raise PreconditionError("frame is not unitary: {f_a, Jf_a} fails orthonormality")
-
-
-def curvature_matrix(tensor: CurvatureTensor, frame=None) -> np.ndarray:
-    """Curvature matrix of complex 2-forms in a unitary frame, shape (n, n, 2^{2n})."""
+def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
+    """Curvature matrix of complex 2-forms, Omega_ab = R(., ., eps_a, conj eps_b), shape (n, n, 2^{2n})."""
     require_certified(tensor)
-    space = tensor.space
-    if frame is None:
-        frame = canonical_frame(space)
-    _require_unitary_frame(space, frame)
-    f = np.array(frame, dtype=float)
-    jf = f @ space.j_matrix.T
-    d = space.dim
-
-    def block(u, v) -> np.ndarray:
-        # block[a, b, i, j] = R(e_i, e_j, u_a, v_b), row (i, j) of M times u_a (x) v_b
-        return (_pair_outer(u[:, None], v[None]) @ tensor.matrix.T).reshape(len(u), len(v), d, d)
-
-    return two_form(block(f, f) + 0.5j * (block(f, jf) - block(jf, f)))
+    n, d = tensor.space.n, tensor.space.dim
+    # sqrt(2) eps_a and its conjugate on the pair (e_{2a}, e_{2a+1}): the exact
+    # entries (1, -i) and (1, i), so the contraction and the halving round nothing
+    eps, eps_bar = sqrt(2.0) * _PAIR_UNITARY.T
+    # slots k, l of R split into (vector a, pair bit) and (vector b, pair bit)
+    pairs = tensor.entries.reshape(d, d, n, 2, n, 2)
+    return two_form(0.5 * np.einsum("ijakbl,k,l->abij", pairs, eps, eps_bar))
 
 
-def chern_forms(tensor: CurvatureTensor, frame=None) -> np.ndarray:
+def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
     """All Chern forms c_0, ..., c_n as the rows of a real (n + 1, 2^{2n}) array.
 
     Imaginary parts must cancel (skew-Hermitian input); they are checked
     against a small threshold and discarded.
     """
-    space = tensor.space
-    n = space.n
-    normalized = curvature_matrix(tensor, frame) * (1j / (2.0 * np.pi))
+    n = tensor.space.n
+    normalized = curvature_matrix(tensor) * (1j / (2.0 * np.pi))
     # traces of the wedge powers; entry c of a row wedges with entry c of a column
     traces = [np.trace(normalized)]
     current = normalized
@@ -150,7 +117,9 @@ def chern_forms(tensor: CurvatureTensor, frame=None) -> np.ndarray:
         current = wedge(current[:, :, None], normalized[None]).sum(axis=1)
         traces.append(np.trace(current))
     # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-    sigmas = [basis_form(space, ()).astype(complex)]
+    one = np.zeros(normalized.shape[-1], dtype=complex)
+    one[0] = 1.0
+    sigmas = [one]
     for k in range(1, n + 1):
         terms = [(-1) ** (j - 1) * wedge(sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
         sigmas.append(sum(terms) / k)
@@ -167,9 +136,9 @@ def chern_forms(tensor: CurvatureTensor, frame=None) -> np.ndarray:
     return sigmas.real
 
 
-def chern_densities(tensor: CurvatureTensor, frame=None) -> dict[ChernIndex, float]:
+def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
     """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
-    forms = chern_forms(tensor, frame)
+    forms = chern_forms(tensor)
     densities: dict[ChernIndex, float] = {}
     for index in enumerate_indices(tensor.space.n):
         product = forms[0]
@@ -227,10 +196,8 @@ def density_ratio(
     return densities[index_i] / denominator
 
 
-def chern_ratio(
-    tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex, frame=None
-) -> float:
+def chern_ratio(tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex) -> float:
     """gamma_I / gamma_J; scale- and frame-independent."""
     if index_i.n != tensor.space.n or index_j.n != tensor.space.n:
         raise DegreeError("index dimensions disagree with the tensor")
-    return density_ratio(chern_densities(tensor, frame), index_i, index_j)
+    return density_ratio(chern_densities(tensor), index_i, index_j)

@@ -30,7 +30,7 @@ from .errors import (
     ResourceLimitError,
     TensorFormatError,
 )
-from .space import make_space, random_unitary_frame
+from .space import make_space
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -205,13 +205,10 @@ def cmd_chern(args) -> int:
             f"(max residual {certificate.max_residual:.3e})"
         )
     n = tensor.space.n
-    frame = None
-    if args.frame_seed is not None:
-        frame = random_unitary_frame(tensor.space, args.frame_seed)
-    payload = {"command": "chern", "path": args.path, "n": n, "frame_seed": args.frame_seed}
+    payload = {"command": "chern", "path": args.path, "n": n}
     try:
         if args.all:
-            densities = chern_densities(tensor, frame)
+            densities = chern_densities(tensor)
             payload["densities"] = {str(i): gamma for i, gamma in densities.items()}
             payload["ratios"] = {
                 f"{a}:{b}": density_ratio(densities, a, b)
@@ -226,7 +223,7 @@ def cmd_chern(args) -> int:
             index_i = _parse_index(left, n)
             index_j = _parse_index(right, n)
             payload["ratios"] = {
-                f"{index_i}:{index_j}": chern_ratio(tensor, index_i, index_j, frame)
+                f"{index_i}:{index_j}": chern_ratio(tensor, index_i, index_j)
             }
     except DegreeError as exc:
         return _fail_usage(str(exc))
@@ -388,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ratio", help="index pair a_1,..,a_n:b_1,..,b_n")
     group.add_argument("--all", action="store_true", help="all densities and pairwise ratios")
-    p.add_argument("--frame-seed", type=int, default=None, help="resample the unitary frame")
     p.set_defaults(func=cmd_chern)
 
     p = sub.add_parser("identities", help="verify the algebraic identity suite")

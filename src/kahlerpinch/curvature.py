@@ -145,22 +145,27 @@ class CurvatureTensor:
         return f"CurvatureTensor(n={self.space.n}, |R|={self.frobenius_norm():.6g})"
 
 
+def _unit(u: np.ndarray, message: str) -> np.ndarray:
+    """u / |u|, with |u| free of overflow and underflow; a zero or non-finite |u| raises."""
+    length = math.hypot(*u)
+    if not 0.0 < length < math.inf:
+        raise DegeneratePlaneError(message)
+    return u / length
+
+
 class TwoPlane:
-    """A 2-plane given by spanning vectors (not required orthonormal)."""
+    """A 2-plane, kept as the unit vectors u/|u| and v/|v| of its spanning vectors
+    (not required orthogonal), so their lengths may be any finite nonzero value."""
 
     __slots__ = ("u", "v", "gram_determinant")
 
     def __init__(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise DegeneratePlaneError("spanning vectors must be finite")
+        message = "spanning vectors must be finite and nonzero"
+        self.u = u = _unit(np.asarray(u, dtype=float), message)
+        self.v = v = _unit(np.asarray(v, dtype=float), message)
         gram = float(np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2)
-        scale = max(1.0, float(np.dot(u, u) * np.dot(v, v)))
-        if gram <= 1e-12 * scale:
+        if gram <= 1e-12:
             raise DegeneratePlaneError("spanning vectors are numerically dependent")
-        self.u = u
-        self.v = v
         self.gram_determinant = gram
 
     def __repr__(self) -> str:
@@ -326,12 +331,9 @@ def sectional(tensor: CurvatureTensor, plane: TwoPlane) -> float:
 
 
 def holomorphic_sectional(tensor: CurvatureTensor, u) -> float:
-    """Sectional curvature of span(u, Ju): R(u,Ju,u,Ju) / |u|^4."""
-    u = np.asarray(u, dtype=float)
-    nu2 = float(np.dot(u, u))
-    if nu2 < 1e-24:
-        raise DegeneratePlaneError("zero vector has no holomorphic plane")
-    return tensor.biquadratic(u, tensor.space.j(u)) / nu2**2
+    """Sectional curvature of span(u, Ju): R(u,Ju,u,Ju) / |u|^4, evaluated at u/|u|."""
+    u = _unit(np.asarray(u, dtype=float), "a zero or non-finite vector has no holomorphic plane")
+    return tensor.biquadratic(u, tensor.space.j(u)) / float(np.dot(u, u)) ** 2
 
 
 def _require_finite_pair(u, v) -> None:

@@ -17,11 +17,12 @@ has no disjoint pairs and is the zero form.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import factorial
 
 import numpy as np
 
 from .errors import DegreeError, SpaceMismatchError
-from .space import HermitianSpace, make_space
+from .space import HermitianSpace
 
 __all__ = [
     "wedge",
@@ -94,15 +95,15 @@ def kahler_form(space: HermitianSpace) -> np.ndarray:
     return two_form(space.j_matrix)
 
 
-@lru_cache(maxsize=None)
-def _omega_top_coefficient(n: int) -> float:
-    return float(power(kahler_form(make_space(n)), n)[-1])
-
-
 def top_coefficient(f) -> float:
-    """Coefficient gamma with top-degree part of f = gamma * omega^n (the top space is 1-dimensional)."""
+    """Coefficient gamma with top-degree part of f = gamma * omega^n (the top space is 1-dimensional).
+
+    omega = -sum_a e^{2a-1} ^ e^{2a}, and its 2-form terms commute, so
+    omega^n = (-1)^n n! e^1 ^ ... ^ e^{2n}.
+    """
     f = np.asarray(f)
-    return float(f[-1]) / _omega_top_coefficient(_dimension(f.shape[-1]) // 2)
+    n = _dimension(f.shape[-1]) // 2
+    return float(f[-1]) / ((-1) ** n * factorial(n))
 
 
 def basis_form(space: HermitianSpace, combo: tuple[int, ...]) -> np.ndarray:

@@ -620,7 +620,8 @@ def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
 def _pinch_report(tensor, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
     dim = tensor.space.dim
     lo, hi = curvature_operator_envelope(tensor)
-    sandwich = (lo - 1e-9 <= k_min) and (k_max <= hi + 1e-9)
+    slack = 1e-9 * max(abs(lo), abs(hi))  # relative, so 2^k R sandwiches as R does
+    sandwich = (lo - slack <= k_min) and (k_max <= hi + slack)
     return PinchReport(
         k_min=k_min,
         k_max=k_max,

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from kahlerpinch import complex_hyperbolic_tensor, make_space, project_kahler
+from kahlerpinch import (
+    CurvatureTensor,
+    check_kahler,
+    complex_hyperbolic_tensor,
+    make_space,
+    project_kahler,
+    random_unitary_frame,
+)
 
 # pytest's `pythonpath` setting reaches only its own process; the tests that run
 # `python -m kahlerpinch` or `python -c` in a child find the package through this
@@ -63,6 +70,26 @@ def kahler_operator():
         return built[n]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def unitary_pullback():
+    """(tensor, seed) -> (R', g) with R'(x, y, z, w) = R(gx, gy, gz, gw), certified.
+
+    g = [f_1 | Jf_1 | ... | f_n | Jf_n] from random_unitary_frame(space, seed)
+    is orthogonal and commutes with J, so R' is Kahler and has the same
+    invariants as R; the unitary frame {f_a} of R is the standard one of R'.
+    """
+
+    def pull_back(tensor, seed):
+        space = tensor.space
+        g = np.column_stack([w for f in random_unitary_frame(space, seed) for w in (f, space.j(f))])
+        entries = np.einsum("pqrs,pi,qj,rk,sl->ijkl", tensor.entries, g, g, g, g, optimize=True)
+        pulled = CurvatureTensor(space, entries)
+        assert check_kahler(pulled).passed
+        return pulled, g
+
+    return pull_back
 
 
 @pytest.fixture(autouse=True)

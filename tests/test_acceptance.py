@@ -27,7 +27,6 @@ from kahlerpinch import (
     project_kahler,
     random_kahler,
     random_orthonormal_pair,
-    random_unitary_frame,
     reconstruct_from_sectional,
     sectional,
     solve_sectional_from_H,
@@ -197,7 +196,7 @@ def test_criterion_7_proof_constant_certification():
                 f"max ratio dev={report.max_ratio_dev:.2e}")
 
 
-def test_criterion_8_convention_independence():
+def test_criterion_8_convention_independence(unitary_pullback):
     ok = True
     details = []
     for n in (2, 3):
@@ -216,12 +215,12 @@ def test_criterion_8_convention_independence():
                 for (a, b), value in base.items():
                     worst = max(worst, abs(chern_ratio(scaled, a, b) - value))
             for s in range(5):
-                frame = random_unitary_frame(space, seed=500 + s)
+                pulled, _ = unitary_pullback(tensor, seed=500 + s)
                 for (a, b), value in base.items():
-                    worst = max(worst, abs(chern_ratio(tensor, a, b, frame) - value))
+                    worst = max(worst, abs(chern_ratio(pulled, a, b) - value))
             ok &= worst < 1e-10
             details.append(f"n={n}: {worst:.2e}")
-    _report(8, "ratios invariant under rescaling and frame resampling", ok, ", ".join(details))
+    _report(8, "ratios invariant under rescaling and unitary change of frame", ok, ", ".join(details))
 
 
 def test_criterion_9_cli_reproducibility(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kahlerpinch import (
     ChernIndex,
     CurvatureTensor,
-    canonical_frame,
     chern_densities,
     chern_forms,
     chern_ratio,
@@ -22,12 +21,12 @@ from kahlerpinch import (
     power,
     project_kahler,
     random_kahler,
-    random_unitary_frame,
     reference_constants,
     space_form_ratio,
     two_form,
+    wedge,
 )
-from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError
+from kahlerpinch.errors import DegenerateDenominatorError, DegreeError
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +70,27 @@ def test_curvature_matrix_skew_hermitian(r0_n2, space2):
     assert _skew_hermitian_residual(curvature_matrix(tensor)) < 1e-12
 
 
-def test_curvature_matrix_matches_einsum_contraction():
+def _three_blocks(tensor, f):
+    # R(., ., f_a, f_b) + (i/2) [R(., ., f_a, Jf_b) - R(., ., Jf_a, f_b)] as (n, n, d, d)
+    jf = f @ tensor.space.j_matrix.T
+
+    def block(u, v):
+        return np.einsum("ijkl,ak,bl->abij", tensor.entries, u, v)
+
+    return block(f, f) + 0.5j * (block(f, jf) - block(jf, f))
+
+
+def test_curvature_matrix_matches_einsum_contraction(unitary_pullback):
     for n in (1, 2, 3, 4):
         space = make_space(n)
         tensor = random_kahler(space, seed=40 + n)
-        for frame in (canonical_frame(space), random_unitary_frame(space, 7)):
-            f = np.array(frame)
-            jf = f @ space.j_matrix.T
-
-            def block(u, v):
-                return np.einsum("ijkl,ak,bl->abij", tensor.entries, u, v)
-
-            expected = two_form(block(f, f) + 0.5j * (block(f, jf) - block(jf, f)))
-            assert np.max(np.abs(curvature_matrix(tensor, frame) - expected)) <= 1e-15
+        canonical = np.eye(space.dim)[0::2]  # f_a = e_{2a}
+        expected = two_form(_three_blocks(tensor, canonical))
+        assert np.max(np.abs(curvature_matrix(tensor) - expected)) <= 1e-15
+        # the pullback's standard frame is the frame {f_a} of random_unitary_frame(space, 7)
+        pulled, g = unitary_pullback(tensor, 7)
+        expected = two_form(g.T @ _three_blocks(tensor, g.T[0::2]) @ g)
+        assert np.max(np.abs(curvature_matrix(pulled) - expected)) <= 1e-15
 
 
 def test_curvature_matrix_n1_proportional_to_kahler_form(r0_n1, space1):
@@ -102,12 +109,6 @@ def test_curvature_matrix_zero_tensor(space2):
     zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
     omega = curvature_matrix(zero)
     assert np.all(omega == 0.0)
-
-
-def test_curvature_matrix_rejects_non_unitary_frame(r0_n2, space2):
-    bad = [space2.basis_vector(0), 2.0 * space2.basis_vector(2)]
-    with pytest.raises(PreconditionError):
-        curvature_matrix(r0_n2, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +142,46 @@ def test_chern_form_homogeneity(space2):
             assert _max_abs(scaled[k] - lam**k * base[k]) < 1e-10
 
 
-def test_frame_independence():
+def _two_form_matrix(form, dim):
+    # the antisymmetric matrix C with form = sum_{i<j} C_ij e^i ^ e^j
+    i, j = np.triu_indices(dim, 1)
+    matrix = np.zeros((dim, dim))
+    matrix[i, j] = form[(1 << i) | (1 << j)]
+    return matrix - matrix.T
+
+
+def _pullback_operator(g):
+    # P with (g^* F) = F @ P: row m is g^* of e^{i_1} ^ ... ^ e^{i_k}, the set bits of m,
+    # a wedge of the 1-forms g^* e^i = sum_j g_ij e^j
+    dim = g.shape[0]
+    rows = np.zeros((1 << dim, 1 << dim))
+    rows[0, 0] = 1.0
+    for mask in range(1, 1 << dim):
+        low = (mask & -mask).bit_length() - 1
+        theta = np.zeros(1 << dim)
+        theta[1 << np.arange(dim)] = g[low]
+        rows[mask] = wedge(theta, rows[mask ^ (1 << low)])
+    return rows
+
+
+def test_frame_independence(unitary_pullback):
+    # naturality: the Chern forms of the pulled-back tensor are the pulled-back
+    # forms, so c_1 has coefficient matrix g^T C_1 g, and densities (g has
+    # determinant 1) do not move
     for n in (2, 4):
         space = make_space(n)
         tensor = random_kahler(space, seed=104)
         base = chern_forms(tensor)
+        densities = chern_densities(tensor)
         assert base.shape == (n + 1, 1 << space.dim)
         for s in range(20):
-            frame = random_unitary_frame(space, seed=200 + s)
-            assert _max_abs(chern_forms(tensor, frame) - base) < 1e-10
+            pulled, g = unitary_pullback(tensor, seed=200 + s)
+            forms = chern_forms(pulled)
+            c1 = _two_form_matrix(base[1], space.dim)
+            assert np.max(np.abs(_two_form_matrix(forms[1], space.dim) - g.T @ c1 @ g)) < 1e-10
+            assert _max_abs(forms - base @ _pullback_operator(g)) < 1e-10
+            for index, gamma in chern_densities(pulled).items():
+                assert gamma == pytest.approx(densities[index], rel=1e-10, abs=0.0)
 
 
 def test_reality_of_chern_forms(space3):
@@ -257,9 +289,10 @@ def test_ratio_scale_invariance(space2):
     scale=st.floats(1e-3, 1e3),
     frame_seed=st.integers(0, 2**32),
 )
-def test_density_ratios_invariant_under_scale_and_frame(n, seed, scale, frame_seed):
-    space = make_space(n)
-    tensor = random_kahler(space, seed=seed)
+def test_density_ratios_invariant_under_scale_and_frame(
+    unitary_pullback, n, seed, scale, frame_seed
+):
+    tensor = random_kahler(make_space(n), seed=seed)
 
     def ratios(densities):
         return {
@@ -269,7 +302,7 @@ def test_density_ratios_invariant_under_scale_and_frame(n, seed, scale, frame_se
     base = ratios(chern_densities(tensor))
     for changed in (
         chern_densities(tensor.scaled(scale)),
-        chern_densities(tensor, random_unitary_frame(space, seed=frame_seed)),
+        chern_densities(unitary_pullback(tensor, frame_seed)[0]),
     ):
         for key, value in ratios(changed).items():
             assert value == pytest.approx(base[key], rel=1e-10, abs=0.0)

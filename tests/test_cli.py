@@ -1,13 +1,17 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from kahlerpinch.cli import RESTART_CAP, SAMPLE_CAP
+from kahlerpinch.cli import RESTART_CAP, SAMPLE_CAP, build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, cwd=None):
@@ -27,6 +31,23 @@ def model_file(tmp_path_factory):
     result = run_cli("r0", "--n", "2", "--out", str(path))
     assert result.returncode == 0
     return path
+
+
+def _readme_command_lines():
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("kahlerpinch ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README example {line!r} does not parse (exit {exc.code})")
 
 
 def test_r0_writes_valid_file(model_file):

@@ -308,6 +308,14 @@ def test_degenerate_plane_rejected():
         TwoPlane(u, np.zeros(4))
 
 
+@pytest.mark.parametrize("s", [1e-150, 1e-13, 1e-3, 1.0, 1e150])
+def test_short_and_long_vectors_span_planes(r0_n2, space2, s):
+    # degeneracy is decided on u/|u| and v/|v|, and K and H are evaluated there
+    e0, e2 = space2.basis_vector(0), space2.basis_vector(2)
+    assert sectional(r0_n2, TwoPlane(s * e0, s * e2)) == pytest.approx(-0.25, rel=1e-15, abs=0.0)
+    assert holomorphic_sectional(r0_n2, s * e0) == pytest.approx(-1.0, rel=1e-15, abs=0.0)
+
+
 def test_holomorphic_sectional_contract(r0_n2, space2):
     rng = seeded_rng(13)
     u = rng.standard_normal(space2.dim)

@@ -572,6 +572,49 @@ def test_extremes_scale_by_powers_of_two_bit_for_bit(n):
             assert report.converged == base.converged
 
 
+def _product_of_hyperbolic_curves():
+    # K = -1 on the planes span(e0, e1) and span(e2, e3), so the envelope is
+    # tight at lo = k_min = -1 and the optimizer's k_min can round just below it
+    entries = np.zeros((4,) * 4)
+    for a, b in ((0, 1), (2, 3)):
+        entries[a, b, a, b] = entries[b, a, b, a] = -1.0
+        entries[a, b, b, a] = entries[b, a, a, b] = 1.0
+    return CurvatureTensor(make_space(2), entries)
+
+
+def test_sandwich_slack_is_relative_to_the_curvature_scale():
+    tensor = _product_of_hyperbolic_curves()
+    base = pinch(tensor, seed=1)
+    assert base.envelope_lo == -1.0 and base.k_min == pytest.approx(-1.0, rel=1e-14, abs=0.0)
+    assert base.converged and base.restarts == 64
+    for k in (-1000, 30, 40, 1000):
+        report = pinch(tensor.scaled(2.0**k), seed=1)
+        assert report.converged and report.restarts == 64, k
+        assert (report.k_min, report.k_max) == (2.0**k * base.k_min, 2.0**k * base.k_max)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extremes_are_invariant_under_unitary_change_of_frame(n, unitary_pullback):
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(n)
+    for tensor in (perturb(space, 0.05, seed=3), random_kahler(space, seed=5)):
+        planes, hol = pinch(tensor, seed=1), hol_extremes(tensor, seed=1)
+        scale = max(abs(planes.k_min), abs(planes.k_max))
+        for frame_seed in (1, 2, 3):
+            pulled, _ = unitary_pullback(tensor, frame_seed)
+            moved_planes, moved_hol = pinch(pulled, seed=1), hol_extremes(pulled, seed=1)
+            for moved, base in (
+                (moved_planes.k_min, planes.k_min),
+                (moved_planes.k_max, planes.k_max),
+                (moved_hol.h_min, hol.h_min),
+                (moved_hol.h_max, hol.h_max),
+            ):
+                assert abs(moved - base) <= 1e-10 * scale
+            assert planes.converged and hol.converged
+            assert moved_planes.converged and moved_hol.converged
+
+
 def test_model_extremes_are_exact_without_extended_precision(monkeypatch):
     monkeypatch.setattr(np, "longdouble", np.float64)
     for n in (1, 2, 3, 4):
