@@ -1,42 +1,57 @@
-"""Pointwise Chern-Weil theory for Kahler curvature tensors.
+"""Pointwise Chern-Weil theory for Kahler curvature tensors, in bidegree (p, p).
 
-Given a certified tensor R, the curvature matrix of 2-forms is
+In the unitary basis eps_a = (e_{2a} - i J e_{2a}) / sqrt(2) of the Kahler
+projection (`curvature._PAIR_UNITARY`), with dual coframe theta^a, a Kahler
+tensor R has the coordinate S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d),
+and its curvature matrix Omega_ab = R(., ., eps_a, conj eps_b) is the
+skew-Hermitian matrix of (1,1)-forms
 
-    Omega_ab(x, y) = R(x, y, eps_a, conj eps_b),  eps_a = (e_{2a} - i J e_{2a}) / sqrt(2),
+    Omega_ab = sum_{c,d} S_{cdab} theta^c ^ conj theta^d.
 
-in the unitary basis of the Kahler projection (`curvature._PAIR_UNITARY`); it
-is skew-Hermitian as a matrix of forms. Chern forms are the elementary
-symmetric polynomials of (i/2pi) Omega under wedge multiplication, computed
-through Newton's identities on wedge-traces; 2-form entries commute, so the
-classical recursion applies verbatim. Being invariant polynomials, they do
-not depend on the unitary frame (Kobayashi-Nomizu, Foundations of
-Differential Geometry II, ch. XII). Densities are coefficients relative to
-omega^n; only ratios of densities are consumed downstream, so the
-normalization convention cancels.
+Chern forms are the elementary symmetric polynomials of (i/2pi) Omega under
+wedge multiplication, computed through Newton's identities on wedge-traces;
+2-form entries commute, so the classical recursion applies verbatim. Every
+product of (1,1)-forms stays in bidegree (p, p), so the forms live on the
+balanced masks of the coframe, those with as many theta as conj theta:
+C(2n, n) coefficients and a wedge table of 639 pairs at n = 4, against 4^n
+coefficients and 3^{2n} pairs in the real algebra (`forms`). Being invariant
+polynomials, the forms do not depend on the unitary frame (Kobayashi-Nomizu,
+Foundations of Differential Geometry II, ch. XII). Densities are top
+coefficients relative to omega^n, omega = -i sum_c theta^c ^ conj theta^c,
+built in the same algebra; only ratios of densities are consumed downstream,
+so the normalization convention cancels.
 
 `chern_densities` builds the forms once per tensor and evaluates every
-product c_1^{a_1} ^ ... ^ c_n^{a_n}; `chern_ratio` and
-`reference_constants` are read off its table, and `density_ratio` divides two
-entries of it.
+product c_1^{a_1} ^ ... ^ c_n^{a_n} without leaving the (p, p) basis;
+`chern_ratio` and `reference_constants` are read off its table, and
+`density_ratio` divides two entries of it. `curvature_matrix` and
+`chern_forms` return the same forms in the real basis e^i, through one
+cached linear map per n.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, sqrt
+from functools import lru_cache, partial, reduce
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .curvature import _PAIR_UNITARY, CurvatureTensor, complex_hyperbolic_tensor, require_certified
+from .curvature import (
+    CurvatureTensor,
+    _kahler_coordinates,
+    complex_hyperbolic_tensor,
+    require_certified,
+)
 from .errors import (
     DegenerateDenominatorError,
     DegreeError,
     IdentityInconsistencyError,
     PreconditionError,
 )
-from .forms import top_coefficient, two_form, wedge
+from .forms import _wedge, _wedge_table
 from .space import make_space
 
 __all__ = [
@@ -90,16 +105,123 @@ def enumerate_indices(n: int) -> list[ChernIndex]:
     return [ChernIndex(t) for t in candidates if sum(k * a for k, a in enumerate(t, 1)) == n]
 
 
-def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
-    """Curvature matrix of complex 2-forms, Omega_ab = R(., ., eps_a, conj eps_b), shape (n, n, 2^{2n})."""
+class _Balanced(NamedTuple):
+    """The (p, p) algebra at n. Bits 2c and 2c + 1 of a mask are theta^c and
+    conj theta^c, as e^{2c} and e^{2c+1} are in the real algebra. A mask is
+    balanced when it sets as many theta as conj theta; the wedge of two
+    disjoint balanced masks is balanced.
+
+    `pair` and `pair_sign` place theta^c ^ conj theta^d at [c, d]: its mask
+    lists conj theta^d first when d < c. `conjugate` and `conjugate_sign`
+    map each mask to its conjugate, which swaps theta^c and conj theta^c and
+    so negates theta^c ^ conj theta^c.
+    """
+
+    masks: np.ndarray  # ascending, so mask 0 comes first and the top mask last
+    table: tuple  # the wedge table of the balanced masks
+    degree: np.ndarray  # p of each mask
+    pair: np.ndarray
+    pair_sign: np.ndarray
+    conjugate: np.ndarray
+    conjugate_sign: np.ndarray
+    omega_top: complex  # the top coefficient of omega^n
+
+
+@lru_cache(maxsize=None)
+def _balanced(n: int) -> _Balanced:
+    popcount = np.array([m.bit_count() for m in range(1 << 2 * n)])
+    bits = np.arange(1 << 2 * n)
+    even = int("01" * n, 2)  # the theta bits
+    masks = bits[popcount[bits & even] == popcount[bits & (even << 1)]]
+    table = _wedge_table(masks)
+    c = np.arange(n)
+    pair = np.searchsorted(masks, (1 << 2 * c)[:, None] | (1 << 2 * c + 1)[None, :])
+    pair_sign = np.where(c[:, None] > c[None, :], -1.0, 1.0)
+    omega = np.zeros(masks.size, dtype=complex)
+    omega[pair[c, c]] = -1j
+    omega_n = reduce(partial(_wedge, table), [omega] * n)
+    theta, theta_bar = masks & even, (masks >> 1) & even
+    conjugate = np.searchsorted(masks, theta_bar | (theta << 1))
+    conjugate_sign = 1.0 - 2.0 * (popcount[theta & theta_bar] % 2)
+    return _Balanced(
+        masks, table, popcount[theta], pair, pair_sign, conjugate, conjugate_sign, omega_n[-1]
+    )
+
+
+# sqrt(2)^k times the factors 1, theta^c, conj theta^c and theta^c ^ conj theta^c of a
+# coframe pair (rows), on 1, e^{2c}, e^{2c+1} and e^{2c} ^ e^{2c+1} (columns); all exact
+_PAIR_FORMS = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, -2j]])
+
+
+@lru_cache(maxsize=None)
+def _to_real(n: int) -> np.ndarray:
+    """Every balanced basis form as a row in the real basis e^i.
+
+    Coframe pair c and the real pair (e^{2c}, e^{2c+1}) take the same two
+    bits, and a basis form is the product of its pairs' factors in increasing
+    c, so the map is a Kronecker product of the pairs' maps.
+    """
+    algebra = _balanced(n)
+    rows = np.ones((algebra.masks.size, 1), dtype=complex)
+    for c in range(n):
+        factors = _PAIR_FORMS[(algebra.masks >> 2 * c) & 3]
+        rows = (factors[:, :, None] * rows[:, None, :]).reshape(algebra.masks.size, -1)
+    return rows * 0.5 ** algebra.degree[:, None]
+
+
+def _curvature_forms(tensor: CurvatureTensor) -> np.ndarray:
+    """Omega_ab = sum_{c,d} S_{cdab} theta^c ^ conj theta^d, shape (n, n, C(2n, n))."""
     require_certified(tensor)
-    n, d = tensor.space.n, tensor.space.dim
-    # sqrt(2) eps_a and its conjugate on the pair (e_{2a}, e_{2a+1}): the exact
-    # entries (1, -i) and (1, i), so the contraction and the halving round nothing
-    eps, eps_bar = sqrt(2.0) * _PAIR_UNITARY.T
-    # slots k, l of R split into (vector a, pair bit) and (vector b, pair bit)
-    pairs = tensor.entries.reshape(d, d, n, 2, n, 2)
-    return two_form(0.5 * np.einsum("ijakbl,k,l->abij", pairs, eps, eps_bar))
+    n = tensor.space.n
+    algebra = _balanced(n)
+    out = np.zeros((n, n, algebra.masks.size), dtype=complex)
+    s = _kahler_coordinates(tensor.entries)
+    out[:, :, algebra.pair] = algebra.pair_sign * s.transpose(2, 3, 0, 1)
+    return out
+
+
+def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
+    """Curvature matrix of complex 2-forms, Omega_ab = R(., ., eps_a, conj eps_b), shape (n, n, 2^{2n}).
+
+    The forms are in the real basis e^i. They are read off S, so they are
+    the (1,1) part of R(., ., eps_a, conj eps_b): all of it when R is Kahler.
+    """
+    return _curvature_forms(tensor) @ _to_real(tensor.space.n)
+
+
+def _chern_sigmas(tensor: CurvatureTensor) -> np.ndarray:
+    """c_0, ..., c_n in the (p, p) basis, checked to be real forms."""
+    n = tensor.space.n
+    algebra = _balanced(n)
+    normalized = _curvature_forms(tensor) * (1j / (2.0 * np.pi))
+    product = partial(_wedge, algebra.table)
+    # traces of the wedge powers; (M Omega)_ac = sum_b M_ab ^ Omega_bc takes one b at a
+    # time, so the (n, n, n) batch is never gathered
+    traces = [np.trace(normalized)]
+    current = normalized
+    for _ in range(1, n):
+        current = sum(product(current[:, b, None], normalized[b]) for b in range(n))
+        traces.append(np.trace(current))
+    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
+    sigmas = np.zeros((n + 1, algebra.masks.size), dtype=complex)
+    sigmas[0, 0] = 1.0
+    traces = np.array(traces)
+    signs = (-1.0) ** np.arange(n)
+    for k in range(1, n + 1):
+        terms = product(sigmas[k - 1 :: -1], traces[:k])  # row j - 1: sigma_{k-j} ^ p_j
+        sigmas[k] = signs[:k] @ terms / k
+    # a real form F has conj F = F
+    conjugates = algebra.conjugate_sign * np.conj(sigmas[:, algebra.conjugate])
+    residues = np.max(np.abs(sigmas - conjugates), axis=1) / 2.0
+    scales = np.maximum(1.0, np.max(np.abs(sigmas + conjugates), axis=1) / 2.0)
+    bad = np.flatnonzero(residues > REALITY_TOL * scales)
+    if bad.size:
+        k = bad[0]
+        raise PreconditionError(
+            f"Chern form c_{k} has imaginary residue {residues[k]:.3e}; "
+            "input tensor is not Kahler enough"
+        )
+    return sigmas
 
 
 def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
@@ -108,44 +230,23 @@ def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
     Imaginary parts must cancel (skew-Hermitian input); they are checked
     against a small threshold and discarded.
     """
-    n = tensor.space.n
-    normalized = curvature_matrix(tensor) * (1j / (2.0 * np.pi))
-    # traces of the wedge powers; entry c of a row wedges with entry c of a column
-    traces = [np.trace(normalized)]
-    current = normalized
-    for _ in range(1, n):
-        current = wedge(current[:, :, None], normalized[None]).sum(axis=1)
-        traces.append(np.trace(current))
-    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-    one = np.zeros(normalized.shape[-1], dtype=complex)
-    one[0] = 1.0
-    sigmas = [one]
-    for k in range(1, n + 1):
-        terms = [(-1) ** (j - 1) * wedge(sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
-        sigmas.append(sum(terms) / k)
-    sigmas = np.array(sigmas)
-    residues = np.max(np.abs(sigmas.imag), axis=1)
-    scales = np.maximum(1.0, np.max(np.abs(sigmas.real), axis=1))
-    bad = np.flatnonzero(residues > REALITY_TOL * scales)
-    if bad.size:
-        k = bad[0]
-        raise PreconditionError(
-            f"Chern form c_{k} has imaginary residue {residues[k]:.3e}; "
-            "input tensor is not Kahler enough"
-        )
-    return sigmas.real
+    return (_chern_sigmas(tensor) @ _to_real(tensor.space.n)).real
 
 
 def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
     """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
-    forms = chern_forms(tensor)
+    n = tensor.space.n
+    algebra = _balanced(n)
+    sigmas = _chern_sigmas(tensor)
     densities: dict[ChernIndex, float] = {}
-    for index in enumerate_indices(tensor.space.n):
-        product = forms[0]
-        for k, a in enumerate(index.multi_index, start=1):
-            for _ in range(a):
-                product = wedge(product, forms[k])
-        densities[index] = top_coefficient(product)
+    # the pairs of the last run of the table make up the top mask: top(f ^ g) is one dot product
+    left, right, sign, starts = algebra.table
+    top = slice(starts[-1], None)
+    left, right, sign = left[top], right[top], sign[top] / algebra.omega_top
+    for index in enumerate_indices(n):
+        *head, last = [sigmas[k] for k, a in enumerate(index.multi_index, 1) for _ in range(a)]
+        product = reduce(partial(_wedge, algebra.table), head) if head else sigmas[0]
+        densities[index] = float(np.sum(sign * product[left] * last[right]).real)
     return densities
 
 

@@ -240,9 +240,16 @@ def check_kahler(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> 
 
 
 def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
-    """Certify on demand at DEFAULT_SYMMETRY_TOL; raise if the tensor is not Kahler."""
+    """Certify on demand; raise if the tensor is not Kahler.
+
+    The tolerance is DEFAULT_SYMMETRY_TOL times the entry scale
+    max(1, max |R_ijkl|): the residuals are linear in R, so f R passes
+    whenever R does, as `scaled` keeps a certificate. `check_kahler` and
+    tensor files keep their absolute tolerance.
+    """
     if tensor.certificate is None or not tensor.certificate.passed:
-        cert = check_kahler(tensor)
+        scale = max(1.0, float(np.max(np.abs(tensor.entries))))
+        cert = check_kahler(tensor, DEFAULT_SYMMETRY_TOL * scale)
         if not cert.passed:
             raise PreconditionError(
                 f"tensor is not Kahler at tolerance {cert.tolerance:g} "
@@ -268,6 +275,17 @@ _BLOCK_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
 _BLOCK_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 
+def _kahler_coordinates(entries: np.ndarray) -> np.ndarray:
+    """S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d) of a (d, d, d, d) table, as (n, n, n, n).
+
+    Block 0 of the unitary basis change: one GEMV of the pair rows.
+    """
+    n = entries.shape[0] // 2
+    # rows: index tuples a, b, c, d; columns: the pair bits of the four slots
+    pairs = entries.reshape((n, 2) * 4).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(n**4, 16)
+    return (pairs @ _BLOCK_BASIS[:, 0]).reshape((n,) * 4)
+
+
 def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTensor:
     """Orthogonal projection of an arbitrary rank-4 table onto the Kahler subspace.
 
@@ -285,13 +303,9 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
             raise ValueError("space required when projecting a raw array")
         raw = CurvatureTensor(space, tensor).entries  # checks shape and finiteness
     n, d = space.n, space.dim
-    # rows: index tuples a, b, c, d; columns: the pair bits of the four slots
-    pairs = raw.reshape((n, 2) * 4).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(n**4, 16)
-    blocks = (pairs @ _BLOCK_BASIS).reshape((n,) * 4 + (4,))
-    s = sum(
-        sign * blocks[..., k].transpose(axes)
-        for k, (axes, sign) in enumerate(zip(_BLOCK_AXES, _BLOCK_SIGNS))
-    )
+    # the signed blocks of raw sum to block 0 of its pair-antisymmetric part times 4
+    raw = raw - raw.transpose(1, 0, 2, 3)
+    s = _kahler_coordinates(raw - raw.transpose(0, 1, 3, 2))
     s = (s + s.transpose(2, 1, 0, 3)) / 8.0  # the mean of four blocks, symmetrized in (a, c)
     s = (s + s.transpose(0, 3, 2, 1)) / 2.0
     blocks = np.stack(

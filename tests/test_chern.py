@@ -16,17 +16,15 @@ from kahlerpinch import (
     density_ratio,
     distance,
     enumerate_indices,
-    kahler_form,
     make_space,
-    power,
     project_kahler,
     random_kahler,
     reference_constants,
     space_form_ratio,
-    two_form,
     wedge,
 )
 from kahlerpinch.errors import DegenerateDenominatorError, DegreeError
+from real_forms import kahler_form, power, real_chern_densities, two_form
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +213,7 @@ def test_space_form_formula_is_binomial_products():
 
 
 def test_reference_constants_cross_check():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         table = reference_constants(n)
         assert len(table) == len(enumerate_indices(n))
         assert all(abs(v) > 0 for v in table.values())
@@ -223,6 +221,43 @@ def test_reference_constants_cross_check():
             for b in table:
                 assert table[a] / table[b] == pytest.approx(
                     space_form_ratio(a, b), rel=1e-8
+                )
+
+
+def test_balanced_algebra_sizes():
+    # C(2n, n) balanced masks, and their disjoint pairs
+    from kahlerpinch.chern import _balanced
+
+    for n, pairs in zip((1, 2, 3, 4, 5), (3, 15, 93, 639, 4653)):
+        algebra = _balanced(n)
+        assert algebra.masks.size == comb(2 * n, n)
+        assert algebra.table[0].size == pairs
+
+
+def test_densities_match_the_real_algebra_oracle():
+    from kahlerpinch.experiments import perturb
+
+    for n in (1, 2, 3, 4, 5):
+        space = make_space(n)
+        for tensor in (
+            complex_hyperbolic_tensor(space),
+            perturb(space, 0.05, 3),
+            random_kahler(space, seed=5),
+        ):
+            oracle = real_chern_densities(tensor)
+            for index, gamma in chern_densities(tensor).items():
+                assert gamma == pytest.approx(oracle[index], rel=1e-12, abs=0.0), (n, index)
+
+
+def test_ratios_invariant_under_unitary_pullback_n5(unitary_pullback):
+    tensor = random_kahler(make_space(5), seed=17)
+    base = chern_densities(tensor)
+    for seed in (1, 2):
+        densities = chern_densities(unitary_pullback(tensor, seed)[0])
+        for i in base:
+            for j in base:
+                assert density_ratio(densities, i, j) == pytest.approx(
+                    density_ratio(base, i, j), rel=1e-10, abs=0.0
                 )
 
 

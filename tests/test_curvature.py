@@ -101,6 +101,27 @@ def test_random_dense_tensor_fails(space2):
     assert cert.antisymmetry == pytest.approx(direct, abs=1e-15)
 
 
+def test_require_certified_tolerance_scales_with_the_entries(space2):
+    from kahlerpinch import chern_densities, pinch
+    from kahlerpinch.curvature import require_certified
+
+    kahler = random_kahler(space2, seed=5)
+    big = CurvatureTensor(space2, kahler.entries * 1e9)
+    # the absolute default tolerance rejects the rounding of 1e9-sized entries ...
+    assert not check_kahler(CurvatureTensor(space2, big.entries)).passed
+    # ... on-demand certification is relative to them
+    assert require_certified(big).certificate.passed
+    densities, expected = chern_densities(big), chern_densities(kahler)
+    for index, gamma in densities.items():
+        assert gamma == pytest.approx(expected[index] * 1e9**2, rel=1e-12, abs=0.0)
+    report = pinch(CurvatureTensor(space2, big.entries), restarts=8, seed=1)
+    assert report.k_max == pytest.approx(1e9 * pinch(kahler, restarts=8, seed=1).k_max, rel=1e-9)
+    dense = CurvatureTensor(space2, seeded_rng(33).standard_normal((4, 4, 4, 4)) * 1e9)
+    for call in (require_certified, chern_densities):
+        with pytest.raises(PreconditionError, match="not Kahler"):
+            call(dense)
+
+
 def _index_residuals(tensor):
     """The four residuals with J applied as a permutation and sign of basis indices."""
     e = tensor.entries

@@ -4,16 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from kahlerpinch import (
-    basis_form,
-    kahler_form,
-    make_space,
-    power,
-    seeded_rng,
-    top_coefficient,
-    wedge,
-)
+from kahlerpinch import make_space, seeded_rng, wedge
 from kahlerpinch.errors import DegreeError, SpaceMismatchError
+from real_forms import basis_form, kahler_form, power, top_coefficient
 
 
 def _perm_sign(perm):
