@@ -14,27 +14,28 @@ wedge multiplication, computed through Newton's identities on wedge-traces;
 product of (1,1)-forms stays in bidegree (p, p), so the forms live on the
 balanced masks of the coframe, those with as many theta as conj theta:
 C(2n, n) coefficients and a wedge table of 639 pairs at n = 4, against 4^n
-coefficients and 3^{2n} pairs in the real algebra (`forms`). Being invariant
+coefficients and 3^{2n} pairs in the real algebra of R^{2n}. Being invariant
 polynomials, the forms do not depend on the unitary frame (Kobayashi-Nomizu,
 Foundations of Differential Geometry II, ch. XII). Densities are top
 coefficients relative to omega^n, omega = -i sum_c theta^c ^ conj theta^c,
-built in the same algebra; only ratios of densities are consumed downstream,
-so the normalization convention cancels.
+whose top coefficient is n! (-i)^n; only ratios of densities are consumed
+downstream, so the normalization convention cancels.
 
-`chern_densities` builds the forms once per tensor and evaluates every
-product c_1^{a_1} ^ ... ^ c_n^{a_n} without leaving the (p, p) basis;
-`chern_ratio` and `reference_constants` are read off its table, and
-`density_ratio` divides two entries of it. `curvature_matrix` and
-`chern_forms` return the same forms in the real basis e^i, through one
-cached linear map per n.
+`curvature_matrix` and `chern_forms` return the forms they compute: complex
+coefficients on the balanced masks, ascending, where bit 2c is theta^c and
+bit 2c + 1 is conj theta^c. `chern_densities` builds the forms once per
+tensor and evaluates every product c_1^{a_1} ^ ... ^ c_n^{a_n} in the same
+basis; `chern_ratio` and `reference_constants` are read off its table, and
+`density_ratio` divides two entries of it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from math import comb
+from math import comb, factorial
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +77,13 @@ class ChernIndex:
     multi_index: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(a) for a in self.multi_index)
+        entries = self.multi_index
+        try:
+            if any(isinstance(a, bool) for a in entries):
+                raise TypeError("bool entry")
+            idx = tuple(operator.index(a) for a in entries)
+        except TypeError:
+            raise DegreeError(f"multi-index entries must be integers, got {entries!r}") from None
         object.__setattr__(self, "multi_index", idx)
         if any(a < 0 for a in idx):
             raise DegreeError(f"multi-index must be nonnegative, got {idx}")
@@ -107,9 +114,8 @@ def enumerate_indices(n: int) -> list[ChernIndex]:
 
 class _Balanced(NamedTuple):
     """The (p, p) algebra at n. Bits 2c and 2c + 1 of a mask are theta^c and
-    conj theta^c, as e^{2c} and e^{2c+1} are in the real algebra. A mask is
-    balanced when it sets as many theta as conj theta; the wedge of two
-    disjoint balanced masks is balanced.
+    conj theta^c. A mask is balanced when it sets as many theta as conj
+    theta; the wedge of two disjoint balanced masks is balanced.
 
     `pair` and `pair_sign` place theta^c ^ conj theta^d at [c, d]: its mask
     lists conj theta^d first when d < c. `conjugate` and `conjugate_sign`
@@ -119,12 +125,10 @@ class _Balanced(NamedTuple):
 
     masks: np.ndarray  # ascending, so mask 0 comes first and the top mask last
     table: tuple  # the wedge table of the balanced masks
-    degree: np.ndarray  # p of each mask
     pair: np.ndarray
     pair_sign: np.ndarray
     conjugate: np.ndarray
     conjugate_sign: np.ndarray
-    omega_top: complex  # the top coefficient of omega^n
 
 
 @lru_cache(maxsize=None)
@@ -137,40 +141,19 @@ def _balanced(n: int) -> _Balanced:
     c = np.arange(n)
     pair = np.searchsorted(masks, (1 << 2 * c)[:, None] | (1 << 2 * c + 1)[None, :])
     pair_sign = np.where(c[:, None] > c[None, :], -1.0, 1.0)
-    omega = np.zeros(masks.size, dtype=complex)
-    omega[pair[c, c]] = -1j
-    omega_n = reduce(partial(_wedge, table), [omega] * n)
     theta, theta_bar = masks & even, (masks >> 1) & even
     conjugate = np.searchsorted(masks, theta_bar | (theta << 1))
     conjugate_sign = 1.0 - 2.0 * (popcount[theta & theta_bar] % 2)
-    return _Balanced(
-        masks, table, popcount[theta], pair, pair_sign, conjugate, conjugate_sign, omega_n[-1]
-    )
+    return _Balanced(masks, table, pair, pair_sign, conjugate, conjugate_sign)
 
 
-# sqrt(2)^k times the factors 1, theta^c, conj theta^c and theta^c ^ conj theta^c of a
-# coframe pair (rows), on 1, e^{2c}, e^{2c+1} and e^{2c} ^ e^{2c+1} (columns); all exact
-_PAIR_FORMS = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, -2j]])
+def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
+    """Omega_ab = R(., ., eps_a, conj eps_b) = sum_{c,d} S_{cdab} theta^c ^ conj theta^d.
 
-
-@lru_cache(maxsize=None)
-def _to_real(n: int) -> np.ndarray:
-    """Every balanced basis form as a row in the real basis e^i.
-
-    Coframe pair c and the real pair (e^{2c}, e^{2c+1}) take the same two
-    bits, and a basis form is the product of its pairs' factors in increasing
-    c, so the map is a Kronecker product of the pairs' maps.
+    Shape (n, n, C(2n, n)): complex coefficients on the balanced masks, ascending,
+    with bit 2c = theta^c and bit 2c + 1 = conj theta^c. Read off S, the forms
+    are the (1,1) part of R(., ., eps_a, conj eps_b): all of it when R is Kahler.
     """
-    algebra = _balanced(n)
-    rows = np.ones((algebra.masks.size, 1), dtype=complex)
-    for c in range(n):
-        factors = _PAIR_FORMS[(algebra.masks >> 2 * c) & 3]
-        rows = (factors[:, :, None] * rows[:, None, :]).reshape(algebra.masks.size, -1)
-    return rows * 0.5 ** algebra.degree[:, None]
-
-
-def _curvature_forms(tensor: CurvatureTensor) -> np.ndarray:
-    """Omega_ab = sum_{c,d} S_{cdab} theta^c ^ conj theta^d, shape (n, n, C(2n, n))."""
     require_certified(tensor)
     n = tensor.space.n
     algebra = _balanced(n)
@@ -180,20 +163,14 @@ def _curvature_forms(tensor: CurvatureTensor) -> np.ndarray:
     return out
 
 
-def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
-    """Curvature matrix of complex 2-forms, Omega_ab = R(., ., eps_a, conj eps_b), shape (n, n, 2^{2n}).
+def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
+    """Chern forms c_0, ..., c_n, shape (n + 1, C(2n, n)), on the masks of `curvature_matrix`.
 
-    The forms are in the real basis e^i. They are read off S, so they are
-    the (1,1) part of R(., ., eps_a, conj eps_b): all of it when R is Kahler.
+    Each is checked to be a real form, conj c_k = c_k, up to a small threshold.
     """
-    return _curvature_forms(tensor) @ _to_real(tensor.space.n)
-
-
-def _chern_sigmas(tensor: CurvatureTensor) -> np.ndarray:
-    """c_0, ..., c_n in the (p, p) basis, checked to be real forms."""
     n = tensor.space.n
     algebra = _balanced(n)
-    normalized = _curvature_forms(tensor) * (1j / (2.0 * np.pi))
+    normalized = curvature_matrix(tensor) * (1j / (2.0 * np.pi))
     product = partial(_wedge, algebra.table)
     # traces of the wedge powers; (M Omega)_ac = sum_b M_ab ^ Omega_bc takes one b at a
     # time, so the (n, n, n) batch is never gathered
@@ -224,25 +201,17 @@ def _chern_sigmas(tensor: CurvatureTensor) -> np.ndarray:
     return sigmas
 
 
-def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
-    """All Chern forms c_0, ..., c_n as the rows of a real (n + 1, 2^{2n}) array.
-
-    Imaginary parts must cancel (skew-Hermitian input); they are checked
-    against a small threshold and discarded.
-    """
-    return (_chern_sigmas(tensor) @ _to_real(tensor.space.n)).real
-
-
 def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
     """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
     n = tensor.space.n
     algebra = _balanced(n)
-    sigmas = _chern_sigmas(tensor)
+    sigmas = chern_forms(tensor)
     densities: dict[ChernIndex, float] = {}
     # the pairs of the last run of the table make up the top mask: top(f ^ g) is one dot product
     left, right, sign, starts = algebra.table
     top = slice(starts[-1], None)
-    left, right, sign = left[top], right[top], sign[top] / algebra.omega_top
+    # omega^n = n! prod_c (-i theta^c ^ conj theta^c): the top mask lists the pairs in order
+    left, right, sign = left[top], right[top], sign[top] / (factorial(n) * (-1j) ** n)
     for index in enumerate_indices(n):
         *head, last = [sigmas[k] for k, a in enumerate(index.multi_index, 1) for _ in range(a)]
         product = reduce(partial(_wedge, algebra.table), head) if head else sigmas[0]

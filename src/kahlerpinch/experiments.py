@@ -100,7 +100,7 @@ class CertificationReport:
 
 
 def _sample_seed(seed: int, t_index: int, sample: int) -> int:
-    ss = np.random.SeedSequence([int(seed) % (1 << 63), t_index, sample])
+    ss = np.random.SeedSequence([int(seed) % (1 << 64), t_index, sample])
     return int(ss.generate_state(1)[0])
 
 

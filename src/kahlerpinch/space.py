@@ -26,10 +26,11 @@ __all__ = [
 def seeded_rng(*entropy: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers.
 
-    Negative integers are folded into the non-negative range accepted by
-    ``SeedSequence``; the map is injective on 64-bit inputs.
+    Each integer is taken modulo 2^64, the non-negative range accepted by
+    ``SeedSequence``: seeds in [0, 2^64) keep their value, and the map is
+    injective on signed and on unsigned 64-bit inputs.
     """
-    parts = [int(e) % (1 << 63) for e in entropy]
+    parts = [int(e) % (1 << 64) for e in entropy]
     return np.random.default_rng(np.random.SeedSequence(parts))
 
 

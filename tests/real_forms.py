@@ -1,18 +1,67 @@
-"""Real-algebra helpers for the tests, built on `forms.wedge`.
+"""Real-algebra helpers for the tests: the real wedge product and the map to it.
 
 The package computes Chern forms in bidegree (p, p) of the unitary coframe.
-`real_chern_densities` is the independent oracle for it: the Newton recursion
-on wedge-traces over all 4^n coefficients of the real algebra, from the
-curvature matrix as real 2-forms over e^i ^ e^j.
+`to_real(n)` maps those forms to the real basis e^i of R^{2n}, where `wedge`
+multiplies all 4^n coefficients. `real_chern_densities` is the independent
+oracle for the package: the Newton recursion on wedge-traces in the real
+algebra, from the curvature matrix as real 2-forms over e^i ^ e^j.
 """
 
+from functools import lru_cache
 from math import factorial, sqrt
 
 import numpy as np
 
-from kahlerpinch import enumerate_indices, wedge
-from kahlerpinch.errors import DegreeError
-from kahlerpinch.forms import _dimension
+from kahlerpinch import enumerate_indices
+from kahlerpinch.chern import _balanced
+from kahlerpinch.errors import DegreeError, SpaceMismatchError
+from kahlerpinch.forms import _wedge, _wedge_table
+
+
+def _dimension(size: int) -> int:
+    """Real dimension 2n of the space whose forms have `size` coefficients."""
+    dim = size.bit_length() - 1
+    if size < 4 or size != 1 << dim or dim % 2:
+        raise SpaceMismatchError(f"{size} coefficients is not 2^(2n) for any n >= 1")
+    return dim
+
+
+@lru_cache(maxsize=None)
+def _real_table(dim: int):
+    return _wedge_table(np.arange(1 << dim))
+
+
+def wedge(f, g) -> np.ndarray:
+    """Wedge product in the real algebra, shuffle-sign convention; broadcasts over leading axes."""
+    f, g = np.asarray(f), np.asarray(g)
+    if f.shape[-1] != g.shape[-1]:
+        raise SpaceMismatchError(
+            f"forms live over different spaces: {f.shape[-1]} vs {g.shape[-1]} coefficients"
+        )
+    return _wedge(_real_table(_dimension(f.shape[-1])), f, g)
+
+
+# sqrt(2)^k times the factors 1, theta^c, conj theta^c and theta^c ^ conj theta^c of a
+# coframe pair (rows), on 1, e^{2c}, e^{2c+1} and e^{2c} ^ e^{2c+1} (columns); all exact
+_PAIR_FORMS = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, -2j]])
+
+
+@lru_cache(maxsize=None)
+def to_real(n: int) -> np.ndarray:
+    """Every balanced basis form of `kahlerpinch.chern` as a row in the real basis e^i.
+
+    `forms @ to_real(n)` maps (p, p) coefficients to 4^n real-basis ones.
+    Coframe pair c and the real pair (e^{2c}, e^{2c+1}) take the same two
+    bits, and a basis form is the product of its pairs' factors in increasing
+    c, so the map is a Kronecker product of the pairs' maps.
+    """
+    masks = _balanced(n).masks
+    rows = np.ones((masks.size, 1), dtype=complex)
+    for c in range(n):
+        factors = _PAIR_FORMS[(masks >> 2 * c) & 3]
+        rows = (factors[:, :, None] * rows[:, None, :]).reshape(masks.size, -1)
+    degree = np.array([int(m).bit_count() // 2 for m in masks])
+    return rows * 0.5 ** degree[:, None]
 
 
 def power(f, m: int) -> np.ndarray:

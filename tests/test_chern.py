@@ -20,11 +20,11 @@ from kahlerpinch import (
     project_kahler,
     random_kahler,
     reference_constants,
+    seeded_rng,
     space_form_ratio,
-    wedge,
 )
-from kahlerpinch.errors import DegenerateDenominatorError, DegreeError
-from real_forms import kahler_form, power, real_chern_densities, two_form
+from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError
+from real_forms import kahler_form, power, real_chern_densities, to_real, two_form, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,13 @@ def test_chern_index_validation():
         ChernIndex((-1, 1))
 
 
+def test_chern_index_rejects_non_integral_entries():
+    assert ChernIndex((np.int64(2), 0)).multi_index == (2, 0)
+    for entries in ((2.9, 0), (2.0, 0), (True, False), (2, False), ("2", "0")):
+        with pytest.raises(DegreeError):
+            ChernIndex(entries)
+
+
 # ---------------------------------------------------------------------------
 # curvature matrix
 # ---------------------------------------------------------------------------
@@ -55,6 +62,11 @@ def _max_abs(form):
     return float(np.max(np.abs(form)))
 
 
+def _real(forms, n):
+    # (p, p) coefficients as real-basis forms over e^i
+    return forms @ to_real(n)
+
+
 def _skew_hermitian_residual(matrix):
     # Omega_ab + conj(Omega_ba), entrywise over every form coefficient
     return _max_abs(matrix + np.conj(matrix.transpose(1, 0, 2)))
@@ -62,10 +74,10 @@ def _skew_hermitian_residual(matrix):
 
 def test_curvature_matrix_skew_hermitian(r0_n2, space2):
     omega = curvature_matrix(r0_n2)
-    assert omega.shape == (2, 2, 1 << space2.dim)
-    assert _skew_hermitian_residual(omega) < 1e-12
+    assert omega.shape == (2, 2, comb(space2.dim, space2.n))
+    assert _skew_hermitian_residual(_real(omega, 2)) < 1e-12
     tensor = random_kahler(space2, seed=101)
-    assert _skew_hermitian_residual(curvature_matrix(tensor)) < 1e-12
+    assert _skew_hermitian_residual(_real(curvature_matrix(tensor), 2)) < 1e-12
 
 
 def _three_blocks(tensor, f):
@@ -84,15 +96,15 @@ def test_curvature_matrix_matches_einsum_contraction(unitary_pullback):
         tensor = random_kahler(space, seed=40 + n)
         canonical = np.eye(space.dim)[0::2]  # f_a = e_{2a}
         expected = two_form(_three_blocks(tensor, canonical))
-        assert np.max(np.abs(curvature_matrix(tensor) - expected)) <= 1e-15
+        assert np.max(np.abs(_real(curvature_matrix(tensor), n) - expected)) <= 1e-15
         # the pullback's standard frame is the frame {f_a} of random_unitary_frame(space, 7)
         pulled, g = unitary_pullback(tensor, 7)
         expected = two_form(g.T @ _three_blocks(tensor, g.T[0::2]) @ g)
-        assert np.max(np.abs(curvature_matrix(pulled) - expected)) <= 1e-15
+        assert np.max(np.abs(_real(curvature_matrix(pulled), n) - expected)) <= 1e-15
 
 
 def test_curvature_matrix_n1_proportional_to_kahler_form(r0_n1, space1):
-    omega = curvature_matrix(r0_n1)
+    omega = _real(curvature_matrix(r0_n1), 1)
     entry = omega[0, 0]
     # Lambda^2 of a 2-dim space is 1-dim: both parts are multiples of omega
     kf = kahler_form(space1)
@@ -115,13 +127,13 @@ def test_curvature_matrix_zero_tensor(space2):
 
 
 def test_c0_is_one(r0_n2):
-    c0 = chern_forms(r0_n2)[0]
+    c0 = _real(chern_forms(r0_n2), 2).real[0]
     assert c0[0] == 1.0 and np.all(c0[1:] == 0.0)
 
 
 def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
     # U(n)-invariance: c_k(R0) = gamma_k * omega^k, checked entrywise
-    forms = chern_forms(r0_n3)
+    forms = _real(chern_forms(r0_n3), 3).real
     omega = kahler_form(space3)
     for k in (1, 2, 3):
         omega_k = power(omega, k)
@@ -133,9 +145,9 @@ def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
 
 def test_chern_form_homogeneity(space2):
     tensor = random_kahler(space2, seed=103)
-    base = chern_forms(tensor)
+    base = _real(chern_forms(tensor), 2).real
     for lam in (0.5, 2.0):
-        scaled = chern_forms(tensor.scaled(lam))
+        scaled = _real(chern_forms(tensor.scaled(lam)), 2).real
         for k in (1, 2):
             assert _max_abs(scaled[k] - lam**k * base[k]) < 1e-10
 
@@ -169,12 +181,12 @@ def test_frame_independence(unitary_pullback):
     for n in (2, 4):
         space = make_space(n)
         tensor = random_kahler(space, seed=104)
-        base = chern_forms(tensor)
+        assert chern_forms(tensor).shape == (n + 1, comb(space.dim, n))
+        base = _real(chern_forms(tensor), n).real
         densities = chern_densities(tensor)
-        assert base.shape == (n + 1, 1 << space.dim)
         for s in range(20):
             pulled, g = unitary_pullback(tensor, seed=200 + s)
-            forms = chern_forms(pulled)
+            forms = _real(chern_forms(pulled), n).real
             c1 = _two_form_matrix(base[1], space.dim)
             assert np.max(np.abs(_two_form_matrix(forms[1], space.dim) - g.T @ c1 @ g)) < 1e-10
             assert _max_abs(forms - base @ _pullback_operator(g)) < 1e-10
@@ -188,6 +200,20 @@ def test_reality_of_chern_forms(space3):
     for s in range(5):
         tensor = random_kahler(space3, seed=300 + s)
         chern_forms(tensor)  # raises if the residue exceeds the threshold
+
+
+def test_reality_check_rejects_an_imaginary_residue(space2):
+    # R0 plus 3e-11 times a normal table: certified at 1e-9 (max residual 1.5e-10), but
+    # c_1 keeps an imaginary residue of 2.8e-12, above REALITY_TOL
+    from kahlerpinch import check_kahler
+
+    entries = complex_hyperbolic_tensor(space2).entries
+    tensor = CurvatureTensor(space2, entries + 3e-11 * seeded_rng(1).standard_normal(entries.shape))
+    assert check_kahler(tensor).passed
+    with pytest.raises(PreconditionError, match=r"c_1 has imaginary residue 2\.780e-12"):
+        chern_forms(tensor)
+    with pytest.raises(PreconditionError, match=r"c_1 has imaginary residue"):
+        chern_densities(tensor)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,25 @@ def test_chern_degenerate_denominator_is_check_failure(tmp_path):
     assert result.returncode == 1
 
 
+def test_chern_imaginary_residue_is_check_failure(tmp_path):
+    # certified at the file's 1e-9 (max residual 1.5e-10), but c_1 keeps an
+    # imaginary residue of 2.8e-12, above the reality threshold
+    from kahlerpinch import CurvatureTensor, complex_hyperbolic_tensor, make_space, write_tensor
+    from kahlerpinch import seeded_rng
+
+    space = make_space(2)
+    entries = complex_hyperbolic_tensor(space).entries
+    entries = entries + 3e-11 * seeded_rng(1).standard_normal(entries.shape)
+    path = tmp_path / "off_kahler.json"
+    write_tensor(path, CurvatureTensor(space, entries))
+    result = run_cli("chern", str(path), "--all")
+    assert result.returncode == 1
+    assert result.stdout == b""
+    stderr = result.stderr.decode().strip().splitlines()
+    assert len(stderr) == 1 and "imaginary residue" in stderr[0]
+    assert b"Traceback" not in result.stderr
+
+
 def _bianchi_defect_file(path, tol):
     # the model tensor plus 1e-7 omega (x) omega: a Bianchi residual of 1e-7,
     # every other symmetry exact, and real Chern forms

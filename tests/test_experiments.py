@@ -588,3 +588,10 @@ def test_identity_suite_runs_no_optimizer(monkeypatch, n):
     monkeypatch.setattr(pinching, "_optimize", forbidden)
     results = identity_suite(n, 20, 5)
     assert results["berger_max_violation"] <= 1e-9
+
+
+def test_sample_seeds_of_distinct_64_bit_seeds_differ():
+    from kahlerpinch.experiments import _sample_seed
+
+    assert _sample_seed(2**63, 0, 0) != _sample_seed(0, 0, 0)
+    assert _sample_seed(-1, 0, 0) != _sample_seed(2**63 - 1, 0, 0)

@@ -4,9 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from kahlerpinch import make_space, seeded_rng, wedge
+from kahlerpinch import make_space, seeded_rng
 from kahlerpinch.errors import DegreeError, SpaceMismatchError
-from real_forms import basis_form, kahler_form, power, top_coefficient
+from real_forms import basis_form, kahler_form, power, top_coefficient, wedge
 
 
 def _perm_sign(perm):

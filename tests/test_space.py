@@ -124,3 +124,10 @@ def test_orthonormal_pair_determinism():
     u1, v1 = random_orthonormal_pair(space, seed=8, constraint="v_perp_ju")
     u2, v2 = random_orthonormal_pair(space, seed=8, constraint="v_perp_ju")
     assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+
+
+def test_seed_folding_keeps_negative_seeds_apart():
+    # entropy is taken modulo 2^64: -1 is 2^64 - 1, not 2^63 - 1
+    assert not np.array_equal(seeded_rng(-1).random(4), seeded_rng(2**63 - 1).random(4))
+    assert np.array_equal(seeded_rng(-1).random(4), seeded_rng(2**64 - 1).random(4))
+    assert np.array_equal(seeded_rng(5, 7).random(4), seeded_rng(5 + 2**64, 7).random(4))
