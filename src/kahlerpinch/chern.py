@@ -43,6 +43,7 @@ import numpy as np
 from .curvature import (
     CurvatureTensor,
     _kahler_coordinates,
+    _unit_exponent,
     complex_hyperbolic_tensor,
     require_certified,
 )
@@ -219,9 +220,16 @@ def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
     return densities
 
 
+def _require_dimension(n: int, *indices: ChernIndex) -> None:
+    """DegreeError unless every index has dimension n."""
+    if any(index.n != n for index in indices):
+        raise DegreeError(f"index dimensions {[index.n for index in indices]} disagree with n = {n}")
+
+
 def space_form_ratio(index_i: ChernIndex, index_j: ChernIndex) -> float:
     """Reference ratio for a complex space form: products of binomials C(n+1, k)."""
     n = index_i.n
+    _require_dimension(n, index_j)
     ratio = 1.0
     for k in range(1, n + 1):
         ratio *= float(comb(n + 1, k)) ** (index_i.multi_index[k - 1] - index_j.multi_index[k - 1])
@@ -256,6 +264,7 @@ def density_ratio(
     Raises DegenerateDenominatorError when gamma_J vanished relative to the
     largest |gamma| of the same table, a test that rescaling the tensor keeps.
     """
+    _require_dimension(next(iter(densities)).n, index_i, index_j)
     denominator = densities[index_j]
     largest = max(abs(gamma) for gamma in densities.values())
     if abs(denominator) <= 1e-12 * largest:
@@ -267,7 +276,17 @@ def density_ratio(
 
 
 def chern_ratio(tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex) -> float:
-    """gamma_I / gamma_J; scale- and frame-independent."""
-    if index_i.n != tensor.space.n or index_j.n != tensor.space.n:
-        raise DegreeError("index dimensions disagree with the tensor")
-    return density_ratio(chern_densities(tensor), index_i, index_j)
+    """gamma_I / gamma_J; scale- and frame-independent.
+
+    The densities are those of R at unit scale, 2^-e R for
+    e = curvature._unit_exponent(R). That scaling is exact, so 2^k R has the
+    ratio of R bit for bit while its entries stay normal doubles, with no
+    overflow or underflow in the degree-n products, and the reality check of
+    `chern_forms` gives the same verdict at every such scale.
+    """
+    _require_dimension(tensor.space.n, index_i, index_j)
+    require_certified(tensor)
+    unit = CurvatureTensor(tensor.space, np.ldexp(tensor.entries, -_unit_exponent(tensor.entries)))
+    # scaling keeps every symmetry, so R's verdict holds for 2^-e R
+    unit.certificate = tensor.certificate
+    return density_ratio(chern_densities(unit), index_i, index_j)

@@ -42,6 +42,13 @@ DIMENSION_CAP = 4
 # of constants --certify and identities --samples, and a multistart's restarts
 SAMPLE_CAP = 10_000
 RESTART_CAP = 4096
+# seeds fold modulo 2^64, so the signed 64-bit range is the widest in which no
+# two accepted seeds draw the same stream
+SEED_BOUND = 2**63
+
+
+class UsageError(Exception):
+    """A malformed command line or sweep config: exit 2."""
 
 
 def _emit(payload: dict) -> None:
@@ -53,31 +60,32 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _fail_usage(message: str) -> int:
-    sys.stderr.write(f"error: {message}\n")
-    return EXIT_USAGE
-
-
-def _check_n(n: int, name: str, low: int = 1) -> int | None:
-    """EXIT_USAGE (after a one-line message) for n below low; raises above DIMENSION_CAP."""
+def _check_n(n: int, name: str, low: int = 1) -> None:
+    """UsageError for n below low, ResourceLimitError above DIMENSION_CAP."""
     if n < low:
-        return _fail_usage(f"{name} must be in [{low}, {DIMENSION_CAP}], got {n}")
+        raise UsageError(f"{name} must be in [{low}, {DIMENSION_CAP}], got {n}")
     if n > DIMENSION_CAP:
         raise ResourceLimitError(f"{name} = {n} exceeds the dimension cap {DIMENSION_CAP}")
-    return None
 
 
-def _check_count(name: str, value: int | None, cap: int) -> None:
-    """Raises ResourceLimitError for a count above its cap; None stands for the default."""
+def _check_count(name: str, value: int | None, cap: int, low: int = 1) -> None:
+    """UsageError for a count below low, ResourceLimitError above cap; None stands for the default."""
+    if value is not None and value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
     if value is not None and value > cap:
         raise ResourceLimitError(f"{name} = {value} exceeds the cap {cap}")
 
 
-def _check_positive(name: str, value: float | None) -> int | None:
-    """EXIT_USAGE (after a one-line message) unless value is None or positive and finite."""
+def _check_positive(name: str, value: float | None) -> None:
+    """UsageError unless value is None or positive and finite."""
     if value is not None and not (math.isfinite(value) and value > 0):
-        return _fail_usage(f"{name} must be a positive finite number, got {value}")
-    return None
+        raise UsageError(f"{name} must be a positive finite number, got {value}")
+
+
+def _check_seed(name: str, seed: int | None) -> None:
+    """UsageError unless seed is None or in [-2^63, 2^63)."""
+    if seed is not None and not -SEED_BOUND <= seed < SEED_BOUND:
+        raise UsageError(f"{name} must be in [-2^63, 2^63), got {seed}")
 
 
 def _is_int(value) -> bool:
@@ -103,10 +111,22 @@ def _load_tensor(path: str, tol: float | None = None):
     return tensor, check_kahler(tensor, tol), tol
 
 
-def cmd_r0(args) -> int:
-    if code := _check_n(args.n, "--n") or _check_positive("--tol", args.tol):
-        return code
+def _load_kahler(path: str):
+    """The file's tensor, certified Kahler at the file's tolerance."""
+    tensor, certificate, tol = _load_tensor(path)
+    if not math.isfinite(certificate.max_residual):
+        raise ResourceLimitError("a symmetry residual is not finite: the input exceeds double precision")
+    if not certificate.passed:
+        raise PreconditionError(
+            f"tensor is not Kahler at its file's tolerance {tol:g} "
+            f"(max residual {certificate.max_residual:.3e})"
+        )
+    return tensor
 
+
+def cmd_r0(args) -> int:
+    _check_n(args.n, "--n")
+    _check_positive("--tol", args.tol)
     tensor = complex_hyperbolic_tensor(make_space(args.n))
     write_tensor(args.out, tensor, args.tol)
     _emit(
@@ -122,8 +142,7 @@ def cmd_r0(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if code := _check_positive("--tol", args.tol):
-        return code
+    _check_positive("--tol", args.tol)
     tensor, certificate, tol = _load_tensor(args.path, args.tol)
     _emit(
         {
@@ -145,22 +164,9 @@ def cmd_validate(args) -> int:
 
 def cmd_pinch(args) -> int:
     _check_count("--restarts", args.restarts, RESTART_CAP)
-    tensor, certificate, _ = _load_tensor(args.path)
-    if not certificate.passed:
-        _emit(
-            {
-                "command": "pinch",
-                "path": args.path,
-                "passed": False,
-                "reason": "tensor failed Kahler certification",
-                "max_symmetry_residual": certificate.max_residual,
-            }
-        )
-        return EXIT_CHECK_FAILED
-    try:
-        report = pinching.pinch(tensor, restarts=args.restarts, seed=args.seed)
-    except PreconditionError as exc:
-        return _fail_usage(str(exc))
+    _check_seed("--seed", args.seed)
+    tensor = _load_kahler(args.path)
+    report = pinching.pinch(tensor, restarts=args.restarts, seed=args.seed)
     _emit(
         {
             "command": "pinch",
@@ -198,45 +204,30 @@ def _parse_index(text: str, n: int):
 
 
 def cmd_chern(args) -> int:
-    tensor, certificate, tol = _load_tensor(args.path)
-    if not certificate.passed:
-        raise PreconditionError(
-            f"tensor is not Kahler at its file's tolerance {tol:g} "
-            f"(max residual {certificate.max_residual:.3e})"
-        )
+    tensor = _load_kahler(args.path)
     n = tensor.space.n
     payload = {"command": "chern", "path": args.path, "n": n}
-    try:
-        if args.all:
-            densities = chern_densities(tensor)
-            payload["densities"] = {str(i): gamma for i, gamma in densities.items()}
-            payload["ratios"] = {
-                f"{a}:{b}": density_ratio(densities, a, b)
-                for a in densities
-                for b in densities
-                if a != b
-            }
-        else:
-            left, sep, right = args.ratio.partition(":")
-            if not sep:
-                return _fail_usage(f"--ratio must look like a_1,..,a_n:b_1,..,b_n, got {args.ratio!r}")
-            index_i = _parse_index(left, n)
-            index_j = _parse_index(right, n)
-            payload["ratios"] = {
-                f"{index_i}:{index_j}": chern_ratio(tensor, index_i, index_j)
-            }
-    except DegreeError as exc:
-        return _fail_usage(str(exc))
+    if args.all:
+        densities = chern_densities(tensor)
+        payload["densities"] = {str(i): gamma for i, gamma in densities.items()}
+        payload["ratios"] = {
+            f"{a}:{b}": density_ratio(densities, a, b) for a in densities for b in densities if a != b
+        }
+    else:
+        left, sep, right = args.ratio.partition(":")
+        if not sep:
+            raise UsageError(f"--ratio must look like a_1,..,a_n:b_1,..,b_n, got {args.ratio!r}")
+        index_i, index_j = _parse_index(left, n), _parse_index(right, n)
+        payload["ratios"] = {f"{index_i}:{index_j}": chern_ratio(tensor, index_i, index_j)}
     _emit(payload)
     return EXIT_OK
 
 
 def cmd_identities(args) -> int:
-    if code := _check_n(args.n, "--n", low=2) or _check_positive("--tol", args.tol):
-        return code
-    if args.samples < 1:
-        return _fail_usage(f"--samples must be >= 1, got {args.samples}")
+    _check_n(args.n, "--n", low=2)
+    _check_positive("--tol", args.tol)
     _check_count("--samples", args.samples, SAMPLE_CAP)
+    _check_seed("--seed", args.seed)
 
     results = experiments.identity_suite(args.n, args.samples, args.seed)
     core_keys = (
@@ -271,25 +262,24 @@ def cmd_sweep(args) -> int:
         with open(args.config, "r", encoding="ascii") as fh:
             config = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        return _fail_usage(f"cannot read sweep config: {exc}")
+        raise UsageError(f"cannot read sweep config: {exc}") from exc
     if not isinstance(config, dict):
-        return _fail_usage("sweep config must be a JSON object")
+        raise UsageError("sweep config must be a JSON object")
     for field in ("n", "t_values", "samples_per_t", "seed"):
         if field not in config:
-            return _fail_usage(f"sweep config missing field {field!r}")
+            raise UsageError(f"sweep config missing field {field!r}")
     for field in ("n", "samples_per_t", "seed", "restarts"):
         value = config.get(field)
         if (field != "restarts" or value is not None) and not _is_int(value):
-            return _fail_usage(f"sweep config field {field!r} must be an integer, got {value!r}")
+            raise UsageError(f"sweep config field {field!r} must be an integer, got {value!r}")
     raw_t = config["t_values"]
     t_values = [_finite_float(t) for t in raw_t] if isinstance(raw_t, list) else []
     if not t_values or None in t_values:
-        return _fail_usage(
+        raise UsageError(
             f"sweep config field 't_values' must be a non-empty list of finite numbers, got {raw_t!r}"
         )
-    n = config["n"]
-    if code := _check_n(n, "config n"):
-        return code
+    _check_n(config["n"], "config n")
+    _check_seed("config seed", config["seed"])
     _check_count(
         "sweep records (samples_per_t x t_values)", config["samples_per_t"] * len(t_values), SAMPLE_CAP
     )
@@ -300,17 +290,10 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="ascii") as fh:
         try:
             records = experiments.sweep(
-                n,
-                t_values,
-                config["samples_per_t"],
-                config["seed"],
-                restarts=config.get("restarts"),
+                config["n"], t_values, config["samples_per_t"], config["seed"], restarts=config.get("restarts")
             )
         except PreconditionError as exc:
-            return _fail_usage(f"bad sweep config: {exc}")
-        except RuntimeError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_CHECK_FAILED
+            raise UsageError(f"bad sweep config: {exc}") from exc
         fh.write(experiments.emit_csv(records))
     _emit(
         {
@@ -326,23 +309,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if code := _check_positive("--epsilon", args.epsilon) or _check_n(args.n, "--n", low=2):
-        return code
-    if args.certify < 0:
-        return _fail_usage(f"--certify must be >= 0, got {args.certify}")
-    _check_count("--certify", args.certify, SAMPLE_CAP)
+    _check_positive("--epsilon", args.epsilon)
+    _check_n(args.n, "--n", low=2)
+    _check_count("--certify", args.certify, SAMPLE_CAP, low=0)
+    _check_seed("--seed", args.seed)
     if args.certify and args.seed is None:
-        return _fail_usage("--certify requires --seed")
+        raise UsageError("--certify requires --seed")
 
     chain = experiments.proof_constants(args.epsilon, args.n)
     payload = {"command": "constants", **asdict(chain)}
     exit_code = EXIT_OK
     if args.certify:
-        try:
-            report = experiments.certify_constants(chain, args.certify, args.seed)
-        except RuntimeError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_CHECK_FAILED
+        report = experiments.certify_constants(chain, args.certify, args.seed)
         payload["certification"] = {**asdict(report), "seed": args.seed}
         if report.violations:
             exit_code = EXIT_CHECK_FAILED
@@ -415,21 +393,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+# the exit code and message prefix of each error type a command may raise,
+# looked up in this order (ResourceLimitError is a RuntimeError)
+EXIT_CODES = {
+    OSError: (EXIT_USAGE, "cannot access file: "),
+    TensorFormatError: (EXIT_USAGE, "malformed tensor file: "),
+    UsageError: (EXIT_USAGE, ""),
+    DegreeError: (EXIT_USAGE, ""),
+    ResourceLimitError: (EXIT_RESOURCE, ""),
+    DegenerateDenominatorError: (EXIT_CHECK_FAILED, ""),
+    NotNegativelyCurvedError: (EXIT_CHECK_FAILED, ""),
+    PreconditionError: (EXIT_CHECK_FAILED, ""),
+    RuntimeError: (EXIT_CHECK_FAILED, ""),
+}
 
+
+def main(argv=None) -> int:
+    """Run one command; an error of a type in EXIT_CODES ends it with one stderr line and its code."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        return _fail_usage(f"cannot access file: {exc}")
-    except TensorFormatError as exc:
-        return _fail_usage(f"malformed tensor file: {exc}")
-    except ResourceLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_RESOURCE
-    except (DegenerateDenominatorError, NotNegativelyCurvedError, PreconditionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CHECK_FAILED
+    except tuple(EXIT_CODES) as exc:
+        code, prefix = next(value for kind, value in EXIT_CODES.items() if isinstance(exc, kind))
+        sys.stderr.write(f"error: {prefix}{exc}\n")
+        return code
 
 
 if __name__ == "__main__":

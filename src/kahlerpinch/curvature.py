@@ -239,6 +239,15 @@ def check_kahler(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> 
     return cert
 
 
+def _unit_exponent(entries: np.ndarray) -> int:
+    """The e that puts the largest |entry| times 2^-e in [1/2, 1); 0 for a zero table.
+
+    Scaling by 2^-e (np.ldexp) is exact: work done at unit scale avoids the
+    overflow and underflow of the table's own scale and loses nothing.
+    """
+    return int(np.frexp(np.max(np.abs(entries)))[1])
+
+
 def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
     """Certify on demand; raise if the tensor is not Kahler.
 

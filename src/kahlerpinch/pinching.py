@@ -61,6 +61,7 @@ from .curvature import (
     CurvatureTensor,
     TwoPlane,
     _pair_outer,
+    _unit_exponent,
     complex_hyperbolic_tensor,
     require_certified,
 )
@@ -91,8 +92,12 @@ STABILITY_TOL = 1e-8
 STAGNATION_LIMIT = 50
 # rows of one optimizer batch: the restarts of consecutive tensors share a
 # batch while their rows fit (4 tensors at the default 64 restarts; a tensor
-# rerun at 256 restarts fills a batch alone), so their iteration tails overlap;
-# the bound keeps peak memory flat
+# rerun at 256 restarts fills a batch alone), so their iteration tails overlap.
+# The bound is set by rounding, not memory: _plane_direction multiplies the
+# whole batch at once, and a row's direction equals its 2-row value only up to
+# a row count where BLAS switches kernels (with OpenBLAS 0.3.31 on x86-64 it
+# moved at 8192 rows for n = 4..6, never at 4096 or fewer for n = 1..6), so
+# a capped batch keeps every report bit-identical to its one-tensor run
 BATCH_ROWS = 512
 # plane rows of a block keep the plain step at either end of mu / |s0|. Far
 # from the model, at 3 |s0| <= mu: |Hess K of s0 R0| has its spectrum in
@@ -286,12 +291,12 @@ def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
     """(s0, mu) with R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
 
     s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
-    the tensor's curvature scale. The entries are first scaled by the power of
-    two that puts the largest in [1/2, 1), which is exact, so that mu neither
-    overflows nor underflows and (s0, mu) of 2^k R are 2^k times those of R.
+    the tensor's curvature scale. The entries are first brought to unit scale
+    (`curvature._unit_exponent`), which is exact, so that mu neither overflows
+    nor underflows and (s0, mu) of 2^k R are 2^k times those of R.
     """
     r0, r0_sq = _model(tensor.space.n)[:2]
-    exponent = int(np.frexp(np.max(np.abs(tensor.entries)))[1])
+    exponent = _unit_exponent(tensor.entries)
     r = np.ldexp(tensor.entries.ravel(), -exponent)
     s0 = float(r @ r0) / r0_sq
     mu = float(np.linalg.norm(r - s0 * r0)) / np.sqrt(r0_sq)

@@ -238,6 +238,15 @@ def test_space_form_formula_is_binomial_products():
     assert got == comb(4, 1) * comb(4, 2) / comb(4, 3)
 
 
+def test_indices_of_another_dimension_raise_degree_error():
+    two, three = ChernIndex((2, 0)), ChernIndex((0, 0, 1))
+    for index_i, index_j in ((two, three), (three, two)):
+        with pytest.raises(DegreeError):
+            space_form_ratio(index_i, index_j)
+        with pytest.raises(DegreeError):
+            density_ratio(reference_constants(2), index_i, index_j)
+
+
 def test_reference_constants_cross_check():
     for n in (1, 2, 3, 4, 5, 6):
         table = reference_constants(n)
@@ -341,6 +350,18 @@ def test_ratio_scale_invariance(space2):
     base = chern_ratio(tensor, i1, i2)
     for lam in (0.5, 2.0, 10.0):
         assert abs(chern_ratio(tensor.scaled(lam), i1, i2) - base) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_ratio_is_exact_at_extreme_power_of_two_scales(n):
+    # the densities of 2^k R0 itself overflow (k = 260, 520) or vanish (k = -300,
+    # -540); chern_ratio reads them at unit scale, so the ratio is R0's bit for bit
+    model = complex_hyperbolic_tensor(make_space(n))
+    indices = enumerate_indices(n)
+    index_i, index_j = indices[0], indices[-1]
+    base = chern_ratio(model, index_i, index_j)
+    for k in (-540, -300, 260, 520):
+        assert chern_ratio(model.scaled(2.0**k), index_i, index_j) == base, k
 
 
 @settings(max_examples=60, deadline=None)

@@ -429,7 +429,7 @@ def test_sweep_rejects_unwritable_out_before_running(tmp_path, monkeypatch, caps
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", ["validate", "pinch"])
+@pytest.mark.parametrize("command", ["validate", "pinch", "chern"])
 def test_overflowing_results_exit_3_without_stdout(tmp_path, command):
     # a symmetry residual of entries near the double range overflows to inf,
     # which strict JSON cannot carry
@@ -437,7 +437,7 @@ def test_overflowing_results_exit_3_without_stdout(tmp_path, command):
     obj["entries"][0] = 6e307
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(obj))
-    extra = ["--seed", "1"] if command == "pinch" else []
+    extra = {"validate": [], "pinch": ["--seed", "1"], "chern": ["--all"]}[command]
     result = run_cli(command, str(path), *extra)
     assert result.returncode == 3
     assert result.stdout == b""
@@ -573,6 +573,71 @@ def test_reproducibility_byte_identical(model_file, tmp_path):
     second = run_cli("sweep", "--config", str(config), "--out", str(out))
     assert first.stdout == second.stdout
     assert out.read_bytes() == csv_first
+
+
+def test_pinch_and_chern_reject_a_non_kahler_file_alike(tmp_path):
+    strict = _bianchi_defect_file(tmp_path / "strict.json", 1e-9)
+    for args in (["pinch", "--seed", "1"], ["chern", "--all"]):
+        code, out, err = _run_in_process([args[0], str(strict), *args[1:]])
+        assert code == 1, args
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "not Kahler" in err
+
+
+def test_runtime_errors_exit_1_without_a_traceback(monkeypatch):
+    import kahlerpinch.experiments
+    from kahlerpinch.errors import IdentityInconsistencyError
+
+    def identity_suite(*args):
+        raise IdentityInconsistencyError("degenerate fit: all regressors vanished")
+
+    monkeypatch.setattr(kahlerpinch.experiments, "identity_suite", identity_suite)
+    code, out, err = _run_in_process(["identities", "--n", "2", "--samples", "5", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: degenerate fit: all regressors vanished\n"
+
+
+SEED_FLAG_INVOCATIONS = {
+    "pinch": ("pinch", "{file}", "--restarts", "1", "--seed"),
+    "identities": ("identities", "--n", "2", "--samples", "2", "--seed"),
+    "constants": ("constants", "--epsilon", "0.1", "--n", "2", "--certify", "1", "--seed"),
+}
+
+
+@pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 2**64])
+@pytest.mark.parametrize("name", ["pinch", "identities", "constants", "sweep"])
+def test_seeds_outside_the_signed_64_bit_range_are_usage_errors(model_file, tmp_path, monkeypatch, name, seed):
+    # seeds fold modulo 2^64: 2^64 would rerun seed 0 while reporting another seed
+    import kahlerpinch.experiments
+    import kahlerpinch.pinching
+
+    def never(*args, **kwargs):
+        pytest.fail("work started before the seed was checked")
+
+    for function in ("sweep", "certify_constants", "identity_suite"):
+        monkeypatch.setattr(kahlerpinch.experiments, function, never)
+    monkeypatch.setattr(kahlerpinch.pinching, "pinch", never)
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n": 1, "t_values": [0.0], "samples_per_t": 1, "seed": seed}))
+    if name == "sweep":
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = [a.format(file=model_file) for a in SEED_FLAG_INVOCATIONS[name]] + [str(seed)]
+    code, out, err = _run_in_process(argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_seeds_at_the_ends_of_the_signed_64_bit_range_run(tmp_path, seed):
+    code, out, _ = _run_in_process(["identities", "--n", "2", "--samples", "2", "--seed", str(seed)])
+    assert code == 0 and json.loads(out)["seed"] == seed
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"n": 1, "t_values": [0.0, 0.1], "samples_per_t": 1, "seed": seed, "restarts": 2}))
+    code, out, _ = _run_in_process(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+    assert code == 0 and json.loads(out)["records"] == 2
 
 
 # ---------------------------------------------------------------------------

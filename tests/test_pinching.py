@@ -436,6 +436,31 @@ def test_plane_direction_inverts_the_model_metric(n):
         assert lone.tobytes() == p[m : m + 1].tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_rows_keep_each_plane_direction(n):
+    # _plane_direction multiplies a whole batch of up to BATCH_ROWS rows at once:
+    # at that size every row's direction is the one of a 2-row call, so a
+    # tensor's report does not depend on which tensors share its batch
+    from kahlerpinch.pinching import (
+        BATCH_ROWS,
+        _model_coordinates,
+        _orthonormalize_pairs,
+        _pair_objective,
+        _plane_direction,
+    )
+
+    tensor = random_kahler(make_space(n), seed=n)
+    x = _orthonormalize_pairs(seeded_rng(n, 11).standard_normal((BATCH_ROWS, 4 * n)))
+    _, g = _pair_objective([tensor.matrix], [BATCH_ROWS], x)
+    s0, mu = _model_coordinates(tensor)
+    abs_s0 = np.linspace(0.5, 2.0, BATCH_ROWS)[:, None] * abs(s0)
+    mu = np.full((BATCH_ROWS, 1), mu)
+    p = _plane_direction(x, g, abs_s0, mu)
+    for start in range(0, BATCH_ROWS, 2):
+        rows = slice(start, start + 2)
+        assert _plane_direction(x[rows], g[rows], abs_s0[rows], mu[rows]).tobytes() == p[rows].tobytes()
+
+
 def test_model_coordinates():
     from kahlerpinch.experiments import perturb
     from kahlerpinch.pinching import _model_coordinates
