@@ -24,9 +24,12 @@ downstream, so the normalization convention cancels.
 `curvature_matrix` and `chern_forms` return the forms they compute: complex
 coefficients on the balanced masks, ascending, where bit 2c is theta^c and
 bit 2c + 1 is conj theta^c. `chern_densities` builds the forms once per
-tensor and evaluates every product c_1^{a_1} ^ ... ^ c_n^{a_n} in the same
-basis; `chern_ratio` and `reference_constants` are read off its table, and
-`density_ratio` divides two entries of it.
+tensor, at unit scale 2^-e R, evaluates every product
+c_1^{a_1} ^ ... ^ c_n^{a_n} in the same basis and scales the densities back
+by 2^(n e); both steps are exact. `chern_ratio` reads the unit-scale table,
+so 2^k R has the ratios of R bit for bit even where its own densities leave
+the double range. `reference_constants` is read off the table, and
+`density_ratio` divides two entries of one.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +55,7 @@ from .errors import (
     DegreeError,
     IdentityInconsistencyError,
     PreconditionError,
+    ResourceLimitError,
 )
 from .forms import _wedge, _wedge_table
 from .space import make_space
@@ -203,7 +207,38 @@ def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
 
 
 def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
-    """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index."""
+    """Density of c_1^{a_1} ^ ... ^ c_n^{a_n} relative to omega^n, for every index.
+
+    Computed at unit scale and scaled back exactly (`_density_tables`): a
+    density beyond the double range is +-inf, or underflows towards 0.0.
+    """
+    return _density_tables(tensor)[0]
+
+
+def _density_tables(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], dict[ChernIndex, float]]:
+    """chern_densities of R, and its unit-scale table: the densities of 2^-e R
+    for e = curvature._unit_exponent(R).
+
+    That scaling is exact, so 2^k R has the unit table of R bit for bit while
+    its entries stay normal doubles, with no overflow or underflow in the
+    degree-n products, and the reality check of `chern_forms` gives the same
+    verdict at every such scale. R's densities are the unit ones times
+    2^(n e), which is exact as long as they stay normal doubles.
+    """
+    require_certified(tensor)
+    exponent = _unit_exponent(tensor.entries)
+    unit = CurvatureTensor(tensor.space, np.ldexp(tensor.entries, -exponent))
+    # scaling keeps every symmetry, so R's verdict holds for 2^-e R
+    unit.certificate = tensor.certificate
+    unit_table = _densities(unit)
+    shift = tensor.space.n * exponent
+    with np.errstate(over="ignore"):  # past the double range a density is +-inf
+        table = {index: float(np.ldexp(gamma, shift)) for index, gamma in unit_table.items()}
+    return table, unit_table
+
+
+def _densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
+    """The densities of a tensor, computed at its own scale."""
     n = tensor.space.n
     algebra = _balanced(n)
     sigmas = chern_forms(tensor)
@@ -262,9 +297,12 @@ def density_ratio(
     """gamma_I / gamma_J from a chern_densities table.
 
     Raises DegenerateDenominatorError when gamma_J vanished relative to the
-    largest |gamma| of the same table, a test that rescaling the tensor keeps.
+    largest |gamma| of the same table, a test that rescaling the tensor keeps,
+    and ResourceLimitError when a density of the table is not finite.
     """
     _require_dimension(next(iter(densities)).n, index_i, index_j)
+    if not all(isfinite(gamma) for gamma in densities.values()):
+        raise ResourceLimitError("a Chern density is not finite: the tensor exceeds double precision")
     denominator = densities[index_j]
     largest = max(abs(gamma) for gamma in densities.values())
     if abs(denominator) <= 1e-12 * largest:
@@ -278,15 +316,9 @@ def density_ratio(
 def chern_ratio(tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex) -> float:
     """gamma_I / gamma_J; scale- and frame-independent.
 
-    The densities are those of R at unit scale, 2^-e R for
-    e = curvature._unit_exponent(R). That scaling is exact, so 2^k R has the
-    ratio of R bit for bit while its entries stay normal doubles, with no
-    overflow or underflow in the degree-n products, and the reality check of
-    `chern_forms` gives the same verdict at every such scale.
+    Read off the unit-scale table of `_density_tables`, so 2^k R has the
+    ratio of R bit for bit, even where the densities of 2^k R themselves
+    overflow or underflow.
     """
     _require_dimension(tensor.space.n, index_i, index_j)
-    require_certified(tensor)
-    unit = CurvatureTensor(tensor.space, np.ldexp(tensor.entries, -_unit_exponent(tensor.entries)))
-    # scaling keeps every symmetry, so R's verdict holds for 2^-e R
-    unit.certificate = tensor.certificate
-    return density_ratio(chern_densities(unit), index_i, index_j)
+    return density_ratio(_density_tables(tensor)[1], index_i, index_j)

@@ -20,7 +20,7 @@ from functools import lru_cache
 # the work functions of experiments and pinching are looked up on their modules
 # at each call, so that a test can replace them
 from . import experiments, pinching
-from .chern import ChernIndex, chern_densities, chern_ratio, density_ratio
+from .chern import ChernIndex, _density_tables, chern_ratio, density_ratio
 from .curvature import check_kahler, complex_hyperbolic_tensor, read_tensor, symmetry_residuals, write_tensor
 from .errors import (
     DegenerateDenominatorError,
@@ -208,11 +208,10 @@ def cmd_chern(args) -> int:
     n = tensor.space.n
     payload = {"command": "chern", "path": args.path, "n": n}
     if args.all:
-        densities = chern_densities(tensor)
+        densities, unit = _density_tables(tensor)
         payload["densities"] = {str(i): gamma for i, gamma in densities.items()}
-        payload["ratios"] = {
-            f"{a}:{b}": density_ratio(densities, a, b) for a in densities for b in densities if a != b
-        }
+        # read at unit scale, as chern_ratio does: 2^k R has the ratios of R bit for bit
+        payload["ratios"] = {f"{a}:{b}": density_ratio(unit, a, b) for a in unit for b in unit if a != b}
     else:
         left, sep, right = args.ratio.partition(":")
         if not sep:

@@ -90,7 +90,7 @@ class ConstantChain:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of sampling tensors whose multistart pinching defect is below the chain's delta."""
+    """Outcome of sampling delta-pinched tensors; retries is always 0 (kept in the CLI payload)."""
 
     samples: int
     violations: int
@@ -322,82 +322,55 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
     )
 
 
-def _below_delta(space: HermitianSpace, delta: float, seeds: list[int]):
-    """Each sample's pinch report and normalization once its defect is below delta, and the retries.
-
-    A sample starts at t = delta / 8 and halves t after each defect at or
-    above delta, for at most 8 rounds (None if it never gets below). Each
-    round pinches every sample still pending in shared optimizer batches.
-    """
-    accepted = [None] * len(seeds)
-    pending = list(range(len(seeds)))
-    retries = 0
-    t = delta / 8.0
-    for _ in range(8):
-        tensors = [perturb(space, t, seeds[i]) for i in pending]
-        reports = _pinch_batch(tensors, None, [seeds[i] for i in pending])
-        retry = []
-        for i, tensor, report in zip(pending, tensors, reports):
-            normalization = normalize_quarter(tensor, report)
-            if normalization.delta < delta:
-                accepted[i] = (report, normalization)
-            else:
-                retries += 1
-                retry.append(i)
-        pending = retry
-        if not pending:
-            break
-        t *= 0.5
-    return accepted, retries
-
-
 def certify_constants(chain: ConstantChain, samples: int, seed: int) -> CertificationReport:
-    """Sample tensors with pinching defect below chain.delta; count ratio violations.
+    """Sample delta-pinched tensors; count ratio violations.
 
-    Absence of counterexamples, not a proof: every sampled tensor whose
-    pinching defect is below delta must keep every Chern-density ratio within
-    epsilon of the model value. The defect comes from the multistart extremes
-    of pinch (inside its rigorous bivector envelope), so it is the optimizer's
-    estimate, not a certified bound. A sample is only counted when its pinch
-    converged and its defect is not anomalous: for n >= 2 a Kahler tensor is
-    at best quarter-pinched, so a defect meaningfully below zero means the
-    optimizer missed an extreme. Such a sample, or one that never gets below
-    delta, raises RuntimeError.
+    Absence of counterexamples, not a proof: every sampled tensor must keep
+    every Chern-density ratio within epsilon of the model value. Sample s is
+    perturb(space, delta/8, seed_s), R0 + tS at t = delta/8, pinched once.
+
+    The samples are delta-pinched by proof when delta < 3/4. S is a unit-norm
+    Kahler direction (random_kahler(., ., 1.0); perturb re-projects R0 + tS,
+    which is already Kahler), so for orthonormal u, v Cauchy-Schwarz gives
+    |K_S(u, v)| = |<S, u (x) v (x) u (x) v>| <= |S|_F = 1. R0's sectional
+    curvatures fill [-1, -1/4], so R0 + tS has true extremes k_min >= -1 - t
+    and k_max <= -1/4 + t. The multistart reports K at real planes, or R0's
+    closed form, so up to rounding its k_min is at least the true minimum and
+    its k_max at most the true maximum: its defect k_min / (4 k_max) - 1, the
+    reported max_defect, underestimates the true one, and both are at most
+    (1 + t)/(1 - 4t) - 1 = 5t/(1 - 4t). At t = delta/8 that is below delta
+    exactly when delta < 3/4, that is (delta = epsilon / (80 (2n)^4)) when
+    epsilon < 60 (2n)^4: 15360, 77760 and 245760 at n = 2, 3, 4.
+
+    RuntimeError names the first sample whose defect is not below delta,
+    whose pinch did not converge, or whose defect is anomalous: for n >= 2 a
+    Kahler tensor is at best quarter-pinched, so a defect meaningfully below
+    zero means the optimizer missed an extreme. A chunk's samples share
+    optimizer batches. retries is always 0.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     space = make_space(chain.n)
-    violations = 0
-    max_ratio_dev = 0.0
-    max_defect = -float("inf")
-    retries = 0
+    violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     for start in range(0, samples, SAMPLES_PER_CHUNK):
         chunk = range(start, min(start + SAMPLES_PER_CHUNK, samples))
         seeds = [_sample_seed(seed, 0, sample) for sample in chunk]
-        accepted, chunk_retries = _below_delta(space, chain.delta, seeds)
-        retries += chunk_retries
-        for sample, pinched in zip(chunk, accepted):
-            if pinched is None:
-                raise RuntimeError(f"sample {sample} never certified below delta={chain.delta:g}")
-            report, normalization = pinched
+        tensors = [perturb(space, chain.delta / 8.0, sample_seed) for sample_seed in seeds]
+        for sample, tensor, report in zip(chunk, tensors, _pinch_batch(tensors, None, seeds)):
+            normalization = normalize_quarter(tensor, report)
+            defect = normalization.delta
+            if not defect < chain.delta:
+                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
             if not report.converged:
                 raise RuntimeError(f"sample {sample}: the pinch did not converge")
             if normalization.anomaly:
-                raise RuntimeError(
-                    f"sample {sample}: defect {normalization.delta:.3e} is below the quarter-pinching bound"
-                )
-            max_defect = max(max_defect, normalization.delta)
+                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
+            max_defect = max(max_defect, defect)
             for dev in _ratio_deviations(normalization.tensor).values():
                 max_ratio_dev = max(max_ratio_dev, dev)
                 if dev >= chain.epsilon:
                     violations += 1
-    return CertificationReport(
-        samples=samples,
-        violations=violations,
-        max_ratio_dev=max_ratio_dev,
-        max_defect=max_defect,
-        retries=retries,
-    )
+    return CertificationReport(samples, violations, max_ratio_dev, max_defect, retries=0)
 
 
 # ---------------------------------------------------------------------------

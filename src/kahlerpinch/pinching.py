@@ -10,10 +10,13 @@ holomorphic curvature H(u) = K(u, Ju) runs on the rows [u | Ju] with |u| = 1,
 where the pair gradient already has the form [g | Jg]. A multistart's
 restarts are consecutive rows of one normal stream per (seed) for planes and
 (seed, 7) for H, so results are independent of how many restarts run up to
-last-bit rounding (BLAS switches GEMM kernels with the batch size: at n = 3
-from 1024 rows, at n = 5 from 512). The restarts of several tensors can
-share one batch, up to BATCH_ROWS rows, so that their iteration tails
-overlap; each tensor's rows form one block with its own GEMM, so the
+last-bit rounding: BLAS switches GEMM kernels with the batch size. With
+numpy 2.4's bundled OpenBLAS 0.3.31 (Haswell kernels), a block's _pair_state
+values first differ from their 2-row values at 1024 rows at n = 3 and at
+128 rows at n = 5, and not up to 4096 rows at n = 1, 2, 4, 6. The
+restarts of several tensors can share one batch, up to BATCH_ROWS rows, so
+that their iteration tails overlap; each tensor's rows form one block with
+its own GEMM, so the
 rounding stays per tensor block and every tensor's report is bit-identical
 to a one-tensor run. The extremes are the best values the restarts reach,
 not proven optima; a rigorous eigenvalue envelope from the curvature

@@ -23,7 +23,7 @@ from kahlerpinch import (
     seeded_rng,
     space_form_ratio,
 )
-from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError
+from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError, ResourceLimitError
 from real_forms import kahler_form, power, real_chern_densities, to_real, two_form, wedge
 
 
@@ -360,8 +360,18 @@ def test_ratio_is_exact_at_extreme_power_of_two_scales(n):
     indices = enumerate_indices(n)
     index_i, index_j = indices[0], indices[-1]
     base = chern_ratio(model, index_i, index_j)
+    densities = chern_densities(model)
     for k in (-540, -300, 260, 520):
         assert chern_ratio(model.scaled(2.0**k), index_i, index_j) == base, k
+        # the densities are R0's times 2^(n k), without an overflow warning; past
+        # 2^1024 some are inf, and a ratio of that table is out of range
+        scaled = chern_densities(model.scaled(2.0**k))
+        with np.errstate(over="ignore"):
+            assert scaled == {index: np.ldexp(gamma, n * k) for index, gamma in densities.items()}, k
+        assert np.isinf(list(scaled.values())).any() == (n * k > 1024), k
+        if n * k > 1024:
+            with pytest.raises(ResourceLimitError, match="not finite"):
+                density_ratio(scaled, index_i, index_j)
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,6 +455,15 @@ def test_degenerate_denominator_is_relative_to_the_table():
         density_ratio(tiny, ChernIndex((2, 0)), ChernIndex((0, 1)))
     table[ChernIndex((0, 1))] = 1e-11
     assert density_ratio(table, ChernIndex((2, 0)), ChernIndex((0, 1))) == pytest.approx(1e11)
+
+
+def test_density_ratio_rejects_a_non_finite_table():
+    # an overflowed table is not a vanished denominator
+    for bad in (np.inf, -np.inf, np.nan):
+        table = {ChernIndex((2, 0)): bad, ChernIndex((0, 1)): 1.0}
+        for pair in [(ChernIndex((2, 0)), ChernIndex((0, 1))), (ChernIndex((0, 1)), ChernIndex((2, 0)))]:
+            with pytest.raises(ResourceLimitError, match="not finite"):
+                density_ratio(table, *pair)
 
 
 def test_degenerate_denominator_raises(space2):

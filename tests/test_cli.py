@@ -509,6 +509,22 @@ def test_constants_chain(tmp_path):
     assert payload["delta"] == min(payload["eta"] / 3.0, payload["delta_1"])
 
 
+def test_constants_payload_keys_are_pinned():
+    # perfbench/reference.json compares these keys exactly, so the report keeps
+    # its retries field, which is always 0
+    chain = {"command", "n", "epsilon", "eta", "delta_1", "delta", "epsilon_1"}
+    code, out, _ = _run_in_process(["constants", "--epsilon", "0.1", "--n", "2"])
+    assert code == 0
+    assert set(json.loads(out)) == chain
+    code, out, _ = _run_in_process(["constants", "--epsilon", "0.1", "--n", "2", "--certify", "1", "--seed", "1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == chain | {"certification"}
+    certification = {"samples", "violations", "max_ratio_dev", "max_defect", "retries", "seed"}
+    assert set(payload["certification"]) == certification
+    assert payload["certification"]["retries"] == 0
+
+
 @pytest.mark.parametrize("failure", ["unconverged", "never below delta"])
 def test_constants_certification_failure_exits_1(monkeypatch, failure):
     import kahlerpinch.experiments
@@ -765,3 +781,40 @@ def test_fuzzed_tensor_files_exit_cleanly(fuzz_dir, text, command):
     path.write_text(text, encoding="utf-8")
     extra = {"validate": [], "pinch": ["--seed", "1", "--restarts", "4"], "chern": ["--all"]}
     _check_outcome(*_run_in_process([command, str(path), *extra[command]]))
+
+
+@pytest.mark.parametrize("n, k", [(2, 520), (2, -540), (4, 260), (4, -300)])
+def test_chern_all_at_extreme_power_of_two_scales(tmp_path, n, k):
+    # the densities of 2^k R0 overflow (k > 0) or underflow to zero (k < 0);
+    # --all reads its ratios at unit scale, as --ratio does, so they are R0's
+    # bit for bit, and an overflowed density exits 3
+    import numpy as np
+
+    from kahlerpinch import (
+        CurvatureTensor,
+        chern_ratio,
+        complex_hyperbolic_tensor,
+        enumerate_indices,
+        make_space,
+        write_tensor,
+    )
+
+    model = complex_hyperbolic_tensor(make_space(n))
+    path = tmp_path / "scaled.json"
+    write_tensor(path, CurvatureTensor(model.space, np.ldexp(model.entries, k)))
+    label = {2: "2,0:0,1", 4: "4,0,0,0:0,0,0,1"}[n]
+    code, out, err = _run_in_process(["chern", str(path), "--ratio", label])
+    assert code == 0, err
+    ratio = _strict_json(out.encode())["ratios"][label]
+    assert ratio == {2: 2.9999999999999996, 4: 125.0000000000001}[n]
+    code, out, err = _run_in_process(["chern", str(path), "--all"])
+    if k > 0:
+        assert (code, out) == (3, "")
+        assert len(err.strip().splitlines()) == 1
+        return
+    assert code == 0, err
+    payload = _strict_json(out.encode())
+    assert all(gamma == 0.0 for gamma in payload["densities"].values())
+    indices = enumerate_indices(n)
+    assert payload["ratios"] == {f"{a}:{b}": chern_ratio(model, a, b) for a in indices for b in indices if a != b}
+    assert payload["ratios"][label] == ratio

@@ -319,35 +319,36 @@ def test_sweep_equals_one_tensor_at_a_time(n, t_values, samples_per_t, seed, res
 
 
 def _certify_one_tensor_at_a_time(chain, samples, seed, restarts=None):
-    """certify_constants composed sample by sample, each retrying until its defect is below delta."""
+    """certify_constants composed sample by sample: one pinch of each at t = delta / 8."""
     from kahlerpinch import make_space, normalize_quarter, pinch
     from kahlerpinch.experiments import _ratio_deviations, _sample_seed
 
     space = make_space(chain.n)
-    violations, max_ratio_dev, max_defect, retries = 0, 0.0, -float("inf"), 0
+    violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     for sample in range(samples):
         sample_seed = _sample_seed(seed, 0, sample)
-        t = chain.delta / 8.0
-        for _ in range(8):
-            tensor = kahlerpinch.experiments.perturb(space, t, sample_seed)
-            report = pinch(tensor, restarts=restarts, seed=sample_seed)
-            normalization = normalize_quarter(tensor, report)
-            if normalization.delta < chain.delta:
-                break
-            retries += 1
-            t *= 0.5
+        tensor = kahlerpinch.experiments.perturb(space, chain.delta / 8.0, sample_seed)
+        normalization = normalize_quarter(tensor, pinch(tensor, restarts=restarts, seed=sample_seed))
+        if not normalization.delta < chain.delta:
+            raise RuntimeError(f"sample {sample}: defect {normalization.delta:.3e} is not below delta")
         max_defect = max(max_defect, normalization.delta)
         for dev in _ratio_deviations(normalization.tensor).values():
             max_ratio_dev = max(max_ratio_dev, dev)
             violations += dev >= chain.epsilon
-    return CertificationReport(samples, violations, max_ratio_dev, max_defect, retries)
+    return CertificationReport(samples, violations, max_ratio_dev, max_defect, 0)
 
 
 def test_certify_constants_equals_one_tensor_at_a_time(monkeypatch):
-    # near-model samples always certify on the first round, so two samples get
-    # a 40x larger perturbation: they retry (five times between them) after
-    # the others are done, and each round's batch holds only the pending ones
     chain = proof_constants(0.1, 2)
+    expected = _canonical(_certify_one_tensor_at_a_time(chain, 5, 5))
+    report = certify_constants(chain, samples=5, seed=5)
+    assert report.retries == 0
+    assert _canonical(report) == expected
+    # chunks of two samples: three chunks, the last with one sample
+    monkeypatch.setattr(kahlerpinch.experiments, "SAMPLES_PER_CHUNK", 2)
+    assert _canonical(certify_constants(chain, samples=5, seed=5)) == expected
+    # two samples with a 40x larger perturbation are not delta-pinched: the
+    # run stops at the first of them, in whichever chunk it falls
     grown = {_sample_seed_of(5, 1), _sample_seed_of(5, 3)}
     original = kahlerpinch.experiments.perturb
 
@@ -355,13 +356,32 @@ def test_certify_constants_equals_one_tensor_at_a_time(monkeypatch):
         return original(space, 40.0 * t if seed in grown else t, seed)
 
     monkeypatch.setattr(kahlerpinch.experiments, "perturb", perturb_some_more)
-    expected = _canonical(_certify_one_tensor_at_a_time(chain, 5, 5))
-    report = certify_constants(chain, samples=5, seed=5)
-    assert report.retries == 5
-    assert _canonical(report) == expected
-    # chunks of two samples: three chunks, one of them with both retrying samples
-    monkeypatch.setattr(kahlerpinch.experiments, "SAMPLES_PER_CHUNK", 2)
-    assert _canonical(certify_constants(chain, samples=5, seed=5)) == expected
+    with pytest.raises(RuntimeError, match=r"^sample 1: defect .* is not below delta"):
+        _certify_one_tensor_at_a_time(chain, 5, 5)
+    for chunk in (2, 64):
+        monkeypatch.setattr(kahlerpinch.experiments, "SAMPLES_PER_CHUNK", chunk)
+        with pytest.raises(RuntimeError, match=r"^sample 1: defect .* is not below delta=4\.88281e-06$"):
+            certify_constants(chain, samples=5, seed=5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_perturbation_defect_is_within_the_proved_bound(n):
+    # certify_constants' proof: |K_S| <= |S|_F = 1 on orthonormal pairs, so
+    # R0 + tS has defect at most (1 + t)/(1 - 4t) - 1 = 5t/(1 - 4t), and the
+    # multistart estimate can only lie below the true defect
+    from kahlerpinch import make_space, normalize_quarter, pinch
+
+    space = make_space(n)
+    for t in (1e-7, 1e-4, 0.01, 0.05, 0.1, 0.2):
+        for seed in range(3):
+            tensor = perturb(space, t, seed)
+            defect = normalize_quarter(tensor, pinch(tensor, seed=seed)).delta
+            assert defect <= 5 * t / (1 - 4 * t), (t, seed, defect)
+    # so a chain certifies without a retry whenever delta < 3/4, that is for
+    # epsilon below 60 (2n)^4
+    assert proof_constants(60 * (2 * n) ** 4 * (1 - 1e-9), n).delta < 0.75 < proof_constants(
+        60 * (2 * n) ** 4 * (1 + 1e-9), n
+    ).delta
 
 
 def _sample_seed_of(seed, sample):

@@ -1,3 +1,7 @@
+import re
+import sys
+from pathlib import Path
+
 import kahlerpinch
 from kahlerpinch import chern, curvature, experiments, forms, pinching, space
 
@@ -33,3 +37,22 @@ def test_public_api_is_pinned():
         "solve_sectional_from_H", "space_form_ratio", "sweep", "symmetry_residuals",
         "tensor_from_text", "tensor_to_text", "write_tensor",
     ]
+
+
+def test_readme_quickstart_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    # each print records its text under the block line that called it
+    printed = {}
+
+    def recording_print(*args):
+        printed[sys._getframe(1).f_lineno] = " ".join(map(str, args))
+
+    exec(compile(block, "README quickstart", "exec"), {"print": recording_print})
+    expected = {
+        number: match.group(1)
+        for number, line in enumerate(block.splitlines(), 1)
+        if (match := re.fullmatch(r"print\(.*\)\s+# (.*)", line))
+    }
+    assert len(expected) == 2
+    assert {number: printed.get(number) for number in expected} == expected

@@ -521,7 +521,7 @@ def _near_space_forms(n):
     return [(project_kahler(model), 1), (model.scaled(0.1), 1), (perturb(make_space(n), 1e-16, 5), 5)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_space_forms_up_to_rounding_keep_the_plain_step(n):
     # with mu of the order eps |s0|, M^{-1} amplifies the gradient's rounding by
     # 1/mu: the preconditioned step stopped such rows by step underflow after one
@@ -582,7 +582,7 @@ def test_extremes_scale_with_the_tensor(factor):
     assert scaled_planes.converged and scaled_hol.converged
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_extremes_scale_by_powers_of_two_bit_for_bit(n):
     # the optimizer runs at unit curvature scale, and 2^k R has exactly 2^k
     # times the scale of R, so the unit-scale problem is the same one
@@ -618,7 +618,7 @@ def test_sandwich_slack_is_relative_to_the_curvature_scale():
         assert (report.k_min, report.k_max) == (2.0**k * base.k_min, 2.0**k * base.k_max)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_extremes_are_invariant_under_unitary_change_of_frame(n, unitary_pullback):
     from kahlerpinch.experiments import perturb
 
@@ -642,7 +642,7 @@ def test_extremes_are_invariant_under_unitary_change_of_frame(n, unitary_pullbac
 
 def test_model_extremes_are_exact_without_extended_precision(monkeypatch):
     monkeypatch.setattr(np, "longdouble", np.float64)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         model = complex_hyperbolic_tensor(make_space(n))
         planes, hol = pinch(model, seed=1), hol_extremes(model, seed=1)
         assert (planes.k_min, planes.k_max) == ((-1.0, -1.0) if n == 1 else (-1.0, -0.25))
@@ -932,7 +932,7 @@ def _record_blocks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_batched_reports_equal_one_tensor_calls_bit_for_bit(n, monkeypatch):
     # every row keeps its own tensor's GEMM block, so sharing a batch changes
     # no value, witness, converged flag or diagnostic
