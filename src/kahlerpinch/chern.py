@@ -90,6 +90,8 @@ class ChernIndex:
         except TypeError:
             raise DegreeError(f"multi-index entries must be integers, got {entries!r}") from None
         object.__setattr__(self, "multi_index", idx)
+        if not idx:
+            raise DegreeError("multi-index must have at least one entry")
         if any(a < 0 for a in idx):
             raise DegreeError(f"multi-index must be nonnegative, got {idx}")
         n = len(idx)
@@ -172,26 +174,31 @@ def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
     """Chern forms c_0, ..., c_n, shape (n + 1, C(2n, n)), on the masks of `curvature_matrix`.
 
     Each is checked to be a real form, conj c_k = c_k, up to a small threshold.
+    ResourceLimitError when a form leaves the double range: the degree-k
+    products scale as |R|^k.
     """
     n = tensor.space.n
     algebra = _balanced(n)
     normalized = curvature_matrix(tensor) * (1j / (2.0 * np.pi))
     product = partial(_wedge, algebra.table)
-    # traces of the wedge powers; (M Omega)_ac = sum_b M_ab ^ Omega_bc takes one b at a
-    # time, so the (n, n, n) batch is never gathered
-    traces = [np.trace(normalized)]
-    current = normalized
-    for _ in range(1, n):
-        current = sum(product(current[:, b, None], normalized[b]) for b in range(n))
-        traces.append(np.trace(current))
-    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-    sigmas = np.zeros((n + 1, algebra.masks.size), dtype=complex)
-    sigmas[0, 0] = 1.0
-    traces = np.array(traces)
-    signs = (-1.0) ** np.arange(n)
-    for k in range(1, n + 1):
-        terms = product(sigmas[k - 1 :: -1], traces[:k])  # row j - 1: sigma_{k-j} ^ p_j
-        sigmas[k] = signs[:k] @ terms / k
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        # traces of the wedge powers; (M Omega)_ac = sum_b M_ab ^ Omega_bc takes one b at a
+        # time, so the (n, n, n) batch is never gathered
+        traces = [np.trace(normalized)]
+        current = normalized
+        for _ in range(1, n):
+            current = sum(product(current[:, b, None], normalized[b]) for b in range(n))
+            traces.append(np.trace(current))
+        # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
+        sigmas = np.zeros((n + 1, algebra.masks.size), dtype=complex)
+        sigmas[0, 0] = 1.0
+        traces = np.array(traces)
+        signs = (-1.0) ** np.arange(n)
+        for k in range(1, n + 1):
+            terms = product(sigmas[k - 1 :: -1], traces[:k])  # row j - 1: sigma_{k-j} ^ p_j
+            sigmas[k] = signs[:k] @ terms / k
+    if not np.all(np.isfinite(sigmas)):
+        raise ResourceLimitError("a Chern form is not finite: the tensor exceeds double precision")
     # a real form F has conj F = F
     conjugates = algebra.conjugate_sign * np.conj(sigmas[:, algebra.conjugate])
     residues = np.max(np.abs(sigmas - conjugates), axis=1) / 2.0

@@ -21,7 +21,7 @@ from functools import lru_cache
 # at each call, so that a test can replace them
 from . import experiments, pinching
 from .chern import ChernIndex, _density_tables, chern_ratio, density_ratio
-from .curvature import check_kahler, complex_hyperbolic_tensor, read_tensor, symmetry_residuals, write_tensor
+from .curvature import DEFAULT_SYMMETRY_TOL, check_kahler, complex_hyperbolic_tensor, read_tensor, write_tensor
 from .errors import (
     DegenerateDenominatorError,
     DegreeError,
@@ -135,7 +135,7 @@ def cmd_r0(args) -> int:
             "n": args.n,
             "out": args.out,
             "frobenius_norm": tensor.frobenius_norm(),
-            "max_symmetry_residual": max(symmetry_residuals(tensor).values()),
+            "max_symmetry_residual": tensor.certificate.max_residual,
         }
     )
     return EXIT_OK
@@ -335,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("r0", help="write the complex hyperbolic model tensor to a file")
-    p.add_argument("--n", type=int, required=True, help="complex dimension (1..4)")
+    p.add_argument("--n", type=int, required=True, help=f"complex dimension (1..{DIMENSION_CAP})")
     p.add_argument("--out", required=True, help="output tensor file")
-    p.add_argument("--tol", type=float, default=1e-9, help="symmetry tolerance stored in the file")
+    p.add_argument("--tol", type=float, default=DEFAULT_SYMMETRY_TOL, help="symmetry tolerance stored in the file")
     p.set_defaults(func=cmd_r0)
 
     p = sub.add_parser("validate", help="certify the Kahler symmetries of a tensor file")
@@ -365,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chern)
 
     p = sub.add_parser("identities", help="verify the algebraic identity suite")
-    p.add_argument("--n", type=int, default=2, help="complex dimension (2..4)")
+    p.add_argument("--n", type=int, default=2, help=f"complex dimension (2..{DIMENSION_CAP})")
     p.add_argument("--samples", type=int, default=50, help="sampled configurations")
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
-    p.add_argument("--tol", type=float, default=1e-9, help="pass/fail residual tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_SYMMETRY_TOL, help="pass/fail residual tolerance")
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("sweep", help="perturbation sweep to CSV")
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="explicit constant chain (and optional certification)")
     p.add_argument("--epsilon", type=float, required=True, help="target ratio deviation")
-    p.add_argument("--n", type=int, required=True, help="complex dimension (2..4)")
+    p.add_argument("--n", type=int, required=True, help=f"complex dimension (2..{DIMENSION_CAP})")
     p.add_argument("--certify", type=int, default=0, help="number of certification samples")
     p.add_argument("--seed", type=int, default=None, help="seed (required with --certify)")
     p.set_defaults(func=cmd_constants)

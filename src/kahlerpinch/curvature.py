@@ -331,8 +331,8 @@ def random_kahler(
     space: HermitianSpace, seed: int, frobenius_norm: float = 1.0
 ) -> CurvatureTensor:
     """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate."""
-    if frobenius_norm <= 0:
-        raise PreconditionError("frobenius_norm must be positive")
+    if not 0 < frobenius_norm < math.inf:
+        raise PreconditionError(f"frobenius_norm must be positive and finite, got {frobenius_norm}")
     d = space.dim
     rng = seeded_rng(seed)
     raw = rng.standard_normal((d, d, d, d))

@@ -12,7 +12,7 @@ conservative absolute-coefficient bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -106,8 +106,8 @@ def _sample_seed(seed: int, t_index: int, sample: int) -> int:
 
 def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     """Model tensor plus a size-t random unit-norm Kahler direction, re-projected."""
-    if t < 0:
-        raise PreconditionError("perturbation size must be >= 0")
+    if not 0 <= t < inf:
+        raise PreconditionError(f"perturbation size must be finite and >= 0, got {t}")
     model = complex_hyperbolic_tensor(space)
     if t == 0:
         return model
@@ -131,39 +131,13 @@ def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
     }
 
 
-def _sweep_records(
-    space: HermitianSpace,
-    model: CurvatureTensor,
-    grid: list[tuple[float, int]],
-    restarts: int | None,
-) -> list[SweepRecord]:
-    """The records of (t, sample seed) pairs: pinch every perturbed tensor, then
-    find the holomorphic extremes of every normalized one, each phase in shared
-    optimizer batches."""
-    seeds = [sample_seed for _, sample_seed in grid]
-    tensors = [perturb(space, t, sample_seed) for t, sample_seed in grid]
-    reports = _pinch_batch(tensors, restarts, seeds)
-    normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
-    hols = _hol_batch([q.tensor for q in normalizations], restarts, seeds)
-    records = []
-    for (t, sample_seed), report, normalization, hol in zip(grid, reports, normalizations, hols):
-        normalized = normalization.tensor
-        ratio_devs = _ratio_deviations(normalized)
-        records.append(
-            SweepRecord(
-                n=space.n,
-                t=t,
-                seed=sample_seed,
-                delta=normalization.delta,
-                frobenius_dist=distance(normalized, model),
-                h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
-                ratio_devs=ratio_devs,
-                ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
-                converged=report.converged and hol.converged,
-                anomaly=normalization.anomaly,
-            )
-        )
-    return records
+def _pinched_chunks(space: HermitianSpace, grid: list[tuple[float, int]], restarts: int | None):
+    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed
+    tensors and their pinch reports, the chunk's pinches sharing optimizer batches."""
+    for start in range(0, len(grid), SAMPLES_PER_CHUNK):
+        chunk = grid[start : start + SAMPLES_PER_CHUNK]
+        tensors = [perturb(space, t, sample_seed) for t, sample_seed in chunk]
+        yield chunk, tensors, _pinch_batch(tensors, restarts, [sample_seed for _, sample_seed in chunk])
 
 
 def sweep(
@@ -182,8 +156,9 @@ def sweep(
     if samples_per_t < 1:
         raise PreconditionError("samples_per_t must be >= 1")
     t_values = [float(t) for t in t_values]
-    if any(t < 0 for t in t_values):
-        raise PreconditionError("all perturbation sizes must be >= 0")
+    for t in t_values:
+        if not 0 <= t < inf:
+            raise PreconditionError(f"perturbation sizes must be finite and >= 0, got {t}")
     space = make_space(n)
     model = complex_hyperbolic_tensor(space)
     grid = [
@@ -192,8 +167,26 @@ def sweep(
         for sample in range(samples_per_t)
     ]
     records = []
-    for start in range(0, len(grid), SAMPLES_PER_CHUNK):
-        records += _sweep_records(space, model, grid[start : start + SAMPLES_PER_CHUNK], restarts)
+    for chunk, tensors, reports in _pinched_chunks(space, grid, restarts):
+        normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
+        hols = _hol_batch([q.tensor for q in normalizations], restarts, [sample_seed for _, sample_seed in chunk])
+        for (t, sample_seed), report, normalization, hol in zip(chunk, reports, normalizations, hols):
+            normalized = normalization.tensor
+            ratio_devs = _ratio_deviations(normalized)
+            records.append(
+                SweepRecord(
+                    n=space.n,
+                    t=t,
+                    seed=sample_seed,
+                    delta=normalization.delta,
+                    frobenius_dist=distance(normalized, model),
+                    h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
+                    ratio_devs=ratio_devs,
+                    ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
+                    converged=report.converged and hol.converged,
+                    anomaly=normalization.anomaly,
+                )
+            )
     excluded = sum(1 for r in records if not r.converged)
     if excluded > MAX_EXCLUDED_FRACTION * len(records):
         raise RuntimeError(
@@ -300,8 +293,8 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
     threshold is min(eta/3, delta_1); epsilon_1 is the largest density
     deviation keeping every reference ratio within epsilon.
     """
-    if epsilon <= 0:
-        raise PreconditionError("epsilon must be positive")
+    if not 0 < epsilon < inf:
+        raise PreconditionError(f"epsilon must be positive and finite, got {epsilon}")
     if n < 2:
         raise PreconditionError("constant chain needs complex dimension >= 2")
     _, per_entry = holomorphic_coefficient_bound()
@@ -350,26 +343,24 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    space = make_space(chain.n)
+    grid = [(chain.delta / 8.0, _sample_seed(seed, 0, sample)) for sample in range(samples)]
+    chunks = _pinched_chunks(make_space(chain.n), grid, None)
+    pinched = (pair for _, tensors, reports in chunks for pair in zip(tensors, reports))
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
-    for start in range(0, samples, SAMPLES_PER_CHUNK):
-        chunk = range(start, min(start + SAMPLES_PER_CHUNK, samples))
-        seeds = [_sample_seed(seed, 0, sample) for sample in chunk]
-        tensors = [perturb(space, chain.delta / 8.0, sample_seed) for sample_seed in seeds]
-        for sample, tensor, report in zip(chunk, tensors, _pinch_batch(tensors, None, seeds)):
-            normalization = normalize_quarter(tensor, report)
-            defect = normalization.delta
-            if not defect < chain.delta:
-                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
-            if not report.converged:
-                raise RuntimeError(f"sample {sample}: the pinch did not converge")
-            if normalization.anomaly:
-                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
-            max_defect = max(max_defect, defect)
-            for dev in _ratio_deviations(normalization.tensor).values():
-                max_ratio_dev = max(max_ratio_dev, dev)
-                if dev >= chain.epsilon:
-                    violations += 1
+    for sample, (tensor, report) in enumerate(pinched):
+        normalization = normalize_quarter(tensor, report)
+        defect = normalization.delta
+        if not defect < chain.delta:
+            raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
+        if not report.converged:
+            raise RuntimeError(f"sample {sample}: the pinch did not converge")
+        if normalization.anomaly:
+            raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
+        max_defect = max(max_defect, defect)
+        for dev in _ratio_deviations(normalization.tensor).values():
+            max_ratio_dev = max(max_ratio_dev, dev)
+            if dev >= chain.epsilon:
+                violations += 1
     return CertificationReport(samples, violations, max_ratio_dev, max_defect, retries=0)
 
 

@@ -112,8 +112,8 @@ BATCH_ROWS = 512
 # rounding error of up to about d^2 eps |s0|. Along the model's flat
 # directions the true gradient is of order mu, and M^{-1} divides both by mu:
 # at mu <= d^2 eps |s0| the step there is rounding noise. The constant is
-# d^2 = 64 at n = 4, the largest dimension the CLI accepts. Such a tensor
-# also reports the closed-form extremes of s0 R0 (see _extremes).
+# d^2 at the CLI's cap n = cli.DIMENSION_CAP = 4 (a test checks it). Such a
+# tensor also reports the closed-form extremes of s0 R0 (see _multistart).
 SPACE_FORM_ROUNDING = 64
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after MAX_ITER iterations exit by the cap
@@ -306,11 +306,6 @@ def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
     return float(np.ldexp(s0, exponent)), float(np.ldexp(mu, exponent))
 
 
-def _space_form(abs_s0, mu):
-    """Whether model coordinates (|s0|, mu) are a space form up to rounding (see SPACE_FORM_ROUNDING)."""
-    return mu <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0
-
-
 @lru_cache(maxsize=None)
 def _direction_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The constant matrices (eig, bias, K) of _plane_direction.
@@ -418,15 +413,14 @@ def _optimize(x, signs, owners, objective, retract, models=None):
     rows are consecutive; objective(x, sizes) returns the row values and
     gradients, sizes[k] being the number of rows of block k in x. The
     thresholds are fixed: the objective is at unit curvature scale (see
-    _extremes), and models = (|s0|, mu) holds the blocks' model coordinates
-    at that scale. Rows of a block that is a space form up to rounding
-    (_space_form) or has 3 |s0| <= mu (cond(M) <= 2), and all rows when
-    models is None, step along g. The other rows step along
-    p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
-    s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
-    per iteration and no product with M.
-    Each row evolves independently (up to the rounding of the objective's
-    per-block GEMM, see the module docstring). A row leaves the batch for
+    _multistart), and models = (|s0|, mu, plain) holds the blocks' model
+    coordinates at that scale and whether they keep the plain step. Rows of a
+    plain block, and all rows when models is None, step along g; the others
+    along p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y
+    and s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one
+    solve per iteration and no product with M. Each row evolves independently
+    (up to the rounding of the objective's per-block GEMM, see the module
+    docstring). A row leaves the batch for
     good at the first EXIT_REASONS test it fails, so an iteration steps,
     retracts and evaluates only the rows still live; compaction keeps the
     row order, and with it the blocks. A row's gradient is evaluated once
@@ -439,13 +433,13 @@ def _optimize(x, signs, owners, objective, retract, models=None):
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
     live = np.arange(rows)
     sizes = np.bincount(owners, minlength=blocks).tolist()
-    # the rows' |s0| and mu columns; plain marks the rows that keep the plain
-    # step (None: all of them), whose placeholder mu = 1 only avoids 1/0
-    abs_s0 = mu = plain = None
-    if models is not None:
-        abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models)
-        plain = _space_form(abs_s0[:, 0], mu[:, 0]) | (3.0 * abs_s0[:, 0] <= mu[:, 0])
-        mu[plain] = 1.0
+    # the rows' |s0| and mu columns, and the rows that keep the plain step,
+    # whose placeholder mu = 1 only avoids 1/0
+    if models is None:
+        models = np.ones(blocks), np.ones(blocks), np.ones(blocks, dtype=bool)
+    abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models[:2])
+    plain = np.asarray(models[2])[owners]
+    mu[plain] = 1.0
     vals, g = objective(x, sizes)
     best_vals, best_x = vals.copy(), x.copy()
     step = np.full(rows, 0.05)
@@ -479,14 +473,12 @@ def _optimize(x, signs, owners, objective, retract, models=None):
             live, signs, owners, x, g, gsq, vals, best_vals, best_x = (
                 a[go] for a in (live, signs, owners, x, g, gsq, vals, best_vals, best_x)
             )
-            step, have_prev, prev_x, prev_g, stagnant = (
-                a[go] for a in (step, have_prev, prev_x, prev_g, stagnant)
+            step, have_prev, prev_x, prev_g, stagnant, abs_s0, mu, plain = (
+                a[go] for a in (step, have_prev, prev_x, prev_g, stagnant, abs_s0, mu, plain)
             )
-            if plain is not None:
-                abs_s0, mu, plain = abs_s0[go], mu[go], plain[go]
             sizes = np.bincount(owners, minlength=blocks).tolist()
         s = x - prev_x
-        if plain is None or plain.all():
+        if plain.all():
             p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
         else:
             p = _plane_direction(x, g, abs_s0, mu)
@@ -521,47 +513,60 @@ def _optimize(x, signs, owners, objective, retract, models=None):
     return out_vals, out_x, iterations, reasons
 
 
-def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
-    """Descend and ascend the pair objective from every start row of each tensor.
+def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
+    """report(tensor, restarts, lo, hi, x_min, x_max, diagnostics, stable) of each tensor's multistart.
 
-    start_rows(seed, restarts) gives a tensor's start rows and retract(x)
-    maps rows onto the constraint set; plane rows (planes true) step along
-    the model Hessian's preconditioned gradient, J-line rows along the
-    gradient. Consecutive tensors share one _optimize batch while their rows
-    fit in BATCH_ROWS (a batch holds at least one tensor); a tensor's block
-    holds its start rows twice, descending then ascending. _optimize and
-    _stable run on each tensor divided by its curvature scale hypot(s0, mu)
-    (1 for the zero tensor); the best values are multiplied back, or a space
-    form up to rounding takes s0 times R0's extremes. Returns, per tensor,
-    the restart count, the minimum and maximum, the minimizing and maximizing
-    rows (ties go to the lowest restart), the diagnostics and whether both
-    extremes are stable across restarts.
+    Certifies the tensors, then descends and ascends the pair objective from
+    every start row of each: start_rows(seed, restarts) gives a tensor's start
+    rows, retract(x) maps rows onto the constraint set. Consecutive tensors
+    share one _optimize batch while their rows fit in BATCH_ROWS (a batch
+    holds at least one tensor); a tensor's block holds its start rows twice,
+    descending then ascending. _optimize and _stable see each tensor divided
+    by its curvature scale hypot(s0, mu) (1 for the zero tensor); the best
+    values are multiplied back, or a space form up to rounding takes s0 times
+    R0's extremes. Plane rows (planes true) are preconditioned unless their
+    tensor is a space form up to rounding or has 3 |s0| <= mu. report gets the
+    restart count, the minimum and maximum, their rows (ties go to the lowest
+    restart), the diagnostics and whether both extremes are stable.
+
+    An explicit restart count runs as given. restarts=None runs
+    DEFAULT_RESTARTS and queues each tensor whose report is not converged for
+    one rerun at ESCALATION times that count, after every first run; the
+    rerun's report is final.
     """
-    per_batch = max(1, BATCH_ROWS // (2 * restarts))
-    results = []
-    for first in range(0, len(tensors), per_batch):
-        batch = tensors[first : first + per_batch]
-        # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines
-        model_extremes = np.array([-1.0, -0.25 if planes and batch[0].space.n > 1 else -1.0])
-        s0, mu = np.array([_model_coordinates(tensor) for tensor in batch]).T
-        scales = np.hypot(s0, mu)
-        scales[scales == 0.0] = 1.0
-        mats = [tensor.matrix / scale for tensor, scale in zip(batch, scales)]
-        abs_s0, mu = np.abs(s0) / scales, mu / scales
-        x0 = [np.tile(start_rows(seed, restarts), (2, 1)) for seed in seeds[first : first + per_batch]]
+    for tensor in tensors:
+        require_certified(tensor)
+    if restarts is not None and restarts < 1:
+        raise PreconditionError("restarts must be >= 1")
+    # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines
+    model_extremes = np.array([-1.0, -0.25 if planes and tensors[0].space.n > 1 else -1.0])
+    s0, mu = np.array([_model_coordinates(tensor) for tensor in tensors]).T
+    scales = np.hypot(s0, mu)
+    scales[scales == 0.0] = 1.0
+    abs_s0, mu = np.abs(s0) / scales, mu / scales
+    space_forms = mu <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0  # up to rounding
+    plain = space_forms | (3.0 * abs_s0 <= mu) | (not planes)
+    reports = [None] * len(tensors)
+    queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts) for k in range(len(tensors))]
+    while queue:
+        count = queue[0][1]
+        # the queue holds its first runs, then its reruns
+        batch = [k for k, c in queue[: max(1, BATCH_ROWS // (2 * count))] if c == count]
+        del queue[: len(batch)]
+        mats = [tensors[k].matrix / scales[k] for k in batch]
         vals, x, iterations, reasons = _optimize(
-            retract(np.vstack(x0)),
-            np.tile(np.repeat([-1.0, 1.0], restarts), len(mats)),
-            np.repeat(np.arange(len(mats)), 2 * restarts),
+            retract(np.vstack([np.tile(start_rows(seeds[k], count), (2, 1)) for k in batch])),
+            np.tile(np.repeat([-1.0, 1.0], count), len(batch)),
+            np.repeat(np.arange(len(batch)), 2 * count),
             lambda y, sizes: _pair_objective(mats, sizes, y),
             retract,
-            (abs_s0, mu) if planes else None,
+            tuple(a[batch] for a in (abs_s0, mu, plain)),
         )
-        for k, start in enumerate(range(0, len(x), 2 * restarts)):
-            mid, stop = start + restarts, start + 2 * restarts
+        for start, k in zip(range(0, len(x), 2 * count), batch):
+            mid, stop = start + count, start + 2 * count
             min_vals, max_vals = vals[start:mid], vals[mid:stop]
             i_min, i_max = int(np.argmin(min_vals)), int(np.argmax(max_vals))
-            if _space_form(abs_s0[k], mu[k]):
+            if space_forms[k]:
                 # + 0.0 turns the zero tensor's -0.0 into 0.0
                 lo, hi = np.sort(s0[k] * model_extremes) + 0.0
             else:
@@ -569,36 +574,10 @@ def _extremes(tensors, restarts, seeds, start_rows, retract, planes):
             x_min, x_max = x[start + i_min].copy(), x[mid + i_max].copy()
             diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
             stable = _stable(min_vals, False) and _stable(max_vals, True)
-            results.append((restarts, float(lo), float(hi), x_min, x_max, diagnostics, stable))
-    return results
-
-
-def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
-    """report(tensor, *result) of each tensor's _extremes result, under the restart budget.
-
-    Certifies the tensors. An explicit restart count runs as given.
-    restarts=None runs DEFAULT_RESTARTS, then reruns every tensor whose
-    report is not converged once at ESCALATION times that count, in shared
-    batches as usual; the rerun's report replaces the first.
-    """
-    for tensor in tensors:
-        require_certified(tensor)
-    if restarts is not None and restarts < 1:
-        raise PreconditionError("restarts must be >= 1")
-
-    def reports(indices, count):
-        results = _extremes(
-            [tensors[k] for k in indices], count, [seeds[k] for k in indices], start_rows, retract, planes
-        )
-        return [report(tensors[k], *result) for k, result in zip(indices, results)]
-
-    if restarts is not None:
-        return reports(range(len(tensors)), restarts)
-    final = reports(range(len(tensors)), DEFAULT_RESTARTS)
-    rerun = [k for k, first in enumerate(final) if not first.converged]
-    for k, second in zip(rerun, reports(rerun, ESCALATION * DEFAULT_RESTARTS)):
-        final[k] = second
-    return final
+            reports[k] = report(tensors[k], count, float(lo), float(hi), x_min, x_max, diagnostics, stable)
+            if restarts is None and count == DEFAULT_RESTARTS and not reports[k].converged:
+                queue.append((k, ESCALATION * count))
+    return reports
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:

@@ -46,6 +46,14 @@ def test_chern_index_validation():
         ChernIndex((-1, 1))
 
 
+def test_chern_index_rejects_the_empty_index():
+    # it passed as an index of dimension 0, though enumerate_indices(0) raises
+    with pytest.raises(DegreeError, match="at least one entry"):
+        ChernIndex(())
+    with pytest.raises(DegreeError):
+        enumerate_indices(0)
+
+
 def test_chern_index_rejects_non_integral_entries():
     assert ChernIndex((np.int64(2), 0)).multi_index == (2, 0)
     for entries in ((2.9, 0), (2.0, 0), (True, False), (2, False), ("2", "0")):
@@ -214,6 +222,20 @@ def test_reality_check_rejects_an_imaginary_residue(space2):
         chern_forms(tensor)
     with pytest.raises(PreconditionError, match=r"c_1 has imaginary residue"):
         chern_densities(tensor)
+
+
+def test_chern_forms_beyond_the_double_range_raise():
+    # the degree-k products overflow: the forms held NaN, which passed the
+    # reality check (NaN > tol is False), after a run of RuntimeWarnings
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, k in ((2, 520), (4, 260), (4, 520)):
+            with pytest.raises(ResourceLimitError, match="not finite"):
+                chern_forms(complex_hyperbolic_tensor(make_space(n)).scaled(2.0**k))
+        # products that underflow stay finite
+        assert np.all(np.isfinite(chern_forms(complex_hyperbolic_tensor(make_space(2)).scaled(2.0**-540))))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,35 @@ def test_readme_command_lines_parse():
             pytest.fail(f"README example {line!r} does not parse (exit {exc.code})")
 
 
+def test_help_and_tolerance_defaults_follow_their_constants(monkeypatch, capsys):
+    # the --n ranges name DIMENSION_CAP and the --tol defaults are DEFAULT_SYMMETRY_TOL,
+    # read when the parser is built
+    from kahlerpinch import cli
+
+    monkeypatch.setenv("COLUMNS", "200")
+    monkeypatch.setattr(cli, "DIMENSION_CAP", 6)
+    monkeypatch.setattr(cli, "DEFAULT_SYMMETRY_TOL", 1e-7)
+    parser = cli.build_parser()
+    helps = {}
+    for command in ("r0", "identities", "constants"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps[command] = capsys.readouterr().out
+    assert "complex dimension (1..6)" in helps["r0"]
+    assert all("complex dimension (2..6)" in helps[command] for command in ("identities", "constants"))
+    assert parser.parse_args(["r0", "--n", "2", "--out", "x.json"]).tol == 1e-7
+    assert parser.parse_args(["identities", "--seed", "1"]).tol == 1e-7
+
+
+def test_space_form_rounding_covers_the_dimension_cap():
+    # pinching.SPACE_FORM_ROUNDING is d^2 = (2n)^2 at the largest n the CLI accepts:
+    # raising the cap without re-deriving it fails here
+    from kahlerpinch.cli import DIMENSION_CAP
+    from kahlerpinch.pinching import SPACE_FORM_ROUNDING
+
+    assert SPACE_FORM_ROUNDING >= (2 * DIMENSION_CAP) ** 2
+
+
 def test_r0_writes_valid_file(model_file):
     result = run_cli("validate", str(model_file))
     assert result.returncode == 0

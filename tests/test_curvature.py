@@ -280,6 +280,14 @@ def test_random_kahler_contract(space2):
     assert distance(tensor, other) > 0
 
 
+@pytest.mark.parametrize("norm", [math.nan, math.inf, 0.0, -1.0])
+def test_random_kahler_rejects_a_norm_that_is_not_positive_and_finite(space2, norm):
+    # NaN failed no comparison and reached the scaling as a bare ValueError;
+    # inf overflowed the entries first
+    with pytest.raises(PreconditionError, match=f"got {norm}$"):
+        random_kahler(space2, seed=4, frobenius_norm=norm)
+
+
 # ---------------------------------------------------------------------------
 # curvature evaluation
 # ---------------------------------------------------------------------------

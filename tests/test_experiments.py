@@ -61,6 +61,15 @@ def test_perturb_rejects_overflowing_size(space1):
         perturb(space1, 1e308, seed=0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_perturb_and_sweep_reject_a_non_finite_size(space2, t):
+    # NaN used to pass the sign test and fail later as an "overflow"
+    with pytest.raises(PreconditionError, match=f"must be finite and >= 0, got {t}$"):
+        perturb(space2, t, seed=1)
+    with pytest.raises(PreconditionError, match=f"must be finite and >= 0, got {t}$"):
+        sweep(2, [0.01, t], samples_per_t=1, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -219,6 +228,13 @@ def test_proof_constants_preconditions():
         proof_constants(0.0, 2)
     with pytest.raises(PreconditionError):
         proof_constants(0.1, 1)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+def test_proof_constants_reject_a_non_finite_epsilon(epsilon):
+    # these returned a chain of NaNs or of infs
+    with pytest.raises(PreconditionError, match=f"epsilon must be positive and finite, got {epsilon}$"):
+        proof_constants(epsilon, 2)
 
 
 def test_certification_run_small():

@@ -39,6 +39,18 @@ def test_public_api_is_pinned():
     ]
 
 
+def test_ci_workflow_runs_the_tier1_suite():
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    runs = re.findall(r"^\s*- run: (.*)$", workflow, flags=re.MULTILINE)
+    assert any(
+        "PYTHONPATH=src" in run and "python -m pytest -q --continue-on-collection-errors" in run for run in runs
+    )
+    assert 'python -m pip install -e ".[test]" "numpy==2.4.*"' in runs
+    assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)
+    assert re.search(r"OPENBLAS_CORETYPE: Haswell", workflow)
+
+
 def test_readme_quickstart_prints_what_its_comments_say():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
