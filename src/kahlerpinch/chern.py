@@ -11,25 +11,23 @@ skew-Hermitian matrix of (1,1)-forms
 Chern forms are the elementary symmetric polynomials of (i/2pi) Omega under
 wedge multiplication, computed through Newton's identities on wedge-traces;
 2-form entries commute, so the classical recursion applies verbatim. Every
-product of (1,1)-forms stays in bidegree (p, p), so the forms live on the
-balanced masks of the coframe, those with as many theta as conj theta:
-C(2n, n) coefficients and a wedge table of 639 pairs at n = 4, against 4^n
-coefficients and 3^{2n} pairs in the real algebra of R^{2n}. Being invariant
-polynomials, the forms do not depend on the unitary frame (Kobayashi-Nomizu,
-Foundations of Differential Geometry II, ch. XII). Densities are top
-coefficients relative to omega^n, omega = -i sum_c theta^c ^ conj theta^c,
-whose top coefficient is n! (-i)^n; only ratios of densities are consumed
-downstream, so the normalization convention cancels.
+product of (1,1)-forms stays in bidegree (p, p): a C(n, p) x C(n, p) matrix
+(`forms`), C(2n, n) coefficients over all p against 4^n in the real algebra
+of R^{2n}. Being invariant polynomials, the forms do not depend on the
+unitary frame (Kobayashi-Nomizu, Foundations of Differential Geometry II,
+ch. XII). Densities are top coefficients relative to omega^n,
+omega = -i sum_c theta^c ^ conj theta^c, whose top coefficient is n! (-i)^n;
+only ratios of densities are consumed downstream, so the normalization
+convention cancels.
 
-`curvature_matrix` and `chern_forms` return the forms they compute: complex
-coefficients on the balanced masks, ascending, where bit 2c is theta^c and
-bit 2c + 1 is conj theta^c. `chern_densities` builds the forms once per
-tensor, at unit scale 2^-e R, evaluates every product
-c_1^{a_1} ^ ... ^ c_n^{a_n} in the same basis and scales the densities back
-by 2^(n e); both steps are exact. `chern_ratio` reads the unit-scale table,
-so 2^k R has the ratios of R bit for bit even where its own densities leave
-the double range. `reference_constants` is read off the table, and
-`density_ratio` divides two entries of one.
+`curvature_matrix` and `chern_forms` lay their forms out as complex
+coefficients on the balanced masks (`_Balanced`). `chern_densities` builds
+the matrices once per tensor, at unit scale 2^-e R, evaluates every product
+c_1^{a_1} ^ ... ^ c_n^{a_n} and scales the densities back by 2^(n e); both
+steps are exact. `chern_ratio` reads the unit-scale table, so 2^k R has the
+ratios of R bit for bit even where its own densities leave the double range.
+`reference_constants` is read off the table, and `density_ratio` divides two
+entries of one.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache
 from math import comb, factorial, isfinite
 from typing import NamedTuple
 
@@ -57,7 +55,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .forms import _wedge, _wedge_table
+from .forms import _shuffle, _subsets, _wedge
 from .space import make_space
 
 __all__ = [
@@ -120,38 +118,32 @@ def enumerate_indices(n: int) -> list[ChernIndex]:
 
 
 class _Balanced(NamedTuple):
-    """The (p, p) algebra at n. Bits 2c and 2c + 1 of a mask are theta^c and
-    conj theta^c. A mask is balanced when it sets as many theta as conj
-    theta; the wedge of two disjoint balanced masks is balanced.
-
-    `pair` and `pair_sign` place theta^c ^ conj theta^d at [c, d]: its mask
-    lists conj theta^d first when d < c. `conjugate` and `conjugate_sign`
-    map each mask to its conjugate, which swaps theta^c and conj theta^c and
-    so negates theta^c ^ conj theta^c.
+    """The mask layout of `curvature_matrix` and `chern_forms` at n. Bits 2c and
+    2c + 1 of a mask are theta^c and conj theta^c, and a balanced mask sets as
+    many theta as conj theta. Entry [I, J] of a (p, p) matrix (`forms`) goes to
+    the mask with bits 2 i_r and 2 j_r + 1, times the sign of sorting the bit
+    sequence (2 i_1, 2 j_1 + 1, 2 i_2, ...) into increasing order.
     """
 
     masks: np.ndarray  # ascending, so mask 0 comes first and the top mask last
-    table: tuple  # the wedge table of the balanced masks
-    pair: np.ndarray
-    pair_sign: np.ndarray
-    conjugate: np.ndarray
-    conjugate_sign: np.ndarray
+    place: tuple  # per p, a C(n, p) x C(n, p) array of positions in masks
+    sign: tuple  # per p, the matching signs
+
+
+def _entry(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[int, float]:
+    """Mask and sign of the basis form prod_r theta^{i_r} ^ conj theta^{j_r}."""
+    bits = [bit for i_r, j_r in zip(i, j) for bit in (2 * i_r, 2 * j_r + 1)]
+    inversions = sum(x > y for r, x in enumerate(bits) for y in bits[r + 1 :])
+    return sum(1 << bit for bit in bits), (-1.0) ** inversions
 
 
 @lru_cache(maxsize=None)
 def _balanced(n: int) -> _Balanced:
-    popcount = np.array([m.bit_count() for m in range(1 << 2 * n)])
-    bits = np.arange(1 << 2 * n)
-    even = int("01" * n, 2)  # the theta bits
-    masks = bits[popcount[bits & even] == popcount[bits & (even << 1)]]
-    table = _wedge_table(masks)
-    c = np.arange(n)
-    pair = np.searchsorted(masks, (1 << 2 * c)[:, None] | (1 << 2 * c + 1)[None, :])
-    pair_sign = np.where(c[:, None] > c[None, :], -1.0, 1.0)
-    theta, theta_bar = masks & even, (masks >> 1) & even
-    conjugate = np.searchsorted(masks, theta_bar | (theta << 1))
-    conjugate_sign = 1.0 - 2.0 * (popcount[theta & theta_bar] % 2)
-    return _Balanced(masks, table, pair, pair_sign, conjugate, conjugate_sign)
+    # blocks[p][I, J] = (mask, sign); masks below 2^(2n) are exact as floats
+    blocks = [np.array([[_entry(i, j) for j in subsets] for i in subsets]) for subsets in _subsets(n)]
+    masks = np.sort(np.concatenate([block[..., 0].ravel() for block in blocks])).astype(int)
+    place = tuple(np.searchsorted(masks, block[..., 0]) for block in blocks)
+    return _Balanced(masks, place, tuple(block[..., 1] for block in blocks))
 
 
 def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
@@ -165,8 +157,7 @@ def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
     n = tensor.space.n
     algebra = _balanced(n)
     out = np.zeros((n, n, algebra.masks.size), dtype=complex)
-    s = _kahler_coordinates(tensor.entries)
-    out[:, :, algebra.pair] = algebra.pair_sign * s.transpose(2, 3, 0, 1)
+    out[:, :, algebra.place[1]] = algebra.sign[1] * _kahler_coordinates(tensor.entries).transpose(2, 3, 0, 1)
     return out
 
 
@@ -177,39 +168,44 @@ def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
     ResourceLimitError when a form leaves the double range: the degree-k
     products scale as |R|^k.
     """
+    require_certified(tensor)
     n = tensor.space.n
     algebra = _balanced(n)
-    normalized = curvature_matrix(tensor) * (1j / (2.0 * np.pi))
-    product = partial(_wedge, algebra.table)
+    out = np.zeros((n + 1, algebra.masks.size), dtype=complex)
+    for k, sigma in enumerate(_chern_matrices(tensor.entries)):
+        out[k, algebra.place[k]] = algebra.sign[k] * sigma
+    return out
+
+
+def _chern_matrices(entries: np.ndarray) -> list[np.ndarray]:
+    """c_0, ..., c_n of a certified tensor's entries as (k, k) matrices (`forms`), checked as
+    `chern_forms` says."""
+    n = entries.shape[0] // 2
+    # Omega_ab is the (1,1) matrix S[:, :, a, b]
+    normalized = _kahler_coordinates(entries).transpose(2, 3, 0, 1) * (1j / (2.0 * np.pi))
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        # traces of the wedge powers; (M Omega)_ac = sum_b M_ab ^ Omega_bc takes one b at a
-        # time, so the (n, n, n) batch is never gathered
+        # traces of the wedge powers, (M Omega)_ac = sum_b M_ab ^ Omega_bc
         traces = [np.trace(normalized)]
         current = normalized
-        for _ in range(1, n):
-            current = sum(product(current[:, b, None], normalized[b]) for b in range(n))
+        for p in range(1, n):
+            current = _wedge(_shuffle(n, p, 1), current, normalized, "abij,bckl->acikjl")
             traces.append(np.trace(current))
         # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-        sigmas = np.zeros((n + 1, algebra.masks.size), dtype=complex)
-        sigmas[0, 0] = 1.0
-        traces = np.array(traces)
-        signs = (-1.0) ** np.arange(n)
+        sigmas = [np.ones((1, 1), dtype=complex)]
         for k in range(1, n + 1):
-            terms = product(sigmas[k - 1 :: -1], traces[:k])  # row j - 1: sigma_{k-j} ^ p_j
-            sigmas[k] = signs[:k] @ terms / k
-    if not np.all(np.isfinite(sigmas)):
+            terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
+            sigmas.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
+    if not all(np.all(np.isfinite(sigma)) for sigma in sigmas):
         raise ResourceLimitError("a Chern form is not finite: the tensor exceeds double precision")
-    # a real form F has conj F = F
-    conjugates = algebra.conjugate_sign * np.conj(sigmas[:, algebra.conjugate])
-    residues = np.max(np.abs(sigmas - conjugates), axis=1) / 2.0
-    scales = np.maximum(1.0, np.max(np.abs(sigmas + conjugates), axis=1) / 2.0)
-    bad = np.flatnonzero(residues > REALITY_TOL * scales)
-    if bad.size:
-        k = bad[0]
-        raise PreconditionError(
-            f"Chern form c_{k} has imaginary residue {residues[k]:.3e}; "
-            "input tensor is not Kahler enough"
-        )
+    # a real (k, k) form F has conj F = (-1)^k F^H
+    for k, sigma in enumerate(sigmas):
+        conjugate = (-1) ** k * sigma.conj().T
+        residue = np.max(np.abs(sigma - conjugate)) / 2.0
+        if residue > REALITY_TOL * max(1.0, np.max(np.abs(sigma + conjugate)) / 2.0):
+            raise PreconditionError(
+                f"Chern form c_{k} has imaginary residue {residue:.3e}; "
+                "input tensor is not Kahler enough"
+            )
     return sigmas
 
 
@@ -232,34 +228,23 @@ def _density_tables(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], d
     verdict at every such scale. R's densities are the unit ones times
     2^(n e), which is exact as long as they stay normal doubles.
     """
-    require_certified(tensor)
+    require_certified(tensor)  # scaling keeps every symmetry, so the verdict holds for 2^-e R
+    n = tensor.space.n
     exponent = _unit_exponent(tensor.entries)
-    unit = CurvatureTensor(tensor.space, np.ldexp(tensor.entries, -exponent))
-    # scaling keeps every symmetry, so R's verdict holds for 2^-e R
-    unit.certificate = tensor.certificate
-    unit_table = _densities(unit)
-    shift = tensor.space.n * exponent
+    sigmas = _chern_matrices(np.ldexp(tensor.entries, -exponent))
+    # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
+    top = factorial(n) * (-1j) ** n
+    unit_table: dict[ChernIndex, float] = {}
+    for index in enumerate_indices(n):
+        first, *rest = [k for k, a in enumerate(index.multi_index, 1) for _ in range(a)]
+        product, degree = sigmas[first], first
+        for k in rest:
+            product, degree = _wedge(_shuffle(n, degree, k), product, sigmas[k]), degree + k
+        unit_table[index] = float((product[0, 0] / top).real)
+    shift = n * exponent
     with np.errstate(over="ignore"):  # past the double range a density is +-inf
         table = {index: float(np.ldexp(gamma, shift)) for index, gamma in unit_table.items()}
     return table, unit_table
-
-
-def _densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
-    """The densities of a tensor, computed at its own scale."""
-    n = tensor.space.n
-    algebra = _balanced(n)
-    sigmas = chern_forms(tensor)
-    densities: dict[ChernIndex, float] = {}
-    # the pairs of the last run of the table make up the top mask: top(f ^ g) is one dot product
-    left, right, sign, starts = algebra.table
-    top = slice(starts[-1], None)
-    # omega^n = n! prod_c (-i theta^c ^ conj theta^c): the top mask lists the pairs in order
-    left, right, sign = left[top], right[top], sign[top] / (factorial(n) * (-1j) ** n)
-    for index in enumerate_indices(n):
-        *head, last = [sigmas[k] for k, a in enumerate(index.multi_index, 1) for _ in range(a)]
-        product = reduce(partial(_wedge, algebra.table), head) if head else sigmas[0]
-        densities[index] = float(np.sum(sign * product[left] * last[right]).real)
-    return densities
 
 
 def _require_dimension(n: int, *indices: ChernIndex) -> None:
@@ -305,8 +290,11 @@ def density_ratio(
 
     Raises DegenerateDenominatorError when gamma_J vanished relative to the
     largest |gamma| of the same table, a test that rescaling the tensor keeps,
-    and ResourceLimitError when a density of the table is not finite.
+    ResourceLimitError when a density of the table is not finite, and
+    PreconditionError for an empty table.
     """
+    if not densities:
+        raise PreconditionError("the density table is empty")
     _require_dimension(next(iter(densities)).n, index_i, index_j)
     if not all(isfinite(gamma) for gamma in densities.values()):
         raise ResourceLimitError("a Chern density is not finite: the tensor exceeds double precision")

@@ -538,7 +538,12 @@ def _json_int(text: str) -> int | float:
 
 
 def tensor_to_text(tensor: CurvatureTensor, symmetry_tolerance: float = DEFAULT_SYMMETRY_TOL) -> str:
-    """Serialize to the JSON tensor file format (17 significant digits, exact round-trip)."""
+    """Serialize to the JSON tensor file format (17 significant digits, exact round-trip).
+
+    PreconditionError for a tolerance that `tensor_from_text` would reject.
+    """
+    if not 0 < symmetry_tolerance <= sys.float_info.max:
+        raise PreconditionError(f"symmetry_tolerance must be a positive finite number, got {symmetry_tolerance!r}")
     entries = ", ".join(_float17(x) for x in tensor.entries.ravel())
     return (
         "{\n"
@@ -590,8 +595,9 @@ def tensor_from_text(text: str) -> tuple[CurvatureTensor, float]:
 
 
 def write_tensor(path, tensor: CurvatureTensor, symmetry_tolerance: float = DEFAULT_SYMMETRY_TOL):
+    text = tensor_to_text(tensor, symmetry_tolerance)  # before open, so a bad tolerance leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(tensor_to_text(tensor, symmetry_tolerance))
+        fh.write(text)
 
 
 def read_tensor(path) -> tuple[CurvatureTensor, float]:

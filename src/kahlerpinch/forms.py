@@ -1,49 +1,52 @@
-"""Alternating forms as arrays indexed by basis bitmask, and their wedge tables.
+"""(p, p)-forms of a unitary coframe as C(n, p) x C(n, p) matrices, and their wedge product.
 
-A form is a real or complex array with one coefficient per admissible mask
-of an ordered basis of 1-forms: entry m is the coefficient of the wedge of the
-basis forms whose bits are set in m, in increasing bit order. Leading axes
-are batch axes: a matrix of forms has shape (n, n, size). This is the
-bitmap representation of basis blades (Dorst, Fontijne & Mann, *Geometric
-Algebra for Computer Science*, 2007).
+Entry [I, J] of a (p, p)-form in the coframe theta^1, ..., theta^n, for
+p-subsets I = (i_1 < ... < i_p) and J = (j_1 < ... < j_p) of range(n), is
+the coefficient of the product of the 2-forms theta^{i_r} ^ conj theta^{j_r}
+in increasing r. Leading axes are batch axes: a matrix of (1,1)-forms has
+shape (n, n, n, n).
 
-A wedge table lists the disjoint pairs of a set of admissible masks, sorted
-by their union, with the pairs' shuffle signs. A product gathers the
-coefficients of every pair, multiplies them by the signs and sums them into
-the union masks. `chern` runs it on the bidegree-(p, p) masks of the unitary
-coframe: C(2n, n) coefficients and 639 pairs at n = 4, against 4^n and
-3^{2n} in the real algebra of R^{2n}.
+2-forms commute, so the (I, J) basis form times the (I', J') one is the
+(K, L) basis form times the signs of the shuffles that sort I + I' into K
+and J + J' into L. With E[K, (I, I')] the first sign, 0 unless I and I' are
+disjoint, a (p, p)-form A wedge a (q, q)-form B is E (A kron B) E^T.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
 __all__ = []
 
 
-def _wedge_table(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Disjoint pairs of `masks`, an ascending array that holds 0 and every disjoint union.
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The p-subsets of range(n) for p = 0, ..., n, each in lexicographic order."""
+    return tuple(tuple(combinations(range(n), p)) for p in range(n + 1))
 
-    Returns the pairs' positions (left, right) in `masks` sorted by the
-    position of their union, their shuffle signs, and the offset of each
-    union's run of pairs.
+
+@lru_cache(maxsize=None)
+def _shuffle(n: int, p: int, q: int) -> np.ndarray:
+    """E, shape (C(n, p + q), C(n, p) C(n, q)), columns (I, I') in np.kron order."""
+    subsets = _subsets(n)
+    row = {k: r for r, k in enumerate(subsets[p + q])}
+    e = np.zeros((len(subsets[p + q]), len(subsets[p]) * len(subsets[q])))
+    for column, (i, j) in enumerate(product(subsets[p], subsets[q])):
+        if not set(i) & set(j):
+            inversions = sum(x > y for x in i for y in j)
+            e[row[tuple(sorted(i + j))], column] = (-1.0) ** inversions
+    return e
+
+
+def _wedge(e: np.ndarray, a: np.ndarray, b: np.ndarray, subscripts: str = "...ij,...kl->...ikjl") -> np.ndarray:
+    """a ^ b for a (p, p)-form a and a (q, q)-form b, with e = _shuffle(n, p, q).
+
+    Broadcasts over leading axes; the subscripts "abij,bckl->acikjl" contract
+    them instead to the matrix product (a b)_ac = sum_b a_ab ^ b_bc.
     """
-    dim = int(masks[-1]).bit_length()
-    popcount = np.array([m.bit_count() for m in range(1 << dim)])
-    left, right = np.nonzero((masks[:, None] & masks[None, :]) == 0)
-    left_mask, right_mask = masks[left], masks[right]
-    # sorting e_left ^ e_right takes one transposition per (x in left, y in right) with x > y
-    inversions = sum(((right_mask >> y) & 1) * popcount[left_mask >> (y + 1)] for y in range(dim))
-    sign = 1.0 - 2.0 * (inversions % 2)
-    union = np.searchsorted(masks, left_mask | right_mask)
-    order = np.argsort(union, kind="stable")
-    starts = np.searchsorted(union[order], np.arange(masks.size))
-    return left[order], right[order], sign[order], starts
-
-
-def _wedge(table, f, g) -> np.ndarray:
-    """Wedge product over a table's masks; broadcasts over leading axes."""
-    left, right, sign, starts = table
-    # every union mask m has at least the pair (0, m), so no run is empty
-    return np.add.reduceat(sign * f[..., left] * g[..., right], starts, axis=-1)
+    kron = np.einsum(subscripts, a, b)
+    size = e.shape[1]
+    return e @ kron.reshape(kron.shape[:-4] + (size, size)) @ e.T

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from .curvature import (
     complex_hyperbolic_tensor,
     require_certified,
 )
-from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError
+from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError, ResourceLimitError
 from .space import make_space, seeded_rng
 
 __all__ = [
@@ -696,6 +697,11 @@ def normalize_quarter(tensor: CurvatureTensor, pinch_report: PinchReport) -> Qua
             f"curvature maximum must be negative, got {pinch_report.k_max:g}"
         )
     scale = -1.0 / (4.0 * pinch_report.k_max)
+    if not isfinite(scale):
+        raise ResourceLimitError(
+            f"curvature maximum {pinch_report.k_max:g} is too close to 0: the scale "
+            "to a maximum of -1/4 exceeds double precision"
+        )
     delta = -scale * pinch_report.k_min - 1.0
     return QuarterNormalization(
         tensor=tensor.scaled(scale),

@@ -282,13 +282,16 @@ def test_reference_constants_cross_check():
 
 
 def test_balanced_algebra_sizes():
-    # C(2n, n) balanced masks, and their disjoint pairs
+    # C(2n, n) balanced masks, one C(n, p) x C(n, p) block of them for each p
     from kahlerpinch.chern import _balanced
 
-    for n, pairs in zip((1, 2, 3, 4, 5), (3, 15, 93, 639, 4653)):
+    for n in (1, 2, 3, 4, 5):
         algebra = _balanced(n)
         assert algebra.masks.size == comb(2 * n, n)
-        assert algebra.table[0].size == pairs
+        assert [block.shape for block in algebra.place] == [(comb(n, p),) * 2 for p in range(n + 1)]
+        assert [block.shape for block in algebra.sign] == [(comb(n, p),) * 2 for p in range(n + 1)]
+        places = np.concatenate([block.ravel() for block in algebra.place])
+        assert np.array_equal(np.sort(places), np.arange(algebra.masks.size))
 
 
 def test_densities_match_the_real_algebra_oracle():
@@ -466,6 +469,11 @@ def test_degeneracy_test_is_scale_invariant():
         assert chern_ratio(tensor.scaled(scale), i, j) == pytest.approx(base, rel=1e-12, abs=0.0)
         densities = chern_densities(tensor.scaled(scale))
         assert density_ratio(densities, i, j) == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_density_ratio_of_an_empty_table_raises_precondition_error():
+    with pytest.raises(PreconditionError, match="empty"):
+        density_ratio({}, ChernIndex((2, 0)), ChernIndex((0, 1)))
 
 
 def test_degenerate_denominator_is_relative_to_the_table():

@@ -28,6 +28,7 @@ from kahlerpinch import (
     symmetry_residuals,
     tensor_from_text,
     tensor_to_text,
+    write_tensor,
 )
 from kahlerpinch.curvature import _direct_triple, _holomorphic_sides, _polarization_system
 from kahlerpinch.errors import (
@@ -664,6 +665,16 @@ def test_tensor_file_roundtrip_is_bit_exact(entries, tol):
     back, back_tol = tensor_from_text(tensor_to_text(tensor, tol))
     assert np.array_equal(back.entries.view(np.uint64), tensor.entries.view(np.uint64))
     assert back_tol == tol
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_tensor_file_writers_reject_a_tolerance_the_reader_rejects(tmp_path, r0_n2, tol):
+    with pytest.raises(PreconditionError, match="symmetry_tolerance"):
+        tensor_to_text(r0_n2, tol)
+    path = tmp_path / "r0.json"
+    with pytest.raises(PreconditionError, match="symmetry_tolerance"):
+        write_tensor(path, r0_n2, tol)
+    assert not path.exists()
 
 
 def test_model_tensor_file_rewrites_identically(r0_n2):

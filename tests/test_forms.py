@@ -1,12 +1,16 @@
+import ast
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kahlerpinch import make_space, seeded_rng
+from kahlerpinch.chern import _balanced
 from kahlerpinch.errors import DegreeError, SpaceMismatchError
-from real_forms import basis_form, kahler_form, power, top_coefficient, wedge
+from kahlerpinch.forms import _shuffle, _wedge
+from real_forms import basis_form, kahler_form, power, to_real, top_coefficient, wedge
 
 
 def _perm_sign(perm):
@@ -200,3 +204,72 @@ def test_kahler_form_coefficients():
     assert omega[_mask((0, 1))] == -1.0
     assert omega[_mask((2, 3))] == -1.0
     assert omega[_mask((0, 2))] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the package's (p, p) matrix algebra, against the real algebra above
+# ---------------------------------------------------------------------------
+
+
+def _random_pp(n, p, rng):
+    size = comb(n, p)
+    return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+
+
+def _real(n, p, form):
+    """A (p, p) matrix as a form in the real basis, through the masks of `chern`."""
+    algebra = _balanced(n)
+    on_masks = np.zeros(algebra.masks.size, dtype=complex)
+    on_masks[algebra.place[p]] = algebra.sign[p] * form
+    return on_masks @ to_real(n)
+
+
+def test_matrix_wedge_matches_the_real_algebra_oracle():
+    rng = seeded_rng(24)
+    for n in (1, 2, 3, 4):
+        for p in range(n + 1):
+            for q in range(n - p + 1):
+                a, b = _random_pp(n, p, rng), _random_pp(n, q, rng)
+                e = _shuffle(n, p, q)
+                assert e.shape == (comb(n, p + q), comb(n, p) * comb(n, q))
+                product = _wedge(e, a, b)
+                assert product.shape == (comb(n, p + q),) * 2
+                expected = wedge(_real(n, p, a), _real(n, q, b))
+                got = _real(n, p + q, product)
+                assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), (n, p, q)
+
+
+def test_matrix_wedge_is_associative_and_commutative():
+    rng = seeded_rng(25)
+    n = 4
+    for p, q, r in ((1, 1, 1), (1, 2, 1), (2, 1, 1), (0, 2, 2), (1, 1, 2)):
+        a, b, c = _random_pp(n, p, rng), _random_pp(n, q, rng), _random_pp(n, r, rng)
+        ab = _wedge(_shuffle(n, p, q), a, b)
+        assert np.max(np.abs(ab - _wedge(_shuffle(n, q, p), b, a))) < 1e-12
+        left = _wedge(_shuffle(n, p + q, r), ab, c)
+        right = _wedge(_shuffle(n, p, q + r), a, _wedge(_shuffle(n, q, r), b, c))
+        assert np.max(np.abs(left - right)) < 1e-12
+
+
+def test_matrix_wedge_contracts_a_matrix_product_of_forms():
+    # (M Omega)_ac = sum_b M_ab ^ Omega_bc, the power step of the Chern forms
+    rng = seeded_rng(26)
+    n, p = 3, 2
+    m = np.array([[_random_pp(n, p, rng) for _ in range(n)] for _ in range(n)])
+    omega = np.array([[_random_pp(n, 1, rng) for _ in range(n)] for _ in range(n)])
+    e = _shuffle(n, p, 1)
+    product = _wedge(e, m, omega, "abij,bckl->acikjl")
+    expected = sum(_wedge(e, m[:, b, None], omega[b]) for b in range(n))
+    assert np.max(np.abs(product - expected)) < 1e-12
+
+
+def test_real_algebra_oracle_imports_nothing_from_forms():
+    # the densities oracle must not share product code with the package it checks
+    tree = ast.parse((Path(__file__).parent / "real_forms.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("kahlerpinch.forms") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not (node.module or "").startswith("kahlerpinch.forms")
+            if node.module == "kahlerpinch":
+                assert "forms" not in {alias.name for alias in node.names}

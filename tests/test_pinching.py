@@ -19,7 +19,12 @@ from kahlerpinch import (
     sectional,
     seeded_rng,
 )
-from kahlerpinch.errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError
+from kahlerpinch.errors import (
+    InvalidDimensionError,
+    NotNegativelyCurvedError,
+    PreconditionError,
+    ResourceLimitError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +186,7 @@ def _cycling_objective(v0=-1.0, h=0.01):
     """A pair objective whose rows cycle between their start value and a worse one.
 
     Every tensor block holds its descending rows, then as many ascending
-    ones, as _extremes builds it. Every second evaluation moves the value h
+    ones, as _multistart builds it. Every second evaluation moves the value h
     the wrong way for the row's sign (an uphill step the acceptance test
     still takes); the others return v0 again. The gradient is constant and
     far from the tolerance, so accepted steps never beat the best value v0
@@ -1221,3 +1226,19 @@ def test_normalize_quarter_rejects_nonnegative_max(space2):
     report = pinch(zero, restarts=4, seed=1)
     with pytest.raises(NotNegativelyCurvedError):
         normalize_quarter(zero, report)
+
+
+def test_normalize_quarter_rejects_a_maximum_too_small_to_invert(r0_n2):
+    # -1 / (4 k_max) overflows: raise before scaling, with no RuntimeWarning
+    import warnings
+
+    for factor in (2.0**-1030, 1e-310):
+        tiny = r0_n2.scaled(factor)
+        report = pinch(tiny, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResourceLimitError, match="curvature maximum"):
+                normalize_quarter(tiny, report)
+    small = r0_n2.scaled(2.0**-1000)
+    norm = normalize_quarter(small, pinch(small, seed=1))
+    assert (norm.scale, norm.delta) == (1.0715086071862673e301, 0.0)
