@@ -117,6 +117,16 @@ def enumerate_indices(n: int) -> list[ChernIndex]:
     return [ChernIndex(t) for t in candidates if sum(k * a for k, a in enumerate(t, 1)) == n]
 
 
+@lru_cache(maxsize=None)
+def _index_factors(n: int) -> tuple[tuple[ChernIndex, tuple[int, ...]], ...]:
+    """Each index of enumerate_indices(n) with the degrees k of its factors c_k,
+    one per power: built and validated once per n (ChernIndex is frozen)."""
+    return tuple(
+        (index, tuple(k for k, a in enumerate(index.multi_index, 1) for _ in range(a)))
+        for index in enumerate_indices(n)
+    )
+
+
 class _Balanced(NamedTuple):
     """The mask layout of `curvature_matrix` and `chern_forms` at n. Bits 2c and
     2c + 1 of a mask are theta^c and conj theta^c, and a balanced mask sets as
@@ -235,8 +245,7 @@ def _density_tables(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], d
     # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
     top = factorial(n) * (-1j) ** n
     unit_table: dict[ChernIndex, float] = {}
-    for index in enumerate_indices(n):
-        first, *rest = [k for k, a in enumerate(index.multi_index, 1) for _ in range(a)]
+    for index, (first, *rest) in _index_factors(n):
         product, degree = sigmas[first], first
         for k in rest:
             product, degree = _wedge(_shuffle(n, degree, k), product, sigmas[k]), degree + k

@@ -345,13 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="override the file's tolerance")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("pinch", help="multistart estimates of the sectional-curvature extremes")
+    p = sub.add_parser("pinch", help="sectional-curvature extremes: exact at n = 2, multistart estimates otherwise")
     p.add_argument("path", help="tensor file")
     p.add_argument(
         "--restarts",
         type=int,
         default=None,
-        help=f"multistart count, run as given (default: {pinching.DEFAULT_RESTARTS}, rerun once at "
+        help=f"multistart count, run as given (default: exact extremes at n = 2, reported as 0 restarts; "
+        f"{pinching.DEFAULT_RESTARTS} at other n, rerun once at "
         f"{pinching.ESCALATION * pinching.DEFAULT_RESTARTS} if not converged)",
     )
     p.add_argument("--seed", type=int, required=True, help="seed for restart initialization")

@@ -327,10 +327,11 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     which is already Kahler), so for orthonormal u, v Cauchy-Schwarz gives
     |K_S(u, v)| = |<S, u (x) v (x) u (x) v>| <= |S|_F = 1. R0's sectional
     curvatures fill [-1, -1/4], so R0 + tS has true extremes k_min >= -1 - t
-    and k_max <= -1/4 + t. The multistart reports K at real planes, or R0's
-    closed form, so up to rounding its k_min is at least the true minimum and
-    its k_max at most the true maximum: its defect k_min / (4 k_max) - 1, the
-    reported max_defect, underestimates the true one, and both are at most
+    and k_max <= -1/4 + t. `pinch` reports K at real planes, or R0's closed
+    form, so up to rounding its k_min is at least the true minimum and its
+    k_max at most the true maximum: its defect k_min / (4 k_max) - 1, the
+    reported max_defect, can only underestimate the true one (at n = 2 the
+    extremes are exact, so it is the true one up to rounding), and both are at most
     (1 + t)/(1 - 4t) - 1 = 5t/(1 - 4t). At t = delta/8 that is below delta
     exactly when delta < 3/4, that is (delta = epsilon / (80 (2n)^4)) when
     epsilon < 60 (2n)^4: 15360, 77760 and 245760 at n = 2, 3, 4.

@@ -1,7 +1,11 @@
-"""Multistart sectional-curvature extremes over 2-planes and the unit sphere.
+"""Sectional-curvature extremes over 2-planes and the unit sphere.
 
-One multistart projected-gradient optimizer on one objective serves both
-problems. It runs the descending (minimum) and ascending (maximum) restarts
+At n = 2 the default budget (restarts=None) computes the extremes exactly
+(_surface_rows): on a Kahler surface K and H reduce to two trust-region
+problems on a 2-sphere and one rank-one eigenvalue update, solved by secular
+equations in a 3 x 3 eigenbasis. Everywhere else, and at n = 2 with an
+explicit restart count, one multistart projected-gradient optimizer on one
+objective serves both problems. It runs the descending (minimum) and ascending (maximum) restarts
 as rows of one batch, with a sign per row and a retraction after every step;
 a restart that stops leaves the batch, so later iterations cost only the
 restarts still running. Every row is a pair [u | v] and every objective is
@@ -18,9 +22,10 @@ restarts of several tensors can share one batch, up to BATCH_ROWS rows, so
 that their iteration tails overlap; each tensor's rows form one block with
 its own GEMM, so the
 rounding stays per tensor block and every tensor's report is bit-identical
-to a one-tensor run. The extremes are the best values the restarts reach,
-not proven optima; a rigorous eigenvalue envelope from the curvature
-operator on bivectors sandwiches them.
+to a one-tensor run. The multistart's extremes are the best values the
+restarts reach, not proven optima; the n = 2 closed form's are the extremes
+up to rounding. A rigorous eigenvalue envelope from the curvature operator
+on bivectors sandwiches both.
 
 A multistart with the default budget (restarts=None) runs DEFAULT_RESTARTS
 = 64 restarts, and reruns once at ESCALATION x 64 = 256 restarts each tensor
@@ -48,9 +53,10 @@ the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing.
 Each tensor is optimized at unit curvature scale |R|/|R0| = hypot(s0, mu)
 (1 for R0), so every threshold is a fixed number, and the best values are
 multiplied back: the extremes of 2^k R are exactly 2^k times those of R.
-A reported extreme is the optimizer's value at its witness, except that a
-space form up to rounding reports the closed form: K from -s0 to -s0/4
-(-s0 at n = 1) and H = -s0, so the model's -1 and -1/4 are exact.
+A reported extreme is the value at its witness, the optimizer's or the n = 2
+closed form's, except that a space form up to rounding reports the closed
+form of s0 R0: K from -s0 to -s0/4 (-s0 at n = 1) and H = -s0, so the
+model's -1 and -1/4 are exact.
 """
 
 from __future__ import annotations
@@ -127,6 +133,9 @@ DEFAULT_RESTARTS = 64
 # a default multistart whose report is not converged reruns once at this
 # multiple of DEFAULT_RESTARTS, and that report is final
 ESCALATION = 4
+EPS = float(np.finfo(float).eps)
+# Newton steps of _secular_top, a cap that its monotone iteration stays far below
+SECULAR_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -156,8 +165,9 @@ class OptimizerDiagnostics:
 
 @dataclass(frozen=True)
 class PinchReport:
-    """Multistart sectional-curvature extremes, their witness planes and the
-    rigorous bivector envelope that sandwiches them."""
+    """Sectional-curvature extremes, their witness planes and the rigorous
+    bivector envelope that sandwiches them. restarts is 0 and diagnostics
+    None for the exact extremes of n = 2's default budget."""
 
     k_min: float
     k_max: float
@@ -514,6 +524,160 @@ def _optimize(x, signs, owners, objective, retract, models=None):
     return out_vals, out_x, iterations, reasons
 
 
+@lru_cache(maxsize=None)
+def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bivectors of R^4 = C^2 for _surface_rows, in the coordinates b_ij (i < j)
+    of curvature_operator_envelope, ordered 01, 02, 03, 12, 13, 23.
+
+    Returns the flat pair indices i * 4 + j, the orthonormal basis
+    [w | f1 f2 f3] of Lambda^{1,1} (the J-invariant bivectors) as columns, and
+    a unit bivector e of [Lambda^{2,0}] (the J-anti-invariant ones). Here
+    w = (e01 + e23)/sqrt(2) is the unit Kahler form, oriented so that u ^ Ju
+    has a positive w-component, and f1, f2, f3 span Lambda^{1,1}_0.
+    For the orientation of J, w and [Lambda^{2,0}] span the self-dual
+    bivectors and Lambda^{1,1}_0 the anti-self-dual ones (Atiyah, Hitchin &
+    Singer, Proc. R. Soc. A 1978), and a unit bivector is a plane exactly
+    when both of its parts have length 1/sqrt(2).
+    """
+    i, j = np.triu_indices(4, 1)
+    basis = np.array(
+        [
+            [1, 0, 0, 0, 0, 1],  # w
+            [1, 0, 0, 0, 0, -1],
+            [0, 1, 0, 0, 1, 0],
+            [0, 0, 1, -1, 0, 0],
+        ]
+    ).T / np.sqrt(2.0)
+    return i * 4 + j, basis, np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
+
+
+def _secular_top(c, g, power, target):
+    """Unit y~ of one extreme eigen-problem per row, in the eigenbasis of C.
+
+    Rows of c hold the eigenvalues of a symmetric C in ascending order and
+    rows of g the coordinates of a vector r in its eigenbasis. With
+    e = c_top - c >= 0 and F(mu) = (sum g^2 / (e + mu)^power)^(-1/power), mu
+    is the least root >= 0 of F(mu) = target and y~ = g / (e + mu) normalized:
+      power 2, target 1: y maximizes <Cy, y> + 2 <r, y> over the unit sphere
+        (the trust-region subproblem on its boundary, with multiplier
+        c_top + mu);
+      power 1, target 1/|q|: y is the top eigenvector of C + r r^T / |q|, of
+        eigenvalue c_top + mu.
+    F is increasing and concave (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
+    1983 for power 2; a parallel sum of linear functions for power 1), so
+    Newton's method from the lower bound max(0, max(target g^(2/power) - e))
+    rises to the root; the bracket [lo, hi] only catches rounding. In the
+    hard case r is orthogonal to the top eigenvectors and F(0) >= target:
+    mu = 0, and the top eigenvector completes y (power 2) or is y (power 1).
+    Each row iterates until it settles and then stays, so a row's result
+    does not depend on the other rows.
+    """
+    e = c[:, -1:] - c
+    w = g * g
+    lo = np.maximum(np.max(target[:, None] * (np.abs(g) if power == 2 else w) - e, axis=1), 0.0)
+    hi = np.maximum(target * np.sum(w, axis=1) ** (1.0 / power), lo)
+
+    def ratios(rows, mu):  # g / (e + mu) and e + mu, with 1 for e + mu = 0 (where g = 0 when mu >= lo)
+        den = e[rows] + mu[:, None]
+        den = np.where(den > 0.0, den, 1.0)
+        return g[rows] / den, den
+
+    def terms(rows, ratio):
+        return ratio * ratio if power == 2 else g[rows] * ratio
+
+    mu = lo.copy()
+    rows = np.arange(len(c))
+    ratio, _ = ratios(rows, mu)
+    total = np.sum(terms(rows, ratio), axis=1)
+    hard = (lo == 0.0) & (total <= target ** (-power))
+    live = np.nonzero(~hard)[0]
+    for _ in range(SECULAR_ITERATIONS):
+        if not len(live):
+            break
+        ratio, den = ratios(live, mu[live])
+        term = terms(live, ratio)
+        total = np.sum(term, axis=1)
+        value = total ** (-1.0 / power)
+        slope = value / total * np.sum(term / den, axis=1)
+        below = value <= target[live]
+        lo[live] = np.where(below, mu[live], lo[live])
+        hi[live] = np.where(below, hi[live], mu[live])
+        step = mu[live] + (target[live] - value) / slope
+        step = np.where((lo[live] <= step) & (step <= hi[live]), step, 0.5 * (lo[live] + hi[live]))
+        settled = np.abs(step - mu[live]) <= 4.0 * EPS * step
+        mu[live] = step
+        live = live[~settled]
+    y, _ = ratios(rows, mu)
+    top = c.shape[1] - 1
+    if power == 2:
+        y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
+    else:
+        y[hard] = np.eye(c.shape[1])[top]
+    return y / np.linalg.norm(y, axis=1, keepdims=True)
+
+
+def _surface_rows(mats, planes: bool) -> np.ndarray:
+    """Exact witness rows [u | v] of the extremes of K (planes) or of H at n = 2.
+
+    mats are the tensors' pair matrices at unit curvature scale. A tensor
+    gives the rows [min candidates | max candidates]: (H, interior) of each
+    for planes, H alone for J-lines; the extremes are the least and greatest
+    values among them.
+
+    On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with the pair
+    matrix written on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the
+    plane b = (s w + sqrt(1 - s^2) e + y)/sqrt(2), s in [-1, 1] and y on the
+    unit sphere of Lambda^{1,1}_0 (see _surface_basis), has
+    K = (q s^2 + 2 s <r, y> + <Cy, y>)/2. Every such (s, y) is a plane, and
+    s = 1 are the J-lines (u, Ju), so the extremes of H are
+    (q + extremes of <Cy, y> + 2 <r, y>)/2, two trust-region problems
+    (_secular_top of (C, r) and of (-C, -r)). An extreme of K in s in
+    (-1, 1) has s = -<r, y>/q and K = <(C - r r^T / q) y, y>/2, which is
+    at most the top eigenvalue of C + r r^T / |q| over 2 for q < 0 (a
+    maximum; for q >= 0 K is convex in s, so its maximum lies at s = +-1 and
+    equals H's), and at least the bottom eigenvalue of C - r r^T / q over 2
+    for q > 0 (a minimum). That eigenvector gives the interior candidate,
+    its s clipped to [-1, 1]: a plane either way, and the extreme whenever
+    |s| <= 1. An interior value lies within 2 |q| of H's range, so tensors
+    with |q| <= eps take H's candidate twice. The witness plane is read off
+    the bivector b: u is its longest column as a 4 x 4 antisymmetric matrix,
+    and v = b^T u, so that u ^ v = b.
+    """
+    pairs, basis, e20 = _surface_basis()
+    quad = basis.T @ np.stack(mats)[:, pairs][:, :, pairs] @ basis
+    q, r = quad[:, 0, 0], quad[:, 1:, 0]
+    c, vecs = np.linalg.eigh(quad[:, 1:, 1:])
+    coords = np.einsum("mij,mi->mj", vecs, r)
+    # the minimum problems as maxima of the negated ones, in the reversed eigenbasis
+    c = np.concatenate([-c[:, ::-1], c])
+    coords = np.concatenate([-coords[:, ::-1], coords])
+    vecs = np.concatenate([vecs[:, :, ::-1], vecs])
+    sphere = np.einsum("mij,mj->mi", vecs, _secular_top(c, coords, 2, np.ones(len(c))))
+    s, y = np.ones(len(c)), sphere
+    if planes:
+        q2, r2 = np.tile(q, 2), np.tile(r, (2, 1))
+        sign = np.repeat([1.0, -1.0], len(q))
+        interior = sign * q2 > EPS  # q > eps for the minimum, q < -eps for the maximum
+        target = 1.0 / np.where(interior, np.abs(q2), 1.0)
+        y_int = np.einsum("mij,mj->mi", vecs, _secular_top(c, coords, 1, target))
+        y_int = np.where(interior[:, None], y_int, sphere)
+        s_int = np.ones(len(c))
+        s_int[interior] = np.clip(-np.einsum("mi,mi->m", r2, y_int)[interior] / q2[interior], -1.0, 1.0)
+        # per side and tensor: (H, interior)
+        s, y = np.stack([s, s_int], axis=1).ravel(), np.stack([y, y_int], axis=1).reshape(-1, 3)
+    b = (np.outer(s, basis[:, 0]) + np.outer(np.sqrt(1.0 - s * s), e20) + y @ basis[:, 1:].T) / np.sqrt(2.0)
+    i, j = np.divmod(pairs, 4)
+    bmat = np.zeros((len(b), 4, 4))
+    bmat[:, i, j], bmat[:, j, i] = b, -b
+    longest = np.argmax(np.einsum("mij,mij->mj", bmat, bmat), axis=1)
+    u = bmat[np.arange(len(b)), :, longest]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rows = np.hstack([u, np.einsum("mij,mi->mj", bmat, u)])
+    # (side, tensor, candidate) -> (tensor, side, candidate)
+    per_side = len(rows) // (2 * len(mats))
+    return rows.reshape(2, len(mats), per_side, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
+
+
 def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
     """report(tensor, restarts, lo, hi, x_min, x_max, diagnostics, stable) of each tensor's multistart.
 
@@ -534,6 +698,11 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
     DEFAULT_RESTARTS and queues each tensor whose report is not converged for
     one rerun at ESCALATION times that count, after every first run; the
     rerun's report is final.
+
+    At n = 2, restarts=None runs no optimizer: the extremes are exact
+    (_surface_rows), values at their witness rows, and report gets
+    restarts 0, no diagnostics and stable true, so converged rests on the
+    envelope sandwich alone.
     """
     for tensor in tensors:
         require_certified(tensor)
@@ -545,8 +714,29 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
     scales = np.hypot(s0, mu)
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
-    space_forms = mu <= SPACE_FORM_ROUNDING * np.finfo(float).eps * abs_s0  # up to rounding
+    space_forms = mu <= SPACE_FORM_ROUNDING * EPS * abs_s0  # up to rounding
     plain = space_forms | (3.0 * abs_s0 <= mu) | (not planes)
+
+    def block_report(k, count, vals, x, diagnostics, stable):
+        # vals and x: the tensor's minimum rows, then as many maximum rows
+        half = len(vals) // 2
+        i_min, i_max = int(np.argmin(vals[:half])), half + int(np.argmax(vals[half:]))
+        if space_forms[k]:
+            # + 0.0 turns the zero tensor's -0.0 into 0.0
+            lo, hi = np.sort(s0[k] * model_extremes) + 0.0
+        else:
+            lo, hi = scales[k] * vals[i_min], scales[k] * vals[i_max]
+        return report(tensors[k], count, float(lo), float(hi), x[i_min].copy(), x[i_max].copy(), diagnostics, stable)
+
+    if restarts is None and tensors[0].space.n == 2:
+        mats = [tensor.matrix / scale for tensor, scale in zip(tensors, scales)]
+        x = retract(_surface_rows(mats, planes))
+        size = len(x) // len(tensors)
+        vals = _pair_state(mats, [size] * len(tensors), x)[0]
+        return [
+            block_report(k, 0, vals[start : start + size], x[start : start + size], None, True)
+            for k, start in enumerate(range(0, len(x), size))
+        ]
     reports = [None] * len(tensors)
     queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts) for k in range(len(tensors))]
     while queue:
@@ -564,18 +754,10 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
             tuple(a[batch] for a in (abs_s0, mu, plain)),
         )
         for start, k in zip(range(0, len(x), 2 * count), batch):
-            mid, stop = start + count, start + 2 * count
-            min_vals, max_vals = vals[start:mid], vals[mid:stop]
-            i_min, i_max = int(np.argmin(min_vals)), int(np.argmax(max_vals))
-            if space_forms[k]:
-                # + 0.0 turns the zero tensor's -0.0 into 0.0
-                lo, hi = np.sort(s0[k] * model_extremes) + 0.0
-            else:
-                lo, hi = scales[k] * min_vals[i_min], scales[k] * max_vals[i_max]
-            x_min, x_max = x[start + i_min].copy(), x[mid + i_max].copy()
-            diagnostics = OptimizerDiagnostics.of(iterations[start:stop], reasons[start:stop])
-            stable = _stable(min_vals, False) and _stable(max_vals, True)
-            reports[k] = report(tensors[k], count, float(lo), float(hi), x_min, x_max, diagnostics, stable)
+            block = slice(start, start + 2 * count)
+            diagnostics = OptimizerDiagnostics.of(iterations[block], reasons[block])
+            stable = _stable(vals[start : start + count], False) and _stable(vals[start + count : block.stop], True)
+            reports[k] = block_report(k, count, vals[block], x[block], diagnostics, stable)
             if restarts is None and count == DEFAULT_RESTARTS and not reports[k].converged:
                 queue.append((k, ESCALATION * count))
     return reports
@@ -589,7 +771,8 @@ def _stable(vals: np.ndarray, maximize: bool) -> bool:
 
 
 def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> PinchReport:
-    """Multistart extremes of the sectional curvature over 2-planes."""
+    """Extremes of the sectional curvature over 2-planes: exact at n = 2 with
+    restarts=None, multistart otherwise."""
     return _pinch_batch([tensor], restarts, [seed])[0]
 
 
@@ -624,7 +807,8 @@ def _pinch_report(tensor, restarts, k_min, k_max, x_min, x_max, diagnostics, sta
 
 
 def hol_extremes(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> HolReport:
-    """Multistart extremes of the holomorphic sectional curvature over the unit sphere."""
+    """Extremes of the holomorphic sectional curvature over the unit sphere:
+    exact at n = 2 with restarts=None, multistart otherwise."""
     return _hol_batch([tensor], restarts, [seed])[0]
 
 

@@ -38,6 +38,25 @@ def test_enumerate_indices_small_n():
     assert len(enumerate_indices(4)) == 5
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_densities_read_indices_built_once(n):
+    # chern_densities reads a cached table of the indices; enumerate_indices
+    # still hands each caller a list of its own
+    from kahlerpinch import chern
+
+    tensor = random_kahler(make_space(n), seed=n)
+    chern._index_factors.cache_clear()
+    first = chern_densities(tensor)
+    indices = enumerate_indices(n)
+    assert indices is not enumerate_indices(n)
+    indices.reverse()
+    indices.append(indices[0])
+    second = chern_densities(tensor)
+    assert chern._index_factors.cache_info().misses == 1
+    assert list(second) == enumerate_indices(n)
+    assert [v.hex() for v in second.values()] == [v.hex() for v in first.values()]
+
+
 def test_chern_index_validation():
     ChernIndex((2, 0))
     with pytest.raises(DegreeError):

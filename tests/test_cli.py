@@ -259,6 +259,21 @@ def test_pinch_model(model_file):
     assert payload["converged"] is True
 
 
+def test_pinch_restarts_at_n2(model_file, tmp_path):
+    # at n = 2 the default is exact and runs no restarts; --restarts runs the multistart
+    from kahlerpinch import make_space, write_tensor
+    from kahlerpinch.experiments import perturb
+
+    path = tmp_path / "near.json"
+    write_tensor(path, perturb(make_space(2), 0.05, seed=3))
+    exact = json.loads(run_cli("pinch", str(path), "--seed", "1").stdout)
+    multistart = json.loads(run_cli("pinch", str(path), "--seed", "1", "--restarts", "8").stdout)
+    assert (exact["restarts"], multistart["restarts"]) == (0, 8)
+    assert exact["converged"] and multistart["converged"]
+    assert multistart["k_min"] == pytest.approx(exact["k_min"], rel=1e-10)
+    assert multistart["k_max"] == pytest.approx(exact["k_max"], rel=1e-10)
+
+
 def test_pinch_missing_file():
     assert run_cli("pinch", "no_such_file.json", "--seed", "1").returncode == 2
 
@@ -559,12 +574,15 @@ def test_constants_certification_failure_exits_1(monkeypatch, failure):
     import kahlerpinch.experiments
     import kahlerpinch.pinching
 
+    n = "2"
     if failure == "unconverged":
+        # n = 2 pinches exactly, so an optimizer cut short is reached at n = 3
+        n = "3"
         monkeypatch.setattr(kahlerpinch.pinching, "MAX_ITER", 3)
     else:
         perturb = kahlerpinch.experiments.perturb
         monkeypatch.setattr(kahlerpinch.experiments, "perturb", lambda space, t, seed: perturb(space, 0.5, seed))
-    code, out, err = _run_in_process(["constants", "--epsilon", "0.1", "--n", "2", "--certify", "1", "--seed", "1"])
+    code, out, err = _run_in_process(["constants", "--epsilon", "0.1", "--n", n, "--certify", "1", "--seed", "1"])
     assert code == 1
     assert out == ""
     assert "Traceback" not in err

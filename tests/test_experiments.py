@@ -260,8 +260,10 @@ def test_certification_rejects_unconverged_and_anomalous_samples(monkeypatch):
     chain = proof_constants(0.1, 2)
     with monkeypatch.context() as patch:
         patch.setattr(kahlerpinch.pinching, "MAX_ITER", 3)
+        # n = 2 pinches exactly; the multistart cut short runs at n = 3
         with pytest.raises(RuntimeError, match="sample 0: the pinch did not converge"):
-            certify_constants(chain, 1, 1)
+            certify_constants(proof_constants(0.1, 3), 1, 1)
+        certify_constants(chain, 1, 1)
     # for n >= 2 a Kahler tensor is at best quarter-pinched: a defect below the
     # anomaly flag means the optimizer missed an extreme
     original = kahlerpinch.experiments.normalize_quarter
@@ -422,11 +424,14 @@ def _record_optimizer_batches(monkeypatch):
 
 
 def test_sweep_batches_stay_within_the_row_budget(monkeypatch):
-    from kahlerpinch.pinching import BATCH_ROWS
+    from kahlerpinch.pinching import BATCH_ROWS, DEFAULT_RESTARTS
 
     batches = _record_optimizer_batches(monkeypatch)
-    # criterion 6's grid and default restarts, 4 samples per t: 20 records
+    # criterion 6's grid, 4 samples per t: 20 records. The default budget runs
+    # no optimizer at n = 2; its first-run restart count runs as given
     sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], samples_per_t=4, seed=20090)
+    assert batches == []
+    sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], samples_per_t=4, seed=20090, restarts=DEFAULT_RESTARTS)
     per_batch = BATCH_ROWS // 128
     assert per_batch >= 2
     assert all(rows <= BATCH_ROWS for rows, _ in batches)

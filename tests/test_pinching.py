@@ -7,6 +7,7 @@ from kahlerpinch import (
     CurvatureTensor,
     TwoPlane,
     berger_bound_check,
+    check_kahler,
     complex_hyperbolic_tensor,
     curvature_operator_envelope,
     hol_extremes,
@@ -19,6 +20,7 @@ from kahlerpinch import (
     sectional,
     seeded_rng,
 )
+from kahlerpinch.pinching import DEFAULT_RESTARTS
 from kahlerpinch.errors import (
     InvalidDimensionError,
     NotNegativelyCurvedError,
@@ -536,7 +538,7 @@ def test_space_forms_up_to_rounding_keep_the_plain_step(n):
     for tensor, seed in _near_space_forms(n):
         s0, mu = _model_coordinates(tensor)
         assert mu < 1e-15 * abs(s0)
-        report = pinch(tensor, seed=seed)
+        report = pinch(tensor, restarts=DEFAULT_RESTARTS, seed=seed)
         assert report.converged
         assert report.diagnostics.step_underflow == report.diagnostics.iteration_cap == 0
         assert report.k_min / s0 == pytest.approx(-1.0, rel=0.0, abs=1e-12)
@@ -547,7 +549,7 @@ def test_near_model_planes_converge_in_few_iterations():
     # at t = 6e-7 the plain step took 372 iterations on its longest row
     from kahlerpinch.experiments import perturb
 
-    report = pinch(perturb(make_space(2), 6e-7, seed=5), seed=1)
+    report = pinch(perturb(make_space(2), 6e-7, seed=5), restarts=DEFAULT_RESTARTS, seed=1)
     assert report.diagnostics.gradient_tol == 128
     assert report.diagnostics.max_row_iterations < 100
     assert report.converged
@@ -563,7 +565,10 @@ def test_tensor_orthogonal_to_the_model_stops_by_the_gradient_test(space2):
     orthogonal = CurvatureTensor(space2, tensor.entries - s0 * model.entries)
     assert check_kahler(orthogonal).passed
     assert abs(_model_coordinates(orthogonal)[0]) < 1e-15
-    for report in (pinch(orthogonal, seed=1), hol_extremes(orthogonal, seed=1)):
+    for report in (
+        pinch(orthogonal, restarts=DEFAULT_RESTARTS, seed=1),
+        hol_extremes(orthogonal, restarts=DEFAULT_RESTARTS, seed=1),
+    ):
         assert report.diagnostics.gradient_tol == 128
         assert report.converged
 
@@ -573,9 +578,10 @@ def test_extremes_scale_with_the_tensor(factor):
     # the stopping tests are relative to the tensor's curvature scale
     from kahlerpinch.experiments import perturb
 
-    tensor = perturb(make_space(2), 0.05, seed=3)
-    planes, hol = pinch(tensor, seed=1), hol_extremes(tensor, seed=1)
-    scaled_planes, scaled_hol = pinch(tensor.scaled(factor), seed=1), hol_extremes(tensor.scaled(factor), seed=1)
+    tensor, budget = perturb(make_space(2), 0.05, seed=3), DEFAULT_RESTARTS
+    planes, hol = pinch(tensor, budget, seed=1), hol_extremes(tensor, budget, seed=1)
+    scaled = tensor.scaled(factor)
+    scaled_planes, scaled_hol = pinch(scaled, budget, seed=1), hol_extremes(scaled, budget, seed=1)
     for scaled, base in (
         (scaled_planes.k_min, planes.k_min),
         (scaled_planes.k_max, planes.k_max),
@@ -614,11 +620,11 @@ def _product_of_hyperbolic_curves():
 
 def test_sandwich_slack_is_relative_to_the_curvature_scale():
     tensor = _product_of_hyperbolic_curves()
-    base = pinch(tensor, seed=1)
+    base = pinch(tensor, restarts=DEFAULT_RESTARTS, seed=1)
     assert base.envelope_lo == -1.0 and base.k_min == pytest.approx(-1.0, rel=1e-14, abs=0.0)
     assert base.converged and base.restarts == 64
     for k in (-1000, 30, 40, 1000):
-        report = pinch(tensor.scaled(2.0**k), seed=1)
+        report = pinch(tensor.scaled(2.0**k), restarts=DEFAULT_RESTARTS, seed=1)
         assert report.converged and report.restarts == 64, k
         assert (report.k_min, report.k_max) == (2.0**k * base.k_min, 2.0**k * base.k_max)
 
@@ -653,6 +659,349 @@ def test_model_extremes_are_exact_without_extended_precision(monkeypatch):
         assert (planes.k_min, planes.k_max) == ((-1.0, -1.0) if n == 1 else (-1.0, -0.25))
         assert (hol.h_min, hol.h_max) == (-1.0, -1.0)
         assert planes.converged and hol.converged
+
+
+# ---------------------------------------------------------------------------
+# exact extremes at n = 2
+# ---------------------------------------------------------------------------
+
+# w = (e01 + e23)/sqrt(2) and a basis of Lambda^{1,1}_0 in the bivector
+# coordinates b_ij, i < j, ordered 01, 02, 03, 12, 13, 23; written out here
+# independently of pinching._surface_basis
+_SURFACE_BASIS = np.array(
+    [[1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]]
+).T / np.sqrt(2.0)
+
+
+def _surface_tensor(q, r, c):
+    """The n = 2 tensor with pair matrix [[q, r^T], [r, C]] on [w | Lambda^{1,1}_0],
+    zero on [Lambda^{2,0}]; Kahler, as checked, exactly when tr C = q (the first
+    Bianchi identity on R^4 is <R, *> = 0)."""
+    quad = np.block([[np.array([[q]]), np.asarray(r)[None, :]], [np.asarray(r)[:, None], np.asarray(c)]])
+    operator = _SURFACE_BASIS @ quad @ _SURFACE_BASIS.T
+    entries = np.zeros((4,) * 4)
+    pairs = list(zip(*np.triu_indices(4, 1)))
+    for (i, j), row in zip(pairs, operator):
+        for (k, l), value in zip(pairs, row):
+            entries[i, j, k, l] = entries[j, i, l, k] = value
+            entries[j, i, k, l] = entries[i, j, l, k] = -value
+    tensor = CurvatureTensor(make_space(2), entries)
+    assert check_kahler(tensor, 1e-15).passed
+    return tensor
+
+
+def _hard_cases():
+    """(tensor, q, r, eigenvalues of C, C's eigenvectors): R0 plus a Bochner-only
+    direction (r = 0), and a tensor whose r is orthogonal to C's top eigenvector."""
+    frame = np.linalg.qr(seeded_rng(5).standard_normal((3, 3)))[0]
+    c = np.array([-0.62, -0.48, -0.4])  # tr C = q = -3/2, as for R0
+    c_mat = frame @ np.diag(c) @ frame.T
+    return [
+        (_surface_tensor(-1.5, r, c_mat), -1.5, r, c, frame)
+        for r in (np.zeros(3), 0.01 * frame[:, 0])
+    ]
+
+
+def _scalar_flat():
+    """random_kahler(seed 12) less its R0 part: q = 0 up to rounding."""
+    from kahlerpinch.pinching import _model_coordinates
+
+    space = make_space(2)
+    tensor, model = random_kahler(space, seed=12), complex_hyperbolic_tensor(space)
+    orthogonal = CurvatureTensor(space, tensor.entries - _model_coordinates(tensor)[0] * model.entries)
+    assert check_kahler(orthogonal).passed
+    return orthogonal
+
+
+def _degenerate_surfaces():
+    zero = CurvatureTensor(make_space(2), np.zeros((4,) * 4))
+    return [zero, _scalar_flat(), _product_of_hyperbolic_curves()] + [case[0] for case in _hard_cases()]
+
+
+def _surface_oracle_tensors():
+    """104 tensors at n = 2: random, near the model (t from 1e-6) and far from it,
+    the model and the degenerate cases."""
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(2)
+    tensors = [random_kahler(space, seed) for seed in range(100, 150)]
+    tensors += [perturb(space, t, seed) for t in (1e-6, 1e-4, 1e-3, 0.02, 0.1, 0.3) for seed in range(1, 9)]
+    return tensors + [complex_hyperbolic_tensor(space)] + _degenerate_surfaces()
+
+
+def _extremes(planes, hol):
+    return planes.k_min, planes.k_max, hol.h_min, hol.h_max
+
+
+def test_surface_extremes_equal_the_256_restart_optimizer():
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
+
+    tensors = _surface_oracle_tensors()
+    assert len(tensors) >= 100
+    seeds = [3] * len(tensors)
+    exact = zip(_pinch_batch(tensors, None, seeds), _hol_batch(tensors, None, seeds))
+    oracle = zip(_pinch_batch(tensors, 256, seeds), _hol_batch(tensors, 256, seeds))
+    for (planes, hol), (planes_256, hol_256) in zip(exact, oracle):
+        assert planes.converged and hol.converged and planes_256.converged and hol_256.converged
+        assert planes.restarts == hol.restarts == 0
+        assert planes.diagnostics is None and hol.diagnostics is None
+        scale = max(abs(planes_256.k_min), abs(planes_256.k_max))
+        for got, want in zip(_extremes(planes, hol), _extremes(planes_256, hol_256)):
+            assert abs(got - want) <= 1e-13 * scale
+
+
+def test_surface_extremes_of_the_zero_tensor_are_zero():
+    zero = _degenerate_surfaces()[0]
+    planes, hol = pinch(zero, seed=1), hol_extremes(zero, seed=1)
+    assert _extremes(planes, hol) == (0.0, 0.0, 0.0, 0.0)
+    assert planes.converged and hol.converged
+    assert np.linalg.norm(hol.argmin_u) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_tensor_orthogonal_to_the_model_is_exact_at_n2():
+    # twin of test_tensor_orthogonal_to_the_model_stops_by_the_gradient_test: the
+    # scalar-flat case q = 0, where K is linear in s, so K's extremes are H's
+    tensor = _scalar_flat()
+    planes, hol = pinch(tensor, seed=1), hol_extremes(tensor, seed=1)
+    planes_256, hol_256 = pinch(tensor, 256, seed=1), hol_extremes(tensor, 256, seed=1)
+    scale = max(abs(planes.k_min), abs(planes.k_max))
+    assert planes.k_min == pytest.approx(hol.h_min, rel=0.0, abs=1e-15 * scale)
+    assert planes.k_max == pytest.approx(hol.h_max, rel=0.0, abs=1e-15 * scale)
+    for got, want in zip(_extremes(planes, hol), _extremes(planes_256, hol_256)):
+        assert abs(got - want) <= 1e-13 * scale
+    assert planes.converged and hol.converged and planes.restarts == hol.restarts == 0
+
+
+def test_surface_extremes_in_the_hard_case():
+    # r orthogonal to an edge eigenvector of C: the trust-region solution is
+    # completed along that eigenvector, and the interior maximum of K sits at
+    # s = 0 with K = c_top / 2
+    (bochner, q, _, c, _), (tilted, _, r, _, frame) = _hard_cases()
+    planes, hol = pinch(bochner, seed=1), hol_extremes(bochner, seed=1)
+    assert (planes.k_min, planes.k_max) == pytest.approx(((q + c[0]) / 2, c[2] / 2), rel=0.0, abs=1e-15)
+    assert (hol.h_min, hol.h_max) == pytest.approx(((q + c[0]) / 2, (q + c[2]) / 2), rel=0.0, abs=1e-15)
+    planes, hol = pinch(tilted, seed=1), hol_extremes(tilted, seed=1)
+    along = float(r @ frame[:, 0])
+    assert planes.k_max == pytest.approx(c[2] / 2, rel=0.0, abs=1e-15)
+    assert hol.h_max == pytest.approx((q + c[2] + along**2 / (c[2] - c[0])) / 2, rel=0.0, abs=1e-15)
+    for tensor in (bochner, tilted):
+        planes, hol = pinch(tensor, seed=1), hol_extremes(tensor, seed=1)
+        planes_256, hol_256 = pinch(tensor, 256, seed=1), hol_extremes(tensor, 256, seed=1)
+        for got, want in zip(_extremes(planes, hol), _extremes(planes_256, hol_256)):
+            assert abs(got - want) <= 1e-13
+        assert planes.converged and hol.converged
+
+
+def test_sandwich_slack_is_relative_to_the_curvature_scale_at_n2():
+    # twin of test_sandwich_slack_is_relative_to_the_curvature_scale on the
+    # exact path: K = -1 on the planes span(e0, e1) and span(e2, e3), where the
+    # envelope is tight
+    tensor = _product_of_hyperbolic_curves()
+    base = pinch(tensor, seed=1)
+    assert base.envelope_lo == -1.0 and base.k_min == pytest.approx(-1.0, rel=1e-15, abs=0.0)
+    assert base.k_max == pytest.approx(0.0, rel=0.0, abs=1e-16)
+    assert base.converged and base.restarts == 0
+    for k in (-1000, 30, 40, 1000):
+        report = pinch(tensor.scaled(2.0**k), seed=1)
+        assert report.converged and report.restarts == 0, k
+        assert (report.k_min, report.k_max) == (2.0**k * base.k_min, 2.0**k * base.k_max)
+
+
+def test_space_forms_up_to_rounding_are_exact_at_n2():
+    # twin of test_space_forms_up_to_rounding_keep_the_plain_step: the closed
+    # form of s0 R0, with witnesses that reach it
+    from kahlerpinch.pinching import _model_coordinates
+
+    for tensor, seed in _near_space_forms(2):
+        s0, _ = _model_coordinates(tensor)
+        planes, hol = pinch(tensor, seed=seed), hol_extremes(tensor, seed=seed)
+        assert _extremes(planes, hol) == (-s0, -s0 / 4, -s0, -s0)
+        assert sectional(tensor, planes.argmin_plane) == pytest.approx(-s0, rel=1e-15)
+        assert sectional(tensor, planes.argmax_plane) == pytest.approx(-s0 / 4, rel=1e-15)
+        assert planes.converged and hol.converged and planes.restarts == hol.restarts == 0
+
+
+def test_near_model_planes_are_exact_at_n2():
+    # twin of test_near_model_planes_converge_in_few_iterations
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(2), 6e-7, seed=5)
+    report, oracle = pinch(tensor, seed=1), pinch(tensor, 256, seed=1)
+    assert report.converged and report.restarts == 0 and report.diagnostics is None
+    assert report.k_min == pytest.approx(oracle.k_min, rel=1e-15)
+    assert report.k_max == pytest.approx(oracle.k_max, rel=1e-15)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1e-3, 1e3, 1e6, 1e8, 1e10])
+def test_extremes_scale_with_the_tensor_at_n2(factor):
+    # twin of test_extremes_scale_with_the_tensor on the exact path
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(2), 0.05, seed=3)
+    scaled = tensor.scaled(factor)
+    base = _extremes(pinch(tensor, seed=1), hol_extremes(tensor, seed=1))
+    planes, hol = pinch(scaled, seed=1), hol_extremes(scaled, seed=1)
+    assert _extremes(planes, hol) == pytest.approx([factor * b for b in base], rel=1e-14, abs=0.0)
+    assert planes.converged and hol.converged
+
+
+def test_surface_witnesses_reevaluate_to_their_values():
+    for tensor in _surface_oracle_tensors():
+        planes, hol = pinch(tensor, seed=1), hol_extremes(tensor, seed=1)
+        scale = max(abs(planes.k_min), abs(planes.k_max))
+        for value, plane in ((planes.k_min, planes.argmin_plane), (planes.k_max, planes.argmax_plane)):
+            assert abs(sectional(tensor, plane) - value) <= 1e-14 * scale
+        for value, u in ((hol.h_min, hol.argmin_u), (hol.h_max, hol.argmax_u)):
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
+            assert abs(holomorphic_sectional(tensor, u) - value) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_surface_extremes_scale_by_powers_of_two_bit_for_bit(k):
+    tensors = _mixed_batch(2)[0] + _degenerate_surfaces()
+    for tensor in tensors:
+        for extremes, fields in (
+            (pinch, ("k_min", "k_max", "argmin_plane", "argmax_plane")),
+            (hol_extremes, ("h_min", "h_max", "argmin_u", "argmax_u")),
+        ):
+            base, scaled = extremes(tensor, seed=1), extremes(tensor.scaled(2.0**k), seed=1)
+            values, witnesses = fields[:2], fields[2:]
+            assert [getattr(scaled, f) for f in values] == [2.0**k * getattr(base, f) for f in values]
+            assert [_bits(getattr(scaled, f)) for f in witnesses] == [_bits(getattr(base, f)) for f in witnesses]
+            assert scaled.converged == base.converged
+
+
+def test_surface_extremes_are_invariant_under_unitary_change_of_frame(unitary_pullback):
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(2)
+    tensors = [perturb(space, 0.05, seed=3), random_kahler(space, seed=5)] + _degenerate_surfaces()[1:]
+    for tensor in tensors:
+        base = _extremes(pinch(tensor, seed=1), hol_extremes(tensor, seed=1))
+        scale = max(abs(base[0]), abs(base[1]))
+        for frame_seed in (1, 2, 3):
+            pulled, _ = unitary_pullback(tensor, frame_seed)
+            moved = _extremes(pinch(pulled, seed=1), hol_extremes(pulled, seed=1))
+            assert max(abs(m - b) for m, b in zip(moved, base)) <= 1e-13 * scale
+
+
+def test_surface_extremes_raise_no_floating_point_warning():
+    import warnings
+
+    with np.errstate(under="ignore"):  # entries of 2^-1000 R0 underflow
+        tensors = [
+            tensor.scaled(2.0**k)
+            for tensor in _degenerate_surfaces() + [complex_hyperbolic_tensor(make_space(2))]
+            for k in (-1000, 0, 1000)
+        ]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for tensor in tensors:
+            pinch(tensor, seed=1)
+            hol_extremes(tensor, seed=1)
+
+
+def test_surface_batches_equal_one_tensor_calls_bit_for_bit(monkeypatch):
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
+
+    tensors, seeds = _mixed_batch(2)
+    tensors, seeds = tensors + _degenerate_surfaces(), seeds + [1] * 5
+    single = [
+        [_bits(pinch(t, seed=s)) for t, s in zip(tensors, seeds)],
+        [_bits(hol_extremes(t, seed=s)) for t, s in zip(tensors, seeds)],
+    ]
+    calls = _record_blocks(monkeypatch)
+    batched = [
+        [_bits(r) for r in _pinch_batch(tensors, None, seeds)],
+        [_bits(r) for r in _hol_batch(tensors, None, seeds)],
+    ]
+    assert batched == single
+    assert calls == []  # no optimizer batch ran
+
+
+def test_explicit_restarts_still_run_the_optimizer_at_n2():
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(2), 0.05, seed=3)
+    for report in (pinch(tensor, restarts=8, seed=1), hol_extremes(tensor, restarts=8, seed=1)):
+        assert report.restarts == 8
+        diagnostics = report.diagnostics
+        assert diagnostics.gradient_tol + diagnostics.step_underflow + diagnostics.stagnation == 16
+    # n = 1 and n >= 3 keep the default multistart
+    for n in (1, 3):
+        report = pinch(perturb(make_space(n), 0.05, seed=3), seed=1)
+        assert report.restarts == DEFAULT_RESTARTS and report.diagnostics is not None
+
+
+def test_surface_basis_splits_the_bivectors_of_a_kahler_surface():
+    from kahlerpinch.pinching import _surface_basis
+
+    pairs, basis, e20 = _surface_basis()
+    i, j = np.triu_indices(4, 1)
+    assert pairs.tolist() == (i * 4 + j).tolist()
+    full = np.column_stack([basis, e20])
+    assert np.allclose(full.T @ full, np.eye(5), rtol=0.0, atol=1e-15)
+    jmat = make_space(2).j_matrix
+
+    def matrix(b):
+        out = np.zeros((4, 4))
+        out[i, j], out[j, i] = b, -b
+        return out
+
+    def pfaffian(b):  # b ^ b = 2 Pf(b) e0123: positive on self-dual bivectors
+        return b[0] * b[5] - b[1] * b[4] + b[2] * b[3]
+
+    for k, b in enumerate(full.T):
+        action = jmat @ matrix(b) @ jmat.T
+        assert np.allclose(action, matrix(b) if k < 4 else -matrix(b), rtol=0.0, atol=1e-15)
+        assert pfaffian(b) == pytest.approx(0.5 if k in (0, 4) else -0.5, abs=1e-15)
+    # u ^ Ju has a positive w-component: s = 1 are the J-lines (u, Ju)
+    for u in seeded_rng(3).standard_normal((5, 4)):
+        u /= np.linalg.norm(u)
+        ju = jmat @ u
+        assert (np.outer(u, ju) - np.outer(ju, u))[i, j] @ basis[:, 0] > 0.0
+
+
+def _secular_cases():
+    """(c ascending, g) rows: random, C nearly scalar with a small r (as near
+    the model), and r orthogonal to the top eigenvector or zero."""
+    rng = seeded_rng(21)
+    c = np.sort(rng.standard_normal((40, 3)), axis=1)
+    g = rng.standard_normal((40, 3)) * np.logspace(-8, 0, 40)[:, None]
+    near = -0.5 + np.sort(rng.standard_normal((10, 3)), axis=1) * 1e-9
+    hard = np.array([[1e-3, 2e-3, 0.0], [0.0, 0.0, 0.0], [0.3, 0.0, 0.0]])
+    return (
+        np.vstack([c, near, c[:3]]),
+        np.vstack([g, rng.standard_normal((10, 3)) * 1e-9, hard]),
+    )
+
+
+def test_secular_top_solves_the_trust_region_problem():
+    # the optimality conditions of max <Cy, y> + 2 <g, y> on |y| = 1:
+    # (kappa - C) y = g with kappa >= c_top, which make y a global maximum
+    from kahlerpinch.pinching import _secular_top
+
+    c, g = _secular_cases()
+    y = _secular_top(c, g, 2, np.ones(len(c)))
+    assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    kappa = np.sum(c * y * y + g * y, axis=1)
+    scale = np.abs(c).max(axis=1) + np.abs(g).max(axis=1)
+    assert np.all(kappa >= c[:, -1] - 1e-15 * scale)
+    assert np.all(np.abs((kappa[:, None] - c) * y - g).max(axis=1) <= 1e-14 * scale)
+
+
+def test_secular_top_finds_the_top_eigenvector_of_the_rank_one_update():
+    from kahlerpinch.pinching import _secular_top
+
+    c, g = _secular_cases()
+    q = np.linspace(0.1, 3.0, len(c))
+    y = _secular_top(c, g, 1, 1.0 / q)
+    for row, (cr, gr, qr) in enumerate(zip(c, g, q)):
+        update = np.diag(cr) + np.outer(gr, gr) / qr
+        top = np.linalg.eigvalsh(update)[-1]
+        assert y[row] @ update @ y[row] == pytest.approx(top, rel=0.0, abs=1e-15 * (abs(top) + 1.0))
+        residual = update @ y[row] - top * y[row]
+        assert np.abs(residual).max() <= 1e-7 * (abs(top) + 1.0)
 
 
 # ---------------------------------------------------------------------------
