@@ -272,13 +272,18 @@ def space_form_ratio(index_i: ChernIndex, index_j: ChernIndex) -> float:
     return ratio
 
 
-@lru_cache(maxsize=None)
 def reference_constants(n: int) -> dict[ChernIndex, float]:
     """Densities gamma_I of the complex hyperbolic model tensor, all indices.
 
     Cross-checked internally: every pairwise ratio must match the space-form
-    binomial formula.
+    binomial formula. The table is computed once per n; each call returns a
+    fresh copy of it, so a caller that changes its dict changes no later one.
     """
+    return dict(_reference_table(n))
+
+
+@lru_cache(maxsize=None)
+def _reference_table(n: int) -> dict[ChernIndex, float]:
     table = chern_densities(complex_hyperbolic_tensor(make_space(n)))
     for a in table:
         for b in table:

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -114,6 +114,22 @@ class CurvatureTensor:
         self.matrix = entries.reshape(d * d, d * d)
         self.certificate: SymmetryCertificate | None = None
 
+    @classmethod
+    def _shared(
+        cls, space: HermitianSpace, entries: np.ndarray, certificate: SymmetryCertificate
+    ) -> "CurvatureTensor":
+        """A tensor over read-only entries that __init__ has already checked, not copied.
+
+        The certificate is frozen and check_kahler sets it per tensor, so
+        tensors that share entries stay independent.
+        """
+        d = space.dim
+        tensor = cls.__new__(cls)
+        tensor.space, tensor.entries = space, entries
+        tensor.matrix = entries.reshape(d * d, d * d)
+        tensor.certificate = certificate
+        return tensor
+
     def evaluate(self, x, y, z, w) -> float | np.ndarray:
         """R(x, y, z, w) = (x (x) y) . M . (z (x) w); leading axes are batch axes.
 
@@ -177,12 +193,10 @@ class TwoPlane:
 # ---------------------------------------------------------------------------
 
 
-def complex_hyperbolic_tensor(space: HermitianSpace) -> CurvatureTensor:
-    """Curvature tensor of complex hyperbolic space, holomorphic curvature -1.
-
-    -4 R(u,v,z,w) = <u,z><v,w> - <u,w><v,z> + <u,Jz><v,Jw> - <u,Jw><v,Jz>
-                    + 2 <u,Jv><z,Jw>
-    """
+@lru_cache(maxsize=None)
+def _model_table(n: int) -> tuple[np.ndarray, SymmetryCertificate]:
+    """R0's read-only entries at complex dimension n and their certificate at 1e-12."""
+    space = make_space(n)
     g = space.metric
     jm = space.j_matrix
     entries = -0.25 * (
@@ -193,8 +207,29 @@ def complex_hyperbolic_tensor(space: HermitianSpace) -> CurvatureTensor:
         + 2.0 * np.einsum("ij,kl->ijkl", jm, jm)
     )
     tensor = CurvatureTensor(space, entries)
-    check_kahler(tensor, 1e-12)
-    return tensor
+    return tensor.entries, check_kahler(tensor, 1e-12)
+
+
+def complex_hyperbolic_tensor(space: HermitianSpace) -> CurvatureTensor:
+    """Curvature tensor of complex hyperbolic space, holomorphic curvature -1.
+
+    -4 R(u,v,z,w) = <u,z><v,w> - <u,w><v,z> + <u,Jz><v,Jw> - <u,Jw><v,Jz>
+                    + 2 <u,Jv><z,Jw>
+
+    Built and certified once per n: each call returns a new tensor over the
+    same read-only entries, with the certificate at tolerance 1e-12.
+    """
+    entries, certificate = _model_table(space.n)
+    return CurvatureTensor._shared(space, entries, certificate)
+
+
+@lru_cache(maxsize=None)
+def _j_kron(n: int) -> np.ndarray:
+    """J (x) J at complex dimension n, read-only."""
+    jm = make_space(n).j_matrix
+    jj = np.kron(jm, jm)
+    jj.flags.writeable = False
+    return jj
 
 
 def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
@@ -205,15 +240,15 @@ def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
     permutation, so these products are exact.
     """
     e, m = tensor.entries, tensor.matrix
-    jj = np.kron(tensor.space.j_matrix, tensor.space.j_matrix)
+    jj = _j_kron(tensor.space.n)
     # entries near the double range overflow a sum to inf: a residual above every tolerance
     with np.errstate(over="ignore"):
-        r1a = np.max(np.abs(e + e.transpose(1, 0, 2, 3)))
-        r1b = np.max(np.abs(e + e.transpose(0, 1, 3, 2)))
-        r2 = np.max(np.abs(m - m.T))
-        r3 = np.max(np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)))
-        r4a = np.max(np.abs(jj.T @ m - m))
-        r4b = np.max(np.abs(m @ jj - m))
+        r1a = np.abs(e + e.transpose(1, 0, 2, 3)).max()
+        r1b = np.abs(e + e.transpose(0, 1, 3, 2)).max()
+        r2 = np.abs(m - m.T).max()
+        r3 = np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)).max()
+        r4a = np.abs(jj.T @ m - m).max()
+        r4b = np.abs(m @ jj - m).max()
     return {
         "antisymmetry": float(max(r1a, r1b)),
         "pair_exchange": float(r2),

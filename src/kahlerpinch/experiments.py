@@ -12,17 +12,18 @@ conservative absolute-coefficient bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from functools import lru_cache
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .chern import chern_densities, density_ratio, reference_constants
+from .chern import ChernIndex, chern_densities, density_ratio, reference_constants
 from .curvature import (
     CurvatureTensor,
+    check_kahler,
     complex_hyperbolic_tensor,
     distance,
     polarization_residuals,
-    project_kahler,
     random_kahler,
     reconstruct_from_sectional,
     solve_sectional_from_H,
@@ -105,29 +106,43 @@ def _sample_seed(seed: int, t_index: int, sample: int) -> int:
 
 
 def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
-    """Model tensor plus a size-t random unit-norm Kahler direction, re-projected."""
+    """Model tensor R0 plus t times a seeded random unit-norm Kahler direction S.
+
+    R0 and S (`random_kahler`) are Kahler, so R0 + tS is built directly and
+    certified with one `check_kahler` at the default tolerance, not projected
+    again. t = 0 gives R0 itself. PreconditionError when t overflows: t is
+    rejected when 4 max|R0 + tS| is not finite, so that every sum of up to
+    four entries, the symmetry residuals of its certificate among them,
+    stays finite.
+    """
     if not 0 <= t < inf:
         raise PreconditionError(f"perturbation size must be finite and >= 0, got {t}")
     model = complex_hyperbolic_tensor(space)
     if t == 0:
         return model
     direction = random_kahler(space, seed, 1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return project_kahler(model.entries + t * direction.entries, space)
-        except ValueError as exc:  # the entries overflowed
-            raise PreconditionError(f"perturbation size {t:g} overflows the tensor entries") from exc
+    with np.errstate(over="ignore"):
+        entries = model.entries + t * direction.entries
+    if not isfinite(4.0 * float(np.max(np.abs(entries)))):
+        raise PreconditionError(f"perturbation size {t:g} overflows the tensor entries")
+    tensor = CurvatureTensor(space, entries)
+    check_kahler(tensor)
+    return tensor
+
+
+@lru_cache(maxsize=None)
+def _model_ratios(n: int) -> tuple[tuple[str, ChernIndex, ChernIndex, float], ...]:
+    """(label "I:J", I, J, the model's gamma_I / gamma_J) for every ordered pair of distinct indices."""
+    model = reference_constants(n)
+    return tuple((f"{a}:{b}", a, b, density_ratio(model, a, b)) for a in model for b in model if a != b)
 
 
 def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
     """|gamma_I / gamma_J - model value| for every ordered pair of distinct indices."""
-    model = reference_constants(tensor.space.n)
     densities = chern_densities(tensor)
     return {
-        f"{a}:{b}": abs(density_ratio(densities, a, b) - density_ratio(model, a, b))
-        for a in model
-        for b in model
-        if a != b
+        label: abs(density_ratio(densities, a, b) - model)
+        for label, a, b, model in _model_ratios(tensor.space.n)
     }
 
 
@@ -323,8 +338,8 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     perturb(space, delta/8, seed_s), R0 + tS at t = delta/8, pinched once.
 
     The samples are delta-pinched by proof when delta < 3/4. S is a unit-norm
-    Kahler direction (random_kahler(., ., 1.0); perturb re-projects R0 + tS,
-    which is already Kahler), so for orthonormal u, v Cauchy-Schwarz gives
+    Kahler direction (random_kahler(., ., 1.0); perturb certifies R0 + tS
+    without projecting it again), so for orthonormal u, v Cauchy-Schwarz gives
     |K_S(u, v)| = |<S, u (x) v (x) u (x) v>| <= |S|_F = 1. R0's sectional
     curvatures fill [-1, -1/4], so R0 + tS has true extremes k_min >= -1 - t
     and k_max <= -1/4 + t. `pinch` reports K at real planes, or R0's closed

@@ -213,11 +213,18 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     the pair matrix restricted to the index pairs (i, j) with i < j.
     """
     require_certified(tensor)
-    d = tensor.space.dim
+    eigvals = np.linalg.eigvalsh(tensor.matrix[_bivector_block(tensor.space.dim)])
+    return float(eigvals[0]), float(eigvals[-1])
+
+
+@lru_cache(maxsize=None)
+def _bivector_block(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.ix_ of the flat pair indices i * d + j (i < j), read-only: it selects the
+    bivector operator from a (d^2, d^2) pair matrix."""
     i, j = np.triu_indices(d, 1)
     pairs = i * d + j
-    eigvals = np.linalg.eigvalsh(tensor.matrix[np.ix_(pairs, pairs)])
-    return float(eigvals[0]), float(eigvals[-1])
+    pairs.flags.writeable = False
+    return np.ix_(pairs, pairs)
 
 
 # ---------------------------------------------------------------------------

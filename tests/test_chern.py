@@ -288,6 +288,19 @@ def test_indices_of_another_dimension_raise_degree_error():
             density_ratio(reference_constants(2), index_i, index_j)
 
 
+def test_reference_constants_returns_a_fresh_table_each_call():
+    first = reference_constants(2)
+    expected = dict(first)
+    key = next(iter(first))
+    first[key] = 0.0
+    del first[next(reversed(first))]
+    assert reference_constants(2) == expected
+    assert reference_constants(2) is not reference_constants(2)
+    assert reference_constants(2)[key] != 0.0
+    a, b = expected
+    assert density_ratio(reference_constants(2), a, b) == pytest.approx(space_form_ratio(a, b), rel=1e-12)
+
+
 def test_reference_constants_cross_check():
     for n in (1, 2, 3, 4, 5, 6):
         table = reference_constants(n)

@@ -30,6 +30,7 @@ from kahlerpinch import (
     tensor_to_text,
     write_tensor,
 )
+from kahlerpinch import curvature
 from kahlerpinch.curvature import _direct_triple, _holomorphic_sides, _polarization_system
 from kahlerpinch.errors import (
     DegeneratePlaneError,
@@ -72,6 +73,32 @@ def test_model_tensor_mixed_component(r0_n2, space2):
 def test_model_tensor_certificate_exact(r0_n2):
     res = symmetry_residuals(r0_n2)
     assert all(v == 0.0 for v in res.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_model_tensor_results_share_read_only_entries(n):
+    space = make_space(n)
+    first, second = complex_hyperbolic_tensor(space), complex_hyperbolic_tensor(make_space(n))
+    assert first is not second
+    assert np.array_equal(first.entries, second.entries)
+    assert first.space == second.space == space
+    for array in (first.entries, first.matrix, second.matrix, curvature._j_kron(n)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 1.0
+    assert np.array_equal(first.entries, complex_hyperbolic_tensor(space).entries)
+    assert np.array_equal(curvature._j_kron(n), np.kron(space.j_matrix, space.j_matrix))
+
+
+def test_check_kahler_on_one_model_tensor_leaves_the_next_one_alone(space2):
+    first = complex_hyperbolic_tensor(space2)
+    assert check_kahler(first, 1.0).tolerance == 1.0
+    assert first.certificate.tolerance == 1.0
+    second = complex_hyperbolic_tensor(space2)
+    assert second.certificate.passed
+    assert second.certificate.tolerance == 1e-12
+    first.certificate = None
+    assert complex_hyperbolic_tensor(space2).certificate.tolerance == 1e-12
 
 
 # ---------------------------------------------------------------------------

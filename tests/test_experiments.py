@@ -1,12 +1,15 @@
 import dataclasses
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
 import kahlerpinch.experiments
 
-from kahlerpinch import distance
+from kahlerpinch import DEFAULT_SYMMETRY_TOL, distance, make_space, project_kahler, random_kahler
+from kahlerpinch.curvature import require_certified
 from kahlerpinch.errors import PreconditionError
 from kahlerpinch.experiments import (
     CertificationReport,
@@ -20,6 +23,8 @@ from kahlerpinch.experiments import (
     proof_constants,
     sweep,
 )
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +64,34 @@ def test_perturb_rejects_negative(space2):
 def test_perturb_rejects_overflowing_size(space1):
     with pytest.raises(PreconditionError, match="overflows"):
         perturb(space1, 1e308, seed=0)
+
+
+def test_perturb_overflow_rule_boundary(space1):
+    # rejected when 4 max|R0 + tS| is not finite; at n = 1, S = +-R0/2 has max|S| = 1/2
+    direction = random_kahler(space1, 0, 1.0)
+    edge = sys.float_info.max / 2.0
+    assert np.max(np.abs(direction.entries)) == 0.5
+    inside = perturb(space1, edge * (1 - 1e-9), seed=0)
+    assert math.isfinite(4.0 * float(np.max(np.abs(inside.entries))))
+    certificate = require_certified(inside).certificate
+    assert certificate.passed and math.isfinite(certificate.max_residual)
+    with pytest.raises(PreconditionError, match="overflows"):
+        perturb(space1, edge * (1 + 1e-9), seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perturb_is_certified_and_its_own_projection(n):
+    # R0 + tS is Kahler as built: one check at the default tolerance, and the
+    # projection it no longer gets would move it by rounding only
+    space = make_space(n)
+    for t in (0.0125, 0.1, 0.3):
+        for seed in range(3):
+            tensor = perturb(space, t, seed)
+            assert tensor.certificate is not None and tensor.certificate.passed
+            assert tensor.certificate.tolerance == DEFAULT_SYMMETRY_TOL
+            projected = project_kahler(tensor)
+            scale = np.max(np.abs(tensor.entries))
+            assert np.max(np.abs(projected.entries - tensor.entries)) <= 8 * EPS * scale
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])

@@ -49,6 +49,9 @@ def test_ci_workflow_runs_the_tier1_suite():
     assert 'python -m pip install -e ".[test]" "numpy==2.4.*"' in runs
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)
     assert re.search(r"OPENBLAS_CORETYPE: Haswell", workflow)
+    # a hung step (say, the benchmark gate) must not hold the job for GitHub's 6-hour default
+    timeouts = re.findall(r"^    timeout-minutes: (\d+)\s*$", workflow, flags=re.MULTILINE)
+    assert len(timeouts) == 1 and 0 < int(timeouts[0]) <= 60
 
 
 def test_readme_quickstart_prints_what_its_comments_say():
