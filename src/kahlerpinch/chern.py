@@ -20,14 +20,14 @@ omega = -i sum_c theta^c ^ conj theta^c, whose top coefficient is n! (-i)^n;
 only ratios of densities are consumed downstream, so the normalization
 convention cancels.
 
-`curvature_matrix` and `chern_forms` lay their forms out as complex
-coefficients on the balanced masks (`_Balanced`). `chern_densities` builds
-the matrices once per tensor, at unit scale 2^-e R, evaluates every product
-c_1^{a_1} ^ ... ^ c_n^{a_n} and scales the densities back by 2^(n e); both
-steps are exact. `chern_ratio` reads the unit-scale table, so 2^k R has the
-ratios of R bit for bit even where its own densities leave the double range.
-`reference_constants` is read off the table, and `density_ratio` divides two
-entries of one.
+One pass computes the forms at unit scale 2^-e R (`curvature._unit_exponent`)
+and checks them: `chern_forms` scales c_k back by 2^(k e), and
+`chern_densities` evaluates every product c_1^{a_1} ^ ... ^ c_n^{a_n} and
+scales the densities back by 2^(n e). Each scaling is exact while its
+results stay normal doubles. `chern_ratio` reads the unit-scale table, so
+2^k R has the ratios of R bit for bit even where its own forms and densities
+leave the double range. `reference_constants` is read off the table, and
+`density_ratio` divides two entries of one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, isfinite
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .forms import _shuffle, _subsets, _wedge
+from .forms import _shuffle, _wedge
 from .space import make_space
 
 __all__ = [
@@ -127,96 +126,71 @@ def _index_factors(n: int) -> tuple[tuple[ChernIndex, tuple[int, ...]], ...]:
     )
 
 
-class _Balanced(NamedTuple):
-    """The mask layout of `curvature_matrix` and `chern_forms` at n. Bits 2c and
-    2c + 1 of a mask are theta^c and conj theta^c, and a balanced mask sets as
-    many theta as conj theta. Entry [I, J] of a (p, p) matrix (`forms`) goes to
-    the mask with bits 2 i_r and 2 j_r + 1, times the sign of sorting the bit
-    sequence (2 i_1, 2 j_1 + 1, 2 i_2, ...) into increasing order.
-    """
-
-    masks: np.ndarray  # ascending, so mask 0 comes first and the top mask last
-    place: tuple  # per p, a C(n, p) x C(n, p) array of positions in masks
-    sign: tuple  # per p, the matching signs
-
-
-def _entry(i: tuple[int, ...], j: tuple[int, ...]) -> tuple[int, float]:
-    """Mask and sign of the basis form prod_r theta^{i_r} ^ conj theta^{j_r}."""
-    bits = [bit for i_r, j_r in zip(i, j) for bit in (2 * i_r, 2 * j_r + 1)]
-    inversions = sum(x > y for r, x in enumerate(bits) for y in bits[r + 1 :])
-    return sum(1 << bit for bit in bits), (-1.0) ** inversions
-
-
-@lru_cache(maxsize=None)
-def _balanced(n: int) -> _Balanced:
-    # blocks[p][I, J] = (mask, sign); masks below 2^(2n) are exact as floats
-    blocks = [np.array([[_entry(i, j) for j in subsets] for i in subsets]) for subsets in _subsets(n)]
-    masks = np.sort(np.concatenate([block[..., 0].ravel() for block in blocks])).astype(int)
-    place = tuple(np.searchsorted(masks, block[..., 0]) for block in blocks)
-    return _Balanced(masks, place, tuple(block[..., 1] for block in blocks))
-
-
 def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
     """Omega_ab = R(., ., eps_a, conj eps_b) = sum_{c,d} S_{cdab} theta^c ^ conj theta^d.
 
-    Shape (n, n, C(2n, n)): complex coefficients on the balanced masks, ascending,
-    with bit 2c = theta^c and bit 2c + 1 = conj theta^c. Read off S, the forms
-    are the (1,1) part of R(., ., eps_a, conj eps_b): all of it when R is Kahler.
+    Shape (n, n, n, n): Omega[a, b] is the (1,1) matrix (`forms`) S[:, :, a, b].
+    Read off S, the forms are the (1,1) part of R(., ., eps_a, conj eps_b): all
+    of it when R is Kahler.
     """
     require_certified(tensor)
-    n = tensor.space.n
-    algebra = _balanced(n)
-    out = np.zeros((n, n, algebra.masks.size), dtype=complex)
-    out[:, :, algebra.place[1]] = algebra.sign[1] * _kahler_coordinates(tensor.entries).transpose(2, 3, 0, 1)
-    return out
+    return _kahler_coordinates(tensor.entries).transpose(2, 3, 0, 1)
 
 
-def chern_forms(tensor: CurvatureTensor) -> np.ndarray:
-    """Chern forms c_0, ..., c_n, shape (n + 1, C(2n, n)), on the masks of `curvature_matrix`.
+def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
+    """Chern forms c_0, ..., c_n: c_k is a (C(n, k), C(n, k)) complex matrix (`forms`).
 
-    Each is checked to be a real form, conj c_k = c_k, up to a small threshold.
-    ResourceLimitError when a form leaves the double range: the degree-k
-    products scale as |R|^k.
+    Computed and checked to be real forms at unit scale (`_unit_forms`), then
+    scaled back by 2^(k e). ResourceLimitError when a form leaves the double
+    range: c_k scales as |R|^k.
     """
-    require_certified(tensor)
-    n = tensor.space.n
-    algebra = _balanced(n)
-    out = np.zeros((n + 1, algebra.masks.size), dtype=complex)
-    for k, sigma in enumerate(_chern_matrices(tensor.entries)):
-        out[k, algebra.place[k]] = algebra.sign[k] * sigma
-    return out
-
-
-def _chern_matrices(entries: np.ndarray) -> list[np.ndarray]:
-    """c_0, ..., c_n of a certified tensor's entries as (k, k) matrices (`forms`), checked as
-    `chern_forms` says."""
-    n = entries.shape[0] // 2
-    # Omega_ab is the (1,1) matrix S[:, :, a, b]
-    normalized = _kahler_coordinates(entries).transpose(2, 3, 0, 1) * (1j / (2.0 * np.pi))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        # traces of the wedge powers, (M Omega)_ac = sum_b M_ab ^ Omega_bc
-        traces = [np.trace(normalized)]
-        current = normalized
-        for p in range(1, n):
-            current = _wedge(_shuffle(n, p, 1), current, normalized, "abij,bckl->acikjl")
-            traces.append(np.trace(current))
-        # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-        sigmas = [np.ones((1, 1), dtype=complex)]
-        for k in range(1, n + 1):
-            terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
-            sigmas.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
-    if not all(np.all(np.isfinite(sigma)) for sigma in sigmas):
+    exponent, sigmas = _unit_forms(tensor)
+    with np.errstate(over="ignore"):  # checked below
+        # ldexp on the float view scales real and imaginary parts exactly
+        forms = [np.ldexp(sigma.view(float), k * exponent).view(complex) for k, sigma in enumerate(sigmas)]
+    if not all(np.all(np.isfinite(form)) for form in forms):
         raise ResourceLimitError("a Chern form is not finite: the tensor exceeds double precision")
+    return forms
+
+
+def _unit_forms(tensor: CurvatureTensor) -> tuple[int, list[np.ndarray]]:
+    """e = curvature._unit_exponent(R) and c_0, ..., c_n of 2^-e R as (k, k) matrices.
+
+    That scaling is exact and keeps every symmetry, so R's certificate holds
+    for 2^-e R, and 2^k R has the unit forms of R bit for bit. Its entries are
+    below 1, so no product overflows, and each form is checked to be real,
+    conj c_k = c_k, up to REALITY_TOL relative to max(1, |c_k|): the verdict
+    does not depend on the scale of R.
+    """
+    require_certified(tensor)
+    n = tensor.space.n
+    exponent = _unit_exponent(tensor.entries)
+    # Omega_ab is the (1,1) matrix S[:, :, a, b]
+    omega = _kahler_coordinates(np.ldexp(tensor.entries, -exponent)).transpose(2, 3, 0, 1)
+    normalized = omega * (1j / (2.0 * np.pi))
+    # traces of the wedge powers, (M Omega)_ac = sum_b M_ab ^ Omega_bc
+    traces = [np.trace(normalized)]
+    current = normalized
+    for p in range(1, n):
+        current = _wedge(_shuffle(n, p, 1), current, normalized, "abij,bckl->acikjl")
+        traces.append(np.trace(current))
+    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
+    sigmas = [np.ones((1, 1), dtype=complex)]
+    for k in range(1, n + 1):
+        terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
+        sigmas.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
     # a real (k, k) form F has conj F = (-1)^k F^H
     for k, sigma in enumerate(sigmas):
         conjugate = (-1) ** k * sigma.conj().T
         residue = np.max(np.abs(sigma - conjugate)) / 2.0
         if residue > REALITY_TOL * max(1.0, np.max(np.abs(sigma + conjugate)) / 2.0):
+            with np.errstate(over="ignore"):  # reported at the scale of R, inf past the double range
+                residue = np.ldexp(residue, k * exponent)
             raise PreconditionError(
                 f"Chern form c_{k} has imaginary residue {residue:.3e}; "
                 "input tensor is not Kahler enough"
             )
-    return sigmas
+    return exponent, sigmas
 
 
 def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
@@ -229,19 +203,14 @@ def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
 
 
 def _density_tables(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], dict[ChernIndex, float]]:
-    """chern_densities of R, and its unit-scale table: the densities of 2^-e R
-    for e = curvature._unit_exponent(R).
+    """chern_densities of R, and its unit-scale table: the densities of 2^-e R,
+    from the forms of `_unit_forms`.
 
-    That scaling is exact, so 2^k R has the unit table of R bit for bit while
-    its entries stay normal doubles, with no overflow or underflow in the
-    degree-n products, and the reality check of `chern_forms` gives the same
-    verdict at every such scale. R's densities are the unit ones times
-    2^(n e), which is exact as long as they stay normal doubles.
+    2^k R has the unit table of R bit for bit. R's densities are the unit
+    ones times 2^(n e), which is exact as long as they stay normal doubles.
     """
-    require_certified(tensor)  # scaling keeps every symmetry, so the verdict holds for 2^-e R
     n = tensor.space.n
-    exponent = _unit_exponent(tensor.entries)
-    sigmas = _chern_matrices(np.ldexp(tensor.entries, -exponent))
+    exponent, sigmas = _unit_forms(tensor)
     # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
     top = factorial(n) * (-1j) ** n
     unit_table: dict[ChernIndex, float] = {}

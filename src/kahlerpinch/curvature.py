@@ -144,7 +144,7 @@ class CurvatureTensor:
         return self.evaluate(a, b, a, b)
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries.ravel()))
+        return _frobenius(self.entries)
 
     def scaled(self, factor: float) -> "CurvatureTensor":
         out = CurvatureTensor(self.space, self.entries * float(factor))
@@ -280,7 +280,7 @@ def _unit_exponent(entries: np.ndarray) -> int:
     Scaling by 2^-e (np.ldexp) is exact: work done at unit scale avoids the
     overflow and underflow of the table's own scale and loses nothing.
     """
-    return int(np.frexp(np.max(np.abs(entries)))[1])
+    return math.frexp(float(np.abs(entries).max()))[1]
 
 
 def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
@@ -347,6 +347,9 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
             raise ValueError("space required when projecting a raw array")
         raw = CurvatureTensor(space, tensor).entries  # checks shape and finiteness
     n, d = space.n, space.dim
+    # at unit scale (exact) the sums below, up to 8 entries, stay finite
+    exponent = _unit_exponent(raw)
+    raw = np.ldexp(raw, -exponent)
     # the signed blocks of raw sum to block 0 of its pair-antisymmetric part times 4
     raw = raw - raw.transpose(1, 0, 2, 3)
     s = _kahler_coordinates(raw - raw.transpose(0, 1, 3, 2))
@@ -357,7 +360,7 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
     )
     pairs = (blocks.reshape(n**4, 4) @ _BLOCK_BASIS.conj().T).real
     entries = pairs.reshape((n,) * 4 + (2,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((d,) * 4)
-    out = CurvatureTensor(space, entries)
+    out = CurvatureTensor(space, np.ldexp(entries, exponent))
     check_kahler(out)
     return out
 
@@ -552,7 +555,23 @@ def distance(first: CurvatureTensor, second: CurvatureTensor) -> float:
     """Frobenius distance of entry tables (the induced norm in the orthonormal basis)."""
     if first.space != second.space:
         raise SpaceMismatchError("tensors live over different spaces")
-    return float(np.linalg.norm((first.entries - second.entries).ravel()))
+    exponent = max(_unit_exponent(first.entries), _unit_exponent(second.entries))
+    return _frobenius(np.ldexp(first.entries, -exponent) - np.ldexp(second.entries, -exponent), exponent)
+
+
+def _frobenius(entries: np.ndarray, shift: int = 0) -> float:
+    """2^shift times the Frobenius norm of a table, summed at unit scale (`_unit_exponent`).
+
+    The largest square is below 1, so none overflows, and the scalings are
+    exact: the result equals the plain norm wherever that neither overflows
+    nor underflows, and is inf only when the norm exceeds the double range.
+    """
+    exponent = _unit_exponent(entries)
+    norm = float(np.linalg.norm(np.ldexp(entries, -exponent).ravel()))
+    try:
+        return math.ldexp(norm, exponent + shift)
+    except OverflowError:  # past the double range
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

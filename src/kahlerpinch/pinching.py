@@ -46,7 +46,7 @@ horizontal space; M^{-1} has a closed form row by row (_plane_direction),
 and since M p_prev = g_prev the BB secant s^T M s costs no second solve.
 Three kinds of rows keep the plain step: the J-line rows of H, where M
 reduces to mu I; the rows of a space form up to rounding
-(mu <= SPACE_FORM_ROUNDING eps |s0|), where M is singular or amplifies the
+(mu <= d^2 eps |s0|, d = 2n), where M is singular or amplifies the
 gradient's rounding error past the step; and the rows of a tensor far from
 the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing.
 
@@ -114,14 +114,12 @@ BATCH_ROWS = 512
 # [0, 3 |s0|] (see _plane_direction), so cond(M) <= 1 + 3 |s0| / mu <= 2 and
 # M^{-1} is within a factor 2 of the scalar 1/mu, which the BB step absorbs;
 # the solve would only add its cost. Near a space form, at
-# mu <= SPACE_FORM_ROUNDING * eps * |s0|, M^{-1} amplifies rounding: the pair
+# mu <= d^2 eps |s0| with d = 2n, M^{-1} amplifies rounding: the pair
 # objective's GEMM sums d^2 products per entry, so the gradient carries a
 # rounding error of up to about d^2 eps |s0|. Along the model's flat
 # directions the true gradient is of order mu, and M^{-1} divides both by mu:
-# at mu <= d^2 eps |s0| the step there is rounding noise. The constant is
-# d^2 at the CLI's cap n = cli.DIMENSION_CAP = 4 (a test checks it). Such a
-# tensor also reports the closed-form extremes of s0 R0 (see _multistart).
-SPACE_FORM_ROUNDING = 64
+# at mu <= d^2 eps |s0| the step there is rounding noise. Such a tensor also
+# reports the closed-form extremes of s0 R0 (see _multistart).
 # why a restart stopped, in the order _optimize tests them; rows still live
 # after MAX_ITER iterations exit by the cap
 EXIT_REASONS = ("gradient_tol", "step_underflow", "stagnation", "iteration_cap")
@@ -721,7 +719,7 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
     scales = np.hypot(s0, mu)
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
-    space_forms = mu <= SPACE_FORM_ROUNDING * EPS * abs_s0  # up to rounding
+    space_forms = mu <= tensors[0].space.dim**2 * EPS * abs_s0  # up to rounding
     plain = space_forms | (3.0 * abs_s0 <= mu) | (not planes)
 
     def block_report(k, count, vals, x, diagnostics, stable):

@@ -1,19 +1,21 @@
 """Real-algebra helpers for the tests: the real wedge product and the map to it.
 
-The package computes Chern forms in bidegree (p, p) of the unitary coframe.
-`to_real(n)` maps those forms to the real basis e^i of R^{2n}, where `wedge`
-multiplies all 4^n coefficients. `real_chern_densities` is the independent
-oracle for the package: the Newton recursion on wedge-traces in the real
-algebra, from the curvature matrix as real 2-forms over e^i ^ e^j.
+The package computes Chern forms in bidegree (p, p) of the unitary coframe, as
+C(n, p) x C(n, p) matrices. `pp_to_real(form, n, p)` maps such a matrix to the
+real basis e^i of R^{2n}, where `wedge` multiplies all 4^n coefficients,
+through the balanced masks of `balanced(n)`. `real_chern_densities` is the
+independent oracle for the package: the Newton recursion on wedge-traces in
+the real algebra, from the curvature matrix as real 2-forms over e^i ^ e^j.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from math import factorial, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from kahlerpinch import enumerate_indices
-from kahlerpinch.chern import _balanced
 from kahlerpinch.errors import DegreeError, SpaceMismatchError
 
 
@@ -62,22 +64,67 @@ def wedge(f, g) -> np.ndarray:
 _PAIR_FORMS = np.array([[1, 0, 0, 0], [0, 1, 1j, 0], [0, 1, -1j, 0], [0, 0, 0, -2j]])
 
 
+class Balanced(NamedTuple):
+    """The balanced masks of the coframe at n, and where each (p, p) matrix entry goes.
+
+    Bits 2c and 2c + 1 of a mask are theta^c and conj theta^c, and a balanced
+    mask sets as many theta as conj theta. A mask's coefficient belongs to the
+    product of its bits' 1-forms in increasing bit order. Entry [I, J] of a
+    (p, p) matrix, I and J p-subsets of range(n) in lexicographic order, is the
+    coefficient of the product of theta^{i_r} ^ conj theta^{j_r} in increasing
+    r: the mask with bits 2 i_r and 2 j_r + 1, times the sign of sorting the
+    bit sequence (2 i_1, 2 j_1 + 1, 2 i_2, ...) into increasing order.
+    """
+
+    masks: np.ndarray  # ascending, so mask 0 comes first and the top mask last
+    place: tuple  # per p, a C(n, p) x C(n, p) array of positions in masks
+    sign: tuple  # per p, the matching signs
+
+
+def _basis_entry(i: tuple, j: tuple) -> tuple[int, float]:
+    """Mask and sign of the basis form prod_r theta^{i_r} ^ conj theta^{j_r}."""
+    bits = [bit for i_r, j_r in zip(i, j) for bit in (2 * i_r, 2 * j_r + 1)]
+    inversions = sum(x > y for r, x in enumerate(bits) for y in bits[r + 1 :])
+    return sum(1 << bit for bit in bits), (-1.0) ** inversions
+
+
+@lru_cache(maxsize=None)
+def balanced(n: int) -> Balanced:
+    blocks = []
+    for p in range(n + 1):
+        subsets = list(combinations(range(n), p))
+        entries = [[_basis_entry(i, j) for j in subsets] for i in subsets]
+        blocks.append(np.array(entries).reshape(len(subsets), len(subsets), 2))
+    # masks below 2^(2n) are exact as floats
+    masks = np.sort(np.concatenate([block[..., 0].ravel() for block in blocks])).astype(int)
+    place = tuple(np.searchsorted(masks, block[..., 0]) for block in blocks)
+    return Balanced(masks, place, tuple(block[..., 1] for block in blocks))
+
+
 @lru_cache(maxsize=None)
 def to_real(n: int) -> np.ndarray:
-    """Every balanced basis form of `kahlerpinch.chern` as a row in the real basis e^i.
+    """Every balanced basis form as a row in the real basis e^i.
 
-    `forms @ to_real(n)` maps (p, p) coefficients to 4^n real-basis ones.
-    Coframe pair c and the real pair (e^{2c}, e^{2c+1}) take the same two
-    bits, and a basis form is the product of its pairs' factors in increasing
-    c, so the map is a Kronecker product of the pairs' maps.
+    `coefficients @ to_real(n)` maps coefficients on the masks of `balanced(n)`
+    to 4^n real-basis ones. Coframe pair c and the real pair (e^{2c}, e^{2c+1})
+    take the same two bits, and a basis form is the product of its pairs'
+    factors in increasing c, so the map is a Kronecker product of the pairs'
+    maps.
     """
-    masks = _balanced(n).masks
+    masks = balanced(n).masks
     rows = np.ones((masks.size, 1), dtype=complex)
     for c in range(n):
         factors = _PAIR_FORMS[(masks >> 2 * c) & 3]
         rows = (factors[:, :, None] * rows[:, None, :]).reshape(masks.size, -1)
     degree = np.array([int(m).bit_count() // 2 for m in masks])
     return rows * 0.5 ** degree[:, None]
+
+
+def pp_to_real(form, n: int, p: int) -> np.ndarray:
+    """A (p, p) matrix, or a batch of them on leading axes, as forms in the real basis e^i."""
+    algebra = balanced(n)
+    rows = algebra.sign[p][..., None] * to_real(n)[algebra.place[p]]
+    return np.einsum("...ij,ijm->...m", form, rows)
 
 
 def power(f, m: int) -> np.ndarray:

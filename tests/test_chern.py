@@ -24,7 +24,7 @@ from kahlerpinch import (
     space_form_ratio,
 )
 from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError, ResourceLimitError
-from real_forms import kahler_form, power, real_chern_densities, to_real, two_form, wedge
+from real_forms import balanced, kahler_form, power, pp_to_real, real_chern_densities, two_form, wedge
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +89,15 @@ def _max_abs(form):
     return float(np.max(np.abs(form)))
 
 
-def _real(forms, n):
-    # (p, p) coefficients as real-basis forms over e^i
-    return forms @ to_real(n)
+def _real_omega(omega, n):
+    # the (1,1) matrices Omega_ab as real-basis 2-forms over e^i, shape (n, n, 4^n)
+    return pp_to_real(omega, n, 1)
+
+
+def _real(forms):
+    # c_0, ..., c_n, the (k, k) matrices of chern_forms, as real-basis forms, shape (n + 1, 4^n)
+    n = len(forms) - 1
+    return np.array([pp_to_real(form, n, k) for k, form in enumerate(forms)])
 
 
 def _skew_hermitian_residual(matrix):
@@ -101,10 +107,10 @@ def _skew_hermitian_residual(matrix):
 
 def test_curvature_matrix_skew_hermitian(r0_n2, space2):
     omega = curvature_matrix(r0_n2)
-    assert omega.shape == (2, 2, comb(space2.dim, space2.n))
-    assert _skew_hermitian_residual(_real(omega, 2)) < 1e-12
+    assert omega.shape == (2, 2, 2, 2)
+    assert _skew_hermitian_residual(_real_omega(omega, 2)) < 1e-12
     tensor = random_kahler(space2, seed=101)
-    assert _skew_hermitian_residual(_real(curvature_matrix(tensor), 2)) < 1e-12
+    assert _skew_hermitian_residual(_real_omega(curvature_matrix(tensor), 2)) < 1e-12
 
 
 def _three_blocks(tensor, f):
@@ -123,15 +129,15 @@ def test_curvature_matrix_matches_einsum_contraction(unitary_pullback):
         tensor = random_kahler(space, seed=40 + n)
         canonical = np.eye(space.dim)[0::2]  # f_a = e_{2a}
         expected = two_form(_three_blocks(tensor, canonical))
-        assert np.max(np.abs(_real(curvature_matrix(tensor), n) - expected)) <= 1e-15
+        assert np.max(np.abs(_real_omega(curvature_matrix(tensor), n) - expected)) <= 1e-15
         # the pullback's standard frame is the frame {f_a} of random_unitary_frame(space, 7)
         pulled, g = unitary_pullback(tensor, 7)
         expected = two_form(g.T @ _three_blocks(tensor, g.T[0::2]) @ g)
-        assert np.max(np.abs(_real(curvature_matrix(pulled), n) - expected)) <= 1e-15
+        assert np.max(np.abs(_real_omega(curvature_matrix(pulled), n) - expected)) <= 1e-15
 
 
 def test_curvature_matrix_n1_proportional_to_kahler_form(r0_n1, space1):
-    omega = _real(curvature_matrix(r0_n1), 1)
+    omega = _real_omega(curvature_matrix(r0_n1), 1)
     entry = omega[0, 0]
     # Lambda^2 of a 2-dim space is 1-dim: both parts are multiples of omega
     kf = kahler_form(space1)
@@ -154,13 +160,13 @@ def test_curvature_matrix_zero_tensor(space2):
 
 
 def test_c0_is_one(r0_n2):
-    c0 = _real(chern_forms(r0_n2), 2).real[0]
+    c0 = _real(chern_forms(r0_n2)).real[0]
     assert c0[0] == 1.0 and np.all(c0[1:] == 0.0)
 
 
 def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
     # U(n)-invariance: c_k(R0) = gamma_k * omega^k, checked entrywise
-    forms = _real(chern_forms(r0_n3), 3).real
+    forms = _real(chern_forms(r0_n3)).real
     omega = kahler_form(space3)
     for k in (1, 2, 3):
         omega_k = power(omega, k)
@@ -172,9 +178,9 @@ def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
 
 def test_chern_form_homogeneity(space2):
     tensor = random_kahler(space2, seed=103)
-    base = _real(chern_forms(tensor), 2).real
+    base = _real(chern_forms(tensor)).real
     for lam in (0.5, 2.0):
-        scaled = _real(chern_forms(tensor.scaled(lam)), 2).real
+        scaled = _real(chern_forms(tensor.scaled(lam))).real
         for k in (1, 2):
             assert _max_abs(scaled[k] - lam**k * base[k]) < 1e-10
 
@@ -208,12 +214,12 @@ def test_frame_independence(unitary_pullback):
     for n in (2, 4):
         space = make_space(n)
         tensor = random_kahler(space, seed=104)
-        assert chern_forms(tensor).shape == (n + 1, comb(space.dim, n))
-        base = _real(chern_forms(tensor), n).real
+        assert [form.shape for form in chern_forms(tensor)] == [(comb(n, k),) * 2 for k in range(n + 1)]
+        base = _real(chern_forms(tensor)).real
         densities = chern_densities(tensor)
         for s in range(20):
             pulled, g = unitary_pullback(tensor, seed=200 + s)
-            forms = _real(chern_forms(pulled), n).real
+            forms = _real(chern_forms(pulled)).real
             c1 = _two_form_matrix(base[1], space.dim)
             assert np.max(np.abs(_two_form_matrix(forms[1], space.dim) - g.T @ c1 @ g)) < 1e-10
             assert _max_abs(forms - base @ _pullback_operator(g)) < 1e-10
@@ -254,7 +260,8 @@ def test_chern_forms_beyond_the_double_range_raise():
             with pytest.raises(ResourceLimitError, match="not finite"):
                 chern_forms(complex_hyperbolic_tensor(make_space(n)).scaled(2.0**k))
         # products that underflow stay finite
-        assert np.all(np.isfinite(chern_forms(complex_hyperbolic_tensor(make_space(2)).scaled(2.0**-540))))
+        forms = chern_forms(complex_hyperbolic_tensor(make_space(2)).scaled(2.0**-540))
+        assert all(np.all(np.isfinite(form)) for form in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +321,10 @@ def test_reference_constants_cross_check():
 
 
 def test_balanced_algebra_sizes():
-    # C(2n, n) balanced masks, one C(n, p) x C(n, p) block of them for each p
-    from kahlerpinch.chern import _balanced
-
+    # the oracle's map of (p, p) matrices to masks: C(2n, n) balanced masks, one
+    # C(n, p) x C(n, p) block of them for each p
     for n in (1, 2, 3, 4, 5):
-        algebra = _balanced(n)
+        algebra = balanced(n)
         assert algebra.masks.size == comb(2 * n, n)
         assert [block.shape for block in algebra.place] == [(comb(n, p),) * 2 for p in range(n + 1)]
         assert [block.shape for block in algebra.sign] == [(comb(n, p),) * 2 for p in range(n + 1)]

@@ -71,12 +71,21 @@ def test_help_and_tolerance_defaults_follow_their_constants(monkeypatch, capsys)
 
 
 def test_space_form_rounding_covers_the_dimension_cap():
-    # pinching.SPACE_FORM_ROUNDING is d^2 = (2n)^2 at the largest n the CLI accepts:
-    # raising the cap without re-deriving it fails here
+    # pinching takes mu <= d^2 eps |s0|, d = 2n, as a space form up to rounding: the rule
+    # holds for the rounding-level tensors of every n the CLI accepts and beyond it, and
+    # such a tensor reports the closed form of s0 R0 exactly
+    from kahlerpinch import complex_hyperbolic_tensor, make_space, perturb, pinch, project_kahler
     from kahlerpinch.cli import DIMENSION_CAP
-    from kahlerpinch.pinching import SPACE_FORM_ROUNDING
+    from kahlerpinch.pinching import EPS, _model_coordinates
 
-    assert SPACE_FORM_ROUNDING >= (2 * DIMENSION_CAP) ** 2
+    for n in range(1, max(6, DIMENSION_CAP) + 1):
+        space = make_space(n)
+        model = complex_hyperbolic_tensor(space)
+        for tensor in (project_kahler(model.entries / 3.0, space), perturb(space, 1e-16, n)):
+            s0, mu = _model_coordinates(tensor)
+            assert mu <= space.dim**2 * EPS * abs(s0) / 2.0, (n, mu / (EPS * abs(s0)))
+            report = pinch(tensor)
+            assert (report.k_min, report.k_max) == (-s0, -s0 if n == 1 else -s0 / 4.0)
 
 
 def test_r0_writes_valid_file(model_file):

@@ -277,6 +277,22 @@ def test_projection_is_idempotent_orthogonal_and_certified(n, seed, scale):
     assert abs(np.vdot(residual, project_kahler(other, space).entries)) <= 1e-10 * scale**2
 
 
+def test_projection_of_a_table_near_the_double_range():
+    # at n = 1, perturb accepts t up to DBL_MAX/2: the projection works at unit
+    # scale, so its sums of up to eight entries cannot overflow
+    import warnings
+
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(1), sys.float_info.max / 2.0 * (1 - 1e-9), seed=0)
+    scale = np.max(np.abs(tensor.entries))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        projected = project_kahler(tensor)
+    assert curvature.require_certified(projected).certificate.passed  # relative to its scale
+    assert np.max(np.abs(projected.entries - tensor.entries)) <= 8 * np.finfo(float).eps * scale
+
+
 def test_symmetry_closure_over_many_seeds():
     # certified output for every seed; split across dimensions
     for n, count in ((1, 334), (2, 333), (3, 333)):
@@ -661,6 +677,27 @@ def test_distance_axioms(space2, r0_n2):
     assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
     with pytest.raises(SpaceMismatchError):
         distance(a, random_kahler(make_space(3), seed=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_and_distance_scale_exactly(n):
+    # summed at unit scale: at 2^+-600 the squares of the entries would overflow
+    # or vanish, and the norms are exactly 2^+-600 times those of R
+    import warnings
+
+    space = make_space(n)
+    model, tensor = complex_hyperbolic_tensor(space), random_kahler(space, seed=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (600, -600):
+            factor = 2.0**k
+            assert model.scaled(factor).frobenius_norm() == factor * model.frobenius_norm()
+            assert tensor.scaled(factor).frobenius_norm() == factor * tensor.frobenius_norm()
+            assert distance(model.scaled(factor), tensor.scaled(factor)) == factor * distance(model, tensor)
+            assert distance(model.scaled(factor), model.scaled(-factor)) == 2 * factor * model.frobenius_norm()
+        # decimal scales that used to overflow or vanish
+        assert model.scaled(1e160).frobenius_norm() == pytest.approx(1e160 * model.frobenius_norm(), rel=1e-15)
+        assert model.scaled(1e-170).frobenius_norm() == pytest.approx(1e-170 * model.frobenius_norm(), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from kahlerpinch import make_space, seeded_rng
-from kahlerpinch.chern import _balanced
 from kahlerpinch.errors import DegreeError, SpaceMismatchError
 from kahlerpinch.forms import _shuffle, _wedge
-from real_forms import basis_form, kahler_form, power, to_real, top_coefficient, wedge
+from real_forms import basis_form, kahler_form, power, pp_to_real, top_coefficient, wedge
 
 
 def _perm_sign(perm):
@@ -216,14 +215,6 @@ def _random_pp(n, p, rng):
     return rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
 
 
-def _real(n, p, form):
-    """A (p, p) matrix as a form in the real basis, through the masks of `chern`."""
-    algebra = _balanced(n)
-    on_masks = np.zeros(algebra.masks.size, dtype=complex)
-    on_masks[algebra.place[p]] = algebra.sign[p] * form
-    return on_masks @ to_real(n)
-
-
 def test_matrix_wedge_matches_the_real_algebra_oracle():
     rng = seeded_rng(24)
     for n in (1, 2, 3, 4):
@@ -234,8 +225,8 @@ def test_matrix_wedge_matches_the_real_algebra_oracle():
                 assert e.shape == (comb(n, p + q), comb(n, p) * comb(n, q))
                 product = _wedge(e, a, b)
                 assert product.shape == (comb(n, p + q),) * 2
-                expected = wedge(_real(n, p, a), _real(n, q, b))
-                got = _real(n, p + q, product)
+                expected = wedge(pp_to_real(a, n, p), pp_to_real(b, n, q))
+                got = pp_to_real(product, n, p + q)
                 assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected))), (n, p, q)
 
 
@@ -264,12 +255,13 @@ def test_matrix_wedge_contracts_a_matrix_product_of_forms():
 
 
 def test_real_algebra_oracle_imports_nothing_from_forms():
-    # the densities oracle must not share product code with the package it checks
+    # the densities oracle must not share product or layout code with the package it checks
     tree = ast.parse((Path(__file__).parent / "real_forms.py").read_text())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            assert not any(alias.name.startswith("kahlerpinch.forms") for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            assert not (node.module or "").startswith("kahlerpinch.forms")
-            if node.module == "kahlerpinch":
-                assert "forms" not in {alias.name for alias in node.names}
+    for module in ("forms", "chern"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith(f"kahlerpinch.{module}") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith(f"kahlerpinch.{module}")
+                if node.module == "kahlerpinch":
+                    assert module not in {alias.name for alias in node.names}

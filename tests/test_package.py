@@ -47,6 +47,8 @@ def test_ci_workflow_runs_the_tier1_suite():
         "PYTHONPATH=src" in run and "python -m pytest -q --continue-on-collection-errors" in run for run in runs
     )
     assert 'python -m pip install -e ".[test]" "numpy==2.4.*"' in runs
+    # the installed console script, which the tests (python -m kahlerpinch) do not reach
+    assert "kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json" in runs
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)
     assert re.search(r"OPENBLAS_CORETYPE: Haswell", workflow)
     # a hung step (say, the benchmark gate) must not hold the job for GitHub's 6-hour default
