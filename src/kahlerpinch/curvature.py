@@ -283,17 +283,22 @@ def _unit_exponent(entries: np.ndarray) -> int:
     return math.frexp(float(np.abs(entries).max()))[1]
 
 
+def _relative_tolerance(entries: np.ndarray) -> float:
+    """DEFAULT_SYMMETRY_TOL times the entry scale max(1, max |R_ijkl|)."""
+    return DEFAULT_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(entries))))
+
+
 def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
     """Certify on demand; raise if the tensor is not Kahler.
 
     The tolerance is DEFAULT_SYMMETRY_TOL times the entry scale
     max(1, max |R_ijkl|): the residuals are linear in R, so f R passes
-    whenever R does, as `scaled` keeps a certificate. `check_kahler` and
-    tensor files keep their absolute tolerance.
+    whenever R does, as `scaled` keeps a certificate. `project_kahler`
+    certifies by the same rule; `check_kahler` and tensor files keep their
+    absolute tolerance.
     """
     if tensor.certificate is None or not tensor.certificate.passed:
-        scale = max(1.0, float(np.max(np.abs(tensor.entries))))
-        cert = check_kahler(tensor, DEFAULT_SYMMETRY_TOL * scale)
+        cert = check_kahler(tensor, _relative_tolerance(tensor.entries))
         if not cert.passed:
             raise PreconditionError(
                 f"tensor is not Kahler at tolerance {cert.tolerance:g} "
@@ -337,7 +342,9 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
     (eps, conj eps) a Kahler tensor vanishes off four (1,1)x(1,1) blocks, which
     hold +-S for one S symmetric in (a, c) and in (b, d). Averaging the signed
     blocks, symmetrizing and re-embedding are orthogonal projections in that
-    basis, so their composite with the unitary basis change is one too.
+    basis, so their composite with the unitary basis change is one too. The
+    result is certified at `require_certified`'s tolerance, relative to its
+    entry scale, so a projection keeps its certificate at any scale.
     """
     if isinstance(tensor, CurvatureTensor):
         space = tensor.space
@@ -346,6 +353,13 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
         if space is None:
             raise ValueError("space required when projecting a raw array")
         raw = CurvatureTensor(space, tensor).entries  # checks shape and finiteness
+    out = _projection(raw, space)
+    check_kahler(out, _relative_tolerance(out.entries))
+    return out
+
+
+def _projection(raw: np.ndarray, space: HermitianSpace) -> CurvatureTensor:
+    """project_kahler of a checked (d, d, d, d) table, uncertified."""
     n, d = space.n, space.dim
     # at unit scale (exact) the sums below, up to 8 entries, stay finite
     exponent = _unit_exponent(raw)
@@ -360,25 +374,31 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
     )
     pairs = (blocks.reshape(n**4, 4) @ _BLOCK_BASIS.conj().T).real
     entries = pairs.reshape((n,) * 4 + (2,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((d,) * 4)
-    out = CurvatureTensor(space, np.ldexp(entries, exponent))
-    check_kahler(out)
-    return out
+    return CurvatureTensor(space, np.ldexp(entries, exponent))
 
 
 def random_kahler(
     space: HermitianSpace, seed: int, frobenius_norm: float = 1.0
 ) -> CurvatureTensor:
     """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate."""
+    projected, factor = _random_projection(space, seed, frobenius_norm)
+    check_kahler(projected, _relative_tolerance(projected.entries))
+    return projected.scaled(factor)
+
+
+def _random_projection(space: HermitianSpace, seed: int, frobenius_norm: float) -> tuple[CurvatureTensor, float]:
+    """random_kahler before its certificate: the uncertified projection of the
+    seeded normal table and the factor that scales it to the prescribed norm.
+    Its entries times the factor are random_kahler's, bit for bit."""
     if not 0 < frobenius_norm < math.inf:
         raise PreconditionError(f"frobenius_norm must be positive and finite, got {frobenius_norm}")
     d = space.dim
-    rng = seeded_rng(seed)
-    raw = rng.standard_normal((d, d, d, d))
-    projected = project_kahler(raw, space)
+    raw = seeded_rng(seed).standard_normal((d, d, d, d))
+    projected = _projection(raw, space)
     norm = projected.frobenius_norm()
     if norm < 1e-12:
         raise DegenerateSampleError(f"seed {seed} projected to zero; retry with another seed")
-    return projected.scaled(frobenius_norm / norm)
+    return projected, frobenius_norm / norm
 
 
 # ---------------------------------------------------------------------------

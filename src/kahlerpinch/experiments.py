@@ -31,11 +31,12 @@ from .curvature import (
     _float17,
     _holomorphic_sides,
     _polarization_system,
+    _random_projection,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
 from .pinching import (
-    _hol_batch,
     _pinch_batch,
+    _pinch_hol_batch,
     berger_bound_check,
     normalize_quarter,
 )
@@ -108,7 +109,8 @@ def _sample_seed(seed: int, t_index: int, sample: int) -> int:
 def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     """Model tensor R0 plus t times a seeded random unit-norm Kahler direction S.
 
-    R0 and S (`random_kahler`) are Kahler, so R0 + tS is built directly and
+    R0 and S (`random_kahler`'s entries; its certificate, which nothing here
+    reads, is not computed) are Kahler, so R0 + tS is built directly and
     certified with one `check_kahler` at the default tolerance, not projected
     again. t = 0 gives R0 itself. PreconditionError when t overflows: t is
     rejected when 4 max|R0 + tS| is not finite, so that every sum of up to
@@ -120,9 +122,10 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     model = complex_hyperbolic_tensor(space)
     if t == 0:
         return model
-    direction = random_kahler(space, seed, 1.0)
+    projected, factor = _random_projection(space, seed, 1.0)
+    direction = projected.entries * float(factor)  # random_kahler's entries, without its certificate
     with np.errstate(over="ignore"):
-        entries = model.entries + t * direction.entries
+        entries = model.entries + t * direction
     if not isfinite(4.0 * float(np.max(np.abs(entries)))):
         raise PreconditionError(f"perturbation size {t:g} overflows the tensor entries")
     tensor = CurvatureTensor(space, entries)
@@ -146,13 +149,11 @@ def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
     }
 
 
-def _pinched_chunks(space: HermitianSpace, grid: list[tuple[float, int]], restarts: int | None):
-    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed
-    tensors and their pinch reports, the chunk's pinches sharing optimizer batches."""
+def _perturbed_chunks(space: HermitianSpace, grid: list[tuple[float, int]]):
+    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed tensors and their seeds."""
     for start in range(0, len(grid), SAMPLES_PER_CHUNK):
         chunk = grid[start : start + SAMPLES_PER_CHUNK]
-        tensors = [perturb(space, t, sample_seed) for t, sample_seed in chunk]
-        yield chunk, tensors, _pinch_batch(tensors, restarts, [sample_seed for _, sample_seed in chunk])
+        yield chunk, [perturb(space, t, sample_seed) for t, sample_seed in chunk], [seed for _, seed in chunk]
 
 
 def sweep(
@@ -164,9 +165,11 @@ def sweep(
 ) -> list[SweepRecord]:
     """Run the perturbation experiment; flags (and keeps) non-converged records.
 
-    Records are computed SAMPLES_PER_CHUNK at a time, their optimizer runs
-    sharing batches. Raises if more than MAX_EXCLUDED_FRACTION of records
-    failed to converge.
+    Records are computed SAMPLES_PER_CHUNK at a time, the pinch and
+    hol_extremes runs of a chunk sharing optimizer batches. H is linear in R,
+    so the holomorphic extremes of the normalized tensor are its scale times
+    those of the perturbed one, where they are found. Raises if more than
+    MAX_EXCLUDED_FRACTION of records failed to converge.
     """
     if samples_per_t < 1:
         raise PreconditionError("samples_per_t must be >= 1")
@@ -182,10 +185,10 @@ def sweep(
         for sample in range(samples_per_t)
     ]
     records = []
-    for chunk, tensors, reports in _pinched_chunks(space, grid, restarts):
-        normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
-        hols = _hol_batch([q.tensor for q in normalizations], restarts, [sample_seed for _, sample_seed in chunk])
-        for (t, sample_seed), report, normalization, hol in zip(chunk, reports, normalizations, hols):
+    for chunk, tensors, seeds in _perturbed_chunks(space, grid):
+        reports, hols = _pinch_hol_batch(tensors, restarts, seeds)
+        for (t, sample_seed), tensor, report, hol in zip(chunk, tensors, reports, hols):
+            normalization = normalize_quarter(tensor, report)
             normalized = normalization.tensor
             ratio_devs = _ratio_deviations(normalized)
             records.append(
@@ -195,7 +198,7 @@ def sweep(
                     seed=sample_seed,
                     delta=normalization.delta,
                     frobenius_dist=distance(normalized, model),
-                    h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
+                    h_dev=max(abs(normalization.scale * h + 1.0) for h in (hol.h_min, hol.h_max)),
                     ratio_devs=ratio_devs,
                     ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
                     converged=report.converged and hol.converged,
@@ -360,8 +363,8 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     grid = [(chain.delta / 8.0, _sample_seed(seed, 0, sample)) for sample in range(samples)]
-    chunks = _pinched_chunks(make_space(chain.n), grid, None)
-    pinched = (pair for _, tensors, reports in chunks for pair in zip(tensors, reports))
+    chunks = _perturbed_chunks(make_space(chain.n), grid)
+    pinched = (pair for _, tensors, seeds in chunks for pair in zip(tensors, _pinch_batch(tensors, None, seeds)))
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     for sample, (tensor, report) in enumerate(pinched):
         normalization = normalize_quarter(tensor, report)

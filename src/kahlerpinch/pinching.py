@@ -18,11 +18,12 @@ last-bit rounding: BLAS switches GEMM kernels with the batch size. With
 numpy 2.4's bundled OpenBLAS 0.3.31 (Haswell kernels), a block's _pair_state
 values first differ from their 2-row values at 1024 rows at n = 3 and at
 128 rows at n = 5, and not up to 4096 rows at n = 1, 2, 4, 6. The
-restarts of several tensors can share one batch, up to BATCH_ROWS rows, so
-that their iteration tails overlap; each tensor's rows form one block with
-its own GEMM, so the
-rounding stays per tensor block and every tensor's report is bit-identical
-to a one-tensor run. The multistart's extremes are the best values the
+restarts of several tensors can share one batch, up to BATCH_ROWS plane
+rows, so that their iteration tails overlap, and one batch can run both
+problems: its tensors' plane blocks, then the same tensors' J-line blocks
+(sweep runs them so). Each block of one tensor and problem has its own
+GEMM, so the rounding stays per block and every report is bit-identical to
+a one-tensor, one-problem run. The multistart's extremes are the best values the
 restarts reach, not proven optima; the n = 2 closed form's are the extremes
 up to rounding. A rigorous eigenvalue envelope from the curvature operator
 on bivectors sandwiches both.
@@ -100,14 +101,16 @@ STABILITY_TOL = 1e-8
 # can saturate the value long before the gradient threshold is reachable, and
 # accepted uphill steps can cycle without ever improving on the best)
 STAGNATION_LIMIT = 50
-# rows of one optimizer batch: the restarts of consecutive tensors share a
-# batch while their rows fit (4 tensors at the default 64 restarts; a tensor
-# rerun at 256 restarts fills a batch alone), so their iteration tails overlap.
-# The bound is set by rounding, not memory: _plane_direction multiplies the
-# whole batch at once, and a row's direction equals its 2-row value only up to
-# a row count where BLAS switches kernels (with OpenBLAS 0.3.31 on x86-64 it
-# moved at 8192 rows for n = 4..6, never at 4096 or fewer for n = 1..6), so
-# a capped batch keeps every report bit-identical to its one-tensor run
+# plane rows of one optimizer batch: the restarts of consecutive tensors share
+# a batch while their plane rows fit (4 tensors at the default 64 restarts; a
+# tensor rerun at 256 restarts fills a batch alone), so their iteration tails
+# overlap, and the same tensors' J-line rows ride along. The bound is set by
+# rounding, not memory: _plane_direction multiplies the batch's plane rows at
+# once, and a row's direction equals its 2-row value only up to a row count
+# where BLAS switches kernels (with OpenBLAS 0.3.31 on x86-64 it moved at 8192
+# rows for n = 4..6, never at 4096 or fewer for n = 1..6), so a capped batch
+# keeps every report bit-identical to its one-tensor run. J-line rows take the
+# plain step and never enter that product
 BATCH_ROWS = 512
 # plane rows of a block keep the plain step at either end of mu / |s0|. Far
 # from the model, at 3 |s0| <= mu: |Hess K of s0 R0| has its spectrum in
@@ -230,16 +233,21 @@ def _bivector_block(d: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _row_norms(u: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row as a (rows, 1) column: np.linalg.norm's arithmetic, fewer calls."""
+    return np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
+
+
 def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on each row [u | v]: u normalized, v made orthonormal to it."""
     d = x.shape[1] // 2
     u, v = x[:, :d], x[:, d:]
-    nu = np.linalg.norm(u, axis=1, keepdims=True)
+    nu = _row_norms(u)
     nu[nu < 1e-300] = 1.0
     u = u / nu
-    v = v - np.sum(u * v, axis=1, keepdims=True) * u
-    nv = np.linalg.norm(v, axis=1)
-    bad = nv < 1e-10
+    v = v - np.add.reduce(u * v, axis=1, keepdims=True) * u
+    nv = _row_norms(v)
+    bad = nv[:, 0] < 1e-10
     if np.any(bad):
         # deterministic fallback: least-aligned basis vector, re-projected
         for row in np.nonzero(bad)[0]:
@@ -248,8 +256,23 @@ def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
             w[m] = 1.0
             w -= np.dot(w, u[row]) * u[row]
             v[row] = w
-        nv = np.linalg.norm(v, axis=1)
-    return np.hstack([u, v / nv[:, None]])
+        nv = _row_norms(v)
+    return np.concatenate([u, v / nv], axis=1)
+
+
+def _j_lines(u: np.ndarray, jmat: np.ndarray) -> np.ndarray:
+    """The rows [u | Ju]."""
+    return np.concatenate([u, u @ jmat.T], axis=1)
+
+
+def _retract_j_lines(x: np.ndarray, jmat: np.ndarray) -> np.ndarray:
+    """A stepped row [a | b] retracted to the J-line row of u = (a + J^T b) normalized.
+
+    J is a signed permutation, so both products with it are exact at any row count.
+    """
+    d = len(jmat)
+    u = x[:, :d] + x[:, d:] @ jmat
+    return _j_lines(u / _row_norms(u), jmat)
 
 
 def _pair_state(mats, sizes, x: np.ndarray):
@@ -282,7 +305,7 @@ def _pair_gradient(x: np.ndarray, vals: np.ndarray, bflat: np.ndarray) -> np.nda
     b = bflat.reshape(-1, d, d)
     bv = np.matmul(b, x[:, d:, None])[:, :, 0]
     btu = np.matmul(x[:, None, :d], b)[:, 0, :]
-    return 2.0 * (np.hstack([bv, btu]) - vals[:, None] * x)
+    return 2.0 * (np.concatenate([bv, btu], axis=1) - vals[:, None] * x)
 
 
 def _pair_objective(mats, sizes, x: np.ndarray):
@@ -419,7 +442,7 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
-def _optimize(x, signs, owners, objective, retract, models=None):
+def _optimize(x, signs, owners, objective, retract, models=None, planes=0):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
@@ -430,102 +453,151 @@ def _optimize(x, signs, owners, objective, retract, models=None):
     gradients, sizes[k] being the number of rows of block k in x. The
     thresholds are fixed: the objective is at unit curvature scale (see
     _multistart), and models = (|s0|, mu, plain) holds the blocks' model
-    coordinates at that scale and whether they keep the plain step. Rows of a
-    plain block, and all rows when models is None, step along g; the others
-    along p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y
-    and s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one
-    solve per iteration and no product with M. Each row evolves independently
-    (up to the rounding of the objective's per-block GEMM, see the module
-    docstring). A row leaves the batch for
-    good at the first EXIT_REASONS test it fails, so an iteration steps,
-    retracts and evaluates only the rows still live; compaction keeps the
-    row order, and with it the blocks. A row's gradient is evaluated once
-    per accepted point: a rejected step leaves the row where it was. The
-    rows of x serve as work space; reasons index EXIT_REASONS.
+    coordinates at that scale and whether they keep the plain step.
+
+    The rows of the first `planes` blocks are planes: they retract by
+    _orthonormalize_pairs and, unless their block is plain, step along
+    p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
+    s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
+    per iteration and no product with M. Every other row retracts by retract
+    and steps along g; with models None, every row steps along g. Each row
+    evolves independently (up to the rounding of the objective's per-block
+    GEMM, see the module docstring). A row leaves the batch for good at the
+    first EXIT_REASONS test it fails, so an iteration steps, retracts and
+    evaluates only the rows still live; compaction keeps the row order, and
+    with it the blocks. A row's gradient is evaluated once per accepted
+    point: a rejected step leaves the row where it was. The live rows' state
+    is one packed array, so a compaction is one take; reasons index
+    EXIT_REASONS.
     """
-    rows = len(x)
+    rows, w = x.shape
     blocks = int(owners[-1]) + 1
     out_vals, out_x = np.empty(rows), np.empty_like(x)
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
-    live = np.arange(rows)
-    sizes = np.bincount(owners, minlength=blocks).tolist()
-    # the rows' |s0| and mu columns, and the rows that keep the plain step,
-    # whose placeholder mu = 1 only avoids 1/0
     if models is None:
         models = np.ones(blocks), np.ones(blocks), np.ones(blocks, dtype=bool)
-    abs_s0, mu = (np.asarray(a, dtype=float)[owners, None] for a in models[:2])
-    plain = np.asarray(models[2])[owners]
-    mu[plain] = 1.0
-    vals, g = objective(x, sizes)
-    best_vals, best_x = vals.copy(), x.copy()
-    step = np.full(rows, 0.05)
-    have_prev = np.zeros(rows, dtype=bool)
-    prev_x, prev_g = x.copy(), np.zeros_like(x)
-    stagnant = np.zeros(rows, dtype=int)
+    plain = np.asarray(models[2], dtype=bool)
+    # a plain block's placeholder mu = 1 only avoids 1/0
+    per_block = np.stack([models[0], np.where(plain, 1.0, models[1]), plain], axis=1)[owners]
+    vals, g = objective(x, np.bincount(owners, minlength=blocks).tolist())
+    zeros = np.zeros((rows, 1))
+    # the packed state, one row per live row: three groups that the accept and
+    # record updates copy whole, [prev_x | spare | prev_g], [x | value | g] and
+    # [best_x | best value], then step, have_prev, stagnant, sign, |s0|, mu,
+    # plain, owner, row and |g|^2, one column each
+    state = np.concatenate(
+        [
+            x, zeros, np.zeros_like(x), x, vals[:, None], g, x, vals[:, None],
+            np.full((rows, 1), 0.05), zeros, zeros, signs[:, None], per_block,
+            owners[:, None], np.arange(rows)[:, None], zeros,
+        ],
+        axis=1,
+    )
+    prev, cur, best = slice(0, 2 * w + 1), slice(2 * w + 1, 4 * w + 2), slice(4 * w + 2, 5 * w + 3)
+
+    def fields(state):
+        # views: prev_x, prev_g, x, value, g, best_x, best value, then the columns
+        return (
+            state[:, :w], state[:, w + 1 : 2 * w + 1],
+            state[:, cur.start : cur.start + w], state[:, cur.start + w], state[:, cur.start + w + 1 : cur.stop],
+            state[:, best.start : best.start + w], state[:, best.start + w],
+            *state[:, best.stop :].T,
+        )
+
+    def unpack(state):
+        # the views, and what derives from the live rows: the block sizes, the
+        # plane rows (heads) and which of them keep the plain step
+        (prev_x, prev_g, x, vals, g, _, best_vals, step, have_prev, stagnant, signs, abs_s0, mu, plain, owners, _,
+         gsq) = fields(state)
+        sizes = np.bincount(owners.astype(np.intp), minlength=blocks).tolist()
+        heads = sum(sizes[:planes])
+        head_plain = plain[:heads] > 0.0
+        return (
+            state[:, prev], state[:, cur], state[:, best], prev_x, prev_g, x, vals, g, best_vals,
+            step, have_prev, stagnant, signs, abs_s0[:heads, None], mu[:heads, None], gsq,
+            sizes, heads, head_plain, not head_plain.all(), head_plain.any(),
+        )
+
+    (
+        prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
+        step, have_prev, stagnant, signs, abs_s0, mu, gsq,
+        sizes, heads, head_plain, precondition, mixed,
+    ) = unpack(state)
     for it in range(MAX_ITER + 1):
-        gsq = np.einsum("mi,mi->m", g, g)
+        np.einsum("mi,mi->m", g, g, out=gsq)
         # one row per entry of EXIT_REASONS
         passed = np.array(
             [
                 gsq > GRAD_TOL * GRAD_TOL,
                 step >= 1e-14,
                 stagnant <= STAGNATION_LIMIT,
-                np.full(len(live), it < MAX_ITER),
+                np.full(len(gsq), it < MAX_ITER),
             ]
         )
         go = passed.all(axis=0)
         if not go.all():
             done = ~go
-            gone = live[done]
+            _, _, left_x, left_vals, _, left_best_x, left_best, _, _, _, left_signs, *_, left_rows, _ = fields(
+                state[done]
+            )
+            gone = left_rows.astype(np.intp)
             reasons[gone] = np.argmin(passed[:, done], axis=0)
             iterations[gone] = it
             # prefer each row's final (converged) iterate; fall back to the best
             # point visited only when it is genuinely better, not better by float noise
-            better = signs[done] * (best_vals[done] - vals[done]) > 1e-9
-            out_vals[gone] = np.where(better, best_vals[done], vals[done])
-            out_x[gone] = np.where(better[:, None], best_x[done], x[done])
+            better = left_signs * (left_best - left_vals) > 1e-9
+            out_vals[gone] = np.where(better, left_best, left_vals)
+            out_x[gone] = np.where(better[:, None], left_best_x, left_x)
             if not go.any():
                 break
-            live, signs, owners, x, g, gsq, vals, best_vals, best_x = (
-                a[go] for a in (live, signs, owners, x, g, gsq, vals, best_vals, best_x)
-            )
-            step, have_prev, prev_x, prev_g, stagnant, abs_s0, mu, plain = (
-                a[go] for a in (step, have_prev, prev_x, prev_g, stagnant, abs_s0, mu, plain)
-            )
-            sizes = np.bincount(owners, minlength=blocks).tolist()
+            state = state[go]
+            (
+                prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
+                step, have_prev, stagnant, signs, abs_s0, mu, gsq,
+                sizes, heads, head_plain, precondition, mixed,
+            ) = unpack(state)
         s = x - prev_x
-        if plain.all():
-            p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
-        else:
-            p = _plane_direction(x, g, abs_s0, mu)
+        if precondition:
+            p = _plane_direction(x[:heads], g[:heads], abs_s0, mu)
             psq = np.einsum("mi,mi->m", p, p)
-            sms = signs * step * np.einsum("mi,mi->m", s, prev_g)
-            if plain.any():
-                p = np.where(plain[:, None], g, p)
-                psq = np.where(plain, gsq, psq)
-                sms = np.where(plain, np.einsum("mi,mi->m", s, s), sms)
+            sms = signs[:heads] * step[:heads] * np.einsum("mi,mi->m", s[:heads], prev_g[:heads])
+            if mixed:
+                p = np.where(head_plain[:, None], g[:heads], p)
+                psq = np.where(head_plain, gsq[:heads], psq)
+                sms = np.where(head_plain, np.einsum("mi,mi->m", s[:heads], s[:heads]), sms)
+            if heads < len(x):
+                p = np.concatenate([p, g[heads:]])
+                psq = np.concatenate([psq, gsq[heads:]])
+                sms = np.concatenate([sms, np.einsum("mi,mi->m", s[heads:], s[heads:])])
+        else:
+            p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
         sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
-        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
+        bb_ok = (have_prev > 0.0) & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
         # invalid curvature along the last step means a saddle escape: grow instead
-        fallback = np.where(have_prev, step * 2.0, step)
-        step = np.where(bb_ok, np.maximum(sms / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
+        fallback = np.where(have_prev > 0.0, step * 2.0, step)
+        steps = np.where(bb_ok, np.maximum(sms / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
         # cap the displacement, not the step: flat valleys need huge steps
-        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(psq, 1e-300)))
-        xc = retract(x + (signs * step)[:, None] * p)
-        cand_vals, cand_g = objective(xc, sizes)
+        np.minimum(steps, 2.0 / np.sqrt(np.maximum(psq, 1e-300)), out=step)
+        moved = x + (signs * step)[:, None] * p
+        # the candidates' [x | value | g]
+        cand = np.empty((len(x), 2 * w + 1))
+        if heads:
+            cand[:heads, :w] = _orthonormalize_pairs(moved[:heads])
+        if heads < len(x):
+            cand[heads:, :w] = retract(moved[heads:])
+        cand[:, w], cand[:, w + 1 :] = objective(cand[:, :w], sizes)
+        cand_vals = cand[:, w]
         gain = signs * (cand_vals - vals)
         accept = gain > -0.1 * (1.0 + np.abs(vals))
-        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
-        stagnant = np.where(improved, 0, stagnant + 1)
+        rise = signs * (cand_vals - best_vals)
+        record = accept & (rise > 0)
+        improved = accept & (rise > 1e-14 * (1.0 + np.abs(best_vals)))
+        stagnant[:] = np.where(improved, 0.0, stagnant + 1.0)
         step[~accept] *= 0.5
-        have_prev = accept
-        prev_x[accept], prev_g[accept] = x[accept], g[accept]
-        x[accept] = xc[accept]
-        vals[accept] = cand_vals[accept]
-        g[accept] = cand_g[accept]
-        record = accept & (signs * (cand_vals - best_vals) > 0)
-        best_vals[record] = cand_vals[record]
-        best_x[record] = xc[record]
+        have_prev[:] = accept
+        np.copyto(prev_rows, cur_rows, where=accept[:, None])
+        np.copyto(cur_rows, cand, where=accept[:, None])
+        np.copyto(best_rows, cand[:, : w + 1], where=record[:, None])
     return out_vals, out_x, iterations, reasons
 
 
@@ -683,29 +755,32 @@ def _surface_rows(mats, planes: bool) -> np.ndarray:
     return rows.reshape(2, len(mats), per_side, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
 
 
-def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
-    """report(tensor, restarts, lo, hi, x_min, x_max, diagnostics, stable) of each tensor's multistart.
+def _multistart(tensors, restarts, seeds, kinds):
+    """Each tensor's reports of every kind in kinds, one list per kind.
 
-    Certifies the tensors, then descends and ascends the pair objective from
-    every start row of each: start_rows(seed, restarts) gives a tensor's start
-    rows, retract(x) maps rows onto the constraint set. Consecutive tensors
-    share one _optimize batch while their rows fit in BATCH_ROWS (a batch
-    holds at least one tensor); a tensor's block holds its start rows twice,
-    descending then ascending. _optimize and _stable see each tensor divided
-    by its curvature scale hypot(s0, mu) (1 for the zero tensor); the best
-    values are multiplied back, or a space form up to rounding takes s0 times
-    R0's extremes. Plane rows (planes true) are preconditioned unless their
-    tensor is a space form up to rounding or has 3 |s0| <= mu. report gets the
-    restart count, the minimum and maximum, their rows (ties go to the lowest
-    restart), the diagnostics and whether both extremes are stable.
+    kinds is (True,) for planes (PinchReport), (False,) for J-lines
+    (HolReport) or (True, False) for both. Certifies the tensors, then
+    descends and ascends the pair objective from every start row of each
+    tensor and kind. A batch's block of one tensor and kind holds its start
+    rows twice, descending then ascending (_start_rows); the plane blocks
+    come first, then the same tensors' J-line blocks.
+    Consecutive tensors share one _optimize batch while their plane rows fit
+    in BATCH_ROWS (a batch holds at least one tensor), and a tensor's J-line
+    rows ride along. _optimize and _stable see each tensor divided by its
+    curvature scale hypot(s0, mu) (1 for the zero tensor); the best values
+    are multiplied back, or a space form up to rounding takes s0 times R0's
+    extremes. Plane rows are preconditioned unless their tensor is a space
+    form up to rounding or has 3 |s0| <= mu. A report gets the restart count,
+    the minimum and maximum, their rows (ties go to the lowest restart), the
+    diagnostics and whether both extremes are stable.
 
     An explicit restart count runs as given. restarts=None runs
-    DEFAULT_RESTARTS and queues each tensor whose report is not converged for
-    one rerun at ESCALATION times that count, after every first run; the
-    rerun's report is final.
+    DEFAULT_RESTARTS and queues each tensor with a report that is not
+    converged for one rerun of those kinds at ESCALATION times that count,
+    after every first run; the rerun's reports are final.
 
     At n = 2, restarts=None runs no optimizer: the extremes are exact
-    (_surface_rows), values at their witness rows, and report gets
+    (_surface_rows), values at their witness rows, and the reports get
     restarts 0, no diagnostics and stable true, so converged rests on the
     envelope sandwich alone.
     """
@@ -713,59 +788,86 @@ def _multistart(tensors, restarts, seeds, start_rows, retract, planes, report):
         require_certified(tensor)
     if restarts is not None and restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines
-    model_extremes = np.array([-1.0, -0.25 if planes and tensors[0].space.n > 1 else -1.0])
+    space = tensors[0].space
+    jmat = space.j_matrix
     s0, mu = np.array([_model_coordinates(tensor) for tensor in tensors]).T
     scales = np.hypot(s0, mu)
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
-    space_forms = mu <= tensors[0].space.dim**2 * EPS * abs_s0  # up to rounding
-    plain = space_forms | (3.0 * abs_s0 <= mu) | (not planes)
+    space_forms = mu <= space.dim**2 * EPS * abs_s0  # up to rounding
+    plain_planes = space_forms | (3.0 * abs_s0 <= mu)
 
-    def block_report(k, count, vals, x, diagnostics, stable):
+    def block_report(planes, k, count, vals, x, diagnostics, stable):
         # vals and x: the tensor's minimum rows, then as many maximum rows
         half = len(vals) // 2
         i_min, i_max = int(np.argmin(vals[:half])), half + int(np.argmax(vals[half:]))
         if space_forms[k]:
+            # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines;
             # + 0.0 turns the zero tensor's -0.0 into 0.0
+            model_extremes = np.array([-1.0, -0.25 if planes and space.n > 1 else -1.0])
             lo, hi = np.sort(s0[k] * model_extremes) + 0.0
         else:
             lo, hi = scales[k] * vals[i_min], scales[k] * vals[i_max]
+        report = _pinch_report if planes else _hol_report
         return report(tensors[k], count, float(lo), float(hi), x[i_min].copy(), x[i_max].copy(), diagnostics, stable)
 
-    if restarts is None and tensors[0].space.n == 2:
+    if restarts is None and space.n == 2:
         mats = [tensor.matrix / scale for tensor, scale in zip(tensors, scales)]
-        x = retract(_surface_rows(mats, planes))
-        size = len(x) // len(tensors)
-        vals = _pair_state(mats, [size] * len(tensors), x)[0]
-        return [
-            block_report(k, 0, vals[start : start + size], x[start : start + size], None, True)
-            for k, start in enumerate(range(0, len(x), size))
-        ]
-    reports = [None] * len(tensors)
-    queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts) for k in range(len(tensors))]
+        out = []
+        for planes in kinds:
+            x = _surface_rows(mats, planes)
+            x = _orthonormalize_pairs(x) if planes else _retract_j_lines(x, jmat)
+            size = len(x) // len(tensors)
+            vals = _pair_state(mats, [size] * len(tensors), x)[0]
+            out.append(
+                [
+                    block_report(planes, k, 0, vals[start : start + size], x[start : start + size], None, True)
+                    for k, start in enumerate(range(0, len(x), size))
+                ]
+            )
+        return out
+    reports = {planes: [None] * len(tensors) for planes in kinds}
+    # (tensor, restarts, kinds to run)
+    queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts, kinds) for k in range(len(tensors))]
     while queue:
         count = queue[0][1]
         # the queue holds its first runs, then its reruns
-        batch = [k for k, c in queue[: max(1, BATCH_ROWS // (2 * count))] if c == count]
+        batch = [entry for entry in queue[: max(1, BATCH_ROWS // (2 * count))] if entry[1] == count]
         del queue[: len(batch)]
-        mats = [tensors[k].matrix / scales[k] for k in batch]
+        # (kind, tensor) per block: the plane blocks, then the J-line blocks
+        blocks = [(planes, k) for planes in kinds for k, _, wanted in batch if planes in wanted]
+        owners = [k for _, k in blocks]
+        unit = {k: tensors[k].matrix / scales[k] for k, _, _ in batch}
+        mats = [unit[k] for k in owners]
         vals, x, iterations, reasons = _optimize(
-            retract(np.vstack([np.tile(start_rows(seeds[k], count), (2, 1)) for k in batch])),
-            np.tile(np.repeat([-1.0, 1.0], count), len(batch)),
-            np.repeat(np.arange(len(batch)), 2 * count),
+            np.concatenate([_start_rows(planes, space, seeds[k], count) for planes, k in blocks]),
+            np.tile(np.repeat([-1.0, 1.0], count), len(blocks)),
+            np.repeat(np.arange(len(blocks)), 2 * count),
             lambda y, sizes: _pair_objective(mats, sizes, y),
-            retract,
-            tuple(a[batch] for a in (abs_s0, mu, plain)),
+            lambda y: _retract_j_lines(y, jmat),
+            (abs_s0[owners], mu[owners], np.array([not planes or plain_planes[k] for planes, k in blocks])),
+            sum(planes for planes, _ in blocks),
         )
-        for start, k in zip(range(0, len(x), 2 * count), batch):
+        rerun = {}
+        for start, (planes, k) in zip(range(0, len(x), 2 * count), blocks):
             block = slice(start, start + 2 * count)
             diagnostics = OptimizerDiagnostics.of(iterations[block], reasons[block])
             stable = _stable(vals[start : start + count], False) and _stable(vals[start + count : block.stop], True)
-            reports[k] = block_report(k, count, vals[block], x[block], diagnostics, stable)
-            if restarts is None and count == DEFAULT_RESTARTS and not reports[k].converged:
-                queue.append((k, ESCALATION * count))
-    return reports
+            report = reports[planes][k] = block_report(planes, k, count, vals[block], x[block], diagnostics, stable)
+            if restarts is None and count == DEFAULT_RESTARTS and not report.converged:
+                rerun.setdefault(k, []).append(planes)
+        queue += [(k, ESCALATION * count, tuple(wanted)) for k, wanted in sorted(rerun.items())]
+    return [reports[planes] for planes in kinds]
+
+
+def _start_rows(planes: bool, space, seed: int, restarts: int) -> np.ndarray:
+    """A block's start rows: each restart's row twice (descending, then
+    ascending), retracted. Planes read the generator (seed), J-lines [u | Ju]
+    the generator (seed, 7)."""
+    if planes:
+        return _orthonormalize_pairs(np.tile(_inits(2 * space.dim, seed, restarts), (2, 1)))
+    jmat = space.j_matrix
+    return _retract_j_lines(np.tile(_j_lines(_inits(space.dim, seed, restarts, 7), jmat), (2, 1)), jmat)
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:
@@ -783,14 +885,17 @@ def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -
 
 def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
     """pinch of each tensor (all over one space) with its own seed, in shared batches."""
+    return _multistart(tensors, restarts, seeds, (True,))[0] if tensors else []
+
+
+def _pinch_hol_batch(tensors, restarts, seeds) -> tuple[list[PinchReport], list[HolReport]]:
+    """_pinch_batch and _hol_batch of the same tensors, each batch's plane and
+    J-line rows running in one _optimize loop; every report equals its
+    one-kind call's bit for bit."""
     if not tensors:
-        return []
-    width = 2 * tensors[0].space.dim
-
-    def start_rows(seed, r):
-        return _inits(width, seed, r)
-
-    return _multistart(tensors, restarts, seeds, start_rows, _orthonormalize_pairs, True, _pinch_report)
+        return [], []
+    pinches, hols = _multistart(tensors, restarts, seeds, (True, False))
+    return pinches, hols
 
 
 def _pinch_report(tensor, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
@@ -822,25 +927,9 @@ def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
 
     H(u) = K(u, Ju) is the pair objective on the rows [u | Ju] with |u| = 1.
     At such a row the pair gradient [g_u | g_v] has g_v = J g_u, so it runs
-    along these rows; a stepped row [a | b] retracts to u = (a + J^T b)
-    normalized. J is a signed permutation, so both products with it are
-    exact at any row count.
+    along these rows, and _retract_j_lines maps a stepped row back.
     """
-    if not tensors:
-        return []
-    dim, jmat = tensors[0].space.dim, tensors[0].space.j_matrix
-
-    def j_line(u):
-        return np.hstack([u, u @ jmat.T])
-
-    def retract(x):
-        u = x[:, :dim] + x[:, dim:] @ jmat
-        return j_line(u / np.linalg.norm(u, axis=1, keepdims=True))
-
-    def start_rows(seed, r):
-        return j_line(_inits(dim, seed, r, 7))
-
-    return _multistart(tensors, restarts, seeds, start_rows, retract, False, _hol_report)
+    return _multistart(tensors, restarts, seeds, (False,))[0] if tensors else []
 
 
 def _hol_report(tensor, restarts, h_min, h_max, x_min, x_max, diagnostics, stable):

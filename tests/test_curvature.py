@@ -293,6 +293,24 @@ def test_projection_of_a_table_near_the_double_range():
     assert np.max(np.abs(projected.entries - tensor.entries)) <= 8 * np.finfo(float).eps * scale
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8, 1e200])
+def test_projection_keeps_its_certificate_at_any_scale(scale):
+    # the projection certifies at DEFAULT_SYMMETRY_TOL times max(1, max|R|),
+    # require_certified's rule; at an absolute tolerance a table at 1e8 (n = 3)
+    # came back with no certificate
+    from kahlerpinch import DEFAULT_SYMMETRY_TOL
+
+    space = make_space(3)
+    raw = scale * seeded_rng(3, 5).standard_normal((6, 6, 6, 6))
+    projected = project_kahler(raw, space)
+    certificate = projected.certificate
+    assert certificate is not None and certificate.passed
+    assert certificate.tolerance == DEFAULT_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(projected.entries))))
+    # check_kahler's default stays absolute
+    if scale >= 1e8:
+        assert not check_kahler(CurvatureTensor(space, projected.entries)).passed
+
+
 def test_symmetry_closure_over_many_seeds():
     # certified output for every seed; split across dimensions
     for n, count in ((1, 334), (2, 333), (3, 333)):

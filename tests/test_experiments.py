@@ -94,6 +94,35 @@ def test_perturb_is_certified_and_its_own_projection(n):
             assert np.max(np.abs(projected.entries - tensor.entries)) <= 8 * EPS * scale
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perturb_adds_random_kahlers_direction_with_one_certificate(n, monkeypatch):
+    # S is random_kahler's unit direction bit for bit, but its certificate,
+    # which nothing reads, is not computed: R0 + tS is certified once
+    from kahlerpinch import complex_hyperbolic_tensor, curvature
+
+    space = make_space(n)
+    model = complex_hyperbolic_tensor(space)  # R0 is certified once per n, before counting
+    calls = []
+    check_kahler = curvature.check_kahler
+
+    def counted(*args):
+        calls.append(args)
+        return check_kahler(*args)
+
+    for module in (curvature, kahlerpinch.experiments):
+        monkeypatch.setattr(module, "check_kahler", counted)
+    for seed in range(3):
+        calls.clear()
+        tensor = perturb(space, 0.05, seed)
+        assert len(calls) == 1
+        direction = random_kahler(space, seed, 1.0)
+        assert np.array_equal(tensor.entries, model.entries + 0.05 * direction.entries)
+    # one check_kahler per perturbed record, none for t = 0
+    calls.clear()
+    sweep(n, [0.0, 0.05], samples_per_t=2, seed=3, restarts=4)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_perturb_and_sweep_reject_a_non_finite_size(space2, t):
     # NaN used to pass the sign test and fail later as an "overflow"
@@ -321,7 +350,11 @@ def _canonical(value) -> str:
 
 
 def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
-    """sweep's records composed from the public one-tensor calls, record by record."""
+    """sweep's records composed from the public one-tensor calls, record by record.
+
+    H is linear in R: the normalized tensor's holomorphic extremes are
+    normalization.scale times the perturbed tensor's.
+    """
     from kahlerpinch import complex_hyperbolic_tensor, hol_extremes, make_space, normalize_quarter, pinch
     from kahlerpinch.experiments import _ratio_deviations, _sample_seed
 
@@ -335,7 +368,8 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
             report = pinch(tensor, restarts=restarts, seed=sample_seed)
             normalization = normalize_quarter(tensor, report)
             normalized = normalization.tensor
-            hol = hol_extremes(normalized, restarts=restarts, seed=sample_seed)
+            hol = hol_extremes(tensor, restarts=restarts, seed=sample_seed)
+            h_min, h_max = normalization.scale * hol.h_min, normalization.scale * hol.h_max
             ratio_devs = _ratio_deviations(normalized)
             records.append(
                 SweepRecord(
@@ -344,7 +378,7 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
                     seed=sample_seed,
                     delta=normalization.delta,
                     frobenius_dist=distance(normalized, model),
-                    h_dev=max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0)),
+                    h_dev=max(abs(h_min + 1.0), abs(h_max + 1.0)),
                     ratio_devs=ratio_devs,
                     ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
                     converged=report.converged and hol.converged,
@@ -442,14 +476,17 @@ def _sample_seed_of(seed, sample):
 
 
 def _record_optimizer_batches(monkeypatch):
-    """Patch _optimize; returns a list that collects (rows, blocks) per call."""
+    """Patch _optimize; returns a list that collects (rows, blocks, plane blocks) per call."""
+    import inspect
+
     from kahlerpinch import pinching
 
     batches = []
     optimize = pinching._optimize
 
     def recording(x, signs, owners, *rest):
-        batches.append((len(x), int(owners[-1]) + 1))
+        arguments = inspect.signature(optimize).bind(x, signs, owners, *rest).arguments
+        batches.append((len(x), int(owners[-1]) + 1, arguments.get("planes", 0)))
         return optimize(x, signs, owners, *rest)
 
     monkeypatch.setattr(pinching, "_optimize", recording)
@@ -467,16 +504,33 @@ def test_sweep_batches_stay_within_the_row_budget(monkeypatch):
     sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], samples_per_t=4, seed=20090, restarts=DEFAULT_RESTARTS)
     per_batch = BATCH_ROWS // 128
     assert per_batch >= 2
-    assert all(rows <= BATCH_ROWS for rows, _ in batches)
-    # pinch phase, then hol_extremes phase: full batches of 128 rows per tensor
-    assert [blocks for _, blocks in batches] == 2 * ([per_batch] * (20 // per_batch) + [20 % per_batch] * (20 % per_batch > 0))
-    assert all(rows == 128 * blocks for rows, blocks in batches)
-    # the default budget is 64 restarts at n = 4 too: 128 rows per tensor, so
-    # both tensors share one batch per phase (t = 0 converges, so no rerun)
+    # one loop per batch: each tensor's plane block, then the same tensors'
+    # J-line blocks, 128 rows each, with at most BATCH_ROWS plane rows
+    tensors = [per_batch] * (20 // per_batch) + [20 % per_batch] * (20 % per_batch > 0)
+    assert [(blocks, planes) for _, blocks, planes in batches] == [(2 * k, k) for k in tensors]
+    assert all(rows == 128 * blocks and 128 * planes <= BATCH_ROWS for rows, blocks, planes in batches)
+    # the default budget is 64 restarts at n = 4 too: 128 rows per tensor and
+    # kind, so both tensors share one batch (t = 0 converges, so no rerun)
     batches.clear()
     sweep(4, [0.0], samples_per_t=2, seed=1)
-    assert batches == [(256, 2)] * 2
-    assert all(rows <= BATCH_ROWS and rows == 128 * blocks for rows, blocks in batches)
+    assert batches == [(512, 4, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweep_h_dev_matches_the_normalized_tensors_holomorphic_extremes(n):
+    # sweep finds H on the perturbed tensor and scales it; the definition
+    # reads it off the normalized tensor, which rounds differently
+    from kahlerpinch import hol_extremes, normalize_quarter, pinch
+
+    space = make_space(n)
+    records = sweep(n, [0.0, 0.02, 0.05], samples_per_t=2, seed=11)
+    for record in records:
+        tensor = perturb(space, record.t, record.seed)
+        normalized = normalize_quarter(tensor, pinch(tensor, seed=record.seed)).tensor
+        hol = hol_extremes(normalized, seed=record.seed)
+        assert abs(record.h_dev - max(abs(hol.h_min + 1.0), abs(hol.h_max + 1.0))) <= 1e-14
+        if record.t == 0.0:
+            assert record.h_dev == 0.0
 
 
 # ---------------------------------------------------------------------------

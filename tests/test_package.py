@@ -47,6 +47,13 @@ def test_ci_workflow_runs_the_tier1_suite():
         "PYTHONPATH=src" in run and "python -m pytest -q --continue-on-collection-errors" in run for run in runs
     )
     assert 'python -m pip install -e ".[test]" "numpy==2.4.*"' in runs
+    # the bit-identity tests once more on one BLAS thread
+    assert any(
+        run.startswith("OPENBLAS_NUM_THREADS=1 ")
+        and "PYTHONPATH=src" in run
+        and run.endswith("python -m pytest -q tests/test_pinching.py tests/test_experiments.py")
+        for run in runs
+    )
     # the installed console script, which the tests (python -m kahlerpinch) do not reach
     assert "kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json" in runs
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)

@@ -1431,6 +1431,53 @@ def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkey
     assert [len(sizes[0]) for sizes in calls] == [4, 2, 1]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("restarts", [None, 16])
+def test_joint_batches_equal_the_one_kind_batches_bit_for_bit(n, restarts, monkeypatch):
+    # a joint batch runs each tensor's plane and J-line blocks in one loop:
+    # its plane reports are _pinch_batch's, its J-line reports _hol_batch's
+    from kahlerpinch.pinching import BATCH_ROWS, _hol_batch, _pinch_batch, _pinch_hol_batch
+
+    tensors, seeds = _mixed_batch(n)
+    expected = [_bits(r) for r in _pinch_batch(tensors, restarts, seeds)], [
+        _bits(r) for r in _hol_batch(tensors, restarts, seeds)
+    ]
+    calls = _record_blocks(monkeypatch)
+    pinches, hols = _pinch_hol_batch(tensors, restarts, seeds)
+    assert ([_bits(r) for r in pinches], [_bits(r) for r in hols]) == expected
+    if restarts is None and n == 2:
+        assert calls == []  # the exact extremes of Kahler surfaces
+    else:
+        # the first batch: its tensors' plane blocks, then their J-line blocks,
+        # with at most BATCH_ROWS plane rows
+        rows = 2 * (restarts or DEFAULT_RESTARTS)
+        assert calls[0][0] == [rows] * 2 * min(len(tensors), BATCH_ROWS // rows)
+
+
+def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
+    # with a small iteration budget some first runs are unstable: each tensor
+    # reruns only its unconverged kinds, and every report still equals its
+    # one-kind batch's (and so the explicit 256-restart call)
+    from kahlerpinch import pinching
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch, _pinch_hol_batch
+
+    monkeypatch.setattr(pinching, "MAX_ITER", 12)
+    tensors, seeds = _mixed_batch(3)
+    pinches, hols = _pinch_batch(tensors, None, seeds), _hol_batch(tensors, None, seeds)
+    calls = _record_blocks(monkeypatch)
+    joint = _pinch_hol_batch(tensors, None, seeds)
+    assert [[_bits(r) for r in reports] for reports in joint] == [[_bits(r) for r in pinches], [_bits(r) for r in hols]]
+    kinds = [(p.restarts == 256) + (h.restarts == 256) for p, h in zip(pinches, hols)]
+    # some tensor escalates both kinds and some tensor one kind only
+    assert 2 in kinds and 1 in kinds
+    # first runs of four and one tensors, then one rerun batch per escalating tensor
+    first = [2 * DEFAULT_RESTARTS] * 8, [2 * DEFAULT_RESTARTS] * 2
+    assert [sizes[0] for sizes in calls] == [*first, *([2 * 256] * k for k in kinds if k)]
+    k = kinds.index(2)
+    assert _bits(joint[0][k]) == _bits(pinch(tensors[k], restarts=256, seed=seeds[k]))
+    assert _bits(joint[1][k]) == _bits(hol_extremes(tensors[k], restarts=256, seed=seeds[k]))
+
+
 def test_default_budget_finds_the_256_restart_extremes_at_n4():
     # the guard for cutting n = 4 from 256 restarts to 64: near-model tensors
     # converge at 64 restarts and reach the 256-restart extremes
