@@ -28,6 +28,14 @@ results stay normal doubles. `chern_ratio` reads the unit-scale table, so
 2^k R has the ratios of R bit for bit even where its own forms and densities
 leave the double range. `reference_constants` is read off the table, and
 `density_ratio` divides two entries of one.
+
+The pass runs over a stack of tensors: `_unit_forms` and `_density_tables`
+carry a leading batch axis through the reality check, the Newton recursion
+(`forms._wedge` with "zabij,zbckl->zacikjl") and the index products, and give
+one (B, P) table per stack. Every product is one per tensor, stacked, never
+one GEMM over the stack, so each tensor's table is its batch-of-one table bit
+for bit; `chern_forms`, `chern_densities` and `chern_ratio` are that batch of
+one. A stack runs in groups whose wedge tables fit `curvature._STACK_BYTES`.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import numpy as np
 
 from .curvature import (
     CurvatureTensor,
+    _groups,
     _kahler_coordinates,
     _unit_exponent,
     complex_hyperbolic_tensor,
@@ -134,7 +143,7 @@ def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
     of it when R is Kahler.
     """
     require_certified(tensor)
-    return _kahler_coordinates(tensor.entries).transpose(2, 3, 0, 1)
+    return _kahler_coordinates(tensor.entries[None])[0].transpose(2, 3, 0, 1)
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
@@ -144,53 +153,68 @@ def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
     scaled back by 2^(k e). ResourceLimitError when a form leaves the double
     range: c_k scales as |R|^k.
     """
-    exponent, sigmas = _unit_forms(tensor)
+    exponents, sigmas = _unit_forms([tensor])
+    exponent = int(exponents[0])
     with np.errstate(over="ignore"):  # checked below
         # ldexp on the float view scales real and imaginary parts exactly
-        forms = [np.ldexp(sigma.view(float), k * exponent).view(complex) for k, sigma in enumerate(sigmas)]
+        forms = [np.ldexp(sigma[0].view(float), k * exponent).view(complex) for k, sigma in enumerate(sigmas)]
     if not all(np.all(np.isfinite(form)) for form in forms):
         raise ResourceLimitError("a Chern form is not finite: the tensor exceeds double precision")
     return forms
 
 
-def _unit_forms(tensor: CurvatureTensor) -> tuple[int, list[np.ndarray]]:
-    """e = curvature._unit_exponent(R) and c_0, ..., c_n of 2^-e R as (k, k) matrices.
+def _unit_forms(tensors) -> tuple[np.ndarray, list[np.ndarray]]:
+    """e = curvature._unit_exponent(R) of each tensor (all over one space), and
+    c_0, ..., c_n of each 2^-e R: sigmas[k] stacks the tensors' (k, k)
+    matrices, shape (B, C(n, k), C(n, k)).
 
     That scaling is exact and keeps every symmetry, so R's certificate holds
     for 2^-e R, and 2^k R has the unit forms of R bit for bit. Its entries are
     below 1, so no product overflows, and each form is checked to be real,
     conj c_k = c_k, up to REALITY_TOL relative to max(1, |c_k|): the verdict
-    does not depend on the scale of R.
+    does not depend on the scale of R. Every product is one per tensor,
+    stacked, so each tensor's forms are its batch-of-one forms bit for bit;
+    the first tensor with a form that is not real raises.
     """
-    require_certified(tensor)
-    n = tensor.space.n
-    exponent = _unit_exponent(tensor.entries)
+    for tensor in tensors:
+        require_certified(tensor)
+    b, n = len(tensors), tensors[0].space.n
+    entries = np.array([tensor.entries for tensor in tensors])
+    exponents = _unit_exponent(entries)
     # Omega_ab is the (1,1) matrix S[:, :, a, b]
-    omega = _kahler_coordinates(np.ldexp(tensor.entries, -exponent)).transpose(2, 3, 0, 1)
+    omega = _kahler_coordinates(np.ldexp(entries, -exponents.reshape(-1, 1, 1, 1, 1))).transpose(0, 3, 4, 1, 2)
     normalized = omega * (1j / (2.0 * np.pi))
     # traces of the wedge powers, (M Omega)_ac = sum_b M_ab ^ Omega_bc
-    traces = [np.trace(normalized)]
+    traces = [normalized.trace(axis1=1, axis2=2)]
     current = normalized
     for p in range(1, n):
-        current = _wedge(_shuffle(n, p, 1), current, normalized, "abij,bckl->acikjl")
-        traces.append(np.trace(current))
+        current = _wedge(_shuffle(n, p, 1), current, normalized, "zabij,zbckl->zacikjl")
+        traces.append(current.trace(axis1=1, axis2=2))
     # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
-    sigmas = [np.ones((1, 1), dtype=complex)]
+    sigmas = [np.ones((b, 1, 1), dtype=complex)]
     for k in range(1, n + 1):
         terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
         sigmas.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
-    # a real (k, k) form F has conj F = (-1)^k F^H
-    for k, sigma in enumerate(sigmas):
+    # a real (k, k) form F has conj F = (-1)^k F^H, and c_0 = 1 is real; a residue up
+    # to REALITY_TOL passes at any scale, a larger one is held to REALITY_TOL max(1, |c_k|)
+    residues = np.array(
+        [
+            np.abs(sigma - (-1) ** k * sigma.conj().transpose(0, 2, 1)).reshape(b, -1).max(axis=1)
+            for k, sigma in enumerate(sigmas[1:], 1)
+        ]
+    ) / 2.0
+    for i, row in zip(*np.nonzero(residues.T > REALITY_TOL)):  # tensor by tensor, degree by degree
+        k = int(row) + 1
+        sigma = sigmas[k][i]
         conjugate = (-1) ** k * sigma.conj().T
-        residue = np.max(np.abs(sigma - conjugate)) / 2.0
-        if residue > REALITY_TOL * max(1.0, np.max(np.abs(sigma + conjugate)) / 2.0):
+        if residues[row, i] > REALITY_TOL * max(1.0, np.max(np.abs(sigma + conjugate)) / 2.0):
             with np.errstate(over="ignore"):  # reported at the scale of R, inf past the double range
-                residue = np.ldexp(residue, k * exponent)
+                residue = np.ldexp(residues[row, i], k * int(exponents[i]))
             raise PreconditionError(
                 f"Chern form c_{k} has imaginary residue {residue:.3e}; "
                 "input tensor is not Kahler enough"
             )
-    return exponent, sigmas
+    return exponents, sigmas
 
 
 def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
@@ -199,30 +223,43 @@ def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
     Computed at unit scale and scaled back exactly (`_density_tables`): a
     density beyond the double range is +-inf, or underflows towards 0.0.
     """
-    return _density_tables(tensor)[0]
+    return _density_dicts(tensor)[0]
 
 
-def _density_tables(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], dict[ChernIndex, float]]:
-    """chern_densities of R, and its unit-scale table: the densities of 2^-e R,
-    from the forms of `_unit_forms`.
+def _density_dicts(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], dict[ChernIndex, float]]:
+    """The two tables of `_density_tables` for one tensor, keyed by index."""
+    table, unit = _density_tables([tensor])
+    indices = [index for index, _ in _index_factors(tensor.space.n)]
+    return dict(zip(indices, table[0].tolist())), dict(zip(indices, unit[0].tolist()))
+
+
+def _density_tables(tensors) -> tuple[np.ndarray, np.ndarray]:
+    """chern_densities of each tensor (all over one space), and its unit-scale
+    table: the densities of 2^-e R, from the forms of `_unit_forms`. Both are
+    (B, P) arrays, columns in enumerate_indices order.
 
     2^k R has the unit table of R bit for bit. R's densities are the unit
     ones times 2^(n e), which is exact as long as they stay normal doubles.
     """
-    n = tensor.space.n
-    exponent, sigmas = _unit_forms(tensor)
+    n = tensors[0].space.n
+    # the largest table, Omega^p ^ Omega before its shuffle, has n^4 C(n, p)^2 complex entries
+    groups = _groups(len(tensors), 16 * n**4 * comb(n, n // 2) ** 2)
+    if len(groups) > 1:
+        tables, units = zip(*(_density_tables(tensors[group]) for group in groups))
+        return np.concatenate(tables), np.concatenate(units)
+    exponents, sigmas = _unit_forms(tensors)
     # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
     top = factorial(n) * (-1j) ** n
-    unit_table: dict[ChernIndex, float] = {}
-    for index, (first, *rest) in _index_factors(n):
+    tops = []
+    for _, (first, *rest) in _index_factors(n):
         product, degree = sigmas[first], first
         for k in rest:
             product, degree = _wedge(_shuffle(n, degree, k), product, sigmas[k]), degree + k
-        unit_table[index] = float((product[0, 0] / top).real)
-    shift = n * exponent
+        tops.append(product[:, 0, 0])
+    unit = (np.array(tops).T / top).real
     with np.errstate(over="ignore"):  # past the double range a density is +-inf
-        table = {index: float(np.ldexp(gamma, shift)) for index, gamma in unit_table.items()}
-    return table, unit_table
+        table = np.ldexp(unit, n * exponents[:, None])
+    return table, unit
 
 
 def _require_dimension(n: int, *indices: ChernIndex) -> None:
@@ -299,4 +336,4 @@ def chern_ratio(tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernInde
     overflow or underflow.
     """
     _require_dimension(tensor.space.n, index_i, index_j)
-    return density_ratio(_density_tables(tensor)[1], index_i, index_j)
+    return density_ratio(_density_dicts(tensor)[1], index_i, index_j)

@@ -84,6 +84,21 @@ def _pair_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return xy.reshape(xy.shape[:-2] + (xy.shape[-2] * xy.shape[-1],))
 
 
+# A stacked pass over tensors runs in groups whose largest stacked table stays
+# within _STACK_BYTES: larger stacks spill out of cache (at n = 4 a 64-tensor
+# chunk ran slower than groups of 8 to 32), and the Chern layer's wedge tables
+# grow as C(n, p)^2 per tensor. Every product is one per tensor, so the
+# grouping changes no result.
+_STACK_BYTES = 1 << 21
+
+
+def _groups(count: int, table_bytes: int) -> list[slice]:
+    """Consecutive slices of range(count), each of at most _STACK_BYTES // table_bytes
+    tensors (at least one), for a pass whose largest table takes table_bytes per tensor."""
+    size = max(1, _STACK_BYTES // table_bytes)
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
 def _unbatched(value):
     """A Python float for a 0-d result (1-D arguments), the array otherwise."""
     value = np.asarray(value)
@@ -116,9 +131,9 @@ class CurvatureTensor:
 
     @classmethod
     def _shared(
-        cls, space: HermitianSpace, entries: np.ndarray, certificate: SymmetryCertificate
+        cls, space: HermitianSpace, entries: np.ndarray, certificate: SymmetryCertificate | None
     ) -> "CurvatureTensor":
-        """A tensor over read-only entries that __init__ has already checked, not copied.
+        """A tensor over read-only, finite (d, d, d, d) entries, not copied or checked again.
 
         The certificate is frozen and check_kahler sets it per tensor, so
         tensors that share entries stay independent.
@@ -144,7 +159,7 @@ class CurvatureTensor:
         return self.evaluate(a, b, a, b)
 
     def frobenius_norm(self) -> float:
-        return _frobenius(self.entries)
+        return float(_frobenius(self.entries[None])[0])
 
     def scaled(self, factor: float) -> "CurvatureTensor":
         out = CurvatureTensor(self.space, self.entries * float(factor))
@@ -232,60 +247,76 @@ def _j_kron(n: int) -> np.ndarray:
     return jj
 
 
-def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
-    """Max-abs residual of each symmetry condition by exhaustive basis enumeration.
+_RESIDUAL_NAMES = ("antisymmetry", "pair_exchange", "bianchi", "j_invariance")
 
-    (2) and (4) are read off the pair matrix M: pair exchange is M = M^T, and
-    J-invariance is (J (x) J)^T M = M = M (J (x) J). J (x) J is a signed
+
+def symmetry_residuals(tensor: CurvatureTensor) -> dict[str, float]:
+    """Max-abs residual of each symmetry condition by exhaustive basis enumeration."""
+    return dict(zip(_RESIDUAL_NAMES, _symmetry_residuals(tensor.entries[None])[0].tolist()))
+
+
+def _symmetry_residuals(entries: np.ndarray) -> np.ndarray:
+    """symmetry_residuals of each table of a (B, d, d, d, d) stack, as (B, 4) in
+    _RESIDUAL_NAMES order.
+
+    (2) and (4) are read off the pair matrices M: pair exchange is M = M^T,
+    and J-invariance is (J (x) J)^T M = M = M (J (x) J). J (x) J is a signed
     permutation, so these products are exact.
     """
-    e, m = tensor.entries, tensor.matrix
-    jj = _j_kron(tensor.space.n)
+    b, d = len(entries), entries.shape[-1]
+    e, m = entries, entries.reshape(b, d * d, d * d)
+    jj = _j_kron(d // 2)
+    # |residual| of each condition, its two forms merged; one reduction for all four
+    residuals = np.empty((4, b, d**4))
+    tables, matrices = residuals.reshape(4, b, d, d, d, d), residuals.reshape(4, b, d * d, d * d)
     # entries near the double range overflow a sum to inf: a residual above every tolerance
     with np.errstate(over="ignore"):
-        r1a = np.abs(e + e.transpose(1, 0, 2, 3)).max()
-        r1b = np.abs(e + e.transpose(0, 1, 3, 2)).max()
-        r2 = np.abs(m - m.T).max()
-        r3 = np.abs(e + e.transpose(0, 3, 1, 2) + e.transpose(0, 2, 3, 1)).max()
-        r4a = np.abs(jj.T @ m - m).max()
-        r4b = np.abs(m @ jj - m).max()
-    return {
-        "antisymmetry": float(max(r1a, r1b)),
-        "pair_exchange": float(r2),
-        "bianchi": float(r3),
-        "j_invariance": float(max(r4a, r4b)),
-    }
+        np.maximum(np.abs(e + e.transpose(0, 2, 1, 3, 4)), np.abs(e + e.transpose(0, 1, 2, 4, 3)), out=tables[0])
+        np.abs(m - m.transpose(0, 2, 1), out=matrices[1])
+        np.abs(e + e.transpose(0, 1, 4, 2, 3) + e.transpose(0, 1, 3, 4, 2), out=tables[2])
+        np.maximum(np.abs(jj.T @ m - m), np.abs(m @ jj - m), out=matrices[3])
+    return residuals.max(axis=2).T
 
 
 def check_kahler(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetryCertificate:
     """Compute the symmetry certificate; attach it to the tensor when it passes."""
-    res = symmetry_residuals(tensor)
-    passed = all(v <= tol for v in res.values())
-    cert = SymmetryCertificate(
-        res["antisymmetry"],
-        res["pair_exchange"],
-        res["bianchi"],
-        res["j_invariance"],
-        float(tol),
-        passed,
-    )
-    if passed:
+    cert = _certificates(tensor.entries[None], tol)[0]
+    if cert.passed:
         tensor.certificate = cert
     return cert
 
 
-def _unit_exponent(entries: np.ndarray) -> int:
-    """The e that puts the largest |entry| times 2^-e in [1/2, 1); 0 for a zero table.
+def _certificates(entries: np.ndarray, tol) -> list[SymmetryCertificate]:
+    """check_kahler's certificate of each table of a (B, d, d, d, d) stack, at
+    tol (a float, or an array of one per table), from one stacked residual pass."""
+    tols = [float(tol)] * len(entries) if np.ndim(tol) == 0 else np.asarray(tol, dtype=float).tolist()
+    return [
+        SymmetryCertificate(*fields, t, all(v <= t for v in fields))
+        for fields, t in zip(_symmetry_residuals(entries).tolist(), tols)
+    ]
+
+
+def _unit_exponent(entries: np.ndarray):
+    """The e that puts the largest |entry| of a (d, d, d, d) table times 2^-e in
+    [1/2, 1); 0 for a zero table. A Python int for one table, an int array
+    of the batch shape for a stack (..., d, d, d, d), from one np.frexp.
 
     Scaling by 2^-e (np.ldexp) is exact: work done at unit scale avoids the
     overflow and underflow of the table's own scale and loses nothing.
     """
-    return math.frexp(float(np.abs(entries).max()))[1]
+    exponent = np.frexp(_largest(entries))[1]
+    return int(exponent) if exponent.ndim == 0 else exponent
 
 
-def _relative_tolerance(entries: np.ndarray) -> float:
-    """DEFAULT_SYMMETRY_TOL times the entry scale max(1, max |R_ijkl|)."""
-    return DEFAULT_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(entries))))
+def _largest(entries: np.ndarray) -> np.ndarray:
+    """max |R_ijkl| of each table of a stack (..., d, d, d, d)."""
+    return np.abs(entries).reshape(entries.shape[:-4] + (-1,)).max(axis=-1)
+
+
+def _relative_tolerance(entries: np.ndarray):
+    """DEFAULT_SYMMETRY_TOL times the entry scale max(1, max |R_ijkl|), per table
+    of a stack (..., d, d, d, d): a float for one table."""
+    return _unbatched(DEFAULT_SYMMETRY_TOL * np.maximum(1.0, _largest(entries)))
 
 
 def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
@@ -316,23 +347,27 @@ def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
 # on the pair (e_{2a}, e_{2a+1}). Of the 16 slot types of its fourfold Kronecker
 # power (bit set = conj eps), a Kahler tensor lives on the four (1,1)x(1,1) blocks
 # 0b0101 = (eps, conj eps, eps, conj eps), 0b1001, 0b0110 and 0b1010. Block k holds
-# _BLOCK_SIGNS[k] * S.transpose(_BLOCK_AXES[k]), where
-# S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d).
+# _BLOCK_SIGNS[k] * S.transpose(_BLOCK_AXES[k]) (axis 0 is the batch axis), where
+# S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d). _BLOCK_EMBED maps the four
+# block values of an index tuple back to its 16 slot types.
 _PAIR_UNITARY = np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0)
 _BLOCK_BASIS = reduce(np.kron, [_PAIR_UNITARY] * 4)[:, [0b0101, 0b1001, 0b0110, 0b1010]]
-_BLOCK_AXES = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
+_BLOCK_EMBED = _BLOCK_BASIS.conj().T
+_BLOCK_AXES = ((0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3))
 _BLOCK_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 
 def _kahler_coordinates(entries: np.ndarray) -> np.ndarray:
-    """S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d) of a (d, d, d, d) table, as (n, n, n, n).
+    """S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d) of each table of a
+    (B, d, d, d, d) stack, as (B, n, n, n, n).
 
-    Block 0 of the unitary basis change: one GEMV of the pair rows.
+    Block 0 of the unitary basis change: one GEMV of the pair rows per table,
+    stacked.
     """
-    n = entries.shape[0] // 2
+    b, n = len(entries), entries.shape[-1] // 2
     # rows: index tuples a, b, c, d; columns: the pair bits of the four slots
-    pairs = entries.reshape((n, 2) * 4).transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(n**4, 16)
-    return (pairs @ _BLOCK_BASIS[:, 0]).reshape((n,) * 4)
+    pairs = entries.reshape((b,) + (n, 2) * 4).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8).reshape(b, n**4, 16)
+    return (pairs @ _BLOCK_BASIS[:, 0]).reshape((b,) + (n,) * 4)
 
 
 def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTensor:
@@ -353,52 +388,73 @@ def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTens
         if space is None:
             raise ValueError("space required when projecting a raw array")
         raw = CurvatureTensor(space, tensor).entries  # checks shape and finiteness
-    out = _projection(raw, space)
+    out = CurvatureTensor(space, _projection(raw[None])[0])
     check_kahler(out, _relative_tolerance(out.entries))
     return out
 
 
-def _projection(raw: np.ndarray, space: HermitianSpace) -> CurvatureTensor:
-    """project_kahler of a checked (d, d, d, d) table, uncertified."""
-    n, d = space.n, space.dim
+def _projection(raw: np.ndarray) -> np.ndarray:
+    """project_kahler of each checked table of a (B, d, d, d, d) stack, uncertified.
+
+    Every product is one per table, stacked, so each table's projection is
+    its batch-of-one value bit for bit.
+    """
+    b, d = len(raw), raw.shape[-1]
+    n = d // 2
     # at unit scale (exact) the sums below, up to 8 entries, stay finite
-    exponent = _unit_exponent(raw)
+    exponent = _unit_exponent(raw).reshape(b, 1, 1, 1, 1)
     raw = np.ldexp(raw, -exponent)
     # the signed blocks of raw sum to block 0 of its pair-antisymmetric part times 4
-    raw = raw - raw.transpose(1, 0, 2, 3)
-    s = _kahler_coordinates(raw - raw.transpose(0, 1, 3, 2))
-    s = (s + s.transpose(2, 1, 0, 3)) / 8.0  # the mean of four blocks, symmetrized in (a, c)
-    s = (s + s.transpose(0, 3, 2, 1)) / 2.0
-    blocks = np.stack(
-        [sign * s.transpose(axes) for axes, sign in zip(_BLOCK_AXES, _BLOCK_SIGNS)], axis=-1
-    )
-    pairs = (blocks.reshape(n**4, 4) @ _BLOCK_BASIS.conj().T).real
-    entries = pairs.reshape((n,) * 4 + (2,) * 4).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape((d,) * 4)
-    return CurvatureTensor(space, np.ldexp(entries, exponent))
+    raw = raw - raw.transpose(0, 2, 1, 3, 4)
+    s = _kahler_coordinates(raw - raw.transpose(0, 1, 2, 4, 3))
+    s = (s + s.transpose(0, 3, 2, 1, 4)) / 8.0  # the mean of four blocks, symmetrized in (a, c)
+    s = (s + s.transpose(0, 1, 4, 3, 2)) / 2.0
+    blocks = np.empty(s.shape + (4,), dtype=complex)
+    for k, (axes, sign) in enumerate(zip(_BLOCK_AXES, _BLOCK_SIGNS)):
+        np.multiply(s.transpose(axes), sign, out=blocks[..., k])
+    pairs = (blocks.reshape(b, n**4, 4) @ _BLOCK_EMBED).real
+    entries = pairs.reshape((b,) + (n,) * 4 + (2,) * 4).transpose(0, 1, 5, 2, 6, 3, 7, 4, 8)
+    return np.ldexp(entries.reshape((b,) + (d,) * 4), exponent)
 
 
 def random_kahler(
     space: HermitianSpace, seed: int, frobenius_norm: float = 1.0
 ) -> CurvatureTensor:
     """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate."""
-    projected, factor = _random_projection(space, seed, frobenius_norm)
-    check_kahler(projected, _relative_tolerance(projected.entries))
-    return projected.scaled(factor)
+    return _random_kahlers(space, [seed], frobenius_norm)[0]
 
 
-def _random_projection(space: HermitianSpace, seed: int, frobenius_norm: float) -> tuple[CurvatureTensor, float]:
-    """random_kahler before its certificate: the uncertified projection of the
-    seeded normal table and the factor that scales it to the prescribed norm.
-    Its entries times the factor are random_kahler's, bit for bit."""
+def _random_kahlers(space: HermitianSpace, seeds, frobenius_norm: float) -> list[CurvatureTensor]:
+    """random_kahler of each seed, projected and certified in one stacked pass."""
     if not 0 < frobenius_norm < math.inf:
         raise PreconditionError(f"frobenius_norm must be positive and finite, got {frobenius_norm}")
+    projected, norms = _random_projection(space, seeds)
+    for seed, norm in zip(seeds, norms.tolist()):
+        _require_nondegenerate(seed, norm)
+    certificates = _certificates(projected, _relative_tolerance(projected))
+    return [
+        CurvatureTensor._shared(space, entries, cert if cert.passed else None).scaled(frobenius_norm / norm)
+        for entries, cert, norm in zip(projected, certificates, norms.tolist())
+    ]
+
+
+def _random_projection(space: HermitianSpace, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The uncertified projections of the seeded normal tables, read-only as
+    (B, d, d, d, d), and their Frobenius norms (B,). random_kahler scales
+    each by its norm to the prescribed one."""
     d = space.dim
-    raw = seeded_rng(seed).standard_normal((d, d, d, d))
-    projected = _projection(raw, space)
-    norm = projected.frobenius_norm()
+    raw = np.empty((len(seeds), d, d, d, d))
+    for table, seed in zip(raw, seeds):
+        seeded_rng(seed).standard_normal(out=table)
+    projected = _projection(raw)
+    projected.flags.writeable = False
+    return projected, _frobenius(projected)
+
+
+def _require_nondegenerate(seed: int, norm: float) -> None:
+    """DegenerateSampleError when the seed's projection, of Frobenius norm `norm`, is zero."""
     if norm < 1e-12:
         raise DegenerateSampleError(f"seed {seed} projected to zero; retry with another seed")
-    return projected, frobenius_norm / norm
 
 
 # ---------------------------------------------------------------------------
@@ -575,23 +631,32 @@ def distance(first: CurvatureTensor, second: CurvatureTensor) -> float:
     """Frobenius distance of entry tables (the induced norm in the orthonormal basis)."""
     if first.space != second.space:
         raise SpaceMismatchError("tensors live over different spaces")
-    exponent = max(_unit_exponent(first.entries), _unit_exponent(second.entries))
-    return _frobenius(np.ldexp(first.entries, -exponent) - np.ldexp(second.entries, -exponent), exponent)
+    return float(_distances(first.entries[None], second.entries)[0])
 
 
-def _frobenius(entries: np.ndarray, shift: int = 0) -> float:
-    """2^shift times the Frobenius norm of a table, summed at unit scale (`_unit_exponent`).
+def _distances(entries: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """distance from each table of a (B, d, d, d, d) stack to one (d, d, d, d) table,
+    each difference taken at the unit scale of its larger table."""
+    exponent = np.maximum(_unit_exponent(entries), _unit_exponent(other))
+    scale = -exponent.reshape(-1, 1, 1, 1, 1)
+    return _frobenius(np.ldexp(entries, scale) - np.ldexp(other, scale), exponent)
+
+
+def _frobenius(entries: np.ndarray, shift=0) -> np.ndarray:
+    """2^shift times the Frobenius norm of each table of a (B, d, d, d, d) stack,
+    summed at unit scale (`_unit_exponent`) by one dot product per table
+    (np.vecdot, the BLAS dot of np.linalg.norm).
 
     The largest square is below 1, so none overflows, and the scalings are
     exact: the result equals the plain norm wherever that neither overflows
     nor underflows, and is inf only when the norm exceeds the double range.
     """
+    b = len(entries)
     exponent = _unit_exponent(entries)
-    norm = float(np.linalg.norm(np.ldexp(entries, -exponent).ravel()))
-    try:
-        return math.ldexp(norm, exponent + shift)
-    except OverflowError:  # past the double range
-        return math.inf
+    rows = np.ldexp(entries, -exponent.reshape(b, 1, 1, 1, 1)).reshape(b, -1)
+    norms = np.sqrt(np.vecdot(rows, rows))
+    with np.errstate(over="ignore"):  # past the double range
+        return np.ldexp(norms, exponent + shift)
 
 
 # ---------------------------------------------------------------------------

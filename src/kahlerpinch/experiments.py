@@ -13,25 +13,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 
 import numpy as np
 
-from .chern import ChernIndex, chern_densities, density_ratio, reference_constants
+from .chern import ChernIndex, _density_tables, density_ratio, reference_constants
 from .curvature import (
+    DEFAULT_SYMMETRY_TOL,
     CurvatureTensor,
-    check_kahler,
     complex_hyperbolic_tensor,
+    _distances,
+    _groups,
     distance,
     polarization_residuals,
-    random_kahler,
     reconstruct_from_sectional,
     solve_sectional_from_H,
+    _certificates,
     _direct_triple,
     _float17,
     _holomorphic_sides,
+    _largest,
+    _model_table,
     _polarization_system,
+    _random_kahlers,
     _random_projection,
+    _require_nondegenerate,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
 from .pinching import (
@@ -58,7 +64,8 @@ __all__ = [
 
 MAX_EXCLUDED_FRACTION = 0.05
 # sweeps and certification runs take their samples this many at a time: the
-# optimizer runs of a chunk share batches, and memory holds one chunk's tensors
+# optimizer runs of a chunk share batches, its tensors are built, certified and
+# read for Chern densities in stacked passes, and memory holds one chunk's tensors
 SAMPLES_PER_CHUNK = 64
 
 
@@ -111,49 +118,107 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
 
     R0 and S (`random_kahler`'s entries; its certificate, which nothing here
     reads, is not computed) are Kahler, so R0 + tS is built directly and
-    certified with one `check_kahler` at the default tolerance, not projected
+    given `check_kahler`'s certificate at the default tolerance, not projected
     again. t = 0 gives R0 itself. PreconditionError when t overflows: t is
     rejected when 4 max|R0 + tS| is not finite, so that every sum of up to
     four entries, the symmetry residuals of its certificate among them,
     stays finite.
     """
-    if not 0 <= t < inf:
-        raise PreconditionError(f"perturbation size must be finite and >= 0, got {t}")
-    model = complex_hyperbolic_tensor(space)
-    if t == 0:
-        return model
-    projected, factor = _random_projection(space, seed, 1.0)
-    direction = projected.entries * float(factor)  # random_kahler's entries, without its certificate
-    with np.errstate(over="ignore"):
-        entries = model.entries + t * direction
-    if not isfinite(4.0 * float(np.max(np.abs(entries)))):
-        raise PreconditionError(f"perturbation size {t:g} overflows the tensor entries")
-    tensor = CurvatureTensor(space, entries)
-    check_kahler(tensor)
-    return tensor
+    return _perturbations(space, [t], [seed])[0]
+
+
+def _perturbations(space: HermitianSpace, ts, seeds) -> list[CurvatureTensor]:
+    """perturb of each (t, seed) pair: the directions of every t != 0 are projected,
+    scaled and certified in one stacked pass, bit for bit as one at a time.
+
+    The pairs are checked in order, each as its perturb call checks it, so
+    the first pair that fails raises what its perturb call raises.
+    """
+    live = [k for k, t in enumerate(ts) if t != 0]
+    if not live:
+        return [complex_hyperbolic_tensor(space) for _ in ts]
+    projected, norms = _random_projection(space, [seeds[k] for k in live])
+    # a degenerate direction or an invalid t gives non-finite rows, rejected below
+    with np.errstate(all="ignore"):
+        direction = projected * (1.0 / norms)[:, None, None, None, None]  # random_kahler's entries
+        sizes = np.array([ts[k] for k in live], dtype=float)[:, None, None, None, None]
+        entries = _model_table(space.n)[0] + sizes * direction
+        finite = np.isfinite(4.0 * _largest(entries)).tolist()
+    for row, k in enumerate(live):
+        if not 0 <= ts[k] < inf:
+            raise PreconditionError(f"perturbation size must be finite and >= 0, got {ts[k]}")
+        _require_nondegenerate(seeds[k], norms[row])
+        if not finite[row]:
+            raise PreconditionError(f"perturbation size {ts[k]:g} overflows the tensor entries")
+    entries.flags.writeable = False
+    tensors = [complex_hyperbolic_tensor(space) if t == 0 else None for t in ts]
+    for k, table, cert in zip(live, entries, _certificates(entries, DEFAULT_SYMMETRY_TOL)):
+        tensors[k] = CurvatureTensor._shared(space, table, cert if cert.passed else None)
+    return tensors
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=None)
-def _model_ratios(n: int) -> tuple[tuple[str, ChernIndex, ChernIndex, float], ...]:
-    """(label "I:J", I, J, the model's gamma_I / gamma_J) for every ordered pair of distinct indices."""
+def _model_ratios(
+    n: int,
+) -> tuple[tuple[tuple[ChernIndex, ChernIndex], ...], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Every ordered pair (I, J) of distinct indices, their labels "I:J", the
+    density-table columns of I and of J, and the model's gamma_I / gamma_J."""
     model = reference_constants(n)
-    return tuple((f"{a}:{b}", a, b, density_ratio(model, a, b)) for a in model for b in model if a != b)
+    column = {index: c for c, index in enumerate(model)}
+    pairs = tuple((a, b) for a in model for b in model if a != b)
+    return (
+        pairs,
+        tuple(f"{a}:{b}" for a, b in pairs),
+        _read_only(np.array([column[a] for a, _ in pairs], dtype=int)),
+        _read_only(np.array([column[b] for _, b in pairs], dtype=int)),
+        _read_only(np.array([density_ratio(model, a, b) for a, b in pairs])),
+    )
 
 
 def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
     """|gamma_I / gamma_J - model value| for every ordered pair of distinct indices."""
-    densities = chern_densities(tensor)
-    return {
-        label: abs(density_ratio(densities, a, b) - model)
-        for label, a, b, model in _model_ratios(tensor.space.n)
-    }
+    return _ratio_deviation_rows([tensor])[0]
+
+
+def _ratio_deviation_rows(tensors) -> list[dict[str, float]]:
+    """_ratio_deviations of each tensor (all over one space), from one stacked
+    density pass.
+
+    Each table is checked once: finite, and no denominator vanished relative
+    to the table's largest |gamma|. When a check fails, density_ratio runs
+    over the tables and pairs in order, so the first failing pair raises
+    density_ratio's error.
+    """
+    n = tensors[0].space.n
+    pairs, labels, numerators, denominators, model = _model_ratios(n)
+    if not pairs:
+        return [{} for _ in tensors]
+    table = _density_tables(tensors)[0]
+    denominator = table[:, denominators]
+    largest = np.abs(table).max(axis=1, keepdims=True)  # not finite when a density is not
+    if not (np.isfinite(largest).all() and (np.abs(denominator) > 1e-12 * largest).all()):
+        for row in table.tolist():
+            densities = dict(zip(reference_constants(n), row))
+            for a, b in pairs:
+                density_ratio(densities, a, b)
+    deviations = np.abs(table[:, numerators] / denominator - model)
+    return [dict(zip(labels, row)) for row in deviations.tolist()]
 
 
 def _perturbed_chunks(space: HermitianSpace, grid: list[tuple[float, int]]):
-    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed tensors and their seeds."""
+    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed
+    tensors and their seeds; the tensors come from stacked passes, in groups
+    whose four symmetry residual tables fit curvature._STACK_BYTES."""
     for start in range(0, len(grid), SAMPLES_PER_CHUNK):
         chunk = grid[start : start + SAMPLES_PER_CHUNK]
-        yield chunk, [perturb(space, t, sample_seed) for t, sample_seed in chunk], [seed for _, seed in chunk]
+        ts, seeds = [t for t, _ in chunk], [seed for _, seed in chunk]
+        groups = _groups(len(chunk), 32 * space.dim**4)  # the four symmetry residual tables
+        yield chunk, [tensor for g in groups for tensor in _perturbations(space, ts[g], seeds[g])], seeds
 
 
 def sweep(
@@ -166,7 +231,11 @@ def sweep(
     """Run the perturbation experiment; flags (and keeps) non-converged records.
 
     Records are computed SAMPLES_PER_CHUNK at a time, the pinch and
-    hol_extremes runs of a chunk sharing optimizer batches. H is linear in R,
+    hol_extremes runs of a chunk sharing optimizer batches; its perturbed
+    tensors, their certificates, Chern-density tables and distances to R0
+    come from stacked passes, each record's values bit for bit those of its
+    one-tensor calls. A chunk runs each stage over all of its samples, so a
+    failing sample raises at the first stage it fails. H is linear in R,
     so the holomorphic extremes of the normalized tensor are its scale times
     those of the perturbed one, where they are found. Raises if more than
     MAX_EXCLUDED_FRACTION of records failed to converge.
@@ -187,17 +256,20 @@ def sweep(
     records = []
     for chunk, tensors, seeds in _perturbed_chunks(space, grid):
         reports, hols = _pinch_hol_batch(tensors, restarts, seeds)
-        for (t, sample_seed), tensor, report, hol in zip(chunk, tensors, reports, hols):
-            normalization = normalize_quarter(tensor, report)
-            normalized = normalization.tensor
-            ratio_devs = _ratio_deviations(normalized)
+        normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
+        normalized = [normalization.tensor for normalization in normalizations]
+        deviations = _ratio_deviation_rows(normalized)
+        distances = _distances(np.array([tensor.entries for tensor in normalized]), model.entries).tolist()
+        for (t, sample_seed), report, hol, normalization, ratio_devs, dist in zip(
+            chunk, reports, hols, normalizations, deviations, distances
+        ):
             records.append(
                 SweepRecord(
                     n=space.n,
                     t=t,
                     seed=sample_seed,
                     delta=normalization.delta,
-                    frobenius_dist=distance(normalized, model),
+                    frobenius_dist=dist,
                     h_dev=max(abs(normalization.scale * h + 1.0) for h in (hol.h_min, hol.h_max)),
                     ratio_devs=ratio_devs,
                     ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
@@ -267,6 +339,7 @@ def emit_csv(records: list[SweepRecord]) -> str:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def holomorphic_coefficient_bound() -> tuple[float, float]:
     """Absolute-coefficient bounds (per-K, per-entry) through the two linear formulas.
 
@@ -358,28 +431,34 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     whose pinch did not converge, or whose defect is anomalous: for n >= 2 a
     Kahler tensor is at best quarter-pinched, so a defect meaningfully below
     zero means the optimizer missed an extreme. A chunk's samples share
-    optimizer batches. retries is always 0.
+    optimizer batches and stacked perturbation and Chern-density passes; a
+    chunk runs each stage over all of its samples, so a failing sample
+    raises at the first stage it fails. retries is always 0.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     grid = [(chain.delta / 8.0, _sample_seed(seed, 0, sample)) for sample in range(samples)]
-    chunks = _perturbed_chunks(make_space(chain.n), grid)
-    pinched = (pair for _, tensors, seeds in chunks for pair in zip(tensors, _pinch_batch(tensors, None, seeds)))
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
-    for sample, (tensor, report) in enumerate(pinched):
-        normalization = normalize_quarter(tensor, report)
-        defect = normalization.delta
-        if not defect < chain.delta:
-            raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
-        if not report.converged:
-            raise RuntimeError(f"sample {sample}: the pinch did not converge")
-        if normalization.anomaly:
-            raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
-        max_defect = max(max_defect, defect)
-        for dev in _ratio_deviations(normalization.tensor).values():
-            max_ratio_dev = max(max_ratio_dev, dev)
-            if dev >= chain.epsilon:
-                violations += 1
+    sample = 0
+    for _, tensors, seeds in _perturbed_chunks(make_space(chain.n), grid):
+        normalized = []
+        for tensor, report in zip(tensors, _pinch_batch(tensors, None, seeds)):
+            normalization = normalize_quarter(tensor, report)
+            defect = normalization.delta
+            if not defect < chain.delta:
+                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
+            if not report.converged:
+                raise RuntimeError(f"sample {sample}: the pinch did not converge")
+            if normalization.anomaly:
+                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
+            max_defect = max(max_defect, defect)
+            normalized.append(normalization.tensor)
+            sample += 1
+        for ratio_devs in _ratio_deviation_rows(normalized):
+            for dev in ratio_devs.values():
+                max_ratio_dev = max(max_ratio_dev, dev)
+                if dev >= chain.epsilon:
+                    violations += 1
     return CertificationReport(samples, violations, max_ratio_dev, max_defect, retries=0)
 
 
@@ -407,7 +486,7 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
         raise PreconditionError("samples must be >= 1")
     space = make_space(n)
     n_tensors = max(1, min(10, samples // 10))
-    tensors = [random_kahler(space, _sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    tensors = _random_kahlers(space, [_sample_seed(seed, 1, i) for i in range(n_tensors)], 1.0)
     model = complex_hyperbolic_tensor(space)
     pairs = [
         random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")

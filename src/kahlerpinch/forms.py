@@ -4,7 +4,10 @@ Entry [I, J] of a (p, p)-form in the coframe theta^1, ..., theta^n, for
 p-subsets I = (i_1 < ... < i_p) and J = (j_1 < ... < j_p) of range(n), is
 the coefficient of the product of the 2-forms theta^{i_r} ^ conj theta^{j_r}
 in increasing r. Leading axes are batch axes: a matrix of (1,1)-forms has
-shape (n, n, n, n).
+shape (n, n, n, n), and a stack of B of them, one per tensor, (B, n, n, n, n).
+A wedge multiplies each slice of a stack on its own (stacked matmuls, never
+one product over the stack), so a stack's wedges are its slices' own bit for
+bit.
 
 2-forms commute, so the (I, J) basis form times the (I', J') one is the
 (K, L) basis form times the signs of the shuffles that sort I + I' into K
@@ -45,7 +48,8 @@ def _wedge(e: np.ndarray, a: np.ndarray, b: np.ndarray, subscripts: str = "...ij
     """a ^ b for a (p, p)-form a and a (q, q)-form b, with e = _shuffle(n, p, q).
 
     Broadcasts over leading axes; the subscripts "abij,bckl->acikjl" contract
-    them instead to the matrix product (a b)_ac = sum_b a_ab ^ b_bc.
+    them instead to the matrix product (a b)_ac = sum_b a_ab ^ b_bc, and
+    "zabij,zbckl->zacikjl" to that product per slice z of two stacks.
     """
     kron = np.einsum(subscripts, a, b)
     size = e.shape[1]

@@ -214,8 +214,15 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     the pair matrix restricted to the index pairs (i, j) with i < j.
     """
     require_certified(tensor)
-    eigvals = np.linalg.eigvalsh(tensor.matrix[_bivector_block(tensor.space.dim)])
-    return float(eigvals[0]), float(eigvals[-1])
+    return _envelopes([tensor])[0]
+
+
+def _envelopes(tensors) -> list[tuple[float, float]]:
+    """curvature_operator_envelope of each certified tensor (all over one space),
+    from one stacked eigvalsh: each is its one-tensor value bit for bit."""
+    rows, columns = _bivector_block(tensors[0].space.dim)
+    eigvals = np.linalg.eigvalsh(np.array([tensor.matrix for tensor in tensors])[:, rows, columns])
+    return list(zip(eigvals[:, 0].tolist(), eigvals[:, -1].tolist()))
 
 
 @lru_cache(maxsize=None)
@@ -772,7 +779,9 @@ def _multistart(tensors, restarts, seeds, kinds):
     extremes. Plane rows are preconditioned unless their tensor is a space
     form up to rounding or has 3 |s0| <= mu. A report gets the restart count,
     the minimum and maximum, their rows (ties go to the lowest restart), the
-    diagnostics and whether both extremes are stable.
+    diagnostics and whether both extremes are stable; plane reports get the
+    curvature-operator envelopes of all the tensors, from one stacked
+    eigvalsh (`_envelopes`).
 
     An explicit restart count runs as given. restarts=None runs
     DEFAULT_RESTARTS and queues each tensor with a report that is not
@@ -796,6 +805,7 @@ def _multistart(tensors, restarts, seeds, kinds):
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= space.dim**2 * EPS * abs_s0  # up to rounding
     plain_planes = space_forms | (3.0 * abs_s0 <= mu)
+    envelopes = _envelopes(tensors) if True in kinds else None
 
     def block_report(planes, k, count, vals, x, diagnostics, stable):
         # vals and x: the tensor's minimum rows, then as many maximum rows
@@ -808,8 +818,8 @@ def _multistart(tensors, restarts, seeds, kinds):
             lo, hi = np.sort(s0[k] * model_extremes) + 0.0
         else:
             lo, hi = scales[k] * vals[i_min], scales[k] * vals[i_max]
-        report = _pinch_report if planes else _hol_report
-        return report(tensors[k], count, float(lo), float(hi), x[i_min].copy(), x[i_max].copy(), diagnostics, stable)
+        fields = (count, float(lo), float(hi), x[i_min].copy(), x[i_max].copy(), diagnostics, stable)
+        return _pinch_report(tensors[k], envelopes[k], *fields) if planes else _hol_report(tensors[k], *fields)
 
     if restarts is None and space.n == 2:
         mats = [tensor.matrix / scale for tensor, scale in zip(tensors, scales)]
@@ -898,9 +908,9 @@ def _pinch_hol_batch(tensors, restarts, seeds) -> tuple[list[PinchReport], list[
     return pinches, hols
 
 
-def _pinch_report(tensor, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
+def _pinch_report(tensor, envelope, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
     dim = tensor.space.dim
-    lo, hi = curvature_operator_envelope(tensor)
+    lo, hi = envelope
     slack = 1e-9 * max(abs(lo), abs(hi))  # relative, so 2^k R sandwiches as R does
     sandwich = (lo - slack <= k_min) and (k_max <= hi + slack)
     return PinchReport(

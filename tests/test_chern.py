@@ -563,3 +563,73 @@ def test_continuity_near_model(space2, r0_n2):
     print(f"fitted continuity constant near the model tensor: C = {fit:.4f}")
     for dist, dev, label in samples[len(samples) // 2 :]:
         assert dev <= 2.0 * max(fit, 1e-6) * dist, label
+
+
+# ---------------------------------------------------------------------------
+# stacked passes: each tensor of a stack gets its one-tensor tables bit for bit
+# ---------------------------------------------------------------------------
+
+# tensors per stack: sweep's 64-sample chunk up to n = 4, fewer where a form is large
+STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 12, 6: 4}
+
+
+def _stack_of_tensors(n):
+    """Perturbed model tensors, random tensors at scales 1e-120 to 1e120, and R0."""
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(n)
+    count = STACK_SIZES[n]
+    tensors = [perturb(space, 0.01 * (1 + k % 5), seed=k) for k in range(count // 2)]
+    tensors += [random_kahler(space, seed=k, frobenius_norm=10.0 ** (k % 13 * 20 - 120)) for k in range(count // 2 - 1)]
+    return tensors + [complex_hyperbolic_tensor(space)]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_density_tables_equal_one_tensor_calls(n):
+    from kahlerpinch import chern
+
+    tensors = _stack_of_tensors(n)
+    table, unit = chern._density_tables(tensors)
+    exponents, sigmas = chern._unit_forms(tensors[:3])
+    indices = enumerate_indices(n)
+    pairs = [(a, b) for a in indices for b in indices if a != b]
+    for k, tensor in enumerate(tensors):
+        one_table, one_unit = chern._density_tables([tensor])
+        assert table[k].tobytes() == one_table[0].tobytes()
+        assert unit[k].tobytes() == one_unit[0].tobytes()
+        assert _hex(chern_densities(tensor).values()) == _hex(table[k])
+        if k < 3:
+            one_exponents, one_sigmas = chern._unit_forms([tensor])
+            assert exponents[k] == one_exponents[0]
+            assert [sigma[k].tobytes() for sigma in sigmas] == [sigma[0].tobytes() for sigma in one_sigmas]
+        # chern_ratio reads the unit table, one pass per call: a sample of pairs at large n
+        unit_densities = dict(zip(indices, unit[k].tolist()))
+        for a, b in pairs[:: max(1, len(pairs) // 6)]:
+            assert chern_ratio(tensor, a, b).hex() == density_ratio(unit_densities, a, b).hex()
+
+
+def test_stacked_reality_check_raises_for_the_first_failing_tensor(space2):
+    # R0 plus 3e-11 (6e-11) times a normal table is certified, but its c_1 is not real
+    from kahlerpinch import chern, check_kahler
+
+    entries = complex_hyperbolic_tensor(space2).entries
+    bad = [
+        CurvatureTensor(space2, entries + size * seeded_rng(seed).standard_normal(entries.shape))
+        for size, seed in ((3e-11, 1), (6e-11, 2))
+    ]
+    messages = []
+    for tensor in bad:
+        assert check_kahler(tensor).passed
+        with pytest.raises(PreconditionError, match="imaginary residue") as one:
+            chern_forms(tensor)
+        messages.append(str(one.value))
+    assert messages[0] != messages[1]
+    good = random_kahler(space2, seed=3)
+    for stack, first in (([good, bad[0], bad[1]], 0), ([bad[1], good, bad[0]], 1)):
+        with pytest.raises(PreconditionError) as stacked:
+            chern._density_tables(stack)
+        assert str(stacked.value) == messages[first]

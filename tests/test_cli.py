@@ -589,8 +589,10 @@ def test_constants_certification_failure_exits_1(monkeypatch, failure):
         n = "3"
         monkeypatch.setattr(kahlerpinch.pinching, "MAX_ITER", 3)
     else:
-        perturb = kahlerpinch.experiments.perturb
-        monkeypatch.setattr(kahlerpinch.experiments, "perturb", lambda space, t, seed: perturb(space, 0.5, seed))
+        perturbations = kahlerpinch.experiments._perturbations
+        monkeypatch.setattr(
+            kahlerpinch.experiments, "_perturbations", lambda space, ts, seeds: perturbations(space, [0.5] * len(ts), seeds)
+        )
     code, out, err = _run_in_process(["constants", "--epsilon", "0.1", "--n", n, "--certify", "1", "--seed", "1"])
     assert code == 1
     assert out == ""

@@ -351,6 +351,86 @@ def test_random_kahler_rejects_a_norm_that_is_not_positive_and_finite(space2, no
 
 
 # ---------------------------------------------------------------------------
+# stacked passes: each table of a stack gets its one-tensor result bit for bit
+# ---------------------------------------------------------------------------
+
+# tensors per stack: sweep's 64-sample chunk up to n = 4, fewer where a table is large
+STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 16, 6: 8}
+
+
+def _raw_stack(n: int) -> np.ndarray:
+    """Normal tables at scales 2^-40 to 2^40, one of them zero."""
+    count, d = STACK_SIZES[n], 2 * n
+    raw = seeded_rng(n, 29).standard_normal((count,) + (d,) * 4)
+    raw *= np.ldexp(1.0, np.arange(count) % 81 - 40).reshape(-1, 1, 1, 1, 1)
+    raw[count // 2] = 0.0
+    return raw
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_projections_and_certificates_equal_one_tensor_calls(n):
+    space = make_space(n)
+    raw = _raw_stack(n)
+    projected = curvature._projection(raw)
+    residuals = curvature._symmetry_residuals(projected)
+    certificates = curvature._certificates(projected, curvature._relative_tolerance(projected))
+    absolute = curvature._certificates(projected, 1e-12)
+    norms = curvature._frobenius(projected)
+    for k, table in enumerate(raw):
+        one = project_kahler(table, space)
+        assert projected[k].tobytes() == one.entries.tobytes()
+        assert certificates[k] == one.certificate
+        assert _hex(residuals[k]) == _hex(symmetry_residuals(one).values())
+        assert absolute[k] == check_kahler(CurvatureTensor(space, one.entries), 1e-12)
+        assert norms[k].hex() == one.frobenius_norm().hex()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_random_kahlers_and_distances_equal_one_tensor_calls(n):
+    space = make_space(n)
+    seeds = list(range(STACK_SIZES[n]))
+    tensors = curvature._random_kahlers(space, seeds, 2.5)
+    model = complex_hyperbolic_tensor(space)
+    distances = curvature._distances(np.array([tensor.entries for tensor in tensors]), model.entries)
+    for seed, tensor, dist in zip(seeds, tensors, distances):
+        one = random_kahler(space, seed, 2.5)
+        assert tensor.entries.tobytes() == one.entries.tobytes()
+        assert tensor.certificate == one.certificate
+        assert dist.hex() == distance(one, model).hex()
+
+
+def test_stacked_random_kahlers_raise_for_the_first_degenerate_seed(monkeypatch, space2):
+    # a seed whose projection is zero raises random_kahler's error, the first one in order
+    from kahlerpinch.errors import DegenerateSampleError
+
+    original = curvature._random_projection
+
+    def degenerate(space, seeds):
+        projected, norms = original(space, seeds)
+        zero = np.isin(seeds, [5, 7])
+        return np.where(zero.reshape(-1, 1, 1, 1, 1), 0.0, projected), np.where(zero, 0.0, norms)
+
+    monkeypatch.setattr(curvature, "_random_projection", degenerate)
+    with pytest.raises(DegenerateSampleError) as one:
+        random_kahler(space2, 7)
+    with pytest.raises(DegenerateSampleError) as stacked:
+        curvature._random_kahlers(space2, [1, 7, 2, 5], 1.0)
+    assert str(stacked.value) == str(one.value) == "seed 7 projected to zero; retry with another seed"
+
+
+def test_stacked_passes_run_in_groups_within_the_stack_budget():
+    # a group's largest table stays within _STACK_BYTES, and a table larger
+    # than that still runs, alone
+    assert curvature._groups(5, curvature._STACK_BYTES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert curvature._groups(3, 4 * curvature._STACK_BYTES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert curvature._groups(0, 1) == []
+
+
+# ---------------------------------------------------------------------------
 # curvature evaluation
 # ---------------------------------------------------------------------------
 

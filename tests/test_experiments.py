@@ -103,24 +103,24 @@ def test_perturb_adds_random_kahlers_direction_with_one_certificate(n, monkeypat
     space = make_space(n)
     model = complex_hyperbolic_tensor(space)  # R0 is certified once per n, before counting
     calls = []
-    check_kahler = curvature.check_kahler
+    certificates = curvature._certificates  # check_kahler's stacked core
 
-    def counted(*args):
-        calls.append(args)
-        return check_kahler(*args)
+    def counted(entries, tol):
+        calls.append(len(entries))
+        return certificates(entries, tol)
 
     for module in (curvature, kahlerpinch.experiments):
-        monkeypatch.setattr(module, "check_kahler", counted)
+        monkeypatch.setattr(module, "_certificates", counted)
     for seed in range(3):
         calls.clear()
         tensor = perturb(space, 0.05, seed)
-        assert len(calls) == 1
+        assert calls == [1]
         direction = random_kahler(space, seed, 1.0)
         assert np.array_equal(tensor.entries, model.entries + 0.05 * direction.entries)
-    # one check_kahler per perturbed record, none for t = 0
+    # one certificate per perturbed record, none for t = 0: one stacked pass for the chunk
     calls.clear()
     sweep(n, [0.0, 0.05], samples_per_t=2, seed=3, restarts=4)
-    assert len(calls) == 2
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -130,6 +130,132 @@ def test_perturb_and_sweep_reject_a_non_finite_size(space2, t):
         perturb(space2, t, seed=1)
     with pytest.raises(PreconditionError, match=f"must be finite and >= 0, got {t}$"):
         sweep(2, [0.01, t], samples_per_t=1, seed=1)
+
+
+# sweep's 64-sample chunk up to n = 4, fewer where a tensor is large
+STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 16, 6: 8}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_perturbations_equal_one_tensor_calls(n):
+    # one stacked projection and certificate pass per chunk (in groups of the
+    # stacked-pass budget), each tensor perturb's bit for bit; t = 0 is R0's shared entries
+    from kahlerpinch import complex_hyperbolic_tensor
+    from kahlerpinch.experiments import _perturbations, _perturbed_chunks
+
+    space = make_space(n)
+    model = complex_hyperbolic_tensor(space)
+    grid = [(0.0 if k % 5 == 0 else 0.02 * (k % 7), 1000 + k) for k in range(STACK_SIZES[n])]
+    ts, seeds = (list(column) for column in zip(*grid))
+    ((_, chunked, _),) = _perturbed_chunks(space, grid)
+    for tensors in (_perturbations(space, ts, seeds), chunked):
+        for t, seed, tensor in zip(ts, seeds, tensors):
+            one = perturb(space, t, seed)
+            assert tensor.entries.tobytes() == one.entries.tobytes()
+            assert tensor.certificate == one.certificate
+            assert (tensor.entries is model.entries) == (one.entries is model.entries) == (t == 0)
+
+
+def _raised(call) -> Exception:
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+def test_stacked_perturbations_raise_as_the_first_failing_one_tensor_call(monkeypatch, space1):
+    # at n = 1, t = 1e308 overflows; seed 5's direction is made degenerate here
+    from kahlerpinch.errors import DegenerateSampleError
+    from kahlerpinch.experiments import _perturbations
+
+    original = kahlerpinch.experiments._random_projection
+
+    def degenerate(space, seeds):
+        projected, norms = original(space, seeds)
+        zero = np.isin(seeds, [5])
+        return np.where(zero.reshape(-1, 1, 1, 1, 1), 0.0, projected), np.where(zero, 0.0, norms)
+
+    monkeypatch.setattr(kahlerpinch.experiments, "_random_projection", degenerate)
+    cases = [
+        # (ts, seeds, index of the first failing pair, its error)
+        ([0.1, 0.0, 1e308, 0.1], [1, 2, 3, 5], 2, PreconditionError),
+        ([0.1, 0.1, 1e308, np.nan], [1, 5, 3, 4], 1, DegenerateSampleError),
+        ([0.0, np.nan, 0.1, 1e308], [1, 2, 5, 3], 1, PreconditionError),
+        ([0.1, -1.0, 0.1], [5, 2, 3], 0, DegenerateSampleError),
+    ]
+    for ts, seeds, first, kind in cases:
+        expected = _raised(lambda: perturb(space1, ts[first], seeds[first]))
+        for k in range(first):
+            perturb(space1, ts[k], seeds[k])  # the pairs before it pass
+        got = _raised(lambda: _perturbations(space1, ts, seeds))
+        assert type(got) is type(expected) is kind
+        assert str(got) == str(expected)
+
+
+def test_sweep_with_a_non_kahler_sample_raises_as_its_one_tensor_pinch(monkeypatch, space2):
+    # a direction that is not Kahler leaves R0 + tS uncertified, as perturb
+    # leaves it, and the chunk's pinch raises the error of that sample's own pinch
+    from kahlerpinch import pinch, seeded_rng
+    from kahlerpinch.experiments import _perturbations, _sample_seed
+
+    original = kahlerpinch.experiments._random_projection
+    broken = {_sample_seed(7, 1, 1), _sample_seed(7, 1, 2)}
+
+    def not_kahler(space, seeds):
+        projected, norms = original(space, seeds)
+        noise = 1e-3 * np.array([seeded_rng(seed).standard_normal(projected.shape[1:]) for seed in seeds])
+        return np.where(np.isin(seeds, list(broken)).reshape(-1, 1, 1, 1, 1), projected + noise, projected), norms
+
+    monkeypatch.setattr(kahlerpinch.experiments, "_random_projection", not_kahler)
+    grid = [(t, _sample_seed(7, t_index, sample)) for t_index, t in enumerate([0.0, 0.1]) for sample in range(3)]
+    tensors = _perturbations(space2, *(list(column) for column in zip(*grid)))
+    for (t, seed), tensor in zip(grid, tensors):
+        assert (tensor.certificate is None) == (seed in broken)
+        assert tensor.certificate == perturb(space2, t, seed).certificate
+    expected = _raised(lambda: pinch(perturb(space2, 0.1, _sample_seed(7, 1, 1)), seed=_sample_seed(7, 1, 1)))
+    assert isinstance(expected, PreconditionError) and "not Kahler" in str(expected)
+    got = _raised(lambda: sweep(2, [0.0, 0.1], samples_per_t=3, seed=7))
+    assert type(got) is type(expected) and str(got) == str(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_ratio_deviations_equal_the_one_tensor_formula(n):
+    # each row is |gamma_I / gamma_J - model value| from the tensor's own
+    # chern_densities and density_ratio, bit for bit
+    from kahlerpinch import chern_densities, density_ratio, reference_constants
+    from kahlerpinch.experiments import _ratio_deviation_rows, _ratio_deviations
+
+    space = make_space(n)
+    tensors = [perturb(space, 0.01 * (1 + k % 4), 2000 + k).scaled(0.75) for k in range(STACK_SIZES[n] // 2)]
+    model = reference_constants(n)
+    rows = _ratio_deviation_rows(tensors)
+    for tensor, row in zip(tensors, rows):
+        densities = chern_densities(tensor)
+        expected = {
+            f"{a}:{b}": abs(density_ratio(densities, a, b) - density_ratio(model, a, b))
+            for a in model
+            for b in model
+            if a != b
+        }
+        assert list(row) == list(expected)
+        assert [v.hex() for v in row.values()] == [v.hex() for v in expected.values()]
+        assert row == _ratio_deviations(tensor)
+
+
+def test_stacked_ratio_deviations_raise_density_ratios_first_error(space2):
+    # a zero tensor's denominators vanish; R0 at 1e300 has densities past the double range
+    from kahlerpinch import CurvatureTensor, complex_hyperbolic_tensor
+    from kahlerpinch.errors import DegenerateDenominatorError, ResourceLimitError
+    from kahlerpinch.experiments import _ratio_deviation_rows, _ratio_deviations
+
+    good = perturb(space2, 0.02, 1)
+    zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
+    huge = complex_hyperbolic_tensor(space2).scaled(1e300)
+    for bad, kind in ((zero, DegenerateDenominatorError), (huge, ResourceLimitError)):
+        assert type(_raised(lambda: _ratio_deviations(bad))) is kind
+    for stack, first in (([good, zero, huge], zero), ([good, huge, zero], huge)):
+        expected = _raised(lambda: _ratio_deviations(first))
+        got = _raised(lambda: _ratio_deviation_rows(stack))
+        assert type(got) is type(expected) and str(got) == str(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +561,13 @@ def test_certify_constants_equals_one_tensor_at_a_time(monkeypatch):
     # two samples with a 40x larger perturbation are not delta-pinched: the
     # run stops at the first of them, in whichever chunk it falls
     grown = {_sample_seed_of(5, 1), _sample_seed_of(5, 3)}
-    original = kahlerpinch.experiments.perturb
+    original = kahlerpinch.experiments._perturbations
 
-    def perturb_some_more(space, t, seed):
-        return original(space, 40.0 * t if seed in grown else t, seed)
+    def perturb_some_more(space, ts, seeds):
+        # perturb is the batch of one of _perturbations, so both see this
+        return original(space, [40.0 * t if seed in grown else t for t, seed in zip(ts, seeds)], seeds)
 
-    monkeypatch.setattr(kahlerpinch.experiments, "perturb", perturb_some_more)
+    monkeypatch.setattr(kahlerpinch.experiments, "_perturbations", perturb_some_more)
     with pytest.raises(RuntimeError, match=r"^sample 1: defect .* is not below delta"):
         _certify_one_tensor_at_a_time(chain, 5, 5)
     for chunk in (2, 64):
@@ -666,7 +793,7 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
     # sample s goes with tensor s % n_tensors and with the s-th theta drawn
     import math
 
-    from kahlerpinch import experiments, make_space, random_orthonormal_pair, seeded_rng
+    from kahlerpinch import experiments, make_space, random_kahler, random_orthonormal_pair, seeded_rng
 
     calls = []
     polarization = experiments.polarization_residuals
@@ -689,7 +816,7 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
     space = make_space(n)
     rng = seeded_rng(seed, 23)
     n_tensors = 4
-    tensors = [experiments.random_kahler(space, experiments._sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    tensors = [random_kahler(space, experiments._sample_seed(seed, 1, i)) for i in range(n_tensors)]
     assert len(seen) == samples
     for s in range(samples):
         u, v = random_orthonormal_pair(space, experiments._sample_seed(seed, 2, s), constraint="v_perp_ju")

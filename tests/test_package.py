@@ -54,6 +54,13 @@ def test_ci_workflow_runs_the_tier1_suite():
         and run.endswith("python -m pytest -q tests/test_pinching.py tests/test_experiments.py")
         for run in runs
     )
+    # and the stacked tensor and Chern passes, which must equal their one-tensor calls
+    assert any(
+        run.startswith("OPENBLAS_NUM_THREADS=1 ")
+        and "PYTHONPATH=src" in run
+        and run.endswith("python -m pytest -q tests/test_chern.py tests/test_curvature.py")
+        for run in runs
+    )
     # the installed console script, which the tests (python -m kahlerpinch) do not reach
     assert "kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json" in runs
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)

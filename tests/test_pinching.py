@@ -53,6 +53,23 @@ def test_envelope_zero_tensor(space2):
     assert curvature_operator_envelope(zero) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_envelopes_equal_one_tensor_calls(n):
+    # _multistart reads a batch's envelopes from one stacked eigvalsh; each
+    # is the tensor's own curvature_operator_envelope bit for bit
+    from kahlerpinch.pinching import _envelopes
+
+    space = make_space(n)
+    count = {5: 16, 6: 8}.get(n, 64)
+    tensors = [random_kahler(space, seed=s, frobenius_norm=2.0 ** (s % 9 - 4)) for s in range(count - 1)]
+    tensors.append(complex_hyperbolic_tensor(space))
+    stacked = _envelopes(tensors)
+    assert [[v.hex() for v in pair] for pair in stacked] == [
+        [v.hex() for v in curvature_operator_envelope(tensor)] for tensor in tensors
+    ]
+    assert all(type(v) is float for pair in stacked for v in pair)
+
+
 def test_envelope_rayleigh_normalization(space2):
     # <Rb, b> on the bivector of an orthonormal pair must equal K(u, v)
     tensor = random_kahler(space2, seed=71)
