@@ -35,7 +35,9 @@ carry a leading batch axis through the reality check, the Newton recursion
 one (B, P) table per stack. Every product is one per tensor, stacked, never
 one GEMM over the stack, so each tensor's table is its batch-of-one table bit
 for bit; `chern_forms`, `chern_densities` and `chern_ratio` are that batch of
-one. A stack runs in groups whose wedge tables fit `curvature._STACK_BYTES`.
+one. A stack runs in groups whose wedge tables fit `_STACK_BYTES`.
+`_ratio_rows` divides columns of a (B, P) table with `density_ratio`'s
+checks, made once per row; `density_ratio` is its one-row case.
 """
 
 from __future__ import annotations
@@ -44,13 +46,12 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, isfinite
+from math import comb, factorial
 
 import numpy as np
 
 from .curvature import (
     CurvatureTensor,
-    _groups,
     _kahler_coordinates,
     _unit_exponent,
     complex_hyperbolic_tensor,
@@ -77,6 +78,13 @@ __all__ = [
     "reference_constants",
     "space_form_ratio",
 ]
+
+# A stacked density pass runs in groups whose largest table, Omega^p ^ Omega
+# before its shuffle (n^4 C(n, p)^2 complex entries per tensor), stays within
+# this many bytes: at n = 6 an 8-tensor pass took 124 MB more peak RSS than one
+# tensor at a time, and a 64-sample chunk would take about 1 GB. Every product
+# is one per tensor, so the grouping changes no result.
+_STACK_BYTES = 1 << 21
 
 REALITY_TOL = 1e-12
 
@@ -242,10 +250,10 @@ def _density_tables(tensors) -> tuple[np.ndarray, np.ndarray]:
     ones times 2^(n e), which is exact as long as they stay normal doubles.
     """
     n = tensors[0].space.n
-    # the largest table, Omega^p ^ Omega before its shuffle, has n^4 C(n, p)^2 complex entries
-    groups = _groups(len(tensors), 16 * n**4 * comb(n, n // 2) ** 2)
-    if len(groups) > 1:
-        tables, units = zip(*(_density_tables(tensors[group]) for group in groups))
+    size = max(1, _STACK_BYTES // (16 * n**4 * comb(n, n // 2) ** 2))
+    if len(tensors) > size:
+        groups = (_density_tables(tensors[start : start + size]) for start in range(0, len(tensors), size))
+        tables, units = zip(*groups)
         return np.concatenate(tables), np.concatenate(units)
     exponents, sigmas = _unit_forms(tensors)
     # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
@@ -316,16 +324,35 @@ def density_ratio(
     if not densities:
         raise PreconditionError("the density table is empty")
     _require_dimension(next(iter(densities)).n, index_i, index_j)
-    if not all(isfinite(gamma) for gamma in densities.values()):
-        raise ResourceLimitError("a Chern density is not finite: the tensor exceeds double precision")
-    denominator = densities[index_j]
-    largest = max(abs(gamma) for gamma in densities.values())
-    if abs(denominator) <= 1e-12 * largest:
+    indices = list(densities)
+    column = {index: c for c, index in enumerate(indices)}
+    table = np.array([list(densities.values())], dtype=float)
+    return float(_ratio_rows(table, indices, [column[index_i]], [column[index_j]])[0, 0])
+
+
+def _ratio_rows(table: np.ndarray, indices, numerators, denominators) -> np.ndarray:
+    """gamma_I / gamma_J of each row of a (B, P) density table, as (B, Q), for
+    the column pairs (numerators[q], denominators[q]); indices names the columns.
+
+    Each row is checked once, as density_ratio checks its table: the first
+    failing row, and in it the first failing pair, raises density_ratio's
+    error, ResourceLimitError for a density that is not finite before
+    DegenerateDenominatorError.
+    """
+    largest = np.abs(table).max(axis=1, keepdims=True)  # inf or nan when a density is not finite
+    denominator = table[:, denominators]
+    # no pair of a table that is not finite passes
+    passed = np.abs(denominator) > 1e-12 * largest
+    if not passed.all():
+        row = int(np.argmin(passed.all(axis=1)))
+        if not np.isfinite(largest[row, 0]):
+            raise ResourceLimitError("a Chern density is not finite: the tensor exceeds double precision")
+        q = int(np.argmin(passed[row]))
         raise DegenerateDenominatorError(
-            f"density gamma_{index_j} = {denominator!r} vanished relative to "
-            f"the largest density {largest!r}"
+            f"density gamma_{indices[denominators[q]]} = {float(denominator[row, q])!r} vanished relative to "
+            f"the largest density {float(largest[row, 0])!r}"
         )
-    return densities[index_i] / denominator
+    return table[:, numerators] / denominator
 
 
 def chern_ratio(tensor: CurvatureTensor, index_i: ChernIndex, index_j: ChernIndex) -> float:

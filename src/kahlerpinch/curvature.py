@@ -84,21 +84,6 @@ def _pair_outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return xy.reshape(xy.shape[:-2] + (xy.shape[-2] * xy.shape[-1],))
 
 
-# A stacked pass over tensors runs in groups whose largest stacked table stays
-# within _STACK_BYTES: larger stacks spill out of cache (at n = 4 a 64-tensor
-# chunk ran slower than groups of 8 to 32), and the Chern layer's wedge tables
-# grow as C(n, p)^2 per tensor. Every product is one per tensor, so the
-# grouping changes no result.
-_STACK_BYTES = 1 << 21
-
-
-def _groups(count: int, table_bytes: int) -> list[slice]:
-    """Consecutive slices of range(count), each of at most _STACK_BYTES // table_bytes
-    tensors (at least one), for a pass whose largest table takes table_bytes per tensor."""
-    size = max(1, _STACK_BYTES // table_bytes)
-    return [slice(start, start + size) for start in range(0, count, size)]
-
-
 def _unbatched(value):
     """A Python float for a 0-d result (1-D arguments), the array otherwise."""
     value = np.asarray(value)
@@ -644,8 +629,8 @@ def _distances(entries: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def _frobenius(entries: np.ndarray, shift=0) -> np.ndarray:
     """2^shift times the Frobenius norm of each table of a (B, d, d, d, d) stack,
-    summed at unit scale (`_unit_exponent`) by one dot product per table
-    (np.vecdot, the BLAS dot of np.linalg.norm).
+    summed at unit scale (`_unit_exponent`) by one np.dot per table, the
+    BLAS dot of np.linalg.norm.
 
     The largest square is below 1, so none overflows, and the scalings are
     exact: the result equals the plain norm wherever that neither overflows
@@ -654,7 +639,7 @@ def _frobenius(entries: np.ndarray, shift=0) -> np.ndarray:
     b = len(entries)
     exponent = _unit_exponent(entries)
     rows = np.ldexp(entries, -exponent.reshape(b, 1, 1, 1, 1)).reshape(b, -1)
-    norms = np.sqrt(np.vecdot(rows, rows))
+    norms = np.sqrt([np.dot(row, row) for row in rows])
     with np.errstate(over="ignore"):  # past the double range
         return np.ldexp(norms, exponent + shift)
 

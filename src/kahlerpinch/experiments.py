@@ -17,13 +17,12 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .chern import ChernIndex, _density_tables, density_ratio, reference_constants
+from .chern import ChernIndex, _density_tables, _ratio_rows, reference_constants
 from .curvature import (
     DEFAULT_SYMMETRY_TOL,
     CurvatureTensor,
     complex_hyperbolic_tensor,
     _distances,
-    _groups,
     distance,
     polarization_residuals,
     reconstruct_from_sectional,
@@ -163,62 +162,37 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _model_ratios(
-    n: int,
-) -> tuple[tuple[tuple[ChernIndex, ChernIndex], ...], tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """Every ordered pair (I, J) of distinct indices, their labels "I:J", the
-    density-table columns of I and of J, and the model's gamma_I / gamma_J."""
+def _model_ratios(n: int) -> tuple[tuple[str, ...], tuple[ChernIndex, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """For every ordered pair (I, J) of distinct indices: the labels "I:J", the
+    density-table columns (named by the tuple of indices) of I and of J, and
+    the model's gamma_I / gamma_J."""
     model = reference_constants(n)
-    column = {index: c for c, index in enumerate(model)}
-    pairs = tuple((a, b) for a in model for b in model if a != b)
-    return (
-        pairs,
-        tuple(f"{a}:{b}" for a, b in pairs),
-        _read_only(np.array([column[a] for a, _ in pairs], dtype=int)),
-        _read_only(np.array([column[b] for _, b in pairs], dtype=int)),
-        _read_only(np.array([density_ratio(model, a, b) for a, b in pairs])),
-    )
-
-
-def _ratio_deviations(tensor: CurvatureTensor) -> dict[str, float]:
-    """|gamma_I / gamma_J - model value| for every ordered pair of distinct indices."""
-    return _ratio_deviation_rows([tensor])[0]
+    indices = tuple(model)
+    pairs = [(a, b) for a in range(len(indices)) for b in range(len(indices)) if a != b]
+    numerators = _read_only(np.array([a for a, _ in pairs], dtype=int))
+    denominators = _read_only(np.array([b for _, b in pairs], dtype=int))
+    ratios = _ratio_rows(np.array([list(model.values())]), indices, numerators, denominators)[0]
+    labels = tuple(f"{indices[a]}:{indices[b]}" for a, b in pairs)
+    return labels, indices, numerators, denominators, _read_only(ratios)
 
 
 def _ratio_deviation_rows(tensors) -> list[dict[str, float]]:
-    """_ratio_deviations of each tensor (all over one space), from one stacked
-    density pass.
-
-    Each table is checked once: finite, and no denominator vanished relative
-    to the table's largest |gamma|. When a check fails, density_ratio runs
-    over the tables and pairs in order, so the first failing pair raises
-    density_ratio's error.
-    """
-    n = tensors[0].space.n
-    pairs, labels, numerators, denominators, model = _model_ratios(n)
-    if not pairs:
-        return [{} for _ in tensors]
+    """|gamma_I / gamma_J - model value| of each tensor (all over one space)
+    for every ordered pair of distinct indices, from one stacked density pass;
+    chern._ratio_rows checks each table once and raises density_ratio's errors."""
+    labels, indices, numerators, denominators, model = _model_ratios(tensors[0].space.n)
     table = _density_tables(tensors)[0]
-    denominator = table[:, denominators]
-    largest = np.abs(table).max(axis=1, keepdims=True)  # not finite when a density is not
-    if not (np.isfinite(largest).all() and (np.abs(denominator) > 1e-12 * largest).all()):
-        for row in table.tolist():
-            densities = dict(zip(reference_constants(n), row))
-            for a, b in pairs:
-                density_ratio(densities, a, b)
-    deviations = np.abs(table[:, numerators] / denominator - model)
+    deviations = np.abs(_ratio_rows(table, indices, numerators, denominators) - model)
     return [dict(zip(labels, row)) for row in deviations.tolist()]
 
 
 def _perturbed_chunks(space: HermitianSpace, grid: list[tuple[float, int]]):
     """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed
-    tensors and their seeds; the tensors come from stacked passes, in groups
-    whose four symmetry residual tables fit curvature._STACK_BYTES."""
+    tensors, from one stacked pass, and their seeds."""
     for start in range(0, len(grid), SAMPLES_PER_CHUNK):
         chunk = grid[start : start + SAMPLES_PER_CHUNK]
         ts, seeds = [t for t, _ in chunk], [seed for _, seed in chunk]
-        groups = _groups(len(chunk), 32 * space.dim**4)  # the four symmetry residual tables
-        yield chunk, [tensor for g in groups for tensor in _perturbations(space, ts[g], seeds[g])], seeds
+        yield chunk, _perturbations(space, ts, seeds), seeds
 
 
 def sweep(

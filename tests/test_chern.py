@@ -612,6 +612,19 @@ def test_stacked_density_tables_equal_one_tensor_calls(n):
             assert chern_ratio(tensor, a, b).hex() == density_ratio(unit_densities, a, b).hex()
 
 
+def test_stacked_density_passes_keep_their_wedge_tables_within_the_budget(monkeypatch):
+    # n = 4: Omega^2 ^ Omega takes 16 n^4 C(4, 2)^2 bytes a tensor, so 64 tensors run in groups of 14
+    from kahlerpinch import chern
+
+    sizes, original = [], chern._unit_forms
+    monkeypatch.setattr(chern, "_unit_forms", lambda tensors: sizes.append(len(tensors)) or original(tensors))
+    tensors = _stack_of_tensors(4)
+    table = chern._density_tables(tensors)[0]
+    assert sizes == [14, 14, 14, 14, 8]
+    assert 14 * 16 * 4**4 * comb(4, 2) ** 2 <= chern._STACK_BYTES < 15 * 16 * 4**4 * comb(4, 2) ** 2
+    assert len(table) == len(tensors)
+
+
 def test_stacked_reality_check_raises_for_the_first_failing_tensor(space2):
     # R0 plus 3e-11 (6e-11) times a normal table is certified, but its c_1 is not real
     from kahlerpinch import chern, check_kahler

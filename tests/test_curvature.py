@@ -422,12 +422,13 @@ def test_stacked_random_kahlers_raise_for_the_first_degenerate_seed(monkeypatch,
     assert str(stacked.value) == str(one.value) == "seed 7 projected to zero; retry with another seed"
 
 
-def test_stacked_passes_run_in_groups_within_the_stack_budget():
-    # a group's largest table stays within _STACK_BYTES, and a table larger
-    # than that still runs, alone
-    assert curvature._groups(5, curvature._STACK_BYTES // 2) == [slice(0, 2), slice(2, 4), slice(4, 6)]
-    assert curvature._groups(3, 4 * curvature._STACK_BYTES) == [slice(0, 1), slice(1, 2), slice(2, 3)]
-    assert curvature._groups(0, 1) == []
+def test_stacked_norms_are_the_dot_of_np_linalg_norm():
+    # at unit scale (max |entry| in [1/2, 1)) each norm is np.linalg.norm of the
+    # flattened table bit for bit: one BLAS dot per table, not a summed reduction
+    raw = _raw_stack(3)
+    tables = np.ldexp(raw, -curvature._unit_exponent(raw).reshape(-1, 1, 1, 1, 1))
+    assert (curvature._unit_exponent(tables) == 0).all()
+    assert _hex(curvature._frobenius(tables)) == _hex(np.linalg.norm(table.ravel()) for table in tables)
 
 
 # ---------------------------------------------------------------------------

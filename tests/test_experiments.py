@@ -138,8 +138,8 @@ STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 16, 6: 8}
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_perturbations_equal_one_tensor_calls(n):
-    # one stacked projection and certificate pass per chunk (in groups of the
-    # stacked-pass budget), each tensor perturb's bit for bit; t = 0 is R0's shared entries
+    # one stacked projection and certificate pass per chunk, each tensor
+    # perturb's bit for bit; t = 0 is R0's shared entries
     from kahlerpinch import complex_hyperbolic_tensor
     from kahlerpinch.experiments import _perturbations, _perturbed_chunks
 
@@ -217,35 +217,38 @@ def test_sweep_with_a_non_kahler_sample_raises_as_its_one_tensor_pinch(monkeypat
     assert type(got) is type(expected) and str(got) == str(expected)
 
 
+def _ratio_deviations(tensor):
+    """|gamma_I / gamma_J - model value| for every ordered pair of distinct
+    indices, from the tensor's own chern_densities and density_ratio."""
+    from kahlerpinch import chern_densities, density_ratio, reference_constants
+
+    densities, model = chern_densities(tensor), reference_constants(tensor.space.n)
+    return {
+        f"{a}:{b}": abs(density_ratio(densities, a, b) - density_ratio(model, a, b))
+        for a in model
+        for b in model
+        if a != b
+    }
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_ratio_deviations_equal_the_one_tensor_formula(n):
-    # each row is |gamma_I / gamma_J - model value| from the tensor's own
-    # chern_densities and density_ratio, bit for bit
-    from kahlerpinch import chern_densities, density_ratio, reference_constants
-    from kahlerpinch.experiments import _ratio_deviation_rows, _ratio_deviations
+    # each row is the one-tensor formula, bit for bit
+    from kahlerpinch.experiments import _ratio_deviation_rows
 
     space = make_space(n)
     tensors = [perturb(space, 0.01 * (1 + k % 4), 2000 + k).scaled(0.75) for k in range(STACK_SIZES[n] // 2)]
-    model = reference_constants(n)
-    rows = _ratio_deviation_rows(tensors)
-    for tensor, row in zip(tensors, rows):
-        densities = chern_densities(tensor)
-        expected = {
-            f"{a}:{b}": abs(density_ratio(densities, a, b) - density_ratio(model, a, b))
-            for a in model
-            for b in model
-            if a != b
-        }
+    for tensor, row in zip(tensors, _ratio_deviation_rows(tensors)):
+        expected = _ratio_deviations(tensor)
         assert list(row) == list(expected)
         assert [v.hex() for v in row.values()] == [v.hex() for v in expected.values()]
-        assert row == _ratio_deviations(tensor)
 
 
 def test_stacked_ratio_deviations_raise_density_ratios_first_error(space2):
     # a zero tensor's denominators vanish; R0 at 1e300 has densities past the double range
     from kahlerpinch import CurvatureTensor, complex_hyperbolic_tensor
     from kahlerpinch.errors import DegenerateDenominatorError, ResourceLimitError
-    from kahlerpinch.experiments import _ratio_deviation_rows, _ratio_deviations
+    from kahlerpinch.experiments import _ratio_deviation_rows
 
     good = perturb(space2, 0.02, 1)
     zero = CurvatureTensor(space2, np.zeros((4, 4, 4, 4)))
@@ -482,7 +485,7 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
     normalization.scale times the perturbed tensor's.
     """
     from kahlerpinch import complex_hyperbolic_tensor, hol_extremes, make_space, normalize_quarter, pinch
-    from kahlerpinch.experiments import _ratio_deviations, _sample_seed
+    from kahlerpinch.experiments import _sample_seed
 
     space = make_space(n)
     model = complex_hyperbolic_tensor(space)
@@ -532,7 +535,7 @@ def test_sweep_equals_one_tensor_at_a_time(n, t_values, samples_per_t, seed, res
 def _certify_one_tensor_at_a_time(chain, samples, seed, restarts=None):
     """certify_constants composed sample by sample: one pinch of each at t = delta / 8."""
     from kahlerpinch import make_space, normalize_quarter, pinch
-    from kahlerpinch.experiments import _ratio_deviations, _sample_seed
+    from kahlerpinch.experiments import _sample_seed
 
     space = make_space(chain.n)
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
