@@ -198,10 +198,11 @@ def _unit_forms(tensors) -> tuple[np.ndarray, list[np.ndarray]]:
     for p in range(1, n):
         current = _wedge(_shuffle(n, p, 1), current, normalized, "zabij,zbckl->zacikjl")
         traces.append(current.trace(axis1=1, axis2=2))
-    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j
+    # Newton's identities: k sigma_k = sum_{j=1..k} (-1)^{j-1} sigma_{k-j} ^ p_j,
+    # where the last term is sigma_0 ^ p_k = p_k
     sigmas = [np.ones((b, 1, 1), dtype=complex)]
     for k in range(1, n + 1):
-        terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k + 1)]
+        terms = [_wedge(_shuffle(n, k - j, j), sigmas[k - j], traces[j - 1]) for j in range(1, k)] + [traces[k - 1]]
         sigmas.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
     # a real (k, k) form F has conj F = (-1)^k F^H, and c_0 = 1 is real; a residue up
     # to REALITY_TOL passes at any scale, a larger one is held to REALITY_TOL max(1, |c_k|)

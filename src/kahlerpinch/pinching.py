@@ -3,7 +3,10 @@
 At n = 2 the default budget (restarts=None) computes the extremes exactly
 (_surface_rows): on a Kahler surface K and H reduce to two trust-region
 problems on a 2-sphere and one rank-one eigenvalue update, solved by secular
-equations in a 3 x 3 eigenbasis. Everywhere else, and at n = 2 with an
+equations in a 3 x 3 eigenbasis. A batch of tensors takes one pass for K
+and H together: one stacked eigh, one secular loop over every problem
+(_secular_top, a power per row) and one _pair_state for the witness values;
+the J-line rows are the planes' H candidates. Everywhere else, and at n = 2 with an
 explicit restart count, one multistart projected-gradient optimizer on one
 objective serves both problems. It runs the descending (minimum) and ascending (maximum) restarts
 as rows of one batch, with a sign per row and a retraction after every step;
@@ -340,16 +343,29 @@ def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
     """(s0, mu) with R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
 
     s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
-    the tensor's curvature scale. The entries are first brought to unit scale
-    (`curvature._unit_exponent`), which is exact, so that mu neither overflows
-    nor underflows and (s0, mu) of 2^k R are 2^k times those of R.
+    the tensor's curvature scale. The batch of one of _stacked_model_coordinates.
     """
-    r0, r0_sq = _model(tensor.space.n)[:2]
-    exponent = _unit_exponent(tensor.entries)
-    r = np.ldexp(tensor.entries.ravel(), -exponent)
-    s0 = float(r @ r0) / r0_sq
-    mu = float(np.linalg.norm(r - s0 * r0)) / np.sqrt(r0_sq)
-    return float(np.ldexp(s0, exponent)), float(np.ldexp(mu, exponent))
+    s0, mu = _stacked_model_coordinates([tensor])
+    return float(s0[0]), float(mu[0])
+
+
+def _stacked_model_coordinates(tensors) -> tuple[np.ndarray, np.ndarray]:
+    """The (s0, mu) of _model_coordinates of each tensor (all over one space), as two arrays.
+
+    The entries are first brought to unit scale (`curvature._unit_exponent`),
+    which is exact, so that mu neither overflows nor underflows and (s0, mu)
+    of 2^k R are 2^k times those of R. The scaling runs over the stack; each
+    tensor's two dots are its own, so its coordinates are its batch-of-one
+    values bit for bit.
+    """
+    r0, r0_sq = _model(tensors[0].space.n)[:2]
+    entries = np.array([tensor.entries for tensor in tensors])
+    exponents = _unit_exponent(entries)
+    r = np.ldexp(entries.reshape(len(tensors), -1), -exponents[:, None])
+    s0 = np.array([np.dot(row, r0) for row in r]) / r0_sq
+    residues = r - s0[:, None] * r0
+    mu = np.sqrt([np.dot(row, row) for row in residues]) / np.sqrt(r0_sq)
+    return np.ldexp(s0, exponents), np.ldexp(mu, exponents)
 
 
 @lru_cache(maxsize=None)
@@ -639,9 +655,10 @@ def _secular_top(c, g, power, target):
     """Unit y~ of one extreme eigen-problem per row, in the eigenbasis of C.
 
     Rows of c hold the eigenvalues of a symmetric C in ascending order and
-    rows of g the coordinates of a vector r in its eigenbasis. With
-    e = c_top - c >= 0 and F(mu) = (sum g^2 / (e + mu)^power)^(-1/power), mu
-    is the least root >= 0 of F(mu) = target and y~ = g / (e + mu) normalized:
+    rows of g the coordinates of a vector r in its eigenbasis; power is 2 or
+    1, one per row or one for all. With e = c_top - c >= 0 and
+    F(mu) = (sum g^2 / (e + mu)^power)^(-1/power), mu is the least root >= 0
+    of F(mu) = target and y~ = g / (e + mu) normalized:
       power 2, target 1: y maximizes <Cy, y> + 2 <r, y> over the unit sphere
         (the trust-region subproblem on its boundary, with multiplier
         c_top + mu);
@@ -653,13 +670,17 @@ def _secular_top(c, g, power, target):
     rises to the root; the bracket [lo, hi] only catches rounding. In the
     hard case r is orthogonal to the top eigenvectors and F(0) >= target:
     mu = 0, and the top eigenvector completes y (power 2) or is y (power 1).
-    Each row iterates until it settles and then stays, so a row's result
-    does not depend on the other rows.
+    Both powers run in one loop: every step computes each power's formula
+    and np.where picks the row's, so a row's arithmetic is that of a
+    one-power call. Each row iterates until it settles and then stays, so a
+    row's result does not depend on the other rows.
     """
+    sphere = np.broadcast_to(np.asarray(power) == 2, len(c))
     e = c[:, -1:] - c
     w = g * g
-    lo = np.maximum(np.max(target[:, None] * (np.abs(g) if power == 2 else w) - e, axis=1), 0.0)
-    hi = np.maximum(target * np.sum(w, axis=1) ** (1.0 / power), lo)
+    lo = np.maximum(np.max(target[:, None] * np.where(sphere[:, None], np.abs(g), w) - e, axis=1), 0.0)
+    norms = np.sum(w, axis=1)
+    hi = np.maximum(target * np.where(sphere, norms**0.5, norms), lo)
 
     def ratios(rows, mu):  # g / (e + mu) and e + mu, with 1 for e + mu = 0 (where g = 0 when mu >= lo)
         den = e[rows] + mu[:, None]
@@ -667,13 +688,13 @@ def _secular_top(c, g, power, target):
         return g[rows] / den, den
 
     def terms(rows, ratio):
-        return ratio * ratio if power == 2 else g[rows] * ratio
+        return np.where(sphere[rows, None], ratio * ratio, g[rows] * ratio)
 
     mu = lo.copy()
     rows = np.arange(len(c))
     ratio, _ = ratios(rows, mu)
     total = np.sum(terms(rows, ratio), axis=1)
-    hard = (lo == 0.0) & (total <= target ** (-power))
+    hard = (lo == 0.0) & (total <= np.where(sphere, target**-2, target**-1))
     live = np.nonzero(~hard)[0]
     for _ in range(SECULAR_ITERATIONS):
         if not len(live):
@@ -681,7 +702,7 @@ def _secular_top(c, g, power, target):
         ratio, den = ratios(live, mu[live])
         term = terms(live, ratio)
         total = np.sum(term, axis=1)
-        value = total ** (-1.0 / power)
+        value = np.where(sphere[live], total**-0.5, total**-1.0)
         slope = value / total * np.sum(term / den, axis=1)
         below = value <= target[live]
         lo[live] = np.where(below, mu[live], lo[live])
@@ -693,10 +714,9 @@ def _secular_top(c, g, power, target):
         live = live[~settled]
     y, _ = ratios(rows, mu)
     top = c.shape[1] - 1
-    if power == 2:
-        y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
-    else:
-        y[hard] = np.eye(c.shape[1])[top]
+    completed = hard & sphere
+    y[completed, top] = np.sqrt(np.maximum(1.0 - np.sum(y[completed, :top] ** 2, axis=1), 0.0))
+    y[hard & ~sphere] = np.eye(c.shape[1])[top]
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
@@ -706,7 +726,11 @@ def _surface_rows(mats, planes: bool) -> np.ndarray:
     mats are the tensors' pair matrices at unit curvature scale. A tensor
     gives the rows [min candidates | max candidates]: (H, interior) of each
     for planes, H alone for J-lines; the extremes are the least and greatest
-    values among them.
+    values among them. The planes' rows hold the J-lines' rows as their H
+    candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], bit for bit, so one
+    planes call serves both kinds, and a J-lines call skips the interior
+    problem. All tensors share one stacked eigh and one _secular_top call,
+    whose rows are the sphere problems, then for planes the rank-one ones.
 
     On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with the pair
     matrix written on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the
@@ -736,15 +760,23 @@ def _surface_rows(mats, planes: bool) -> np.ndarray:
     c = np.concatenate([-c[:, ::-1], c])
     coords = np.concatenate([-coords[:, ::-1], coords])
     vecs = np.concatenate([vecs[:, :, ::-1], vecs])
-    sphere = np.einsum("mij,mj->mi", vecs, _secular_top(c, coords, 2, np.ones(len(c))))
-    s, y = np.ones(len(c)), sphere
+    # the sphere problems (power 2), then for planes the interior ones (power 1)
+    powers, targets = [2], [np.ones(len(c))]
     if planes:
         q2, r2 = np.tile(q, 2), np.tile(r, (2, 1))
         sign = np.repeat([1.0, -1.0], len(q))
         interior = sign * q2 > EPS  # q > eps for the minimum, q < -eps for the maximum
-        target = 1.0 / np.where(interior, np.abs(q2), 1.0)
-        y_int = np.einsum("mij,mj->mi", vecs, _secular_top(c, coords, 1, target))
-        y_int = np.where(interior[:, None], y_int, sphere)
+        powers.append(1)
+        targets.append(1.0 / np.where(interior, np.abs(q2), 1.0))
+    problems = len(powers)
+    tops = _secular_top(
+        np.tile(c, (problems, 1)), np.tile(coords, (problems, 1)), np.repeat(powers, len(c)), np.concatenate(targets)
+    )
+    solutions = np.einsum("mij,mj->mi", np.tile(vecs, (problems, 1, 1)), tops)
+    sphere = solutions[: len(c)]
+    s, y = np.ones(len(c)), sphere
+    if planes:
+        y_int = np.where(interior[:, None], solutions[len(c) :], sphere)
         s_int = np.ones(len(c))
         s_int[interior] = np.clip(-np.einsum("mi,mi->m", r2, y_int)[interior] / q2[interior], -1.0, 1.0)
         # per side and tensor: (H, interior)
@@ -774,7 +806,9 @@ def _multistart(tensors, restarts, seeds, kinds):
     Consecutive tensors share one _optimize batch while their plane rows fit
     in BATCH_ROWS (a batch holds at least one tensor), and a tensor's J-line
     rows ride along. _optimize and _stable see each tensor divided by its
-    curvature scale hypot(s0, mu) (1 for the zero tensor); the best values
+    curvature scale hypot(s0, mu) (1 for the zero tensor), the model
+    coordinates of all the tensors coming from one stacked pass
+    (_stacked_model_coordinates); the best values
     are multiplied back, or a space form up to rounding takes s0 times R0's
     extremes. Plane rows are preconditioned unless their tensor is a space
     form up to rounding or has 3 |s0| <= mu. A report gets the restart count,
@@ -791,7 +825,10 @@ def _multistart(tensors, restarts, seeds, kinds):
     At n = 2, restarts=None runs no optimizer: the extremes are exact
     (_surface_rows), values at their witness rows, and the reports get
     restarts 0, no diagnostics and stable true, so converged rests on the
-    envelope sandwich alone.
+    envelope sandwich alone. One _surface_rows call serves every kind: the
+    planes' call when planes are wanted (its H candidates are the J-line
+    rows), else the J-lines' call; one _pair_state evaluates the retracted
+    rows of all kinds, each tensor and kind a block of its own.
     """
     for tensor in tensors:
         require_certified(tensor)
@@ -799,7 +836,7 @@ def _multistart(tensors, restarts, seeds, kinds):
         raise PreconditionError("restarts must be >= 1")
     space = tensors[0].space
     jmat = space.j_matrix
-    s0, mu = np.array([_model_coordinates(tensor) for tensor in tensors]).T
+    s0, mu = _stacked_model_coordinates(tensors)
     scales = np.hypot(s0, mu)
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
@@ -823,16 +860,21 @@ def _multistart(tensors, restarts, seeds, kinds):
 
     if restarts is None and space.n == 2:
         mats = [tensor.matrix / scale for tensor, scale in zip(tensors, scales)]
-        out = []
-        for planes in kinds:
-            x = _surface_rows(mats, planes)
-            x = _orthonormalize_pairs(x) if planes else _retract_j_lines(x, jmat)
-            size = len(x) // len(tensors)
-            vals = _pair_state(mats, [size] * len(tensors), x)[0]
+        rows = _surface_rows(mats, True in kinds)
+        # each (tensor, side)'s first candidate is its H row, before retraction
+        j_rows = rows.reshape(len(tensors), 2, -1, 8)[:, :, 0].reshape(-1, 8)
+        xs = [_orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat) for planes in kinds]
+        sizes = [len(x) // len(tensors) for x in xs]
+        x = np.concatenate(xs)
+        # one _pair_state: each tensor's plane block, then its J-line block, has its own GEMM
+        vals = _pair_state(mats * len(kinds), np.repeat(sizes, len(tensors)).tolist(), x)[0]
+        out, stop = [], 0
+        for planes, size in zip(kinds, sizes):
+            start, stop = stop, stop + size * len(tensors)
             out.append(
                 [
-                    block_report(planes, k, 0, vals[start : start + size], x[start : start + size], None, True)
-                    for k, start in enumerate(range(0, len(x), size))
+                    block_report(planes, k, 0, vals[row : row + size], x[row : row + size], None, True)
+                    for k, row in enumerate(range(start, stop, size))
                 ]
             )
         return out

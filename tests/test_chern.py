@@ -164,6 +164,34 @@ def test_c0_is_one(r0_n2):
     assert c0[0] == 1.0 and np.all(c0[1:] == 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_newton_recursion_adds_p_k_without_a_wedge(n, monkeypatch):
+    # sigma_0 ^ p_k = p_k, so Newton's recursion adds the trace p_k itself:
+    # a pass makes n - 1 trace wedges and n(n - 1)/2 Newton wedges, and its
+    # forms equal, as floats, those of the recursion that wedges c_0 = 1 with p_k
+    from kahlerpinch import chern
+    from kahlerpinch.curvature import _kahler_coordinates, _unit_exponent
+    from kahlerpinch.forms import _shuffle, _wedge
+
+    tensor = random_kahler(make_space(n), seed=n)
+    wedges = []
+    monkeypatch.setattr(chern, "_wedge", lambda *args: wedges.append(args) or _wedge(*args))
+    _, sigmas = chern._unit_forms([tensor])
+    assert len(wedges) == n - 1 + n * (n - 1) // 2
+    entries = tensor.entries[None]
+    unit = np.ldexp(entries, -_unit_exponent(entries).reshape(-1, 1, 1, 1, 1))
+    omega = _kahler_coordinates(unit).transpose(0, 3, 4, 1, 2) * (1j / (2.0 * np.pi))
+    traces, current = [omega.trace(axis1=1, axis2=2)], omega
+    for p in range(1, n):
+        current = _wedge(_shuffle(n, p, 1), current, omega, "zabij,zbckl->zacikjl")
+        traces.append(current.trace(axis1=1, axis2=2))
+    wedged = [np.ones((1, 1, 1), dtype=complex)]
+    for k in range(1, n + 1):
+        terms = [_wedge(_shuffle(n, k - j, j), wedged[k - j], traces[j - 1]) for j in range(1, k + 1)]
+        wedged.append(sum(term * (-1) ** j for j, term in enumerate(terms)) / k)
+    assert all(np.array_equal(sigma, form) for sigma, form in zip(sigmas, wedged, strict=True))
+
+
 def test_chern_forms_of_model_are_multiples_of_omega_powers(r0_n3, space3):
     # U(n)-invariance: c_k(R0) = gamma_k * omega^k, checked entrywise
     forms = _real(chern_forms(r0_n3)).real

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -662,6 +664,19 @@ def test_sweep_h_dev_matches_the_normalized_tensors_holomorphic_extremes(n):
         if record.t == 0.0:
             assert record.h_dev == 0.0
 
+
+
+def test_sweep_records_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS may split a large product across threads; up to n = 4 no record
+    # moves between one thread and two (at n = 6 some do: see the README)
+    code = "from kahlerpinch.experiments import sweep\nfor n in (2, 3, 4):\n    print(repr(sweep(n, [0.0, 0.02], 2, 5)))\n"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr.decode()
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] and outputs[0].count(b"SweepRecord(") == 12
 
 # ---------------------------------------------------------------------------
 # identity suite

@@ -1021,6 +1021,25 @@ def test_secular_top_finds_the_top_eigenvector_of_the_rank_one_update():
         assert np.abs(residual).max() <= 1e-7 * (abs(top) + 1.0)
 
 
+def test_secular_top_runs_mixed_powers_as_its_one_power_calls():
+    # one call with a power per row (sphere and rank-one rows interleaved)
+    # returns each row of the two one-power calls bit for bit, hard-case rows
+    # (r orthogonal to the top eigenvector, or r = 0) and one-row batches included
+    from kahlerpinch.pinching import _secular_top
+
+    c, g = _secular_cases()
+    targets = np.ones(len(c)), 1.0 / np.linspace(0.1, 3.0, len(c))
+    single = np.concatenate([_secular_top(c, g, 2, targets[0]), _secular_top(c, g, 1, targets[1])])
+    order = seeded_rng(22).permutation(2 * len(c))
+    c2, g2, powers, t2 = np.tile(c, (2, 1)), np.tile(g, (2, 1)), np.repeat([2, 1], len(c)), np.concatenate(targets)
+    mixed = _secular_top(c2[order], g2[order], powers[order], t2[order])
+    assert mixed.tobytes() == single[order].tobytes()
+    hard = [len(c) - 3, len(c) - 2, len(c) - 1]
+    for row in [0, *hard, len(c), *(len(c) + k for k in hard)]:
+        one = _secular_top(c2[row : row + 1], g2[row : row + 1], powers[row : row + 1], t2[row : row + 1])
+        assert one.tobytes() == single[row : row + 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # live-row optimizer
 # ---------------------------------------------------------------------------
@@ -1469,6 +1488,59 @@ def test_joint_batches_equal_the_one_kind_batches_bit_for_bit(n, restarts, monke
         # with at most BATCH_ROWS plane rows
         rows = 2 * (restarts or DEFAULT_RESTARTS)
         assert calls[0][0] == [rows] * 2 * min(len(tensors), BATCH_ROWS // rows)
+
+
+def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
+    # an n = 2 default joint batch solves each closed-form step once: one eigh
+    # and one _secular_top call, and its J-line rows are the plane pass's H
+    # candidates before retraction, equal to the rows of a J-line-only pass
+    from kahlerpinch import pinching
+
+    tensors, seeds = _mixed_batch(2)
+    expected = [[_bits(r) for r in reports] for reports in pinching._pinch_hol_batch(tensors, None, seeds)]
+    eigh, secular, surface, retract = (
+        np.linalg.eigh, pinching._secular_top, pinching._surface_rows, pinching._retract_j_lines
+    )
+    calls = {"eigh": 0, "powers": [], "surface": [], "retracted": []}
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def recording_secular(c, g, power, target):
+        calls["powers"].append(np.broadcast_to(power, len(c)).tolist())
+        return secular(c, g, power, target)
+
+    def recording_surface(mats, planes):
+        rows = surface(mats, planes)
+        calls["surface"].append((mats, planes, rows))
+        return rows
+
+    def recording_retract(x, jmat):
+        calls["retracted"].append(x.copy())
+        return retract(x, jmat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(pinching, "_secular_top", recording_secular)
+    monkeypatch.setattr(pinching, "_surface_rows", recording_surface)
+    monkeypatch.setattr(pinching, "_retract_j_lines", recording_retract)
+    joint = pinching._pinch_hol_batch(tensors, None, seeds)
+    assert [[_bits(r) for r in reports] for reports in joint] == expected
+    b = len(tensors)
+    # 2b sphere rows (minimum and maximum per tensor), then 2b rank-one rows
+    assert calls["eigh"] == 1 and calls["powers"] == [[2] * (2 * b) + [1] * (2 * b)]
+    [(mats, planes, both)] = calls["surface"]
+    assert planes and both.shape == (4 * b, 8)
+    candidates = both.reshape(b, 2, 2, 8)[:, :, 0].reshape(-1, 8)
+    assert [x.tobytes() for x in calls["retracted"]] == [candidates.tobytes()]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(pinching, "_secular_top", secular)
+    assert surface(mats, False).tobytes() == candidates.tobytes()
+    # a J-line-only batch skips the interior problem
+    calls["powers"].clear()
+    monkeypatch.setattr(pinching, "_secular_top", recording_secular)
+    pinching._hol_batch(tensors, None, seeds)
+    assert calls["powers"] == [[2] * (2 * b)]
 
 
 def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
