@@ -29,13 +29,15 @@ results stay normal doubles. `chern_ratio` reads the unit-scale table, so
 leave the double range. `reference_constants` is read off the table, and
 `density_ratio` divides two entries of one.
 
-The pass runs over a stack of tensors: `_unit_forms` and `_density_tables`
-carry a leading batch axis through the reality check, the Newton recursion
-(`forms._wedge` with "zabij,zbckl->zacikjl") and the index products, and give
-one (B, P) table per stack. Every product is one per tensor, stacked, never
-one GEMM over the stack, so each tensor's table is its batch-of-one table bit
-for bit; `chern_forms`, `chern_densities` and `chern_ratio` are that batch of
-one. A stack runs in groups whose wedge tables fit `_STACK_BYTES`.
+The pass runs over a certified stack of entry tables, (B, d, d, d, d)
+(`curvature._certified_stack` makes one from tensor objects): `_unit_forms`
+and `_density_tables` carry its batch axis through the reality check, the
+Newton recursion (`forms._wedge` with "zabij,zbckl->zacikjl") and the index
+products, and give one (B, P) table per stack. Every product is one per
+tensor, stacked, never one GEMM over the stack, so each tensor's table is
+its batch-of-one table bit for bit; `chern_forms`, `chern_densities` and
+`chern_ratio` are that batch of one. A stack runs in groups whose wedge
+tables fit `_STACK_BYTES`.
 `_ratio_rows` divides columns of a (B, P) table with `density_ratio`'s
 checks, made once per row; `density_ratio` is its one-row case.
 """
@@ -52,10 +54,10 @@ import numpy as np
 
 from .curvature import (
     CurvatureTensor,
+    _certified_stack,
     _kahler_coordinates,
     _unit_exponent,
     complex_hyperbolic_tensor,
-    require_certified,
 )
 from .errors import (
     DegenerateDenominatorError,
@@ -150,8 +152,7 @@ def curvature_matrix(tensor: CurvatureTensor) -> np.ndarray:
     Read off S, the forms are the (1,1) part of R(., ., eps_a, conj eps_b): all
     of it when R is Kahler.
     """
-    require_certified(tensor)
-    return _kahler_coordinates(tensor.entries[None])[0].transpose(2, 3, 0, 1)
+    return _kahler_coordinates(_certified_stack([tensor]))[0].transpose(2, 3, 0, 1)
 
 
 def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
@@ -161,7 +162,7 @@ def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
     scaled back by 2^(k e). ResourceLimitError when a form leaves the double
     range: c_k scales as |R|^k.
     """
-    exponents, sigmas = _unit_forms([tensor])
+    exponents, sigmas = _unit_forms(_certified_stack([tensor]))
     exponent = int(exponents[0])
     with np.errstate(over="ignore"):  # checked below
         # ldexp on the float view scales real and imaginary parts exactly
@@ -171,10 +172,10 @@ def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
     return forms
 
 
-def _unit_forms(tensors) -> tuple[np.ndarray, list[np.ndarray]]:
-    """e = curvature._unit_exponent(R) of each tensor (all over one space), and
-    c_0, ..., c_n of each 2^-e R: sigmas[k] stacks the tensors' (k, k)
-    matrices, shape (B, C(n, k), C(n, k)).
+def _unit_forms(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """e = curvature._unit_exponent(R) of each table R of a certified
+    (B, d, d, d, d) stack, and c_0, ..., c_n of each 2^-e R: sigmas[k] stacks
+    the tables' (k, k) matrices, shape (B, C(n, k), C(n, k)).
 
     That scaling is exact and keeps every symmetry, so R's certificate holds
     for 2^-e R, and 2^k R has the unit forms of R bit for bit. Its entries are
@@ -184,10 +185,7 @@ def _unit_forms(tensors) -> tuple[np.ndarray, list[np.ndarray]]:
     stacked, so each tensor's forms are its batch-of-one forms bit for bit;
     the first tensor with a form that is not real raises.
     """
-    for tensor in tensors:
-        require_certified(tensor)
-    b, n = len(tensors), tensors[0].space.n
-    entries = np.array([tensor.entries for tensor in tensors])
+    b, n = len(entries), entries.shape[-1] // 2
     exponents = _unit_exponent(entries)
     # Omega_ab is the (1,1) matrix S[:, :, a, b]
     omega = _kahler_coordinates(np.ldexp(entries, -exponents.reshape(-1, 1, 1, 1, 1))).transpose(0, 3, 4, 1, 2)
@@ -237,26 +235,26 @@ def chern_densities(tensor: CurvatureTensor) -> dict[ChernIndex, float]:
 
 def _density_dicts(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], dict[ChernIndex, float]]:
     """The two tables of `_density_tables` for one tensor, keyed by index."""
-    table, unit = _density_tables([tensor])
+    table, unit = _density_tables(_certified_stack([tensor]))
     indices = [index for index, _ in _index_factors(tensor.space.n)]
     return dict(zip(indices, table[0].tolist())), dict(zip(indices, unit[0].tolist()))
 
 
-def _density_tables(tensors) -> tuple[np.ndarray, np.ndarray]:
-    """chern_densities of each tensor (all over one space), and its unit-scale
-    table: the densities of 2^-e R, from the forms of `_unit_forms`. Both are
-    (B, P) arrays, columns in enumerate_indices order.
+def _density_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chern_densities of each table R of a certified (B, d, d, d, d) stack, and
+    its unit-scale table: the densities of 2^-e R, from the forms of
+    `_unit_forms`. Both are (B, P) arrays, columns in enumerate_indices order.
 
     2^k R has the unit table of R bit for bit. R's densities are the unit
     ones times 2^(n e), which is exact as long as they stay normal doubles.
     """
-    n = tensors[0].space.n
+    n = entries.shape[-1] // 2
     size = max(1, _STACK_BYTES // (16 * n**4 * comb(n, n // 2) ** 2))
-    if len(tensors) > size:
-        groups = (_density_tables(tensors[start : start + size]) for start in range(0, len(tensors), size))
+    if len(entries) > size:
+        groups = (_density_tables(entries[start : start + size]) for start in range(0, len(entries), size))
         tables, units = zip(*groups)
         return np.concatenate(tables), np.concatenate(units)
-    exponents, sigmas = _unit_forms(tensors)
+    exponents, sigmas = _unit_forms(entries)
     # omega^n = n! (-i)^n prod_c theta^c ^ conj theta^c, the top basis form
     top = factorial(n) * (-1j) ** n
     tops = []

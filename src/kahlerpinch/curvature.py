@@ -323,6 +323,14 @@ def require_certified(tensor: CurvatureTensor) -> CurvatureTensor:
     return tensor
 
 
+def _certified_stack(tensors) -> np.ndarray:
+    """The entries of tensors over one space, each put through require_certified in
+    order, as one read-only (B, d, d, d, d) stack: what the stacked layers take."""
+    stack = np.array([require_certified(tensor).entries for tensor in tensors])
+    stack.flags.writeable = False
+    return stack
+
+
 # ---------------------------------------------------------------------------
 # projection onto the Kahler curvature subspace
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ from .curvature import (
     _random_kahlers,
     _random_projection,
     _require_nondegenerate,
+    require_certified,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
 from .pinching import (
-    _pinch_batch,
-    _pinch_hol_batch,
+    _multistart,
+    _quarter_normalization,
     berger_bound_check,
-    normalize_quarter,
 )
 from .space import HermitianSpace, make_space, random_orthonormal_pair, seeded_rng
 
@@ -121,27 +121,33 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     again. t = 0 gives R0 itself. PreconditionError when t overflows: t is
     rejected when 4 max|R0 + tS| is not finite, so that every sum of up to
     four entries, the symmetry residuals of its certificate among them,
-    stays finite.
+    stays finite. Otherwise the batch of one of _perturbations.
     """
-    return _perturbations(space, [t], [seed])[0]
+    if t == 0:
+        return complex_hyperbolic_tensor(space)
+    entries, certificates = _perturbations(space, [t], [seed])
+    return CurvatureTensor._shared(space, entries[0], certificates[0])
 
 
-def _perturbations(space: HermitianSpace, ts, seeds) -> list[CurvatureTensor]:
-    """perturb of each (t, seed) pair: the directions of every t != 0 are projected,
-    scaled and certified in one stacked pass, bit for bit as one at a time.
+def _perturbations(space: HermitianSpace, ts, seeds) -> tuple[np.ndarray, list]:
+    """perturb's entries and certificate (or None) of each (t, seed) pair, as a
+    read-only (B, d, d, d, d) stack and a list: the directions of every t != 0
+    are projected, scaled and certified in one stacked pass, bit for bit as one at a time.
 
     The pairs are checked in order, each as its perturb call checks it, so
     the first pair that fails raises what its perturb call raises.
     """
+    r0, model_certificate = _model_table(space.n)
+    certificates = [model_certificate] * len(ts)
     live = [k for k, t in enumerate(ts) if t != 0]
     if not live:
-        return [complex_hyperbolic_tensor(space) for _ in ts]
+        return _read_only(np.repeat(r0[None], len(ts), axis=0)), certificates
     projected, norms = _random_projection(space, [seeds[k] for k in live])
     # a degenerate direction or an invalid t gives non-finite rows, rejected below
     with np.errstate(all="ignore"):
         direction = projected * (1.0 / norms)[:, None, None, None, None]  # random_kahler's entries
         sizes = np.array([ts[k] for k in live], dtype=float)[:, None, None, None, None]
-        entries = _model_table(space.n)[0] + sizes * direction
+        entries = r0 + sizes * direction
         finite = np.isfinite(4.0 * _largest(entries)).tolist()
     for row, k in enumerate(live):
         if not 0 <= ts[k] < inf:
@@ -149,11 +155,12 @@ def _perturbations(space: HermitianSpace, ts, seeds) -> list[CurvatureTensor]:
         _require_nondegenerate(seeds[k], norms[row])
         if not finite[row]:
             raise PreconditionError(f"perturbation size {ts[k]:g} overflows the tensor entries")
-    entries.flags.writeable = False
-    tensors = [complex_hyperbolic_tensor(space) if t == 0 else None for t in ts]
-    for k, table, cert in zip(live, entries, _certificates(entries, DEFAULT_SYMMETRY_TOL)):
-        tensors[k] = CurvatureTensor._shared(space, table, cert if cert.passed else None)
-    return tensors
+    for k, cert in zip(live, _certificates(entries, DEFAULT_SYMMETRY_TOL)):
+        certificates[k] = cert if cert.passed else None
+    if len(live) < len(ts):  # R0's rows at t = 0 among the perturbed ones
+        entries, perturbed = np.repeat(r0[None], len(ts), axis=0), entries
+        entries[live] = perturbed
+    return _read_only(entries), certificates
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -176,23 +183,27 @@ def _model_ratios(n: int) -> tuple[tuple[str, ...], tuple[ChernIndex, ...], np.n
     return labels, indices, numerators, denominators, _read_only(ratios)
 
 
-def _ratio_deviation_rows(tensors) -> list[dict[str, float]]:
-    """|gamma_I / gamma_J - model value| of each tensor (all over one space)
-    for every ordered pair of distinct indices, from one stacked density pass;
-    chern._ratio_rows checks each table once and raises density_ratio's errors."""
-    labels, indices, numerators, denominators, model = _model_ratios(tensors[0].space.n)
-    table = _density_tables(tensors)[0]
+def _ratio_deviation_rows(entries: np.ndarray) -> list[dict[str, float]]:
+    """|gamma_I / gamma_J - model value| of each table of a certified (B, d, d, d, d)
+    stack for every ordered pair of distinct indices, from one stacked density
+    pass; chern._ratio_rows checks each table once and raises density_ratio's errors."""
+    labels, indices, numerators, denominators, model = _model_ratios(entries.shape[-1] // 2)
+    table = _density_tables(entries)[0]
     deviations = np.abs(_ratio_rows(table, indices, numerators, denominators) - model)
     return [dict(zip(labels, row)) for row in deviations.tolist()]
 
 
 def _perturbed_chunks(space: HermitianSpace, grid: list[tuple[float, int]]):
-    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, its perturbed
-    tensors, from one stacked pass, and their seeds."""
+    """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, the stack of
+    its perturbed tensors, from one stacked pass and certified as
+    `require_certified` certifies each tensor, and their seeds."""
     for start in range(0, len(grid), SAMPLES_PER_CHUNK):
         chunk = grid[start : start + SAMPLES_PER_CHUNK]
         ts, seeds = [t for t, _ in chunk], [seed for _, seed in chunk]
-        yield chunk, _perturbations(space, ts, seeds), seeds
+        entries, certificates = _perturbations(space, ts, seeds)
+        for k in [k for k, cert in enumerate(certificates) if cert is None]:
+            require_certified(CurvatureTensor._shared(space, entries[k], None))
+        yield chunk, entries, seeds
 
 
 def sweep(
@@ -204,12 +215,12 @@ def sweep(
 ) -> list[SweepRecord]:
     """Run the perturbation experiment; flags (and keeps) non-converged records.
 
-    Records are computed SAMPLES_PER_CHUNK at a time, the pinch and
-    hol_extremes runs of a chunk sharing optimizer batches; its perturbed
-    tensors, their certificates, Chern-density tables and distances to R0
-    come from stacked passes, each record's values bit for bit those of its
-    one-tensor calls. A chunk runs each stage over all of its samples, so a
-    failing sample raises at the first stage it fails. H is linear in R,
+    Records are computed SAMPLES_PER_CHUNK at a time, each chunk one certified
+    entries stack: its pinch and hol_extremes runs share optimizer batches, and
+    its normalization, Chern-density tables and distances to R0 are stacked
+    passes, with no per-record tensor or report; each record's values are bit
+    for bit those of its one-tensor calls. A chunk runs each stage over all of
+    its samples, so a failing sample raises at the first stage it fails. H is linear in R,
     so the holomorphic extremes of the normalized tensor are its scale times
     those of the perturbed one, where they are found. Raises if more than
     MAX_EXCLUDED_FRACTION of records failed to converge.
@@ -221,34 +232,34 @@ def sweep(
         if not 0 <= t < inf:
             raise PreconditionError(f"perturbation sizes must be finite and >= 0, got {t}")
     space = make_space(n)
-    model = complex_hyperbolic_tensor(space)
     grid = [
         (t, _sample_seed(seed, t_index, sample))
         for t_index, t in enumerate(sorted(t_values))
         for sample in range(samples_per_t)
     ]
     records = []
-    for chunk, tensors, seeds in _perturbed_chunks(space, grid):
-        reports, hols = _pinch_hol_batch(tensors, restarts, seeds)
-        normalizations = [normalize_quarter(tensor, report) for tensor, report in zip(tensors, reports)]
-        normalized = [normalization.tensor for normalization in normalizations]
-        deviations = _ratio_deviation_rows(normalized)
-        distances = _distances(np.array([tensor.entries for tensor in normalized]), model.entries).tolist()
-        for (t, sample_seed), report, hol, normalization, ratio_devs, dist in zip(
-            chunk, reports, hols, normalizations, deviations, distances
+    for chunk, entries, seeds in _perturbed_chunks(space, grid):
+        planes, lines = _multistart(entries, restarts, seeds, (True, False))
+        scale, delta, anomaly, _ = _quarter_normalization(*planes.values.T)
+        normalized = scale[:, None, None, None, None] * entries
+        distances = _distances(normalized, _model_table(n)[0])
+        h_devs = np.abs(scale[:, None] * lines.values + 1.0).max(axis=1)
+        columns = delta, distances, h_devs, planes.converged & lines.converged, anomaly
+        for (t, sample_seed), ratio_devs, (defect, dist, h_dev, converged, anomalous) in zip(
+            chunk, _ratio_deviation_rows(normalized), zip(*(column.tolist() for column in columns))
         ):
             records.append(
                 SweepRecord(
                     n=space.n,
                     t=t,
                     seed=sample_seed,
-                    delta=normalization.delta,
+                    delta=defect,
                     frobenius_dist=dist,
-                    h_dev=max(abs(normalization.scale * h + 1.0) for h in (hol.h_min, hol.h_max)),
+                    h_dev=h_dev,
                     ratio_devs=ratio_devs,
                     ratio_dev_max=max(ratio_devs.values()) if ratio_devs else 0.0,
-                    converged=report.converged and hol.converged,
-                    anomaly=normalization.anomaly,
+                    converged=converged,
+                    anomaly=anomalous,
                 )
             )
     excluded = sum(1 for r in records if not r.converged)
@@ -404,31 +415,35 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     RuntimeError names the first sample whose defect is not below delta,
     whose pinch did not converge, or whose defect is anomalous: for n >= 2 a
     Kahler tensor is at best quarter-pinched, so a defect meaningfully below
-    zero means the optimizer missed an extreme. A chunk's samples share
-    optimizer batches and stacked perturbation and Chern-density passes; a
-    chunk runs each stage over all of its samples, so a failing sample
-    raises at the first stage it fails. retries is always 0.
+    zero means the optimizer missed an extreme. A chunk is one certified
+    entries stack through stacked passes; the normalization and the checks
+    run in sample order, and a failing sample raises at the first stage it
+    fails. retries is always 0. The ratio deviations are at rounding level
+    (max_ratio_dev 8.7e-14, 1.1e-14 and 1.4e-13 at n = 2, 3, 4 for
+    proof_constants(0.1, n) and 16 samples), so a run checks the code's
+    consistency, not the theorem.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     grid = [(chain.delta / 8.0, _sample_seed(seed, 0, sample)) for sample in range(samples)]
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     sample = 0
-    for _, tensors, seeds in _perturbed_chunks(make_space(chain.n), grid):
-        normalized = []
-        for tensor, report in zip(tensors, _pinch_batch(tensors, None, seeds)):
-            normalization = normalize_quarter(tensor, report)
-            defect = normalization.delta
+    for _, entries, seeds in _perturbed_chunks(make_space(chain.n), grid):
+        (planes,) = _multistart(entries, None, seeds, (True,))
+        scale, defects, anomaly, rejected = _quarter_normalization(*planes.values.T, raises=False)
+        failed = rejected | ~(defects < chain.delta) | ~planes.converged | anomaly
+        if failed.any():
+            k = int(np.argmax(failed))
+            sample, defect = sample + k, float(defects[k])
+            _quarter_normalization(*planes.values[k])  # normalize_quarter's error, if it rejects the sample
             if not defect < chain.delta:
                 raise RuntimeError(f"sample {sample}: defect {defect:.3e} is not below delta={chain.delta:g}")
-            if not report.converged:
+            if not planes.converged[k]:
                 raise RuntimeError(f"sample {sample}: the pinch did not converge")
-            if normalization.anomaly:
-                raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
-            max_defect = max(max_defect, defect)
-            normalized.append(normalization.tensor)
-            sample += 1
-        for ratio_devs in _ratio_deviation_rows(normalized):
+            raise RuntimeError(f"sample {sample}: defect {defect:.3e} is below the quarter-pinching bound")
+        max_defect = max(max_defect, float(defects.max()))
+        sample += len(entries)
+        for ratio_devs in _ratio_deviation_rows(scale[:, None, None, None, None] * entries):
             for dev in ratio_devs.values():
                 max_ratio_dev = max(max_ratio_dev, dev)
                 if dev >= chain.epsilon:

@@ -23,10 +23,12 @@ values first differ from their 2-row values at 1024 rows at n = 3 and at
 128 rows at n = 5, and not up to 4096 rows at n = 1, 2, 4, 6. The
 restarts of several tensors can share one batch, up to BATCH_ROWS plane
 rows, so that their iteration tails overlap, and one batch can run both
-problems: its tensors' plane blocks, then the same tensors' J-line blocks
-(sweep runs them so). Each block of one tensor and problem has its own
-GEMM, so the rounding stays per block and every report is bit-identical to
-a one-tensor, one-problem run. The multistart's extremes are the best values the
+problems: its tensors' plane blocks, then the same tensors' J-line blocks.
+Each block of one tensor and problem has its own GEMM, so the rounding
+stays per block and every result is bit-identical to a one-tensor,
+one-problem run. _multistart takes one certified (B, d, d, d, d) entries
+stack and returns arrays per problem, which sweep reads directly; only
+pinch and hol_extremes build reports from them. The multistart's extremes are the best values the
 restarts reach, not proven optima; the n = 2 closed form's are the extremes
 up to rounding. A rigorous eigenvalue envelope from the curvature operator
 on bivectors sandwiches both.
@@ -67,17 +69,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import (
     CurvatureTensor,
     TwoPlane,
+    _certified_stack,
     _pair_outer,
     _unit_exponent,
     complex_hyperbolic_tensor,
-    require_certified,
 )
 from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError, ResourceLimitError
 from .space import make_space, seeded_rng
@@ -157,15 +159,6 @@ class OptimizerDiagnostics:
     row_iterations: int
     max_row_iterations: int
 
-    @classmethod
-    def of(cls, iterations: np.ndarray, reasons: np.ndarray) -> OptimizerDiagnostics:
-        counts = np.bincount(reasons, minlength=len(EXIT_REASONS))
-        return cls(
-            **{reason: int(c) for reason, c in zip(EXIT_REASONS, counts)},
-            row_iterations=int(iterations.sum()),
-            max_row_iterations=int(iterations.max()),
-        )
-
 
 @dataclass(frozen=True)
 class PinchReport:
@@ -216,16 +209,16 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     curvature and the eigenvalue range encloses all of them. The operator is
     the pair matrix restricted to the index pairs (i, j) with i < j.
     """
-    require_certified(tensor)
-    return _envelopes([tensor])[0]
+    return tuple(_envelopes(_certified_stack([tensor]))[0].tolist())
 
 
-def _envelopes(tensors) -> list[tuple[float, float]]:
-    """curvature_operator_envelope of each certified tensor (all over one space),
-    from one stacked eigvalsh: each is its one-tensor value bit for bit."""
-    rows, columns = _bivector_block(tensors[0].space.dim)
-    eigvals = np.linalg.eigvalsh(np.array([tensor.matrix for tensor in tensors])[:, rows, columns])
-    return list(zip(eigvals[:, 0].tolist(), eigvals[:, -1].tolist()))
+def _envelopes(entries: np.ndarray) -> np.ndarray:
+    """curvature_operator_envelope of each table of a certified (B, d, d, d, d)
+    stack, as (B, 2), from one stacked eigvalsh: each is its one-tensor value
+    bit for bit."""
+    b, d = len(entries), entries.shape[-1]
+    rows, columns = _bivector_block(d)
+    return np.linalg.eigvalsh(entries.reshape(b, d * d, d * d)[:, rows, columns])[:, [0, -1]]
 
 
 @lru_cache(maxsize=None)
@@ -329,14 +322,14 @@ def _model(n: int):
     """R0 of complex dimension n flattened, |R0|^2, and the constant maps of
     _plane_direction on rows: [u | v] -> [Ju | Jv | Jv | Ju] and
     [a | b] -> [Jb | -Ja] (signed permutations, so exact at any row count),
-    and the sums over the four d-blocks of a 4d-row."""
+    the sums over the four d-blocks of a 4d-row, and the space itself."""
     space = make_space(n)
     r0 = complex_hyperbolic_tensor(space).entries.ravel()
     jt, zero = space.j_matrix.T, np.zeros((space.dim, space.dim))
     j_rows = np.block([[jt, zero, zero, jt], [zero, jt, jt, zero]])
     t_rows = np.block([[zero, -jt], [jt, zero]])
     block_sums = np.kron(np.eye(4), np.ones((space.dim, 1)))
-    return r0, float(r0 @ r0), j_rows, t_rows, block_sums
+    return r0, float(r0 @ r0), j_rows, t_rows, block_sums, space
 
 
 def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
@@ -345,12 +338,12 @@ def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
     s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
     the tensor's curvature scale. The batch of one of _stacked_model_coordinates.
     """
-    s0, mu = _stacked_model_coordinates([tensor])
+    s0, mu = _stacked_model_coordinates(tensor.entries[None])
     return float(s0[0]), float(mu[0])
 
 
-def _stacked_model_coordinates(tensors) -> tuple[np.ndarray, np.ndarray]:
-    """The (s0, mu) of _model_coordinates of each tensor (all over one space), as two arrays.
+def _stacked_model_coordinates(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (s0, mu) of _model_coordinates of each table of a (B, d, d, d, d) stack, as two arrays.
 
     The entries are first brought to unit scale (`curvature._unit_exponent`),
     which is exact, so that mu neither overflows nor underflows and (s0, mu)
@@ -358,10 +351,9 @@ def _stacked_model_coordinates(tensors) -> tuple[np.ndarray, np.ndarray]:
     tensor's two dots are its own, so its coordinates are its batch-of-one
     values bit for bit.
     """
-    r0, r0_sq = _model(tensors[0].space.n)[:2]
-    entries = np.array([tensor.entries for tensor in tensors])
+    r0, r0_sq = _model(entries.shape[-1] // 2)[:2]
     exponents = _unit_exponent(entries)
-    r = np.ldexp(entries.reshape(len(tensors), -1), -exponents[:, None])
+    r = np.ldexp(entries.reshape(len(entries), -1), -exponents[:, None])
     s0 = np.array([np.dot(row, r0) for row in r]) / r0_sq
     residues = r - s0[:, None] * r0
     mu = np.sqrt([np.dot(row, row) for row in residues]) / np.sqrt(r0_sq)
@@ -439,7 +431,7 @@ def _plane_direction(x, g, abs_s0, mu):
     if m == 1:
         return _plane_direction(*(np.repeat(a, 2, axis=0) for a in (x, g, abs_s0, mu)))[:1]
     d = width // 2
-    _, _, j_rows, t_rows, block_sums = _model(width // 4)
+    _, _, j_rows, t_rows, block_sums, _ = _model(width // 4)
     eig_map, eig_bias, table = _direction_table()
     y = x @ j_rows  # [Ju | Jv | Jv | Ju]
     tg = g @ t_rows  # [Jb | -Ja]
@@ -794,93 +786,97 @@ def _surface_rows(mats, planes: bool) -> np.ndarray:
     return rows.reshape(2, len(mats), per_side, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
 
 
-def _multistart(tensors, restarts, seeds, kinds):
-    """Each tensor's reports of every kind in kinds, one list per kind.
+class _Extremes(NamedTuple):
+    """_multistart's arrays for one kind over a stack of B tensors."""
 
-    kinds is (True,) for planes (PinchReport), (False,) for J-lines
-    (HolReport) or (True, False) for both. Certifies the tensors, then
-    descends and ascends the pair objective from every start row of each
+    values: np.ndarray  # (B, 2): each tensor's minimum and maximum
+    rows: np.ndarray  # (B, 2, 2d): their witness rows [u | v]
+    restarts: np.ndarray  # (B,): 0 for the exact extremes of n = 2
+    converged: np.ndarray  # (B,)
+    diagnostics: np.ndarray  # (B, 6): OptimizerDiagnostics' fields, read where restarts > 0
+    envelopes: np.ndarray | None  # (B, 2) when planes are wanted: curvature_operator_envelope
+
+
+def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
+    """The extremes of each table of a certified (B, d, d, d, d) stack, one
+    _Extremes per kind in kinds: (True,) planes, (False,) J-lines, or both.
+
+    Descends and ascends the pair objective from every start row of each
     tensor and kind. A batch's block of one tensor and kind holds its start
     rows twice, descending then ascending (_start_rows); the plane blocks
-    come first, then the same tensors' J-line blocks.
-    Consecutive tensors share one _optimize batch while their plane rows fit
-    in BATCH_ROWS (a batch holds at least one tensor), and a tensor's J-line
-    rows ride along. _optimize and _stable see each tensor divided by its
-    curvature scale hypot(s0, mu) (1 for the zero tensor), the model
-    coordinates of all the tensors coming from one stacked pass
-    (_stacked_model_coordinates); the best values
-    are multiplied back, or a space form up to rounding takes s0 times R0's
-    extremes. Plane rows are preconditioned unless their tensor is a space
-    form up to rounding or has 3 |s0| <= mu. A report gets the restart count,
-    the minimum and maximum, their rows (ties go to the lowest restart), the
-    diagnostics and whether both extremes are stable; plane reports get the
-    curvature-operator envelopes of all the tensors, from one stacked
-    eigvalsh (`_envelopes`).
+    come first, then the same tensors' J-line blocks. Consecutive tensors
+    share one _optimize batch while their plane rows fit in BATCH_ROWS (a
+    batch holds at least one tensor), and a tensor's J-line rows ride along.
+    _optimize and _stable see each tensor divided by its curvature scale
+    hypot(s0, mu) (1 for the zero tensor), from one stacked pass
+    (_stacked_model_coordinates); the best values are multiplied back, or a
+    space form up to rounding takes s0 times R0's extremes. Plane rows are
+    preconditioned unless their tensor is a space form up to rounding or has
+    3 |s0| <= mu. The extremes and their rows come from one argmin over each
+    batch's (tensors, 2, restarts) values, the maxima's side negated, ties
+    going to the lowest restart; converged means both are stable and, for planes,
+    sandwiched by the stack's curvature-operator envelopes (`_envelopes`).
 
     An explicit restart count runs as given. restarts=None runs
-    DEFAULT_RESTARTS and queues each tensor with a report that is not
+    DEFAULT_RESTARTS and queues each tensor with a kind that is not
     converged for one rerun of those kinds at ESCALATION times that count,
-    after every first run; the rerun's reports are final.
+    after every first run; the rerun's results are final.
 
     At n = 2, restarts=None runs no optimizer: the extremes are exact
-    (_surface_rows), values at their witness rows, and the reports get
-    restarts 0, no diagnostics and stable true, so converged rests on the
-    envelope sandwich alone. One _surface_rows call serves every kind: the
-    planes' call when planes are wanted (its H candidates are the J-line
-    rows), else the J-lines' call; one _pair_state evaluates the retracted
-    rows of all kinds, each tensor and kind a block of its own.
+    (_surface_rows), values at their witness rows, with restarts 0 and stable
+    true. One _surface_rows call serves every kind (the planes' H candidates
+    are the J-line rows), and one _pair_state evaluates the retracted rows
+    of all kinds, each tensor and kind a block of its own.
     """
-    for tensor in tensors:
-        require_certified(tensor)
     if restarts is not None and restarts < 1:
         raise PreconditionError("restarts must be >= 1")
-    space = tensors[0].space
+    b, d = len(entries), entries.shape[-1]
+    space = _model(d // 2)[-1]
     jmat = space.j_matrix
-    s0, mu = _stacked_model_coordinates(tensors)
+    matrices = entries.reshape(b, d * d, d * d)
+    s0, mu = _stacked_model_coordinates(entries)
     scales = np.hypot(s0, mu)
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
-    space_forms = mu <= space.dim**2 * EPS * abs_s0  # up to rounding
+    space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
     plain_planes = space_forms | (3.0 * abs_s0 <= mu)
-    envelopes = _envelopes(tensors) if True in kinds else None
+    envelopes = _envelopes(entries) if True in kinds else None
+    shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
+    found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 
-    def block_report(planes, k, count, vals, x, diagnostics, stable):
-        # vals and x: the tensor's minimum rows, then as many maximum rows
-        half = len(vals) // 2
-        i_min, i_max = int(np.argmin(vals[:half])), half + int(np.argmax(vals[half:]))
-        if space_forms[k]:
-            # R0's extremes over planes (at n = 1 a plane is a J-line) or J-lines;
-            # + 0.0 turns the zero tensor's -0.0 into 0.0
-            model_extremes = np.array([-1.0, -0.25 if planes and space.n > 1 else -1.0])
-            lo, hi = np.sort(s0[k] * model_extremes) + 0.0
-        else:
-            lo, hi = scales[k] * vals[i_min], scales[k] * vals[i_max]
-        fields = (count, float(lo), float(hi), x[i_min].copy(), x[i_max].copy(), diagnostics, stable)
-        return _pinch_report(tensors[k], envelopes[k], *fields) if planes else _hol_report(tensors[k], *fields)
+    def settle(planes, ks, vals, x, stable):
+        # the tensors ks of one kind from their consecutive blocks, each its
+        # minimum rows, then as many maximum rows
+        sides = vals.reshape(len(ks), 2, -1)
+        # the maxima as minima of the negated values, so one argmin; ties go to the first row
+        best = np.arange(0, len(vals), sides.shape[2]).reshape(-1, 2) + (sides * [[1.0], [-1.0]]).argmin(axis=2)
+        found[planes].rows[ks] = x[best]
+        # a space form takes s0 times R0's extremes over planes (at n = 1 a plane
+        # is a J-line) or J-lines; + 0.0 turns the zero tensor's -0.0 into 0.0
+        model = np.sort(s0[ks, None] * [-1.0, -0.25 if planes and d > 2 else -1.0], axis=1) + 0.0
+        extremes = np.where(space_forms[ks, None], model, scales[ks, None] * vals[best])
+        found[planes].values[ks] = extremes
+        if planes:
+            lo, hi = envelopes[ks].T
+            with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
+                slack = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))  # relative, so 2^k R sandwiches as R does
+            stable = stable & (lo - slack <= extremes[:, 0]) & (extremes[:, 1] <= hi + slack)
+        found[planes].converged[ks] = stable
 
-    if restarts is None and space.n == 2:
-        mats = [tensor.matrix / scale for tensor, scale in zip(tensors, scales)]
+    if restarts is None and d == 4:
+        mats = matrices / scales[:, None, None]
         rows = _surface_rows(mats, True in kinds)
         # each (tensor, side)'s first candidate is its H row, before retraction
-        j_rows = rows.reshape(len(tensors), 2, -1, 8)[:, :, 0].reshape(-1, 8)
+        j_rows = rows.reshape(b, 2, -1, 8)[:, :, 0].reshape(-1, 8)
         xs = [_orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat) for planes in kinds]
-        sizes = [len(x) // len(tensors) for x in xs]
-        x = np.concatenate(xs)
         # one _pair_state: each tensor's plane block, then its J-line block, has its own GEMM
-        vals = _pair_state(mats * len(kinds), np.repeat(sizes, len(tensors)).tolist(), x)[0]
-        out, stop = [], 0
-        for planes, size in zip(kinds, sizes):
-            start, stop = stop, stop + size * len(tensors)
-            out.append(
-                [
-                    block_report(planes, k, 0, vals[row : row + size], x[row : row + size], None, True)
-                    for k, row in enumerate(range(start, stop, size))
-                ]
-            )
-        return out
-    reports = {planes: [None] * len(tensors) for planes in kinds}
+        sizes = [len(x) // b for x in xs for _ in range(b)]
+        vals = _pair_state(list(mats) * len(kinds), sizes, np.concatenate(xs))[0]
+        for planes, x, start in zip(kinds, xs, (0, len(xs[0]))):
+            settle(planes, np.arange(b), vals[start : start + len(x)], x, True)
+        return [found[planes] for planes in kinds]
     # (tensor, restarts, kinds to run)
-    queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts, kinds) for k in range(len(tensors))]
+    queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts, kinds) for k in range(b)]
     while queue:
         count = queue[0][1]
         # the queue holds its first runs, then its reruns
@@ -889,8 +885,7 @@ def _multistart(tensors, restarts, seeds, kinds):
         # (kind, tensor) per block: the plane blocks, then the J-line blocks
         blocks = [(planes, k) for planes in kinds for k, _, wanted in batch if planes in wanted]
         owners = [k for _, k in blocks]
-        unit = {k: tensors[k].matrix / scales[k] for k, _, _ in batch}
-        mats = [unit[k] for k in owners]
+        mats = [matrices[k] / scales[k] for k in owners]
         vals, x, iterations, reasons = _optimize(
             np.concatenate([_start_rows(planes, space, seeds[k], count) for planes, k in blocks]),
             np.tile(np.repeat([-1.0, 1.0], count), len(blocks)),
@@ -900,16 +895,22 @@ def _multistart(tensors, restarts, seeds, kinds):
             (abs_s0[owners], mu[owners], np.array([not planes or plain_planes[k] for planes, k in blocks])),
             sum(planes for planes, _ in blocks),
         )
-        rerun = {}
-        for start, (planes, k) in zip(range(0, len(x), 2 * count), blocks):
-            block = slice(start, start + 2 * count)
-            diagnostics = OptimizerDiagnostics.of(iterations[block], reasons[block])
-            stable = _stable(vals[start : start + count], False) and _stable(vals[start + count : block.stop], True)
-            report = reports[planes][k] = block_report(planes, k, count, vals[block], x[block], diagnostics, stable)
-            if restarts is None and count == DEFAULT_RESTARTS and not report.converged:
-                rerun.setdefault(k, []).append(planes)
+        rerun, stop = {}, 0
+        for planes in dict.fromkeys(kind for kind, _ in blocks):  # the batch's kinds, planes first
+            ks = [k for kind, k in blocks if kind == planes]
+            start, stop = stop, stop + 2 * count * len(ks)
+            sides = vals[start:stop].reshape(len(ks), 2, count)
+            stable = np.array([_stable(lo, False) and _stable(hi, True) for lo, hi in sides])
+            found[planes].restarts[ks] = count
+            steps, exits = (a[start:stop].reshape(len(ks), -1) for a in (iterations, reasons))
+            counts = (exits[:, :, None] == np.arange(len(EXIT_REASONS))).sum(axis=1)
+            found[planes].diagnostics[ks] = np.column_stack([counts, steps.sum(axis=1), steps.max(axis=1)])
+            settle(planes, ks, vals[start:stop], x[start:stop], stable)
+            if restarts is None and count == DEFAULT_RESTARTS:
+                for k in np.array(ks, dtype=int)[~found[planes].converged[ks]].tolist():
+                    rerun.setdefault(k, []).append(planes)
         queue += [(k, ESCALATION * count, tuple(wanted)) for k, wanted in sorted(rerun.items())]
-    return [reports[planes] for planes in kinds]
+    return [found[planes] for planes in kinds]
 
 
 def _start_rows(planes: bool, space, seed: int, restarts: int) -> np.ndarray:
@@ -929,6 +930,22 @@ def _stable(vals: np.ndarray, maximize: bool) -> bool:
     return bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL)
 
 
+def _reports(planes: bool, found: _Extremes) -> list:
+    """The PinchReports (planes) or HolReports of one kind of _multistart's arrays."""
+    reports, dim = [], found.rows.shape[-1] // 2
+    for k, ((lo, hi), count, converged, diagnostics) in enumerate(
+        zip(found.values.tolist(), found.restarts.tolist(), found.converged.tolist(), found.diagnostics.tolist())
+    ):
+        (u_min, v_min), (u_max, v_max) = found.rows[k].reshape(2, 2, dim)
+        fields = count, converged, OptimizerDiagnostics(*diagnostics) if count else None
+        if planes:
+            witnesses = TwoPlane(u_min, v_min), TwoPlane(u_max, v_max)
+            reports.append(PinchReport(lo, hi, *witnesses, *found.envelopes[k].tolist(), *fields))
+        else:
+            reports.append(HolReport(lo, hi, u_min, u_max, *fields))
+    return reports
+
+
 def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> PinchReport:
     """Extremes of the sectional curvature over 2-planes: exact at n = 2 with
     restarts=None, multistart otherwise."""
@@ -937,35 +954,7 @@ def pinch(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -
 
 def _pinch_batch(tensors, restarts, seeds) -> list[PinchReport]:
     """pinch of each tensor (all over one space) with its own seed, in shared batches."""
-    return _multistart(tensors, restarts, seeds, (True,))[0] if tensors else []
-
-
-def _pinch_hol_batch(tensors, restarts, seeds) -> tuple[list[PinchReport], list[HolReport]]:
-    """_pinch_batch and _hol_batch of the same tensors, each batch's plane and
-    J-line rows running in one _optimize loop; every report equals its
-    one-kind call's bit for bit."""
-    if not tensors:
-        return [], []
-    pinches, hols = _multistart(tensors, restarts, seeds, (True, False))
-    return pinches, hols
-
-
-def _pinch_report(tensor, envelope, restarts, k_min, k_max, x_min, x_max, diagnostics, stable):
-    dim = tensor.space.dim
-    lo, hi = envelope
-    slack = 1e-9 * max(abs(lo), abs(hi))  # relative, so 2^k R sandwiches as R does
-    sandwich = (lo - slack <= k_min) and (k_max <= hi + slack)
-    return PinchReport(
-        k_min=k_min,
-        k_max=k_max,
-        argmin_plane=TwoPlane(x_min[:dim], x_min[dim:]),
-        argmax_plane=TwoPlane(x_max[:dim], x_max[dim:]),
-        envelope_lo=lo,
-        envelope_hi=hi,
-        restarts=restarts,
-        converged=stable and sandwich,
-        diagnostics=diagnostics,
-    )
+    return _reports(True, _multistart(_certified_stack(tensors), restarts, seeds, (True,))[0]) if tensors else []
 
 
 def hol_extremes(tensor: CurvatureTensor, restarts: int | None = None, seed: int = 0) -> HolReport:
@@ -981,20 +970,7 @@ def _hol_batch(tensors, restarts, seeds) -> list[HolReport]:
     At such a row the pair gradient [g_u | g_v] has g_v = J g_u, so it runs
     along these rows, and _retract_j_lines maps a stepped row back.
     """
-    return _multistart(tensors, restarts, seeds, (False,))[0] if tensors else []
-
-
-def _hol_report(tensor, restarts, h_min, h_max, x_min, x_max, diagnostics, stable):
-    dim = tensor.space.dim
-    return HolReport(
-        h_min=h_min,
-        h_max=h_max,
-        argmin_u=x_min[:dim],
-        argmax_u=x_max[:dim],
-        restarts=restarts,
-        converged=stable,
-        diagnostics=diagnostics,
-    )
+    return _reports(False, _multistart(_certified_stack(tensors), restarts, seeds, (False,))[0]) if tensors else []
 
 
 def berger_bound_check(
@@ -1021,21 +997,29 @@ def berger_bound_check(
 
 
 def normalize_quarter(tensor: CurvatureTensor, pinch_report: PinchReport) -> QuarterNormalization:
-    """Rescale so the curvature maximum is exactly -1/4; defect = -(new minimum) - 1."""
-    if pinch_report.k_max >= 0:
-        raise NotNegativelyCurvedError(
-            f"curvature maximum must be negative, got {pinch_report.k_max:g}"
-        )
-    scale = -1.0 / (4.0 * pinch_report.k_max)
-    if not isfinite(scale):
+    """Rescale so the curvature maximum is exactly -1/4; defect = -(new minimum) - 1.
+
+    The batch of one of _quarter_normalization.
+    """
+    scale, delta, anomaly, _ = _quarter_normalization(*np.array([pinch_report.k_min, pinch_report.k_max]))
+    return QuarterNormalization(tensor.scaled(scale), float(scale), float(delta), bool(anomaly))
+
+
+def _quarter_normalization(k_min, k_max, raises: bool = True):
+    """normalize_quarter's rule on arrays of extremes: the scale -1/(4 k_max), by
+    which CurvatureTensor.scaled multiplies the entries, the defect, the anomaly
+    flag and the rejected entries (k_max >= 0, or a scale past the double
+    range), the first of which raises normalize_quarter's error if raises."""
+    with np.errstate(all="ignore"):  # rejected entries, and float arithmetic's underflow
+        scale = -1.0 / (4.0 * k_max)
+        delta = -scale * k_min - 1.0
+    rejected = (k_max >= 0) | ~np.isfinite(scale)
+    if raises and np.any(rejected):
+        k_max = np.ravel(k_max)[np.argmax(rejected)]
+        if k_max >= 0:
+            raise NotNegativelyCurvedError(f"curvature maximum must be negative, got {k_max:g}")
         raise ResourceLimitError(
-            f"curvature maximum {pinch_report.k_max:g} is too close to 0: the scale "
+            f"curvature maximum {k_max:g} is too close to 0: the scale "
             "to a maximum of -1/4 exceeds double precision"
         )
-    delta = -scale * pinch_report.k_min - 1.0
-    return QuarterNormalization(
-        tensor=tensor.scaled(scale),
-        scale=scale,
-        delta=delta,
-        anomaly=delta < -1e-9,
-    )
+    return scale, delta, delta < -1e-9, rejected

@@ -23,6 +23,7 @@ from kahlerpinch import (
     seeded_rng,
     space_form_ratio,
 )
+from kahlerpinch.curvature import _certified_stack
 from kahlerpinch.errors import DegenerateDenominatorError, DegreeError, PreconditionError, ResourceLimitError
 from real_forms import balanced, kahler_form, power, pp_to_real, real_chern_densities, two_form, wedge
 
@@ -176,7 +177,7 @@ def test_newton_recursion_adds_p_k_without_a_wedge(n, monkeypatch):
     tensor = random_kahler(make_space(n), seed=n)
     wedges = []
     monkeypatch.setattr(chern, "_wedge", lambda *args: wedges.append(args) or _wedge(*args))
-    _, sigmas = chern._unit_forms([tensor])
+    _, sigmas = chern._unit_forms(_certified_stack([tensor]))
     assert len(wedges) == n - 1 + n * (n - 1) // 2
     entries = tensor.entries[None]
     unit = np.ldexp(entries, -_unit_exponent(entries).reshape(-1, 1, 1, 1, 1))
@@ -621,17 +622,17 @@ def test_stacked_density_tables_equal_one_tensor_calls(n):
     from kahlerpinch import chern
 
     tensors = _stack_of_tensors(n)
-    table, unit = chern._density_tables(tensors)
-    exponents, sigmas = chern._unit_forms(tensors[:3])
+    table, unit = chern._density_tables(_certified_stack(tensors))
+    exponents, sigmas = chern._unit_forms(_certified_stack(tensors[:3]))
     indices = enumerate_indices(n)
     pairs = [(a, b) for a in indices for b in indices if a != b]
     for k, tensor in enumerate(tensors):
-        one_table, one_unit = chern._density_tables([tensor])
+        one_table, one_unit = chern._density_tables(_certified_stack([tensor]))
         assert table[k].tobytes() == one_table[0].tobytes()
         assert unit[k].tobytes() == one_unit[0].tobytes()
         assert _hex(chern_densities(tensor).values()) == _hex(table[k])
         if k < 3:
-            one_exponents, one_sigmas = chern._unit_forms([tensor])
+            one_exponents, one_sigmas = chern._unit_forms(_certified_stack([tensor]))
             assert exponents[k] == one_exponents[0]
             assert [sigma[k].tobytes() for sigma in sigmas] == [sigma[0].tobytes() for sigma in one_sigmas]
         # chern_ratio reads the unit table, one pass per call: a sample of pairs at large n
@@ -647,7 +648,7 @@ def test_stacked_density_passes_keep_their_wedge_tables_within_the_budget(monkey
     sizes, original = [], chern._unit_forms
     monkeypatch.setattr(chern, "_unit_forms", lambda tensors: sizes.append(len(tensors)) or original(tensors))
     tensors = _stack_of_tensors(4)
-    table = chern._density_tables(tensors)[0]
+    table = chern._density_tables(_certified_stack(tensors))[0]
     assert sizes == [14, 14, 14, 14, 8]
     assert 14 * 16 * 4**4 * comb(4, 2) ** 2 <= chern._STACK_BYTES < 15 * 16 * 4**4 * comb(4, 2) ** 2
     assert len(table) == len(tensors)
@@ -672,5 +673,5 @@ def test_stacked_reality_check_raises_for_the_first_failing_tensor(space2):
     good = random_kahler(space2, seed=3)
     for stack, first in (([good, bad[0], bad[1]], 0), ([bad[1], good, bad[0]], 1)):
         with pytest.raises(PreconditionError) as stacked:
-            chern._density_tables(stack)
+            chern._density_tables(_certified_stack(stack))
         assert str(stacked.value) == messages[first]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -141,7 +142,7 @@ STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 16, 6: 8}
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_perturbations_equal_one_tensor_calls(n):
     # one stacked projection and certificate pass per chunk, each tensor
-    # perturb's bit for bit; t = 0 is R0's shared entries
+    # perturb's bit for bit; t = 0 is R0's entries, and perturb shares them
     from kahlerpinch import complex_hyperbolic_tensor
     from kahlerpinch.experiments import _perturbations, _perturbed_chunks
 
@@ -150,12 +151,14 @@ def test_stacked_perturbations_equal_one_tensor_calls(n):
     grid = [(0.0 if k % 5 == 0 else 0.02 * (k % 7), 1000 + k) for k in range(STACK_SIZES[n])]
     ts, seeds = (list(column) for column in zip(*grid))
     ((_, chunked, _),) = _perturbed_chunks(space, grid)
-    for tensors in (_perturbations(space, ts, seeds), chunked):
-        for t, seed, tensor in zip(ts, seeds, tensors):
+    stacked, certificates = _perturbations(space, ts, seeds)
+    assert not stacked.flags.writeable and not chunked.flags.writeable
+    for entries in (stacked, chunked):
+        for t, seed, table, certificate in zip(ts, seeds, entries, certificates):
             one = perturb(space, t, seed)
-            assert tensor.entries.tobytes() == one.entries.tobytes()
-            assert tensor.certificate == one.certificate
-            assert (tensor.entries is model.entries) == (one.entries is model.entries) == (t == 0)
+            assert table.tobytes() == one.entries.tobytes()
+            assert certificate == one.certificate
+            assert (table.tobytes() == model.entries.tobytes()) == (one.entries is model.entries) == (t == 0)
 
 
 def _raised(call) -> Exception:
@@ -209,10 +212,10 @@ def test_sweep_with_a_non_kahler_sample_raises_as_its_one_tensor_pinch(monkeypat
 
     monkeypatch.setattr(kahlerpinch.experiments, "_random_projection", not_kahler)
     grid = [(t, _sample_seed(7, t_index, sample)) for t_index, t in enumerate([0.0, 0.1]) for sample in range(3)]
-    tensors = _perturbations(space2, *(list(column) for column in zip(*grid)))
-    for (t, seed), tensor in zip(grid, tensors):
-        assert (tensor.certificate is None) == (seed in broken)
-        assert tensor.certificate == perturb(space2, t, seed).certificate
+    _, certificates = _perturbations(space2, *(list(column) for column in zip(*grid)))
+    for (t, seed), certificate in zip(grid, certificates):
+        assert (certificate is None) == (seed in broken)
+        assert certificate == perturb(space2, t, seed).certificate
     expected = _raised(lambda: pinch(perturb(space2, 0.1, _sample_seed(7, 1, 1)), seed=_sample_seed(7, 1, 1)))
     assert isinstance(expected, PreconditionError) and "not Kahler" in str(expected)
     got = _raised(lambda: sweep(2, [0.0, 0.1], samples_per_t=3, seed=7))
@@ -236,11 +239,12 @@ def _ratio_deviations(tensor):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_ratio_deviations_equal_the_one_tensor_formula(n):
     # each row is the one-tensor formula, bit for bit
+    from kahlerpinch.curvature import _certified_stack
     from kahlerpinch.experiments import _ratio_deviation_rows
 
     space = make_space(n)
     tensors = [perturb(space, 0.01 * (1 + k % 4), 2000 + k).scaled(0.75) for k in range(STACK_SIZES[n] // 2)]
-    for tensor, row in zip(tensors, _ratio_deviation_rows(tensors)):
+    for tensor, row in zip(tensors, _ratio_deviation_rows(_certified_stack(tensors))):
         expected = _ratio_deviations(tensor)
         assert list(row) == list(expected)
         assert [v.hex() for v in row.values()] == [v.hex() for v in expected.values()]
@@ -249,6 +253,7 @@ def test_stacked_ratio_deviations_equal_the_one_tensor_formula(n):
 def test_stacked_ratio_deviations_raise_density_ratios_first_error(space2):
     # a zero tensor's denominators vanish; R0 at 1e300 has densities past the double range
     from kahlerpinch import CurvatureTensor, complex_hyperbolic_tensor
+    from kahlerpinch.curvature import _certified_stack
     from kahlerpinch.errors import DegenerateDenominatorError, ResourceLimitError
     from kahlerpinch.experiments import _ratio_deviation_rows
 
@@ -259,7 +264,7 @@ def test_stacked_ratio_deviations_raise_density_ratios_first_error(space2):
         assert type(_raised(lambda: _ratio_deviations(bad))) is kind
     for stack, first in (([good, zero, huge], zero), ([good, huge, zero], huge)):
         expected = _raised(lambda: _ratio_deviations(first))
-        got = _raised(lambda: _ratio_deviation_rows(stack))
+        got = _raised(lambda: _ratio_deviation_rows(_certified_stack(stack)))
         assert type(got) is type(expected) and str(got) == str(expected)
 
 
@@ -458,13 +463,15 @@ def test_certification_rejects_unconverged_and_anomalous_samples(monkeypatch):
             certify_constants(proof_constants(0.1, 3), 1, 1)
         certify_constants(chain, 1, 1)
     # for n >= 2 a Kahler tensor is at best quarter-pinched: a defect below the
-    # anomaly flag means the optimizer missed an extreme
-    original = kahlerpinch.experiments.normalize_quarter
+    # anomaly flag means the optimizer missed an extreme. Certification runs
+    # normalize_quarter's rule on the chunk's arrays of extremes
+    original = kahlerpinch.experiments._quarter_normalization
 
-    def anomalous(tensor, report):
-        return dataclasses.replace(original(tensor, report), delta=-1e-3, anomaly=True)
+    def anomalous(k_min, k_max, raises=True):
+        scale, delta, anomaly, rejected = original(k_min, k_max, raises)
+        return scale, np.full_like(delta, -1e-3), np.ones_like(anomaly), rejected
 
-    monkeypatch.setattr(kahlerpinch.experiments, "normalize_quarter", anomalous)
+    monkeypatch.setattr(kahlerpinch.experiments, "_quarter_normalization", anomalous)
     with pytest.raises(RuntimeError, match="sample 0: defect -1.000e-03 is below the quarter-pinching bound"):
         certify_constants(chain, 1, 1)
 
@@ -667,16 +674,91 @@ def test_sweep_h_dev_matches_the_normalized_tensors_holomorphic_extremes(n):
 
 
 def test_sweep_records_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS may split a large product across threads; up to n = 4 no record
+    # OpenBLAS may split a large product across threads; at n = 2..5 no record
     # moves between one thread and two (at n = 6 some do: see the README)
-    code = "from kahlerpinch.experiments import sweep\nfor n in (2, 3, 4):\n    print(repr(sweep(n, [0.0, 0.02], 2, 5)))\n"
+    code = "from kahlerpinch.experiments import sweep\nfor n in (2, 3, 4, 5):\n    print(repr(sweep(n, [0.0, 0.02], 2, 5)))\n"
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert result.returncode == 0, result.stderr.decode()
         outputs.append(result.stdout)
-    assert outputs[0] == outputs[1] and outputs[0].count(b"SweepRecord(") == 12
+    assert outputs[0] == outputs[1] and outputs[0].count(b"SweepRecord(") == 16
+
+
+def test_sweep_and_certification_build_no_per_record_objects(monkeypatch):
+    # a chunk travels between the stacked layers as one certified entries
+    # stack, and its records are read off arrays: no report, normalization,
+    # plane or tensor object is built for a record
+    from kahlerpinch import CurvatureTensor, HolReport, PinchReport, QuarterNormalization, TwoPlane
+
+    def runs():
+        sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], samples_per_t=4, seed=3)
+        sweep(3, [0.0, 0.02], samples_per_t=2, seed=5)
+        certify_constants(proof_constants(0.1, 2), 6, 1)
+
+    runs()  # the per-n caches (R0, the model's Chern ratios) build their tensors once
+    built = []
+
+    def counted(name, build):
+        def counting(*args, **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+
+        return counting
+
+    for cls in (PinchReport, HolReport, QuarterNormalization, TwoPlane, CurvatureTensor):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    shared = counted("CurvatureTensor._shared", CurvatureTensor._shared.__func__)
+    monkeypatch.setattr(CurvatureTensor, "_shared", classmethod(shared))
+    # the counters count: one pinch builds its report and two planes
+    kahlerpinch.pinching.pinch(perturb(make_space(2), 0.02, 1))
+    assert sorted(built) == ["CurvatureTensor._shared", "PinchReport", "TwoPlane", "TwoPlane"]
+    built.clear()
+    runs()
+    assert built == []
+
+
+def test_chunk_normalization_raises_as_the_first_failing_samples_normalize_quarter(monkeypatch):
+    # extremes edited after the chunk's pinch: k_max = 0 is not negatively
+    # curved, and k_max = -1e-310 has no scale to -1/4 in double precision.
+    # sweep raises the first such sample's normalize_quarter error;
+    # certification checks sample by sample, so an earlier defect above delta
+    # raises first
+    from kahlerpinch import normalize_quarter, pinch
+    from kahlerpinch.errors import NotNegativelyCurvedError, ResourceLimitError
+    from kahlerpinch.experiments import _sample_seed
+
+    original, edits = kahlerpinch.experiments._multistart, {}
+
+    def edited(entries, restarts, seeds, kinds):
+        found = original(entries, restarts, seeds, kinds)
+        for k, extremes in edits.items():
+            found[0].values[k] = extremes
+        return found
+
+    monkeypatch.setattr(kahlerpinch.experiments, "_multistart", edited)
+    space = make_space(2)
+    flat, tiny = (-1.0, 0.0), (-1.0, -1e-310)
+    for first, second, kind in ((flat, tiny, NotNegativelyCurvedError), (tiny, flat, ResourceLimitError)):
+        edits.clear()
+        edits.update({2: first, 4: second})
+        tensor = perturb(space, 0.0125, _sample_seed(9, 1, 0))  # sample 2: the second t, sample 0
+        report = dataclasses.replace(pinch(tensor), k_min=first[0], k_max=first[1])
+        expected = _raised(lambda: normalize_quarter(tensor, report))
+        assert type(expected) is kind
+        got = _raised(lambda: sweep(2, [0.0, 0.0125, 0.025], samples_per_t=2, seed=9))
+        assert type(got) is kind and str(got) == str(expected)
+    chain = proof_constants(0.1, 2)
+    wide = (-10.0, -0.25)  # a defect of 9, not below delta
+    for edit, kind, message in (
+        ({1: wide, 3: flat}, RuntimeError, "sample 1: defect 9.000e+00 is not below delta"),
+        ({1: flat, 3: wide}, NotNegativelyCurvedError, "curvature maximum must be negative, got 0"),
+    ):
+        edits.clear()
+        edits.update(edit)
+        with pytest.raises(kind, match=f"^{re.escape(message)}"):
+            certify_constants(chain, 5, 5)
 
 # ---------------------------------------------------------------------------
 # identity suite

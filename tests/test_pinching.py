@@ -57,17 +57,17 @@ def test_envelope_zero_tensor(space2):
 def test_stacked_envelopes_equal_one_tensor_calls(n):
     # _multistart reads a batch's envelopes from one stacked eigvalsh; each
     # is the tensor's own curvature_operator_envelope bit for bit
+    from kahlerpinch.curvature import _certified_stack
     from kahlerpinch.pinching import _envelopes
 
     space = make_space(n)
     count = {5: 16, 6: 8}.get(n, 64)
     tensors = [random_kahler(space, seed=s, frobenius_norm=2.0 ** (s % 9 - 4)) for s in range(count - 1)]
     tensors.append(complex_hyperbolic_tensor(space))
-    stacked = _envelopes(tensors)
-    assert [[v.hex() for v in pair] for pair in stacked] == [
-        [v.hex() for v in curvature_operator_envelope(tensor)] for tensor in tensors
-    ]
-    assert all(type(v) is float for pair in stacked for v in pair)
+    stacked = _envelopes(_certified_stack(tensors)).tolist()
+    envelopes = [curvature_operator_envelope(tensor) for tensor in tensors]
+    assert [[v.hex() for v in pair] for pair in stacked] == [[v.hex() for v in pair] for pair in envelopes]
+    assert all(type(v) is float for pair in envelopes for v in pair)
 
 
 def test_envelope_rayleigh_normalization(space2):
@@ -1301,6 +1301,15 @@ def _mixed_batch(n):
     return tensors, [3, 41, 0, 7, 2**40 + n]
 
 
+def _joint_batch(tensors, restarts, seeds):
+    """The plane and J-line reports of one joint _multistart, the pass a sweep chunk runs."""
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.pinching import _multistart, _reports
+
+    planes, lines = _multistart(_certified_stack(tensors), restarts, seeds, (True, False))
+    return _reports(True, planes), _reports(False, lines)
+
+
 def _record_blocks(monkeypatch):
     """Patch _optimize; returns a list that collects, per call, each objective call's block sizes."""
     from kahlerpinch import pinching
@@ -1472,14 +1481,14 @@ def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkey
 def test_joint_batches_equal_the_one_kind_batches_bit_for_bit(n, restarts, monkeypatch):
     # a joint batch runs each tensor's plane and J-line blocks in one loop:
     # its plane reports are _pinch_batch's, its J-line reports _hol_batch's
-    from kahlerpinch.pinching import BATCH_ROWS, _hol_batch, _pinch_batch, _pinch_hol_batch
+    from kahlerpinch.pinching import BATCH_ROWS, _hol_batch, _pinch_batch
 
     tensors, seeds = _mixed_batch(n)
     expected = [_bits(r) for r in _pinch_batch(tensors, restarts, seeds)], [
         _bits(r) for r in _hol_batch(tensors, restarts, seeds)
     ]
     calls = _record_blocks(monkeypatch)
-    pinches, hols = _pinch_hol_batch(tensors, restarts, seeds)
+    pinches, hols = _joint_batch(tensors, restarts, seeds)
     assert ([_bits(r) for r in pinches], [_bits(r) for r in hols]) == expected
     if restarts is None and n == 2:
         assert calls == []  # the exact extremes of Kahler surfaces
@@ -1497,7 +1506,7 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     from kahlerpinch import pinching
 
     tensors, seeds = _mixed_batch(2)
-    expected = [[_bits(r) for r in reports] for reports in pinching._pinch_hol_batch(tensors, None, seeds)]
+    expected = [[_bits(r) for r in reports] for reports in _joint_batch(tensors, None, seeds)]
     eigh, secular, surface, retract = (
         np.linalg.eigh, pinching._secular_top, pinching._surface_rows, pinching._retract_j_lines
     )
@@ -1524,7 +1533,7 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     monkeypatch.setattr(pinching, "_secular_top", recording_secular)
     monkeypatch.setattr(pinching, "_surface_rows", recording_surface)
     monkeypatch.setattr(pinching, "_retract_j_lines", recording_retract)
-    joint = pinching._pinch_hol_batch(tensors, None, seeds)
+    joint = _joint_batch(tensors, None, seeds)
     assert [[_bits(r) for r in reports] for reports in joint] == expected
     b = len(tensors)
     # 2b sphere rows (minimum and maximum per tensor), then 2b rank-one rows
@@ -1548,13 +1557,13 @@ def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
     # reruns only its unconverged kinds, and every report still equals its
     # one-kind batch's (and so the explicit 256-restart call)
     from kahlerpinch import pinching
-    from kahlerpinch.pinching import _hol_batch, _pinch_batch, _pinch_hol_batch
+    from kahlerpinch.pinching import _hol_batch, _pinch_batch
 
     monkeypatch.setattr(pinching, "MAX_ITER", 12)
     tensors, seeds = _mixed_batch(3)
     pinches, hols = _pinch_batch(tensors, None, seeds), _hol_batch(tensors, None, seeds)
     calls = _record_blocks(monkeypatch)
-    joint = _pinch_hol_batch(tensors, None, seeds)
+    joint = _joint_batch(tensors, None, seeds)
     assert [[_bits(r) for r in reports] for reports in joint] == [[_bits(r) for r in pinches], [_bits(r) for r in hols]]
     kinds = [(p.restarts == 256) + (h.restarts == 256) for p, h in zip(pinches, hols)]
     # some tensor escalates both kinds and some tensor one kind only
