@@ -90,6 +90,19 @@ def _unbatched(value):
     return float(value) if value.ndim == 0 else value
 
 
+def _evaluate(matrices: np.ndarray, x, y, z, w) -> np.ndarray:
+    """R(x, y, z, w) = (x (x) y) . M . (z (x) w) for one pair matrix M (d^2, d^2) or
+    a stack of them (T, 1, ..., d^2, d^2) whose axes broadcast against the
+    arguments' leading axes: CurvatureTensor.evaluate's arithmetic with a tensor
+    axis.
+
+    The pair rows of arguments (..., k, d) meet M in one (k, d^2) @ (d^2, d^2)
+    product per batch entry, whatever else shares the call, so every value
+    is the one its tensor's evaluate gives on the same k rows.
+    """
+    return np.einsum("...p,...p->...", _pair_outer(x, y) @ matrices, _pair_outer(z, w))
+
+
 class CurvatureTensor:
     """Dense rank-4 coefficient table over the standard basis.
 
@@ -136,8 +149,7 @@ class CurvatureTensor:
         Returns a float for 1-D arguments and an array of the batch shape otherwise.
         """
         x, y, z, w = (np.asarray(a, dtype=float) for a in (x, y, z, w))
-        value = np.einsum("...p,...p->...", _pair_outer(x, y) @ self.matrix, _pair_outer(z, w))
-        return _unbatched(value)
+        return _unbatched(_evaluate(self.matrix, x, y, z, w))
 
     def biquadratic(self, a, b) -> float | np.ndarray:
         """Unnormalized K(a, b) = R(a, b, a, b), batched like evaluate."""
@@ -484,11 +496,18 @@ def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
 def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple:
     """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction, one batched evaluate."""
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    jt = tensor.space.j_matrix.T
+    values = _stacked_direct_triple(tensor.matrix, tensor.space.j_matrix, u, v)
+    return tuple(_unbatched(values[..., k]) for k in range(3))
+
+
+def _stacked_direct_triple(matrices: np.ndarray, j_matrix: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_direct_triple along a last axis of 3, for pair matrices that broadcast as
+    _evaluate's against the batch axes of u and v (..., d): one (3, d^2)
+    product per sample."""
+    jt = j_matrix.T
     ju, jv = u @ jt, v @ jt
     slots = ([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
-    values = tensor.evaluate(*(np.stack(slot, axis=-2) for slot in slots))
-    return tuple(_unbatched(values[..., k]) for k in range(3))
+    return _evaluate(matrices, *(np.stack(slot, axis=-2) for slot in slots))
 
 
 def identity_one_residual(tensor: CurvatureTensor, u, v):
@@ -515,8 +534,24 @@ def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTens
     unordered pair of those vectors as the rows of two arrays, in a fixed
     order. K(0, .) = 0 is a padding row of the table. The oracle consumes
     unnormalized biquadratic values; the arguments are not unit vectors.
+    The two arrays and the index tables of the gathers are built once per
+    dimension and are read-only: the oracle must not write to its arguments.
     """
     d = space.dim
+    first, second, p, q, gathers = _reconstruction_tables(d)
+    table = np.zeros((d * d + 1, d * d + 1))
+    table[p, q] = table[q, p] = k_oracle(first, second)
+    plus_plus, minus_minus, plus_minus, minus_plus = table.take(gathers)
+    # P(e_i, e_k; e_j, e_l) at [i, k, j, l]
+    pair = (plus_plus + minus_minus - plus_minus - minus_plus).reshape(d, d, d, d)
+    return CurvatureTensor(space, (pair.transpose(0, 2, 1, 3) - pair.transpose(0, 2, 3, 1)) / 24.0)
+
+
+@lru_cache(maxsize=None)
+def _reconstruction_tables(d: int) -> tuple[np.ndarray, ...]:
+    """reconstruct_from_sectional's index tables at real dimension d, read-only:
+    the oracle's two argument arrays, the (p, q) of the table entry each row
+    fills, and the flat table indices of the four terms of P, (4, d^2, d^2)."""
     eye = np.eye(d)
     i, k = np.divmod(np.arange(d * d), d)
     low, high = np.minimum(i, k), np.maximum(i, k)
@@ -524,16 +559,14 @@ def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTens
     vectors = eye[low] + np.where(i <= k, 1.0, -1.0)[:, None] * eye[high]
     plus = low * d + high  # e_i + e_k
     minus = np.where(i == k, d * d, high * d + low)  # +-(e_i - e_k), or the padding row
-    table = np.zeros((d * d + 1, d * d + 1))
     p, q = np.triu_indices(d * d)
-    table[p, q] = table[q, p] = k_oracle(vectors[p], vectors[q])
-    pair = (
-        table[np.ix_(plus, plus)]
-        + table[np.ix_(minus, minus)]
-        - table[np.ix_(plus, minus)]
-        - table[np.ix_(minus, plus)]
-    ).reshape(d, d, d, d)  # P(e_i, e_k; e_j, e_l) at [i, k, j, l]
-    return CurvatureTensor(space, (pair.transpose(0, 2, 1, 3) - pair.transpose(0, 2, 3, 1)) / 24.0)
+    # K(x+z, y+t), K(x-z, y-t), K(x+z, y-t) and K(x-z, y+t) of P, in that order
+    terms = [(plus, plus), (minus, minus), (plus, minus), (minus, plus)]
+    gathers = np.array([rows[:, None] * (d * d + 1) + columns for rows, columns in terms])
+    tables = (vectors[p], vectors[q], p, q, gathers)
+    for array in tables:
+        array.flags.writeable = False
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +612,26 @@ def _holomorphic_sides(tensor: CurvatureTensor, u, v, a, b) -> tuple:
     """
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    jmat = tensor.space.j_matrix
-    au, bv, bjv = a[..., None] * u, b[..., None] * v, b[..., None] * (v @ jmat.T)
+    sides = _stacked_holomorphic_sides(tensor.matrix, tensor.space.j_matrix, u, v, a, b)
+    return tuple(_unbatched(side) for side in sides)
+
+
+def _stacked_holomorphic_sides(
+    matrices: np.ndarray, j_matrix: np.ndarray, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_holomorphic_sides for pair matrices that broadcast as _evaluate's against the
+    batch axes of u and v (..., d), a and b: one (6, d^2) product per sample."""
+    jt = j_matrix.T
+    au, bv, bjv = a[..., None] * u, b[..., None] * v, b[..., None] * (v @ jt)
     w = np.stack(np.broadcast_arrays(u, v, au + bv, au - bv, au + bjv, au - bjv), axis=-2)
-    h = tensor.biquadratic(w, w @ jmat.T)
+    jw = w @ jt
+    h = _evaluate(matrices, w, jw, w, jw)
     base = 2 * a**4 * h[..., 0] + 2 * b**4 * h[..., 1]
-    return _unbatched(h[..., 2] + h[..., 3] - base), _unbatched(h[..., 4] + h[..., 5] - base)
+    return h[..., 2] + h[..., 3] - base, h[..., 4] + h[..., 5] - base
+
+
+# a = b at which solve_sectional_from_H reads the holomorphic sides
+_DIAGONAL = 1.0 / math.sqrt(2.0)
 
 
 def solve_sectional_from_H(tensor: CurvatureTensor, u, v) -> tuple:
@@ -595,29 +642,47 @@ def solve_sectional_from_H(tensor: CurvatureTensor, u, v) -> tuple:
     curvatures.
     """
     _require_unitary_quadruple(tensor.space, u, v)
-    a = b = 1.0 / math.sqrt(2.0)
-    first, second = _holomorphic_sides(tensor, u, v, a, b)
+    solution = _solve_diagonal_sides(*_holomorphic_sides(tensor, u, v, _DIAGONAL, _DIAGONAL))
+    return tuple(_unbatched(solution[..., k]) for k in range(3))
+
+
+def _solve_diagonal_sides(first, second) -> np.ndarray:
+    """solve_sectional_from_H's triple along a last axis of 3, from the holomorphic
+    sides at a = b = 1/sqrt(2): one 3x3 solve per sample."""
     rhs = np.stack([first, second, np.zeros_like(first)], axis=-1)
     # the system at a = b has determinant 8
-    solution = np.linalg.solve(_polarization_system(a, b), rhs[..., None])[..., 0]
+    solution = np.linalg.solve(_polarization_system(_DIAGONAL, _DIAGONAL), rhs[..., None])[..., 0]
     if not np.all(np.isfinite(solution)):
         raise IdentityInconsistencyError("polarization system produced non-finite values")
-    return tuple(_unbatched(solution[..., k]) for k in range(3))
+    return solution
 
 
 def polarization_residuals(tensor: CurvatureTensor, u, v, a, b) -> dict:
     """Residuals of both polarization identities at (a, b), plus the printed
     variant of the second identity's last coefficient (informational)."""
     _require_finite_pair(u, v)
-    k_uv, k_ujv, r = _direct_triple(tensor, u, v)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    matrix, jmat = tensor.matrix, tensor.space.j_matrix
+    sides = _stacked_holomorphic_sides(matrix, jmat, u, v, a, b)
+    residuals = _polarization_terms(_stacked_direct_triple(matrix, jmat, u, v), *sides, a, b)[0]
+    return {key: _unbatched(value) for key, value in residuals.items()}
+
+
+def _polarization_terms(direct: np.ndarray, first, second, a, b) -> tuple[dict, np.ndarray, np.ndarray]:
+    """polarization_residuals as arrays, from the direct triple (..., 3) and the
+    holomorphic sides at (a, b), with the least-squares pair of the second
+    identity's last coefficient: its sides less 12 a^2b^2 R(u,Ju,v,Jv), and the
+    regressor a^2b^2 K(u,Jv)."""
+    k_uv, k_ujv, r = (direct[..., k] for k in range(3))
     ab2 = a * a * b * b
-    first, second = (side - 12 * ab2 * r for side in _holomorphic_sides(tensor, u, v, a, b))
-    return {
-        "first": _unbatched(abs(first - SECOND_IDENTITY_COEFF * ab2 * k_uv)),
-        "second": _unbatched(abs(second - SECOND_IDENTITY_COEFF * ab2 * k_ujv)),
-        "second_printed": _unbatched(abs(second - SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv)),
+    first, second = (side - 12 * ab2 * r for side in (first, second))
+    residuals = {
+        "first": abs(first - SECOND_IDENTITY_COEFF * ab2 * k_uv),
+        "second": abs(second - SECOND_IDENTITY_COEFF * ab2 * k_ujv),
+        "second_printed": abs(second - SECOND_IDENTITY_COEFF_PRINTED * ab2 * k_ujv),
     }
+    return residuals, second, ab2 * k_ujv
 
 
 def distance(first: CurvatureTensor, second: CurvatureTensor) -> float:

@@ -24,19 +24,21 @@ from .curvature import (
     complex_hyperbolic_tensor,
     _distances,
     distance,
-    polarization_residuals,
     reconstruct_from_sectional,
-    solve_sectional_from_H,
+    _DIAGONAL,
     _certificates,
-    _direct_triple,
     _float17,
-    _holomorphic_sides,
     _largest,
     _model_table,
     _polarization_system,
+    _polarization_terms,
     _random_kahlers,
     _random_projection,
     _require_nondegenerate,
+    _require_unitary_quadruple,
+    _solve_diagonal_sides,
+    _stacked_direct_triple,
+    _stacked_holomorphic_sides,
     require_certified,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
@@ -465,9 +467,16 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     the six-value linear solve against direct contraction, the 24-term
     reconstruction roundtrip, and the mixed-component bound on the model
     tensor, read at its exact curvature minimum -1 (its sectional curvatures
-    fill [-1, -1/4]), so the suite runs no optimizer. Sample s goes with
-    tensor s % n_tensors; each identity is one batched call per tensor, the
-    polarization identities one call over both (a, b) points.
+    fill [-1, -1/4]), so the suite runs no optimizer.
+
+    Sample s goes with tensor s % n_tensors and the s-th theta. One stacked
+    pass over all tensors computes each value once per sample: the direct
+    triple, and the holomorphic sides at a = b = 1/sqrt(2) and at
+    (cos theta, sin theta), which the linear solve, both polarization
+    identities and the coefficient fit share. Each (tensor, sample) product
+    has the shape of the one-tensor identity functions', so every residual
+    equals theirs bit for bit. The roundtrips are public
+    reconstruct_from_sectional calls with a biquadratic oracle.
     """
     if n < 2:
         raise PreconditionError("identity suite needs complex dimension >= 2")
@@ -483,28 +492,43 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     ]
     us, vs = (np.array(vectors) for vectors in zip(*pairs))
     thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
+    _require_unitary_quadruple(space, us, vs)  # solve_sectional_from_H's precondition
 
-    res_one = res_solve = res_first = res_second = res_second_printed = 0.0
+    # sample s = j * n_tensors + i at [i, j]: C-ordered (tensors, per_tensor)
+    # arrays, the places past the last sample padded with a zero pair and
+    # masked off. C order keeps each tensor's fit rows contiguous, as the
+    # one-tensor arrays were: a BLAS dot of strided rows rounds differently
+    per_tensor = -(-samples // n_tensors)
+    order = np.arange(n_tensors)[:, None] + n_tensors * np.arange(per_tensor)
+    valid = order < samples
+    rows = np.where(valid, order, samples)
+    u, v = (np.vstack([x, np.zeros((1, space.dim))])[rows] for x in (us, vs))
+    theta = np.append(thetas, 0.0)[rows]
+    matrices, jmat = np.array([tensor.matrix for tensor in tensors]), space.j_matrix
+    direct = _stacked_direct_triple(matrices[:, None], jmat, u, v)
+    k_uv, k_ujv, r = (direct[..., k] for k in range(3))
+    # the (a, b) points on axis 1: a = b = 1/sqrt(2), then (cos theta, sin theta)
+    diagonal = np.full_like(theta, _DIAGONAL)
+    a, b = np.stack([diagonal, np.cos(theta)], axis=1), np.stack([diagonal, np.sin(theta)], axis=1)
+    first, second = _stacked_holomorphic_sides(matrices[:, None, None], jmat, u[:, None], v[:, None], a, b)
+    solved = _solve_diagonal_sides(first[:, 0], second[:, 0])
+    pol, target, regressor = _polarization_terms(direct[:, None], first, second, a, b)
+
+    def worst(residuals, where=valid):
+        return float(np.max(residuals, where=where, initial=0.0))
+
+    res_one = worst(np.abs(k_uv + k_ujv - r))
+    res_solve = worst(np.abs(solved - direct), valid[..., None])
+    res_first, res_second, res_second_printed = (
+        worst(pol[key], valid[:, None]) for key in ("first", "second", "second_printed")
+    )
+    # least squares for c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv) at
+    # (cos theta, sin theta), summed tensor by tensor over its samples
     fit_num = fit_den = 0.0
-    for i, tensor in enumerate(tensors):
-        u, v, theta = us[i::n_tensors], vs[i::n_tensors], thetas[i::n_tensors]
-        direct = np.array(_direct_triple(tensor, u, v))
-        k_uv, k_ujv, r = direct
-        res_one = max(res_one, np.max(np.abs(k_uv + k_ujv - r)))
-        solved = np.array(solve_sectional_from_H(tensor, u, v))
-        res_solve = max(res_solve, np.max(np.abs(solved - direct)))
-        a, b = np.cos(theta), np.sin(theta)
-        diagonal = np.full_like(a, 1.0 / sqrt(2.0))
-        pol = polarization_residuals(tensor, u, v, np.stack([diagonal, a]), np.stack([diagonal, b]))
-        res_first = max(res_first, np.max(pol["first"]))
-        res_second = max(res_second, np.max(pol["second"]))
-        res_second_printed = max(res_second_printed, np.max(pol["second_printed"]))
-        # least squares for c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv)
-        ab2 = a * a * b * b
-        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
-        regressor = ab2 * k_ujv
-        fit_num += float(target @ regressor)
-        fit_den += float(regressor @ regressor)
+    for i, count in enumerate(valid.sum(axis=1).tolist()):
+        y, x = target[i, 1, :count], regressor[i, 1, :count]
+        fit_num += float(y @ x)
+        fit_den += float(x @ x)
     if fit_den == 0.0:
         raise IdentityInconsistencyError("degenerate fit: all regressors vanished")
 

@@ -851,10 +851,12 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
         # the maxima as minima of the negated values, so one argmin; ties go to the first row
         best = np.arange(0, len(vals), sides.shape[2]).reshape(-1, 2) + (sides * [[1.0], [-1.0]]).argmin(axis=2)
         found[planes].rows[ks] = x[best]
-        # a space form takes s0 times R0's extremes over planes (at n = 1 a plane
-        # is a J-line) or J-lines; + 0.0 turns the zero tensor's -0.0 into 0.0
-        model = np.sort(s0[ks, None] * [-1.0, -0.25 if planes and d > 2 else -1.0], axis=1) + 0.0
-        extremes = np.where(space_forms[ks, None], model, scales[ks, None] * vals[best])
+        extremes = scales[ks, None] * vals[best]
+        if space_forms[ks].any():
+            # a space form takes s0 times R0's extremes over planes (at n = 1 a plane
+            # is a J-line) or J-lines; + 0.0 turns the zero tensor's -0.0 into 0.0
+            model = np.sort(s0[ks, None] * [-1.0, -0.25 if planes and d > 2 else -1.0], axis=1) + 0.0
+            extremes = np.where(space_forms[ks, None], model, extremes)
         found[planes].values[ks] = extremes
         if planes:
             lo, hi = envelopes[ks].T

@@ -615,6 +615,52 @@ def test_reconstruction_calls_oracle_once_per_pair():
         assert np.array_equal(a, a_again) and np.array_equal(b, b_again)
 
 
+def _reconstruct_uncached(k_oracle, space):
+    # reconstruct_from_sectional before its index tables were cached per d
+    d = space.dim
+    eye = np.eye(d)
+    i, k = np.divmod(np.arange(d * d), d)
+    low, high = np.minimum(i, k), np.maximum(i, k)
+    vectors = eye[low] + np.where(i <= k, 1.0, -1.0)[:, None] * eye[high]
+    plus = low * d + high
+    minus = np.where(i == k, d * d, high * d + low)
+    table = np.zeros((d * d + 1, d * d + 1))
+    p, q = np.triu_indices(d * d)
+    table[p, q] = table[q, p] = k_oracle(vectors[p], vectors[q])
+    pair = (
+        table[np.ix_(plus, plus)]
+        + table[np.ix_(minus, minus)]
+        - table[np.ix_(plus, minus)]
+        - table[np.ix_(minus, plus)]
+    ).reshape(d, d, d, d)
+    return CurvatureTensor(space, (pair.transpose(0, 2, 1, 3) - pair.transpose(0, 2, 3, 1)) / 24.0)
+
+
+def test_reconstruction_index_tables_are_cached_read_only():
+    # the oracle receives cached arrays: it must not be able to write them, and
+    # every entry equals the formula that built its tables per call
+    from kahlerpinch.curvature import _reconstruction_tables
+
+    for n in (1, 2, 3, 4):
+        space = make_space(n)
+        tables = _reconstruction_tables(space.dim)
+        assert _reconstruction_tables(space.dim) is tables
+        for array in tables:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = array.flat[0]
+        received = []
+
+        def oracle(a, b, tensor=random_kahler(space, seed=n)):
+            received.append((a, b))
+            return tensor.biquadratic(a, b)
+
+        rebuilt = reconstruct_from_sectional(oracle, space)
+        assert not any(x.flags.writeable for x in received[0])
+        expected = _reconstruct_uncached(oracle, space)
+        assert rebuilt.entries.tobytes() == expected.entries.tobytes()
+
+
 def test_reconstruction_zero_oracle(space2):
     rebuilt = reconstruct_from_sectional(lambda a, b: 0.0, space2)
     assert rebuilt.frobenius_norm() == 0.0

@@ -673,17 +673,31 @@ def test_sweep_h_dev_matches_the_normalized_tensors_holomorphic_extremes(n):
 
 
 
+def _stdout_under_one_and_two_blas_threads(*args):
+    # python args... in a subprocess with OPENBLAS_NUM_THREADS=1, then =2
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, *args], capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr.decode()
+        outputs.append(result.stdout)
+    return outputs
+
+
 def test_sweep_records_do_not_depend_on_the_blas_thread_count():
     # OpenBLAS may split a large product across threads; at n = 2..5 no record
     # moves between one thread and two (at n = 6 some do: see the README)
     code = "from kahlerpinch.experiments import sweep\nfor n in (2, 3, 4, 5):\n    print(repr(sweep(n, [0.0, 0.02], 2, 5)))\n"
-    outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
-        assert result.returncode == 0, result.stderr.decode()
-        outputs.append(result.stdout)
+    outputs = _stdout_under_one_and_two_blas_threads("-c", code)
     assert outputs[0] == outputs[1] and outputs[0].count(b"SweepRecord(") == 16
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_identities_do_not_depend_on_the_blas_thread_count(n):
+    # the identity suite's stacked pass prints the same bytes on one thread and two
+    argv = ["-m", "kahlerpinch", "identities", "--n", str(n), "--samples", "50", "--seed", "1"]
+    outputs = _stdout_under_one_and_two_blas_threads(*argv)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["command"] == "identities"
 
 
 def test_sweep_and_certification_build_no_per_record_objects(monkeypatch):
@@ -890,29 +904,30 @@ def test_identity_suite_matches_per_sample_loop(n, samples, seed):
 
 
 def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch):
-    # sample s goes with tensor s % n_tensors and with the s-th theta drawn
+    # sample s goes with tensor s % n_tensors and with the s-th theta drawn; the
+    # stacked pass reads the holomorphic sides of each sample once per (a, b)
     import math
 
     from kahlerpinch import experiments, make_space, random_kahler, random_orthonormal_pair, seeded_rng
 
     calls = []
-    polarization = experiments.polarization_residuals
+    sides = experiments._stacked_holomorphic_sides
 
-    def recording(tensor, u, v, a, b):
-        # one row per (u, v, a, b) the call's batch axes broadcast to
-        u, v = np.asarray(u), np.asarray(v)
-        shape = np.broadcast_shapes(u.shape[:-1], v.shape[:-1], np.shape(a), np.shape(b))
+    def recording(matrices, j_matrix, u, v, a, b):
+        # one row per (matrix, u, v, a, b) the call's batch axes broadcast to
+        shape = np.broadcast_shapes(matrices.shape[:-2], u.shape[:-1], v.shape[:-1], a.shape, b.shape)
         rows = [np.broadcast_to(x, shape + x.shape[-1:]).reshape(-1, x.shape[-1]) for x in (u, v)]
-        calls.append((tensor, *rows, *(np.broadcast_to(x, shape).ravel() for x in (a, b))))
-        return polarization(tensor, u, v, a, b)
+        pairs = np.broadcast_to(matrices, shape + matrices.shape[-2:]).reshape((-1,) + matrices.shape[-2:])
+        calls.append((pairs, *rows, *(np.broadcast_to(x, shape).ravel() for x in (a, b))))
+        return sides(matrices, j_matrix, u, v, a, b)
 
-    monkeypatch.setattr(experiments, "polarization_residuals", recording)
+    monkeypatch.setattr(experiments, "_stacked_holomorphic_sides", recording)
     n, samples, seed = 2, 40, 7
     experiments.identity_suite(n, samples, seed)
     seen = {}
-    for tensor, u, v, a, b in calls:
+    for matrices, u, v, a, b in calls:
         for row in range(len(u)):
-            seen.setdefault((tuple(u[row]), tuple(v[row])), []).append((tensor, a[row], b[row]))
+            seen.setdefault((tuple(u[row]), tuple(v[row])), []).append((matrices[row], a[row], b[row]))
     space = make_space(n)
     rng = seeded_rng(seed, 23)
     n_tensors = 4
@@ -923,13 +938,103 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
         theta = rng.uniform(0.1, math.pi / 2 - 0.1)
         uses = seen[(tuple(u), tuple(v))]
         assert len(uses) == 2
-        for tensor, _, _ in uses:
-            assert np.array_equal(tensor.entries, tensors[s % n_tensors].entries)
+        for matrix, _, _ in uses:
+            assert np.array_equal(matrix, tensors[s % n_tensors].matrix)
         # once at a = b = 1/sqrt(2), once at (cos theta, sin theta)
         (diagonal,) = [(a, b) for _, a, b in uses if a == b]
         (rotated,) = [(a, b) for _, a, b in uses if a != b]
         assert diagonal == (1 / math.sqrt(2), 1 / math.sqrt(2))
         assert rotated == pytest.approx((math.cos(theta), math.sin(theta)), rel=1e-15)
+
+
+def _per_tensor_suite(n, samples, seed):
+    # identity_suite before its stacked pass, verbatim: one call per identity
+    # and tensor, which evaluates the direct triple and both (a, b) points'
+    # holomorphic sides twice
+    from math import sqrt
+
+    from kahlerpinch import berger_bound_check, complex_hyperbolic_tensor, random_orthonormal_pair, seeded_rng
+    from kahlerpinch.curvature import (
+        _direct_triple,
+        _holomorphic_sides,
+        _random_kahlers,
+        polarization_residuals,
+        reconstruct_from_sectional,
+        solve_sectional_from_H,
+    )
+    from kahlerpinch.errors import IdentityInconsistencyError
+    from kahlerpinch.experiments import _sample_seed
+
+    if n < 2:
+        raise PreconditionError("identity suite needs complex dimension >= 2")
+    if samples < 1:
+        raise PreconditionError("samples must be >= 1")
+    space = make_space(n)
+    n_tensors = max(1, min(10, samples // 10))
+    tensors = _random_kahlers(space, [_sample_seed(seed, 1, i) for i in range(n_tensors)], 1.0)
+    model = complex_hyperbolic_tensor(space)
+    pairs = [
+        random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
+        for s in range(samples)
+    ]
+    us, vs = (np.array(vectors) for vectors in zip(*pairs))
+    thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
+
+    res_one = res_solve = res_first = res_second = res_second_printed = 0.0
+    fit_num = fit_den = 0.0
+    for i, tensor in enumerate(tensors):
+        u, v, theta = us[i::n_tensors], vs[i::n_tensors], thetas[i::n_tensors]
+        direct = np.array(_direct_triple(tensor, u, v))
+        k_uv, k_ujv, r = direct
+        res_one = max(res_one, np.max(np.abs(k_uv + k_ujv - r)))
+        solved = np.array(solve_sectional_from_H(tensor, u, v))
+        res_solve = max(res_solve, np.max(np.abs(solved - direct)))
+        a, b = np.cos(theta), np.sin(theta)
+        diagonal = np.full_like(a, 1.0 / sqrt(2.0))
+        pol = polarization_residuals(tensor, u, v, np.stack([diagonal, a]), np.stack([diagonal, b]))
+        res_first = max(res_first, np.max(pol["first"]))
+        res_second = max(res_second, np.max(pol["second"]))
+        res_second_printed = max(res_second_printed, np.max(pol["second_printed"]))
+        # least squares for c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv)
+        ab2 = a * a * b * b
+        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
+        regressor = ab2 * k_ujv
+        fit_num += float(target @ regressor)
+        fit_den += float(regressor @ regressor)
+    if fit_den == 0.0:
+        raise IdentityInconsistencyError("degenerate fit: all regressors vanished")
+
+    res_reconstruction = 0.0
+    for tensor in [model] + tensors[: min(3, n_tensors)]:
+        rebuilt = reconstruct_from_sectional(tensor.biquadratic, space)
+        res_reconstruction = max(res_reconstruction, distance(rebuilt, tensor))
+
+    berger_violation = berger_bound_check(model, -1.0, samples=samples, seed=seed)
+    u, v = random_orthonormal_pair(space, seed, constraint="v_perp_ju")
+    attainment_gap = abs(abs(model.evaluate(u, space.j(u), v, space.j(v))) - 0.5)
+
+    return {
+        "identity_one": float(res_one),
+        "solve_vs_direct": float(res_solve),
+        "polarization_first": float(res_first),
+        "polarization_second": float(res_second),
+        "polarization_second_printed": float(res_second_printed),
+        "reconstruction_roundtrip": res_reconstruction,
+        "berger_max_violation": berger_violation,
+        "berger_attainment_gap": attainment_gap,
+        "suspected_typo": bool(res_second_printed > 1e-6),
+        "fitted_second_coefficient": fit_num / fit_den,
+    }
+
+
+# (3, 35, 4) splits its samples 12/12/11 across three tensors; (2, 7, 9) has one
+@pytest.mark.parametrize("n, samples, seed", [(2, 50, 1), (3, 50, 1), (3, 35, 4), (2, 7, 9), (4, 20, 2)])
+def test_identity_suite_equals_the_per_tensor_loop(n, samples, seed):
+    results = identity_suite(n, samples, seed)
+    expected = _per_tensor_suite(n, samples, seed)
+    assert results.keys() == expected.keys()
+    for key, value in expected.items():
+        assert type(results[key]) is type(value) and results[key] == value, key
 
 
 @pytest.mark.parametrize("n", [2, 3])
