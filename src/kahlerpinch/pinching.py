@@ -2,11 +2,13 @@
 
 At n = 2 the default budget (restarts=None) computes the extremes exactly
 (_surface_rows): on a Kahler surface K and H reduce to two trust-region
-problems on a 2-sphere and one rank-one eigenvalue update, solved by secular
-equations in a 3 x 3 eigenbasis. A batch of tensors takes one pass for K
-and H together: one stacked eigh, one secular loop over every problem
-(_secular_top, a power per row) and one _pair_state for the witness values;
-the J-line rows are the planes' H candidates. Everywhere else, and at n = 2 with an
+problems on a 2-sphere and one rank-one eigenvalue update of a 3 x 3
+matrix. A batch of tensors takes one pass for K and H together, with one
+solver per problem kind: one stacked eigh gives the eigenbases of the
+sphere problems and the eigenvectors of the rank-one updates (K's interior
+candidates), one secular loop solves the sphere problems (_secular_top), and
+one stacked matmul per kind gives the witness values; the J-line rows are
+the planes' H candidates. Everywhere else, and at n = 2 with an
 explicit restart count, one multistart projected-gradient optimizer on one
 objective serves both problems. It runs the descending (minimum) and ascending (maximum) restarts
 as rows of one batch, with a sign per row and a retraction after every step;
@@ -140,7 +142,8 @@ DEFAULT_RESTARTS = 64
 # multiple of DEFAULT_RESTARTS, and that report is final
 ESCALATION = 4
 EPS = float(np.finfo(float).eps)
-# Newton steps of _secular_top, a cap that its monotone iteration stays far below
+# a cap on the Newton steps of _secular_top, whose rows settle by the step test
+# or by their bracket closing: in 4 to 10 steps over 200 sweep-n2 calls
 SECULAR_ITERATIONS = 100
 
 
@@ -212,13 +215,20 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     return tuple(_envelopes(_certified_stack([tensor]))[0].tolist())
 
 
-def _envelopes(entries: np.ndarray) -> np.ndarray:
+def _envelopes(entries: np.ndarray, sandwich: bool = False):
     """curvature_operator_envelope of each table of a certified (B, d, d, d, d)
     stack, as (B, 2), from one stacked eigvalsh: each is its one-tensor value
-    bit for bit."""
+    bit for bit. With sandwich, also the (B, 2) bounds [lo - slack, hi + slack]
+    that sandwich converged extremes, slack = 1e-9 max(|lo|, |hi|): relative,
+    so that 2^k R sandwiches as R does."""
     b, d = len(entries), entries.shape[-1]
     rows, columns = _bivector_block(d)
-    return np.linalg.eigvalsh(entries.reshape(b, d * d, d * d)[:, rows, columns])[:, [0, -1]]
+    envelopes = np.linalg.eigvalsh(entries.reshape(b, d * d, d * d)[:, rows, columns])[:, [0, -1]]
+    if not sandwich:
+        return envelopes
+    with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
+        slack = 1e-9 * np.abs(envelopes).max(axis=1, keepdims=True)
+    return envelopes, envelopes + slack * [-1.0, 1.0]
 
 
 @lru_cache(maxsize=None)
@@ -643,86 +653,75 @@ def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i * 4 + j, basis, np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
 
 
-def _secular_top(c, g, power, target):
-    """Unit y~ of one extreme eigen-problem per row, in the eigenbasis of C.
+def _secular_top(c, g):
+    """Unit y~ maximizing <Cy, y> + 2 <r, y> over the unit sphere, one problem
+    per row, in the eigenbasis of C.
 
     Rows of c hold the eigenvalues of a symmetric C in ascending order and
-    rows of g the coordinates of a vector r in its eigenbasis; power is 2 or
-    1, one per row or one for all. With e = c_top - c >= 0 and
-    F(mu) = (sum g^2 / (e + mu)^power)^(-1/power), mu is the least root >= 0
-    of F(mu) = target and y~ = g / (e + mu) normalized:
-      power 2, target 1: y maximizes <Cy, y> + 2 <r, y> over the unit sphere
-        (the trust-region subproblem on its boundary, with multiplier
-        c_top + mu);
-      power 1, target 1/|q|: y is the top eigenvector of C + r r^T / |q|, of
-        eigenvalue c_top + mu.
-    F is increasing and concave (Moré & Sorensen, SIAM J. Sci. Stat. Comput.
-    1983 for power 2; a parallel sum of linear functions for power 1), so
-    Newton's method from the lower bound max(0, max(target g^(2/power) - e))
-    rises to the root; the bracket [lo, hi] only catches rounding. In the
-    hard case r is orthogonal to the top eigenvectors and F(0) >= target:
-    mu = 0, and the top eigenvector completes y (power 2) or is y (power 1).
-    Both powers run in one loop: every step computes each power's formula
-    and np.where picks the row's, so a row's arithmetic is that of a
-    one-power call. Each row iterates until it settles and then stays, so a
-    row's result does not depend on the other rows.
+    rows of g the coordinates of a vector r in its eigenbasis. With
+    e = c_top - c >= 0 and F(mu) = (sum g^2 / (e + mu)^2)^(-1/2), mu is the
+    least root >= 0 of F(mu) = 1 and y~ = g / (e + mu) normalized: the
+    trust-region subproblem on its boundary, with multiplier c_top + mu. F is
+    increasing and concave (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983),
+    so Newton's method from the lower bound max(0, max(|g| - e)) rises to the
+    root; the bracket [lo, hi] only catches rounding. A row settles when its
+    step moves mu by at most 4 eps mu or its bracket has closed to 8 eps hi:
+    near the root, rounding can leave F alternating between two values a few
+    ulps apart, where the step test never holds. In the hard case r is
+    orthogonal to the top eigenvectors and F(0) >= 1: mu = 0, and the top
+    eigenvector completes y. Every step runs on all rows at fixed shapes and
+    a settled row keeps its mu, so a row's result does not depend on the
+    other rows.
     """
-    sphere = np.broadcast_to(np.asarray(power) == 2, len(c))
     e = c[:, -1:] - c
-    w = g * g
-    lo = np.maximum(np.max(target[:, None] * np.where(sphere[:, None], np.abs(g), w) - e, axis=1), 0.0)
-    norms = np.sum(w, axis=1)
-    hi = np.maximum(target * np.where(sphere, norms**0.5, norms), lo)
+    lo = np.maximum(np.max(np.abs(g) - e, axis=1), 0.0)
+    hi = np.maximum(np.add.reduce(g * g, axis=1) ** 0.5, lo)
 
-    def ratios(rows, mu):  # g / (e + mu) and e + mu, with 1 for e + mu = 0 (where g = 0 when mu >= lo)
-        den = e[rows] + mu[:, None]
+    def ratios(mu):  # g / (e + mu) and e + mu, with 1 for e + mu = 0 (where g = 0 when mu >= lo)
+        den = e + mu[:, None]
         den = np.where(den > 0.0, den, 1.0)
-        return g[rows] / den, den
-
-    def terms(rows, ratio):
-        return np.where(sphere[rows, None], ratio * ratio, g[rows] * ratio)
+        return g / den, den
 
     mu = lo.copy()
-    rows = np.arange(len(c))
-    ratio, _ = ratios(rows, mu)
-    total = np.sum(terms(rows, ratio), axis=1)
-    hard = (lo == 0.0) & (total <= np.where(sphere, target**-2, target**-1))
-    live = np.nonzero(~hard)[0]
-    for _ in range(SECULAR_ITERATIONS):
-        if not len(live):
-            break
-        ratio, den = ratios(live, mu[live])
-        term = terms(live, ratio)
-        total = np.sum(term, axis=1)
-        value = np.where(sphere[live], total**-0.5, total**-1.0)
-        slope = value / total * np.sum(term / den, axis=1)
-        below = value <= target[live]
-        lo[live] = np.where(below, mu[live], lo[live])
-        hi[live] = np.where(below, hi[live], mu[live])
-        step = mu[live] + (target[live] - value) / slope
-        step = np.where((lo[live] <= step) & (step <= hi[live]), step, 0.5 * (lo[live] + hi[live]))
-        settled = np.abs(step - mu[live]) <= 4.0 * EPS * step
-        mu[live] = step
-        live = live[~settled]
-    y, _ = ratios(rows, mu)
+    ratio, _ = ratios(mu)
+    hard = (lo == 0.0) & (np.add.reduce(ratio * ratio, axis=1) <= 1.0)
+    live = ~hard
+    # the settled and hard rows run along, their results unused: F(0) of r = 0 is 1/0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(SECULAR_ITERATIONS):
+            if not live.any():
+                break
+            ratio, den = ratios(mu)
+            term = ratio * ratio
+            total = np.add.reduce(term, axis=1)
+            value = total**-0.5
+            slope = value / total * np.add.reduce(term / den, axis=1)
+            below = value <= 1.0
+            lo, hi = np.where(below, mu, lo), np.where(below, hi, mu)
+            step = mu + (1.0 - value) / slope
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            settled = (np.abs(step - mu) <= 4.0 * EPS * step) | (hi - lo <= 8.0 * EPS * hi)
+            mu = np.where(live, step, mu)
+            live &= ~settled
+    y, _ = ratios(mu)
     top = c.shape[1] - 1
-    completed = hard & sphere
-    y[completed, top] = np.sqrt(np.maximum(1.0 - np.sum(y[completed, :top] ** 2, axis=1), 0.0))
-    y[hard & ~sphere] = np.eye(c.shape[1])[top]
+    y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
     return y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
-def _surface_rows(mats, planes: bool) -> np.ndarray:
+def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
     """Exact witness rows [u | v] of the extremes of K (planes) or of H at n = 2.
 
-    mats are the tensors' pair matrices at unit curvature scale. A tensor
-    gives the rows [min candidates | max candidates]: (H, interior) of each
-    for planes, H alone for J-lines; the extremes are the least and greatest
-    values among them. The planes' rows hold the J-lines' rows as their H
-    candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], bit for bit, so one
-    planes call serves both kinds, and a J-lines call skips the interior
-    problem. All tensors share one stacked eigh and one _secular_top call,
-    whose rows are the sphere problems, then for planes the rank-one ones.
+    mats are the tensors' (B, 16, 16) pair matrices at unit curvature scale.
+    A tensor gives the rows [min candidates | max candidates]: (H, interior)
+    of each for planes, H alone for J-lines; the extremes are the least and
+    greatest values among them. The planes' rows hold the J-lines' rows as
+    their H candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], bit for bit, so
+    one planes call serves both kinds, and a J-lines call skips the interior
+    problem. Each problem kind has one solver for all tensors: one stacked
+    eigh of the C's (and, for planes, of C - r r^T / q), whose first B
+    results are the C's eigenbases bit for bit since LAPACK works per matrix,
+    and one _secular_top call over the 2B sphere problems.
 
     On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with the pair
     matrix written on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the
@@ -733,46 +732,44 @@ def _surface_rows(mats, planes: bool) -> np.ndarray:
     (q + extremes of <Cy, y> + 2 <r, y>)/2, two trust-region problems
     (_secular_top of (C, r) and of (-C, -r)). An extreme of K in s in
     (-1, 1) has s = -<r, y>/q and K = <(C - r r^T / q) y, y>/2, which is
-    at most the top eigenvalue of C + r r^T / |q| over 2 for q < 0 (a
+    at most the top eigenvalue of C - r r^T / q over 2 for q < 0 (a
     maximum; for q >= 0 K is convex in s, so its maximum lies at s = +-1 and
-    equals H's), and at least the bottom eigenvalue of C - r r^T / q over 2
-    for q > 0 (a minimum). That eigenvector gives the interior candidate,
-    its s clipped to [-1, 1]: a plane either way, and the extreme whenever
-    |s| <= 1. An interior value lies within 2 |q| of H's range, so tensors
-    with |q| <= eps take H's candidate twice. The witness plane is read off
-    the bivector b: u is its longest column as a 4 x 4 antisymmetric matrix,
-    and v = b^T u, so that u ^ v = b.
+    equals H's), and at least its bottom eigenvalue over 2 for q > 0 (a
+    minimum). That eigenvector, signed so that s >= 0, gives the interior
+    candidate, its s clipped to 1: a plane either way, and the extreme
+    whenever s <= 1. An interior value lies within 2 |q| of H's range, so
+    tensors with |q| <= eps take H's candidate twice (their q is replaced by
+    1 in the eigh). The witness plane is read off the bivector b: u is its
+    longest column as a 4 x 4 antisymmetric matrix, and v = b^T u, so that
+    u ^ v = b.
     """
     pairs, basis, e20 = _surface_basis()
-    quad = basis.T @ np.stack(mats)[:, pairs][:, :, pairs] @ basis
-    q, r = quad[:, 0, 0], quad[:, 1:, 0]
-    c, vecs = np.linalg.eigh(quad[:, 1:, 1:])
-    coords = np.einsum("mij,mi->mj", vecs, r)
+    quad = basis.T @ mats[:, pairs][:, :, pairs] @ basis
+    q, r, cmat = quad[:, 0, 0], quad[:, 1:, 0], quad[:, 1:, 1:]
+    count = len(q)
+    if planes:
+        q_eig = np.where(np.abs(q) > EPS, q, 1.0)
+        cmat = np.concatenate([cmat, cmat - r[:, :, None] * r[:, None, :] / q_eig[:, None, None]])
+    c, vecs = np.linalg.eigh(cmat)
+    c, basis_c = c[:count], vecs[:count]
+    coords = np.einsum("mij,mi->mj", basis_c, r)
     # the minimum problems as maxima of the negated ones, in the reversed eigenbasis
-    c = np.concatenate([-c[:, ::-1], c])
-    coords = np.concatenate([-coords[:, ::-1], coords])
-    vecs = np.concatenate([vecs[:, :, ::-1], vecs])
-    # the sphere problems (power 2), then for planes the interior ones (power 1)
-    powers, targets = [2], [np.ones(len(c))]
+    tops = _secular_top(np.concatenate([-c[:, ::-1], c]), np.concatenate([-coords[:, ::-1], coords]))
+    y = np.einsum("mij,mj->mi", np.concatenate([basis_c[:, :, ::-1], basis_c]), tops)
+    s = np.ones(2 * count)
     if planes:
-        q2, r2 = np.tile(q, 2), np.tile(r, (2, 1))
-        sign = np.repeat([1.0, -1.0], len(q))
-        interior = sign * q2 > EPS  # q > eps for the minimum, q < -eps for the maximum
-        powers.append(1)
-        targets.append(1.0 / np.where(interior, np.abs(q2), 1.0))
-    problems = len(powers)
-    tops = _secular_top(
-        np.tile(c, (problems, 1)), np.tile(coords, (problems, 1)), np.repeat(powers, len(c)), np.concatenate(targets)
-    )
-    solutions = np.einsum("mij,mj->mi", np.tile(vecs, (problems, 1, 1)), tops)
-    sphere = solutions[: len(c)]
-    s, y = np.ones(len(c)), sphere
-    if planes:
-        y_int = np.where(interior[:, None], solutions[len(c) :], sphere)
-        s_int = np.ones(len(c))
-        s_int[interior] = np.clip(-np.einsum("mi,mi->m", r2, y_int)[interior] / q2[interior], -1.0, 1.0)
+        # per side: the bottom eigenvector of C - r r^T / q for the minimum
+        # (q > eps), the top one for the maximum (q < -eps)
+        interior = np.stack([q > EPS, q < -EPS])
+        y_int = vecs[count:, :, [0, -1]].transpose(2, 0, 1)
+        ratio = np.einsum("mi,smi->sm", r, y_int) / q_eig
+        # (s, y) and (-s, -y) have the same K: s = -<r, y>/q >= 0 fixes the witness plane
+        y_int = np.where(ratio[:, :, None] > 0.0, -y_int, y_int)
+        y_int = np.where(interior[:, :, None], y_int, y.reshape(2, count, 3))
+        s_int = np.where(interior, np.minimum(np.abs(ratio), 1.0), 1.0)
         # per side and tensor: (H, interior)
-        s, y = np.stack([s, s_int], axis=1).ravel(), np.stack([y, y_int], axis=1).reshape(-1, 3)
+        s = np.stack([s, s_int.ravel()], axis=1).ravel()
+        y = np.stack([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
     b = (np.outer(s, basis[:, 0]) + np.outer(np.sqrt(1.0 - s * s), e20) + y @ basis[:, 1:].T) / np.sqrt(2.0)
     i, j = np.divmod(pairs, 4)
     bmat = np.zeros((len(b), 4, 4))
@@ -825,8 +822,8 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     At n = 2, restarts=None runs no optimizer: the extremes are exact
     (_surface_rows), values at their witness rows, with restarts 0 and stable
     true. One _surface_rows call serves every kind (the planes' H candidates
-    are the J-line rows), and one _pair_state evaluates the retracted rows
-    of all kinds, each tensor and kind a block of its own.
+    are the J-line rows), and one stacked matmul per kind evaluates its
+    retracted rows: _pair_state's values, with one GEMM per tensor.
     """
     if restarts is not None and restarts < 1:
         raise PreconditionError("restarts must be >= 1")
@@ -840,7 +837,7 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
     plain_planes = space_forms | (3.0 * abs_s0 <= mu)
-    envelopes = _envelopes(entries) if True in kinds else None
+    envelopes, bounds = _envelopes(entries, sandwich=True) if True in kinds else (None, None)
     shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
     found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 
@@ -859,10 +856,8 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
             extremes = np.where(space_forms[ks, None], model, extremes)
         found[planes].values[ks] = extremes
         if planes:
-            lo, hi = envelopes[ks].T
-            with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
-                slack = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))  # relative, so 2^k R sandwiches as R does
-            stable = stable & (lo - slack <= extremes[:, 0]) & (extremes[:, 1] <= hi + slack)
+            lo, hi = bounds[ks].T
+            stable = stable & (lo <= extremes[:, 0]) & (extremes[:, 1] <= hi)
         found[planes].converged[ks] = stable
 
     if restarts is None and d == 4:
@@ -870,12 +865,12 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
         rows = _surface_rows(mats, True in kinds)
         # each (tensor, side)'s first candidate is its H row, before retraction
         j_rows = rows.reshape(b, 2, -1, 8)[:, :, 0].reshape(-1, 8)
-        xs = [_orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat) for planes in kinds]
-        # one _pair_state: each tensor's plane block, then its J-line block, has its own GEMM
-        sizes = [len(x) // b for x in xs for _ in range(b)]
-        vals = _pair_state(list(mats) * len(kinds), sizes, np.concatenate(xs))[0]
-        for planes, x, start in zip(kinds, xs, (0, len(xs[0]))):
-            settle(planes, np.arange(b), vals[start : start + len(x)], x, True)
+        for planes in kinds:
+            x = _orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat)
+            # _pair_state's values: one stacked matmul, one GEMM per tensor
+            w = _pair_outer(x[:, :4], x[:, 4:])
+            vals = np.einsum("mk,mk->m", np.matmul(w.reshape(b, -1, 16), mats).reshape(-1, 16), w)
+            settle(planes, np.arange(b), vals, x, True)
         return [found[planes] for planes in kinds]
     # (tensor, restarts, kinds to run)
     queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts, kinds) for k in range(b)]

@@ -999,7 +999,7 @@ def test_secular_top_solves_the_trust_region_problem():
     from kahlerpinch.pinching import _secular_top
 
     c, g = _secular_cases()
-    y = _secular_top(c, g, 2, np.ones(len(c)))
+    y = _secular_top(c, g)
     assert np.allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0.0, atol=1e-15)
     kappa = np.sum(c * y * y + g * y, axis=1)
     scale = np.abs(c).max(axis=1) + np.abs(g).max(axis=1)
@@ -1007,37 +1007,92 @@ def test_secular_top_solves_the_trust_region_problem():
     assert np.all(np.abs((kappa[:, None] - c) * y - g).max(axis=1) <= 1e-14 * scale)
 
 
-def test_secular_top_finds_the_top_eigenvector_of_the_rank_one_update():
-    from kahlerpinch.pinching import _secular_top
+def _surface_mats(quads):
+    """(B, 16, 16) pair matrices whose bivector operator is _SURFACE_BASIS Q _SURFACE_BASIS^T:
+    Q = [[q, r^T], [r, C]] on [w | Lambda^{1,1}_0] and 0 on [Lambda^{2,0}]."""
+    i, j = np.triu_indices(4, 1)
+    pairs = i * 4 + j
+    mats = np.zeros((len(quads), 16, 16))
+    mats[:, pairs[:, None], pairs] = _SURFACE_BASIS @ quads @ _SURFACE_BASIS.T
+    return mats
+
+
+def _surface_coordinates(rows):
+    """(s, y) of the planes [u | v], b = u ^ v = (s w + sqrt(1 - s^2) e + y)/sqrt(2)."""
+    i, j = np.triu_indices(4, 1)
+    u, v = rows[:, :4], rows[:, 4:]
+    b = u[:, i] * v[:, j] - u[:, j] * v[:, i]
+    coordinates = np.sqrt(2.0) * b @ _SURFACE_BASIS
+    return coordinates[:, 0], coordinates[:, 1:]
+
+
+def test_interior_candidates_are_the_top_eigenvectors_of_the_rank_one_update():
+    # the interior candidate of the maximum at Q = [[-q, g^T], [g, diag(c)]] and of
+    # the minimum at -Q are the top eigenvector of diag(c) + g g^T / q
+    from kahlerpinch.pinching import _surface_rows
 
     c, g = _secular_cases()
     q = np.linspace(0.1, 3.0, len(c))
-    y = _secular_top(c, g, 1, 1.0 / q)
-    for row, (cr, gr, qr) in enumerate(zip(c, g, q)):
-        update = np.diag(cr) + np.outer(gr, gr) / qr
-        top = np.linalg.eigvalsh(update)[-1]
-        assert y[row] @ update @ y[row] == pytest.approx(top, rel=0.0, abs=1e-15 * (abs(top) + 1.0))
-        residual = update @ y[row] - top * y[row]
-        assert np.abs(residual).max() <= 1e-7 * (abs(top) + 1.0)
+    quads = np.zeros((len(c), 4, 4))
+    quads[:, 0, 0], quads[:, 0, 1:], quads[:, 1:, 0] = -q, g, g
+    quads[:, 1:, 1:] = np.einsum("mi,ij->mij", c, np.eye(3))
+    for side, sign in ((1, 1.0), (0, -1.0)):
+        rows = _surface_rows(_surface_mats(sign * quads), True).reshape(len(c), 2, 2, 8)[:, side, 1]
+        _, y = _surface_coordinates(rows)
+        for row, (cr, gr, qr) in enumerate(zip(c, g, q)):
+            update = np.diag(cr) + np.outer(gr, gr) / qr
+            top = np.linalg.eigvalsh(update)[-1]
+            assert y[row] @ update @ y[row] == pytest.approx(top, rel=0.0, abs=1e-15 * (abs(top) + 1.0))
+            residual = update @ y[row] - top * y[row]
+            assert np.abs(residual).max() <= 1e-7 * (abs(top) + 1.0)
 
 
-def test_secular_top_runs_mixed_powers_as_its_one_power_calls():
-    # one call with a power per row (sphere and rank-one rows interleaved)
-    # returns each row of the two one-power calls bit for bit, hard-case rows
-    # (r orthogonal to the top eigenvector, or r = 0) and one-row batches included
+def test_surface_interior_candidates_have_nonnegative_s():
+    # the interior candidate (s, y) and (-s, -y) have the same K, but not the
+    # same plane; the candidate takes s = -<r, y>/q >= 0, so that the witness
+    # planes do not depend on the sign that eigh gives an eigenvector
+    from kahlerpinch.pinching import _model_coordinates, _surface_rows
+
+    tensors = _surface_oracle_tensors()
+    mats = np.stack([t.matrix / (np.hypot(*_model_coordinates(t)) or 1.0) for t in tensors])  # at unit scale
+    rows = _surface_rows(mats, True).reshape(len(tensors), 2, 2, 8)
+    s, _ = _surface_coordinates(rows[:, :, 1].reshape(-1, 8))
+    assert np.all(s >= -1e-15)
+    assert np.sum(s > 0.1) >= 20  # interior candidates that are not H's
+    h, _ = _surface_coordinates(rows[:, :, 0].reshape(-1, 8))
+    assert h == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    for tensor in tensors:
+        report = pinch(tensor, seed=1)
+        for plane in (report.argmin_plane, report.argmax_plane):
+            s, _ = _surface_coordinates(np.concatenate([plane.u, plane.v])[None])
+            assert s[0] >= -1e-15
+
+
+def test_secular_top_runs_a_permuted_batch_as_its_one_row_calls():
+    # each row of a permuted batch is its one-row call bit for bit, hard-case
+    # rows (r orthogonal to the top eigenvector, or r = 0) included
     from kahlerpinch.pinching import _secular_top
 
     c, g = _secular_cases()
-    targets = np.ones(len(c)), 1.0 / np.linspace(0.1, 3.0, len(c))
-    single = np.concatenate([_secular_top(c, g, 2, targets[0]), _secular_top(c, g, 1, targets[1])])
-    order = seeded_rng(22).permutation(2 * len(c))
-    c2, g2, powers, t2 = np.tile(c, (2, 1)), np.tile(g, (2, 1)), np.repeat([2, 1], len(c)), np.concatenate(targets)
-    mixed = _secular_top(c2[order], g2[order], powers[order], t2[order])
-    assert mixed.tobytes() == single[order].tobytes()
-    hard = [len(c) - 3, len(c) - 2, len(c) - 1]
-    for row in [0, *hard, len(c), *(len(c) + k for k in hard)]:
-        one = _secular_top(c2[row : row + 1], g2[row : row + 1], powers[row : row + 1], t2[row : row + 1])
-        assert one.tobytes() == single[row : row + 1].tobytes()
+    order = seeded_rng(22).permutation(len(c))
+    single = np.concatenate([_secular_top(c[row : row + 1], g[row : row + 1]) for row in range(len(c))])
+    assert _secular_top(c[order], g[order]).tobytes() == single[order].tobytes()
+
+
+def test_secular_top_settles_a_row_that_alternates_between_two_values(monkeypatch):
+    # the H-minimum row (as _surface_rows negates it) of the fourth sample of
+    # sweep(2, criterion 6's grid, 2, 190000571): mu alternates between two
+    # values 4 ulps apart, where the step test never holds, so the row settles
+    # when its bracket closes, not at the iteration cap: its result is the same
+    # for any cap past that point
+    from kahlerpinch import pinching
+
+    c = np.array([[float.fromhex(x) for x in ("0x1.fba967477f6e7p-2", "0x1.00af2127fe2e4p-1", "0x1.017afb0c5365fp-1")]])
+    g = np.array([[float.fromhex(x) for x in ("0x1.834d8eba59b42p-12", "-0x1.042741e100961p-9", "0x1.47ee863935410p-14")]])
+    full = pinching._secular_top(c, g)
+    for cap in (15, 16, 31):
+        monkeypatch.setattr(pinching, "SECULAR_ITERATIONS", cap)
+        assert pinching._secular_top(c, g).tobytes() == full.tobytes(), cap
 
 
 # ---------------------------------------------------------------------------
@@ -1501,8 +1556,9 @@ def test_joint_batches_equal_the_one_kind_batches_bit_for_bit(n, restarts, monke
 
 def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     # an n = 2 default joint batch solves each closed-form step once: one eigh
-    # and one _secular_top call, and its J-line rows are the plane pass's H
-    # candidates before retraction, equal to the rows of a J-line-only pass
+    # (of the C's and the rank-one updates) and one _secular_top call over the
+    # 2b sphere rows, and its J-line rows are the plane pass's H candidates
+    # before retraction, equal to the rows of a J-line-only pass
     from kahlerpinch import pinching
 
     tensors, seeds = _mixed_batch(2)
@@ -1510,15 +1566,15 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     eigh, secular, surface, retract = (
         np.linalg.eigh, pinching._secular_top, pinching._surface_rows, pinching._retract_j_lines
     )
-    calls = {"eigh": 0, "powers": [], "surface": [], "retracted": []}
+    calls = {"eigh": [], "rows": [], "surface": [], "retracted": []}
 
-    def counting_eigh(*args, **kwargs):
-        calls["eigh"] += 1
-        return eigh(*args, **kwargs)
+    def recording_eigh(a, *args, **kwargs):
+        calls["eigh"].append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-    def recording_secular(c, g, power, target):
-        calls["powers"].append(np.broadcast_to(power, len(c)).tolist())
-        return secular(c, g, power, target)
+    def recording_secular(c, g):
+        calls["rows"].append(len(c))
+        return secular(c, g)
 
     def recording_surface(mats, planes):
         rows = surface(mats, planes)
@@ -1529,15 +1585,15 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
         calls["retracted"].append(x.copy())
         return retract(x, jmat)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(pinching, "_secular_top", recording_secular)
     monkeypatch.setattr(pinching, "_surface_rows", recording_surface)
     monkeypatch.setattr(pinching, "_retract_j_lines", recording_retract)
     joint = _joint_batch(tensors, None, seeds)
     assert [[_bits(r) for r in reports] for reports in joint] == expected
     b = len(tensors)
-    # 2b sphere rows (minimum and maximum per tensor), then 2b rank-one rows
-    assert calls["eigh"] == 1 and calls["powers"] == [[2] * (2 * b) + [1] * (2 * b)]
+    # b C's, then b rank-one updates; 2b sphere rows (minimum and maximum per tensor)
+    assert calls["eigh"] == [(2 * b, 3, 3)] and calls["rows"] == [2 * b]
     [(mats, planes, both)] = calls["surface"]
     assert planes and both.shape == (4 * b, 8)
     candidates = both.reshape(b, 2, 2, 8)[:, :, 0].reshape(-1, 8)
@@ -1546,10 +1602,12 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     monkeypatch.setattr(pinching, "_secular_top", secular)
     assert surface(mats, False).tobytes() == candidates.tobytes()
     # a J-line-only batch skips the interior problem
-    calls["powers"].clear()
+    calls["eigh"].clear()
+    calls["rows"].clear()
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     monkeypatch.setattr(pinching, "_secular_top", recording_secular)
     pinching._hol_batch(tensors, None, seeds)
-    assert calls["powers"] == [[2] * (2 * b)]
+    assert calls["eigh"] == [(b, 3, 3)] and calls["rows"] == [2 * b]
 
 
 def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
