@@ -142,8 +142,11 @@ DEFAULT_RESTARTS = 64
 # multiple of DEFAULT_RESTARTS, and that report is final
 ESCALATION = 4
 EPS = float(np.finfo(float).eps)
-# a cap on the Newton steps of _secular_top, whose rows settle by the step test
-# or by their bracket closing: in 4 to 10 steps over 200 sweep-n2 calls
+# per (minimum, maximum) side: the maxima as minima of the negated values
+_MIN_MAX_SIGNS = np.array([[1.0], [-1.0]])
+# a cap on the Newton steps of _secular_top, whose rows leave at their first
+# step that does not raise mu by more than 4 eps mu: within 4 to 10 steps over
+# 200 sweep-n2 calls and 200 one-sample certifications
 SECULAR_ITERATIONS = 100
 
 
@@ -653,6 +656,17 @@ def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i * 4 + j, basis, np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
+def _antisymmetric_index() -> np.ndarray:
+    """Flat indices i * 4 + j, then j * 4 + i, of the bivector coordinates b_ij
+    (i < j) of _surface_basis in a 4 x 4 matrix: [b | -b] scattered there is
+    the antisymmetric matrix of b."""
+    pairs = _surface_basis()[0]
+    index = np.concatenate([pairs, pairs % 4 * 4 + pairs // 4])
+    index.flags.writeable = False
+    return index
+
+
 def _secular_top(c, g):
     """Unit y~ maximizing <Cy, y> + 2 <r, y> over the unit sphere, one problem
     per row, in the eigenbasis of C.
@@ -663,50 +677,53 @@ def _secular_top(c, g):
     least root >= 0 of F(mu) = 1 and y~ = g / (e + mu) normalized: the
     trust-region subproblem on its boundary, with multiplier c_top + mu. F is
     increasing and concave (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 1983),
-    so Newton's method from the lower bound max(0, max(|g| - e)) rises to the
-    root; the bracket [lo, hi] only catches rounding. A row settles when its
-    step moves mu by at most 4 eps mu or its bracket has closed to 8 eps hi:
-    near the root, rounding can leave F alternating between two values a few
-    ulps apart, where the step test never holds. In the hard case r is
-    orthogonal to the top eigenvectors and F(0) >= 1: mu = 0, and the top
-    eigenvector completes y. Every step runs on all rows at fixed shapes and
-    a settled row keeps its mu, so a row's result does not depend on the
-    other rows.
+    and F <= 1 at the lower bound max(0, max(|g| - e)), so Newton's method
+    from there rises to the root and, in exact arithmetic, never passes it:
+    no bracket is needed. A row leaves the loop at its first step that does
+    not raise mu by more than 4 eps mu. That step is taken if it moves mu by
+    at most 4 eps mu either way; a larger step down is rounding past the
+    root, where F can alternate between two values a few ulps apart, and is
+    dropped, so mu never falls by more than 4 eps mu. Only the live rows
+    step, each with its own arithmetic, so a row's result does not depend on
+    the other rows. In the hard case r is orthogonal to the top eigenvectors
+    and F(0) >= 1: mu = 0, and the top eigenvector completes y. At mu = 0, a
+    top coordinate has e + mu = 0 and g = 0 (mu >= |g| - e), and its ratio
+    g / (e + mu) is read as 0.
     """
     e = c[:, -1:] - c
-    lo = np.maximum(np.max(np.abs(g) - e, axis=1), 0.0)
-    hi = np.maximum(np.add.reduce(g * g, axis=1) ** 0.5, lo)
-
-    def ratios(mu):  # g / (e + mu) and e + mu, with 1 for e + mu = 0 (where g = 0 when mu >= lo)
-        den = e + mu[:, None]
-        den = np.where(den > 0.0, den, 1.0)
-        return g / den, den
-
-    mu = lo.copy()
-    ratio, _ = ratios(mu)
-    hard = (lo == 0.0) & (np.add.reduce(ratio * ratio, axis=1) <= 1.0)
-    live = ~hard
-    # the settled and hard rows run along, their results unused: F(0) of r = 0 is 1/0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(SECULAR_ITERATIONS):
-            if not live.any():
-                break
-            ratio, den = ratios(mu)
-            term = ratio * ratio
-            total = np.add.reduce(term, axis=1)
-            value = total**-0.5
-            slope = value / total * np.add.reduce(term / den, axis=1)
-            below = value <= 1.0
-            lo, hi = np.where(below, mu, lo), np.where(below, hi, mu)
-            step = mu + (1.0 - value) / slope
-            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-            settled = (np.abs(step - mu) <= 4.0 * EPS * step) | (hi - lo <= 8.0 * EPS * hi)
-            mu = np.where(live, step, mu)
-            live &= ~settled
-    y, _ = ratios(mu)
-    top = c.shape[1] - 1
-    y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
-    return y / np.linalg.norm(y, axis=1, keepdims=True)
+    mu = np.maximum(np.max(np.abs(g) - e, axis=1), 0.0)
+    den = e + mu[:, None]
+    den = np.where(den > 0.0, den, 1.0)
+    y = g / den
+    hard = (mu == 0.0) & (np.add.reduce(y * y, axis=1) <= 1.0)
+    live = np.flatnonzero(~hard)
+    # a live row's first step leaves mu > 0, so from then on e + mu > 0
+    e_live, g_live, m, ratio, den = e[live], g[live], mu[live], y[live], den[live]
+    for _ in range(SECULAR_ITERATIONS):
+        if not len(live):
+            break
+        term = ratio * ratio
+        total = np.add.reduce(term, axis=1)
+        value = total**-0.5
+        slope = value / total * np.add.reduce(term / den, axis=1)
+        step = m + (1.0 - value) / slope
+        rise, tol = step - m, 4.0 * EPS * step
+        moving = rise > tol
+        if not moving.all():
+            # the rows that leave take their step, or keep mu if it falls by more than 4 eps mu
+            mu[live] = np.where(rise < -tol, m, step)
+            live, e_live, g_live, step = live[moving], e_live[moving], g_live[moving], step[moving]
+        m = step
+        den = e_live + m[:, None]
+        ratio = g_live / den
+    else:
+        mu[live] = m  # the rows still live at the cap
+    den = e + mu[:, None]
+    y = g / np.where(den > 0.0, den, 1.0)
+    if hard.any():
+        top = c.shape[1] - 1
+        y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
+    return y / _row_norms(y)
 
 
 def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
@@ -740,11 +757,12 @@ def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
     whenever s <= 1. An interior value lies within 2 |q| of H's range, so
     tensors with |q| <= eps take H's candidate twice (their q is replaced by
     1 in the eigh). The witness plane is read off the bivector b: u is its
-    longest column as a 4 x 4 antisymmetric matrix, and v = b^T u, so that
-    u ^ v = b.
+    longest column as a 4 x 4 antisymmetric matrix (one scatter of [b | -b]
+    at _antisymmetric_index), and v = b^T u, so that u ^ v = b.
     """
     pairs, basis, e20 = _surface_basis()
-    quad = basis.T @ mats[:, pairs][:, :, pairs] @ basis
+    antisymmetric = _antisymmetric_index()
+    quad = basis.T @ mats[:, pairs[:, None], pairs] @ basis
     q, r, cmat = quad[:, 0, 0], quad[:, 1:, 0], quad[:, 1:, 1:]
     count = len(q)
     if planes:
@@ -760,7 +778,7 @@ def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
     if planes:
         # per side: the bottom eigenvector of C - r r^T / q for the minimum
         # (q > eps), the top one for the maximum (q < -eps)
-        interior = np.stack([q > EPS, q < -EPS])
+        interior = _MIN_MAX_SIGNS * q > EPS
         y_int = vecs[count:, :, [0, -1]].transpose(2, 0, 1)
         ratio = np.einsum("mi,smi->sm", r, y_int) / q_eig
         # (s, y) and (-s, -y) have the same K: s = -<r, y>/q >= 0 fixes the witness plane
@@ -769,15 +787,15 @@ def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
         s_int = np.where(interior, np.minimum(np.abs(ratio), 1.0), 1.0)
         # per side and tensor: (H, interior)
         s = np.stack([s, s_int.ravel()], axis=1).ravel()
-        y = np.stack([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
-    b = (np.outer(s, basis[:, 0]) + np.outer(np.sqrt(1.0 - s * s), e20) + y @ basis[:, 1:].T) / np.sqrt(2.0)
-    i, j = np.divmod(pairs, 4)
-    bmat = np.zeros((len(b), 4, 4))
-    bmat[:, i, j], bmat[:, j, i] = b, -b
+        y = np.concatenate([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
+    b = (s[:, None] * basis[:, 0] + np.sqrt(1.0 - s * s)[:, None] * e20 + y @ basis[:, 1:].T) / np.sqrt(2.0)
+    bmat = np.zeros((len(b), 16))
+    bmat[:, antisymmetric] = np.concatenate([b, -b], axis=1)
+    bmat = bmat.reshape(-1, 4, 4)
     longest = np.argmax(np.einsum("mij,mij->mj", bmat, bmat), axis=1)
     u = bmat[np.arange(len(b)), :, longest]
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    rows = np.hstack([u, np.einsum("mij,mi->mj", bmat, u)])
+    u /= _row_norms(u)
+    rows = np.concatenate([u, np.einsum("mij,mi->mj", bmat, u)], axis=1)
     # (side, tensor, candidate) -> (tensor, side, candidate)
     per_side = len(rows) // (2 * len(mats))
     return rows.reshape(2, len(mats), per_side, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
@@ -836,17 +854,17 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
-    plain_planes = space_forms | (3.0 * abs_s0 <= mu)
     envelopes, bounds = _envelopes(entries, sandwich=True) if True in kinds else (None, None)
     shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
     found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 
-    def settle(planes, ks, vals, x, stable):
-        # the tensors ks of one kind from their consecutive blocks, each its
-        # minimum rows, then as many maximum rows
-        sides = vals.reshape(len(ks), 2, -1)
+    def settle(planes, ks, sides, x, stable):
+        # the tensors ks (indices or a slice) of one kind from their consecutive
+        # blocks: sides is (tensors, 2, rows), each its minimum rows, then as
+        # many maximum rows, and x holds those rows in that order
+        vals = sides.reshape(-1)
         # the maxima as minima of the negated values, so one argmin; ties go to the first row
-        best = np.arange(0, len(vals), sides.shape[2]).reshape(-1, 2) + (sides * [[1.0], [-1.0]]).argmin(axis=2)
+        best = np.arange(0, len(vals), sides.shape[2]).reshape(-1, 2) + (sides * _MIN_MAX_SIGNS).argmin(axis=2)
         found[planes].rows[ks] = x[best]
         extremes = scales[ks, None] * vals[best]
         if space_forms[ks].any():
@@ -870,8 +888,9 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
             # _pair_state's values: one stacked matmul, one GEMM per tensor
             w = _pair_outer(x[:, :4], x[:, 4:])
             vals = np.einsum("mk,mk->m", np.matmul(w.reshape(b, -1, 16), mats).reshape(-1, 16), w)
-            settle(planes, np.arange(b), vals, x, True)
+            settle(planes, slice(None), vals.reshape(b, 2, -1), x, True)
         return [found[planes] for planes in kinds]
+    plain_planes = space_forms | (3.0 * abs_s0 <= mu)
     # (tensor, restarts, kinds to run)
     queue = [(k, DEFAULT_RESTARTS if restarts is None else restarts, kinds) for k in range(b)]
     while queue:
@@ -902,7 +921,7 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
             steps, exits = (a[start:stop].reshape(len(ks), -1) for a in (iterations, reasons))
             counts = (exits[:, :, None] == np.arange(len(EXIT_REASONS))).sum(axis=1)
             found[planes].diagnostics[ks] = np.column_stack([counts, steps.sum(axis=1), steps.max(axis=1)])
-            settle(planes, ks, vals[start:stop], x[start:stop], stable)
+            settle(planes, ks, sides, x[start:stop], stable)
             if restarts is None and count == DEFAULT_RESTARTS:
                 for k in np.array(ks, dtype=int)[~found[planes].converged[ks]].tolist():
                     rerun.setdefault(k, []).append(planes)

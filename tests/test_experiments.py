@@ -700,6 +700,15 @@ def test_identities_do_not_depend_on_the_blas_thread_count(n):
     assert outputs[0] == outputs[1] and json.loads(outputs[0])["command"] == "identities"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_certification_does_not_depend_on_the_blas_thread_count(n):
+    # constant certification's stacked pass (at n = 2 the closed form, at n = 3
+    # the optimizer) prints the same bytes on one thread and two
+    argv = ["-m", "kahlerpinch", "constants", "--epsilon", "0.1", "--n", str(n), "--certify", "4", "--seed", "1"]
+    outputs = _stdout_under_one_and_two_blas_threads(*argv)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["certification"]["samples"] == 4
+
+
 def test_sweep_and_certification_build_no_per_record_objects(monkeypatch):
     # a chunk travels between the stacked layers as one certified entries
     # stack, and its records are read off arrays: no report, normalization,
