@@ -103,6 +103,13 @@ def _evaluate(matrices: np.ndarray, x, y, z, w) -> np.ndarray:
     return np.einsum("...p,...p->...", _pair_outer(x, y) @ matrices, _pair_outer(z, w))
 
 
+def _biquadratic(matrices: np.ndarray, x, y) -> np.ndarray:
+    """_evaluate(matrices, x, y, x, y) with x (x) y formed once and read on both
+    sides of the product: the same rows, so the same values bit for bit."""
+    xy = _pair_outer(x, y)
+    return np.einsum("...p,...p->...", xy @ matrices, xy)
+
+
 class CurvatureTensor:
     """Dense rank-4 coefficient table over the standard basis.
 
@@ -152,8 +159,12 @@ class CurvatureTensor:
         return _unbatched(_evaluate(self.matrix, x, y, z, w))
 
     def biquadratic(self, a, b) -> float | np.ndarray:
-        """Unnormalized K(a, b) = R(a, b, a, b), batched like evaluate."""
-        return self.evaluate(a, b, a, b)
+        """Unnormalized K(a, b) = R(a, b, a, b), batched like evaluate.
+
+        a (x) b is formed once, so the value is evaluate(a, b, a, b)'s bit for bit.
+        """
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return _unbatched(_biquadratic(self.matrix, a, b))
 
     def frobenius_norm(self) -> float:
         return float(_frobenius(self.entries[None])[0])
@@ -625,7 +636,7 @@ def _stacked_holomorphic_sides(
     au, bv, bjv = a[..., None] * u, b[..., None] * v, b[..., None] * (v @ jt)
     w = np.stack(np.broadcast_arrays(u, v, au + bv, au - bv, au + bjv, au - bjv), axis=-2)
     jw = w @ jt
-    h = _evaluate(matrices, w, jw, w, jw)
+    h = _biquadratic(matrices, w, jw)
     base = 2 * a**4 * h[..., 0] + 2 * b**4 * h[..., 1]
     return h[..., 2] + h[..., 3] - base, h[..., 4] + h[..., 5] - base
 

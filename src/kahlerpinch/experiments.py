@@ -47,7 +47,7 @@ from .pinching import (
     _quarter_normalization,
     berger_bound_check,
 )
-from .space import HermitianSpace, make_space, random_orthonormal_pair, seeded_rng
+from .space import HermitianSpace, _orthonormal_pairs, make_space, random_orthonormal_pair, seeded_rng
 
 __all__ = [
     "SweepRecord",
@@ -475,7 +475,9 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     (cos theta, sin theta), which the linear solve, both polarization
     identities and the coefficient fit share. Each (tensor, sample) product
     has the shape of the one-tensor identity functions', so every residual
-    equals theirs bit for bit. The roundtrips are public
+    equals theirs bit for bit. The samples' unitary pairs come from one
+    stacked draw, each from its own seeded generator and equal to its
+    random_orthonormal_pair bit for bit. The roundtrips are public
     reconstruct_from_sectional calls with a biquadratic oracle.
     """
     if n < 2:
@@ -486,11 +488,7 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     n_tensors = max(1, min(10, samples // 10))
     tensors = _random_kahlers(space, [_sample_seed(seed, 1, i) for i in range(n_tensors)], 1.0)
     model = complex_hyperbolic_tensor(space)
-    pairs = [
-        random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
-        for s in range(samples)
-    ]
-    us, vs = (np.array(vectors) for vectors in zip(*pairs))
+    us, vs = _orthonormal_pairs(space, [_sample_seed(seed, 2, s) for s in range(samples)], "v_perp_ju")
     thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
     _require_unitary_quadruple(space, us, vs)  # solve_sectional_from_H's precondition
 

@@ -111,27 +111,69 @@ def random_orthonormal_pair(
     space: HermitianSpace, seed: int, constraint: str = "none"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded orthonormal pair (u, v); with constraint "v_perp_ju" the set
-    {u, Ju, v, Jv} is orthonormal (needs n >= 2)."""
+    {u, Ju, v, Jv} is orthonormal (needs n >= 2).
+
+    seeded_rng(seed) draws u and then w as standard normals, d = 2n at a time.
+    A draw whose norm is <= 1e-8 is drawn again: u from the next d normals, w
+    from the next d after it. v is w less its components along u (then along
+    Ju), normalized. This is the batch of one of the stacked draw that
+    identity_suite makes for all its samples, so every seed gives the same
+    bits either way.
+    """
+    u, v = _orthonormal_pairs(space, [seed], constraint)
+    return u[0], v[0]
+
+
+def _orthonormal_pairs(space: HermitianSpace, seeds, constraint: str) -> tuple[np.ndarray, np.ndarray]:
+    """random_orthonormal_pair of each seed as the rows of (S, d) arrays u and v.
+
+    Each seed keeps its own generator and draws 2d normals in one call, the
+    stream values that u and w read d at a time. Every dot and norm is a
+    stacked (S, 1, d) @ (S, d, 1) matmul, a BLAS ddot per row as np.dot and
+    np.linalg.norm take on a 1-D vector, so each row equals its one-seed draw
+    bit for bit; einsum and add.reduce sum in another order and do not. J is
+    a signed permutation, so u @ J^T is exact. The rows that a norm rejects
+    draw again from their own generators.
+    """
     if constraint not in ("none", "v_perp_ju"):
         raise ValueError(f"unknown constraint {constraint!r}")
     if constraint == "v_perp_ju" and space.n < 2:
         raise InvalidDimensionError("constraint v_perp_ju needs complex dimension >= 2")
-    rng = seeded_rng(seed)
-    u = _unit_gaussian(rng, space.dim)
-    ju = space.j(u)
-    while True:
-        w = rng.standard_normal(space.dim)
-        w = w - np.dot(w, u) * u
+    d = space.dim
+    rngs = [seeded_rng(seed) for seed in seeds]
+    draws = np.array([rng.standard_normal(2 * d) for rng in rngs])
+    u, w = draws[:, :d], draws[:, d:]
+    norm = _norms(u)
+    redraw = np.flatnonzero(norm <= 1e-8)
+    while redraw.size:  # a rejected u takes w's d normals, and w the next d
+        u[redraw] = w[redraw]
+        w[redraw] = [rngs[i].standard_normal(d) for i in redraw]
+        norm[redraw] = _norms(u[redraw])
+        redraw = redraw[norm[redraw] <= 1e-8]
+    u = u / norm[:, None]
+    ju = u @ space.j_matrix.T
+
+    def projected(w, rows):
+        w = w - _dots(w, u[rows])[:, None] * u[rows]
         if constraint == "v_perp_ju":
-            w = w - np.dot(w, ju) * ju
-        norm = np.linalg.norm(w)
-        if norm > 1e-8:
-            return u, w / norm
+            w = w - _dots(w, ju[rows])[:, None] * ju[rows]
+        return w
+
+    w = projected(w, slice(None))
+    norm = _norms(w)
+    redraw = np.flatnonzero(norm <= 1e-8)
+    while redraw.size:  # a rejected w is drawn again from the next d normals
+        w[redraw] = projected(np.array([rngs[i].standard_normal(d) for i in redraw]), redraw)
+        norm[redraw] = _norms(w[redraw])
+        redraw = redraw[norm[redraw] <= 1e-8]
+    return u, w / norm[:, None]
 
 
-def _unit_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row dots of (S, d) arrays, each the BLAS ddot of np.dot on its 1-D rows."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of an (S, d) array, each np.linalg.norm's of its 1-D row."""
+    return np.sqrt(_dots(x, x))

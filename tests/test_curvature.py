@@ -461,6 +461,25 @@ def test_batched_evaluate_matches_einsum_oracle(n):
         assert np.array_equal(tensor.evaluate(x[0, 0], y, z, w)[0, 0], values[0, 0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_biquadratic_is_evaluate_bit_for_bit(n):
+    # biquadratic forms a (x) b once and reads it on both sides of the product;
+    # evaluate(a, b, a, b) forms it twice, from the same rows
+    from kahlerpinch.curvature import _reconstruction_tables
+
+    space = make_space(n)
+    d = space.dim
+    rng = seeded_rng(72, n)
+    raw = CurvatureTensor(space, rng.standard_normal((d,) * 4))  # no pair exchange
+    a, b = rng.standard_normal((2, 2, 3, d))
+    first, second = _reconstruction_tables(d)[:2]  # reconstruct_from_sectional's oracle arguments
+    for tensor in (random_kahler(space, seed=72), raw):
+        for x, y in ((a[1, 2], b[0, 1]), (a, b), (a[0, 0], b), (a, b[1, 2]), (first, second)):
+            value, expected = tensor.biquadratic(x, y), tensor.evaluate(x, y, x, y)
+            assert type(value) is type(expected)
+            assert np.asarray(value).tobytes() == np.asarray(expected).tobytes()
+
+
 def test_sectional_is_plane_invariant(r0_n2, space2):
     rng = seeded_rng(21)
     tensor = random_kahler(space2, seed=6)

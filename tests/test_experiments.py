@@ -11,9 +11,9 @@ import pytest
 
 import kahlerpinch.experiments
 
-from kahlerpinch import DEFAULT_SYMMETRY_TOL, distance, make_space, project_kahler, random_kahler
+from kahlerpinch import DEFAULT_SYMMETRY_TOL, distance, make_space, project_kahler, random_kahler, seeded_rng
 from kahlerpinch.curvature import require_certified
-from kahlerpinch.errors import PreconditionError
+from kahlerpinch.errors import InvalidDimensionError, PreconditionError
 from kahlerpinch.experiments import (
     CertificationReport,
     SweepRecord,
@@ -1044,6 +1044,145 @@ def test_identity_suite_equals_the_per_tensor_loop(n, samples, seed):
     assert results.keys() == expected.keys()
     for key, value in expected.items():
         assert type(results[key]) is type(value) and results[key] == value, key
+
+
+def _one_seed_pair(space, seed, constraint="none"):
+    # random_orthonormal_pair before the stacked draw, verbatim: u and then w
+    # read d normals at a time from seeded_rng(seed), with np.dot and
+    # np.linalg.norm on 1-D vectors
+    if constraint not in ("none", "v_perp_ju"):
+        raise ValueError(f"unknown constraint {constraint!r}")
+    if constraint == "v_perp_ju" and space.n < 2:
+        raise InvalidDimensionError("constraint v_perp_ju needs complex dimension >= 2")
+    rng = seeded_rng(seed)
+    u = _unit_gaussian(rng, space.dim)
+    ju = space.j(u)
+    while True:
+        w = rng.standard_normal(space.dim)
+        w = w - np.dot(w, u) * u
+        if constraint == "v_perp_ju":
+            w = w - np.dot(w, ju) * ju
+        norm = np.linalg.norm(w)
+        if norm > 1e-8:
+            return u, w / norm
+
+
+def _unit_gaussian(rng, dim):
+    while True:
+        v = rng.standard_normal(dim)
+        norm = np.linalg.norm(v)
+        if norm > 1e-8:
+            return v / norm
+
+
+_PAIR_SEEDS = [*range(-40, 260), *(2**32 + k for k in range(-5, 20)), 2**63 - 1, 2**63, 2**64 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("constraint", ["none", "v_perp_ju"])
+def test_stacked_pairs_equal_the_one_seed_draws(n, constraint):
+    from kahlerpinch.space import _orthonormal_pairs, random_orthonormal_pair
+
+    space = make_space(n)
+    if constraint == "v_perp_ju" and n < 2:
+        with pytest.raises(InvalidDimensionError):
+            _orthonormal_pairs(space, _PAIR_SEEDS, constraint)
+        return
+    us, vs = _orthonormal_pairs(space, _PAIR_SEEDS, constraint)
+    assert us.shape == vs.shape == (len(_PAIR_SEEDS), space.dim)
+    for seed, u, v in zip(_PAIR_SEEDS, us, vs):
+        expected = _one_seed_pair(space, seed, constraint)
+        assert (u.tobytes(), v.tobytes()) == tuple(x.tobytes() for x in expected), seed
+        single = random_orthonormal_pair(space, seed, constraint)
+        assert tuple(x.tobytes() for x in single) == tuple(x.tobytes() for x in expected), seed
+
+
+class _EditedNormals:
+    # a generator whose normals are those of another, but where edit(position,
+    # served) is not None it replaces the value at that stream position, read
+    # from the values served before it
+    def __init__(self, rng, edit):
+        self.rng, self.edit, self.served = rng, edit, []
+
+    def standard_normal(self, size):
+        for value in self.rng.standard_normal(size):
+            edited = self.edit(len(self.served), self.served)
+            self.served.append(value if edited is None else edited)
+        return np.array(self.served[-size:])
+
+
+def _along_j_of_first_u(d, p, served):
+    # the second d normals as J x, x the first d: (J x)_k = -x_{k+1} (k even), x_{k-1} (k odd)
+    if not d <= p < 2 * d:
+        return None
+    k = p - d
+    return -served[k + 1] if k % 2 == 0 else served[k - 1]
+
+
+# case -> (edit(d, position, served), the normals each constraint then reads, in units of d)
+_REJECTIONS = {
+    # u is read from the next d normals, w from the d after them
+    "zero first u": (lambda d, p, served: 0.0 if p < d else None, {"none": 3, "v_perp_ju": 3}),
+    "two zero u draws": (lambda d, p, served: 0.0 if p < 2 * d else None, {"none": 4, "v_perp_ju": 4}),
+    # w is the raw first u, so it is zero after its projection
+    "first w along u": (
+        lambda d, p, served: served[p - d] if d <= p < 2 * d else None,
+        {"none": 3, "v_perp_ju": 3},
+    ),
+    # zero after its projection only when it is also projected off Ju
+    "first w along Ju": (_along_j_of_first_u, {"none": 2, "v_perp_ju": 3}),
+    "zero first u, then w along u": (
+        lambda d, p, served: 0.0 if p < d else served[p - d] if 2 * d <= p < 3 * d else None,
+        {"none": 4, "v_perp_ju": 4},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REJECTIONS))
+@pytest.mark.parametrize(
+    "n, constraint", [(1, "none"), (2, "none"), (2, "v_perp_ju"), (3, "v_perp_ju"), (4, "none"), (4, "v_perp_ju")]
+)
+def test_stacked_pairs_redraw_by_the_one_seed_rule(monkeypatch, case, n, constraint):
+    # a patched generator forces the rejection path on every other seed of a
+    # batch: each row equals its one-seed draw and reads as many normals
+    from kahlerpinch import space as space_module
+
+    edit, blocks = _REJECTIONS[case]
+    space = make_space(n)
+    d = space.dim
+    seeds = list(range(10, 18))
+    edited = set(seeds[1::2])
+    streams = {}
+    real = space_module.seeded_rng
+
+    def patched(seed):
+        stream = _EditedNormals(real(seed), lambda p, served: edit(d, p, served) if seed in edited else None)
+        streams.setdefault(seed, []).append(stream)
+        return stream
+
+    monkeypatch.setattr(space_module, "seeded_rng", patched)
+    monkeypatch.setitem(globals(), "seeded_rng", patched)
+    us, vs = space_module._orthonormal_pairs(space, seeds, constraint)
+    for seed, u, v in zip(seeds, us, vs):
+        expected_u, expected_v = _one_seed_pair(space, seed, constraint)
+        assert (u.tobytes(), v.tobytes()) == (expected_u.tobytes(), expected_v.tobytes()), seed
+        stacked, one_seed = (len(stream.served) for stream in streams[seed])
+        assert stacked == one_seed == d * (blocks[constraint] if seed in edited else 2), seed
+
+
+def test_identity_suite_draws_its_pairs_in_one_stacked_call(monkeypatch):
+    from kahlerpinch import experiments
+
+    calls = []
+    pairs = experiments._orthonormal_pairs
+
+    def recording(space, seeds, constraint):
+        calls.append((list(seeds), constraint))
+        return pairs(space, seeds, constraint)
+
+    monkeypatch.setattr(experiments, "_orthonormal_pairs", recording)
+    experiments.identity_suite(2, 40, 7)
+    assert calls == [([experiments._sample_seed(7, 2, s) for s in range(40)], "v_perp_ju")]
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1085,9 +1085,9 @@ def test_secular_top_runs_a_permuted_batch_as_its_one_row_calls():
 def test_secular_top_settles_a_row_that_alternates_between_two_values(monkeypatch):
     # the H-minimum row (as _surface_rows negates it) of the fourth sample of
     # sweep(2, criterion 6's grid, 2, 190000571): mu alternates between two
-    # values 4 ulps apart, where the step test never holds, so the row settles
-    # when its bracket closes, not at the iteration cap: its result is the same
-    # for any cap past that point
+    # values 4 ulps apart, so a step eventually falls by more than 4 eps mu:
+    # the row leaves at that dropped step down, keeping its mu, not at the
+    # iteration cap: its result is the same for any cap past that point
     from kahlerpinch import pinching
 
     c = np.array([[float.fromhex(x) for x in ("0x1.fba967477f6e7p-2", "0x1.00af2127fe2e4p-1", "0x1.017afb0c5365fp-1")]])
