@@ -29,9 +29,10 @@ results stay normal doubles. `chern_ratio` reads the unit-scale table, so
 leave the double range. `reference_constants` is read off the table, and
 `density_ratio` divides two entries of one.
 
-The pass runs over a certified stack of entry tables, (B, d, d, d, d)
-(`curvature._certified_stack` makes one from tensor objects): `_unit_forms`
-and `_density_tables` carry its batch axis through the reality check, the
+The pass runs over a Kahler stack of entry tables, (B, d, d, d, d): either
+certified from tensor objects by `curvature._certified_stack`, or a sweep or
+certification chunk, which is Kahler by construction. `_unit_forms` and
+`_density_tables` carry its batch axis through the reality check, the
 Newton recursion (`forms._wedge` with "zabij,zbckl->zacikjl") and the index
 products, and give one (B, P) table per stack. Every product is one per
 tensor, stacked, never one GEMM over the stack, so each tensor's table is
@@ -173,7 +174,7 @@ def chern_forms(tensor: CurvatureTensor) -> list[np.ndarray]:
 
 
 def _unit_forms(entries: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """e = curvature._unit_exponent(R) of each table R of a certified
+    """e = curvature._unit_exponent(R) of each table R of a Kahler
     (B, d, d, d, d) stack, and c_0, ..., c_n of each 2^-e R: sigmas[k] stacks
     the tables' (k, k) matrices, shape (B, C(n, k), C(n, k)).
 
@@ -241,7 +242,7 @@ def _density_dicts(tensor: CurvatureTensor) -> tuple[dict[ChernIndex, float], di
 
 
 def _density_tables(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """chern_densities of each table R of a certified (B, d, d, d, d) stack, and
+    """chern_densities of each table R of a Kahler (B, d, d, d, d) stack, and
     its unit-scale table: the densities of 2^-e R, from the forms of
     `_unit_forms`. Both are (B, P) arrays, columns in enumerate_indices order.
 

@@ -33,7 +33,7 @@ from .errors import (
     SpaceMismatchError,
     TensorFormatError,
 )
-from .space import HermitianSpace, make_space, seeded_rng
+from .space import HermitianSpace, _norms, make_space, seeded_rng
 
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
@@ -713,8 +713,8 @@ def _distances(entries: np.ndarray, other: np.ndarray) -> np.ndarray:
 
 def _frobenius(entries: np.ndarray, shift=0) -> np.ndarray:
     """2^shift times the Frobenius norm of each table of a (B, d, d, d, d) stack,
-    summed at unit scale (`_unit_exponent`) by one np.dot per table, the
-    BLAS dot of np.linalg.norm.
+    summed at unit scale (`_unit_exponent`) by one BLAS dot per table
+    (`space._norms`), the dot of np.linalg.norm.
 
     The largest square is below 1, so none overflows, and the scalings are
     exact: the result equals the plain norm wherever that neither overflows
@@ -723,7 +723,7 @@ def _frobenius(entries: np.ndarray, shift=0) -> np.ndarray:
     b = len(entries)
     exponent = _unit_exponent(entries)
     rows = np.ldexp(entries, -exponent.reshape(b, 1, 1, 1, 1)).reshape(b, -1)
-    norms = np.sqrt([np.dot(row, row) for row in rows])
+    norms = _norms(rows)
     with np.errstate(over="ignore"):  # past the double range
         return np.ldexp(norms, exponent + shift)
 

@@ -19,14 +19,13 @@ import numpy as np
 
 from .chern import ChernIndex, _density_tables, _ratio_rows, reference_constants
 from .curvature import (
-    DEFAULT_SYMMETRY_TOL,
     CurvatureTensor,
+    check_kahler,
     complex_hyperbolic_tensor,
     _distances,
     distance,
     reconstruct_from_sectional,
     _DIAGONAL,
-    _certificates,
     _float17,
     _largest,
     _model_table,
@@ -39,7 +38,6 @@ from .curvature import (
     _solve_diagonal_sides,
     _stacked_direct_triple,
     _stacked_holomorphic_sides,
-    require_certified,
 )
 from .errors import IdentityInconsistencyError, PreconditionError
 from .pinching import (
@@ -65,8 +63,8 @@ __all__ = [
 
 MAX_EXCLUDED_FRACTION = 0.05
 # sweeps and certification runs take their samples this many at a time: the
-# optimizer runs of a chunk share batches, its tensors are built, certified and
-# read for Chern densities in stacked passes, and memory holds one chunk's tensors
+# optimizer runs of a chunk share batches, its tensors are built and read for
+# Chern densities in stacked passes, and memory holds one chunk's tensors
 SAMPLES_PER_CHUNK = 64
 
 
@@ -127,23 +125,24 @@ def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     """
     if t == 0:
         return complex_hyperbolic_tensor(space)
-    entries, certificates = _perturbations(space, [t], [seed])
-    return CurvatureTensor._shared(space, entries[0], certificates[0])
+    tensor = CurvatureTensor._shared(space, _perturbations(space, [t], [seed])[0], None)
+    check_kahler(tensor)
+    return tensor
 
 
-def _perturbations(space: HermitianSpace, ts, seeds) -> tuple[np.ndarray, list]:
-    """perturb's entries and certificate (or None) of each (t, seed) pair, as a
-    read-only (B, d, d, d, d) stack and a list: the directions of every t != 0
-    are projected, scaled and certified in one stacked pass, bit for bit as one at a time.
+def _perturbations(space: HermitianSpace, ts, seeds) -> np.ndarray:
+    """perturb's entries of each (t, seed) pair, as a read-only
+    (B, d, d, d, d) stack: the directions of every t != 0 are projected and
+    scaled in one stacked pass, bit for bit as one at a time. Every table is
+    Kahler by construction, so none is certified here.
 
     The pairs are checked in order, each as its perturb call checks it, so
     the first pair that fails raises what its perturb call raises.
     """
-    r0, model_certificate = _model_table(space.n)
-    certificates = [model_certificate] * len(ts)
+    r0 = _model_table(space.n)[0]
     live = [k for k, t in enumerate(ts) if t != 0]
     if not live:
-        return _read_only(np.repeat(r0[None], len(ts), axis=0)), certificates
+        return _read_only(np.repeat(r0[None], len(ts), axis=0))
     projected, norms = _random_projection(space, [seeds[k] for k in live])
     # a degenerate direction or an invalid t gives non-finite rows, rejected below
     with np.errstate(all="ignore"):
@@ -157,12 +156,10 @@ def _perturbations(space: HermitianSpace, ts, seeds) -> tuple[np.ndarray, list]:
         _require_nondegenerate(seeds[k], norms[row])
         if not finite[row]:
             raise PreconditionError(f"perturbation size {ts[k]:g} overflows the tensor entries")
-    for k, cert in zip(live, _certificates(entries, DEFAULT_SYMMETRY_TOL)):
-        certificates[k] = cert if cert.passed else None
     if len(live) < len(ts):  # R0's rows at t = 0 among the perturbed ones
         entries, perturbed = np.repeat(r0[None], len(ts), axis=0), entries
         entries[live] = perturbed
-    return _read_only(entries), certificates
+    return _read_only(entries)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -186,7 +183,7 @@ def _model_ratios(n: int) -> tuple[tuple[str, ...], tuple[ChernIndex, ...], np.n
 
 
 def _ratio_deviation_rows(entries: np.ndarray) -> list[dict[str, float]]:
-    """|gamma_I / gamma_J - model value| of each table of a certified (B, d, d, d, d)
+    """|gamma_I / gamma_J - model value| of each table of a Kahler (B, d, d, d, d)
     stack for every ordered pair of distinct indices, from one stacked density
     pass; chern._ratio_rows checks each table once and raises density_ratio's errors."""
     labels, indices, numerators, denominators, model = _model_ratios(entries.shape[-1] // 2)
@@ -197,15 +194,12 @@ def _ratio_deviation_rows(entries: np.ndarray) -> list[dict[str, float]]:
 
 def _perturbed_chunks(space: HermitianSpace, grid: list[tuple[float, int]]):
     """Each SAMPLES_PER_CHUNK-long chunk of (t, sample seed) pairs, the stack of
-    its perturbed tensors, from one stacked pass and certified as
-    `require_certified` certifies each tensor, and their seeds."""
+    its perturbed tensors from one stacked pass (Kahler by construction, so
+    not certified), and their seeds."""
     for start in range(0, len(grid), SAMPLES_PER_CHUNK):
         chunk = grid[start : start + SAMPLES_PER_CHUNK]
-        ts, seeds = [t for t, _ in chunk], [seed for _, seed in chunk]
-        entries, certificates = _perturbations(space, ts, seeds)
-        for k in [k for k, cert in enumerate(certificates) if cert is None]:
-            require_certified(CurvatureTensor._shared(space, entries[k], None))
-        yield chunk, entries, seeds
+        seeds = [seed for _, seed in chunk]
+        yield chunk, _perturbations(space, [t for t, _ in chunk], seeds), seeds
 
 
 def sweep(
@@ -217,11 +211,12 @@ def sweep(
 ) -> list[SweepRecord]:
     """Run the perturbation experiment; flags (and keeps) non-converged records.
 
-    Records are computed SAMPLES_PER_CHUNK at a time, each chunk one certified
-    entries stack: its pinch and hol_extremes runs share optimizer batches, and
-    its normalization, Chern-density tables and distances to R0 are stacked
-    passes, with no per-record tensor or report; each record's values are bit
-    for bit those of its one-tensor calls. A chunk runs each stage over all of
+    Records are computed SAMPLES_PER_CHUNK at a time, each chunk one entries
+    stack, Kahler by construction and so not certified: its pinch and
+    hol_extremes runs share optimizer batches, and its normalization,
+    Chern-density tables and distances to R0 are stacked passes, with no
+    per-record tensor or report; each record's values are bit for bit those
+    of its one-tensor calls. A chunk runs each stage over all of
     its samples, so a failing sample raises at the first stage it fails. H is linear in R,
     so the holomorphic extremes of the normalized tensor are its scale times
     those of the perturbed one, where they are found. Raises if more than
@@ -229,7 +224,7 @@ def sweep(
     """
     if samples_per_t < 1:
         raise PreconditionError("samples_per_t must be >= 1")
-    t_values = [float(t) for t in t_values]
+    t_values = [float(t) + 0.0 for t in t_values]  # + 0.0: -0.0 is the size 0.0
     for t in t_values:
         if not 0 <= t < inf:
             raise PreconditionError(f"perturbation sizes must be finite and >= 0, got {t}")
@@ -401,8 +396,8 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     perturb(space, delta/8, seed_s), R0 + tS at t = delta/8, pinched once.
 
     The samples are delta-pinched by proof when delta < 3/4. S is a unit-norm
-    Kahler direction (random_kahler(., ., 1.0); perturb certifies R0 + tS
-    without projecting it again), so for orthonormal u, v Cauchy-Schwarz gives
+    Kahler direction (random_kahler(., ., 1.0); R0 + tS is Kahler as built
+    and is not projected again), so for orthonormal u, v Cauchy-Schwarz gives
     |K_S(u, v)| = |<S, u (x) v (x) u (x) v>| <= |S|_F = 1. R0's sectional
     curvatures fill [-1, -1/4], so R0 + tS has true extremes k_min >= -1 - t
     and k_max <= -1/4 + t. `pinch` reports K at real planes, or R0's closed
@@ -417,13 +412,13 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     RuntimeError names the first sample whose defect is not below delta,
     whose pinch did not converge, or whose defect is anomalous: for n >= 2 a
     Kahler tensor is at best quarter-pinched, so a defect meaningfully below
-    zero means the optimizer missed an extreme. A chunk is one certified
-    entries stack through stacked passes; the normalization and the checks
-    run in sample order, and a failing sample raises at the first stage it
-    fails. retries is always 0. The ratio deviations are at rounding level
-    (max_ratio_dev 8.7e-14, 1.1e-14 and 1.4e-13 at n = 2, 3, 4 for
-    proof_constants(0.1, n) and 16 samples), so a run checks the code's
-    consistency, not the theorem.
+    zero means the optimizer missed an extreme. A chunk is one entries
+    stack, Kahler by construction and so not certified, through stacked
+    passes; the normalization and the checks run in sample order, and a
+    failing sample raises at the first stage it fails. retries is always 0.
+    The ratio deviations are at rounding level (max_ratio_dev 8.7e-14,
+    1.1e-14 and 1.4e-13 at n = 2, 3, 4 for proof_constants(0.1, n) and 16
+    samples), so a run checks the code's consistency, not the theorem.
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")

@@ -28,8 +28,10 @@ rows, so that their iteration tails overlap, and one batch can run both
 problems: its tensors' plane blocks, then the same tensors' J-line blocks.
 Each block of one tensor and problem has its own GEMM, so the rounding
 stays per block and every result is bit-identical to a one-tensor,
-one-problem run. _multistart takes one certified (B, d, d, d, d) entries
-stack and returns arrays per problem, which sweep reads directly; only
+one-problem run. _multistart takes one Kahler (B, d, d, d, d) entries
+stack, certified by `curvature._certified_stack` for pinch and
+hol_extremes and Kahler by construction for a sweep or certification
+chunk, and returns arrays per problem, which sweep reads directly; only
 pinch and hol_extremes build reports from them. The multistart's extremes are the best values the
 restarts reach, not proven optima; the n = 2 closed form's are the extremes
 up to rounding. A rigorous eigenvalue envelope from the curvature operator
@@ -78,13 +80,14 @@ import numpy as np
 from .curvature import (
     CurvatureTensor,
     TwoPlane,
+    _biquadratic,
     _certified_stack,
     _pair_outer,
     _unit_exponent,
     complex_hyperbolic_tensor,
 )
 from .errors import InvalidDimensionError, NotNegativelyCurvedError, PreconditionError, ResourceLimitError
-from .space import make_space, seeded_rng
+from .space import _dots, _norms, make_space, seeded_rng
 
 __all__ = [
     "PinchReport",
@@ -215,20 +218,18 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     curvature and the eigenvalue range encloses all of them. The operator is
     the pair matrix restricted to the index pairs (i, j) with i < j.
     """
-    return tuple(_envelopes(_certified_stack([tensor]))[0].tolist())
+    return tuple(_envelopes(_certified_stack([tensor]))[0][0].tolist())
 
 
-def _envelopes(entries: np.ndarray, sandwich: bool = False):
-    """curvature_operator_envelope of each table of a certified (B, d, d, d, d)
+def _envelopes(entries: np.ndarray):
+    """curvature_operator_envelope of each table of a Kahler (B, d, d, d, d)
     stack, as (B, 2), from one stacked eigvalsh: each is its one-tensor value
-    bit for bit. With sandwich, also the (B, 2) bounds [lo - slack, hi + slack]
-    that sandwich converged extremes, slack = 1e-9 max(|lo|, |hi|): relative,
-    so that 2^k R sandwiches as R does."""
+    bit for bit. Also the (B, 2) bounds [lo - slack, hi + slack] that
+    sandwich converged extremes, slack = 1e-9 max(|lo|, |hi|): relative, so
+    that 2^k R sandwiches as R does."""
     b, d = len(entries), entries.shape[-1]
     rows, columns = _bivector_block(d)
     envelopes = np.linalg.eigvalsh(entries.reshape(b, d * d, d * d)[:, rows, columns])[:, [0, -1]]
-    if not sandwich:
-        return envelopes
     with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
         slack = 1e-9 * np.abs(envelopes).max(axis=1, keepdims=True)
     return envelopes, envelopes + slack * [-1.0, 1.0]
@@ -250,7 +251,12 @@ def _bivector_block(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_norms(u: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row as a (rows, 1) column: np.linalg.norm's arithmetic, fewer calls."""
+    """The Euclidean norm of each row as a (rows, 1) column, summed by np.add.reduce.
+
+    That is not np.linalg.norm's arithmetic (a BLAS dot, `space._norms`): a
+    row can differ from it in the last bit. The optimizer's and the n = 2
+    closed form's bits are pinned to this summation order.
+    """
     return np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
 
 
@@ -345,31 +351,23 @@ def _model(n: int):
     return r0, float(r0 @ r0), j_rows, t_rows, block_sums, space
 
 
-def _model_coordinates(tensor: CurvatureTensor) -> tuple[float, float]:
-    """(s0, mu) with R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
+def _stacked_model_coordinates(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s0, mu) of each table R of a (B, d, d, d, d) stack, as two arrays, with
+    R = s0 R0 + E, E orthogonal to R0 and mu = |E| / |R0|.
 
     s0 = 1 and mu = 0 exactly for R0 itself; hypot(s0, mu) = |R| / |R0| is
-    the tensor's curvature scale. The batch of one of _stacked_model_coordinates.
-    """
-    s0, mu = _stacked_model_coordinates(tensor.entries[None])
-    return float(s0[0]), float(mu[0])
-
-
-def _stacked_model_coordinates(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (s0, mu) of _model_coordinates of each table of a (B, d, d, d, d) stack, as two arrays.
-
-    The entries are first brought to unit scale (`curvature._unit_exponent`),
-    which is exact, so that mu neither overflows nor underflows and (s0, mu)
-    of 2^k R are 2^k times those of R. The scaling runs over the stack; each
-    tensor's two dots are its own, so its coordinates are its batch-of-one
-    values bit for bit.
+    the tensor's curvature scale. The entries are first brought to unit
+    scale (`curvature._unit_exponent`), which is exact, so that mu neither
+    overflows nor underflows and (s0, mu) of 2^k R are 2^k times those of R.
+    Each tensor's two dots are its own BLAS dots (`space._dots`), so its
+    coordinates are its batch-of-one values bit for bit.
     """
     r0, r0_sq = _model(entries.shape[-1] // 2)[:2]
     exponents = _unit_exponent(entries)
     r = np.ldexp(entries.reshape(len(entries), -1), -exponents[:, None])
-    s0 = np.array([np.dot(row, r0) for row in r]) / r0_sq
+    s0 = _dots(r, r0) / r0_sq
     residues = r - s0[:, None] * r0
-    mu = np.sqrt([np.dot(row, row) for row in residues]) / np.sqrt(r0_sq)
+    mu = _norms(residues) / np.sqrt(r0_sq)
     return np.ldexp(s0, exponents), np.ldexp(mu, exponents)
 
 
@@ -813,8 +811,11 @@ class _Extremes(NamedTuple):
 
 
 def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
-    """The extremes of each table of a certified (B, d, d, d, d) stack, one
+    """The extremes of each table of a Kahler (B, d, d, d, d) stack, one
     _Extremes per kind in kinds: (True,) planes, (False,) J-lines, or both.
+    The stack is not certified here: pinch and hol_extremes certify their
+    tensors (`curvature._certified_stack`), and a sweep or certification
+    chunk is Kahler by construction.
 
     Descends and ascends the pair objective from every start row of each
     tensor and kind. A batch's block of one tensor and kind holds its start
@@ -840,8 +841,9 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     At n = 2, restarts=None runs no optimizer: the extremes are exact
     (_surface_rows), values at their witness rows, with restarts 0 and stable
     true. One _surface_rows call serves every kind (the planes' H candidates
-    are the J-line rows), and one stacked matmul per kind evaluates its
-    retracted rows: _pair_state's values, with one GEMM per tensor.
+    are the J-line rows), and one `curvature._biquadratic` call per kind
+    evaluates its retracted rows: _pair_state's values, with one GEMM per
+    tensor.
     """
     if restarts is not None and restarts < 1:
         raise PreconditionError("restarts must be >= 1")
@@ -854,7 +856,7 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
-    envelopes, bounds = _envelopes(entries, sandwich=True) if True in kinds else (None, None)
+    envelopes, bounds = _envelopes(entries) if True in kinds else (None, None)
     shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
     found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 
@@ -885,9 +887,8 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
         j_rows = rows.reshape(b, 2, -1, 8)[:, :, 0].reshape(-1, 8)
         for planes in kinds:
             x = _orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat)
-            # _pair_state's values: one stacked matmul, one GEMM per tensor
-            w = _pair_outer(x[:, :4], x[:, 4:])
-            vals = np.einsum("mk,mk->m", np.matmul(w.reshape(b, -1, 16), mats).reshape(-1, 16), w)
+            # _pair_state's values (curvature._biquadratic): one GEMM per tensor
+            vals = _biquadratic(mats, x[:, :4].reshape(b, -1, 4), x[:, 4:].reshape(b, -1, 4))
             settle(planes, slice(None), vals.reshape(b, 2, -1), x, True)
         return [found[planes] for planes in kinds]
     plain_planes = space_forms | (3.0 * abs_s0 <= mu)

@@ -170,8 +170,9 @@ def _orthonormal_pairs(space: HermitianSpace, seeds, constraint: str) -> tuple[n
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row dots of (S, d) arrays, each the BLAS ddot of np.dot on its 1-D rows."""
-    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+    """Row dots of an (S, d) array with an (S, d) array or one (d,) row taken
+    against every row, each the BLAS ddot of np.dot on its 1-D rows."""
+    return (x[:, None, :] @ y[..., :, None])[:, 0, 0]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

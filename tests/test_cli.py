@@ -76,13 +76,13 @@ def test_space_form_rounding_covers_the_dimension_cap():
     # such a tensor reports the closed form of s0 R0 exactly
     from kahlerpinch import complex_hyperbolic_tensor, make_space, perturb, pinch, project_kahler
     from kahlerpinch.cli import DIMENSION_CAP
-    from kahlerpinch.pinching import EPS, _model_coordinates
+    from kahlerpinch.pinching import EPS, _stacked_model_coordinates
 
     for n in range(1, max(6, DIMENSION_CAP) + 1):
         space = make_space(n)
         model = complex_hyperbolic_tensor(space)
         for tensor in (project_kahler(model.entries / 3.0, space), perturb(space, 1e-16, n)):
-            s0, mu = _model_coordinates(tensor)
+            (s0,), (mu,) = _stacked_model_coordinates(tensor.entries[None])
             assert mu <= space.dim**2 * EPS * abs(s0) / 2.0, (n, mu / (EPS * abs(s0)))
             report = pinch(tensor)
             assert (report.k_min, report.k_max) == (-s0, -s0 if n == 1 else -s0 / 4.0)

@@ -113,17 +113,17 @@ def test_perturb_adds_random_kahlers_direction_with_one_certificate(n, monkeypat
         return certificates(entries, tol)
 
     for module in (curvature, kahlerpinch.experiments):
-        monkeypatch.setattr(module, "_certificates", counted)
+        monkeypatch.setattr(module, "_certificates", counted, raising=False)
     for seed in range(3):
         calls.clear()
         tensor = perturb(space, 0.05, seed)
         assert calls == [1]
         direction = random_kahler(space, seed, 1.0)
         assert np.array_equal(tensor.entries, model.entries + 0.05 * direction.entries)
-    # one certificate per perturbed record, none for t = 0: one stacked pass for the chunk
+    # a sweep's tensors are Kahler by construction: its chunks are not certified
     calls.clear()
     sweep(n, [0.0, 0.05], samples_per_t=2, seed=3, restarts=4)
-    assert calls == [2]
+    assert calls == []
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
@@ -141,9 +141,9 @@ STACK_SIZES = {1: 64, 2: 64, 3: 64, 4: 64, 5: 16, 6: 8}
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_perturbations_equal_one_tensor_calls(n):
-    # one stacked projection and certificate pass per chunk, each tensor
-    # perturb's bit for bit; t = 0 is R0's entries, and perturb shares them
-    from kahlerpinch import complex_hyperbolic_tensor
+    # one stacked projection pass per chunk, each tensor perturb's bit for
+    # bit; t = 0 is R0's entries, and perturb shares them
+    from kahlerpinch import CurvatureTensor, check_kahler, complex_hyperbolic_tensor
     from kahlerpinch.experiments import _perturbations, _perturbed_chunks
 
     space = make_space(n)
@@ -151,13 +151,13 @@ def test_stacked_perturbations_equal_one_tensor_calls(n):
     grid = [(0.0 if k % 5 == 0 else 0.02 * (k % 7), 1000 + k) for k in range(STACK_SIZES[n])]
     ts, seeds = (list(column) for column in zip(*grid))
     ((_, chunked, _),) = _perturbed_chunks(space, grid)
-    stacked, certificates = _perturbations(space, ts, seeds)
+    stacked = _perturbations(space, ts, seeds)
     assert not stacked.flags.writeable and not chunked.flags.writeable
     for entries in (stacked, chunked):
-        for t, seed, table, certificate in zip(ts, seeds, entries, certificates):
+        for t, seed, table in zip(ts, seeds, entries):
             one = perturb(space, t, seed)
             assert table.tobytes() == one.entries.tobytes()
-            assert certificate == one.certificate
+            assert one.certificate == check_kahler(CurvatureTensor(space, table), DEFAULT_SYMMETRY_TOL if t else 1e-12)
             assert (table.tobytes() == model.entries.tobytes()) == (one.entries is model.entries) == (t == 0)
 
 
@@ -196,30 +196,31 @@ def test_stacked_perturbations_raise_as_the_first_failing_one_tensor_call(monkey
         assert str(got) == str(expected)
 
 
-def test_sweep_with_a_non_kahler_sample_raises_as_its_one_tensor_pinch(monkeypatch, space2):
-    # a direction that is not Kahler leaves R0 + tS uncertified, as perturb
-    # leaves it, and the chunk's pinch raises the error of that sample's own pinch
-    from kahlerpinch import pinch, seeded_rng
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perturbations_are_kahler_by_construction(n):
+    # a sweep or certification chunk is not certified: every row must pass
+    # require_certified's check (relative tolerance) as built, and perturb's
+    # own certificate stays check_kahler's at the default tolerance
+    from kahlerpinch import CurvatureTensor, check_kahler
+    from kahlerpinch.curvature import _relative_tolerance
     from kahlerpinch.experiments import _perturbations, _sample_seed
 
-    original = kahlerpinch.experiments._random_projection
-    broken = {_sample_seed(7, 1, 1), _sample_seed(7, 1, 2)}
-
-    def not_kahler(space, seeds):
-        projected, norms = original(space, seeds)
-        noise = 1e-3 * np.array([seeded_rng(seed).standard_normal(projected.shape[1:]) for seed in seeds])
-        return np.where(np.isin(seeds, list(broken)).reshape(-1, 1, 1, 1, 1), projected + noise, projected), norms
-
-    monkeypatch.setattr(kahlerpinch.experiments, "_random_projection", not_kahler)
-    grid = [(t, _sample_seed(7, t_index, sample)) for t_index, t in enumerate([0.0, 0.1]) for sample in range(3)]
-    _, certificates = _perturbations(space2, *(list(column) for column in zip(*grid)))
-    for (t, seed), certificate in zip(grid, certificates):
-        assert (certificate is None) == (seed in broken)
-        assert certificate == perturb(space2, t, seed).certificate
-    expected = _raised(lambda: pinch(perturb(space2, 0.1, _sample_seed(7, 1, 1)), seed=_sample_seed(7, 1, 1)))
-    assert isinstance(expected, PreconditionError) and "not Kahler" in str(expected)
-    got = _raised(lambda: sweep(2, [0.0, 0.1], samples_per_t=3, seed=7))
-    assert type(got) is type(expected) and str(got) == str(expected)
+    space = make_space(n)
+    ts = [0.0, 0.0125, 0.025, 0.05, 0.1]  # criterion 6's grid
+    if n == 1:
+        # up to the overflow edge: at n = 1, max|S| = 1/2, so 4 max|R0 + tS| is finite below DBL_MAX / 2
+        ts += [1e3, 1e100, 1e300, sys.float_info.max / 8.0, sys.float_info.max / 2.0 * (1 - 1e-9)]
+    grid = [(t, _sample_seed(17, t_index, sample)) for t_index, t in enumerate(ts) for sample in range(6)]
+    ts, seeds = (list(column) for column in zip(*grid))
+    entries = _perturbations(space, ts, seeds)
+    for t, seed, table in zip(ts, seeds, entries):
+        certificate = check_kahler(CurvatureTensor(space, table), _relative_tolerance(table))
+        assert certificate.passed, (t, seed, certificate)
+        one = perturb(space, t, seed)
+        expected = check_kahler(CurvatureTensor(space, table), DEFAULT_SYMMETRY_TOL if t else 1e-12)
+        assert one.certificate == (expected if expected.passed else None)
+    if n == 1:
+        assert perturb(space, ts[-1], seeds[-1]).certificate is None  # past the absolute tolerance
 
 
 def _ratio_deviations(tensor):
@@ -336,6 +337,16 @@ def test_sweep_rejects_bad_input():
         sweep(2, [0.0], samples_per_t=0, seed=1)
     with pytest.raises(PreconditionError):
         sweep(2, [-0.1], samples_per_t=1, seed=1)
+
+
+def test_sweep_takes_a_negative_zero_size_as_zero():
+    # -0.0 passes the size check; kept, it was written "-0" to the CSV and
+    # reported as -0.0 by aggregate_by_t
+    negative, positive = sweep(2, [-0.0, 0.0125], 1, 1), sweep(2, [0.0, 0.0125], 1, 1)
+    assert negative == positive
+    assert math.copysign(1.0, negative[0].t) == 1.0
+    assert math.copysign(1.0, aggregate_by_t(negative)[0]["t"]) == 1.0
+    assert emit_csv(negative).split("\n")[1].startswith("0,")
 
 
 # ---------------------------------------------------------------------------

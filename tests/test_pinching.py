@@ -64,7 +64,7 @@ def test_stacked_envelopes_equal_one_tensor_calls(n):
     count = {5: 16, 6: 8}.get(n, 64)
     tensors = [random_kahler(space, seed=s, frobenius_norm=2.0 ** (s % 9 - 4)) for s in range(count - 1)]
     tensors.append(complex_hyperbolic_tensor(space))
-    stacked = _envelopes(_certified_stack(tensors)).tolist()
+    stacked = _envelopes(_certified_stack(tensors))[0].tolist()
     envelopes = [curvature_operator_envelope(tensor) for tensor in tensors]
     assert [[v.hex() for v in pair] for pair in stacked] == [[v.hex() for v in pair] for pair in envelopes]
     assert all(type(v) is float for pair in envelopes for v in pair)
@@ -467,16 +467,16 @@ def test_batch_rows_keep_each_plane_direction(n):
     # tensor's report does not depend on which tensors share its batch
     from kahlerpinch.pinching import (
         BATCH_ROWS,
-        _model_coordinates,
         _orthonormalize_pairs,
         _pair_objective,
         _plane_direction,
+        _stacked_model_coordinates,
     )
 
     tensor = random_kahler(make_space(n), seed=n)
     x = _orthonormalize_pairs(seeded_rng(n, 11).standard_normal((BATCH_ROWS, 4 * n)))
     _, g = _pair_objective([tensor.matrix], [BATCH_ROWS], x)
-    s0, mu = _model_coordinates(tensor)
+    (s0,), (mu,) = _stacked_model_coordinates(tensor.entries[None])
     abs_s0 = np.linspace(0.5, 2.0, BATCH_ROWS)[:, None] * abs(s0)
     mu = np.full((BATCH_ROWS, 1), mu)
     p = _plane_direction(x, g, abs_s0, mu)
@@ -487,17 +487,20 @@ def test_batch_rows_keep_each_plane_direction(n):
 
 def test_model_coordinates():
     from kahlerpinch.experiments import perturb
-    from kahlerpinch.pinching import _model_coordinates
+    from kahlerpinch.pinching import _stacked_model_coordinates
+
+    def model_coordinates(tensor):
+        return tuple(float(c[0]) for c in _stacked_model_coordinates(tensor.entries[None]))
 
     for n in (1, 2, 3, 4):
         model = complex_hyperbolic_tensor(make_space(n))
-        assert _model_coordinates(model) == (1.0, 0.0)
-        assert _model_coordinates(model.scaled(2.0)) == (2.0, 0.0)
+        assert model_coordinates(model) == (1.0, 0.0)
+        assert model_coordinates(model.scaled(2.0)) == (2.0, 0.0)
         tensor = perturb(make_space(n), 0.05, seed=n)
-        s0, mu = _model_coordinates(tensor)
+        s0, mu = model_coordinates(tensor)
         assert 0.0 < mu < 0.05
         assert np.hypot(s0, mu) == pytest.approx(tensor.frobenius_norm() / model.frobenius_norm(), rel=1e-14)
-        assert _model_coordinates(tensor.scaled(-3.0)) == pytest.approx((-3.0 * s0, 3.0 * mu), rel=1e-14)
+        assert model_coordinates(tensor.scaled(-3.0)) == pytest.approx((-3.0 * s0, 3.0 * mu), rel=1e-14)
 
 
 # pinch(R0, restarts=8, seed=3) and hol_extremes(R0, restarts=8, seed=3) at n = 2 from
@@ -550,10 +553,10 @@ def test_space_forms_up_to_rounding_keep_the_plain_step(n):
     # with mu of the order eps |s0|, M^{-1} amplifies the gradient's rounding by
     # 1/mu: the preconditioned step stopped such rows by step underflow after one
     # iteration (k_min = -0.964 at n = 2) or ran them to the iteration cap
-    from kahlerpinch.pinching import _model_coordinates
+    from kahlerpinch.pinching import _stacked_model_coordinates
 
     for tensor, seed in _near_space_forms(n):
-        s0, mu = _model_coordinates(tensor)
+        (s0,), (mu,) = _stacked_model_coordinates(tensor.entries[None])
         assert mu < 1e-15 * abs(s0)
         report = pinch(tensor, restarts=DEFAULT_RESTARTS, seed=seed)
         assert report.converged
@@ -575,13 +578,13 @@ def test_near_model_planes_converge_in_few_iterations():
 def test_tensor_orthogonal_to_the_model_stops_by_the_gradient_test(space2):
     # the curvature scale is |R| / |R0|, not |s0|, which vanishes here
     from kahlerpinch import check_kahler
-    from kahlerpinch.pinching import _model_coordinates
+    from kahlerpinch.pinching import _stacked_model_coordinates
 
     tensor, model = random_kahler(space2, seed=12), complex_hyperbolic_tensor(space2)
-    s0, _ = _model_coordinates(tensor)
+    (s0,), _ = _stacked_model_coordinates(tensor.entries[None])
     orthogonal = CurvatureTensor(space2, tensor.entries - s0 * model.entries)
     assert check_kahler(orthogonal).passed
-    assert abs(_model_coordinates(orthogonal)[0]) < 1e-15
+    assert abs(_stacked_model_coordinates(orthogonal.entries[None])[0][0]) < 1e-15
     for report in (
         pinch(orthogonal, restarts=DEFAULT_RESTARTS, seed=1),
         hol_extremes(orthogonal, restarts=DEFAULT_RESTARTS, seed=1),
@@ -721,11 +724,12 @@ def _hard_cases():
 
 def _scalar_flat():
     """random_kahler(seed 12) less its R0 part: q = 0 up to rounding."""
-    from kahlerpinch.pinching import _model_coordinates
+    from kahlerpinch.pinching import _stacked_model_coordinates
 
     space = make_space(2)
     tensor, model = random_kahler(space, seed=12), complex_hyperbolic_tensor(space)
-    orthogonal = CurvatureTensor(space, tensor.entries - _model_coordinates(tensor)[0] * model.entries)
+    (s0,), _ = _stacked_model_coordinates(tensor.entries[None])
+    orthogonal = CurvatureTensor(space, tensor.entries - s0 * model.entries)
     assert check_kahler(orthogonal).passed
     return orthogonal
 
@@ -827,10 +831,10 @@ def test_sandwich_slack_is_relative_to_the_curvature_scale_at_n2():
 def test_space_forms_up_to_rounding_are_exact_at_n2():
     # twin of test_space_forms_up_to_rounding_keep_the_plain_step: the closed
     # form of s0 R0, with witnesses that reach it
-    from kahlerpinch.pinching import _model_coordinates
+    from kahlerpinch.pinching import _stacked_model_coordinates
 
     for tensor, seed in _near_space_forms(2):
-        s0, _ = _model_coordinates(tensor)
+        (s0,), _ = _stacked_model_coordinates(tensor.entries[None])
         planes, hol = pinch(tensor, seed=seed), hol_extremes(tensor, seed=seed)
         assert _extremes(planes, hol) == (-s0, -s0 / 4, -s0, -s0)
         assert sectional(tensor, planes.argmin_plane) == pytest.approx(-s0, rel=1e-15)
@@ -1054,10 +1058,11 @@ def test_surface_interior_candidates_have_nonnegative_s():
     # the interior candidate (s, y) and (-s, -y) have the same K, but not the
     # same plane; the candidate takes s = -<r, y>/q >= 0, so that the witness
     # planes do not depend on the sign that eigh gives an eigenvector
-    from kahlerpinch.pinching import _model_coordinates, _surface_rows
+    from kahlerpinch.pinching import _stacked_model_coordinates, _surface_rows
 
     tensors = _surface_oracle_tensors()
-    mats = np.stack([t.matrix / (np.hypot(*_model_coordinates(t)) or 1.0) for t in tensors])  # at unit scale
+    scales = np.hypot(*_stacked_model_coordinates(np.array([t.entries for t in tensors])))
+    mats = np.stack([t.matrix / (scale or 1.0) for t, scale in zip(tensors, scales)])  # at unit scale
     rows = _surface_rows(mats, True).reshape(len(tensors), 2, 2, 8)
     s, _ = _surface_coordinates(rows[:, :, 1].reshape(-1, 8))
     assert np.all(s >= -1e-15)
@@ -1659,13 +1664,13 @@ def test_default_budget_finds_the_256_restart_extremes_at_n4():
     # the guard for cutting n = 4 from 256 restarts to 64: near-model tensors
     # converge at 64 restarts and reach the 256-restart extremes
     from kahlerpinch.experiments import perturb
-    from kahlerpinch.pinching import STABILITY_TOL, _hol_batch, _model_coordinates, _pinch_batch
+    from kahlerpinch.pinching import STABILITY_TOL, _hol_batch, _pinch_batch, _stacked_model_coordinates
 
     seeds = [1 + 1000003 * j for j in range(12)]
     tensors = [perturb(make_space(4), 0.02, s) for s in seeds]
     for batch, fields in ((_pinch_batch, ("k_min", "k_max")), (_hol_batch, ("h_min", "h_max"))):
         for tensor, cut, full in zip(tensors, batch(tensors, None, seeds), batch(tensors, 256, seeds)):
-            scale = np.hypot(*_model_coordinates(tensor))
+            scale = np.hypot(*_stacked_model_coordinates(tensor.entries[None]))[0]
             assert cut.converged and cut.restarts == 64
             for field in fields:
                 assert abs(getattr(cut, field) - getattr(full, field)) <= STABILITY_TOL * scale

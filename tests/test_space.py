@@ -131,3 +131,16 @@ def test_seed_folding_keeps_negative_seeds_apart():
     assert not np.array_equal(seeded_rng(-1).random(4), seeded_rng(2**63 - 1).random(4))
     assert np.array_equal(seeded_rng(-1).random(4), seeded_rng(2**64 - 1).random(4))
     assert np.array_equal(seeded_rng(5, 7).random(4), seeded_rng(5 + 2**64, 7).random(4))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dots_against_one_row_are_np_dot(n):
+    # space._dots with one (d,) row broadcast against every row is np.dot of each
+    # row with it bit for bit, at the d^4 entries of a curvature table (16 to 20736)
+    from kahlerpinch.space import _dots
+
+    size = (2 * n) ** 4
+    rng = seeded_rng(n, 3)
+    rows, row = rng.standard_normal((9, size)), rng.standard_normal(size)
+    assert _dots(rows, row).tobytes() == np.array([np.dot(x, row) for x in rows]).tobytes()
+    assert _dots(rows, rows).tobytes() == np.array([np.dot(x, x) for x in rows]).tobytes()
