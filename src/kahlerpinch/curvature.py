@@ -33,7 +33,7 @@ from .errors import (
     SpaceMismatchError,
     TensorFormatError,
 )
-from .space import HermitianSpace, _norms, make_space, seeded_rng
+from .space import HermitianSpace, _norms, _seeded_normals, make_space
 
 __all__ = [
     "DEFAULT_SYMMETRY_TOL",
@@ -460,8 +460,7 @@ def _random_projection(space: HermitianSpace, seeds) -> tuple[np.ndarray, np.nda
     each by its norm to the prescribed one."""
     d = space.dim
     raw = np.empty((len(seeds), d, d, d, d))
-    for table, seed in zip(raw, seeds):
-        seeded_rng(seed).standard_normal(out=table)
+    _seeded_normals(seeds, raw)
     projected = _projection(raw)
     projected.flags.writeable = False
     return projected, _frobenius(projected)

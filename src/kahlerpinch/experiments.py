@@ -31,7 +31,6 @@ from .curvature import (
     _model_table,
     _polarization_system,
     _polarization_terms,
-    _random_kahlers,
     _random_projection,
     _require_nondegenerate,
     _require_unitary_quadruple,
@@ -45,7 +44,7 @@ from .pinching import (
     _quarter_normalization,
     berger_bound_check,
 )
-from .space import HermitianSpace, _orthonormal_pairs, make_space, random_orthonormal_pair, seeded_rng
+from .space import HermitianSpace, _orthonormal_pairs, _sample_seeds, make_space, seeded_rng
 
 __all__ = [
     "SweepRecord",
@@ -108,8 +107,11 @@ class CertificationReport:
 
 
 def _sample_seed(seed: int, t_index: int, sample: int) -> int:
-    ss = np.random.SeedSequence([int(seed) % (1 << 64), t_index, sample])
-    return int(ss.generate_state(1)[0])
+    """The seed of sample `sample` at t index `t_index`: SeedSequence([seed
+    mod 2^64, t_index, sample]).generate_state(1)[0], a uint32. The batch of
+    one of space._sample_seeds, which sweeps and certification runs call once
+    for their whole grid."""
+    return _sample_seeds([(int(seed), t_index, sample)])[0]
 
 
 def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
@@ -229,11 +231,11 @@ def sweep(
         if not 0 <= t < inf:
             raise PreconditionError(f"perturbation sizes must be finite and >= 0, got {t}")
     space = make_space(n)
-    grid = [
-        (t, _sample_seed(seed, t_index, sample))
-        for t_index, t in enumerate(sorted(t_values))
-        for sample in range(samples_per_t)
-    ]
+    ts = sorted(t_values)
+    sample_seeds = _sample_seeds(
+        [(int(seed), t_index, sample) for t_index in range(len(ts)) for sample in range(samples_per_t)]
+    )
+    grid = list(zip([t for t in ts for _ in range(samples_per_t)], sample_seeds))
     records = []
     for chunk, entries, seeds in _perturbed_chunks(space, grid):
         planes, lines = _multistart(entries, restarts, seeds, (True, False))
@@ -422,7 +424,7 @@ def certify_constants(chain: ConstantChain, samples: int, seed: int) -> Certific
     """
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
-    grid = [(chain.delta / 8.0, _sample_seed(seed, 0, sample)) for sample in range(samples)]
+    grid = [(chain.delta / 8.0, s) for s in _sample_seeds([(int(seed), 0, sample) for sample in range(samples)])]
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     sample = 0
     for _, entries, seeds in _perturbed_chunks(make_space(chain.n), grid):
@@ -470,10 +472,13 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     (cos theta, sin theta), which the linear solve, both polarization
     identities and the coefficient fit share. Each (tensor, sample) product
     has the shape of the one-tensor identity functions', so every residual
-    equals theirs bit for bit. The samples' unitary pairs come from one
-    stacked draw, each from its own seeded generator and equal to its
-    random_orthonormal_pair bit for bit. The roundtrips are public
-    reconstruct_from_sectional calls with a biquadratic oracle.
+    equals theirs bit for bit. The tensor and pair seeds come from one
+    stacked _sample_seeds call. The tensors are random_kahler's entries at
+    norm 1, Kahler by construction and not certified: nothing here reads a
+    certificate. The samples' unitary pairs and the attainment check's
+    random_orthonormal_pair(space, seed) come from one stacked draw, each
+    row equal to its random_orthonormal_pair bit for bit. The roundtrips
+    are public reconstruct_from_sectional calls with a biquadratic oracle.
     """
     if n < 2:
         raise PreconditionError("identity suite needs complex dimension >= 2")
@@ -481,9 +486,19 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
         raise PreconditionError("samples must be >= 1")
     space = make_space(n)
     n_tensors = max(1, min(10, samples // 10))
-    tensors = _random_kahlers(space, [_sample_seed(seed, 1, i) for i in range(n_tensors)], 1.0)
+    seeds = _sample_seeds(
+        [(int(seed), 1, i) for i in range(n_tensors)] + [(int(seed), 2, s) for s in range(samples)]
+    )
+    tensor_seeds, pair_seeds = seeds[:n_tensors], seeds[n_tensors:]
+    projected, norms = _random_projection(space, tensor_seeds)
+    for tensor_seed, norm in zip(tensor_seeds, norms.tolist()):
+        _require_nondegenerate(tensor_seed, norm)
+    entries = _read_only(projected * (1.0 / norms)[:, None, None, None, None])
+    tensors = [CurvatureTensor._shared(space, table, None) for table in entries]
     model = complex_hyperbolic_tensor(space)
-    us, vs = _orthonormal_pairs(space, [_sample_seed(seed, 2, s) for s in range(samples)], "v_perp_ju")
+    us, vs = _orthonormal_pairs(space, pair_seeds + [seed], "v_perp_ju")
+    attain_u, attain_v = us[samples], vs[samples]  # random_orthonormal_pair(space, seed)
+    us, vs = us[:samples], vs[:samples]
     thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
     _require_unitary_quadruple(space, us, vs)  # solve_sectional_from_H's precondition
 
@@ -497,7 +512,7 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
     rows = np.where(valid, order, samples)
     u, v = (np.vstack([x, np.zeros((1, space.dim))])[rows] for x in (us, vs))
     theta = np.append(thetas, 0.0)[rows]
-    matrices, jmat = np.array([tensor.matrix for tensor in tensors]), space.j_matrix
+    matrices, jmat = entries.reshape(n_tensors, space.dim**2, space.dim**2), space.j_matrix
     direct = _stacked_direct_triple(matrices[:, None], jmat, u, v)
     k_uv, k_ujv, r = (direct[..., k] for k in range(3))
     # the (a, b) points on axis 1: a = b = 1/sqrt(2), then (cos theta, sin theta)
@@ -531,8 +546,7 @@ def identity_suite(n: int, samples: int, seed: int) -> dict:
         res_reconstruction = max(res_reconstruction, distance(rebuilt, tensor))
 
     berger_violation = berger_bound_check(model, -1.0, samples=samples, seed=seed)
-    u, v = random_orthonormal_pair(space, seed, constraint="v_perp_ju")
-    attainment_gap = abs(abs(model.evaluate(u, space.j(u), v, space.j(v))) - 0.5)
+    attainment_gap = abs(abs(model.evaluate(attain_u, space.j(attain_u), attain_v, space.j(attain_v))) - 0.5)
 
     return {
         "identity_one": float(res_one),

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -1154,31 +1155,50 @@ _REJECTIONS = {
     "n, constraint", [(1, "none"), (2, "none"), (2, "v_perp_ju"), (3, "v_perp_ju"), (4, "none"), (4, "v_perp_ju")]
 )
 def test_stacked_pairs_redraw_by_the_one_seed_rule(monkeypatch, case, n, constraint):
-    # a patched generator forces the rejection path on every other seed of a
-    # batch: each row equals its one-seed draw and reads as many normals
+    # edited normals force the rejection path on every other seed of a batch,
+    # one batch below the stacked seeding cutoff and one above it: a row's
+    # first 2d normals come from the stacked draw (space._seeded_normals) and
+    # its redraws from seeded_rng. Each row equals its one-seed draw and reads
+    # as many normals of its own stream
     from kahlerpinch import space as space_module
 
     edit, blocks = _REJECTIONS[case]
     space = make_space(n)
     d = space.dim
-    seeds = list(range(10, 18))
-    edited = set(seeds[1::2])
-    streams = {}
-    real = space_module.seeded_rng
+    real_rng, real_normals = space_module.seeded_rng, space_module._seeded_normals
+    for seeds in (list(range(10, 18)), list(range(10, 10 + 3 * space_module.STACKED_SEEDING_ROWS))):
+        edited = set(seeds[1::2])
+        streams = {}
 
-    def patched(seed):
-        stream = _EditedNormals(real(seed), lambda p, served: edit(d, p, served) if seed in edited else None)
-        streams.setdefault(seed, []).append(stream)
-        return stream
+        def edited_stream(seed, rng):
+            stream = _EditedNormals(rng, lambda p, served: edit(d, p, served) if seed in edited else None)
+            streams.setdefault(seed, []).append(stream)
+            return stream
 
-    monkeypatch.setattr(space_module, "seeded_rng", patched)
-    monkeypatch.setitem(globals(), "seeded_rng", patched)
-    us, vs = space_module._orthonormal_pairs(space, seeds, constraint)
-    for seed, u, v in zip(seeds, us, vs):
-        expected_u, expected_v = _one_seed_pair(space, seed, constraint)
-        assert (u.tobytes(), v.tobytes()) == (expected_u.tobytes(), expected_v.tobytes()), seed
-        stacked, one_seed = (len(stream.served) for stream in streams[seed])
-        assert stacked == one_seed == d * (blocks[constraint] if seed in edited else 2), seed
+        def patched_rng(seed):
+            return edited_stream(seed, real_rng(seed))
+
+        def patched_normals(batch, out):
+            with monkeypatch.context() as m:  # the stacked draw itself on numpy's generators
+                m.setattr(space_module, "seeded_rng", real_rng)
+                real_normals(batch, out)
+            for seed, row in zip(batch, out):
+                drawn = types.SimpleNamespace(standard_normal=lambda size, row=row.copy(): row)
+                row[:] = edited_stream(seed, drawn).standard_normal(row.size)
+
+        monkeypatch.setattr(space_module, "seeded_rng", patched_rng)
+        monkeypatch.setattr(space_module, "_seeded_normals", patched_normals)
+        monkeypatch.setitem(globals(), "seeded_rng", patched_rng)
+        us, vs = space_module._orthonormal_pairs(space, seeds, constraint)
+        for seed, u, v in zip(seeds, us, vs):
+            expected_u, expected_v = _one_seed_pair(space, seed, constraint)
+            assert (u.tobytes(), v.tobytes()) == (expected_u.tobytes(), expected_v.tobytes()), seed
+            # the stacked draw, then a redraw's generator past those 2d normals
+            *stacked, one_seed = (stream.served for stream in streams[seed])
+            reads = d * (blocks[constraint] if seed in edited else 2)
+            assert len(stacked) == (1 if reads == 2 * d else 2), seed
+            assert len(stacked[-1]) == len(one_seed) == reads, seed
+            assert all(served == one_seed[: len(served)] for served in stacked), seed
 
 
 def test_identity_suite_draws_its_pairs_in_one_stacked_call(monkeypatch):
@@ -1193,7 +1213,38 @@ def test_identity_suite_draws_its_pairs_in_one_stacked_call(monkeypatch):
 
     monkeypatch.setattr(experiments, "_orthonormal_pairs", recording)
     experiments.identity_suite(2, 40, 7)
-    assert calls == [([experiments._sample_seed(7, 2, s) for s in range(40)], "v_perp_ju")]
+    # the samples' pairs, then the attainment check's random_orthonormal_pair(space, 7)
+    assert calls == [([experiments._sample_seed(7, 2, s) for s in range(40)] + [7], "v_perp_ju")]
+
+
+def test_identity_suite_seeds_in_stacked_passes(monkeypatch):
+    # one SeedSequence per tensor (5, below the stacked seeding cutoff), one
+    # for the stacked pair draw, the thetas and the Berger check: none per
+    # sample seed or pair
+    built = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    identity_suite(3, 50, 4)
+    assert 0 < len(built) <= 8
+
+
+def test_identity_suite_certifies_no_tensor(monkeypatch):
+    # its tensors are Kahler by construction and it reads no certificate
+    from kahlerpinch import curvature
+    from kahlerpinch.curvature import complex_hyperbolic_tensor
+
+    complex_hyperbolic_tensor(make_space(3))  # the model's certificate, made once per n
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("identity_suite certified a tensor")
+
+    monkeypatch.setattr(curvature, "_certificates", forbidden)
+    identity_suite(3, 50, 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -144,3 +144,62 @@ def test_dots_against_one_row_are_np_dot(n):
     rows, row = rng.standard_normal((9, size)), rng.standard_normal(size)
     assert _dots(rows, row).tobytes() == np.array([np.dot(x, row) for x in rows]).tobytes()
     assert _dots(rows, rows).tobytes() == np.array([np.dot(x, x) for x in rows]).tobytes()
+
+
+# numpy's SeedSequence and PCG64 seeding are the oracle of the stacked seeding:
+# seeds at every word boundary of the modulo-2^64 fold, in batches on both
+# sides of the cutoff, with rows of one and of two words mixed in one batch
+_SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1, -1, -(2**63)]
+
+
+def _batches():
+    from kahlerpinch.space import STACKED_SEEDING_ROWS
+
+    return [1, STACKED_SEEDING_ROWS - 1, STACKED_SEEDING_ROWS, 3 * STACKED_SEEDING_ROWS]
+
+
+def _numpy_sample_seed(row):
+    return int(np.random.SeedSequence([part % 2**64 for part in row]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("batch", _batches())
+@pytest.mark.parametrize("stream", [0, 1, 2])
+def test_sample_seeds_equal_numpy_seed_sequences(stream, batch):
+    from kahlerpinch.space import _sample_seeds
+
+    mixed = [(_SEED_EDGES[k % len(_SEED_EDGES)], stream, k) for k in range(batch)]
+    for rows in [[(seed, stream, sample) for sample in range(batch)] for seed in _SEED_EDGES] + [mixed]:
+        seeds = _sample_seeds(rows)
+        assert all(type(seed) is int for seed in seeds)
+        assert seeds == [_numpy_sample_seed(row) for row in rows], rows[0]
+
+
+def test_sample_seeds_of_rows_past_four_words_equal_numpy():
+    # the stacked hash zero-pads rows to SeedSequence's 4 pool words; a longer
+    # row goes through numpy's SeedSequence
+    from kahlerpinch.space import STACKED_SEEDING_ROWS, _sample_seeds
+
+    rows = [(2**64 - 1, 2**32 + k, 1) for k in range(STACKED_SEEDING_ROWS)]
+    rows[3:5] = [(1, 2, 3)] * 2
+    assert _sample_seeds(rows) == [_numpy_sample_seed(row) for row in rows]
+
+
+@pytest.mark.parametrize("batch", [1, len(_SEED_EDGES)])
+def test_stacked_pcg64_states_equal_numpy(batch):
+    from kahlerpinch.space import _pcg64_states
+
+    seeds = _SEED_EDGES[:batch]
+    for seed, (state, inc) in zip(seeds, _pcg64_states(seeds)):
+        expected = np.random.PCG64(np.random.SeedSequence([seed % 2**64])).state
+        assert expected["state"] == {"state": state, "inc": inc}, seed
+
+
+@pytest.mark.parametrize("batch", _batches())
+def test_seeded_normals_equal_each_seeds_generator(batch):
+    from kahlerpinch.space import _seeded_normals
+
+    seeds = (_SEED_EDGES + list(range(100, 100 + batch)))[:batch]
+    out = np.empty((batch, 3, 5))
+    _seeded_normals(seeds, out)
+    for seed, row in zip(seeds, out):
+        assert row.tobytes() == seeded_rng(seed).standard_normal((3, 5)).tobytes(), seed
