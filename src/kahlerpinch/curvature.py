@@ -287,21 +287,14 @@ def _symmetry_residuals(entries: np.ndarray) -> np.ndarray:
 
 
 def check_kahler(tensor: CurvatureTensor, tol: float = DEFAULT_SYMMETRY_TOL) -> SymmetryCertificate:
-    """Compute the symmetry certificate; attach it to the tensor when it passes."""
-    cert = _certificates(tensor.entries[None], tol)[0]
+    """Compute the symmetry certificate from _symmetry_residuals at tol; attach
+    it to the tensor when every residual is at most tol."""
+    tol = float(tol)
+    fields = _symmetry_residuals(tensor.entries[None])[0].tolist()
+    cert = SymmetryCertificate(*fields, tol, all(v <= tol for v in fields))
     if cert.passed:
         tensor.certificate = cert
     return cert
-
-
-def _certificates(entries: np.ndarray, tol) -> list[SymmetryCertificate]:
-    """check_kahler's certificate of each table of a (B, d, d, d, d) stack, at
-    tol (a float, or an array of one per table), from one stacked residual pass."""
-    tols = [float(tol)] * len(entries) if np.ndim(tol) == 0 else np.asarray(tol, dtype=float).tolist()
-    return [
-        SymmetryCertificate(*fields, t, all(v <= t for v in fields))
-        for fields, t in zip(_symmetry_residuals(entries).tolist(), tols)
-    ]
 
 
 def _unit_exponent(entries: np.ndarray):
@@ -436,22 +429,19 @@ def _projection(raw: np.ndarray) -> np.ndarray:
 def random_kahler(
     space: HermitianSpace, seed: int, frobenius_norm: float = 1.0
 ) -> CurvatureTensor:
-    """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate."""
-    return _random_kahlers(space, [seed], frobenius_norm)[0]
+    """Seeded random Kahler tensor of prescribed Frobenius norm, with the projection's certificate.
 
-
-def _random_kahlers(space: HermitianSpace, seeds, frobenius_norm: float) -> list[CurvatureTensor]:
-    """random_kahler of each seed, projected and certified in one stacked pass."""
+    The seed's normal table is projected, certified by check_kahler at
+    project_kahler's relative tolerance, then scaled to the prescribed norm.
+    """
     if not 0 < frobenius_norm < math.inf:
         raise PreconditionError(f"frobenius_norm must be positive and finite, got {frobenius_norm}")
-    projected, norms = _random_projection(space, seeds)
-    for seed, norm in zip(seeds, norms.tolist()):
-        _require_nondegenerate(seed, norm)
-    certificates = _certificates(projected, _relative_tolerance(projected))
-    return [
-        CurvatureTensor._shared(space, entries, cert if cert.passed else None).scaled(frobenius_norm / norm)
-        for entries, cert, norm in zip(projected, certificates, norms.tolist())
-    ]
+    projected, norms = _random_projection(space, [seed])
+    (norm,) = norms.tolist()
+    _require_nondegenerate(seed, norm)
+    tensor = CurvatureTensor._shared(space, projected[0], None)
+    check_kahler(tensor, _relative_tolerance(tensor.entries))
+    return tensor.scaled(frobenius_norm / norm)
 
 
 def _random_projection(space: HermitianSpace, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -503,17 +493,10 @@ def _require_unitary_quadruple(space: HermitianSpace, u, v, tol: float = 1e-8):
         raise PreconditionError("{u, Ju, v, Jv} must be orthonormal")
 
 
-def _direct_triple(tensor: CurvatureTensor, u, v) -> tuple:
-    """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction, one batched evaluate."""
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    values = _stacked_direct_triple(tensor.matrix, tensor.space.j_matrix, u, v)
-    return tuple(_unbatched(values[..., k]) for k in range(3))
-
-
 def _stacked_direct_triple(matrices: np.ndarray, j_matrix: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """_direct_triple along a last axis of 3, for pair matrices that broadcast as
-    _evaluate's against the batch axes of u and v (..., d): one (3, d^2)
-    product per sample."""
+    """(K(u,v), K(u,Jv), R(u,Ju,v,Jv)) by direct contraction along a last axis
+    of 3, for pair matrices that broadcast as _evaluate's against the batch
+    axes of u and v (..., d): one (3, d^2) product per sample."""
     jt = j_matrix.T
     ju, jv = u @ jt, v @ jt
     slots = ([u, u, u], [v, jv, ju], [u, u, v], [v, jv, jv])
@@ -527,8 +510,9 @@ def identity_one_residual(tensor: CurvatureTensor, u, v):
     polarization identities below, and 1-D arguments give a float.
     """
     _require_unitary_quadruple(tensor.space, u, v)
-    k_uv, k_ujv, r = _direct_triple(tensor, u, v)
-    return k_uv + k_ujv - r
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    values = _stacked_direct_triple(tensor.matrix, tensor.space.j_matrix, u, v)
+    return _unbatched(values[..., 0] + values[..., 1] - values[..., 2])
 
 
 def reconstruct_from_sectional(k_oracle, space: HermitianSpace) -> CurvatureTensor:
@@ -615,22 +599,16 @@ def _polarization_system(a: float, b: float) -> np.ndarray:
     )
 
 
-def _holomorphic_sides(tensor: CurvatureTensor, u, v, a, b) -> tuple:
-    """H(au+bv) + H(au-bv) and H(au+bJv) + H(au-bJv), each less 2a^4 H(u) + 2b^4 H(v).
-
-    H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one batched call.
-    """
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    sides = _stacked_holomorphic_sides(tensor.matrix, tensor.space.j_matrix, u, v, a, b)
-    return tuple(_unbatched(side) for side in sides)
-
-
 def _stacked_holomorphic_sides(
     matrices: np.ndarray, j_matrix: np.ndarray, u: np.ndarray, v: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_holomorphic_sides for pair matrices that broadcast as _evaluate's against the
-    batch axes of u and v (..., d), a and b: one (6, d^2) product per sample."""
+    """H(au+bv) + H(au-bv) and H(au+bJv) + H(au-bJv), each less 2a^4 H(u) + 2b^4 H(v),
+    for pair matrices that broadcast as _evaluate's against the batch axes of
+    u and v (..., d), a and b.
+
+    H(w) = R(w,Jw,w,Jw) is unnormalized; all six values come from one
+    (6, d^2) product per sample.
+    """
     jt = j_matrix.T
     au, bv, bjv = a[..., None] * u, b[..., None] * v, b[..., None] * (v @ jt)
     w = np.stack(np.broadcast_arrays(u, v, au + bv, au - bv, au + bjv, au - bjv), axis=-2)
@@ -652,7 +630,9 @@ def solve_sectional_from_H(tensor: CurvatureTensor, u, v) -> tuple:
     curvatures.
     """
     _require_unitary_quadruple(tensor.space, u, v)
-    solution = _solve_diagonal_sides(*_holomorphic_sides(tensor, u, v, _DIAGONAL, _DIAGONAL))
+    u, v, diagonal = np.asarray(u, dtype=float), np.asarray(v, dtype=float), np.asarray(_DIAGONAL)
+    sides = _stacked_holomorphic_sides(tensor.matrix, tensor.space.j_matrix, u, v, diagonal, diagonal)
+    solution = _solve_diagonal_sides(*sides)
     return tuple(_unbatched(solution[..., k]) for k in range(3))
 
 

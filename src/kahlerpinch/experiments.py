@@ -106,14 +106,6 @@ class CertificationReport:
     retries: int
 
 
-def _sample_seed(seed: int, t_index: int, sample: int) -> int:
-    """The seed of sample `sample` at t index `t_index`: SeedSequence([seed
-    mod 2^64, t_index, sample]).generate_state(1)[0], a uint32. The batch of
-    one of space._sample_seeds, which sweeps and certification runs call once
-    for their whole grid."""
-    return _sample_seeds([(int(seed), t_index, sample)])[0]
-
-
 def perturb(space: HermitianSpace, t: float, seed: int) -> CurvatureTensor:
     """Model tensor R0 plus t times a seeded random unit-norm Kahler direction S.
 

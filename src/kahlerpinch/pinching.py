@@ -468,7 +468,7 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
-def _optimize(x, signs, owners, objective, retract, models=None, planes=0):
+def _optimize(x, signs, owners, objective, retract, models, planes):
     """Best value and point of each row, its iteration count and its exit reason.
 
     Rows with sign +1 ascend, rows with -1 descend. Projected-gradient
@@ -486,22 +486,19 @@ def _optimize(x, signs, owners, objective, retract, models=None, planes=0):
     p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
     s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
     per iteration and no product with M. Every other row retracts by retract
-    and steps along g; with models None, every row steps along g. Each row
-    evolves independently (up to the rounding of the objective's per-block
-    GEMM, see the module docstring). A row leaves the batch for good at the
-    first EXIT_REASONS test it fails, so an iteration steps, retracts and
-    evaluates only the rows still live; compaction keeps the row order, and
-    with it the blocks. A row's gradient is evaluated once per accepted
-    point: a rejected step leaves the row where it was. The live rows' state
-    is one packed array, so a compaction is one take; reasons index
-    EXIT_REASONS.
+    and steps along g. Each row evolves independently (up to the rounding of
+    the objective's per-block GEMM, see the module docstring). A row leaves
+    the batch for good at the first EXIT_REASONS test it fails, so an
+    iteration steps, retracts and evaluates only the rows still live;
+    compaction keeps the row order, and with it the blocks. A row's gradient
+    is evaluated once per accepted point: a rejected step leaves the row
+    where it was. The live rows' state is one packed array, so a compaction
+    is one take; reasons index EXIT_REASONS.
     """
     rows, w = x.shape
     blocks = int(owners[-1]) + 1
     out_vals, out_x = np.empty(rows), np.empty_like(x)
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
-    if models is None:
-        models = np.ones(blocks), np.ones(blocks), np.ones(blocks, dtype=bool)
     plain = np.asarray(models[2], dtype=bool)
     # a plain block's placeholder mu = 1 only avoids 1/0
     per_block = np.stack([models[0], np.where(plain, 1.0, models[1]), plain], axis=1)[owners]
@@ -724,19 +721,18 @@ def _secular_top(c, g):
     return y / _row_norms(y)
 
 
-def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
-    """Exact witness rows [u | v] of the extremes of K (planes) or of H at n = 2.
+def _surface_rows(mats: np.ndarray) -> np.ndarray:
+    """Exact witness rows [u | v] of the extremes of K (planes) and of H at n = 2.
 
     mats are the tensors' (B, 16, 16) pair matrices at unit curvature scale.
-    A tensor gives the rows [min candidates | max candidates]: (H, interior)
-    of each for planes, H alone for J-lines; the extremes are the least and
-    greatest values among them. The planes' rows hold the J-lines' rows as
-    their H candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], bit for bit, so
-    one planes call serves both kinds, and a J-lines call skips the interior
-    problem. Each problem kind has one solver for all tensors: one stacked
-    eigh of the C's (and, for planes, of C - r r^T / q), whose first B
-    results are the C's eigenbases bit for bit since LAPACK works per matrix,
-    and one _secular_top call over the 2B sphere problems.
+    A tensor gives the rows [min candidates | max candidates], each (H,
+    interior); the extremes of K are the least and greatest values among
+    them. The H candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], are the
+    J-line rows, so one call serves both kinds. Each problem kind has one
+    solver for all tensors: one stacked eigh of the C's and of
+    C - r r^T / q, whose first B results are the C's eigenbases bit for bit
+    since LAPACK works per matrix, and one _secular_top call over the 2B
+    sphere problems.
 
     On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with the pair
     matrix written on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the
@@ -763,29 +759,25 @@ def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
     quad = basis.T @ mats[:, pairs[:, None], pairs] @ basis
     q, r, cmat = quad[:, 0, 0], quad[:, 1:, 0], quad[:, 1:, 1:]
     count = len(q)
-    if planes:
-        q_eig = np.where(np.abs(q) > EPS, q, 1.0)
-        cmat = np.concatenate([cmat, cmat - r[:, :, None] * r[:, None, :] / q_eig[:, None, None]])
-    c, vecs = np.linalg.eigh(cmat)
+    q_eig = np.where(np.abs(q) > EPS, q, 1.0)
+    c, vecs = np.linalg.eigh(np.concatenate([cmat, cmat - r[:, :, None] * r[:, None, :] / q_eig[:, None, None]]))
     c, basis_c = c[:count], vecs[:count]
     coords = np.einsum("mij,mi->mj", basis_c, r)
     # the minimum problems as maxima of the negated ones, in the reversed eigenbasis
     tops = _secular_top(np.concatenate([-c[:, ::-1], c]), np.concatenate([-coords[:, ::-1], coords]))
     y = np.einsum("mij,mj->mi", np.concatenate([basis_c[:, :, ::-1], basis_c]), tops)
-    s = np.ones(2 * count)
-    if planes:
-        # per side: the bottom eigenvector of C - r r^T / q for the minimum
-        # (q > eps), the top one for the maximum (q < -eps)
-        interior = _MIN_MAX_SIGNS * q > EPS
-        y_int = vecs[count:, :, [0, -1]].transpose(2, 0, 1)
-        ratio = np.einsum("mi,smi->sm", r, y_int) / q_eig
-        # (s, y) and (-s, -y) have the same K: s = -<r, y>/q >= 0 fixes the witness plane
-        y_int = np.where(ratio[:, :, None] > 0.0, -y_int, y_int)
-        y_int = np.where(interior[:, :, None], y_int, y.reshape(2, count, 3))
-        s_int = np.where(interior, np.minimum(np.abs(ratio), 1.0), 1.0)
-        # per side and tensor: (H, interior)
-        s = np.stack([s, s_int.ravel()], axis=1).ravel()
-        y = np.concatenate([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
+    # per side: the bottom eigenvector of C - r r^T / q for the minimum
+    # (q > eps), the top one for the maximum (q < -eps)
+    interior = _MIN_MAX_SIGNS * q > EPS
+    y_int = vecs[count:, :, [0, -1]].transpose(2, 0, 1)
+    ratio = np.einsum("mi,smi->sm", r, y_int) / q_eig
+    # (s, y) and (-s, -y) have the same K: s = -<r, y>/q >= 0 fixes the witness plane
+    y_int = np.where(ratio[:, :, None] > 0.0, -y_int, y_int)
+    y_int = np.where(interior[:, :, None], y_int, y.reshape(2, count, 3))
+    s_int = np.where(interior, np.minimum(np.abs(ratio), 1.0), 1.0)
+    # per side and tensor: (H, interior)
+    s = np.stack([np.ones(2 * count), s_int.ravel()], axis=1).ravel()
+    y = np.concatenate([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
     b = (s[:, None] * basis[:, 0] + np.sqrt(1.0 - s * s)[:, None] * e20 + y @ basis[:, 1:].T) / np.sqrt(2.0)
     bmat = np.zeros((len(b), 16))
     bmat[:, antisymmetric] = np.concatenate([b, -b], axis=1)
@@ -795,8 +787,7 @@ def _surface_rows(mats: np.ndarray, planes: bool) -> np.ndarray:
     u /= _row_norms(u)
     rows = np.concatenate([u, np.einsum("mij,mi->mj", bmat, u)], axis=1)
     # (side, tensor, candidate) -> (tensor, side, candidate)
-    per_side = len(rows) // (2 * len(mats))
-    return rows.reshape(2, len(mats), per_side, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
+    return rows.reshape(2, count, 2, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
 
 
 class _Extremes(NamedTuple):
@@ -882,9 +873,9 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
 
     if restarts is None and d == 4:
         mats = matrices / scales[:, None, None]
-        rows = _surface_rows(mats, True in kinds)
+        rows = _surface_rows(mats)
         # each (tensor, side)'s first candidate is its H row, before retraction
-        j_rows = rows.reshape(b, 2, -1, 8)[:, :, 0].reshape(-1, 8)
+        j_rows = rows.reshape(b, 2, 2, 8)[:, :, 0].reshape(-1, 8)
         for planes in kinds:
             x = _orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat)
             # _pair_state's values (curvature._biquadratic): one GEMM per tensor

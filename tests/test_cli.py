@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -598,6 +599,21 @@ def test_constants_certification_failure_exits_1(monkeypatch, failure):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_constants_certification_violations_exit_1_with_strict_json(monkeypatch):
+    # a ratio violation is a failed check: exit 1, and the report still goes
+    # to stdout as strict JSON
+    import kahlerpinch.experiments
+    from kahlerpinch.experiments import CertificationReport
+
+    report = CertificationReport(samples=2, violations=1, max_ratio_dev=0.25, max_defect=1e-3, retries=0)
+    monkeypatch.setattr(kahlerpinch.experiments, "certify_constants", lambda chain, samples, seed: report)
+    code, out, err = _run_in_process(["constants", "--epsilon", "0.1", "--n", "2", "--certify", "2", "--seed", "1"])
+    assert code == 1
+    assert err == ""
+    payload = _strict_json(out)
+    assert payload["certification"] == {**dataclasses.asdict(report), "seed": 1}
 
 
 def test_constants_rejects_bad_epsilon():

@@ -31,7 +31,12 @@ from kahlerpinch import (
     write_tensor,
 )
 from kahlerpinch import curvature
-from kahlerpinch.curvature import _direct_triple, _holomorphic_sides, _polarization_system
+from kahlerpinch.curvature import (
+    SymmetryCertificate,
+    _polarization_system,
+    _stacked_direct_triple,
+    _stacked_holomorphic_sides,
+)
 from kahlerpinch.errors import (
     DegeneratePlaneError,
     PreconditionError,
@@ -372,39 +377,50 @@ def _hex(values) -> list[str]:
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_stacked_projections_and_certificates_equal_one_tensor_calls(n):
+def test_stacked_projections_and_certificates_equal_one_tensor_calls(n, monkeypatch):
+    # a certificate is one row of the stacked residual pass, at the relative
+    # tolerance of the stack's table (project_kahler's) or at 1e-12
     space = make_space(n)
     raw = _raw_stack(n)
     projected = curvature._projection(raw)
     residuals = curvature._symmetry_residuals(projected)
-    certificates = curvature._certificates(projected, curvature._relative_tolerance(projected))
-    absolute = curvature._certificates(projected, 1e-12)
+    tolerances = curvature._relative_tolerance(projected).tolist()
     norms = curvature._frobenius(projected)
+    calls = []
+    stacked = curvature._symmetry_residuals
+
+    def counted(entries):
+        calls.append(len(entries))
+        return stacked(entries)
+
+    monkeypatch.setattr(curvature, "_symmetry_residuals", counted)
     for k, table in enumerate(raw):
+        fields = residuals[k].tolist()
+        calls.clear()
         one = project_kahler(table, space)
+        assert calls == [1]
         assert projected[k].tobytes() == one.entries.tobytes()
-        assert certificates[k] == one.certificate
+        assert one.certificate == SymmetryCertificate(*fields, tolerances[k], True)
         assert _hex(residuals[k]) == _hex(symmetry_residuals(one).values())
-        assert absolute[k] == check_kahler(CurvatureTensor(space, one.entries), 1e-12)
+        absolute = SymmetryCertificate(*fields, 1e-12, all(v <= 1e-12 for v in fields))
+        assert absolute == check_kahler(CurvatureTensor(space, one.entries), 1e-12)
         assert norms[k].hex() == one.frobenius_norm().hex()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_random_kahlers_and_distances_equal_one_tensor_calls(n):
     space = make_space(n)
-    seeds = list(range(STACK_SIZES[n]))
-    tensors = curvature._random_kahlers(space, seeds, 2.5)
+    tensors = [random_kahler(space, seed, 2.5) for seed in range(STACK_SIZES[n])]
     model = complex_hyperbolic_tensor(space)
     distances = curvature._distances(np.array([tensor.entries for tensor in tensors]), model.entries)
-    for seed, tensor, dist in zip(seeds, tensors, distances):
-        one = random_kahler(space, seed, 2.5)
-        assert tensor.entries.tobytes() == one.entries.tobytes()
-        assert tensor.certificate == one.certificate
-        assert dist.hex() == distance(one, model).hex()
+    for tensor, dist in zip(tensors, distances):
+        assert dist.hex() == distance(tensor, model).hex()
 
 
 def test_stacked_random_kahlers_raise_for_the_first_degenerate_seed(monkeypatch, space2):
-    # a seed whose projection is zero raises random_kahler's error, the first one in order
+    # a seed whose projection is zero raises random_kahler's error; a stacked
+    # draw of directions (a sweep chunk's) raises it for the first such seed in order
+    from kahlerpinch import experiments
     from kahlerpinch.errors import DegenerateSampleError
 
     original = curvature._random_projection
@@ -414,11 +430,12 @@ def test_stacked_random_kahlers_raise_for_the_first_degenerate_seed(monkeypatch,
         zero = np.isin(seeds, [5, 7])
         return np.where(zero.reshape(-1, 1, 1, 1, 1), 0.0, projected), np.where(zero, 0.0, norms)
 
-    monkeypatch.setattr(curvature, "_random_projection", degenerate)
+    for module in (curvature, experiments):
+        monkeypatch.setattr(module, "_random_projection", degenerate)
     with pytest.raises(DegenerateSampleError) as one:
         random_kahler(space2, 7)
     with pytest.raises(DegenerateSampleError) as stacked:
-        curvature._random_kahlers(space2, [1, 7, 2, 5], 1.0)
+        experiments._perturbations(space2, [0.1] * 4, [1, 7, 2, 5])
     assert str(stacked.value) == str(one.value) == "seed 7 projected to zero; retry with another seed"
 
 
@@ -792,8 +809,8 @@ def test_batched_identities_match_per_sample_loop(n):
     for tensor in (complex_hyperbolic_tensor(space), random_kahler(space, seed=8), random_kahler(space, seed=9)):
         batched = {
             "identity_one": np.array([identity_one_residual(tensor, u, v)]),
-            "direct": np.array(_direct_triple(tensor, u, v)),
-            "sides": np.array(_holomorphic_sides(tensor, u, v, a, b)),
+            "direct": _stacked_direct_triple(tensor.matrix, space.j_matrix, u, v).T,
+            "sides": np.array(_stacked_holomorphic_sides(tensor.matrix, space.j_matrix, u, v, a, b)),
             "solve": np.array(solve_sectional_from_H(tensor, u, v)),
         }
         for key, value in polarization_residuals(tensor, u, v, a, b).items():
@@ -819,8 +836,6 @@ def test_batched_identities_match_per_sample_loop(n):
             # 1-D arguments still give floats, one per value
             scalar = [
                 identity_one_residual(tensor, u[s], v[s]),
-                *_direct_triple(tensor, u[s], v[s]),
-                *_holomorphic_sides(tensor, u[s], v[s], float(a[s]), float(b[s])),
                 *solve_sectional_from_H(tensor, u[s], v[s]),
                 *polarization_residuals(tensor, u[s], v[s], float(a[s]), float(b[s])).values(),
             ]

@@ -107,14 +107,14 @@ def test_perturb_adds_random_kahlers_direction_with_one_certificate(n, monkeypat
     space = make_space(n)
     model = complex_hyperbolic_tensor(space)  # R0 is certified once per n, before counting
     calls = []
-    certificates = curvature._certificates  # check_kahler's stacked core
+    residuals = curvature._symmetry_residuals  # check_kahler's residual pass
 
-    def counted(entries, tol):
+    def counted(entries):
         calls.append(len(entries))
-        return certificates(entries, tol)
+        return residuals(entries)
 
     for module in (curvature, kahlerpinch.experiments):
-        monkeypatch.setattr(module, "_certificates", counted, raising=False)
+        monkeypatch.setattr(module, "_symmetry_residuals", counted, raising=False)
     for seed in range(3):
         calls.clear()
         tensor = perturb(space, 0.05, seed)
@@ -204,14 +204,15 @@ def test_perturbations_are_kahler_by_construction(n):
     # own certificate stays check_kahler's at the default tolerance
     from kahlerpinch import CurvatureTensor, check_kahler
     from kahlerpinch.curvature import _relative_tolerance
-    from kahlerpinch.experiments import _perturbations, _sample_seed
+    from kahlerpinch.experiments import _perturbations
+    from kahlerpinch.space import _sample_seeds
 
     space = make_space(n)
     ts = [0.0, 0.0125, 0.025, 0.05, 0.1]  # criterion 6's grid
     if n == 1:
         # up to the overflow edge: at n = 1, max|S| = 1/2, so 4 max|R0 + tS| is finite below DBL_MAX / 2
         ts += [1e3, 1e100, 1e300, sys.float_info.max / 8.0, sys.float_info.max / 2.0 * (1 - 1e-9)]
-    grid = [(t, _sample_seed(17, t_index, sample)) for t_index, t in enumerate(ts) for sample in range(6)]
+    grid = [(t, _sample_seeds([(17, t_index, sample)])[0]) for t_index, t in enumerate(ts) for sample in range(6)]
     ts, seeds = (list(column) for column in zip(*grid))
     entries = _perturbations(space, ts, seeds)
     for t, seed, table in zip(ts, seeds, entries):
@@ -488,6 +489,62 @@ def test_certification_rejects_unconverged_and_anomalous_samples(monkeypatch):
         certify_constants(chain, 1, 1)
 
 
+def test_certification_counts_a_violation_per_ratio_pair_and_sample():
+    # an epsilon below every ratio deviation (rounding level, but not 0) makes
+    # each ordered ratio pair of each sample a violation; the samples are the
+    # passing chain's, which differs only in epsilon
+    chain = proof_constants(0.1, 2)
+    passing = certify_constants(chain, 2, 1)
+    failing = certify_constants(dataclasses.replace(chain, epsilon=1e-30), 2, 1)
+    pairs = len(kahlerpinch.experiments._model_ratios(2)[0])
+    assert passing.violations == 0
+    assert failing.violations == 2 * pairs
+    assert dataclasses.replace(failing, violations=0) == passing
+
+
+def test_sweep_raises_when_more_than_the_excluded_fraction_fails_to_converge(monkeypatch):
+    # a multistart cut short leaves records unconverged (n = 2 pinches
+    # exactly, so n = 3 with an explicit restart count; 16 restarts, so that
+    # the stability test compares two of them): past MAX_EXCLUDED_FRACTION
+    # the sweep raises and names their count
+    from kahlerpinch import experiments, pinching
+
+    monkeypatch.setattr(pinching, "MAX_ITER", 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "MAX_EXCLUDED_FRACTION", 1.0)
+        records = sweep(3, [0.05, 0.1], 2, 1, restarts=16)
+    excluded = sum(not record.converged for record in records)
+    assert excluded > experiments.MAX_EXCLUDED_FRACTION * len(records)
+    message = rf"^{excluded}/4 records failed to converge \(> 5%\); rerun with more restarts$"
+    with pytest.raises(RuntimeError, match=message):
+        sweep(3, [0.05, 0.1], 2, 1, restarts=16)
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_sweep_keeps_its_records_up_to_the_excluded_fraction(monkeypatch, failing):
+    # of 20 records, 1 unconverged (5%) is kept and flagged; 2 (10%) raise
+    from kahlerpinch import experiments
+    from kahlerpinch.space import _sample_seeds
+
+    seeds = _sample_seeds([(3, t_index, sample) for t_index in range(2) for sample in range(10)])
+    unconverged = seeds[5 : 5 + failing]
+    original = experiments._multistart
+
+    def edited(entries, restarts, chunk_seeds, kinds):
+        found = original(entries, restarts, chunk_seeds, kinds)
+        found[-1].converged[[k for k, seed in enumerate(chunk_seeds) if seed in unconverged]] = False
+        return found
+
+    monkeypatch.setattr(experiments, "_multistart", edited)
+    if failing > 1:
+        with pytest.raises(RuntimeError, match=r"^2/20 records failed to converge \(> 5%\)"):
+            sweep(2, [0.0, 0.05], 10, 3)
+        return
+    records = sweep(2, [0.0, 0.05], 10, 3)
+    assert [record.seed for record in records] == seeds
+    assert [record.seed for record in records if not record.converged] == unconverged
+
+
 # ---------------------------------------------------------------------------
 # shared optimizer batches
 # ---------------------------------------------------------------------------
@@ -506,14 +563,14 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
     normalization.scale times the perturbed tensor's.
     """
     from kahlerpinch import complex_hyperbolic_tensor, hol_extremes, make_space, normalize_quarter, pinch
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
     space = make_space(n)
     model = complex_hyperbolic_tensor(space)
     records = []
     for t_index, t in enumerate(sorted(float(t) for t in t_values)):
         for sample in range(samples_per_t):
-            sample_seed = _sample_seed(seed, t_index, sample)
+            sample_seed = _sample_seeds([(seed, t_index, sample)])[0]
             tensor = perturb(space, t, sample_seed)
             report = pinch(tensor, restarts=restarts, seed=sample_seed)
             normalization = normalize_quarter(tensor, report)
@@ -556,12 +613,12 @@ def test_sweep_equals_one_tensor_at_a_time(n, t_values, samples_per_t, seed, res
 def _certify_one_tensor_at_a_time(chain, samples, seed, restarts=None):
     """certify_constants composed sample by sample: one pinch of each at t = delta / 8."""
     from kahlerpinch import make_space, normalize_quarter, pinch
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
     space = make_space(chain.n)
     violations, max_ratio_dev, max_defect = 0, 0.0, -float("inf")
     for sample in range(samples):
-        sample_seed = _sample_seed(seed, 0, sample)
+        sample_seed = _sample_seeds([(seed, 0, sample)])[0]
         tensor = kahlerpinch.experiments.perturb(space, chain.delta / 8.0, sample_seed)
         normalization = normalize_quarter(tensor, pinch(tensor, restarts=restarts, seed=sample_seed))
         if not normalization.delta < chain.delta:
@@ -621,9 +678,9 @@ def test_perturbation_defect_is_within_the_proved_bound(n):
 
 
 def _sample_seed_of(seed, sample):
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
-    return _sample_seed(seed, 0, sample)
+    return _sample_seeds([(seed, 0, sample)])[0]
 
 
 def _record_optimizer_batches(monkeypatch):
@@ -637,7 +694,7 @@ def _record_optimizer_batches(monkeypatch):
 
     def recording(x, signs, owners, *rest):
         arguments = inspect.signature(optimize).bind(x, signs, owners, *rest).arguments
-        batches.append((len(x), int(owners[-1]) + 1, arguments.get("planes", 0)))
+        batches.append((len(x), int(owners[-1]) + 1, arguments["planes"]))
         return optimize(x, signs, owners, *rest)
 
     monkeypatch.setattr(pinching, "_optimize", recording)
@@ -762,7 +819,7 @@ def test_chunk_normalization_raises_as_the_first_failing_samples_normalize_quart
     # raises first
     from kahlerpinch import normalize_quarter, pinch
     from kahlerpinch.errors import NotNegativelyCurvedError, ResourceLimitError
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
     original, edits = kahlerpinch.experiments._multistart, {}
 
@@ -778,7 +835,7 @@ def test_chunk_normalization_raises_as_the_first_failing_samples_normalize_quart
     for first, second, kind in ((flat, tiny, NotNegativelyCurvedError), (tiny, flat, ResourceLimitError)):
         edits.clear()
         edits.update({2: first, 4: second})
-        tensor = perturb(space, 0.0125, _sample_seed(9, 1, 0))  # sample 2: the second t, sample 0
+        tensor = perturb(space, 0.0125, _sample_seeds([(9, 1, 0)])[0])  # sample 2: the second t, sample 0
         report = dataclasses.replace(pinch(tensor), k_min=first[0], k_max=first[1])
         expected = _raised(lambda: normalize_quarter(tensor, report))
         assert type(expected) is kind
@@ -878,13 +935,13 @@ def _per_sample_suite(n, samples, seed):
         seeded_rng,
         solve_sectional_from_H,
     )
-    from kahlerpinch.curvature import _direct_triple, _holomorphic_sides
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.curvature import _stacked_direct_triple, _stacked_holomorphic_sides
+    from kahlerpinch.space import _sample_seeds
 
     space = make_space(n)
     rng = seeded_rng(seed, 23)
     n_tensors = max(1, min(10, samples // 10))
-    tensors = [random_kahler(space, _sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    tensors = [random_kahler(space, _sample_seeds([(seed, 1, i)])[0]) for i in range(n_tensors)]
     out = dict.fromkeys(
         ["identity_one", "solve_vs_direct", "polarization_first", "polarization_second",
          "polarization_second_printed"],
@@ -893,10 +950,10 @@ def _per_sample_suite(n, samples, seed):
     num = den = 0.0
     for s in range(samples):
         tensor = tensors[s % n_tensors]
-        u, v = random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
+        u, v = random_orthonormal_pair(space, _sample_seeds([(seed, 2, s)])[0], constraint="v_perp_ju")
         out["identity_one"] = max(out["identity_one"], abs(identity_one_residual(tensor, u, v)))
         solved = solve_sectional_from_H(tensor, u, v)
-        direct = _direct_triple(tensor, u, v)
+        direct = _stacked_direct_triple(tensor.matrix, space.j_matrix, u, v)
         out["solve_vs_direct"] = max(
             out["solve_vs_direct"], max(abs(x - y) for x, y in zip(solved, direct))
         )
@@ -909,7 +966,8 @@ def _per_sample_suite(n, samples, seed):
                 out["polarization_second_printed"], pol["second_printed"]
             )
         ab2 = a * a * b * b
-        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * direct[2]
+        sides = _stacked_holomorphic_sides(tensor.matrix, space.j_matrix, u, v, np.asarray(a), np.asarray(b))
+        target = sides[1] - 12 * ab2 * direct[2]
         num += target * ab2 * direct[1]
         den += (ab2 * direct[1]) ** 2
     out["fitted_second_coefficient"] = num / den
@@ -952,10 +1010,10 @@ def test_identity_suite_pairs_each_sample_with_its_tensor_and_theta(monkeypatch)
     space = make_space(n)
     rng = seeded_rng(seed, 23)
     n_tensors = 4
-    tensors = [random_kahler(space, experiments._sample_seed(seed, 1, i)) for i in range(n_tensors)]
+    tensors = [random_kahler(space, s) for s in experiments._sample_seeds([(seed, 1, i) for i in range(n_tensors)])]
     assert len(seen) == samples
     for s in range(samples):
-        u, v = random_orthonormal_pair(space, experiments._sample_seed(seed, 2, s), constraint="v_perp_ju")
+        u, v = random_orthonormal_pair(space, experiments._sample_seeds([(seed, 2, s)])[0], constraint="v_perp_ju")
         theta = rng.uniform(0.1, math.pi / 2 - 0.1)
         uses = seen[(tuple(u), tuple(v))]
         assert len(uses) == 2
@@ -976,15 +1034,14 @@ def _per_tensor_suite(n, samples, seed):
 
     from kahlerpinch import berger_bound_check, complex_hyperbolic_tensor, random_orthonormal_pair, seeded_rng
     from kahlerpinch.curvature import (
-        _direct_triple,
-        _holomorphic_sides,
-        _random_kahlers,
+        _stacked_direct_triple,
+        _stacked_holomorphic_sides,
         polarization_residuals,
         reconstruct_from_sectional,
         solve_sectional_from_H,
     )
     from kahlerpinch.errors import IdentityInconsistencyError
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
     if n < 2:
         raise PreconditionError("identity suite needs complex dimension >= 2")
@@ -992,11 +1049,11 @@ def _per_tensor_suite(n, samples, seed):
         raise PreconditionError("samples must be >= 1")
     space = make_space(n)
     n_tensors = max(1, min(10, samples // 10))
-    tensors = _random_kahlers(space, [_sample_seed(seed, 1, i) for i in range(n_tensors)], 1.0)
+    tensors = [random_kahler(space, s) for s in _sample_seeds([(seed, 1, i) for i in range(n_tensors)])]
     model = complex_hyperbolic_tensor(space)
     pairs = [
-        random_orthonormal_pair(space, _sample_seed(seed, 2, s), constraint="v_perp_ju")
-        for s in range(samples)
+        random_orthonormal_pair(space, pair_seed, constraint="v_perp_ju")
+        for pair_seed in _sample_seeds([(seed, 2, s) for s in range(samples)])
     ]
     us, vs = (np.array(vectors) for vectors in zip(*pairs))
     thetas = seeded_rng(seed, 23).uniform(0.1, np.pi / 2 - 0.1, samples)
@@ -1005,7 +1062,7 @@ def _per_tensor_suite(n, samples, seed):
     fit_num = fit_den = 0.0
     for i, tensor in enumerate(tensors):
         u, v, theta = us[i::n_tensors], vs[i::n_tensors], thetas[i::n_tensors]
-        direct = np.array(_direct_triple(tensor, u, v))
+        direct = _stacked_direct_triple(tensor.matrix, space.j_matrix, u, v).T
         k_uv, k_ujv, r = direct
         res_one = max(res_one, np.max(np.abs(k_uv + k_ujv - r)))
         solved = np.array(solve_sectional_from_H(tensor, u, v))
@@ -1018,7 +1075,7 @@ def _per_tensor_suite(n, samples, seed):
         res_second_printed = max(res_second_printed, np.max(pol["second_printed"]))
         # least squares for c in H(au+bJv) + H(au-bJv) = ... + c a^2b^2 K(u,Jv)
         ab2 = a * a * b * b
-        target = _holomorphic_sides(tensor, u, v, a, b)[1] - 12 * ab2 * r
+        target = _stacked_holomorphic_sides(tensor.matrix, space.j_matrix, u, v, a, b)[1] - 12 * ab2 * r
         regressor = ab2 * k_ujv
         fit_num += float(target @ regressor)
         fit_den += float(regressor @ regressor)
@@ -1214,7 +1271,7 @@ def test_identity_suite_draws_its_pairs_in_one_stacked_call(monkeypatch):
     monkeypatch.setattr(experiments, "_orthonormal_pairs", recording)
     experiments.identity_suite(2, 40, 7)
     # the samples' pairs, then the attainment check's random_orthonormal_pair(space, 7)
-    assert calls == [([experiments._sample_seed(7, 2, s) for s in range(40)] + [7], "v_perp_ju")]
+    assert calls == [(experiments._sample_seeds([(7, 2, s) for s in range(40)]) + [7], "v_perp_ju")]
 
 
 def test_identity_suite_seeds_in_stacked_passes(monkeypatch):
@@ -1243,7 +1300,7 @@ def test_identity_suite_certifies_no_tensor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("identity_suite certified a tensor")
 
-    monkeypatch.setattr(curvature, "_certificates", forbidden)
+    monkeypatch.setattr(curvature, "_symmetry_residuals", forbidden)
     identity_suite(3, 50, 1)
 
 
@@ -1261,7 +1318,7 @@ def test_identity_suite_runs_no_optimizer(monkeypatch, n):
 
 
 def test_sample_seeds_of_distinct_64_bit_seeds_differ():
-    from kahlerpinch.experiments import _sample_seed
+    from kahlerpinch.space import _sample_seeds
 
-    assert _sample_seed(2**63, 0, 0) != _sample_seed(0, 0, 0)
-    assert _sample_seed(-1, 0, 0) != _sample_seed(2**63 - 1, 0, 0)
+    assert _sample_seeds([(2**63, 0, 0)])[0] != _sample_seeds([(0, 0, 0)])[0]
+    assert _sample_seeds([(-1, 0, 0)])[0] != _sample_seeds([(2**63 - 1, 0, 0)])[0]

@@ -67,6 +67,10 @@ def test_ci_workflow_runs_the_tier1_suite():
     closed_form = "kahlerpinch pinch r0.json --seed 3 && kahlerpinch constants --epsilon 0.1 --n 2 --certify 2 --seed 1"
     assert closed_form in runs
     assert runs.index(closed_form) > runs.index("kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json")
+    # and on the Chern densities and ratios of that file
+    chern = "kahlerpinch chern r0.json --all"
+    assert chern in runs
+    assert runs.index(chern) > runs.index("kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json")
     # and on the identity suite's stacked pair draw
     assert "kahlerpinch identities --n 3 --samples 50 --seed 1" in runs
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)

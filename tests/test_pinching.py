@@ -201,6 +201,11 @@ def test_pinch_and_hol_match_recorded_values():
             assert values == (-1.0, -0.25, -1.0, -1.0)
 
 
+# _optimize's models for one block that keeps the plain step (|s0|, mu, plain):
+# with no plane blocks, every row retracts by the given retract and steps along g
+_PLAIN_BLOCK = (np.ones(1), np.ones(1), np.ones(1, dtype=bool))
+
+
 def _cycling_objective(v0=-1.0, h=0.01):
     """A pair objective whose rows cycle between their start value and a worse one.
 
@@ -235,7 +240,7 @@ def test_optimizer_rows_stop_when_they_cycle_without_improving():
     signs = np.repeat([-1.0, 1.0], 4)
     vals, points, iterations, reasons = pinching._optimize(
         x.copy(), signs, np.zeros(8, dtype=int), lambda y, sizes: objective(None, sizes, y),
-        pinching._orthonormalize_pairs,
+        pinching._orthonormalize_pairs, _PLAIN_BLOCK, 0,
     )
     assert reasons.tolist() == [EXIT_REASONS.index("stagnation")] * 8
     assert iterations.tolist() == [STAGNATION_LIMIT + 1] * 8
@@ -458,6 +463,28 @@ def test_plane_direction_inverts_the_model_metric(n):
     for m in range(len(rows)):
         lone = _plane_direction(np.array(rows[m : m + 1]), np.array(grads[m : m + 1]), abs_s0[m : m + 1], mu[m : m + 1])
         assert lone.tobytes() == p[m : m + 1].tobytes()
+
+
+def test_orthonormalize_pairs_completes_a_degenerate_v_deterministically():
+    # v = 0 or v parallel to u leaves no direction to keep: v becomes the
+    # basis vector least aligned with u, made orthogonal to u, so rows with
+    # one u give one pair, bit for bit alone or in any batch
+    from kahlerpinch.pinching import _orthonormalize_pairs
+
+    u = seeded_rng(31).standard_normal((3, 6))
+    x = np.concatenate([np.tile(u, (3, 1)), np.vstack([np.zeros_like(u), 2.5 * u, -1e-3 * u])], axis=1)
+    out = _orthonormalize_pairs(x)
+    for row in out:
+        gram = np.array([[row[:6] @ row[:6], row[:6] @ row[6:]], [row[6:] @ row[:6], row[6:] @ row[6:]]])
+        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+    for k, (direction, pair) in enumerate(zip(np.tile(u, (3, 1)), out)):
+        unit = direction / np.linalg.norm(direction)
+        least = np.eye(6)[np.argmin(np.abs(unit))]
+        expected = least - (least @ unit) * unit
+        assert np.abs(pair[6:] - expected / np.linalg.norm(expected)).max() <= 1e-15
+        assert pair.tobytes() == out[k % 3].tobytes()
+        assert _orthonormalize_pairs(x[k : k + 1]).tobytes() == pair.tobytes()
+    assert _orthonormalize_pairs(x[::-1]).tobytes() == out[::-1].tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -1014,6 +1041,19 @@ def test_secular_top_solves_the_trust_region_problem():
     assert np.all(np.abs((kappa[:, None] - c) * y - g).max(axis=1) <= 1e-14 * scale)
 
 
+def test_secular_top_returns_unit_rows_at_its_iteration_cap(monkeypatch):
+    # rows still moving when the loop runs out keep their last mu, below the
+    # root: each is still a unit vector
+    from kahlerpinch import pinching
+
+    c, g = _secular_cases()
+    full = pinching._secular_top(c, g)
+    monkeypatch.setattr(pinching, "SECULAR_ITERATIONS", 1)
+    capped = pinching._secular_top(c, g)
+    assert np.allclose(np.linalg.norm(capped, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert not np.array_equal(capped, full)  # some rows were cut off at the cap
+
+
 def _surface_mats(quads):
     """(B, 16, 16) pair matrices whose bivector operator is _SURFACE_BASIS Q _SURFACE_BASIS^T:
     Q = [[q, r^T], [r, C]] on [w | Lambda^{1,1}_0] and 0 on [Lambda^{2,0}]."""
@@ -1044,7 +1084,7 @@ def test_interior_candidates_are_the_top_eigenvectors_of_the_rank_one_update():
     quads[:, 0, 0], quads[:, 0, 1:], quads[:, 1:, 0] = -q, g, g
     quads[:, 1:, 1:] = np.einsum("mi,ij->mij", c, np.eye(3))
     for side, sign in ((1, 1.0), (0, -1.0)):
-        rows = _surface_rows(_surface_mats(sign * quads), True).reshape(len(c), 2, 2, 8)[:, side, 1]
+        rows = _surface_rows(_surface_mats(sign * quads)).reshape(len(c), 2, 2, 8)[:, side, 1]
         _, y = _surface_coordinates(rows)
         for row, (cr, gr, qr) in enumerate(zip(c, g, q)):
             update = np.diag(cr) + np.outer(gr, gr) / qr
@@ -1063,7 +1103,7 @@ def test_surface_interior_candidates_have_nonnegative_s():
     tensors = _surface_oracle_tensors()
     scales = np.hypot(*_stacked_model_coordinates(np.array([t.entries for t in tensors])))
     mats = np.stack([t.matrix / (scale or 1.0) for t, scale in zip(tensors, scales)])  # at unit scale
-    rows = _surface_rows(mats, True).reshape(len(tensors), 2, 2, 8)
+    rows = _surface_rows(mats).reshape(len(tensors), 2, 2, 8)
     s, _ = _surface_coordinates(rows[:, :, 1].reshape(-1, 8))
     assert np.all(s >= -1e-15)
     assert np.sum(s > 0.1) >= 20  # interior candidates that are not H's
@@ -1230,7 +1270,7 @@ def _run_both_loops(kind, tensor, seed, restarts, max_iter, monkeypatch):
         x.copy(), signs, split, pinching._pair_gradient, retract, pinching.GRAD_TOL, max_iter, rejected
     )
     monkeypatch.setattr(pinching, "MAX_ITER", max_iter)
-    live = pinching._optimize(x.copy(), signs, np.zeros(len(x), dtype=int), fused, retract)
+    live = pinching._optimize(x.copy(), signs, np.zeros(len(x), dtype=int), fused, retract, _PLAIN_BLOCK, 0)
     return live, dense, rejected[0]
 
 
@@ -1584,7 +1624,8 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     # an n = 2 default joint batch solves each closed-form step once: one eigh
     # (of the C's and the rank-one updates) and one _secular_top call over the
     # 2b sphere rows, and its J-line rows are the plane pass's H candidates
-    # before retraction, equal to the rows of a J-line-only pass
+    # before retraction; a J-line-only batch runs the same pass and retracts
+    # the same rows
     from kahlerpinch import pinching
 
     tensors, seeds = _mixed_batch(2)
@@ -1602,9 +1643,9 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
         calls["rows"].append(len(c))
         return secular(c, g)
 
-    def recording_surface(mats, planes):
-        rows = surface(mats, planes)
-        calls["surface"].append((mats, planes, rows))
+    def recording_surface(mats):
+        rows = surface(mats)
+        calls["surface"].append(rows)
         return rows
 
     def recording_retract(x, jmat):
@@ -1620,20 +1661,15 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
     b = len(tensors)
     # b C's, then b rank-one updates; 2b sphere rows (minimum and maximum per tensor)
     assert calls["eigh"] == [(2 * b, 3, 3)] and calls["rows"] == [2 * b]
-    [(mats, planes, both)] = calls["surface"]
-    assert planes and both.shape == (4 * b, 8)
+    [both] = calls["surface"]
+    assert both.shape == (4 * b, 8)
     candidates = both.reshape(b, 2, 2, 8)[:, :, 0].reshape(-1, 8)
     assert [x.tobytes() for x in calls["retracted"]] == [candidates.tobytes()]
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(pinching, "_secular_top", secular)
-    assert surface(mats, False).tobytes() == candidates.tobytes()
-    # a J-line-only batch skips the interior problem
-    calls["eigh"].clear()
-    calls["rows"].clear()
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    monkeypatch.setattr(pinching, "_secular_top", recording_secular)
+    for kind in calls.values():
+        kind.clear()
     pinching._hol_batch(tensors, None, seeds)
-    assert calls["eigh"] == [(b, 3, 3)] and calls["rows"] == [2 * b]
+    assert calls["eigh"] == [(2 * b, 3, 3)] and calls["rows"] == [2 * b]
+    assert [x.tobytes() for x in calls["retracted"]] == [candidates.tobytes()]
 
 
 def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
