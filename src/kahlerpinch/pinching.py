@@ -37,6 +37,26 @@ restarts reach, not proven optima; the n = 2 closed form's are the extremes
 up to rounding. A rigorous eigenvalue envelope from the curvature operator
 on bivectors sandwiches both.
 
+The curvature operator Q on Lambda^{1,1} (_kahler_operators), built once per
+tensor in one stacked pass, serves three readers: the envelope, whose
+spectrum is Q's with the n^2 - n zeros of [Lambda^{2,0}]; a sign
+certificate; and at n = 2 the closed form. The certificate rests on a lemma,
+in both directions: if lambda_max(Q) <= 0, then min K = min H, with a
+complex line as witness; if lambda_min(Q) >= 0, then max K = max H. Proof:
+a plane span(u, v) lies in W = span_C(u, v), and R restricted to W is a
+Kahler tensor on C^2. With Q_W written on W's [w | Lambda^{1,1}_0] as
+[[q, r^T], [r, C]], the planes of W have K = (q s^2 + 2 s <r, y> + <Cy, y>)/2
+(_surface_rows), and q = R(w_W, w_W) lies in Q's spectral range, since w_W
+is a unit vector of Lambda^{1,1}. So q <= 0 makes K concave in s and its
+minimum over W lies at s = +-1, a J-line; q >= 0 makes it convex, with the
+maximum there. A side counts as certified only past a rounding margin on
+the safe side (_envelopes). When a batch holds a tensor's J-line block, its
+plane block drops the rows of each certified side, and that side's value,
+witness [u | Ju], stability, sandwich and diagnostics are the J-line rows'
+(_multistart): near the model lambda_max(Q) is about -|s0|/2, so a sweep
+batch runs only the ascending plane rows there. A planes-only batch (pinch,
+certify_constants) and a rerun without J-lines run every side.
+
 A multistart with the default budget (restarts=None) runs DEFAULT_RESTARTS
 = 64 restarts, and reruns once at ESCALATION x 64 = 256 restarts each tensor
 whose report is not converged; the rerun's report is final. Start rows are
@@ -216,23 +236,59 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     <Rb, b> = R(u,v,u,v) and |b|^2 equals the plane's Gram determinant, so the
     Rayleigh quotient on decomposable bivectors is exactly the sectional
     curvature and the eigenvalue range encloses all of them. The operator is
-    the pair matrix restricted to the index pairs (i, j) with i < j.
+    the pair matrix restricted to the index pairs (i, j) with i < j. A Kahler
+    R maps Lambda^{1,1} to itself and vanishes on the n^2 - n dimensions of
+    [Lambda^{2,0}], so its spectrum is that of Q, the operator on
+    Lambda^{1,1}, with n^2 - n zeros: for n >= 2 the envelope is
+    [min(lambda_min(Q), 0), max(lambda_max(Q), 0)], and at n = 1 it is the
+    one eigenvalue twice. Q's sign also certifies when K's minimum (or
+    maximum) is H's (see the module docstring).
     """
     return tuple(_envelopes(_certified_stack([tensor]))[0][0].tolist())
 
 
-def _envelopes(entries: np.ndarray):
-    """curvature_operator_envelope of each table of a Kahler (B, d, d, d, d)
-    stack, as (B, 2), from one stacked eigvalsh: each is its one-tensor value
-    bit for bit. Also the (B, 2) bounds [lo - slack, hi + slack] that
-    sandwich converged extremes, slack = 1e-9 max(|lo|, |hi|): relative, so
-    that 2^k R sandwiches as R does."""
+def _kahler_operators(entries: np.ndarray) -> np.ndarray:
+    """Q = B^T (bivector block) B of each table of a Kahler (B, d, d, d, d)
+    stack, as (B, n^2, n^2), with B = _kahler_bivectors(n): one gather and
+    two stacked matmuls, so each Q is its one-tensor value bit for bit."""
     b, d = len(entries), entries.shape[-1]
     rows, columns = _bivector_block(d)
-    envelopes = np.linalg.eigvalsh(entries.reshape(b, d * d, d * d)[:, rows, columns])[:, [0, -1]]
+    basis = _kahler_bivectors(d // 2)
+    with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
+        return basis.T @ entries.reshape(b, d * d, d * d)[:, rows, columns] @ basis
+
+
+def _envelopes(entries: np.ndarray):
+    """curvature_operator_envelope of each table of a Kahler (B, d, d, d, d)
+    stack, as (B, 2), from one stacked eigvalsh of the (B, n^2, n^2) Q's
+    (_kahler_operators): each is its one-tensor value bit for bit. Also the
+    (B, 2) bounds [lo - slack, hi + slack] that sandwich converged extremes,
+    slack = 1e-9 max(|lo|, |hi|): relative, so that 2^k R sandwiches as R
+    does; the (B, 2) certificates of min K = min H (lambda_max(Q) + margin
+    <= 0) and max K = max H (lambda_min(Q) - margin >= 0) that _multistart
+    reads (see the module docstring); and the Q's.
+
+    The margin covers rounding, relative to |Q| = max |lambda|. eigvalsh is
+    backward stable: its eigenvalues are those of Q + E with |E| of order
+    n^2 eps |Q| (Weyl's inequality moves each by at most |E|). Forming Q
+    sums at most n^2 nonzero products per entry, each of at most |Q| (B's
+    columns are unit with at most n nonzeros), so its error is at most about
+    n^2 eps |Q| per entry and n^4 eps |Q| in norm. margin = d^2 n^2 eps |Q|
+    covers both with room; near the model lambda_max(Q) is about -|s0|/2, far
+    outside it.
+    """
+    quads = _kahler_operators(entries)
+    size = quads.shape[-1]  # n^2
+    spectra = np.linalg.eigvalsh(quads)[:, [0, -1]]
+    envelopes = spectra.copy()
+    if size > 1:  # the n^2 - n zeros of [Lambda^{2,0}] join the spectrum
+        envelopes[:, 0] = np.minimum(envelopes[:, 0], 0.0)
+        envelopes[:, 1] = np.maximum(envelopes[:, 1], 0.0)
     with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
         slack = 1e-9 * np.abs(envelopes).max(axis=1, keepdims=True)
-    return envelopes, envelopes + slack * [-1.0, 1.0]
+        margin = 4 * size * size * EPS * np.abs(spectra).max(axis=1)  # d^2 n^2 eps |Q|
+    certified = np.stack([spectra[:, 1] + margin <= 0.0, spectra[:, 0] - margin >= 0.0], axis=1)
+    return envelopes, envelopes + slack * [-1.0, 1.0], certified, quads
 
 
 @lru_cache(maxsize=None)
@@ -243,6 +299,37 @@ def _bivector_block(d: int) -> tuple[np.ndarray, np.ndarray]:
     pairs = i * d + j
     pairs.flags.writeable = False
     return np.ix_(pairs, pairs)
+
+
+@lru_cache(maxsize=None)
+def _kahler_bivectors(n: int) -> np.ndarray:
+    """An orthonormal basis of Lambda^{1,1}, the J-invariant bivectors, in the
+    coordinates b_ij (i < j) of curvature_operator_envelope, as the columns
+    of a read-only (n (2n - 1), n^2) matrix. With e_ab = e_a ^ e_b:
+      the unit Kahler form w = sum_a e_{2a,2a+1} / sqrt(n) first;
+      then n - 1 traceless diagonal forms, the Helmert columns
+      (sum_{a<k} e_{2a,2a+1} - k e_{2k,2k+1}) / sqrt(k (k + 1)), k = 1..n-1;
+      then per pair a < b, (e_{2a,2b} + e_{2a+1,2b+1}) / sqrt(2) and
+      (e_{2a,2b+1} - e_{2a+1,2b}) / sqrt(2).
+    At n = 2 these are _surface_basis' [w | f1 f2 f3].
+    """
+    d = 2 * n
+    i, j = np.triu_indices(d, 1)
+    coordinate = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
+    basis = np.zeros((len(i), n * n))
+    diagonal = [coordinate[2 * a, 2 * a + 1] for a in range(n)]
+    basis[diagonal, 0] = 1.0 / np.sqrt(n)
+    for k in range(1, n):
+        basis[diagonal[:k], k] = 1.0 / np.sqrt(k * (k + 1))
+        basis[diagonal[k], k] = -k / np.sqrt(k * (k + 1))
+    column, half = n, 1.0 / np.sqrt(2.0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            basis[[coordinate[2 * a, 2 * b], coordinate[2 * a + 1, 2 * b + 1]], column] = half
+            basis[[coordinate[2 * a, 2 * b + 1], coordinate[2 * a + 1, 2 * b]], column + 1] = [half, -half]
+            column += 2
+    basis.flags.writeable = False
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +717,8 @@ def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of curvature_operator_envelope, ordered 01, 02, 03, 12, 13, 23.
 
     Returns the flat pair indices i * 4 + j, the orthonormal basis
-    [w | f1 f2 f3] of Lambda^{1,1} (the J-invariant bivectors) as columns, and
+    [w | f1 f2 f3] of Lambda^{1,1} (the J-invariant bivectors) as columns
+    (_kahler_bivectors(2)), and
     a unit bivector e of [Lambda^{2,0}] (the J-anti-invariant ones). Here
     w = (e01 + e23)/sqrt(2) is the unit Kahler form, oriented so that u ^ Ju
     has a positive w-component, and f1, f2, f3 span Lambda^{1,1}_0.
@@ -640,15 +728,7 @@ def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     when both of its parts have length 1/sqrt(2).
     """
     i, j = np.triu_indices(4, 1)
-    basis = np.array(
-        [
-            [1, 0, 0, 0, 0, 1],  # w
-            [1, 0, 0, 0, 0, -1],
-            [0, 1, 0, 0, 1, 0],
-            [0, 0, 1, -1, 0, 0],
-        ]
-    ).T / np.sqrt(2.0)
-    return i * 4 + j, basis, np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
+    return i * 4 + j, _kahler_bivectors(2), np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
 
 
 @lru_cache(maxsize=None)
@@ -721,10 +801,11 @@ def _secular_top(c, g):
     return y / _row_norms(y)
 
 
-def _surface_rows(mats: np.ndarray) -> np.ndarray:
+def _surface_rows(quads: np.ndarray) -> np.ndarray:
     """Exact witness rows [u | v] of the extremes of K (planes) and of H at n = 2.
 
-    mats are the tensors' (B, 16, 16) pair matrices at unit curvature scale.
+    quads are the tensors' (B, 4, 4) operators Q on Lambda^{1,1}
+    (_kahler_operators) at unit curvature scale.
     A tensor gives the rows [min candidates | max candidates], each (H,
     interior); the extremes of K are the least and greatest values among
     them. The H candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], are the
@@ -734,8 +815,8 @@ def _surface_rows(mats: np.ndarray) -> np.ndarray:
     since LAPACK works per matrix, and one _secular_top call over the 2B
     sphere problems.
 
-    On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with the pair
-    matrix written on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the
+    On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with Q written
+    on [w | Lambda^{1,1}_0] (_surface_basis) as Q = [[q, r^T], [r, C]], the
     plane b = (s w + sqrt(1 - s^2) e + y)/sqrt(2), s in [-1, 1] and y on the
     unit sphere of Lambda^{1,1}_0 (see _surface_basis), has
     K = (q s^2 + 2 s <r, y> + <Cy, y>)/2. Every such (s, y) is a plane, and
@@ -754,10 +835,9 @@ def _surface_rows(mats: np.ndarray) -> np.ndarray:
     longest column as a 4 x 4 antisymmetric matrix (one scatter of [b | -b]
     at _antisymmetric_index), and v = b^T u, so that u ^ v = b.
     """
-    pairs, basis, e20 = _surface_basis()
+    _, basis, e20 = _surface_basis()
     antisymmetric = _antisymmetric_index()
-    quad = basis.T @ mats[:, pairs[:, None], pairs] @ basis
-    q, r, cmat = quad[:, 0, 0], quad[:, 1:, 0], quad[:, 1:, 1:]
+    q, r, cmat = quads[:, 0, 0], quads[:, 1:, 0], quads[:, 1:, 1:]
     count = len(q)
     q_eig = np.where(np.abs(q) > EPS, q, 1.0)
     c, vecs = np.linalg.eigh(np.concatenate([cmat, cmat - r[:, :, None] * r[:, None, :] / q_eig[:, None, None]]))
@@ -811,7 +891,10 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     Descends and ascends the pair objective from every start row of each
     tensor and kind. A batch's block of one tensor and kind holds its start
     rows twice, descending then ascending (_start_rows); the plane blocks
-    come first, then the same tensors' J-line blocks. Consecutive tensors
+    come first, then the same tensors' J-line blocks. A plane block holds
+    no rows for a side that its tensor's sign certificate (`_envelopes`)
+    gives to H while its J-line block shares the batch: that side reads the
+    J-line rows (see the module docstring). Consecutive tensors
     share one _optimize batch while their plane rows fit in BATCH_ROWS (a
     batch holds at least one tensor), and a tensor's J-line rows ride along.
     _optimize and _stable see each tensor divided by its curvature scale
@@ -831,10 +914,11 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
 
     At n = 2, restarts=None runs no optimizer: the extremes are exact
     (_surface_rows), values at their witness rows, with restarts 0 and stable
-    true. One _surface_rows call serves every kind (the planes' H candidates
-    are the J-line rows), and one `curvature._biquadratic` call per kind
-    evaluates its retracted rows: _pair_state's values, with one GEMM per
-    tensor.
+    true. One _surface_rows call on the unit-scale Q's serves every kind
+    (the planes' H candidates are the J-line rows), and one
+    `curvature._biquadratic` call per kind evaluates its rows, the planes as
+    _surface_rows gives them and the J-lines retracted: _pair_state's
+    values, with one GEMM per tensor.
     """
     if restarts is not None and restarts < 1:
         raise PreconditionError("restarts must be >= 1")
@@ -847,7 +931,12 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     scales[scales == 0.0] = 1.0
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
-    envelopes, bounds = _envelopes(entries) if True in kinds else (None, None)
+    closed_form = restarts is None and d == 4
+    if True in kinds:
+        envelopes, bounds, certified, quads = _envelopes(entries)
+    else:
+        envelopes, bounds, certified = None, None, None
+        quads = _kahler_operators(entries) if closed_form else None
     shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
     found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 
@@ -871,13 +960,14 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
             stable = stable & (lo <= extremes[:, 0]) & (extremes[:, 1] <= hi)
         found[planes].converged[ks] = stable
 
-    if restarts is None and d == 4:
+    if closed_form:
         mats = matrices / scales[:, None, None]
-        rows = _surface_rows(mats)
+        rows = _surface_rows(quads / scales[:, None, None])
         # each (tensor, side)'s first candidate is its H row, before retraction
         j_rows = rows.reshape(b, 2, 2, 8)[:, :, 0].reshape(-1, 8)
         for planes in kinds:
-            x = _orthonormalize_pairs(rows) if planes else _retract_j_lines(j_rows, jmat)
+            # _surface_rows' planes are orthonormal up to rounding
+            x = rows if planes else _retract_j_lines(j_rows, jmat)
             # _pair_state's values (curvature._biquadratic): one GEMM per tensor
             vals = _biquadratic(mats, x[:, :4].reshape(b, -1, 4), x[:, 4:].reshape(b, -1, 4))
             settle(planes, slice(None), vals.reshape(b, 2, -1), x, True)
@@ -890,30 +980,47 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
         # the queue holds its first runs, then its reruns
         batch = [entry for entry in queue[: max(1, BATCH_ROWS // (2 * count))] if entry[1] == count]
         del queue[: len(batch)]
-        # (kind, tensor) per block: the plane blocks, then the J-line blocks
-        blocks = [(planes, k) for planes in kinds for k, _, wanted in batch if planes in wanted]
-        owners = [k for _, k in blocks]
+        # (kind, tensor, sides) per block: the plane blocks, then the J-line
+        # blocks. A plane block runs no rows for a side that its tensor's
+        # certificate gives to the J-line block in the same batch
+        blocks = [
+            (planes, k, [side for side in (0, 1) if not (planes and False in wanted and certified[k, side])])
+            for planes in kinds
+            for k, _, wanted in batch
+            if planes in wanted
+        ]
+        sizes = [count * len(sides) for _, _, sides in blocks]
+        # the first row of each (kind, tensor, side) that runs
+        first = {
+            (planes, k, side): start + i * count
+            for (planes, k, sides), start in zip(blocks, np.cumsum([0, *sizes]).tolist())
+            for i, side in enumerate(sides)
+        }
+        owners = [k for _, k, _ in blocks]
         mats = [matrices[k] / scales[k] for k in owners]
         vals, x, iterations, reasons = _optimize(
-            np.concatenate([_start_rows(planes, space, seeds[k], count) for planes, k in blocks]),
-            np.tile(np.repeat([-1.0, 1.0], count), len(blocks)),
-            np.repeat(np.arange(len(blocks)), 2 * count),
+            np.concatenate([_start_rows(planes, space, seeds[k], count, len(sides)) for planes, k, sides in blocks]),
+            np.concatenate([np.repeat(np.array([-1.0, 1.0])[sides], count) for _, _, sides in blocks]),
+            np.repeat(np.arange(len(blocks)), sizes),
             lambda y, sizes: _pair_objective(mats, sizes, y),
             lambda y: _retract_j_lines(y, jmat),
-            (abs_s0[owners], mu[owners], np.array([not planes or plain_planes[k] for planes, k in blocks])),
-            sum(planes for planes, _ in blocks),
+            (abs_s0[owners], mu[owners], np.array([not planes or plain_planes[k] for planes, k, _ in blocks])),
+            sum(planes for planes, _, _ in blocks),
         )
-        rerun, stop = {}, 0
-        for planes in dict.fromkeys(kind for kind, _ in blocks):  # the batch's kinds, planes first
-            ks = [k for kind, k in blocks if kind == planes]
-            start, stop = stop, stop + 2 * count * len(ks)
-            sides = vals[start:stop].reshape(len(ks), 2, count)
+        rerun = {}
+        for planes in dict.fromkeys(kind for kind, _, _ in blocks):  # the batch's kinds, planes first
+            ks = [k for kind, k, _ in blocks if kind == planes]
+            # (tensors, 2, count): each tensor's minimum rows, then its maximum rows; a
+            # certified plane side reads its J-line rows
+            starts = [[first.get((planes, k, side), first.get((False, k, side))) for side in (0, 1)] for k in ks]
+            index = np.array(starts)[:, :, None] + np.arange(count)
+            sides = vals[index]
             stable = np.array([_stable(lo, False) and _stable(hi, True) for lo, hi in sides])
             found[planes].restarts[ks] = count
-            steps, exits = (a[start:stop].reshape(len(ks), -1) for a in (iterations, reasons))
+            steps, exits = (a[index].reshape(len(ks), -1) for a in (iterations, reasons))
             counts = (exits[:, :, None] == np.arange(len(EXIT_REASONS))).sum(axis=1)
             found[planes].diagnostics[ks] = np.column_stack([counts, steps.sum(axis=1), steps.max(axis=1)])
-            settle(planes, ks, sides, x[start:stop], stable)
+            settle(planes, ks, sides, x[index.reshape(-1)], stable)
             if restarts is None and count == DEFAULT_RESTARTS:
                 for k in np.array(ks, dtype=int)[~found[planes].converged[ks]].tolist():
                     rerun.setdefault(k, []).append(planes)
@@ -921,14 +1028,14 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     return [found[planes] for planes in kinds]
 
 
-def _start_rows(planes: bool, space, seed: int, restarts: int) -> np.ndarray:
-    """A block's start rows: each restart's row twice (descending, then
-    ascending), retracted. Planes read the generator (seed), J-lines [u | Ju]
-    the generator (seed, 7)."""
+def _start_rows(planes: bool, space, seed: int, restarts: int, sides: int) -> np.ndarray:
+    """A block's start rows: each restart's row once per side it runs
+    (descending, then ascending), retracted. Planes read the generator
+    (seed), J-lines [u | Ju] the generator (seed, 7)."""
     if planes:
-        return _orthonormalize_pairs(np.tile(_inits(2 * space.dim, seed, restarts), (2, 1)))
+        return _orthonormalize_pairs(np.tile(_inits(2 * space.dim, seed, restarts), (sides, 1)))
     jmat = space.j_matrix
-    return _retract_j_lines(np.tile(_j_lines(_inits(space.dim, seed, restarts, 7), jmat), (2, 1)), jmat)
+    return _retract_j_lines(np.tile(_j_lines(_inits(space.dim, seed, restarts, 7), jmat), (sides, 1)), jmat)
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:

@@ -556,13 +556,26 @@ def _canonical(value) -> str:
     return json.dumps(data, sort_keys=True)
 
 
+def _joint_reports(tensor, restarts, seed):
+    """The pinch and hol_extremes reports of one tensor from the joint pass a
+    sweep chunk runs, on a chunk of one. Its plane report is pinch's, except
+    that a side that the tensor's sign certificate gives to H reads the
+    J-line rows (test_joint_batches_read_certified_sides_from_the_j_lines)."""
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.pinching import _multistart, _reports
+
+    planes, lines = _multistart(_certified_stack([tensor]), restarts, [seed], (True, False))
+    return _reports(True, planes)[0], _reports(False, lines)[0]
+
+
 def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
-    """sweep's records composed from the public one-tensor calls, record by record.
+    """sweep's records composed one tensor at a time: each tensor's joint
+    pinch and hol_extremes pass on its own, then the public one-tensor calls.
 
     H is linear in R: the normalized tensor's holomorphic extremes are
     normalization.scale times the perturbed tensor's.
     """
-    from kahlerpinch import complex_hyperbolic_tensor, hol_extremes, make_space, normalize_quarter, pinch
+    from kahlerpinch import complex_hyperbolic_tensor, make_space, normalize_quarter
     from kahlerpinch.space import _sample_seeds
 
     space = make_space(n)
@@ -572,10 +585,9 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
         for sample in range(samples_per_t):
             sample_seed = _sample_seeds([(seed, t_index, sample)])[0]
             tensor = perturb(space, t, sample_seed)
-            report = pinch(tensor, restarts=restarts, seed=sample_seed)
+            report, hol = _joint_reports(tensor, restarts, sample_seed)
             normalization = normalize_quarter(tensor, report)
             normalized = normalization.tensor
-            hol = hol_extremes(tensor, restarts=restarts, seed=sample_seed)
             h_min, h_max = normalization.scale * hol.h_min, normalization.scale * hol.h_max
             ratio_devs = _ratio_deviations(normalized)
             records.append(
@@ -600,6 +612,7 @@ def _sweep_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts):
     [
         (2, [0.1, 0.0, 0.0125, 0.025, 0.05], 3, 5, 64),
         (3, [0.0, 0.05], 3, 6, 16),
+        (4, [0.0, 0.02], 3, 1, None),
     ],
 )
 def test_sweep_equals_one_tensor_at_a_time(n, t_values, samples_per_t, seed, restarts, monkeypatch):
@@ -713,15 +726,94 @@ def test_sweep_batches_stay_within_the_row_budget(monkeypatch):
     per_batch = BATCH_ROWS // 128
     assert per_batch >= 2
     # one loop per batch: each tensor's plane block, then the same tensors'
-    # J-line blocks, 128 rows each, with at most BATCH_ROWS plane rows
+    # J-line blocks, at most BATCH_ROWS // 128 tensors. Every tensor near the
+    # model is certified for the minimum, so its plane block runs only its 64
+    # ascending rows and its J-line block both sides' 128
     tensors = [per_batch] * (20 // per_batch) + [20 % per_batch] * (20 % per_batch > 0)
     assert [(blocks, planes) for _, blocks, planes in batches] == [(2 * k, k) for k in tensors]
-    assert all(rows == 128 * blocks and 128 * planes <= BATCH_ROWS for rows, blocks, planes in batches)
-    # the default budget is 64 restarts at n = 4 too: 128 rows per tensor and
-    # kind, so both tensors share one batch (t = 0 converges, so no rerun)
+    assert all(rows == (64 + 128) * planes for rows, _, planes in batches)
+    # the default budget is 64 restarts at n = 4 too, so both tensors share
+    # one batch (t = 0 converges, so no rerun)
     batches.clear()
     sweep(4, [0.0], samples_per_t=2, seed=1)
-    assert batches == [(512, 4, 2)]
+    assert batches == [(384, 4, 2)]
+
+
+# sweep(3, [0.0, 0.02, 0.05], 2, seed) and sweep(4, [0.0, 0.02], 1, seed) for
+# seeds 1-3, recorded when a sweep batch still ran every tensor's descending
+# plane rows: (t, sample seed, delta, frobenius_dist, h_dev, ratio_dev_max,
+# the sum of ratio_devs, converged, anomaly) per record
+_SWEEPS_WITH_PLANE_MINIMA = {
+    (3, 1): [
+        (0.0, 1835504127, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.0, 1501029259, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 1189033389, 0.014928673964186068, 0.05881269641432263, 0.014928673964186068,
+         0.00017560234780589212, 0.00023253626294623964, True, False),
+        (0.02, 1639030180, 0.011450966619124037, 0.04137957122188766, 0.011450966619124037,
+         0.00018673323310913759, 0.00024727441593573596, True, False),
+        (0.05, 1596810411, 0.03750521779412108, 0.13281830860283492, 0.03750521779412086,
+         0.0011078885440305442, 0.0014669747788333548, True, False),
+        (0.05, 830043460, 0.03998781819418129, 0.15126887995753222, 0.03998781819418151,
+         0.0011503430035784135, 0.0015234170286418658, True, False),
+    ],
+    (3, 2): [
+        (0.0, 2834126987, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.0, 3720552013, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 307626447, 0.01417785301408081, 0.05460463468226726, 0.014177853014081032,
+         0.0001473088481080964, 0.00019506793124063337, True, False),
+        (0.02, 959653083, 0.01569947715998099, 0.05134083744497649, 0.015699477159981434,
+         0.00016623175519114852, 0.00022013420143891793, True, False),
+        (0.05, 1340026844, 0.035794682575781334, 0.12568859451778586, 0.035794682575781556,
+         0.0010539964328390994, 0.0013956979894793747, True, False),
+        (0.05, 674825418, 0.03520739331741973, 0.11239452527874702, 0.03520739331742018,
+         0.0002968205671720625, 0.00039305441850630285, True, False),
+    ],
+    (3, 3): [
+        (0.0, 1576890651, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.0, 3578933982, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 457190280, 0.012764989643523572, 0.04555082095729889, 0.012764989643523794,
+         0.00013316692844611566, 0.00017633581841187962, True, False),
+        (0.02, 3420841517, 0.013989431117029216, 0.052102478293640384, 0.013989431117029216,
+         0.00011992467304189347, 0.00015881536606669744, True, False),
+        (0.05, 960329833, 0.03807871686286468, 0.1397164947811788, 0.03807871686286468,
+         0.0006830723894832857, 0.0009045549669043501, True, False),
+        (0.05, 1760858510, 0.03749212859146822, 0.1370611309985122, 0.03749212859146822,
+         0.0010197886328899841, 0.0013504411897078406, True, False),
+    ],
+    (4, 1): [
+        (0.0, 1835504127, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 1189033389, 0.014523231730681596, 0.06988357234713842, 0.01452323173068204,
+         0.0006650284228300052, 0.0010462746809922086, True, False),
+    ],
+    (4, 2): [
+        (0.0, 2834126987, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 307626447, 0.011452756712057699, 0.057751959774988565, 0.011452756712057699,
+         0.0009643920085835589, 0.0015172398085481643, True, False),
+    ],
+    (4, 3): [
+        (0.0, 1576890651, 0.0, 0.0, 0.0, 0.0, 0.0, True, False),
+        (0.02, 457190280, 0.011125194437186847, 0.05660684621223569, 0.011125194437186847,
+         0.001025319465398411, 0.001613037462490979, True, False),
+    ],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_SWEEPS_WITH_PLANE_MINIMA))
+def test_sweep_records_keep_their_values_when_k_min_is_read_from_h(n, seed):
+    # a tensor certified for the minimum takes K's minimum from H's J-line
+    # rows: every record stays within 1e-12 relative of the plane rows'
+    # values, with the same flags, and t = 0 rows stay exactly 0
+    ts, samples = ([0.0, 0.02, 0.05], 2) if n == 3 else ([0.0, 0.02], 1)
+    records = sweep(n, ts, samples, seed)
+    assert len(records) == len(_SWEEPS_WITH_PLANE_MINIMA[n, seed])
+    for record, expected in zip(records, _SWEEPS_WITH_PLANE_MINIMA[n, seed]):
+        got = (
+            record.t, record.seed, record.delta, record.frobenius_dist, record.h_dev,
+            record.ratio_dev_max, sum(record.ratio_devs.values()), record.converged, record.anomaly,
+        )
+        assert got[:2] == expected[:2] and got[7:] == expected[7:]
+        for value, want in zip(got[2:7], expected[2:7]):
+            assert abs(value - want) <= 1e-12 * abs(want), (record, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 from pathlib import Path
@@ -73,6 +74,10 @@ def test_ci_workflow_runs_the_tier1_suite():
     assert runs.index(chern) > runs.index("kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json")
     # and on the identity suite's stacked pair draw
     assert "kahlerpinch identities --n 3 --samples 50 --seed 1" in runs
+    # and on sweeps at n = 2 (the closed form) and then n = 3 (the optimizer)
+    configs = re.findall(r"echo '(\{.*\})' > (sweep3?)\.json", workflow)
+    assert [(json.loads(config)["n"], name) for config, name in configs] == [(2, "sweep"), (3, "sweep3")]
+    assert 'test "$(wc -l < sweep3.csv)" -eq 3' in workflow
     assert re.search(r"python-version: \[\"3\.11\", \"3\.12\"\]", workflow)
     assert re.search(r"OPENBLAS_CORETYPE: Haswell", workflow)
     # a hung step (say, the benchmark gate) must not hold the job for GitHub's 6-hour default

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kahlerpinch import (
     CurvatureTensor,
@@ -20,7 +22,7 @@ from kahlerpinch import (
     sectional,
     seeded_rng,
 )
-from kahlerpinch.pinching import DEFAULT_RESTARTS
+from kahlerpinch.pinching import DEFAULT_RESTARTS, EXIT_REASONS
 from kahlerpinch.errors import (
     InvalidDimensionError,
     NotNegativelyCurvedError,
@@ -82,6 +84,58 @@ def test_envelope_rayleigh_normalization(space2):
         b = np.array([u[i] * v[j] - u[j] * v[i] for (i, j) in pairs])
         assert abs(np.linalg.norm(b) - 1.0) < 1e-12
         assert b @ matrix @ b == pytest.approx(sectional(tensor, TwoPlane(u, v)), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kahler_operator_spectrum_is_the_bivector_spectrum_less_its_zeros(n):
+    # a Kahler R vanishes on the n^2 - n dimensions of [Lambda^{2,0}], so the
+    # bivector operator's spectrum is Q's with n^2 - n zeros
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import _kahler_operators
+
+    space = make_space(n)
+    tensors = [random_kahler(space, seed=s) for s in (1, 2)] + [perturb(space, 0.02, 1)]
+    tensors.append(tensors[-1].scaled(-1.0))
+    entries = _certified_stack(tensors)
+    quads = _kahler_operators(entries)
+    assert quads.shape == (4, n * n, n * n)
+    i, j = np.triu_indices(2 * n, 1)
+    pairs = i * 2 * n + j
+    block = entries.reshape(4, 4 * n * n, 4 * n * n)[:, pairs[:, None], pairs]
+    expected = np.linalg.eigvalsh(block)
+    spectra = np.sort(np.concatenate([np.linalg.eigvalsh(quads), np.zeros((4, n * n - n))], axis=1), axis=1)
+    scale = np.abs(expected).max(axis=1, keepdims=True)
+    assert np.all(np.abs(spectra - expected) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kahler_bivectors_are_an_orthonormal_j_invariant_basis_led_by_the_kahler_form(n):
+    from kahlerpinch.pinching import _kahler_bivectors
+
+    basis = _kahler_bivectors(n)
+    assert basis.shape == (n * (2 * n - 1), n * n) and not basis.flags.writeable
+    assert np.allclose(basis.T @ basis, np.eye(n * n), rtol=0.0, atol=1e-15)
+    jmat = make_space(n).j_matrix
+    i, j = np.triu_indices(2 * n, 1)
+    for b in basis.T:
+        matrix = np.zeros((2 * n, 2 * n))
+        matrix[i, j], matrix[j, i] = b, -b
+        assert np.allclose(jmat @ matrix @ jmat.T, matrix, rtol=0.0, atol=1e-15)
+    # the unit Kahler form first: u ^ Ju has w-component 1/sqrt(n) for unit u
+    for u in seeded_rng(n, 5).standard_normal((5, 2 * n)):
+        u /= np.linalg.norm(u)
+        ju = jmat @ u
+        wedge = np.outer(u, ju) - np.outer(ju, u)
+        assert wedge[i, j] @ basis[:, 0] == pytest.approx(1.0 / np.sqrt(n), rel=1e-14)
+
+
+def test_kahler_bivectors_at_n2_are_the_surface_basis():
+    from kahlerpinch.pinching import _kahler_bivectors, _surface_basis
+
+    written_out = np.array([[1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]])
+    assert _kahler_bivectors(2).tobytes() == (written_out.T / np.sqrt(2.0)).tobytes()
+    assert _surface_basis()[1].tobytes() == _kahler_bivectors(2).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +711,9 @@ def test_extremes_scale_by_powers_of_two_bit_for_bit(n):
 
 def _product_of_hyperbolic_curves():
     # K = -1 on the planes span(e0, e1) and span(e2, e3), so the envelope is
-    # tight at lo = k_min = -1 and the optimizer's k_min can round just below it
+    # tight at lo = k_min = -1 and the optimizer's k_min can round just below it.
+    # Q's basis has entries 1/sqrt(2), whose square rounds below 1/2, so lo is
+    # -1 only up to rounding
     entries = np.zeros((4,) * 4)
     for a, b in ((0, 1), (2, 3)):
         entries[a, b, a, b] = entries[b, a, b, a] = -1.0
@@ -668,7 +724,8 @@ def _product_of_hyperbolic_curves():
 def test_sandwich_slack_is_relative_to_the_curvature_scale():
     tensor = _product_of_hyperbolic_curves()
     base = pinch(tensor, restarts=DEFAULT_RESTARTS, seed=1)
-    assert base.envelope_lo == -1.0 and base.k_min == pytest.approx(-1.0, rel=1e-14, abs=0.0)
+    assert base.envelope_lo == pytest.approx(-1.0, rel=1e-15, abs=0.0)
+    assert base.k_min == pytest.approx(-1.0, rel=1e-14, abs=0.0)
     assert base.converged and base.restarts == 64
     for k in (-1000, 30, 40, 1000):
         report = pinch(tensor.scaled(2.0**k), restarts=DEFAULT_RESTARTS, seed=1)
@@ -843,10 +900,11 @@ def test_surface_extremes_in_the_hard_case():
 def test_sandwich_slack_is_relative_to_the_curvature_scale_at_n2():
     # twin of test_sandwich_slack_is_relative_to_the_curvature_scale on the
     # exact path: K = -1 on the planes span(e0, e1) and span(e2, e3), where the
-    # envelope is tight
+    # envelope is tight up to rounding
     tensor = _product_of_hyperbolic_curves()
     base = pinch(tensor, seed=1)
-    assert base.envelope_lo == -1.0 and base.k_min == pytest.approx(-1.0, rel=1e-15, abs=0.0)
+    assert base.envelope_lo == pytest.approx(-1.0, rel=1e-15, abs=0.0)
+    assert base.k_min == pytest.approx(-1.0, rel=1e-15, abs=0.0)
     assert base.k_max == pytest.approx(0.0, rel=0.0, abs=1e-16)
     assert base.converged and base.restarts == 0
     for k in (-1000, 30, 40, 1000):
@@ -1054,16 +1112,6 @@ def test_secular_top_returns_unit_rows_at_its_iteration_cap(monkeypatch):
     assert not np.array_equal(capped, full)  # some rows were cut off at the cap
 
 
-def _surface_mats(quads):
-    """(B, 16, 16) pair matrices whose bivector operator is _SURFACE_BASIS Q _SURFACE_BASIS^T:
-    Q = [[q, r^T], [r, C]] on [w | Lambda^{1,1}_0] and 0 on [Lambda^{2,0}]."""
-    i, j = np.triu_indices(4, 1)
-    pairs = i * 4 + j
-    mats = np.zeros((len(quads), 16, 16))
-    mats[:, pairs[:, None], pairs] = _SURFACE_BASIS @ quads @ _SURFACE_BASIS.T
-    return mats
-
-
 def _surface_coordinates(rows):
     """(s, y) of the planes [u | v], b = u ^ v = (s w + sqrt(1 - s^2) e + y)/sqrt(2)."""
     i, j = np.triu_indices(4, 1)
@@ -1084,7 +1132,7 @@ def test_interior_candidates_are_the_top_eigenvectors_of_the_rank_one_update():
     quads[:, 0, 0], quads[:, 0, 1:], quads[:, 1:, 0] = -q, g, g
     quads[:, 1:, 1:] = np.einsum("mi,ij->mij", c, np.eye(3))
     for side, sign in ((1, 1.0), (0, -1.0)):
-        rows = _surface_rows(_surface_mats(sign * quads)).reshape(len(c), 2, 2, 8)[:, side, 1]
+        rows = _surface_rows(sign * quads).reshape(len(c), 2, 2, 8)[:, side, 1]
         _, y = _surface_coordinates(rows)
         for row, (cr, gr, qr) in enumerate(zip(c, g, q)):
             update = np.diag(cr) + np.outer(gr, gr) / qr
@@ -1098,12 +1146,13 @@ def test_surface_interior_candidates_have_nonnegative_s():
     # the interior candidate (s, y) and (-s, -y) have the same K, but not the
     # same plane; the candidate takes s = -<r, y>/q >= 0, so that the witness
     # planes do not depend on the sign that eigh gives an eigenvector
-    from kahlerpinch.pinching import _stacked_model_coordinates, _surface_rows
+    from kahlerpinch.pinching import _kahler_operators, _stacked_model_coordinates, _surface_rows
 
     tensors = _surface_oracle_tensors()
-    scales = np.hypot(*_stacked_model_coordinates(np.array([t.entries for t in tensors])))
-    mats = np.stack([t.matrix / (scale or 1.0) for t, scale in zip(tensors, scales)])  # at unit scale
-    rows = _surface_rows(mats).reshape(len(tensors), 2, 2, 8)
+    entries = np.array([t.entries for t in tensors])
+    scales = np.hypot(*_stacked_model_coordinates(entries))
+    quads = _kahler_operators(entries) / np.where(scales > 0.0, scales, 1.0)[:, None, None]  # at unit scale
+    rows = _surface_rows(quads).reshape(len(tensors), 2, 2, 8)
     s, _ = _surface_coordinates(rows[:, :, 1].reshape(-1, 8))
     assert np.all(s >= -1e-15)
     assert np.sum(s > 0.1) >= 20  # interior candidates that are not H's
@@ -1114,6 +1163,25 @@ def test_surface_interior_candidates_have_nonnegative_s():
         for plane in (report.argmin_plane, report.argmax_plane):
             s, _ = _surface_coordinates(np.concatenate([plane.u, plane.v])[None])
             assert s[0] >= -1e-15
+
+
+def test_surface_plane_rows_are_orthonormal_without_a_gram_schmidt_pass():
+    # _multistart's n = 2 branch takes _surface_rows' planes as they are: u is
+    # normalized and v = b^T u for a unit simple bivector b, so both rows are
+    # unit and orthogonal to within a few eps
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import EPS, _kahler_operators, _stacked_model_coordinates, _surface_rows
+
+    space = make_space(2)
+    tensors = _surface_oracle_tensors() + _degenerate_surfaces() + [random_kahler(space, seed=s) for s in range(40)]
+    tensors += [perturb(space, t, s) for t in (1e-7, 1e-3, 0.05, 0.2) for s in range(20)]
+    entries = _certified_stack(tensors)
+    scales = np.hypot(*_stacked_model_coordinates(entries))
+    rows = _surface_rows(_kahler_operators(entries) / np.where(scales > 0.0, scales, 1.0)[:, None, None])
+    u, v = rows[:, :4], rows[:, 4:]
+    for deviation in (np.sum(u * u, axis=1) - 1.0, np.sum(v * v, axis=1) - 1.0, np.sum(u * v, axis=1)):
+        assert np.abs(deviation).max() <= 8 * EPS
 
 
 def test_secular_top_runs_a_permuted_batch_as_its_one_row_calls():
@@ -1431,6 +1499,20 @@ def _joint_batch(tensors, restarts, seeds):
     return _reports(True, planes), _reports(False, lines)
 
 
+def _uncertified(monkeypatch):
+    """Patch _envelopes so that no tensor's sign certificate holds: every plane
+    block of a joint batch then runs both sides, as a planes-only batch does."""
+    from kahlerpinch import pinching
+
+    envelopes = pinching._envelopes
+
+    def uncertified(entries):
+        found = envelopes(entries)
+        return found[0], found[1], np.zeros_like(found[2]), found[3]
+
+    monkeypatch.setattr(pinching, "_envelopes", uncertified)
+
+
 def _record_blocks(monkeypatch):
     """Patch _optimize; returns a list that collects, per call, each objective call's block sizes."""
     from kahlerpinch import pinching
@@ -1601,9 +1683,12 @@ def test_batched_reports_equal_one_tensor_calls_when_one_tensor_escalates(monkey
 @pytest.mark.parametrize("restarts", [None, 16])
 def test_joint_batches_equal_the_one_kind_batches_bit_for_bit(n, restarts, monkeypatch):
     # a joint batch runs each tensor's plane and J-line blocks in one loop:
-    # its plane reports are _pinch_batch's, its J-line reports _hol_batch's
+    # with no sign certificate, its plane reports are _pinch_batch's, its
+    # J-line reports _hol_batch's (certified sides:
+    # test_joint_batches_read_certified_sides_from_the_j_lines)
     from kahlerpinch.pinching import BATCH_ROWS, _hol_batch, _pinch_batch
 
+    _uncertified(monkeypatch)
     tensors, seeds = _mixed_batch(n)
     expected = [_bits(r) for r in _pinch_batch(tensors, restarts, seeds)], [
         _bits(r) for r in _hol_batch(tensors, restarts, seeds)
@@ -1674,11 +1759,13 @@ def test_surface_batches_run_one_eigenbasis_and_one_secular_loop(monkeypatch):
 
 def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
     # with a small iteration budget some first runs are unstable: each tensor
-    # reruns only its unconverged kinds, and every report still equals its
-    # one-kind batch's (and so the explicit 256-restart call)
+    # reruns only its unconverged kinds, and with no sign certificate every
+    # report still equals its one-kind batch's (and so the explicit
+    # 256-restart call)
     from kahlerpinch import pinching
     from kahlerpinch.pinching import _hol_batch, _pinch_batch
 
+    _uncertified(monkeypatch)
     monkeypatch.setattr(pinching, "MAX_ITER", 12)
     tensors, seeds = _mixed_batch(3)
     pinches, hols = _pinch_batch(tensors, None, seeds), _hol_batch(tensors, None, seeds)
@@ -1694,6 +1781,135 @@ def test_joint_batches_escalate_per_tensor_and_kind(monkeypatch):
     k = kinds.index(2)
     assert _bits(joint[0][k]) == _bits(pinch(tensors[k], restarts=256, seed=seeds[k]))
     assert _bits(joint[1][k]) == _bits(hol_extremes(tensors[k], restarts=256, seed=seeds[k]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_joint_batches_read_certified_sides_from_the_j_lines(n, monkeypatch):
+    # a side that its tensor's certificate gives to H (lambda_max(Q) + margin
+    # <= 0 for the minimum, lambda_min(Q) - margin >= 0 for the maximum) runs
+    # no plane rows when the tensor's J-line block shares the batch: its K
+    # extreme is the J-line rows' H extreme, with the witness [u | Ju]. The
+    # other side and every J-line report are the one-kind batches' bit for
+    # bit, and so is every report of an uncertified tensor
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.pinching import _envelopes, _hol_batch, _pinch_batch
+
+    tensors, seeds = _mixed_batch(n)
+    certified = _envelopes(_certified_stack(tensors))[2].tolist()
+    pinches, hols = _pinch_batch(tensors, 16, seeds), _hol_batch(tensors, 16, seeds)
+    calls = _record_blocks(monkeypatch)
+    planes, lines = _joint_batch(tensors, 16, seeds)
+    assert [_bits(r) for r in lines] == [_bits(r) for r in hols]
+    jmat = make_space(n).j_matrix
+    for report, pinched, hol, sides in zip(planes, pinches, hols, certified):
+        if not any(sides):
+            assert _bits(report) == _bits(pinched)
+            continue
+        for side, k, witness, h, u in (
+            (sides[0], "k_min", "argmin_plane", hol.h_min, hol.argmin_u),
+            (sides[1], "k_max", "argmax_plane", hol.h_max, hol.argmax_u),
+        ):
+            if side:
+                assert getattr(report, k) == h
+                assert _bits(getattr(report, witness)) == _bits(TwoPlane(u, u @ jmat.T))
+            else:
+                assert getattr(report, k) == getattr(pinched, k)
+                assert _bits(getattr(report, witness)) == _bits(getattr(pinched, witness))
+        assert report.restarts == 16 and sum(getattr(report.diagnostics, r) for r in EXIT_REASONS) == 32
+        assert (report.envelope_lo, report.envelope_hi) == (pinched.envelope_lo, pinched.envelope_hi)
+    # the model and the perturbed tensors are certified for the minimum
+    assert [certified[k][0] for k in (0, 1, 3)] == [True] * 3
+    if n >= 2:
+        assert not any(certified[2] + certified[4])  # random_kahler: K takes both signs
+    # one batch: the plane blocks, 16 rows per side run, then the J-line blocks
+    assert calls[0][0] == [16 * (2 - sum(sides)) for sides in certified] + [32] * len(tensors)
+
+
+def test_an_uncertified_minimum_runs_its_plane_rows_and_a_certified_maximum_reads_h():
+    # -R for R near the model is positively curved: lambda_max(Q) is about 2,
+    # so the minimum is not certified and its descending plane rows run (K's
+    # minimum, on a totally real plane, is far below H's); lambda_min(Q) is
+    # about 1/2, so the maximum is H's, bit for bit
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import _envelopes, _multistart
+
+    stack = _certified_stack([perturb(make_space(3), 0.02, 1).scaled(-1.0)])
+    assert _envelopes(stack)[2].tolist() == [[False, True]]
+    planes, lines = _multistart(stack, None, [1], (True, False))
+    (k_min, k_max), (h_min, h_max) = planes.values[0], lines.values[0]
+    assert k_min == pytest.approx(0.248, abs=1e-3) and h_min == pytest.approx(0.996, abs=1e-3)
+    assert k_max == h_max and planes.rows[0, 1].tobytes() == lines.rows[0, 1].tobytes()
+    assert planes.converged[0] and lines.converged[0]
+
+
+def test_a_zero_tensor_runs_an_empty_plane_block_in_a_joint_batch(monkeypatch):
+    # Q = 0 certifies both sides with a zero margin, so the zero tensor's plane
+    # block is empty and both of its extremes are read from its J-line rows,
+    # first or last in the batch
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(3)
+    zero = CurvatureTensor(space, np.zeros((6,) * 4))
+    calls = _record_blocks(monkeypatch)
+    for tensors in ([perturb(space, 0.05, 2), zero], [zero, perturb(space, 0.05, 2)]):
+        calls.clear()
+        planes, lines = _joint_batch(tensors, 8, [1, 2])
+        k = tensors.index(zero)
+        assert (planes[k].k_min, planes[k].k_max) == (lines[k].h_min, lines[k].h_max) == (0.0, 0.0)
+        assert planes[k].converged and planes[k].diagnostics.gradient_tol == 16
+        assert calls[0][0] == ([8, 0] if k else [0, 8]) + [16, 16]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    t=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_random_planes_stay_inside_a_certified_sides_extreme(n, t, seed, sign):
+    # a certified side's K extreme is H's; K at random planes never passes it
+    # by more than rounding
+    from kahlerpinch.curvature import _certified_stack
+    from kahlerpinch.experiments import perturb
+    from kahlerpinch.pinching import _envelopes, _multistart
+
+    space = make_space(n)
+    tensor = perturb(space, t, seed).scaled(sign)
+    stack = _certified_stack([tensor])
+    certified = _envelopes(stack)[2][0]
+    assert certified.tolist() == ([True, False] if sign > 0 else [False, True])
+    planes, lines = _multistart(stack, 8, [seed], (True, False))
+    k_min, k_max = planes.values[0]
+    assert (k_min if sign > 0 else k_max) == (lines.values[0, 0] if sign > 0 else lines.values[0, 1])
+    u, v = seeded_rng(seed, 3).standard_normal((2, 256, space.dim))
+    values = np.array([sectional(tensor, TwoPlane(a, b)) for a, b in zip(u, v)])
+    rounding = 1e-12 * max(abs(k_min), abs(k_max))
+    assert values.min() >= k_min - rounding and values.max() <= k_max + rounding
+
+
+def test_the_envelope_and_the_sign_certificates_read_one_eigvalsh_of_q(monkeypatch):
+    # one (B, n^2, n^2) eigvalsh per stack and no bivector-block one; at n = 2
+    # the closed form reads the same Q, so a default joint batch gathers the
+    # bivector block once
+    from kahlerpinch import pinching
+    from kahlerpinch.curvature import _certified_stack
+
+    shapes, gathers = [], []
+    eigvalsh, block = np.linalg.eigvalsh, pinching._bivector_block
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)) or eigvalsh(a))
+    monkeypatch.setattr(pinching, "_bivector_block", lambda d: gathers.append(d) or block(d))
+    for n in (2, 3):
+        tensors, seeds = _mixed_batch(n)
+        shapes.clear(), gathers.clear()
+        pinching._envelopes(_certified_stack(tensors))
+        assert shapes == [(5, n * n, n * n)] and gathers == [2 * n]
+    tensors, seeds = _mixed_batch(2)
+    shapes.clear(), gathers.clear()
+    _joint_batch(tensors, None, seeds)
+    assert shapes == [(5, 4, 4)] and gathers == [4]
 
 
 def test_default_budget_finds_the_256_restart_extremes_at_n4():
