@@ -37,8 +37,10 @@ restarts reach, not proven optima; the n = 2 closed form's are the extremes
 up to rounding. A rigorous eigenvalue envelope from the curvature operator
 on bivectors sandwiches both.
 
-The curvature operator Q on Lambda^{1,1} (_kahler_operators), built once per
-tensor in one stacked pass, serves three readers: the envelope, whose
+The curvature operator Q on Lambda^{1,1} (_kahler_operators), B^T M B / 2
+for the pair matrix M and a basis B of antisymmetric pair vectors (see
+curvature_operator_envelope), built once per tensor in one stacked pass,
+serves three readers: the envelope, whose
 spectrum is Q's with the n^2 - n zeros of [Lambda^{2,0}]; a sign
 certificate; and at n = 2 the closed form. The certificate rests on a lemma,
 in both directions: if lambda_max(Q) <= 0, then min K = min H, with a
@@ -78,7 +80,9 @@ Three kinds of rows keep the plain step: the J-line rows of H, where M
 reduces to mu I; the rows of a space form up to rounding
 (mu <= d^2 eps |s0|, d = 2n), where M is singular or amplifies the
 gradient's rounding error past the step; and the rows of a tensor far from
-the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing.
+the model (3 |s0| <= mu), where cond(M) <= 2 and the solve buys nothing. A
+batch runs its preconditioned plane blocks first, then its plain plane
+blocks, then its J-line blocks, so the solve runs on a prefix of its rows.
 
 Each tensor is optimized at unit curvature scale |R|/|R0| = hypot(s0, mu)
 (1 for R0), so every threshold is a fixed number, and the best values are
@@ -139,8 +143,8 @@ STAGNATION_LIMIT = 50
 # once, and a row's direction equals its 2-row value only up to a row count
 # where BLAS switches kernels (with OpenBLAS 0.3.31 on x86-64 it moved at 8192
 # rows for n = 4..6, never at 4096 or fewer for n = 1..6), so a capped batch
-# keeps every report bit-identical to its one-tensor run. J-line rows take the
-# plain step and never enter that product
+# keeps every report bit-identical to its one-tensor run. Rows that keep the
+# plain step, the J-line rows among them, never enter that product
 BATCH_ROWS = 512
 # plane rows of a block keep the plain step at either end of mu / |s0|. Far
 # from the model, at 3 |s0| <= mu: |Hess K of s0 R0| has its spectrum in
@@ -232,11 +236,12 @@ class QuarterNormalization:
 def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
     """Extreme eigenvalues of the curvature operator on bivectors.
 
-    With bivector coordinates b_{ij} = u_i v_j - u_j v_i over sorted pairs,
-    <Rb, b> = R(u,v,u,v) and |b|^2 equals the plane's Gram determinant, so the
-    Rayleigh quotient on decomposable bivectors is exactly the sectional
-    curvature and the eigenvalue range encloses all of them. The operator is
-    the pair matrix restricted to the index pairs (i, j) with i < j. A Kahler
+    A bivector is an antisymmetric pair vector, a d x d antisymmetric matrix
+    flattened: u ^ v = u v^T - v u^T. With M the (d^2, d^2) pair matrix,
+    <M b, b> / 2 = 2 R(u,v,u,v) and |b|^2 is twice the plane's Gram
+    determinant, so the Rayleigh quotient of M / 2 on decomposable bivectors
+    is exactly the sectional curvature and the eigenvalue range of M / 2 on
+    the antisymmetric pair vectors encloses all of them. A Kahler
     R maps Lambda^{1,1} to itself and vanishes on the n^2 - n dimensions of
     [Lambda^{2,0}], so its spectrum is that of Q, the operator on
     Lambda^{1,1}, with n^2 - n zeros: for n >= 2 the envelope is
@@ -248,14 +253,14 @@ def curvature_operator_envelope(tensor: CurvatureTensor) -> tuple[float, float]:
 
 
 def _kahler_operators(entries: np.ndarray) -> np.ndarray:
-    """Q = B^T (bivector block) B of each table of a Kahler (B, d, d, d, d)
-    stack, as (B, n^2, n^2), with B = _kahler_bivectors(n): one gather and
-    two stacked matmuls, so each Q is its one-tensor value bit for bit."""
+    """Q = B^T M B / 2 of each table of a Kahler (B, d, d, d, d) stack, as
+    (B, n^2, n^2), with M the (d^2, d^2) pair matrix and B =
+    _kahler_bivectors(n) (see curvature_operator_envelope): two stacked
+    matmuls, so each Q is its one-tensor value bit for bit."""
     b, d = len(entries), entries.shape[-1]
-    rows, columns = _bivector_block(d)
     basis = _kahler_bivectors(d // 2)
     with np.errstate(under="ignore"):  # subnormal at 2^-1000 R0, as in float arithmetic
-        return basis.T @ entries.reshape(b, d * d, d * d)[:, rows, columns] @ basis
+        return basis.T @ entries.reshape(b, d * d, d * d) @ basis / 2
 
 
 def _envelopes(entries: np.ndarray):
@@ -270,12 +275,19 @@ def _envelopes(entries: np.ndarray):
 
     The margin covers rounding, relative to |Q| = max |lambda|. eigvalsh is
     backward stable: its eigenvalues are those of Q + E with |E| of order
-    n^2 eps |Q| (Weyl's inequality moves each by at most |E|). Forming Q
-    sums at most n^2 nonzero products per entry, each of at most |Q| (B's
-    columns are unit with at most n nonzeros), so its error is at most about
-    n^2 eps |Q| per entry and n^4 eps |Q| in norm. margin = d^2 n^2 eps |Q|
-    covers both with room; near the model lambda_max(Q) is about -|s0|/2, far
-    outside it.
+    n^2 eps |Q| (Weyl's inequality moves each by at most |E|). Forming Q:
+    each column of B has at most 2n nonzeros, so each of the two products
+    sums at most 2n nonzero terms per entry, and the computed Q is off by at
+    most about 4n eps abs(B)^T abs(M) abs(B) / 2 entrywise, abs taken entry
+    by entry. The diagonal forms share the n pairs (2a, 2a + 1) and the pair
+    forms have disjoint supports, so |abs(B)| <= sqrt(n). M is twice an
+    operator with Q's spectrum and zeros on the antisymmetric pair vectors,
+    so of rank at most n^2 and norm 2 |Q|, and 0 on the symmetric ones, so
+    |abs(M)| <= |M|_F <= 2n |Q|. The error is at most about 4n^3 eps |Q| in
+    norm, and margin = d^2 n^2 eps |Q| = 4n^4 eps |Q| covers it and
+    eigvalsh's with room for n >= 2 (at n = 1 every plane is a J-line, so
+    K's extremes are H's whatever the margin); near the model lambda_max(Q)
+    is about -|s0|/2, far outside it.
     """
     quads = _kahler_operators(entries)
     size = quads.shape[-1]  # n^2
@@ -292,42 +304,32 @@ def _envelopes(entries: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _bivector_block(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.ix_ of the flat pair indices i * d + j (i < j), read-only: it selects the
-    bivector operator from a (d^2, d^2) pair matrix."""
-    i, j = np.triu_indices(d, 1)
-    pairs = i * d + j
-    pairs.flags.writeable = False
-    return np.ix_(pairs, pairs)
-
-
-@lru_cache(maxsize=None)
 def _kahler_bivectors(n: int) -> np.ndarray:
-    """An orthonormal basis of Lambda^{1,1}, the J-invariant bivectors, in the
-    coordinates b_ij (i < j) of curvature_operator_envelope, as the columns
-    of a read-only (n (2n - 1), n^2) matrix. With e_ab = e_a ^ e_b:
+    """An orthonormal basis of Lambda^{1,1}, the J-invariant bivectors, as
+    antisymmetric pair vectors (see curvature_operator_envelope): the
+    columns of a read-only (d^2, n^2) matrix, each a flattened antisymmetric
+    d x d matrix of unit norm. With e_ab the unit pair vector of e_a ^ e_b,
+    (e_a e_b^T - e_b e_a^T) / sqrt(2):
       the unit Kahler form w = sum_a e_{2a,2a+1} / sqrt(n) first;
       then n - 1 traceless diagonal forms, the Helmert columns
       (sum_{a<k} e_{2a,2a+1} - k e_{2k,2k+1}) / sqrt(k (k + 1)), k = 1..n-1;
       then per pair a < b, (e_{2a,2b} + e_{2a+1,2b+1}) / sqrt(2) and
       (e_{2a,2b+1} - e_{2a+1,2b}) / sqrt(2).
-    At n = 2 these are _surface_basis' [w | f1 f2 f3].
     """
     d = 2 * n
-    i, j = np.triu_indices(d, 1)
-    coordinate = {pair: k for k, pair in enumerate(zip(i.tolist(), j.tolist()))}
-    basis = np.zeros((len(i), n * n))
-    diagonal = [coordinate[2 * a, 2 * a + 1] for a in range(n)]
-    basis[diagonal, 0] = 1.0 / np.sqrt(n)
+    basis = np.zeros((d, d, n * n))
+    rows = np.arange(0, d, 2)  # e_{2a,2a+1} has its upper entry at (2a, 2a + 1)
+    basis[rows, rows + 1, 0] = 1.0 / np.sqrt(d)
     for k in range(1, n):
-        basis[diagonal[:k], k] = 1.0 / np.sqrt(k * (k + 1))
-        basis[diagonal[k], k] = -k / np.sqrt(k * (k + 1))
-    column, half = n, 1.0 / np.sqrt(2.0)
+        basis[rows[:k], rows[:k] + 1, k] = 1.0 / np.sqrt(2 * k * (k + 1))
+        basis[2 * k, 2 * k + 1, k] = -k / np.sqrt(2 * k * (k + 1))
+    column = n
     for a in range(n):
         for b in range(a + 1, n):
-            basis[[coordinate[2 * a, 2 * b], coordinate[2 * a + 1, 2 * b + 1]], column] = half
-            basis[[coordinate[2 * a, 2 * b + 1], coordinate[2 * a + 1, 2 * b]], column + 1] = [half, -half]
+            basis[[2 * a, 2 * a + 1], [2 * b, 2 * b + 1], column] = 0.5
+            basis[[2 * a, 2 * a + 1], [2 * b + 1, 2 * b], column + 1] = [0.5, -0.5]
             column += 2
+    basis = (basis - basis.transpose(1, 0, 2)).reshape(d * d, n * n)
     basis.flags.writeable = False
     return basis
 
@@ -337,25 +339,15 @@ def _kahler_bivectors(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(u: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row as a (rows, 1) column, summed by np.add.reduce.
-
-    That is not np.linalg.norm's arithmetic (a BLAS dot, `space._norms`): a
-    row can differ from it in the last bit. The optimizer's and the n = 2
-    closed form's bits are pinned to this summation order.
-    """
-    return np.sqrt(np.add.reduce(u * u, axis=1, keepdims=True))
-
-
 def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
     """Gram-Schmidt on each row [u | v]: u normalized, v made orthonormal to it."""
     d = x.shape[1] // 2
     u, v = x[:, :d], x[:, d:]
-    nu = _row_norms(u)
+    nu = _norms(u)[:, None]
     nu[nu < 1e-300] = 1.0
     u = u / nu
-    v = v - np.add.reduce(u * v, axis=1, keepdims=True) * u
-    nv = _row_norms(v)
+    v = v - _dots(u, v)[:, None] * u
+    nv = _norms(v)[:, None]
     bad = nv[:, 0] < 1e-10
     if np.any(bad):
         # deterministic fallback: least-aligned basis vector, re-projected
@@ -365,7 +357,7 @@ def _orthonormalize_pairs(x: np.ndarray) -> np.ndarray:
             w[m] = 1.0
             w -= np.dot(w, u[row]) * u[row]
             v[row] = w
-        nv = _row_norms(v)
+        nv = _norms(v)[:, None]
     return np.concatenate([u, v / nv], axis=1)
 
 
@@ -381,7 +373,7 @@ def _retract_j_lines(x: np.ndarray, jmat: np.ndarray) -> np.ndarray:
     """
     d = len(jmat)
     u = x[:, :d] + x[:, d:] @ jmat
-    return _j_lines(u / _row_norms(u), jmat)
+    return _j_lines(u / _norms(u)[:, None], jmat)
 
 
 def _pair_state(mats, sizes, x: np.ndarray):
@@ -565,15 +557,17 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
     rows are consecutive; objective(x, sizes) returns the row values and
     gradients, sizes[k] being the number of rows of block k in x. The
     thresholds are fixed: the objective is at unit curvature scale (see
-    _multistart), and models = (|s0|, mu, plain) holds the blocks' model
-    coordinates at that scale and whether they keep the plain step.
+    _multistart), and models = (|s0|, mu) holds the blocks' model
+    coordinates at that scale.
 
-    The rows of the first `planes` blocks are planes: they retract by
-    _orthonormalize_pairs and, unless their block is plain, step along
-    p = M^{-1} g (_plane_direction), with the BB step s^T M s / s^T y and
-    s^T M s = sign * step * <s, g_prev>, since M p_prev = g_prev: one solve
-    per iteration and no product with M. Every other row retracts by retract
-    and steps along g. Each row evolves independently (up to the rounding of
+    planes = (preconditioned, total) counts the plane blocks, which lead:
+    the rows of the first `total` blocks are planes and retract by
+    _orthonormalize_pairs, and the rows of the first `preconditioned` of
+    them step along p = M^{-1} g (_plane_direction), with the BB step
+    s^T M s / s^T y and s^T M s = sign * step * <s, g_prev>, since
+    M p_prev = g_prev: one solve per iteration and no product with M. Every
+    other row steps along g, and a row past the plane blocks retracts by
+    retract. Each row evolves independently (up to the rounding of
     the objective's per-block GEMM, see the module docstring). A row leaves
     the batch for good at the first EXIT_REASONS test it fails, so an
     iteration steps, retracts and evaluates only the rows still live;
@@ -586,15 +580,13 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
     blocks = int(owners[-1]) + 1
     out_vals, out_x = np.empty(rows), np.empty_like(x)
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
-    plain = np.asarray(models[2], dtype=bool)
-    # a plain block's placeholder mu = 1 only avoids 1/0
-    per_block = np.stack([models[0], np.where(plain, 1.0, models[1]), plain], axis=1)[owners]
+    per_block = np.stack(models, axis=1)[owners]
     vals, g = objective(x, np.bincount(owners, minlength=blocks).tolist())
     zeros = np.zeros((rows, 1))
     # the packed state, one row per live row: three groups that the accept and
     # record updates copy whole, [prev_x | spare | prev_g], [x | value | g] and
     # [best_x | best value], then step, have_prev, stagnant, sign, |s0|, mu,
-    # plain, owner, row and |g|^2, one column each
+    # owner, row and |g|^2, one column each
     state = np.concatenate(
         [
             x, zeros, np.zeros_like(x), x, vals[:, None], g, x, vals[:, None],
@@ -616,22 +608,19 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
 
     def unpack(state):
         # the views, and what derives from the live rows: the block sizes, the
-        # plane rows (heads) and which of them keep the plain step
-        (prev_x, prev_g, x, vals, g, _, best_vals, step, have_prev, stagnant, signs, abs_s0, mu, plain, owners, _,
+        # preconditioned rows (pre) and the plane rows (heads)
+        (prev_x, prev_g, x, vals, g, _, best_vals, step, have_prev, stagnant, signs, abs_s0, mu, owners, _,
          gsq) = fields(state)
         sizes = np.bincount(owners.astype(np.intp), minlength=blocks).tolist()
-        heads = sum(sizes[:planes])
-        head_plain = plain[:heads] > 0.0
+        pre, heads = (sum(sizes[:count]) for count in planes)
         return (
             state[:, prev], state[:, cur], state[:, best], prev_x, prev_g, x, vals, g, best_vals,
-            step, have_prev, stagnant, signs, abs_s0[:heads, None], mu[:heads, None], gsq,
-            sizes, heads, head_plain, not head_plain.all(), head_plain.any(),
+            step, have_prev, stagnant, signs, abs_s0[:pre, None], mu[:pre, None], gsq, sizes, pre, heads,
         )
 
     (
         prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
-        step, have_prev, stagnant, signs, abs_s0, mu, gsq,
-        sizes, heads, head_plain, precondition, mixed,
+        step, have_prev, stagnant, signs, abs_s0, mu, gsq, sizes, pre, heads,
     ) = unpack(state)
     for it in range(MAX_ITER + 1):
         np.einsum("mi,mi->m", g, g, out=gsq)
@@ -663,22 +652,15 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
             state = state[go]
             (
                 prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
-                step, have_prev, stagnant, signs, abs_s0, mu, gsq,
-                sizes, heads, head_plain, precondition, mixed,
+                step, have_prev, stagnant, signs, abs_s0, mu, gsq, sizes, pre, heads,
             ) = unpack(state)
         s = x - prev_x
-        if precondition:
-            p = _plane_direction(x[:heads], g[:heads], abs_s0, mu)
-            psq = np.einsum("mi,mi->m", p, p)
-            sms = signs[:heads] * step[:heads] * np.einsum("mi,mi->m", s[:heads], prev_g[:heads])
-            if mixed:
-                p = np.where(head_plain[:, None], g[:heads], p)
-                psq = np.where(head_plain, gsq[:heads], psq)
-                sms = np.where(head_plain, np.einsum("mi,mi->m", s[:heads], s[:heads]), sms)
-            if heads < len(x):
-                p = np.concatenate([p, g[heads:]])
-                psq = np.concatenate([psq, gsq[heads:]])
-                sms = np.concatenate([sms, np.einsum("mi,mi->m", s[heads:], s[heads:])])
+        if pre:
+            p = _plane_direction(x[:pre], g[:pre], abs_s0, mu)
+            psq = np.concatenate([np.einsum("mi,mi->m", p, p), gsq[pre:]])
+            sms = signs[:pre] * step[:pre] * np.einsum("mi,mi->m", s[:pre], prev_g[:pre])
+            sms = np.concatenate([sms, np.einsum("mi,mi->m", s[pre:], s[pre:])])
+            p = np.concatenate([p, g[pre:]])
         else:
             p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
         sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
@@ -709,37 +691,6 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
         np.copyto(cur_rows, cand, where=accept[:, None])
         np.copyto(best_rows, cand[:, : w + 1], where=record[:, None])
     return out_vals, out_x, iterations, reasons
-
-
-@lru_cache(maxsize=None)
-def _surface_basis() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bivectors of R^4 = C^2 for _surface_rows, in the coordinates b_ij (i < j)
-    of curvature_operator_envelope, ordered 01, 02, 03, 12, 13, 23.
-
-    Returns the flat pair indices i * 4 + j, the orthonormal basis
-    [w | f1 f2 f3] of Lambda^{1,1} (the J-invariant bivectors) as columns
-    (_kahler_bivectors(2)), and
-    a unit bivector e of [Lambda^{2,0}] (the J-anti-invariant ones). Here
-    w = (e01 + e23)/sqrt(2) is the unit Kahler form, oriented so that u ^ Ju
-    has a positive w-component, and f1, f2, f3 span Lambda^{1,1}_0.
-    For the orientation of J, w and [Lambda^{2,0}] span the self-dual
-    bivectors and Lambda^{1,1}_0 the anti-self-dual ones (Atiyah, Hitchin &
-    Singer, Proc. R. Soc. A 1978), and a unit bivector is a plane exactly
-    when both of its parts have length 1/sqrt(2).
-    """
-    i, j = np.triu_indices(4, 1)
-    return i * 4 + j, _kahler_bivectors(2), np.array([0, 1, 0, 0, -1, 0]) / np.sqrt(2.0)
-
-
-@lru_cache(maxsize=None)
-def _antisymmetric_index() -> np.ndarray:
-    """Flat indices i * 4 + j, then j * 4 + i, of the bivector coordinates b_ij
-    (i < j) of _surface_basis in a 4 x 4 matrix: [b | -b] scattered there is
-    the antisymmetric matrix of b."""
-    pairs = _surface_basis()[0]
-    index = np.concatenate([pairs, pairs % 4 * 4 + pairs // 4])
-    index.flags.writeable = False
-    return index
 
 
 def _secular_top(c, g):
@@ -798,14 +749,22 @@ def _secular_top(c, g):
     if hard.any():
         top = c.shape[1] - 1
         y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
-    return y / _row_norms(y)
+    return y / _norms(y)[:, None]
 
 
 def _surface_rows(quads: np.ndarray) -> np.ndarray:
     """Exact witness rows [u | v] of the extremes of K (planes) and of H at n = 2.
 
     quads are the tensors' (B, 4, 4) operators Q on Lambda^{1,1}
-    (_kahler_operators) at unit curvature scale.
+    (_kahler_operators) at unit curvature scale, in the basis [w | f1 f2 f3]
+    of _kahler_bivectors(2): w = (e01 + e23)/sqrt(2) is the unit Kahler
+    form, oriented so that u ^ Ju has a positive w-component, and f1, f2, f3
+    span Lambda^{1,1}_0. e = (e02 - e13)/sqrt(2) is a unit bivector of
+    [Lambda^{2,0}] (the J-anti-invariant ones). For the orientation of J, w
+    and [Lambda^{2,0}] span the self-dual bivectors and Lambda^{1,1}_0 the
+    anti-self-dual ones (Atiyah, Hitchin & Singer, Proc. R. Soc. A 1978), and
+    a bivector of norm sqrt(2) is a plane u ^ v of orthonormal u, v exactly
+    when both of its parts have norm 1.
     A tensor gives the rows [min candidates | max candidates], each (H,
     interior); the extremes of K are the least and greatest values among
     them. The H candidates, rows.reshape(B, 2, 2, 8)[:, :, 0], are the
@@ -816,12 +775,11 @@ def _surface_rows(quads: np.ndarray) -> np.ndarray:
     sphere problems.
 
     On R^4 a Kahler tensor vanishes on [Lambda^{2,0}], so with Q written
-    on [w | Lambda^{1,1}_0] (_surface_basis) as Q = [[q, r^T], [r, C]], the
-    plane b = (s w + sqrt(1 - s^2) e + y)/sqrt(2), s in [-1, 1] and y on the
-    unit sphere of Lambda^{1,1}_0 (see _surface_basis), has
-    K = (q s^2 + 2 s <r, y> + <Cy, y>)/2. Every such (s, y) is a plane, and
-    s = 1 are the J-lines (u, Ju), so the extremes of H are
-    (q + extremes of <Cy, y> + 2 <r, y>)/2, two trust-region problems
+    on [w | Lambda^{1,1}_0] as Q = [[q, r^T], [r, C]], the plane
+    b = s w + sqrt(1 - s^2) e + y, s in [-1, 1] and y on the unit sphere of
+    Lambda^{1,1}_0, has K = (q s^2 + 2 s <r, y> + <Cy, y>)/2. Every such
+    (s, y) is a plane, and s = 1 are the J-lines (u, Ju), so the extremes of
+    H are (q + extremes of <Cy, y> + 2 <r, y>)/2, two trust-region problems
     (_secular_top of (C, r) and of (-C, -r)). An extreme of K in s in
     (-1, 1) has s = -<r, y>/q and K = <(C - r r^T / q) y, y>/2, which is
     at most the top eigenvalue of C - r r^T / q over 2 for q < 0 (a
@@ -831,12 +789,12 @@ def _surface_rows(quads: np.ndarray) -> np.ndarray:
     candidate, its s clipped to 1: a plane either way, and the extreme
     whenever s <= 1. An interior value lies within 2 |q| of H's range, so
     tensors with |q| <= eps take H's candidate twice (their q is replaced by
-    1 in the eigh). The witness plane is read off the bivector b: u is its
-    longest column as a 4 x 4 antisymmetric matrix (one scatter of [b | -b]
-    at _antisymmetric_index), and v = b^T u, so that u ^ v = b.
+    1 in the eigh). The witness plane is read off the bivector b, a
+    flattened 4 x 4 antisymmetric matrix: u is its longest column, and
+    v = b^T u, so that u ^ v = b.
     """
-    _, basis, e20 = _surface_basis()
-    antisymmetric = _antisymmetric_index()
+    basis = _kahler_bivectors(2)
+    e20 = np.array([0, 0, 1, 0, 0, 0, 0, -1, -1, 0, 0, 0, 0, 1, 0, 0]) / 2.0
     q, r, cmat = quads[:, 0, 0], quads[:, 1:, 0], quads[:, 1:, 1:]
     count = len(q)
     q_eig = np.where(np.abs(q) > EPS, q, 1.0)
@@ -858,13 +816,11 @@ def _surface_rows(quads: np.ndarray) -> np.ndarray:
     # per side and tensor: (H, interior)
     s = np.stack([np.ones(2 * count), s_int.ravel()], axis=1).ravel()
     y = np.concatenate([y, y_int.reshape(-1, 3)], axis=1).reshape(-1, 3)
-    b = (s[:, None] * basis[:, 0] + np.sqrt(1.0 - s * s)[:, None] * e20 + y @ basis[:, 1:].T) / np.sqrt(2.0)
-    bmat = np.zeros((len(b), 16))
-    bmat[:, antisymmetric] = np.concatenate([b, -b], axis=1)
-    bmat = bmat.reshape(-1, 4, 4)
+    b = s[:, None] * basis[:, 0] + np.sqrt(1.0 - s * s)[:, None] * e20 + y @ basis[:, 1:].T
+    bmat = b.reshape(-1, 4, 4)
     longest = np.argmax(np.einsum("mij,mij->mj", bmat, bmat), axis=1)
     u = bmat[np.arange(len(b)), :, longest]
-    u /= _row_norms(u)
+    u /= _norms(u)[:, None]
     rows = np.concatenate([u, np.einsum("mij,mi->mj", bmat, u)], axis=1)
     # (side, tensor, candidate) -> (tensor, side, candidate)
     return rows.reshape(2, count, 2, 8).transpose(1, 0, 2, 3).reshape(-1, 8)
@@ -890,8 +846,9 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
 
     Descends and ascends the pair objective from every start row of each
     tensor and kind. A batch's block of one tensor and kind holds its start
-    rows twice, descending then ascending (_start_rows); the plane blocks
-    come first, then the same tensors' J-line blocks. A plane block holds
+    rows twice, descending then ascending (_start_rows); the preconditioned
+    plane blocks come first, then the plain plane blocks, then the same
+    tensors' J-line blocks, each in tensor order. A plane block holds
     no rows for a side that its tensor's sign certificate (`_envelopes`)
     gives to H while its J-line block shares the batch: that side reads the
     J-line rows (see the module docstring). Consecutive tensors
@@ -980,15 +937,20 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
         # the queue holds its first runs, then its reruns
         batch = [entry for entry in queue[: max(1, BATCH_ROWS // (2 * count))] if entry[1] == count]
         del queue[: len(batch)]
-        # (kind, tensor, sides) per block: the plane blocks, then the J-line
-        # blocks. A plane block runs no rows for a side that its tensor's
-        # certificate gives to the J-line block in the same batch
-        blocks = [
-            (planes, k, [side for side in (0, 1) if not (planes and False in wanted and certified[k, side])])
-            for planes in kinds
-            for k, _, wanted in batch
-            if planes in wanted
-        ]
+        # (kind, tensor, sides) per block: the preconditioned plane blocks, the
+        # plain plane blocks, then the J-line blocks, each in tensor order. A
+        # plane block runs no rows for a side that its tensor's certificate
+        # gives to the J-line block in the same batch
+        blocks = sorted(
+            [
+                (planes, k, [side for side in (0, 1) if not (planes and False in wanted and certified[k, side])])
+                for planes in kinds
+                for k, _, wanted in batch
+                if planes in wanted
+            ],
+            key=lambda block: (not block[0], block[0] and plain_planes[block[1]]),
+        )
+        preconditioned = sum(planes and not plain_planes[k] for planes, k, _ in blocks)
         sizes = [count * len(sides) for _, _, sides in blocks]
         # the first row of each (kind, tensor, side) that runs
         first = {
@@ -1004,8 +966,8 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
             np.repeat(np.arange(len(blocks)), sizes),
             lambda y, sizes: _pair_objective(mats, sizes, y),
             lambda y: _retract_j_lines(y, jmat),
-            (abs_s0[owners], mu[owners], np.array([not planes or plain_planes[k] for planes, k, _ in blocks])),
-            sum(planes for planes, _, _ in blocks),
+            (abs_s0[owners], mu[owners]),
+            (preconditioned, sum(planes for planes, _, _ in blocks)),
         )
         rerun = {}
         for planes in dict.fromkeys(kind for kind, _, _ in blocks):  # the batch's kinds, planes first
@@ -1039,10 +1001,12 @@ def _start_rows(planes: bool, space, seed: int, restarts: int, sides: int) -> np
 
 
 def _stable(vals: np.ndarray, maximize: bool) -> bool:
-    """Best value reproduced across the top 10% of restarts within STABILITY_TOL (at unit scale)."""
+    """Best value reproduced within STABILITY_TOL (at unit scale) across the
+    best two restarts or the top 10%, whichever is more: a lone restart
+    reproduces nothing, so it is never stable."""
     ordered = np.sort(vals)[::-1] if maximize else np.sort(vals)
-    top = max(1, int(np.ceil(0.1 * len(vals))))
-    return bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL)
+    top = max(2, int(np.ceil(0.1 * len(vals))))
+    return len(vals) >= top and bool(abs(ordered[0] - ordered[top - 1]) <= STABILITY_TOL)
 
 
 def _reports(planes: bool, found: _Extremes) -> list:

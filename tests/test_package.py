@@ -72,6 +72,10 @@ def test_ci_workflow_runs_the_tier1_suite():
     chern = "kahlerpinch chern r0.json --all"
     assert chern in runs
     assert runs.index(chern) > runs.index("kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json")
+    # and on the optimizer's planes-only pinch at n = 3, whose JSON is checked
+    pinch3 = "kahlerpinch r0 --n 3 --out r03.json && kahlerpinch pinch r03.json --seed 3 --restarts 16 > pinch3.json"
+    assert pinch3 in workflow
+    assert "sys.exit(0 if values == (-1.0, -0.25, True) else 1)" in workflow.split(pinch3, 1)[1].split("- ", 1)[0]
     # and on the identity suite's stacked pair draw
     assert "kahlerpinch identities --n 3 --samples 50 --seed 1" in runs
     # and on sweeps at n = 2 (the closed form) and then n = 3 (the optimizer)
