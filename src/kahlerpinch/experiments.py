@@ -11,6 +11,7 @@ conservative absolute-coefficient bound.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, sqrt
@@ -38,7 +39,7 @@ from .curvature import (
     _stacked_direct_triple,
     _stacked_holomorphic_sides,
 )
-from .errors import IdentityInconsistencyError, PreconditionError
+from .errors import IdentityInconsistencyError, PreconditionError, ResourceLimitError
 from .pinching import (
     _multistart,
     _quarter_normalization,
@@ -359,6 +360,11 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
     mixed-component bound (2/3)(3/4 + delta_1) <= 1/2 + eta/6; the defect
     threshold is min(eta/3, delta_1); epsilon_1 is the largest density
     deviation keeping every reference ratio within epsilon.
+
+    Raises ResourceLimitError when one of the four falls below the smallest
+    normal double, where it has lost precision or is 0 (epsilon = 1e-320 gives
+    eta = delta = 0 at n = 2, and 1e-318 gives delta = 0 at n = 4): a
+    certification against delta = 0 could only fail.
     """
     if not 0 < epsilon < inf:
         raise PreconditionError(f"epsilon must be positive and finite, got {epsilon}")
@@ -377,6 +383,11 @@ def proof_constants(epsilon: float, n: int) -> ConstantChain:
             a_abs, b_abs = abs(gamma_i), abs(gamma_j)
             # binding inequality: (a + e1)/(b - e1) <= a/b + epsilon
             epsilon_1 = min(epsilon_1, epsilon * b_abs**2 / (a_abs + b_abs + epsilon * b_abs))
+    for name, value in (("eta", eta), ("delta_1", delta_1), ("delta", delta), ("epsilon_1", epsilon_1)):
+        if value < sys.float_info.min:
+            raise ResourceLimitError(
+                f"{name} = {value} for epsilon = {epsilon} at n = {n} is below the smallest normal double"
+            )
     return ConstantChain(
         epsilon=float(epsilon), n=n, eta=eta, delta_1=delta_1, delta=delta, epsilon_1=epsilon_1
     )

@@ -6,9 +6,11 @@ problems on a 2-sphere and one rank-one eigenvalue update of a 3 x 3
 matrix. A batch of tensors takes one pass for K and H together, with one
 solver per problem kind: one stacked eigh gives the eigenbases of the
 sphere problems and the eigenvectors of the rank-one updates (K's interior
-candidates), one secular loop solves the sphere problems (_secular_top), and
-one stacked matmul per kind gives the witness values; the J-line rows are
-the planes' H candidates. Everywhere else, and at n = 2 with an
+candidates), one secular solve handles the sphere problems (_secular_top:
+row by row in Python floats below SCALAR_SECULAR_ROWS rows, stacked from
+there, bit for bit alike), and one stacked matmul per kind gives the
+witness values; the J-line rows are the planes' H candidates. Everywhere
+else, and at n = 2 with an
 explicit restart count, one multistart projected-gradient optimizer on one
 objective serves both problems. It runs the descending (minimum) and ascending (maximum) restarts
 as rows of one batch, with a sign per row and a retraction after every step;
@@ -97,6 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -175,6 +178,16 @@ _MIN_MAX_SIGNS = np.array([[1.0], [-1.0]])
 # step that does not raise mu by more than 4 eps mu: within 4 to 10 steps over
 # 200 sweep-n2 calls and 200 one-sample certifications
 SECULAR_ITERATIONS = 100
+# Batches of fewer than this many sphere rows of three entries (the n = 2
+# closed form of fewer than 8 tensors) are solved row by row in Python floats
+# (_row_tops), larger ones by the stacked loop (_stacked_tops), bit for bit
+# alike. A stacked Newton step costs about 17 numpy calls whatever the row
+# count, a row's step one np.power: _secular_top took 82 us stacked against
+# 17 us row by row at 2 rows (a one-sample certification), 118 against 97 us
+# at 16, 123 against 119 us at 20 (a sweep on criterion 6's grid) and 203
+# against 839 us at 128 (2-core x86-64, numpy 2.4), so the two break even at
+# about 20 rows.
+SCALAR_SECULAR_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -711,11 +724,25 @@ def _secular_top(c, g):
     root, where F can alternate between two values a few ulps apart, and is
     dropped, so mu never falls by more than 4 eps mu. Only the live rows
     step, each with its own arithmetic, so a row's result does not depend on
-    the other rows. In the hard case r is orthogonal to the top eigenvectors
-    and F(0) >= 1: mu = 0, and the top eigenvector completes y. At mu = 0, a
-    top coordinate has e + mu = 0 and g = 0 (mu >= |g| - e), and its ratio
-    g / (e + mu) is read as 0.
+    the other rows. A batch of fewer than SCALAR_SECULAR_ROWS rows of three
+    entries (the n = 2 closed form of fewer than 8 tensors) is solved row by
+    row in Python floats (_row_tops), which saves the fixed cost of about 17
+    numpy calls per stacked Newton step; a larger one is solved stacked
+    (_stacked_tops). Both do the same float operations in the same order and
+    share the final normalization, so the result is the same bit for bit. In
+    the hard case r is orthogonal to the top eigenvectors and F(0) >= 1:
+    mu = 0, and the top eigenvector completes y. At mu = 0, a top coordinate
+    has e + mu = 0 and g = 0 (mu >= |g| - e), and its ratio g / (e + mu) is
+    read as 0.
     """
+    scalar = len(c) < SCALAR_SECULAR_ROWS and c.shape[1] == 3
+    y = _row_tops(c, g) if scalar else _stacked_tops(c, g)
+    return y / _norms(y)[:, None]
+
+
+def _stacked_tops(c, g):
+    """_secular_top's rows before their normalization, by Newton steps
+    stacked over the rows still moving."""
     e = c[:, -1:] - c
     mu = np.maximum(np.max(np.abs(g) - e, axis=1), 0.0)
     den = e + mu[:, None]
@@ -749,7 +776,47 @@ def _secular_top(c, g):
     if hard.any():
         top = c.shape[1] - 1
         y[hard, top] = np.sqrt(np.maximum(1.0 - np.sum(y[hard, :top] ** 2, axis=1), 0.0))
-    return y / _norms(y)[:, None]
+    return y
+
+
+def _row_tops(c, g):
+    """_stacked_tops for rows of three entries, row by row in Python floats,
+    bit for bit: numpy's add.reduce sums three entries as (a0 + a1) + a2, and
+    total^(-1/2) goes through np.power, since libm's pow differs from
+    numpy's in the last bit. A non-finite entry, where max and np.max differ
+    on nan, or a division by zero, where numpy gives inf or nan and Python
+    raises, hands the batch to _stacked_tops."""
+    tops = []
+    try:
+        for (c0, c1, c2), (g0, g1, g2) in zip(c.tolist(), g.tolist()):
+            if not isfinite(c0 + c1 + c2 + g0 + g1 + g2):
+                return _stacked_tops(c, g)
+            e0, e1, e2 = c2 - c0, c2 - c1, c2 - c2
+            mu = max(abs(g0) - e0, abs(g1) - e1, abs(g2) - e2, 0.0)
+            d0, d1, d2 = e0 + mu, e1 + mu, e2 + mu
+            d0, d1, d2 = d0 if d0 > 0.0 else 1.0, d1 if d1 > 0.0 else 1.0, d2 if d2 > 0.0 else 1.0
+            r0, r1, r2 = g0 / d0, g1 / d1, g2 / d2
+            t0, t1, t2 = r0 * r0, r1 * r1, r2 * r2
+            if mu == 0.0 and t0 + t1 + t2 <= 1.0:  # the hard case
+                tops.append((r0, r1, sqrt(max(1.0 - (t0 + t1), 0.0))))
+                continue
+            for _ in range(SECULAR_ITERATIONS):
+                total = t0 + t1 + t2
+                value = float(np.power(total, -0.5))
+                step = mu + (1.0 - value) / (value / total * (t0 / d0 + t1 / d1 + t2 / d2))
+                rise, tol = step - mu, 4.0 * EPS * step
+                if not rise > tol:
+                    mu = mu if rise < -tol else step
+                    break
+                mu = step
+                d0, d1, d2 = e0 + mu, e1 + mu, e2 + mu
+                r0, r1, r2 = g0 / d0, g1 / d1, g2 / d2
+                t0, t1, t2 = r0 * r0, r1 * r1, r2 * r2
+            d0, d1, d2 = e0 + mu, e1 + mu, e2 + mu
+            tops.append((g0 / d0 if d0 > 0.0 else g0, g1 / d1 if d1 > 0.0 else g1, g2 / d2 if d2 > 0.0 else g2))
+    except ZeroDivisionError:
+        return _stacked_tops(c, g)
+    return np.array(tops).reshape(-1, 3)
 
 
 def _surface_rows(quads: np.ndarray) -> np.ndarray:

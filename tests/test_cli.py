@@ -629,6 +629,24 @@ def test_constants_rejects_bad_epsilon():
 @pytest.mark.parametrize(
     "args",
     [
+        ("--epsilon", "1e-320", "--n", "2"),
+        ("--epsilon", "1e-320", "--n", "2", "--certify", "1", "--seed", "1"),
+        ("--epsilon", "1e-318", "--n", "4"),
+    ],
+)
+def test_constants_below_double_precision_exit_3(args):
+    # these printed delta = 0.0 and exited 0, or exited 1 when a certification
+    # found a defect of 0 not below delta = 0
+    result = run_cli("constants", *args)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    [line] = result.stderr.decode().strip().splitlines()
+    assert line.endswith("is below the smallest normal double")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ("identities", "--n", "2", "--samples", "-3", "--seed", "5"),
         ("constants", "--epsilon", "0.1", "--n", "2", "--certify", "-3", "--seed", "1"),
     ],

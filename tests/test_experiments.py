@@ -14,7 +14,7 @@ import kahlerpinch.experiments
 
 from kahlerpinch import DEFAULT_SYMMETRY_TOL, distance, make_space, project_kahler, random_kahler, seeded_rng
 from kahlerpinch.curvature import require_certified
-from kahlerpinch.errors import InvalidDimensionError, PreconditionError
+from kahlerpinch.errors import InvalidDimensionError, PreconditionError, ResourceLimitError
 from kahlerpinch.experiments import (
     CertificationReport,
     SweepRecord,
@@ -446,6 +446,20 @@ def test_proof_constants_reject_a_non_finite_epsilon(epsilon):
     # these returned a chain of NaNs or of infs
     with pytest.raises(PreconditionError, match=f"epsilon must be positive and finite, got {epsilon}$"):
         proof_constants(epsilon, 2)
+
+
+@pytest.mark.parametrize(
+    "epsilon, n, name", [(1e-320, 2, "eta"), (1e-318, 4, "eta"), (1.2e-304, 2, "delta_1"), (1e-300, 6, "epsilon_1")]
+)
+def test_proof_constants_below_the_smallest_normal_double_raise(epsilon, n, name):
+    # these returned a chain with delta = 0 (1e-320 at n = 2, 1e-318 at n = 4)
+    # or with constants that had lost precision; the first one below
+    # sys.float_info.min is named. 1.2e-304 at n = 2 keeps eta normal and
+    # 1e-300 at n = 6 keeps eta, delta_1 and delta normal
+    with pytest.raises(ResourceLimitError, match=f"^{name} = .* is below the smallest normal double$"):
+        proof_constants(epsilon, n)
+    chain = proof_constants(epsilon * 1e20, n)
+    assert min(chain.eta, chain.delta_1, chain.delta, chain.epsilon_1) >= sys.float_info.min
 
 
 def test_certification_run_small():

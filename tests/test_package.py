@@ -62,6 +62,9 @@ def test_ci_workflow_runs_the_tier1_suite():
         and run.endswith("python -m pytest -q tests/test_chern.py tests/test_curvature.py")
         for run in runs
     )
+    # the uint32 seeding lanes and _secular_top's solvers with every warning an error
+    assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error tests/test_space.py" in runs
+    assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error tests/test_pinching.py -k secular" in runs
     # the installed console script, which the tests (python -m kahlerpinch) do not reach
     assert "kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json" in runs
     # and the console script on the n = 2 closed form, after r0.json exists
@@ -72,6 +75,10 @@ def test_ci_workflow_runs_the_tier1_suite():
     chern = "kahlerpinch chern r0.json --all"
     assert chern in runs
     assert runs.index(chern) > runs.index("kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json")
+    # and on a constants chain below double precision, which must exit 3 with an empty stdout
+    tiny = "kahlerpinch constants --epsilon 1e-320 --n 2 > tiny.out || status=$?"
+    assert tiny in workflow
+    assert 'test "$status" -eq 3 && test ! -s tiny.out' in workflow.split(tiny, 1)[1].split("- ", 1)[0]
     # and on the optimizer's planes-only pinch at n = 3, whose JSON is checked
     pinch3 = "kahlerpinch r0 --n 3 --out r03.json && kahlerpinch pinch r03.json --seed 3 --restarts 16 > pinch3.json"
     assert pinch3 in workflow

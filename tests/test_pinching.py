@@ -23,6 +23,7 @@ from kahlerpinch import (
     seeded_rng,
 )
 from kahlerpinch.pinching import DEFAULT_RESTARTS, EXIT_REASONS
+from kahlerpinch.pinching import SCALAR_SECULAR_ROWS as _SCALAR_SECULAR_ROWS
 from kahlerpinch.errors import (
     InvalidDimensionError,
     NotNegativelyCurvedError,
@@ -1205,16 +1206,22 @@ def test_secular_top_runs_a_permuted_batch_as_its_one_row_calls():
     assert _secular_top(c[order], g[order]).tobytes() == single[order].tobytes()
 
 
-def test_secular_top_settles_a_row_that_alternates_between_two_values(monkeypatch):
-    # the H-minimum row (as _surface_rows negates it) of the fourth sample of
-    # sweep(2, criterion 6's grid, 2, 190000571): mu alternates between two
-    # values 4 ulps apart, so a step eventually falls by more than 4 eps mu:
-    # the row leaves at that dropped step down, keeping its mu, not at the
-    # iteration cap: its result is the same for any cap past that point
-    from kahlerpinch import pinching
-
+def _alternating_secular_row():
+    """The H-minimum row (as _surface_rows negates it) of the fourth sample of
+    sweep(2, criterion 6's grid, 2, 190000571)."""
     c = np.array([[float.fromhex(x) for x in ("0x1.fba967477f6e7p-2", "0x1.00af2127fe2e4p-1", "0x1.017afb0c5365fp-1")]])
     g = np.array([[float.fromhex(x) for x in ("0x1.834d8eba59b42p-12", "-0x1.042741e100961p-9", "0x1.47ee863935410p-14")]])
+    return c, g
+
+
+def test_secular_top_settles_a_row_that_alternates_between_two_values(monkeypatch):
+    # _alternating_secular_row: mu alternates between two values 4 ulps
+    # apart, so a step eventually falls by more than 4 eps mu: the row leaves
+    # at that dropped step down, keeping its mu, not at the iteration cap: its
+    # result is the same for any cap past that point
+    from kahlerpinch import pinching
+
+    c, g = _alternating_secular_row()
     full = pinching._secular_top(c, g)
     for cap in (15, 16, 31):
         monkeypatch.setattr(pinching, "SECULAR_ITERATIONS", cap)
@@ -1237,6 +1244,135 @@ def test_secular_rows_settle_within_twelve_steps(monkeypatch):
     full = runs()
     monkeypatch.setattr(pinching, "SECULAR_ITERATIONS", 12)
     assert runs() == full
+
+
+def _secular_paths(monkeypatch, c, g):
+    """_secular_top's bytes on (c, g), solved stacked and row by row."""
+    from kahlerpinch import pinching
+
+    results = []
+    for cutoff in (0, len(c) + 1):
+        monkeypatch.setattr(pinching, "SCALAR_SECULAR_ROWS", cutoff)
+        results.append(pinching._secular_top(c, g).tobytes())
+    monkeypatch.setattr(pinching, "SCALAR_SECULAR_ROWS", _SCALAR_SECULAR_ROWS)
+    return results
+
+
+def test_secular_rows_equal_the_stacked_loop_on_captured_rows(monkeypatch):
+    # the sphere rows of n = 2 sweeps on criterion 6's grid (20-row calls) and
+    # of one-sample certifications (2-row calls), each call and all rows as one
+    # batch: the same bytes whether solved stacked or row by row
+    from kahlerpinch import pinching
+    from kahlerpinch.experiments import certify_constants, proof_constants, sweep
+
+    secular, calls = pinching._secular_top, []
+
+    def recording_secular(c, g):
+        calls.append((c.copy(), g.copy()))
+        return secular(c, g)
+
+    monkeypatch.setattr(pinching, "_secular_top", recording_secular)
+    for seed in (1, 2, 3):
+        sweep(2, [0.0, 0.0125, 0.025, 0.05, 0.1], 2, seed)
+    for seed in range(1, 9):
+        certify_constants(proof_constants(0.1, 2), 1, seed)
+    monkeypatch.setattr(pinching, "_secular_top", secular)
+    assert sorted({len(c) for c, _ in calls}) == [2, 20]
+    for c, g in calls + [(np.concatenate([c for c, _ in calls]), np.concatenate([g for _, g in calls]))]:
+        stacked, rows = _secular_paths(monkeypatch, c, g)
+        assert rows == stacked
+
+
+def test_secular_rows_equal_the_stacked_loop_at_the_edges(monkeypatch):
+    # _secular_cases (hard rows and a top coordinate at e + mu = 0 included),
+    # the alternating row, and iteration caps that cut rows off: the same bytes
+    # either way
+    from kahlerpinch import pinching
+
+    c, g = _secular_cases()
+    stacked, rows = _secular_paths(monkeypatch, c, g)
+    assert rows == stacked
+    for row in range(len(c)):
+        stacked, rows = _secular_paths(monkeypatch, c[row : row + 1], g[row : row + 1])
+        assert rows == stacked, row
+    alternating = _alternating_secular_row()
+    for cap in (1, 2, 3, 15, 16, 100):
+        monkeypatch.setattr(pinching, "SECULAR_ITERATIONS", cap)
+        for case in ((c, g), alternating):
+            stacked, rows = _secular_paths(monkeypatch, *case)
+            assert rows == stacked, cap
+
+
+def _record_secular_solvers(monkeypatch):
+    """The list that _secular_top's solvers append to when called: "stacked"
+    for _stacked_tops, "rows" for _row_tops."""
+    from kahlerpinch import pinching
+
+    paths = []
+    for name, label in (("_stacked_tops", "stacked"), ("_row_tops", "rows")):
+
+        def recording(c, g, solve=getattr(pinching, name), label=label):
+            paths.append(label)
+            return solve(c, g)
+
+        monkeypatch.setattr(pinching, name, recording)
+    return paths
+
+
+def test_secular_batches_below_the_cutoff_are_solved_row_by_row(monkeypatch):
+    # batches of 15 rows are solved row by row, of 16 and 17 rows stacked, and
+    # each equals the other solver bit for bit
+    from kahlerpinch import pinching
+
+    c, g = _secular_cases()
+    paths = _record_secular_solvers(monkeypatch)
+    for size in (_SCALAR_SECULAR_ROWS - 1, _SCALAR_SECULAR_ROWS, _SCALAR_SECULAR_ROWS + 1):
+        batch = c[-size:], g[-size:]  # the hard rows and the e + mu = 0 row among them
+        expected = _secular_paths(monkeypatch, *batch)
+        paths.clear()
+        assert [pinching._secular_top(*batch).tobytes()] * 2 == expected
+        assert paths == ["rows" if size < _SCALAR_SECULAR_ROWS else "stacked"], size
+
+
+def test_secular_rows_hand_non_finite_entries_and_a_zero_divisor_to_the_stacked_loop(monkeypatch):
+    # a nan entry, where max and np.max differ, an inf entry, and a finite row
+    # whose squared ratios overflow, so that Python raises on the zero slope
+    # that numpy divides by: the whole batch goes to the stacked loop, which
+    # gives the same bytes as the stacked call
+    from kahlerpinch import pinching
+
+    c, g = (rows[:3] for rows in _secular_cases())
+    near_overflow = (
+        [3.1853470920081373e307, 4.578082010693289e307, 5.929770009610167e307],
+        [3.395397486850791e307, 1.3862408586684342e307, -5.347802125084413e307],
+    )
+    paths = _record_secular_solvers(monkeypatch)
+    for bad_c, bad_g in (([-2.0, -1.0, 0.0], [0.5, np.nan, 0.1]), ([-2.0, -1.0, 0.0], [0.5, np.inf, 0.1]), near_overflow):
+        batch = np.vstack([c, bad_c]), np.vstack([g, bad_g])
+        with np.errstate(all="ignore"):
+            stacked, rows = _secular_paths(monkeypatch, *batch)
+            paths.clear()
+            pinching._secular_top(*batch)
+        assert rows == stacked
+        assert paths == ["rows", "stacked"]
+
+
+def test_a_one_tensor_pinch_solves_its_secular_rows_in_python_floats(monkeypatch):
+    # a one-tensor pinch or hol_extremes at n = 2 solves its 2 sphere rows in
+    # Python floats and runs no stacked Newton step; a 10-tensor chunk (20
+    # rows, as in a sweep on criterion 6's grid) runs the stacked loop
+    from kahlerpinch import pinching
+    from kahlerpinch.experiments import perturb
+
+    space = make_space(2)
+    tensors = [perturb(space, 0.05, seed) for seed in range(10)]
+    paths = _record_secular_solvers(monkeypatch)
+    pinch(tensors[0], seed=1)
+    hol_extremes(tensors[0], seed=1)
+    assert paths == ["rows", "rows"]
+    paths.clear()
+    pinching._pinch_batch(tensors, None, list(range(10)))
+    assert paths == ["stacked"]
 
 
 # ---------------------------------------------------------------------------
