@@ -358,10 +358,12 @@ def _certified_stack(tensors) -> np.ndarray:
 # 0b0101 = (eps, conj eps, eps, conj eps), 0b1001, 0b0110 and 0b1010. Block k holds
 # _BLOCK_SIGNS[k] * S.transpose(_BLOCK_AXES[k]) (axis 0 is the batch axis), where
 # S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d). _BLOCK_EMBED maps the four
-# block values of an index tuple back to its 16 slot types.
+# block values of an index tuple back to its 16 slot types; _BLOCK_READ is
+# block 0's column as [Re | Im].
 _PAIR_UNITARY = np.array([[1.0, 1.0], [-1j, 1j]]) / math.sqrt(2.0)
 _BLOCK_BASIS = reduce(np.kron, [_PAIR_UNITARY] * 4)[:, [0b0101, 0b1001, 0b0110, 0b1010]]
 _BLOCK_EMBED = _BLOCK_BASIS.conj().T
+_BLOCK_READ = np.stack([_BLOCK_BASIS[:, 0].real, _BLOCK_BASIS[:, 0].imag], axis=1)
 _BLOCK_AXES = ((0, 1, 2, 3, 4), (0, 2, 1, 3, 4), (0, 1, 2, 4, 3), (0, 2, 1, 4, 3))
 _BLOCK_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
@@ -370,13 +372,14 @@ def _kahler_coordinates(entries: np.ndarray) -> np.ndarray:
     """S_{abcd} = R(eps_a, conj eps_b, eps_c, conj eps_d) of each table of a
     (B, d, d, d, d) stack, as (B, n, n, n, n).
 
-    Block 0 of the unitary basis change: one GEMV of the pair rows per table,
-    stacked.
+    Block 0 of the unitary basis change: one real (n^4, 16) by (16, 2) GEMM
+    of the pair rows per table, stacked, read as complex (a complex GEMV,
+    which OpenBLAS threads, stalled some processes at about 8 ms a call).
     """
     b, n = len(entries), entries.shape[-1] // 2
     # rows: index tuples a, b, c, d; columns: the pair bits of the four slots
     pairs = entries.reshape((b,) + (n, 2) * 4).transpose(0, 1, 3, 5, 7, 2, 4, 6, 8).reshape(b, n**4, 16)
-    return (pairs @ _BLOCK_BASIS[:, 0]).reshape((b,) + (n,) * 4)
+    return (pairs @ _BLOCK_READ).view(complex).reshape((b,) + (n,) * 4)
 
 
 def project_kahler(tensor, space: HermitianSpace | None = None) -> CurvatureTensor:

@@ -98,7 +98,7 @@ model's -1 and -1/4 are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite, sqrt
 from typing import NamedTuple
 
@@ -560,6 +560,34 @@ def _inits(width: int, seed: int, restarts: int, *stream: int) -> np.ndarray:
     return seeded_rng(seed, *stream).standard_normal((restarts, width))
 
 
+class _LiveRows:
+    """Named views of _optimize's packed state, one row per live row and
+    5 width + 12 columns, width being a point's: the groups prev = [prev_x |
+    spare | prev_g], cur = [x | vals | g] and best = [best_x | best_vals],
+    which accept and record copy whole, then the columns step, have_prev,
+    stagnant, signs, abs_s0, mu, owners, row and gsq = |g|^2. The rows per
+    block (sizes), the preconditioned rows (pre) and the plane rows (heads),
+    which lead, are counted from owners at first read."""
+
+    sizes = cached_property(lambda self: np.bincount(self.owners.astype(np.intp), minlength=self.blocks).tolist())
+    pre = cached_property(lambda self: sum(self.sizes[: self.planes[0]]))
+    heads = cached_property(lambda self: sum(self.sizes[: self.planes[1]]))
+
+    def __init__(self, state, width, blocks, planes):
+        w, self.state, self.blocks, self.planes = width, state, blocks, planes
+        self.prev, self.cur = state[:, : 2 * w + 1], state[:, 2 * w + 1 : 4 * w + 2]
+        self.best, columns = state[:, 4 * w + 2 : 5 * w + 3], state[:, 5 * w + 3 :]
+        self.prev_x, self.prev_g = self.prev[:, :w], self.prev[:, w + 1 :]
+        self.x, self.vals, self.g = self.cur[:, :w], self.cur[:, w], self.cur[:, w + 1 :]
+        self.best_x, self.best_vals = self.best[:, :w], self.best[:, w]
+        (self.step, self.have_prev, self.stagnant, self.signs, self.abs_s0, self.mu, self.owners, self.row,
+         self.gsq) = columns.T
+
+    @classmethod
+    def zeros(cls, rows, width, blocks, planes):
+        return cls(np.zeros((rows, 5 * width + 12)), width, blocks, planes)
+
+
 def _optimize(x, signs, owners, objective, retract, models, planes):
     """Best value and point of each row, its iteration count and its exit reason.
 
@@ -586,123 +614,72 @@ def _optimize(x, signs, owners, objective, retract, models, planes):
     iteration steps, retracts and evaluates only the rows still live;
     compaction keeps the row order, and with it the blocks. A row's gradient
     is evaluated once per accepted point: a rejected step leaves the row
-    where it was. The live rows' state is one packed array, so a compaction
-    is one take; reasons index EXIT_REASONS.
+    where it was. The live rows' state is one packed array (_LiveRows), so a
+    compaction is one take; reasons index EXIT_REASONS.
     """
     rows, w = x.shape
     blocks = int(owners[-1]) + 1
     out_vals, out_x = np.empty(rows), np.empty_like(x)
     iterations, reasons = np.empty(rows, dtype=int), np.empty(rows, dtype=int)
-    per_block = np.stack(models, axis=1)[owners]
-    vals, g = objective(x, np.bincount(owners, minlength=blocks).tolist())
-    zeros = np.zeros((rows, 1))
-    # the packed state, one row per live row: three groups that the accept and
-    # record updates copy whole, [prev_x | spare | prev_g], [x | value | g] and
-    # [best_x | best value], then step, have_prev, stagnant, sign, |s0|, mu,
-    # owner, row and |g|^2, one column each
-    state = np.concatenate(
-        [
-            x, zeros, np.zeros_like(x), x, vals[:, None], g, x, vals[:, None],
-            np.full((rows, 1), 0.05), zeros, zeros, signs[:, None], per_block,
-            owners[:, None], np.arange(rows)[:, None], zeros,
-        ],
-        axis=1,
-    )
-    prev, cur, best = slice(0, 2 * w + 1), slice(2 * w + 1, 4 * w + 2), slice(4 * w + 2, 5 * w + 3)
-
-    def fields(state):
-        # views: prev_x, prev_g, x, value, g, best_x, best value, then the columns
-        return (
-            state[:, :w], state[:, w + 1 : 2 * w + 1],
-            state[:, cur.start : cur.start + w], state[:, cur.start + w], state[:, cur.start + w + 1 : cur.stop],
-            state[:, best.start : best.start + w], state[:, best.start + w],
-            *state[:, best.stop :].T,
-        )
-
-    def unpack(state):
-        # the views, and what derives from the live rows: the block sizes, the
-        # preconditioned rows (pre) and the plane rows (heads)
-        (prev_x, prev_g, x, vals, g, _, best_vals, step, have_prev, stagnant, signs, abs_s0, mu, owners, _,
-         gsq) = fields(state)
-        sizes = np.bincount(owners.astype(np.intp), minlength=blocks).tolist()
-        pre, heads = (sum(sizes[:count]) for count in planes)
-        return (
-            state[:, prev], state[:, cur], state[:, best], prev_x, prev_g, x, vals, g, best_vals,
-            step, have_prev, stagnant, signs, abs_s0[:pre, None], mu[:pre, None], gsq, sizes, pre, heads,
-        )
-
-    (
-        prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
-        step, have_prev, stagnant, signs, abs_s0, mu, gsq, sizes, pre, heads,
-    ) = unpack(state)
+    live = _LiveRows.zeros(rows, w, blocks, planes)
+    live.owners[:], live.row[:], live.signs[:], live.step[:] = owners, np.arange(rows), signs, 0.05
+    live.abs_s0[:], live.mu[:] = (model[owners] for model in models)
+    live.prev_x[:] = live.x[:] = live.best_x[:] = x
+    live.vals[:], live.g[:] = objective(x, live.sizes)
+    live.best_vals[:] = live.vals
     for it in range(MAX_ITER + 1):
-        np.einsum("mi,mi->m", g, g, out=gsq)
+        np.einsum("mi,mi->m", live.g, live.g, out=live.gsq)
         # one row per entry of EXIT_REASONS
         passed = np.array(
-            [
-                gsq > GRAD_TOL * GRAD_TOL,
-                step >= 1e-14,
-                stagnant <= STAGNATION_LIMIT,
-                np.full(len(gsq), it < MAX_ITER),
-            ]
+            [live.gsq > GRAD_TOL * GRAD_TOL, live.step >= 1e-14, live.stagnant <= STAGNATION_LIMIT,
+             np.full(len(live.gsq), it < MAX_ITER)]
         )
         go = passed.all(axis=0)
         if not go.all():
-            done = ~go
-            _, _, left_x, left_vals, _, left_best_x, left_best, _, _, _, left_signs, *_, left_rows, _ = fields(
-                state[done]
-            )
-            gone = left_rows.astype(np.intp)
-            reasons[gone] = np.argmin(passed[:, done], axis=0)
+            left = _LiveRows(live.state[~go], w, blocks, planes)
+            gone = left.row.astype(np.intp)
+            reasons[gone] = np.argmin(passed[:, ~go], axis=0)
             iterations[gone] = it
             # prefer each row's final (converged) iterate; fall back to the best
             # point visited only when it is genuinely better, not better by float noise
-            better = left_signs * (left_best - left_vals) > 1e-9
-            out_vals[gone] = np.where(better, left_best, left_vals)
-            out_x[gone] = np.where(better[:, None], left_best_x, left_x)
+            better = left.signs * (left.best_vals - left.vals) > 1e-9
+            out_vals[gone] = np.where(better, left.best_vals, left.vals)
+            out_x[gone] = np.where(better[:, None], left.best_x, left.x)
             if not go.any():
                 break
-            state = state[go]
-            (
-                prev_rows, cur_rows, best_rows, prev_x, prev_g, x, vals, g, best_vals,
-                step, have_prev, stagnant, signs, abs_s0, mu, gsq, sizes, pre, heads,
-            ) = unpack(state)
-        s = x - prev_x
-        if pre:
-            p = _plane_direction(x[:pre], g[:pre], abs_s0, mu)
-            psq = np.concatenate([np.einsum("mi,mi->m", p, p), gsq[pre:]])
-            sms = signs[:pre] * step[:pre] * np.einsum("mi,mi->m", s[:pre], prev_g[:pre])
-            sms = np.concatenate([sms, np.einsum("mi,mi->m", s[pre:], s[pre:])])
-            p = np.concatenate([p, g[pre:]])
-        else:
-            p, psq, sms = g, gsq, np.einsum("mi,mi->m", s, s)
-        sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
-        bb_ok = (have_prev > 0.0) & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
+            live = _LiveRows(live.state[go], w, blocks, planes)
+        s = live.x - live.prev_x
+        p, psq, sms = live.g, live.gsq, np.einsum("mi,mi->m", s, s)
+        if pre := live.pre:  # the preconditioned rows lead: their direction, |p|^2 and s^T M s
+            p, psq = p.copy(), psq.copy()
+            p[:pre] = _plane_direction(live.x[:pre], live.g[:pre], live.abs_s0[:pre, None], live.mu[:pre, None])
+            psq[:pre] = np.einsum("mi,mi->m", p[:pre], p[:pre])
+            sms[:pre] = live.signs[:pre] * live.step[:pre] * np.einsum("mi,mi->m", s[:pre], live.prev_g[:pre])
+        sy = live.signs * np.einsum("mi,mi->m", s, live.prev_g - live.g)
+        bb_ok = (live.have_prev > 0.0) & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
         # invalid curvature along the last step means a saddle escape: grow instead
-        fallback = np.where(have_prev > 0.0, step * 2.0, step)
+        fallback = np.where(live.have_prev > 0.0, live.step * 2.0, live.step)
         steps = np.where(bb_ok, np.maximum(sms / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
         # cap the displacement, not the step: flat valleys need huge steps
-        np.minimum(steps, 2.0 / np.sqrt(np.maximum(psq, 1e-300)), out=step)
-        moved = x + (signs * step)[:, None] * p
-        # the candidates' [x | value | g]
-        cand = np.empty((len(x), 2 * w + 1))
-        if heads:
+        np.minimum(steps, 2.0 / np.sqrt(np.maximum(psq, 1e-300)), out=live.step)
+        moved = live.x + (live.signs * live.step)[:, None] * p
+        # the candidates' [x | vals | g]
+        cand = np.empty_like(live.cur)
+        if heads := live.heads:
             cand[:heads, :w] = _orthonormalize_pairs(moved[:heads])
-        if heads < len(x):
+        if heads < len(cand):
             cand[heads:, :w] = retract(moved[heads:])
-        cand[:, w], cand[:, w + 1 :] = objective(cand[:, :w], sizes)
-        cand_vals = cand[:, w]
-        gain = signs * (cand_vals - vals)
-        accept = gain > -0.1 * (1.0 + np.abs(vals))
-        rise = signs * (cand_vals - best_vals)
+        cand[:, w], cand[:, w + 1 :] = objective(cand[:, :w], live.sizes)
+        accept = live.signs * (cand[:, w] - live.vals) > -0.1 * (1.0 + np.abs(live.vals))
+        rise = live.signs * (cand[:, w] - live.best_vals)
         record = accept & (rise > 0)
-        improved = accept & (rise > 1e-14 * (1.0 + np.abs(best_vals)))
-        stagnant[:] = np.where(improved, 0.0, stagnant + 1.0)
-        step[~accept] *= 0.5
-        have_prev[:] = accept
-        np.copyto(prev_rows, cur_rows, where=accept[:, None])
-        np.copyto(cur_rows, cand, where=accept[:, None])
-        np.copyto(best_rows, cand[:, : w + 1], where=record[:, None])
+        improved = accept & (rise > 1e-14 * (1.0 + np.abs(live.best_vals)))
+        live.stagnant[:] = np.where(improved, 0.0, live.stagnant + 1.0)
+        live.step[~accept] *= 0.5
+        live.have_prev[:] = accept
+        np.copyto(live.prev, live.cur, where=accept[:, None])
+        np.copyto(live.cur, cand, where=accept[:, None])
+        np.copyto(live.best, cand[:, : w + 1], where=record[:, None])
     return out_vals, out_x, iterations, reasons
 
 
@@ -901,7 +878,7 @@ class _Extremes(NamedTuple):
     restarts: np.ndarray  # (B,): 0 for the exact extremes of n = 2
     converged: np.ndarray  # (B,)
     diagnostics: np.ndarray  # (B, 6): OptimizerDiagnostics' fields, read where restarts > 0
-    envelopes: np.ndarray | None  # (B, 2) when planes are wanted: curvature_operator_envelope
+    envelopes: np.ndarray  # (B, 2): curvature_operator_envelope
 
 
 def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
@@ -956,11 +933,7 @@ def _multistart(entries, restarts, seeds, kinds) -> list[_Extremes]:
     abs_s0, mu = np.abs(s0) / scales, mu / scales
     space_forms = mu <= d**2 * EPS * abs_s0  # up to rounding
     closed_form = restarts is None and d == 4
-    if True in kinds:
-        envelopes, bounds, certified, quads = _envelopes(entries)
-    else:
-        envelopes, bounds, certified = None, None, None
-        quads = _kahler_operators(entries) if closed_form else None
+    envelopes, bounds, certified, quads = _envelopes(entries)
     shapes = ((b, 2), float), ((b, 2, 2 * d), float), (b, int), (b, bool), ((b, len(EXIT_REASONS) + 2), int)
     found = {planes: _Extremes(*(np.zeros(*shape) for shape in shapes), envelopes) for planes in kinds}
 

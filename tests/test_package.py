@@ -62,9 +62,14 @@ def test_ci_workflow_runs_the_tier1_suite():
         and run.endswith("python -m pytest -q tests/test_chern.py tests/test_curvature.py")
         for run in runs
     )
-    # the uint32 seeding lanes and _secular_top's solvers with every warning an error
+    # the uint32 seeding lanes, _secular_top's solvers and the curvature and
+    # Chern layers' complex reads with every warning an error
     assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error tests/test_space.py" in runs
     assert "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error tests/test_pinching.py -k secular" in runs
+    assert (
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q -W error tests/test_curvature.py tests/test_chern.py"
+        in runs
+    )
     # the installed console script, which the tests (python -m kahlerpinch) do not reach
     assert "kahlerpinch r0 --n 2 --out r0.json && kahlerpinch validate r0.json" in runs
     # and the console script on the n = 2 closed form, after r0.json exists

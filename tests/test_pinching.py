@@ -1532,6 +1532,117 @@ def test_live_row_optimizer_equals_dense_loop_at_iteration_cap(monkeypatch):
         assert np.all(iterations == max_iter)
 
 
+def _dense_preconditioned_optimize(x, signs, objective, abs_s0, mu, max_iter):
+    """A dense loop whose rows all take the preconditioned step on planes.
+
+    The oracle of _optimize's preconditioned rows, written apart from
+    _dense_optimize: every row steps along p = M^{-1} g (_plane_direction),
+    the BB numerator is s^T M s = sign * step * <s, g_prev>, the
+    displacement cap reads |p|^2, and every row retracts by
+    _orthonormalize_pairs. objective(x) returns the row values and gradients;
+    abs_s0 and mu are the block's model coordinates, one float each.
+    """
+    from kahlerpinch.pinching import GRAD_TOL, STAGNATION_LIMIT, _orthonormalize_pairs, _plane_direction
+
+    rows = len(x)
+    columns = np.full((rows, 1), abs_s0), np.full((rows, 1), mu)
+    vals, g = objective(x)
+    best_vals, best_x = vals.copy(), x.copy()
+    step = np.full(rows, 0.05)
+    have_prev = np.zeros(rows, dtype=bool)
+    prev_x, prev_g = x.copy(), np.zeros_like(x)
+    active = np.ones(rows, dtype=bool)
+    stagnant = np.zeros(rows, dtype=int)
+    for _ in range(max_iter):
+        gsq = np.einsum("mi,mi->m", g, g)
+        active &= (gsq > GRAD_TOL * GRAD_TOL) & (step >= 1e-14) & (stagnant <= STAGNATION_LIMIT)
+        if not active.any():
+            break
+        p = _plane_direction(x, g, *columns)
+        s = x - prev_x
+        sms = signs * step * np.einsum("mi,mi->m", s, prev_g)
+        sy = signs * np.einsum("mi,mi->m", s, prev_g - g)
+        bb_ok = have_prev & np.isfinite(sy) & (sy > 1e-300) & (sms > 0.0)
+        fallback = np.where(have_prev, step * 2.0, step)
+        step = np.where(bb_ok, np.maximum(sms / np.where(sy > 0, sy, 1.0), 1e-12), fallback)
+        step = np.minimum(step, 2.0 / np.sqrt(np.maximum(np.einsum("mi,mi->m", p, p), 1e-300)))
+        xc = _orthonormalize_pairs(x + (signs * step)[:, None] * p)
+        cand_vals, cand_g = objective(xc)
+        accept = active & (signs * (cand_vals - vals) > -0.1 * (1.0 + np.abs(vals)))
+        improved = accept & (signs * (cand_vals - best_vals) > 1e-14 * (1.0 + np.abs(best_vals)))
+        stagnant = np.where(improved, 0, stagnant + 1)
+        step[active & ~accept] *= 0.5
+        have_prev[active] = accept[active]
+        prev_x[accept], prev_g[accept] = x[accept], g[accept]
+        x[accept], vals[accept], g[accept] = xc[accept], cand_vals[accept], cand_g[accept]
+        record = accept & (signs * (cand_vals - best_vals) > 0)
+        best_vals[record], best_x[record] = cand_vals[record], xc[record]
+    keep = ~(signs * (best_vals - vals) > 1e-9)
+    best_vals[keep], best_x[keep] = vals[keep], x[keep]
+    return best_vals, best_x
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_preconditioned_plane_block_equals_dense_preconditioned_loop(n):
+    # one preconditioned plane block at unit curvature scale, as _multistart
+    # runs it: its rows' values and points equal the dense preconditioned
+    # loop's bit for bit
+    from kahlerpinch import pinching
+    from kahlerpinch.experiments import perturb
+
+    tensor = perturb(make_space(n), 0.02, seed=n)
+    s0, mu = pinching._stacked_model_coordinates(tensor.entries[None])
+    scale = np.hypot(s0, mu)
+    abs_s0, mu = np.abs(s0) / scale, mu / scale
+    assert 3.0 * abs_s0[0] > mu[0] > (2 * n) ** 2 * pinching.EPS * abs_s0[0]  # neither plain case
+    m2 = tensor.matrix / scale[0]
+    x, signs, _ = _optimizer_problem("pair", tensor, 2, 8)
+    dense_vals, dense_points = _dense_preconditioned_optimize(
+        x.copy(), signs, lambda y: pinching._pair_objective([m2], [len(y)], y), abs_s0[0], mu[0],
+        pinching.MAX_ITER,
+    )
+    vals, points, _, _ = pinching._optimize(
+        x.copy(), signs, np.zeros(len(x), dtype=int), lambda y, sizes: pinching._pair_objective([m2], sizes, y),
+        pinching._orthonormalize_pairs, (abs_s0, mu), (1, 1),
+    )
+    assert vals.tolist() == dense_vals.tolist()
+    assert np.array_equal(points, dense_points)
+
+
+def test_live_rows_name_the_columns_of_one_packed_state():
+    # a mixed batch: a preconditioned plane block (4 rows), a plain plane
+    # block (2) and a J-line block (6), planes = (1, 2)
+    from kahlerpinch.pinching import _LiveRows
+
+    w, owners, planes = 8, np.repeat([0, 1, 2], [4, 2, 6]), (1, 2)
+    live = _LiveRows.zeros(len(owners), w, 3, planes)
+    state = live.state
+    state[:] = np.arange(state.size).reshape(state.shape)
+    layout = [("prev_x", w), (None, 1), ("prev_g", w), ("x", w), ("vals", 1), ("g", w), ("best_x", w)]
+    layout += [(name, 1) for name in ("best_vals", "step", "have_prev", "stagnant", "signs", "abs_s0", "mu")]
+    layout += [(name, 1) for name in ("owners", "row", "gsq")]
+    start = 0
+    for name, width in layout:
+        if name is not None:
+            columns = state[:, start : start + width]
+            assert np.array_equal(getattr(live, name), columns if width > 1 else columns[:, 0]), name
+        start += width
+    assert start == state.shape[1]
+    for group, (lo, hi) in (("prev", (0, 2 * w + 1)), ("cur", (2 * w + 1, 4 * w + 2)), ("best", (4 * w + 2, 5 * w + 3))):
+        assert np.array_equal(getattr(live, group), state[:, lo:hi]), group
+    # a write through a view lands in the packed state
+    live.g[3] = -1.0
+    live.step[:] = 0.5
+    assert np.all(state[3, 3 * w + 2 : 4 * w + 2] == -1.0) and np.all(state[:, 5 * w + 3] == 0.5)
+    live.owners[:] = owners
+    assert (live.sizes, live.pre, live.heads) == ([4, 2, 6], 4, 6)
+    # after a compaction the counts are those of the rows kept
+    for go in (np.arange(12) % 3 != 1, np.isin(owners, [0, 2]), owners == 2, np.arange(12) < 5):
+        taken, recount = _LiveRows(state[go], w, 3, planes), np.bincount(owners[go], minlength=3)
+        assert np.array_equal(taken.owners, owners[go]) and taken.sizes == recount.tolist()
+        assert (taken.pre, taken.heads) == (recount[: planes[0]].sum(), recount[: planes[1]].sum())
+
+
 def test_optimizer_evaluates_only_live_rows(monkeypatch):
     # every objective call after the first sees the rows still running: the
     # counts never grow (a stopped row never rejoins) and end below the start
